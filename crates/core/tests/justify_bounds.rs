@@ -6,7 +6,8 @@
 //! by the event hooks, and [`JustificationTracker::prune_settled`]
 //! reclaims slots the stream abandoned. These properties pin that the
 //! live window count is a function of the *open* state, not of the stream
-//! length.
+//! length — and that the tracker partitions exactly by node, which is
+//! what lets the live runtime keep one per shard.
 
 use proptest::prelude::*;
 
@@ -90,6 +91,52 @@ proptest! {
         t.prune_settled(now + cup_des::SimDuration::from_secs(MAX_WINDOW + 1));
         prop_assert_eq!(t.open_windows(), 0);
         prop_assert_eq!((t.justified(), t.total()), (justified, tracked));
+    }
+
+    /// The partition law the sharded live runtime rests on: windows are
+    /// keyed by `(node, key)`, so K trackers that each own a slice of
+    /// the nodes — every update recorded with its node's tracker, every
+    /// query handed to each tracker with only that tracker's path nodes —
+    /// sum to the single tracker, counter for counter, at every step.
+    #[test]
+    fn trackers_partitioned_by_node_sum_to_the_single_tracker(
+        events in proptest::collection::vec(arb_event(), 1..600),
+        k in 1usize..6,
+    ) {
+        let mut single = JustificationTracker::new();
+        let mut parts: Vec<JustificationTracker> = (0..k).map(|_| JustificationTracker::new()).collect();
+        let owner = |node: NodeId| node.index() % k;
+        let mut now = SimTime::ZERO;
+        for ev in &events {
+            now += cup_des::SimDuration::from_secs(ev.dt);
+            let (node, key) = (NodeId(ev.node as u32), KeyId(ev.key as u32));
+            match ev.window {
+                Some(w) => {
+                    let closes = now + cup_des::SimDuration::from_secs(w);
+                    single.on_update_delivered(node, key, now, closes);
+                    parts[owner(node)].on_update_delivered(node, key, now, closes);
+                }
+                None => {
+                    let path = [
+                        node,
+                        NodeId(((ev.node + 1) % NODES) as u32),
+                        NodeId(((ev.node + 2) % NODES) as u32),
+                    ];
+                    single.on_query(key, now, &path);
+                    for (i, part) in parts.iter_mut().enumerate() {
+                        let own: Vec<NodeId> =
+                            path.iter().copied().filter(|&n| owner(n) == i).collect();
+                        part.on_query(key, now, &own);
+                    }
+                }
+            }
+            prop_assert_eq!(parts.iter().map(|p| p.justified()).sum::<u64>(), single.justified());
+            prop_assert_eq!(parts.iter().map(|p| p.total()).sum::<u64>(), single.total());
+            prop_assert_eq!(
+                parts.iter().map(|p| p.open_windows()).sum::<usize>(),
+                single.open_windows()
+            );
+        }
     }
 
     /// Justified windows never linger: the query that justifies a window

@@ -60,6 +60,24 @@ impl FaultCounters {
             + self.dropped_to_crashed
             + self.byz_updates_dropped
     }
+
+    /// Folds the counters of another replica of the *same* plane into
+    /// this one. Message-level counters are bumped only by the replica
+    /// that saw the message, so they add; `crashes`/`restarts` count
+    /// applied actions, which every replica applies alike, so they are
+    /// taken once. Associative and commutative, like `NodeStats::merge`.
+    pub fn merge(&mut self, other: &FaultCounters) {
+        self.dropped_loss += other.dropped_loss;
+        self.dropped_partition += other.dropped_partition;
+        self.dropped_to_crashed += other.dropped_to_crashed;
+        self.crashes = self.crashes.max(other.crashes);
+        self.restarts = self.restarts.max(other.restarts);
+        self.queries_at_crashed += other.queries_at_crashed;
+        self.replica_at_crashed += other.replica_at_crashed;
+        self.byz_updates_dropped += other.byz_updates_dropped;
+        self.byz_updates_swallowed += other.byz_updates_swallowed;
+        self.byz_refresh_lies += other.byz_refresh_lies;
+    }
 }
 
 /// An active partition: group assignment by seeded hash.
@@ -152,6 +170,34 @@ impl FaultState {
             || self.partition.is_some()
             || self.latency_factor != 1.0
             || self.behavior_count > 0
+    }
+
+    /// The counters of one logical plane kept as several replicas: one
+    /// `FaultState` per execution context, all built from one seed and
+    /// fed every action, each rolling only the sends of the nodes it
+    /// owns (so every `link_seq` entry lives in exactly one replica).
+    /// Folded with [`FaultCounters::merge`], they equal the counters of a
+    /// single state that saw every send.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replicas' epochs differ: one of them skipped an
+    /// action, so its verdicts came from a different plane and the fold
+    /// would be a sum over two fault universes.
+    pub fn merged_counters<'a>(
+        replicas: impl IntoIterator<Item = &'a FaultState>,
+    ) -> FaultCounters {
+        let mut merged = FaultCounters::default();
+        let mut epoch = None;
+        for replica in replicas {
+            let first = *epoch.get_or_insert(replica.epoch);
+            assert_eq!(
+                replica.epoch, first,
+                "fault-plane replicas at unequal epochs: one skipped an action"
+            );
+            merged.merge(&replica.counters);
+        }
+        merged
     }
 
     /// The current per-hop latency multiplier.

@@ -38,6 +38,7 @@ use rules::{PanicPath, RelaxedAtomic, UnorderedIteration, WallClock};
 /// repo-level assertion suite too.
 pub const WORKSPACE_TREES: &[&str] = &[
     "crates/core/src",
+    "crates/faults/src",
     "crates/simnet/src",
     "crates/runtime/src",
     "crates/testkit/src",

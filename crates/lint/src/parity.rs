@@ -8,8 +8,9 @@
 //! invariant. This rule parses the field lists out of the masked source
 //! and fails when:
 //!
-//! * a `NodeStats` field is missing from its own `merge()` body (the
-//!   counter would vanish when per-node stats are aggregated);
+//! * a `NodeStats`, `Hist` or `FaultCounters` field is missing from its
+//!   own `merge()` body (the counter would vanish when per-node stats,
+//!   per-worker histograms or per-shard fault replicas are aggregated);
 //! * a `NetMetrics` counter is never consumed by the conformance
 //!   harness, directly or through a `NetMetrics` helper method the
 //!   harness calls (`total_cost()` covers the six hop counters, for
@@ -65,6 +66,15 @@ impl ConformanceParity {
                 ParityCheck::MergedInto {
                     struct_file: "crates/core/src/obs.rs".into(),
                     struct_name: "Hist".into(),
+                    fn_name: "merge".into(),
+                },
+                // The fault plane's counters: the live runtime keeps one
+                // replica per shard and folds them at read time, so a
+                // counter missing from `merge` would read zero live
+                // while the DES still counts it.
+                ParityCheck::MergedInto {
+                    struct_file: "crates/faults/src/state.rs".into(),
+                    struct_name: "FaultCounters".into(),
                     fn_name: "merge".into(),
                 },
                 ParityCheck::ConsumedBy {

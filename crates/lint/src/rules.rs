@@ -293,13 +293,10 @@ pub const ATOMIC_SCOPE: &[&str] = &["crates/runtime/src"];
 /// makes all prior worker writes visible. Relaxed is sound *and* the
 /// point (no ordering constraint on the hot path).
 pub const MONOTONE_COUNTERS: &[&str] = &[
-    "hops",
     "cross_shard",
     "batch_flushes",
     "batched_envelopes",
     "routing_failures",
-    "stale_answers",
-    "stale_age_micros",
     "next_client",
 ];
 

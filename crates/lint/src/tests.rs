@@ -220,9 +220,21 @@ fn iteration_rule_ignores_out_of_scope_crates() {
 
 #[test]
 fn relaxed_on_monotone_counter_is_fine() {
-    let src = "fn f(s: &S) { s.hops.fetch_add(1, Ordering::Relaxed); }\n";
+    let src = "fn f(s: &S) { s.cross_shard.fetch_add(n, Ordering::Relaxed); }\n";
     let report = run_rule(&RelaxedAtomic, &[("crates/runtime/src/s.rs", src)]);
     assert_eq!(report.denied().count(), 0);
+}
+
+#[test]
+fn relaxed_on_a_former_counter_fires() {
+    // Hop and stale-answer counts moved into the shard-local state as
+    // plain integers; an atomic by one of those names coming back must
+    // argue its ordering again, not inherit an allowlist entry.
+    let src = "fn f(s: &S) { s.hops.fetch_add(1, Ordering::Relaxed); }\n";
+    let report = run_rule(&RelaxedAtomic, &[("crates/runtime/src/s.rs", src)]);
+    let denied: Vec<_> = report.denied().collect();
+    assert_eq!(denied.len(), 1);
+    assert!(denied[0].message.contains("hops"));
 }
 
 #[test]
@@ -367,6 +379,46 @@ impl Hist {
     assert_eq!(denied.len(), 1);
     assert!(denied[0].message.contains("total"));
     assert_eq!(denied[0].line, 3, "reported at the field's declaration");
+}
+
+#[test]
+fn fault_counter_missing_from_merge_fires() {
+    // The live runtime reads the fault plane by folding one replica per
+    // shard: a counter the fold forgets reads zero live while the DES
+    // still counts it. `merged_counters` sits next to `merge` and must
+    // not be mistaken for it.
+    let src = "\
+pub struct FaultCounters {
+    pub dropped_loss: u64,
+    pub crashes: u64,
+    pub byz_refresh_lies: u64,
+}
+impl FaultCounters {
+    pub fn merge(&mut self, other: &FaultCounters) {
+        self.dropped_loss += other.dropped_loss;
+        self.crashes = self.crashes.max(other.crashes);
+    }
+}
+impl FaultState {
+    pub fn merged_counters(replicas: &[FaultState]) -> FaultCounters {
+        let mut merged = FaultCounters::default();
+        merged.byz_refresh_lies = 0;
+        merged
+    }
+}
+";
+    let rule = ConformanceParity {
+        checks: vec![ParityCheck::MergedInto {
+            struct_file: "crates/faults/src/state.rs".into(),
+            struct_name: "FaultCounters".into(),
+            fn_name: "merge".into(),
+        }],
+    };
+    let report = run_rule(&rule, &[("crates/faults/src/state.rs", src)]);
+    let denied: Vec<_> = report.denied().collect();
+    assert_eq!(denied.len(), 1);
+    assert!(denied[0].message.contains("byz_refresh_lies"));
+    assert_eq!(denied[0].line, 4, "reported at the field's declaration");
 }
 
 #[test]

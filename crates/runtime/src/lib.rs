@@ -45,12 +45,16 @@
 //! queries.
 //!
 //! The `cup-faults` plane plugs in through the same decide-before-
-//! enqueue rule the DES uses: [`LiveNetwork::enable_faults`] arms a
-//! shared [`cup_faults::FaultState`], every worker consults it before a
-//! message enters any mailbox (so `quiesce` stays exact under loss), and
-//! [`LiveNetwork::inject_fault`] scripts loss phases, partitions, and
-//! crash/restart cycles — a crash wipes the node's protocol state while
-//! its counters are folded into a retained aggregate.
+//! enqueue rule the DES uses: [`LiveNetwork::enable_faults`] arms one
+//! [`cup_faults::FaultState`] replica per shard, every worker consults
+//! its own before a message enters any mailbox (so `quiesce` stays exact
+//! under loss), and [`LiveNetwork::inject_fault`] scripts loss phases,
+//! partitions, and crash/restart cycles — applied to every replica
+//! between rounds; a crash wipes the node's protocol state while its
+//! counters are folded into a retained aggregate. The fault replica, the
+//! justification windows, the histograms and the hop count are all
+//! shard-local, taken once per dispatch round and folded by the handle
+//! at read time, so the per-message path takes no process-wide lock.
 //!
 //! # Examples
 //!

@@ -14,7 +14,7 @@ use cup_des::{DetRng, KeyId, NodeId, ReplicaId, SimDuration, SimTime};
 use cup_faults::{FaultAction, FaultCounters, FaultEvent, FaultPlan, FaultState};
 use cup_overlay::{AnyOverlay, Overlay, OverlayError, OverlayKind};
 
-use crate::shard::{worker_main, Envelope, Shared};
+use crate::shard::{worker_main, Envelope, ObsState, ShardLocal, Shared};
 use crate::shard_map::{ShardMap, ShardMapMode};
 
 /// Errors surfaced by the live runtime.
@@ -238,25 +238,38 @@ impl LiveNetwork {
         self.handles.len()
     }
 
-    // Metric-accessor memory ordering policy: the counters below are
-    // monotone event counts written with `Ordering::Relaxed` on the
-    // dispatch hot path and read here with `Relaxed` loads. That is
-    // sound — not merely tolerated — because no reader derives an
-    // invariant from *cross-counter* ordering while traffic is in
-    // flight, and every stable reading is taken after
-    // [`LiveNetwork::quiesce`], whose SeqCst in-flight counter
-    // (`Shared::pending`) makes all worker writes happen-before the
-    // caller's loads. The relaxed-atomic lint's `MONOTONE_COUNTERS`
-    // allowlist enumerates exactly these counters; a new metric must
-    // either satisfy the same contract (monotone, quiesce-published) or
-    // use an `Acquire` load paired with its writer — never grow the
-    // allowlist just to silence the lint. Non-counter observability
-    // state (the latency histograms, the trace buffer) deliberately
-    // lives behind mutexes instead.
+    // Metric-accessor policy. Two kinds of reading:
+    //
+    // * Shard-local state (hops, justification, fault counters, stale
+    //   sums, histograms, crash-retained stats) is plain data inside
+    //   each shard's `ShardLocal`. An accessor takes every shard's lock
+    //   (`Shared::lock_locals`, granted at round boundaries) and folds
+    //   with an exact merge — sums, `Hist::merge`, `NodeStats::merge`,
+    //   `FaultCounters::merge` — so the reading is one consistent cut,
+    //   and after a `quiesce` it is the final one.
+    // * The batch-plane counters are monotone event counts bumped with
+    //   `Ordering::Relaxed` once per flush and read here with `Relaxed`
+    //   loads. That is sound — not merely tolerated — because no reader
+    //   derives an invariant from *cross-counter* ordering while
+    //   traffic is in flight, and every stable reading is taken after
+    //   [`LiveNetwork::quiesce`], whose SeqCst in-flight counter
+    //   (`Shared::pending`) makes all worker writes happen-before the
+    //   caller's loads. The relaxed-atomic lint's `MONOTONE_COUNTERS`
+    //   allowlist enumerates exactly these counters; a new metric must
+    //   either live in `ShardLocal`, satisfy the same contract
+    //   (monotone, quiesce-published) or use an `Acquire` load paired
+    //   with its writer — never grow the allowlist just to silence the
+    //   lint.
 
-    /// Peer messages delivered so far (hop count).
+    /// Peer messages delivered so far (hop count), folded over the
+    /// shards.
     pub fn hops(&self) -> u64 {
-        self.shared.hops.load(Ordering::Relaxed)
+        self.sum_locals(|l| l.hops)
+    }
+
+    /// One of the per-shard counts, summed over the shards.
+    fn sum_locals(&self, pick: impl Fn(&ShardLocal) -> u64) -> u64 {
+        self.shared.lock_locals().iter().map(|l| pick(l)).sum()
     }
 
     /// Peer messages that crossed a shard boundary (subset of
@@ -294,9 +307,11 @@ impl LiveNetwork {
     }
 
     /// Switches §3.1 justified-update accounting on or off. Enable it
-    /// before injecting traffic: the tracker only sees events recorded
-    /// while it is on. Costs one lock per maintenance-update delivery
-    /// and per posted query, so benchmarks leave it off.
+    /// before injecting traffic: the trackers only see events recorded
+    /// while it is on. Each shard tracks its own nodes' windows without
+    /// a lock of its own; what it costs is the virtual-path lookup per
+    /// posted query, plus one bookkeeping envelope to every other shard
+    /// that path crosses.
     pub fn track_justification(&self, enabled: bool) {
         self.shared
             .justify_on
@@ -309,17 +324,21 @@ impl LiveNetwork {
     /// `(0, 0)` until [`LiveNetwork::track_justification`] is enabled.
     /// Call after [`LiveNetwork::quiesce`] for a stable reading.
     pub fn justification(&self) -> (u64, u64) {
-        let tracker = self
-            .shared
-            .justify
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        (tracker.justified(), tracker.total())
+        self.shared
+            .lock_locals()
+            .iter()
+            .fold((0, 0), |(justified, tracked), l| {
+                (
+                    justified + l.justify.justified(),
+                    tracked + l.justify.total(),
+                )
+            })
     }
 
-    /// Arms the fault plane with a fresh [`FaultState`] keyed by `seed`.
-    /// Use the same seed as a DES run's plane to get byte-identical drop
-    /// decisions (the conformance harness does exactly that).
+    /// Arms the fault plane with a fresh [`FaultState`] keyed by `seed`
+    /// (one replica per shard, all from this seed). Use the same seed
+    /// as a DES run's plane to get byte-identical drop decisions (the
+    /// conformance harness does exactly that).
     ///
     /// Call while the network is quiescent — re-seeding under traffic
     /// would split one logical fault universe into two. Note that
@@ -329,11 +348,9 @@ impl LiveNetwork {
     /// order — and therefore which message a lossy link eats — depends
     /// on mailbox arrival order.
     pub fn enable_faults(&self, seed: u64) {
-        let mut state = self.shared.faults.lock().unwrap_or_else(|e| e.into_inner());
-        *state = FaultState::new(seed);
-        self.shared
-            .faults_on
-            .store(state.active(), std::sync::atomic::Ordering::SeqCst);
+        for local in &mut self.shared.lock_locals() {
+            local.faults = FaultState::new(seed);
+        }
         // Latch staleness ground-truth recording for the rest of the run
         // (the live mirror of the DES arming its `dead_replicas` map).
         self.shared
@@ -346,18 +363,19 @@ impl LiveNetwork {
     /// wipes the node's protocol state via its owner shard (quiesce
     /// afterwards to observe the completed wipe).
     ///
-    /// Workers consult the plane only while some fault is in effect, so
-    /// a fully healed network (loss 0, no partition, everyone restarted)
-    /// pays nothing per send again.
+    /// The action is applied to every shard's replica while every
+    /// shard's lock is held — between rounds everywhere — so the
+    /// replicas' epochs stay equal and no worker ever rolls a verdict
+    /// against a half-applied plane. Workers consult their replica only
+    /// while some fault is in effect, so a fully healed network (loss 0,
+    /// no partition, everyone restarted) pays nothing per send again.
     pub fn inject_fault(&self, action: FaultAction) {
-        let changed = {
-            let mut state = self.shared.faults.lock().unwrap_or_else(|e| e.into_inner());
-            let changed = state.apply(action);
-            self.shared
-                .faults_on
-                .store(state.active(), std::sync::atomic::Ordering::SeqCst);
-            changed
-        };
+        // Replicas hold identical tables, so they all agree on whether
+        // the action changed anything.
+        let mut changed = false;
+        for local in &mut self.shared.lock_locals() {
+            changed = local.faults.apply(action);
+        }
         if let FaultAction::Crash { node } = action {
             if changed && node < self.node_ids.len() {
                 let at = NodeId(node as u32);
@@ -370,11 +388,7 @@ impl LiveNetwork {
     /// The fault plane's drop/crash counters (all zero while unarmed).
     /// Call after [`LiveNetwork::quiesce`] for a stable reading.
     pub fn fault_counters(&self) -> FaultCounters {
-        self.shared
-            .faults
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .counters
+        FaultState::merged_counters(self.shared.lock_locals().iter().map(|l| &l.faults))
     }
 
     /// Messages the fault plane dropped so far.
@@ -387,13 +401,13 @@ impl LiveNetwork {
     /// node). Zero until [`LiveNetwork::enable_faults`] arms the plane.
     /// Call after [`LiveNetwork::quiesce`] for a stable reading.
     pub fn stale_answers(&self) -> u64 {
-        self.shared.stale_answers.load(Ordering::Relaxed)
+        self.sum_locals(|l| l.stale_answers)
     }
 
     /// Summed staleness age of those answers (µs since the deletion) —
     /// the live mirror of the DES's `stale_age_micros`.
     pub fn stale_age_micros(&self) -> u64 {
-        self.shared.stale_age_micros.load(Ordering::Relaxed)
+        self.sum_locals(|l| l.stale_age_micros)
     }
 
     /// The client-query latency histogram: µs from posting to answer,
@@ -402,11 +416,7 @@ impl LiveNetwork {
     /// (virtual-clock) µs otherwise. Call after [`LiveNetwork::quiesce`]
     /// for a stable reading.
     pub fn query_latency_hist(&self) -> Hist {
-        self.shared
-            .obs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .query_latency
+        self.fold_hist(|obs| &obs.query_latency)
     }
 
     /// The staleness-age histogram: one sample (µs since the deletion)
@@ -414,11 +424,7 @@ impl LiveNetwork {
     /// [`LiveNetwork::stale_age_micros`]. Call after
     /// [`LiveNetwork::quiesce`] for a stable reading.
     pub fn stale_age_hist(&self) -> Hist {
-        self.shared
-            .obs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .stale_age
+        self.fold_hist(|obs| &obs.stale_age)
     }
 
     /// The batch-size histogram: envelopes per non-empty cross-shard
@@ -427,11 +433,16 @@ impl LiveNetwork {
     /// mean). Live-only — the DES has no batching. Call after
     /// [`LiveNetwork::quiesce`] for a stable reading.
     pub fn batch_size_hist(&self) -> Hist {
-        self.shared
-            .obs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .batch_sizes
+        self.fold_hist(|obs| &obs.batch_sizes)
+    }
+
+    /// One of the per-shard histograms, merged over the shards.
+    fn fold_hist(&self, pick: impl Fn(&ObsState) -> &Hist) -> Hist {
+        let mut merged = Hist::default();
+        for local in &self.shared.lock_locals() {
+            merged.merge(pick(&local.obs));
+        }
+        merged
     }
 
     /// Turns on structured event tracing with a ring buffer of `cap`
@@ -455,11 +466,11 @@ impl LiveNetwork {
     /// the DES arena's departed-stats aggregate; crash wipes must not
     /// lose history from network-wide statistics).
     pub fn crash_retained_stats(&self) -> NodeStats {
-        *self
-            .shared
-            .crash_retained
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        let mut merged = NodeStats::default();
+        for local in &self.shared.lock_locals() {
+            merged.merge(&local.crash_retained);
+        }
+        merged
     }
 
     /// Blocks until the network is quiescent: every shard mailbox is
@@ -608,18 +619,16 @@ impl LiveNetwork {
             return Err(RuntimeError::UnknownNode(node));
         }
         let client = ClientId(self.next_client.fetch_add(1, Ordering::Relaxed));
-        self.shared.note_posted_query(client, self.shared.now());
+        let shard = self.shared.shard_of(node);
         let (tx, rx) = channel();
-        // Recover a poisoned registry rather than panicking the caller:
-        // the map only holds channel senders, so it is valid after any
-        // worker panic (which the quiesce barrier reports separately).
+        // Registered with its posted time (so wall-clock latency
+        // includes queue wait) in the posting node's shard — the only
+        // shard that ever answers this client.
         self.shared
-            .clients
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(client, tx);
+            .clients_of(shard)
+            .insert(client, (tx, Some(self.shared.now())));
         self.shared.post(
-            self.shared.shard_of(node),
+            shard,
             Envelope::Client {
                 at: node,
                 key,
@@ -628,6 +637,7 @@ impl LiveNetwork {
         );
         Ok(PendingQuery {
             net: self,
+            shard,
             client,
             rx,
         })
@@ -657,9 +667,12 @@ impl LiveNetwork {
 }
 
 /// A posted-but-unclaimed client query (see
-/// [`LiveNetwork::query_detached`]). Dropping it deregisters the client.
+/// [`LiveNetwork::query_detached`]). Dropping it deregisters the client,
+/// posted-time record included.
 pub struct PendingQuery<'a> {
     net: &'a LiveNetwork,
+    /// The shard whose registry holds this client.
+    shard: usize,
     client: ClientId,
     rx: Receiver<Vec<IndexEntry>>,
 }
@@ -683,12 +696,7 @@ impl PendingQuery<'_> {
 
 impl Drop for PendingQuery<'_> {
     fn drop(&mut self) {
-        self.net
-            .shared
-            .clients
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&self.client);
+        self.net.shared.clients_of(self.shard).remove(&self.client);
     }
 }
 
@@ -1057,6 +1065,36 @@ mod tests {
             "the upstream query must have been dropped"
         );
         assert_eq!(net.hops(), hops_before, "dropped messages are not hops");
+        net.shutdown();
+    }
+
+    #[test]
+    fn nothing_outlives_a_dropped_query_handle() {
+        // Under total loss the answer never comes, so no answer ever
+        // claims the posted-time record; it must go with the handle.
+        let net = network(OverlayKind::Can, 16);
+        net.enable_faults(9);
+        net.replica_birth(KeyId(1), ReplicaId(0), LIFE);
+        net.quiesce();
+        net.inject_fault(FaultAction::SetLoss { rate: 1.0 });
+        let pending: Vec<_> = net
+            .nodes()
+            .iter()
+            .map(|&node| net.query_detached(node, KeyId(1)).unwrap())
+            .collect();
+        net.quiesce();
+        let registered = || -> usize {
+            (0..net.workers())
+                .map(|shard| net.shared.clients_of(shard).len())
+                .sum()
+        };
+        assert_eq!(registered(), 16, "one record per live handle");
+        assert!(
+            net.query_latency_hist().count() < 16,
+            "lost answers leave no latency sample"
+        );
+        drop(pending);
+        assert_eq!(registered(), 0);
         net.shutdown();
     }
 

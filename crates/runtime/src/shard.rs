@@ -24,6 +24,18 @@
 //! the work it consumed (children are in flight before the parent
 //! retires), and *before* parking (a parked worker never sits on a
 //! partial batch, so the barrier cannot deadlock).
+//!
+//! Everything a message touches besides its node is shard-local too.
+//! Each shard has one [`ShardLocal`] — its replica of the fault plane,
+//! its slice of the justification tracker, its histograms, stale-answer
+//! sums, crash-retained counters and hop count — whose mutex the
+//! shard's worker takes once per dispatch round, so the per-message
+//! path reads and writes plain fields. The runtime handle is the only
+//! other party: it takes every shard's lock to apply a fault action to
+//! all replicas at once, and to fold the shards with exact merges when
+//! a counter or histogram is read. The client registry is per shard as
+//! well but sits behind its own small mutex, because the handle fills
+//! it at post time and a post must never wait for a round.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -77,6 +89,20 @@ pub(crate) enum Envelope {
     CrashReset {
         /// The crashing node (owned by this shard).
         at: NodeId,
+    },
+    /// Justification plane: a client query for `key` was posted at `now`
+    /// on another shard, and `nodes` are the nodes of its virtual path
+    /// this shard owns — their open windows become justified (§3.1).
+    /// Travels in the batch plane (so the quiesce barrier counts it) but
+    /// is bookkeeping, not protocol traffic: neither a hop nor a
+    /// cross-shard message.
+    JustifyMark {
+        /// The key queried.
+        key: KeyId,
+        /// When the query was posted.
+        now: SimTime,
+        /// The receiving shard's nodes on the query's virtual path.
+        nodes: Vec<NodeId>,
     },
 }
 
@@ -146,11 +172,9 @@ struct TransferSlot {
 /// lookup is dropped (and counted) instead of panicking the worker.
 pub(crate) struct RoutingFailed;
 
-/// Latency histograms shared across workers. Recorded under one mutex —
-/// every site fires at most once per client answer or per batch flush,
-/// orders of magnitude below the per-envelope hot path, and a histogram
-/// is a multiset summary, so concurrent recording in any worker
-/// interleaving yields byte-identical state to a serial run.
+/// One shard's latency histograms. A histogram is a multiset summary
+/// with an exact merge, so per-shard recording folded at read time is
+/// byte-identical to a serial run's single histogram.
 #[derive(Default)]
 pub(crate) struct ObsState {
     /// µs from a client posting its query to the `RespondClient` answer
@@ -164,6 +188,50 @@ pub(crate) struct ObsState {
     pub(crate) batch_sizes: Hist,
 }
 
+/// The state one shard owns outright. Its worker holds the lock for the
+/// length of a dispatch round; the handle takes every shard's lock
+/// ([`Shared::lock_locals`]) to change the fault plane or to fold a
+/// reading. Nothing here is ever touched on behalf of another shard's
+/// node, which is what makes the fold exact:
+///
+/// * `faults` is a replica of one logical plane — same seed, every
+///   action applied to every replica under all the locks — whose only
+///   per-message mutable input, the per-link sequence number, belongs
+///   to the sender's shard;
+/// * `justify` holds the windows of this shard's nodes (windows are
+///   keyed by `(node, key)`), marked by queries posted here directly and
+///   by [`Envelope::JustifyMark`] for queries posted elsewhere;
+/// * the rest are sums and histograms.
+pub(crate) struct ShardLocal {
+    /// This shard's replica of the fault plane, shared in kind with the
+    /// DES through [`cup_faults`]: drops are decided here *before* a
+    /// message enters a buffer, so a dropped message never becomes
+    /// in-flight work and `wait_quiescent` stays exact.
+    pub(crate) faults: FaultState,
+    /// §3.1 justified-update accounting for this shard's nodes, shared
+    /// in kind with the DES through [`cup_core::justify`].
+    pub(crate) justify: JustificationTracker,
+    /// This shard's latency histograms (see [`ObsState`]).
+    pub(crate) obs: ObsState,
+    /// Counters retained from this shard's crashed nodes (the live
+    /// mirror of the DES arena's departed-stats aggregate).
+    pub(crate) crash_retained: NodeStats,
+    /// Client answers from this shard that served a globally dead replica.
+    pub(crate) stale_answers: u64,
+    /// Summed staleness age of those answers (µs since the deletion).
+    pub(crate) stale_age_micros: u64,
+    /// Peer messages this shard's nodes sent (the live equivalent of
+    /// hop counts; charged at the sender, like the DES).
+    pub(crate) hops: u64,
+}
+
+/// A shard's waiting clients: the answer channel and, until the first
+/// answer claims it (or a crashed node swallows the query), when the
+/// query was posted — the live mirror of the DES network's
+/// `query_posted` map. Filled handle-side at post time, so wall-clock
+/// latency includes queue wait; removed when the `PendingQuery` drops.
+type ClientRegistry = HashMap<ClientId, (Sender<Vec<IndexEntry>>, Option<SimTime>)>;
+
 /// State shared between the runtime handle and every worker.
 pub(crate) struct Shared {
     /// Per-shard control inboxes, indexed by shard.
@@ -175,68 +243,44 @@ pub(crate) struct Shared {
     pub(crate) map: ShardMap,
     /// The static overlay all routing decisions come from.
     pub(crate) overlay: AnyOverlay,
-    /// Client response channels, keyed by the id carried in the query.
-    pub(crate) clients: Mutex<HashMap<ClientId, Sender<Vec<IndexEntry>>>>,
+    /// Per-shard client registries, indexed by the shard of the node
+    /// the query was posted at (the only shard that ever answers it).
+    clients: Vec<Mutex<ClientRegistry>>,
+    /// Per-shard local state, indexed by shard (see [`ShardLocal`]).
+    locals: Vec<Mutex<ShardLocal>>,
     /// Where "now" comes from: wall-mapped for real deployments,
     /// virtual (stepped at quiesce barriers) for deterministic runs —
     /// see [`cup_core::clock`].
     pub(crate) clock: Clock,
-    /// Total peer messages delivered (the live equivalent of hop counts).
-    pub(crate) hops: AtomicU64,
-    /// Peer messages that crossed a shard boundary (subset of `hops`).
+    /// Peer messages that crossed a shard boundary (subset of the hops).
     /// Charged at flush time, one bump of `batch_len` per deposited
     /// batch, so the count still reflects individual envelopes while the
     /// atomic is paid per batch.
     pub(crate) cross_shard: AtomicU64,
     /// Batches deposited into transfer slots (non-empty flushes).
     pub(crate) batch_flushes: AtomicU64,
-    /// Envelopes that traveled inside those batches. Equals
-    /// `cross_shard` today (only peer traffic batches); kept separate so
-    /// batch-size accounting survives if control traffic ever batches.
+    /// Peer envelopes that traveled inside those batches. Equals
+    /// `cross_shard` (justification marks batch too but are counted by
+    /// neither); kept separate so batch-size accounting survives if
+    /// control traffic ever batches.
     pub(crate) batched_envelopes: AtomicU64,
     /// Messages dropped because the overlay failed to route them.
     pub(crate) routing_failures: AtomicU64,
-    /// §3.1 justified-update accounting, shared with the DES through
-    /// [`cup_core::justify`]. Gated by `justify_on` so the disabled path
-    /// costs one relaxed load per event, not a lock.
-    pub(crate) justify: Mutex<JustificationTracker>,
-    /// Whether the justification tracker records events.
+    /// Whether the shards' justification trackers record events.
     pub(crate) justify_on: AtomicBool,
     /// The node configuration every node was built with (crash resets
     /// rebuild cold nodes from it).
     pub(crate) config: NodeConfig,
-    /// The fault plane, shared with the DES through [`cup_faults`]:
-    /// drops are decided here *before* a message enters a mailbox, so a
-    /// dropped message never becomes in-flight work and `wait_quiescent`
-    /// stays exact. Gated by `faults_on` so the fault-free path costs
-    /// one relaxed load per send, not a lock.
-    pub(crate) faults: Mutex<FaultState>,
-    /// Whether the fault plane vets sends.
-    pub(crate) faults_on: AtomicBool,
-    /// Whether a fault plane was ever armed this run. Unlike `faults_on`
-    /// (which tracks *current* activity and heals back to false), this
-    /// latches: staleness ground truth keeps being recorded after the
-    /// fault window closes, exactly like the DES's `faults.is_some()`.
+    /// Whether a fault plane was ever armed this run. Unlike
+    /// `FaultState::active` (which tracks *current* activity and heals
+    /// back to false), this latches: staleness ground truth keeps being
+    /// recorded after the fault window closes, exactly like the DES's
+    /// `faults.is_some()`.
     pub(crate) faults_armed: AtomicBool,
     /// Ground truth for staleness: globally deleted replicas and when
     /// they died (tracked only while a fault plane is armed — the live
     /// mirror of the DES network's map).
     pub(crate) dead_replicas: Mutex<HashMap<(KeyId, ReplicaId), SimTime>>,
-    /// Client answers that served a globally dead replica.
-    pub(crate) stale_answers: AtomicU64,
-    /// Summed staleness age of those answers (µs since the deletion).
-    pub(crate) stale_age_micros: AtomicU64,
-    /// Counters retained from crashed nodes (the live mirror of the
-    /// DES arena's departed-stats aggregate).
-    pub(crate) crash_retained: Mutex<NodeStats>,
-    /// Shared latency histograms (see [`ObsState`]).
-    pub(crate) obs: Mutex<ObsState>,
-    /// When each outstanding client query was posted, keyed by the raw
-    /// client id — the live mirror of the DES network's `query_posted`
-    /// map. Inserted handle-side at post time, consumed by the worker
-    /// that answers (or dropped when a crashed node swallows the query,
-    /// which the DES models by never inserting).
-    pub(crate) query_posted: Mutex<HashMap<u64, SimTime>>,
     /// Whether structured event tracing is on. Acquire pairs with the
     /// SeqCst store in `enable_trace`, so a worker that observes the
     /// flag also observes the buffer installed before the flip; off
@@ -275,25 +319,29 @@ impl Shared {
                 .collect(),
             map,
             overlay,
-            clients: Mutex::new(HashMap::new()),
+            clients: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            locals: (0..shards)
+                .map(|_| {
+                    Mutex::new(ShardLocal {
+                        faults: FaultState::new(0),
+                        justify: JustificationTracker::new(),
+                        obs: ObsState::default(),
+                        crash_retained: NodeStats::default(),
+                        stale_answers: 0,
+                        stale_age_micros: 0,
+                        hops: 0,
+                    })
+                })
+                .collect(),
             clock,
-            hops: AtomicU64::new(0),
             cross_shard: AtomicU64::new(0),
             batch_flushes: AtomicU64::new(0),
             batched_envelopes: AtomicU64::new(0),
             routing_failures: AtomicU64::new(0),
-            justify: Mutex::new(JustificationTracker::new()),
             justify_on: AtomicBool::new(false),
             config,
-            faults: Mutex::new(FaultState::new(0)),
-            faults_on: AtomicBool::new(false),
             faults_armed: AtomicBool::new(false),
             dead_replicas: Mutex::new(HashMap::new()),
-            stale_answers: AtomicU64::new(0),
-            stale_age_micros: AtomicU64::new(0),
-            crash_retained: Mutex::new(NodeStats::default()),
-            obs: Mutex::new(ObsState::default()),
-            query_posted: Mutex::new(HashMap::new()),
             trace_on: AtomicBool::new(false),
             trace: Mutex::new(None),
             pending: AtomicU64::new(0),
@@ -331,22 +379,21 @@ impl Shared {
     /// transfer slot and wakes the receiver. The in-flight counter is
     /// bumped by the full batch length *before* the deposit — one
     /// amortized `fetch_add` per flush — so the barrier can never
-    /// observe a deposited envelope it has not counted. `buf` comes
-    /// back empty but with capacity (the slot's previous vector when
-    /// the swap path was taken).
-    fn deposit(&self, sender: usize, receiver: usize, buf: &mut Vec<Envelope>) {
-        let n = buf.len() as u64;
-        self.pending.fetch_add(n, Ordering::SeqCst);
-        // Cross-shard accounting: charged at flush, still counting
-        // individual envelopes.
-        self.cross_shard.fetch_add(n, Ordering::Relaxed);
-        self.batched_envelopes.fetch_add(n, Ordering::Relaxed);
-        self.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        self.obs
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .batch_sizes
-            .record(n);
+    /// observe a deposited envelope it has not counted. `peers` of the
+    /// batch's envelopes are peer messages (the rest are
+    /// [`Envelope::JustifyMark`]s, which the barrier counts and the
+    /// traffic counters do not). `buf` comes back empty but with
+    /// capacity (the slot's previous vector when the swap path was
+    /// taken).
+    fn deposit(&self, sender: usize, receiver: usize, buf: &mut Vec<Envelope>, peers: u64) {
+        self.pending.fetch_add(buf.len() as u64, Ordering::SeqCst);
+        if peers > 0 {
+            // Cross-shard accounting: charged at flush, still counting
+            // individual envelopes.
+            self.cross_shard.fetch_add(peers, Ordering::Relaxed);
+            self.batched_envelopes.fetch_add(peers, Ordering::Relaxed);
+            self.batch_flushes.fetch_add(1, Ordering::Relaxed);
+        }
         {
             let mut slot = self
                 .slot(sender, receiver)
@@ -432,53 +479,29 @@ impl Shared {
         }
     }
 
+    /// Locks every shard's local state, in shard order (the one order
+    /// any thread takes more than one of these locks in, so handle
+    /// threads cannot deadlock each other; a worker only ever takes its
+    /// own). Each lock is granted at its worker's next round boundary.
+    /// Holding all of them means no round is in progress anywhere: a
+    /// fault action applied now reaches every replica before any worker
+    /// rolls another verdict, and a fold reads one consistent cut.
+    pub(crate) fn lock_locals(&self) -> Vec<MutexGuard<'_, ShardLocal>> {
+        self.locals
+            .iter()
+            .map(|local| local.lock().unwrap_or_else(|e| e.into_inner()))
+            .collect()
+    }
+
     /// Whether justification accounting is live. Acquire pairs with the
-    /// SeqCst store in `track_justification`: a worker that observes the
-    /// flag also observes the tracker state installed before the flip.
+    /// SeqCst store in `track_justification`.
     pub(crate) fn justify_enabled(&self) -> bool {
         self.justify_on.load(Ordering::Acquire)
     }
 
-    /// Whether the fault plane vets sends. Acquire pairs with the SeqCst
-    /// store in `enable_faults`, so a worker that sees the flag also
-    /// sees the fault state it guards.
-    pub(crate) fn faults_enabled(&self) -> bool {
-        self.faults_on.load(Ordering::Acquire)
-    }
-
-    /// Sender-side fault verdict for one message (call exactly once per
-    /// send, before any enqueue — see [`cup_faults::FaultState::roll`]).
-    pub(crate) fn fault_roll(&self, from: NodeId, to: NodeId) -> DropVerdict {
-        self.faults
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .roll(from, to)
-    }
-
-    /// Sender-side behavior-fault pass over one outgoing message (call
-    /// before [`Shared::fault_roll`], exactly like the DES applies
-    /// [`FaultState::behavior_send`] before its loss roll). Returns
-    /// `false` when the sender's behavior fault suppressed the message.
-    pub(crate) fn behavior_send(&self, from: NodeId, msg: &mut Message) -> bool {
-        self.faults
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .behavior_send(from, msg)
-    }
-
-    /// Receiver-side behavior-fault pass (after the hop was charged,
-    /// before the protocol handler — the DES interception point).
-    /// Returns `false` when the receiver's behavior fault swallowed it.
-    pub(crate) fn behavior_recv(&self, to: NodeId, msg: &Message) -> bool {
-        self.faults
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .behavior_recv(to, msg)
-    }
-
     /// Whether staleness ground truth is being recorded (a fault plane
-    /// was armed at some point this run). Acquire for the same reason as
-    /// [`Shared::faults_enabled`]: the flag guards the dead-replica map.
+    /// was armed at some point this run). Acquire pairs with the SeqCst
+    /// store in `enable_faults`: the flag guards the dead-replica map.
     pub(crate) fn faults_armed(&self) -> bool {
         self.faults_armed.load(Ordering::Acquire)
     }
@@ -496,7 +519,7 @@ impl Shared {
     /// Staleness check on one client answer: if any served entry names a
     /// globally dead replica, the answer is poisoned — count it and its
     /// age, byte-for-byte like the DES's `RespondClient` accounting.
-    pub(crate) fn note_client_answer(&self, entries: &[IndexEntry], now: SimTime) {
+    fn note_client_answer(&self, state: &mut ShardLocal, entries: &[IndexEntry], now: SimTime) {
         let dead = self.dead_replicas.lock().unwrap_or_else(|e| e.into_inner());
         if dead.is_empty() {
             return;
@@ -507,13 +530,9 @@ impl Shared {
             .min();
         if let Some(&died) = stale_since {
             let age = now.saturating_since(died).as_micros();
-            self.stale_answers.fetch_add(1, Ordering::Relaxed);
-            self.stale_age_micros.fetch_add(age, Ordering::Relaxed);
-            self.obs
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .stale_age
-                .record(age);
+            state.stale_answers += 1;
+            state.stale_age_micros += age;
+            state.obs.stale_age.record(age);
         }
     }
 
@@ -563,90 +582,29 @@ impl Shared {
         }
     }
 
-    /// Remembers when `client`'s query was posted (handle-side, at post
-    /// time, so wall-clock latency includes queue wait).
-    pub(crate) fn note_posted_query(&self, client: ClientId, now: SimTime) {
-        self.query_posted
+    /// `shard`'s client registry. A poisoned registry is recovered, not
+    /// propagated: every update leaves the map valid, and a worker must
+    /// keep dispatching (the barrier reports the panic).
+    pub(crate) fn clients_of(&self, shard: usize) -> MutexGuard<'_, ClientRegistry> {
+        self.clients[shard]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .insert(client.0, now);
     }
 
-    /// Drops `client`'s posted-time record without a sample (a crashed
-    /// node swallowed the query — the DES never inserts one there).
-    pub(crate) fn forget_posted_query(&self, client: ClientId) {
-        self.query_posted
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&client.0);
-    }
-
-    /// Records `client`'s answer latency, consuming its posted-time
-    /// record — one sample per answered query, exactly like the DES's
-    /// `RespondClient` accounting.
-    pub(crate) fn record_query_latency(&self, client: ClientId, now: SimTime) {
-        let t0 = self
-            .query_posted
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&client.0);
-        if let Some(t0) = t0 {
-            self.obs
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .query_latency
-                .record(now.saturating_since(t0).as_micros());
-        }
-    }
-
-    /// Returns `true` if the fault plane currently marks `node` crashed.
-    pub(crate) fn fault_is_crashed(&self, node: NodeId) -> bool {
-        self.faults_enabled()
-            && self
-                .faults
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .is_crashed(node)
-    }
-
-    /// Runs `f` on the locked fault plane (counter bumps).
-    pub(crate) fn with_faults(&self, f: impl FnOnce(&mut FaultState)) {
-        f(&mut self.faults.lock().unwrap_or_else(|e| e.into_inner()));
-    }
-
-    /// Records a delivered maintenance update with the shared tracker.
-    pub(crate) fn justify_update(&self, to: NodeId, key: KeyId, now: SimTime, closes: SimTime) {
-        self.justify
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .on_update_delivered(to, key, now, closes);
-    }
-
-    /// Records a posted client query's virtual path with the tracker
-    /// (mirrors the DES harness: one `on_query` per posted query, never
-    /// per forwarded hop).
-    pub(crate) fn justify_query(&self, at: NodeId, key: KeyId, now: SimTime) {
-        if let Ok(path) = self.overlay.route(at, key) {
-            self.justify
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .on_query(key, now, &path);
-        }
-    }
-
-    /// Delivers a query answer to a waiting client, if it still waits.
-    /// A poisoned registry is recovered, not propagated: the map only
-    /// holds channel senders, so it is valid after any panic, and a
-    /// worker must keep dispatching (the barrier reports the panic).
-    fn respond_client(&self, client: ClientId, entries: Vec<IndexEntry>) {
-        if let Some(tx) = self
-            .clients
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&client)
-        {
-            let _ = tx.send(entries);
-        }
+    /// Delivers a query answer to a client of `shard`, if it still
+    /// waits. The first answer also claims the query's posted time and
+    /// returns it — one latency sample per answered query, exactly like
+    /// the DES's `RespondClient` accounting.
+    fn respond_client(
+        &self,
+        shard: usize,
+        client: ClientId,
+        entries: Vec<IndexEntry>,
+    ) -> Option<SimTime> {
+        let mut clients = self.clients_of(shard);
+        let (tx, posted) = clients.get_mut(&client)?;
+        let _ = tx.send(entries);
+        posted.take()
     }
 }
 
@@ -666,7 +624,17 @@ struct Worker {
     /// with the transfer slots).
     incoming: Vec<Envelope>,
     /// Per-destination outbound buffers, flushed at loop boundaries.
-    outbox: Vec<Vec<Envelope>>,
+    outbox: Vec<Outbound>,
+    /// Per-shard scratch a posted query's virtual path is split into.
+    path_split: Vec<Vec<NodeId>>,
+}
+
+/// One destination's outbound batch.
+#[derive(Default)]
+struct Outbound {
+    buf: Vec<Envelope>,
+    /// How many of `buf`'s envelopes are [`Envelope::JustifyMark`]s.
+    marks: u64,
 }
 
 /// Flags the unwind of a worker that panics mid-dispatch, so quiescing
@@ -695,10 +663,11 @@ impl Drop for PanicGuard {
 /// other shards instead of sitting on it until the storm ends.
 const CONTROL_QUANTUM: usize = 64;
 
-/// The worker thread body: rounds of (park until work → pull in control
-/// envelopes and batch slots → dispatch incoming, then one control
-/// quantum → flush outbound batches → retire the consumed count) until
-/// shutdown, then hand the shard's final node states back.
+/// The worker thread body: rounds of (park until work → take the shard's
+/// [`ShardLocal`] → pull in control envelopes and batch slots → dispatch
+/// incoming, then one control quantum → flush outbound batches →
+/// release the `ShardLocal` → retire the consumed count) until shutdown,
+/// then hand the shard's final node states back.
 pub(crate) fn worker_main(shard: usize, nodes: Vec<CupNode>, shared: Arc<Shared>) -> Vec<CupNode> {
     let guard = PanicGuard(Arc::clone(&shared));
     let shards = shared.map.shards();
@@ -710,7 +679,8 @@ pub(crate) fn worker_main(shard: usize, nodes: Vec<CupNode>, shared: Arc<Shared>
         actions: Vec::new(),
         control: VecDeque::new(),
         incoming: Vec::new(),
-        outbox: (0..shards).map(|_| Vec::new()).collect(),
+        outbox: (0..shards).map(|_| Outbound::default()).collect(),
+        path_split: (0..shards).map(|_| Vec::new()).collect(),
     };
     loop {
         let stop = {
@@ -740,11 +710,20 @@ pub(crate) fn worker_main(shard: usize, nodes: Vec<CupNode>, shared: Arc<Shared>
         if stop {
             break;
         }
-        let consumed = worker.drain_round();
+        // One uncontended lock per round instead of one contended lock
+        // per message. Released before the count retires, so whoever a
+        // drained barrier lets through finds this shard's state free —
+        // and published: the unlock orders the round's plain writes
+        // before any later lock.
+        let mut state = shared.locals[shard]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        let consumed = worker.drain_round(&mut state);
         // Flush-before-decrement: cross-shard children enter the
         // in-flight count before their parents retire, so the barrier
         // can never observe zero while this round's output is in hand.
-        worker.flush();
+        worker.flush(&mut state);
+        drop(state);
         shared.finish_n(consumed);
     }
     drop(guard);
@@ -766,7 +745,7 @@ impl Worker {
     /// started — then at most [`CONTROL_QUANTUM`] control envelopes;
     /// any remainder stays in hand for the next round. Returns the
     /// number of in-flight envelopes consumed.
-    fn drain_round(&mut self) -> u64 {
+    fn drain_round(&mut self, state: &mut ShardLocal) -> u64 {
         let mut consumed = 0u64;
         let shards = self.outbox.len();
         for sender in 0..shards {
@@ -776,7 +755,7 @@ impl Worker {
             let mut batch = std::mem::take(&mut self.incoming);
             self.shared.collect(sender, self.shard, &mut batch);
             for env in batch.drain(..) {
-                self.dispatch(env);
+                self.dispatch(state, env);
                 consumed += 1;
             }
             self.incoming = batch;
@@ -785,7 +764,7 @@ impl Worker {
             let Some(env) = self.control.pop_front() else {
                 break;
             };
-            self.dispatch(env);
+            self.dispatch(state, env);
             consumed += 1;
         }
         consumed
@@ -795,40 +774,42 @@ impl Worker {
     /// outbound batches into their transfer slots. Runs before
     /// `finish_n` and before parking — see the module docs for why both
     /// orderings are load-bearing.
-    fn flush(&mut self) {
-        for dest in 0..self.outbox.len() {
-            if self.outbox[dest].is_empty() {
+    fn flush(&mut self, state: &mut ShardLocal) {
+        for (dest, out) in self.outbox.iter_mut().enumerate() {
+            if out.buf.is_empty() {
                 continue;
             }
-            let mut buf = std::mem::take(&mut self.outbox[dest]);
-            self.shared.deposit(self.shard, dest, &mut buf);
-            self.outbox[dest] = buf;
+            let peers = out.buf.len() as u64 - std::mem::take(&mut out.marks);
+            if peers > 0 {
+                state.obs.batch_sizes.record(peers);
+            }
+            self.shared.deposit(self.shard, dest, &mut out.buf, peers);
         }
     }
 
     /// Handles one envelope plus the whole intra-shard cascade it sets
     /// off. Cross-shard children are only *buffered* here; the caller
     /// flushes them at the round boundary.
-    fn dispatch(&mut self, env: Envelope) {
+    fn dispatch(&mut self, state: &mut ShardLocal, env: Envelope) {
         match env {
             Envelope::CrashReset { at } => {
                 let idx = self.shared.map.slot_of(at);
                 let cold = CupNode::new(at, self.shared.config);
                 let dead = std::mem::replace(&mut self.nodes[idx], cold);
-                self.shared
-                    .crash_retained
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .merge(&dead.stats);
+                state.crash_retained.merge(&dead.stats);
             }
-            Envelope::Peer { to, from, msg } => self.handle_peer(to, from, msg),
+            Envelope::Peer { to, from, msg } => self.handle_peer(state, to, from, msg),
+            Envelope::JustifyMark { key, now, nodes } => state.justify.on_query(key, now, &nodes),
             Envelope::Client { at, key, client } => {
                 // A crashed node accepts no connections: the query is
                 // swallowed exactly like the DES harness swallows it
-                // (the waiting client observes no answer).
-                if self.shared.fault_is_crashed(at) {
-                    self.shared.with_faults(FaultState::note_query_at_crashed);
-                    self.shared.forget_posted_query(client);
+                // (the waiting client observes no answer, and no latency
+                // sample — the DES never records a posted time there).
+                if state.faults.is_crashed(at) {
+                    state.faults.note_query_at_crashed();
+                    if let Some((_, posted)) = self.shared.clients_of(self.shard).get_mut(&client) {
+                        *posted = None;
+                    }
                     return;
                 }
                 let now = self.shared.now();
@@ -842,7 +823,7 @@ impl Worker {
                         // the DES harness: the posted query covers every
                         // node on its virtual path (§3.1).
                         if self.shared.justify_enabled() {
-                            self.shared.justify_query(at, key, now);
+                            self.justify_query(state, at, key, now);
                         }
                         let mut actions = std::mem::take(&mut self.actions);
                         self.node_mut(at).handle_query_into(
@@ -852,13 +833,15 @@ impl Worker {
                             upstream,
                             &mut actions,
                         );
-                        self.deliver(at, &mut actions);
+                        self.deliver(state, at, &mut actions);
                         self.actions = actions;
                     }
                     // The query is dead on arrival; answer the client
                     // empty now rather than letting it stew until its
                     // timeout (the counter records the failure).
-                    Err(RoutingFailed) => self.shared.respond_client(client, Vec::new()),
+                    Err(RoutingFailed) => {
+                        self.shared.respond_client(self.shard, client, Vec::new());
+                    }
                 }
             }
             Envelope::Replica { at, event } => {
@@ -873,8 +856,8 @@ impl Worker {
                     }
                 }
                 // A crashed authority hears nothing from its replicas.
-                if self.shared.fault_is_crashed(at) {
-                    self.shared.with_faults(FaultState::note_replica_at_crashed);
+                if state.faults.is_crashed(at) {
+                    state.faults.note_replica_at_crashed();
                     return;
                 }
                 let now = self.shared.now();
@@ -896,29 +879,60 @@ impl Worker {
                 let mut actions = std::mem::take(&mut self.actions);
                 self.node_mut(at)
                     .handle_replica_event_into(now, event, &mut actions);
-                self.deliver(at, &mut actions);
+                self.deliver(state, at, &mut actions);
                 self.actions = actions;
             }
         }
         while let Some((to, from, msg)) = self.local.pop_front() {
-            self.handle_peer(to, from, msg);
+            self.handle_peer(state, to, from, msg);
+        }
+    }
+
+    /// Records a posted client query's virtual path with the trackers
+    /// (mirrors the DES harness: one `on_query` per posted query, never
+    /// per forwarded hop). Windows are keyed by `(node, key)` and live
+    /// with the node's shard, so this shard's path nodes are marked
+    /// inline and every other shard gets its own in one
+    /// [`Envelope::JustifyMark`].
+    fn justify_query(&mut self, state: &mut ShardLocal, at: NodeId, key: KeyId, now: SimTime) {
+        let Ok(path) = self.shared.overlay.route(at, key) else {
+            return;
+        };
+        for node in path {
+            self.path_split[self.shared.shard_of(node)].push(node);
+        }
+        for (shard, nodes) in self.path_split.iter_mut().enumerate() {
+            if nodes.is_empty() {
+                continue;
+            }
+            if shard == self.shard {
+                state.justify.on_query(key, now, nodes);
+            } else {
+                let out = &mut self.outbox[shard];
+                out.buf.push(Envelope::JustifyMark {
+                    key,
+                    now,
+                    nodes: nodes.clone(),
+                });
+                out.marks += 1;
+            }
+            nodes.clear();
         }
     }
 
     /// Runs one peer message through its target node. A message whose
     /// routing lookup fails is dropped (counted in `routing_failures`).
-    fn handle_peer(&mut self, to: NodeId, from: NodeId, msg: Message) {
+    fn handle_peer(&mut self, state: &mut ShardLocal, to: NodeId, from: NodeId, msg: Message) {
         // In flight when its receiver crashed (the sender's verdict
         // predates the crash): a crashed node processes nothing.
-        if self.shared.fault_is_crashed(to) {
-            self.shared
-                .with_faults(|f| f.counters.dropped_to_crashed += 1);
+        if state.faults.is_crashed(to) {
+            state.faults.counters.dropped_to_crashed += 1;
             return;
         }
         // Byzantine receivers: a stale-serve node swallows inbound
         // deletions and audit repairs after the hop was paid (the hop
         // was counted at the sender in `deliver`).
-        if self.shared.faults_enabled() && !self.shared.behavior_recv(to, &msg) {
+        if !state.faults.behavior_recv(to, &msg) {
             return;
         }
         let now = self.shared.now();
@@ -957,8 +971,9 @@ impl Worker {
             }
             Message::Update(update) => {
                 if update.kind != UpdateKind::FirstTime && self.shared.justify_enabled() {
-                    self.shared
-                        .justify_update(to, update.key, now, update.window_end);
+                    state
+                        .justify
+                        .on_update_delivered(to, update.key, now, update.window_end);
                 }
                 self.node_mut(to)
                     .handle_update_into(now, from, update, &mut actions);
@@ -983,7 +998,7 @@ impl Worker {
                     .handle_audit_reply(now, key, round, &entries, &retired);
             }
         }
-        self.deliver(to, &mut actions);
+        self.deliver(state, to, &mut actions);
         self.actions = actions;
     }
 
@@ -991,7 +1006,7 @@ impl Worker {
     /// join the inline FIFO, cross-shard sends join the per-destination
     /// outbound buffers (flushed at the round boundary), client
     /// responses go to their waiting channel.
-    fn deliver(&mut self, from: NodeId, actions: &mut Vec<Action>) {
+    fn deliver(&mut self, state: &mut ShardLocal, from: NodeId, actions: &mut Vec<Action>) {
         for action in actions.drain(..) {
             match action {
                 Action::Send { to, mut msg } => {
@@ -1003,26 +1018,29 @@ impl Worker {
                     // never advances the per-link loss counter, in
                     // either runtime. Verdicts are rolled here at
                     // dispatch time, in send order, so batching does not
-                    // move them.
-                    if self.shared.faults_enabled() {
-                        if !self.shared.behavior_send(from, &mut msg) {
+                    // move them — on this shard's replica, the only one
+                    // that ever sees the `(from, _)` links.
+                    if state.faults.active() {
+                        if !state.faults.behavior_send(from, &mut msg) {
                             continue;
                         }
-                        if self.shared.fault_roll(from, to) != DropVerdict::Deliver {
+                        if state.faults.roll(from, to) != DropVerdict::Deliver {
                             continue;
                         }
                     }
-                    // Hops stay per-envelope (a relaxed add, not the
-                    // SeqCst barrier counter): a client answer can
-                    // unblock its caller mid-round, and callers may read
-                    // `hops()` immediately — a round-deferred count
-                    // would lag behind answers derived from it.
-                    self.shared.hops.fetch_add(1, Ordering::Relaxed);
+                    // Charged per envelope, at the sender: a client
+                    // answer can unblock its caller mid-round, and a
+                    // caller reading `hops()` then waits for the round
+                    // boundary, so the count never lags an answer
+                    // derived from it.
+                    state.hops += 1;
                     if self.owns(to) {
                         self.local.push_back((to, from, msg));
                     } else {
                         let shard = self.shared.shard_of(to);
-                        self.outbox[shard].push(Envelope::Peer { to, from, msg });
+                        self.outbox[shard]
+                            .buf
+                            .push(Envelope::Peer { to, from, msg });
                     }
                 }
                 Action::RespondClient {
@@ -1031,7 +1049,6 @@ impl Worker {
                     entries,
                 } => {
                     let now = self.shared.now();
-                    self.shared.record_query_latency(client, now);
                     if self.shared.trace_enabled() {
                         self.shared.trace_event(
                             now,
@@ -1042,9 +1059,14 @@ impl Worker {
                         );
                     }
                     if self.shared.faults_armed() {
-                        self.shared.note_client_answer(&entries, now);
+                        self.shared.note_client_answer(state, &entries, now);
                     }
-                    self.shared.respond_client(client, entries);
+                    if let Some(posted) = self.shared.respond_client(self.shard, client, entries) {
+                        state
+                            .obs
+                            .query_latency
+                            .record(now.saturating_since(posted).as_micros());
+                    }
                 }
             }
         }

@@ -16,6 +16,16 @@
 //! (client thread `t` owns keys `k ≡ t (mod THREADS)`), which commute at
 //! shared intermediate nodes; phases are separated by `quiesce()`. That
 //! is what makes the comparison exact rather than statistical.
+//!
+//! The armed run at the end drops exactness for hostility: loss and
+//! justification on, and a fifth thread injecting crashes, restarts and
+//! loss-rate changes *while* the four client threads post. Each
+//! injection takes every shard's lock between rounds; what is asserted
+//! is that nothing hangs and the per-shard books still fold to
+//! consistent totals.
+
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use cup::prelude::*;
 use cup::protocol::clock::Clock;
@@ -172,4 +182,126 @@ fn shard_map_mode_is_invisible_to_the_protocol() {
         "overlay-aware placement must cut cross-shard traffic \
          (aware {aware_cross}, contiguous {contig_cross})"
     );
+}
+
+#[test]
+fn armed_run_keeps_its_books_under_concurrent_fault_injection() {
+    const CYCLES: usize = 48;
+    let mut rng = DetRng::seed_from(47);
+    let net = LiveNetwork::start_with_map(
+        OverlayKind::Chord,
+        NODES,
+        NodeConfig::cup_default(),
+        4,
+        ShardMapMode::Contiguous,
+        Clock::wall(),
+        &mut rng,
+    )
+    .unwrap();
+    net.enable_faults(47);
+    net.track_justification(true);
+    net.inject_fault(FaultAction::SetLoss { rate: 0.05 });
+    for k in 0..KEYS {
+        net.replica_birth(KeyId(k), ReplicaId(k), LIFETIME);
+    }
+    net.quiesce();
+
+    // All five threads leave the barrier together, and the clients keep
+    // posting until the injector is done: every injection lands among
+    // queries in flight. Under loss an answer may never come, so the
+    // clients post detached and drop their handles in batches — some
+    // answered, some not, some with the query still travelling.
+    let start = Barrier::new(THREADS + 1);
+    let injecting = AtomicBool::new(true);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (net, start, injecting) = (&net, &start, &injecting);
+            s.spawn(move || {
+                let mut rng = DetRng::seed_from(4_700 + t as u64);
+                let mut handles = Vec::new();
+                start.wait();
+                let mut posted = 0;
+                while injecting.load(Ordering::SeqCst) || posted < QUERIES_PER_THREAD {
+                    let node = net.nodes()[rng.choose_index(NODES)];
+                    let key = rng.next_below(u64::from(KEYS)) as u32;
+                    handles.push(net.query_detached(node, KeyId(key)).unwrap());
+                    posted += 1;
+                    if posted % 8 == 0 {
+                        net.replica_refresh(KeyId(key), ReplicaId(key), LIFETIME);
+                        handles.clear();
+                    }
+                }
+            });
+        }
+        let (net, start, injecting) = (&net, &start, &injecting);
+        s.spawn(move || {
+            start.wait();
+            for cycle in 0..CYCLES {
+                let node = (7 * cycle) % NODES;
+                net.inject_fault(FaultAction::Crash { node });
+                net.inject_fault(FaultAction::SetLoss {
+                    rate: 0.02 + 0.01 * (cycle % 3) as f64,
+                });
+                net.inject_fault(FaultAction::Restart { node });
+            }
+            injecting.store(false, Ordering::SeqCst);
+        });
+    });
+    // No hang: the barrier drains although marks, crash resets and
+    // dropped sends all crossed it.
+    net.quiesce();
+
+    let faults = net.fault_counters();
+    assert_eq!(faults.crashes, CYCLES as u64, "every crash applied once");
+    assert_eq!(faults.restarts, CYCLES as u64, "every restart applied once");
+    assert!(faults.dropped_loss > 0, "the loss plane was live");
+    let (justified, tracked) = net.justification();
+    assert!(tracked > 0, "refreshes under load were tracked");
+    assert!(justified <= tracked);
+    assert_eq!(net.batched_envelopes(), net.cross_shard_messages());
+    assert_eq!(net.routing_failures(), 0);
+
+    // Justification marks are bookkeeping, not traffic. On a healed
+    // plane, warm a fresh key's caches from every fourth node, open
+    // windows with a refresh, then query again from the same nodes:
+    // every answer is a cache hit, so no peer message moves — while the
+    // queries' virtual paths, which cross shards, are still marked.
+    net.inject_fault(FaultAction::SetLoss { rate: 0.0 });
+    let fresh = KeyId(KEYS);
+    net.replica_birth(fresh, ReplicaId(0), LIFETIME);
+    net.quiesce();
+    let posters: Vec<NodeId> = net.nodes().iter().copied().step_by(4).collect();
+    for &node in &posters {
+        assert_eq!(net.query(node, fresh).unwrap().len(), 1);
+    }
+    net.replica_refresh(fresh, ReplicaId(0), LIFETIME);
+    net.quiesce();
+    let before = (
+        net.hops(),
+        net.cross_shard_messages(),
+        net.batched_envelopes(),
+        net.batch_flushes(),
+    );
+    let (justified_before, _) = net.justification();
+    for &node in &posters {
+        assert_eq!(net.query(node, fresh).unwrap().len(), 1);
+    }
+    net.quiesce();
+    assert_eq!(
+        before,
+        (
+            net.hops(),
+            net.cross_shard_messages(),
+            net.batched_envelopes(),
+            net.batch_flushes(),
+        ),
+        "marks must not be charged as hops, cross-shard messages or batches"
+    );
+    let (justified_after, tracked_after) = net.justification();
+    assert!(
+        justified_after > justified_before,
+        "the cache-hit queries still justified the refresh's windows"
+    );
+    assert!(justified_after <= tracked_after);
+    net.shutdown();
 }
