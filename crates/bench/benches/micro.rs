@@ -41,13 +41,15 @@ fn bench_protocol(c: &mut Criterion) {
             SimDuration::from_secs(1_000_000),
             SimTime::ZERO,
         );
-        node.handle_query(
+        let mut out = Vec::new();
+        node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(0)),
             Some(NodeId(9)),
+            &mut out,
         );
-        node.handle_update(
+        node.handle_update_into(
             SimTime::from_secs(1),
             NodeId(9),
             Update {
@@ -59,26 +61,31 @@ fn bench_protocol(c: &mut Criterion) {
                 origin: SimTime::ZERO,
                 window_end: SimTime::MAX,
             },
+            &mut out,
         );
         let mut t = 2u64;
         b.iter(|| {
             t += 1;
-            node.handle_query(
+            out.clear();
+            node.handle_query_into(
                 SimTime::from_secs(t),
                 KeyId(1),
                 Requester::Client(ClientId(t)),
                 Some(NodeId(9)),
-            )
-            .len()
+                &mut out,
+            );
+            out.len()
         })
     });
     group.bench_function("refresh_apply_and_forward", |b| {
         let mut node = CupNode::new(NodeId(1), NodeConfig::cup_default());
-        node.handle_query(
+        let mut out = Vec::new();
+        node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(4)),
             Some(NodeId(9)),
+            &mut out,
         );
         let mut t = 0u64;
         b.iter(|| {
@@ -89,7 +96,8 @@ fn bench_protocol(c: &mut Criterion) {
                 SimDuration::from_secs(300),
                 SimTime::from_secs(t),
             );
-            node.handle_update(
+            out.clear();
+            node.handle_update_into(
                 SimTime::from_secs(t),
                 NodeId(9),
                 Update {
@@ -101,8 +109,9 @@ fn bench_protocol(c: &mut Criterion) {
                     origin: SimTime::from_secs(t),
                     window_end: entry.expires_at(),
                 },
-            )
-            .len()
+                &mut out,
+            );
+            out.len()
         })
     });
     group.finish();

@@ -58,14 +58,14 @@ fn main() {
     }
 
     let spec = ConformanceSpec::small(kind);
-    let (_, sim_answers, sim_trace) = run_sim_traced(&spec, cap);
-    let (_, live_answers, live_trace) = run_live_traced(&spec, cap);
+    let (sim, sim_trace) = run_sim_traced(&spec, cap);
+    let (live, live_trace) = run_live_traced(&spec, cap);
     println!(
         "{kind}: sim {} events ({} answers), live {} events ({} answers)",
         sim_trace.len(),
-        sim_answers,
+        sim.net.client_responses,
         live_trace.len(),
-        live_answers,
+        live.net.client_responses,
     );
     if sim_trace.dropped() > 0 || live_trace.dropped() > 0 {
         eprintln!(
@@ -100,7 +100,7 @@ fn main() {
         script_seed: spec.script_seed ^ 0x5EED,
         ..spec
     };
-    let (_, _, perturbed_trace) = run_sim_traced(&perturbed, cap);
+    let (_, perturbed_trace) = run_sim_traced(&perturbed, cap);
     match trace_diff(&sim_trace, &perturbed_trace) {
         Some(div) => println!(
             "perturbed run diverges at event {} (expected): {:?} vs {:?}",

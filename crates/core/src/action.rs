@@ -1,8 +1,8 @@
 //! Actions emitted by the protocol state machine.
 //!
-//! A [`crate::node::CupNode`] never performs I/O; its handlers return
-//! `Vec<Action>` and the embedding runtime (discrete-event simulator or
-//! live threaded runtime) delivers them.
+//! A [`crate::node::CupNode`] never performs I/O; its handlers push
+//! into a `Vec<Action>` and the embedding runtime (discrete-event
+//! simulator or live threaded runtime) delivers them.
 
 use cup_des::{KeyId, NodeId};
 

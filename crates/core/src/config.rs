@@ -83,7 +83,7 @@ pub struct NodeConfig {
     /// When popularity decision windows reset (§3.6).
     pub reset_mode: ResetMode,
     /// If `true`, outgoing updates pass through the bounded §2.8 queues
-    /// and are released by `service_outgoing`; if `false` the node has
+    /// and are released by `service_outgoing_into`; if `false` the node has
     /// full capacity and pushes updates immediately.
     pub capacity_limited: bool,
     /// How long a Pending-First-Update flag may coalesce queries before a

@@ -4,7 +4,7 @@
 //! query handling (§2.5), update handling (§2.6), clear-bit handling
 //! (§2.7), authority-side replica bookkeeping (§2.1, §2.4), adaptive
 //! capacity-controlled push (§2.8), and churn patching hooks (§2.9). It is
-//! runtime-agnostic: handlers take the current time and return
+//! runtime-agnostic: handlers take the current time and emit
 //! [`Action`]s; the embedding runtime routes queries (supplying the
 //! `upstream` next hop toward each key's authority) and delivers messages.
 
@@ -80,7 +80,7 @@ impl CupNode {
     /// Switches the §2.8 capacity limiter on or off at runtime (a node's
     /// "ability or willingness to propagate updates may vary with its
     /// workload"). While limited, forwarded updates wait in the outgoing
-    /// queues until [`CupNode::service_outgoing`] releases them.
+    /// queues until [`CupNode::service_outgoing_into`] releases them.
     pub fn set_capacity_limited(&mut self, limited: bool) {
         self.config.capacity_limited = limited;
     }
@@ -113,21 +113,9 @@ impl CupNode {
     ///   push one query upstream;
     /// * **case 3** (all entries expired) — as case 2, but the query is
     ///   coalesced if the flag is already set.
-    pub fn handle_query(
-        &mut self,
-        now: SimTime,
-        key: KeyId,
-        from: Requester,
-        upstream: Option<NodeId>,
-    ) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.handle_query_into(now, key, from, upstream, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`CupNode::handle_query`]: actions are
-    /// pushed into `out`, so a driver can reuse one buffer across events
-    /// (the simulation harness's hot path).
+    ///
+    /// Actions are pushed into `out`, so a driver can reuse one buffer
+    /// across events (every handler below takes the same form).
     pub fn handle_query_into(
         &mut self,
         now: SimTime,
@@ -284,14 +272,6 @@ impl CupNode {
     /// * **case 2** — flag clear: if no neighbor is interested, run the
     ///   cut-off policy and either push a Clear-Bit upstream or apply the
     ///   update; otherwise apply and forward to interested neighbors.
-    pub fn handle_update(&mut self, now: SimTime, from: NodeId, update: Update) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.handle_update_into(now, from, update, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`CupNode::handle_update`]: actions are
-    /// pushed into `out`.
     pub fn handle_update_into(
         &mut self,
         now: SimTime,
@@ -466,20 +446,6 @@ impl CupNode {
     /// `from` (§2.7): clear that neighbor's interest, and if the key is
     /// unpopular here and no other neighbor is interested, propagate the
     /// Clear-Bit toward the authority.
-    pub fn handle_clear_bit(
-        &mut self,
-        now: SimTime,
-        key: KeyId,
-        from: NodeId,
-        upstream: Option<NodeId>,
-    ) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.handle_clear_bit_into(now, key, from, upstream, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`CupNode::handle_clear_bit`]: actions
-    /// are pushed into `out`.
     pub fn handle_clear_bit_into(
         &mut self,
         _now: SimTime,
@@ -549,19 +515,6 @@ impl CupNode {
     /// about `key` — directory knowledge (authoritative), fresh cached
     /// entries, and delete tombstones (the firsthand negative knowledge
     /// a poisoned auditor is missing).
-    pub fn handle_audit_probe(
-        &mut self,
-        now: SimTime,
-        key: KeyId,
-        round: u64,
-        from: NodeId,
-    ) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.handle_audit_probe_into(now, key, round, from, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`CupNode::handle_audit_probe`].
     pub fn handle_audit_probe_into(
         &mut self,
         now: SimTime,
@@ -671,14 +624,6 @@ impl CupNode {
     /// the key's authority, updating the local directory and propagating
     /// the corresponding append/refresh/delete update to interested
     /// neighbors.
-    pub fn handle_replica_event(&mut self, now: SimTime, event: ReplicaEvent) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.handle_replica_event_into(now, event, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`CupNode::handle_replica_event`]:
-    /// actions are pushed into `out`.
     pub fn handle_replica_event_into(
         &mut self,
         now: SimTime,
@@ -810,15 +755,7 @@ impl CupNode {
 
     /// Releases capacity-limited outgoing updates: pushes out roughly
     /// `capacity_fraction` of what was enqueued since the last service
-    /// (§2.8). Returns the transmissions to perform now.
-    pub fn service_outgoing(&mut self, now: SimTime, capacity_fraction: f64) -> Vec<Action> {
-        let mut out = Vec::new();
-        self.service_outgoing_into(now, capacity_fraction, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`CupNode::service_outgoing`]: actions
-    /// are pushed into `out`.
+    /// (§2.8), as the transmissions to perform now.
     pub fn service_outgoing_into(
         &mut self,
         now: SimTime,
@@ -877,6 +814,16 @@ mod tests {
 
     const LIFE: SimDuration = SimDuration::from_secs(300);
 
+    /// `emitted!(node.handler_into(args…))` runs the buffer-form handler
+    /// with a fresh buffer as its last argument and returns the buffer.
+    macro_rules! emitted {
+        ($node:ident . $handler:ident ( $($arg:expr),* $(,)? )) => {{
+            let mut out = Vec::new();
+            $node.$handler($($arg,)* &mut out);
+            out
+        }};
+    }
+
     fn cup_node(id: u32) -> CupNode {
         CupNode::new(NodeId(id), NodeConfig::cup_default())
     }
@@ -914,20 +861,20 @@ mod tests {
     #[test]
     fn authority_answers_client_from_directory() {
         let mut node = cup_node(0);
-        node.handle_replica_event(
+        emitted!(node.handle_replica_event_into(
             SimTime::ZERO,
             ReplicaEvent::Birth {
                 key: KeyId(1),
                 replica: ReplicaId(0),
                 lifetime: LIFE,
             },
-        );
-        let actions = node.handle_query(
+        ));
+        let actions = emitted!(node.handle_query_into(
             SimTime::from_secs(1),
             KeyId(1),
             Requester::Client(ClientId(7)),
             None,
-        );
+        ));
         assert_eq!(actions.len(), 1);
         match &actions[0] {
             Action::RespondClient {
@@ -944,20 +891,20 @@ mod tests {
     #[test]
     fn authority_answers_neighbor_with_first_time_update() {
         let mut node = cup_node(0);
-        node.handle_replica_event(
+        emitted!(node.handle_replica_event_into(
             SimTime::ZERO,
             ReplicaEvent::Birth {
                 key: KeyId(1),
                 replica: ReplicaId(0),
                 lifetime: LIFE,
             },
-        );
-        let actions = node.handle_query(
+        ));
+        let actions = emitted!(node.handle_query_into(
             SimTime::from_secs(1),
             KeyId(1),
             Requester::Neighbor(NodeId(5)),
             None,
-        );
+        ));
         match &actions[0] {
             Action::Send {
                 to,
@@ -981,12 +928,12 @@ mod tests {
     #[test]
     fn query_miss_sets_pfu_and_pushes_upstream() {
         let mut node = cup_node(1);
-        let actions = node.handle_query(
+        let actions = emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
+        ));
         assert_eq!(
             actions,
             vec![Action::send(NodeId(9), Message::Query { key: KeyId(1) })]
@@ -998,24 +945,24 @@ mod tests {
     #[test]
     fn burst_of_queries_coalesces_into_one() {
         let mut node = cup_node(1);
-        let a1 = node.handle_query(
+        let a1 = emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
-        let a2 = node.handle_query(
+        ));
+        let a2 = emitted!(node.handle_query_into(
             SimTime::from_secs(1),
             KeyId(1),
             Requester::Neighbor(NodeId(4)),
             Some(NodeId(9)),
-        );
-        let a3 = node.handle_query(
+        ));
+        let a3 = emitted!(node.handle_query_into(
             SimTime::from_secs(2),
             KeyId(1),
             Requester::Client(ClientId(2)),
             Some(NodeId(9)),
-        );
+        ));
         assert_eq!(a1.len(), 1, "first query goes upstream");
         assert!(a2.is_empty(), "second query coalesced");
         assert!(a3.is_empty(), "third query coalesced");
@@ -1025,20 +972,20 @@ mod tests {
     #[test]
     fn first_time_update_answers_clients_and_interested_neighbors() {
         let mut node = cup_node(1);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
-        node.handle_query(
+        ));
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(4)),
             Some(NodeId(9)),
-        );
+        ));
         let update = first_time(1, vec![entry(1, 0, 0)], 3);
-        let actions = node.handle_update(SimTime::from_secs(1), NodeId(9), update);
+        let actions = emitted!(node.handle_update_into(SimTime::from_secs(1), NodeId(9), update));
         let mut client_responses = 0;
         let mut forwards = 0;
         for a in &actions {
@@ -1063,23 +1010,23 @@ mod tests {
     #[test]
     fn fresh_cache_answers_without_upstream_traffic() {
         let mut node = cup_node(1);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
-        node.handle_update(
+        ));
+        emitted!(node.handle_update_into(
             SimTime::from_secs(1),
             NodeId(9),
             first_time(1, vec![entry(1, 0, 0)], 2),
-        );
-        let actions = node.handle_query(
+        ));
+        let actions = emitted!(node.handle_query_into(
             SimTime::from_secs(2),
             KeyId(1),
             Requester::Client(ClientId(2)),
             Some(NodeId(9)),
-        );
+        ));
         assert!(matches!(actions[0], Action::RespondClient { .. }));
         assert_eq!(node.stats.client_hits, 1);
     }
@@ -1087,15 +1034,16 @@ mod tests {
     #[test]
     fn expired_update_dropped_on_arrival() {
         let mut node = cup_node(1);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
+        ));
         // An update whose entry expired long ago.
         let stale = refresh(1, 0, 0, 2);
-        let actions = node.handle_update(SimTime::from_secs(1_000), NodeId(9), stale);
+        let actions =
+            emitted!(node.handle_update_into(SimTime::from_secs(1_000), NodeId(9), stale));
         assert!(actions.is_empty());
         assert_eq!(node.stats.updates_expired_on_arrival, 1);
         assert!(
@@ -1108,26 +1056,34 @@ mod tests {
     fn second_chance_cuts_off_after_two_empty_intervals() {
         let mut node = cup_node(1);
         // Acquire the key (one query, answered).
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
-        node.handle_update(
+        ));
+        emitted!(node.handle_update_into(
             SimTime::from_secs(1),
             NodeId(9),
             first_time(1, vec![entry(1, 0, 0)], 2),
-        );
+        ));
         // First refresh with no queries since: second chance, applied.
-        let a1 = node.handle_update(SimTime::from_secs(300), NodeId(9), refresh(1, 0, 300, 2));
+        let a1 = emitted!(node.handle_update_into(
+            SimTime::from_secs(300),
+            NodeId(9),
+            refresh(1, 0, 300, 2)
+        ));
         assert!(a1.is_empty(), "kept receiving, nothing to forward");
         assert!(node
             .key_state(KeyId(1))
             .unwrap()
             .has_fresh(SimTime::from_secs(400)));
         // Second refresh with still no queries: cut off.
-        let a2 = node.handle_update(SimTime::from_secs(600), NodeId(9), refresh(1, 0, 600, 2));
+        let a2 = emitted!(node.handle_update_into(
+            SimTime::from_secs(600),
+            NodeId(9),
+            refresh(1, 0, 600, 2)
+        ));
         assert_eq!(
             a2,
             vec![Action::send(NodeId(9), Message::ClearBit { key: KeyId(1) })]
@@ -1143,31 +1099,31 @@ mod tests {
     #[test]
     fn queries_keep_the_subscription_alive() {
         let mut node = cup_node(1);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
-        node.handle_update(
+        ));
+        emitted!(node.handle_update_into(
             SimTime::from_secs(1),
             NodeId(9),
             first_time(1, vec![entry(1, 0, 0)], 2),
-        );
+        ));
         for round in 1..6 {
             let t = SimTime::from_secs(round * 300);
             // A query lands in every interval, so no cut-off ever fires.
-            node.handle_query(
+            emitted!(node.handle_query_into(
                 t,
                 KeyId(1),
                 Requester::Client(ClientId(round)),
                 Some(NodeId(9)),
-            );
-            let actions = node.handle_update(
+            ));
+            let actions = emitted!(node.handle_update_into(
                 t + SimDuration::from_secs(1),
                 NodeId(9),
                 refresh(1, 0, round * 300, 2),
-            );
+            ));
             assert!(actions.is_empty(), "round {round}: no clear-bit expected");
         }
         assert_eq!(node.stats.cutoffs, 0);
@@ -1177,18 +1133,22 @@ mod tests {
     fn updates_forward_only_to_interested_neighbors() {
         let mut node = cup_node(1);
         // Neighbor 4 registers interest; neighbor 5 does not.
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(4)),
             Some(NodeId(9)),
-        );
-        node.handle_update(
+        ));
+        emitted!(node.handle_update_into(
             SimTime::from_secs(1),
             NodeId(9),
             first_time(1, vec![entry(1, 0, 0)], 2),
-        );
-        let actions = node.handle_update(SimTime::from_secs(10), NodeId(9), refresh(1, 0, 10, 2));
+        ));
+        let actions = emitted!(node.handle_update_into(
+            SimTime::from_secs(10),
+            NodeId(9),
+            refresh(1, 0, 10, 2)
+        ));
         assert_eq!(actions.len(), 1);
         match &actions[0] {
             Action::Send {
@@ -1205,27 +1165,35 @@ mod tests {
     #[test]
     fn clear_bit_cascades_when_unpopular() {
         let mut node = cup_node(1);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(4)),
             Some(NodeId(9)),
-        );
-        node.handle_update(
+        ));
+        emitted!(node.handle_update_into(
             SimTime::from_secs(1),
             NodeId(9),
             first_time(1, vec![entry(1, 0, 0)], 2),
-        );
+        ));
         // Make the key unpopular here: two empty decision windows.
-        node.handle_update(SimTime::from_secs(300), NodeId(9), refresh(1, 0, 300, 2));
-        node.handle_update(SimTime::from_secs(600), NodeId(9), refresh(1, 0, 600, 2));
+        emitted!(node.handle_update_into(
+            SimTime::from_secs(300),
+            NodeId(9),
+            refresh(1, 0, 300, 2)
+        ));
+        emitted!(node.handle_update_into(
+            SimTime::from_secs(600),
+            NodeId(9),
+            refresh(1, 0, 600, 2)
+        ));
         // Now the downstream neighbor loses interest.
-        let actions = node.handle_clear_bit(
+        let actions = emitted!(node.handle_clear_bit_into(
             SimTime::from_secs(700),
             KeyId(1),
             NodeId(4),
             Some(NodeId(9)),
-        );
+        ));
         assert_eq!(
             actions,
             vec![Action::send(NodeId(9), Message::ClearBit { key: KeyId(1) })]
@@ -1236,26 +1204,30 @@ mod tests {
     #[test]
     fn clear_bit_stops_at_popular_node() {
         let mut node = cup_node(1);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(4)),
             Some(NodeId(9)),
-        );
-        node.handle_update(
+        ));
+        emitted!(node.handle_update_into(
             SimTime::from_secs(1),
             NodeId(9),
             first_time(1, vec![entry(1, 0, 0)], 2),
-        );
+        ));
         // Local queries keep the key popular.
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::from_secs(2),
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
-        let actions =
-            node.handle_clear_bit(SimTime::from_secs(3), KeyId(1), NodeId(4), Some(NodeId(9)));
+        ));
+        let actions = emitted!(node.handle_clear_bit_into(
+            SimTime::from_secs(3),
+            KeyId(1),
+            NodeId(4),
+            Some(NodeId(9))
+        ));
         assert!(actions.is_empty(), "popular key keeps its subscription");
     }
 
@@ -1263,20 +1235,20 @@ mod tests {
     fn push_level_zero_squelches_at_authority() {
         let config = NodeConfig::cup_with_policy(CutoffPolicy::PushLevel { level: 0 });
         let mut node = CupNode::new(NodeId(0), config);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(5)),
             None,
-        );
-        let actions = node.handle_replica_event(
+        ));
+        let actions = emitted!(node.handle_replica_event_into(
             SimTime::from_secs(1),
             ReplicaEvent::Birth {
                 key: KeyId(1),
                 replica: ReplicaId(0),
                 lifetime: LIFE,
             },
-        );
+        ));
         assert!(actions.is_empty(), "push level 0 = standard caching");
     }
 
@@ -1284,39 +1256,43 @@ mod tests {
     fn push_level_caps_forwarding_depth() {
         let config = NodeConfig::cup_with_policy(CutoffPolicy::PushLevel { level: 3 });
         let mut node = CupNode::new(NodeId(1), config);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(4)),
             Some(NodeId(9)),
-        );
-        node.handle_update(
+        ));
+        emitted!(node.handle_update_into(
             SimTime::from_secs(1),
             NodeId(9),
             first_time(1, vec![entry(1, 0, 0)], 3),
-        );
+        ));
         // We sit at depth 3; children would be at depth 4 > level.
-        let actions = node.handle_update(SimTime::from_secs(10), NodeId(9), refresh(1, 0, 10, 3));
+        let actions = emitted!(node.handle_update_into(
+            SimTime::from_secs(10),
+            NodeId(9),
+            refresh(1, 0, 10, 3)
+        ));
         assert!(actions.is_empty(), "no forwarding past the push level");
     }
 
     #[test]
     fn authority_propagates_replica_lifecycle() {
         let mut node = cup_node(0);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(5)),
             None,
-        );
-        let birth = node.handle_replica_event(
+        ));
+        let birth = emitted!(node.handle_replica_event_into(
             SimTime::from_secs(1),
             ReplicaEvent::Birth {
                 key: KeyId(1),
                 replica: ReplicaId(0),
                 lifetime: LIFE,
             },
-        );
+        ));
         assert_eq!(birth.len(), 1);
         match &birth[0] {
             Action::Send {
@@ -1329,25 +1305,25 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        let refresh_actions = node.handle_replica_event(
+        let refresh_actions = emitted!(node.handle_replica_event_into(
             SimTime::from_secs(250),
             ReplicaEvent::Refresh {
                 key: KeyId(1),
                 replica: ReplicaId(0),
                 lifetime: LIFE,
             },
-        );
+        ));
         assert!(matches!(
             &refresh_actions[0],
             Action::Send { msg: Message::Update(u), .. } if u.kind == UpdateKind::Refresh
         ));
-        let delete_actions = node.handle_replica_event(
+        let delete_actions = emitted!(node.handle_replica_event_into(
             SimTime::from_secs(260),
             ReplicaEvent::Deletion {
                 key: KeyId(1),
                 replica: ReplicaId(0),
             },
-        );
+        ));
         assert!(matches!(
             &delete_actions[0],
             Action::Send { msg: Message::Update(u), .. } if u.kind == UpdateKind::Delete
@@ -1358,20 +1334,20 @@ mod tests {
     #[test]
     fn expire_directory_emits_deletes() {
         let mut node = cup_node(0);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(5)),
             None,
-        );
-        node.handle_replica_event(
+        ));
+        emitted!(node.handle_replica_event_into(
             SimTime::ZERO,
             ReplicaEvent::Birth {
                 key: KeyId(1),
                 replica: ReplicaId(0),
                 lifetime: LIFE,
             },
-        );
+        ));
         let actions = node.expire_directory(SimTime::from_secs(301));
         assert_eq!(actions.len(), 1);
         assert!(matches!(
@@ -1383,46 +1359,46 @@ mod tests {
     #[test]
     fn standard_mode_forwards_every_query() {
         let mut node = CupNode::new(NodeId(1), NodeConfig::standard_caching());
-        let a1 = node.handle_query(
+        let a1 = emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
-        let a2 = node.handle_query(
+        ));
+        let a2 = emitted!(node.handle_query_into(
             SimTime::from_secs(1),
             KeyId(1),
             Requester::Neighbor(NodeId(4)),
             Some(NodeId(9)),
-        );
+        ));
         assert_eq!(a1.len(), 1, "first query forwarded");
         assert_eq!(a2.len(), 1, "second query also forwarded (no coalescing)");
         // The response answers both requesters individually.
-        let actions = node.handle_update(
+        let actions = emitted!(node.handle_update_into(
             SimTime::from_secs(2),
             NodeId(9),
             first_time(1, vec![entry(1, 0, 0)], 2),
-        );
+        ));
         assert_eq!(actions.len(), 2);
     }
 
     #[test]
     fn standard_mode_authority_never_propagates() {
         let mut node = CupNode::new(NodeId(0), NodeConfig::standard_caching());
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(5)),
             None,
-        );
-        let actions = node.handle_replica_event(
+        ));
+        let actions = emitted!(node.handle_replica_event_into(
             SimTime::from_secs(1),
             ReplicaEvent::Birth {
                 key: KeyId(1),
                 replica: ReplicaId(0),
                 lifetime: LIFE,
             },
-        );
+        ));
         assert!(actions.is_empty());
     }
 
@@ -1431,25 +1407,29 @@ mod tests {
         let mut config = NodeConfig::cup_default();
         config.capacity_limited = true;
         let mut node = CupNode::new(NodeId(1), config);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(4)),
             Some(NodeId(9)),
-        );
+        ));
         // The response itself is never throttled.
-        let response = node.handle_update(
+        let response = emitted!(node.handle_update_into(
             SimTime::from_secs(1),
             NodeId(9),
             first_time(1, vec![entry(1, 0, 0)], 2),
-        );
+        ));
         assert_eq!(response.len(), 1, "first-time response sent immediately");
         assert_eq!(node.queued_updates(), 0);
         // A subsequent refresh for the interested neighbor is queued.
-        let actions = node.handle_update(SimTime::from_secs(10), NodeId(9), refresh(1, 0, 10, 2));
+        let actions = emitted!(node.handle_update_into(
+            SimTime::from_secs(10),
+            NodeId(9),
+            refresh(1, 0, 10, 2)
+        ));
         assert!(actions.is_empty(), "refresh must be queued, not sent");
         assert_eq!(node.queued_updates(), 1);
-        let sent = node.service_outgoing(SimTime::from_secs(11), 1.0);
+        let sent = emitted!(node.service_outgoing_into(SimTime::from_secs(11), 1.0));
         assert_eq!(sent.len(), 1);
         assert_eq!(node.queued_updates(), 0);
     }
@@ -1459,48 +1439,44 @@ mod tests {
         let mut config = NodeConfig::cup_default();
         config.capacity_limited = true;
         let mut node = CupNode::new(NodeId(1), config);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(4)),
             Some(NodeId(9)),
-        );
-        node.handle_update(
+        ));
+        emitted!(node.handle_update_into(
             SimTime::from_secs(1),
             NodeId(9),
             first_time(1, vec![entry(1, 0, 0)], 2),
-        );
-        node.handle_update(SimTime::from_secs(10), NodeId(9), refresh(1, 0, 10, 2));
+        ));
+        emitted!(node.handle_update_into(SimTime::from_secs(10), NodeId(9), refresh(1, 0, 10, 2)));
         assert_eq!(node.queued_updates(), 1);
         // Zero capacity: nothing is ever sent; queue drains by expiry, so
         // the downstream neighbor silently falls back to expiration-based
         // caching (§2.8).
-        assert!(node
-            .service_outgoing(SimTime::from_secs(11), 0.0)
-            .is_empty());
-        assert!(node
-            .service_outgoing(SimTime::from_secs(10_000), 0.0)
-            .is_empty());
+        assert!(emitted!(node.service_outgoing_into(SimTime::from_secs(11), 0.0)).is_empty());
+        assert!(emitted!(node.service_outgoing_into(SimTime::from_secs(10_000), 0.0)).is_empty());
         assert_eq!(node.queued_updates(), 0, "expired entries left the queue");
     }
 
     #[test]
     fn pfu_timeout_retries_the_query() {
         let mut node = cup_node(1);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
+        ));
         // Long after the timeout, a new query retries upstream instead of
         // coalescing forever against a lost response.
-        let actions = node.handle_query(
+        let actions = emitted!(node.handle_query_into(
             SimTime::from_secs(120),
             KeyId(1),
             Requester::Client(ClientId(2)),
             Some(NodeId(9)),
-        );
+        ));
         assert_eq!(actions.len(), 1);
         assert_eq!(node.stats.pfu_retries, 1);
     }
@@ -1513,12 +1489,12 @@ mod tests {
         // gate must keep a first-ever miss — at any clock reading — a
         // plain upstream push, never a spurious retry.
         let mut node = cup_node(1);
-        let actions = node.handle_query(
+        let actions = emitted!(node.handle_query_into(
             SimTime::from_secs(1_000_000),
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
+        ));
         assert_eq!(actions.len(), 1, "the miss pushes one query upstream");
         assert_eq!(node.stats.pfu_retries, 0, "no retry without a prior PFU");
         assert_eq!(node.stats.coalesced_queries, 0);
@@ -1530,18 +1506,18 @@ mod tests {
         // elapsed-since-PFU saturates to zero — which must read as
         // "in flight", not "timed out at t = 0".
         let mut node = cup_node(1);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
-        let actions = node.handle_query(
+        ));
+        let actions = emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(2)),
             Some(NodeId(9)),
-        );
+        ));
         assert!(actions.is_empty(), "the second query coalesces");
         assert_eq!(node.stats.coalesced_queries, 1);
         assert_eq!(node.stats.pfu_retries, 0);
@@ -1555,26 +1531,26 @@ mod tests {
         // reachable, not theoretical).
         let timeout = NodeConfig::cup_default().pfu_timeout;
         let mut node = cup_node(1);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
-        let at_boundary = node.handle_query(
+        ));
+        let at_boundary = emitted!(node.handle_query_into(
             SimTime::ZERO + timeout,
             KeyId(1),
             Requester::Client(ClientId(2)),
             Some(NodeId(9)),
-        );
+        ));
         assert!(at_boundary.is_empty(), "elapsed == timeout coalesces");
         assert_eq!(node.stats.pfu_retries, 0);
-        let past_boundary = node.handle_query(
+        let past_boundary = emitted!(node.handle_query_into(
             SimTime::ZERO + timeout + SimDuration::from_micros(1),
             KeyId(1),
             Requester::Client(ClientId(3)),
             Some(NodeId(9)),
-        );
+        ));
         assert_eq!(past_boundary.len(), 1, "one microsecond past retries");
         assert_eq!(node.stats.pfu_retries, 1);
     }
@@ -1582,12 +1558,12 @@ mod tests {
     #[test]
     fn neighbor_departure_remaps_interest() {
         let mut node = cup_node(1);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(4)),
             Some(NodeId(9)),
-        );
+        ));
         node.on_neighbor_departed(NodeId(4), Some(NodeId(6)));
         let st = node.key_state(KeyId(1)).unwrap();
         assert!(!st.interest.contains(NodeId(4)));
@@ -1598,14 +1574,14 @@ mod tests {
     fn directory_handover_round_trip() {
         let mut m = cup_node(0);
         for k in 0..4 {
-            m.handle_replica_event(
+            emitted!(m.handle_replica_event_into(
                 SimTime::ZERO,
                 ReplicaEvent::Birth {
                     key: KeyId(k),
                     replica: ReplicaId(0),
                     lifetime: LIFE,
                 },
-            );
+            ));
         }
         let moved = m.export_directory(|k| k.0 % 2 == 0);
         assert_eq!(moved.len(), 2);
@@ -1620,30 +1596,30 @@ mod tests {
         let mut config = NodeConfig::cup_default();
         config.refresh_keep_one_in = 3;
         let mut node = CupNode::new(NodeId(0), config);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(5)),
             None,
-        );
-        node.handle_replica_event(
+        ));
+        emitted!(node.handle_replica_event_into(
             SimTime::ZERO,
             ReplicaEvent::Birth {
                 key: KeyId(1),
                 replica: ReplicaId(0),
                 lifetime: LIFE,
             },
-        );
+        ));
         let mut propagated = 0;
         for round in 1..=9u64 {
-            let actions = node.handle_replica_event(
+            let actions = emitted!(node.handle_replica_event_into(
                 SimTime::from_secs(round * 300),
                 ReplicaEvent::Refresh {
                     key: KeyId(1),
                     replica: ReplicaId(0),
                     lifetime: LIFE,
                 },
-            );
+            ));
             propagated += actions.len();
         }
         assert_eq!(propagated, 3, "every third refresh propagates");
@@ -1654,50 +1630,50 @@ mod tests {
         let mut config = NodeConfig::cup_default();
         config.refresh_batch_window = Some(SimDuration::from_secs(10));
         let mut node = CupNode::new(NodeId(0), config);
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Neighbor(NodeId(5)),
             None,
-        );
+        ));
         for r in 0..3 {
-            node.handle_replica_event(
+            emitted!(node.handle_replica_event_into(
                 SimTime::ZERO,
                 ReplicaEvent::Birth {
                     key: KeyId(1),
                     replica: ReplicaId(r),
                     lifetime: LIFE,
                 },
-            );
+            ));
         }
         // Three refreshes within the window: the first two are held.
-        let a1 = node.handle_replica_event(
+        let a1 = emitted!(node.handle_replica_event_into(
             SimTime::from_secs(300),
             ReplicaEvent::Refresh {
                 key: KeyId(1),
                 replica: ReplicaId(0),
                 lifetime: LIFE,
             },
-        );
-        let a2 = node.handle_replica_event(
+        ));
+        let a2 = emitted!(node.handle_replica_event_into(
             SimTime::from_secs(303),
             ReplicaEvent::Refresh {
                 key: KeyId(1),
                 replica: ReplicaId(1),
                 lifetime: LIFE,
             },
-        );
+        ));
         assert!(a1.is_empty() && a2.is_empty(), "batch still filling");
         // A refresh after the window flushes the whole batch as one
         // update carrying all three entries.
-        let a3 = node.handle_replica_event(
+        let a3 = emitted!(node.handle_replica_event_into(
             SimTime::from_secs(312),
             ReplicaEvent::Refresh {
                 key: KeyId(1),
                 replica: ReplicaId(2),
                 lifetime: LIFE,
             },
-        );
+        ));
         assert_eq!(a3.len(), 1);
         match &a3[0] {
             Action::Send {
@@ -1722,21 +1698,29 @@ mod tests {
         ]));
         let mut node = CupNode::new(NodeId(1), config);
         for key in [0u32, 1] {
-            node.handle_query(
+            emitted!(node.handle_query_into(
                 SimTime::ZERO,
                 KeyId(key),
                 Requester::Client(ClientId(u64::from(key))),
                 Some(NodeId(9)),
-            );
-            node.handle_update(
+            ));
+            emitted!(node.handle_update_into(
                 SimTime::from_secs(1),
                 NodeId(9),
                 first_time(key, vec![entry(key, 0, 0)], 2),
-            );
+            ));
         }
-        let keep = node.handle_update(SimTime::from_secs(300), NodeId(9), refresh(0, 0, 300, 2));
+        let keep = emitted!(node.handle_update_into(
+            SimTime::from_secs(300),
+            NodeId(9),
+            refresh(0, 0, 300, 2)
+        ));
         assert!(keep.is_empty(), "class 0 (Always) keeps receiving");
-        let cut = node.handle_update(SimTime::from_secs(300), NodeId(9), refresh(1, 0, 300, 2));
+        let cut = emitted!(node.handle_update_into(
+            SimTime::from_secs(300),
+            NodeId(9),
+            refresh(1, 0, 300, 2)
+        ));
         assert_eq!(
             cut,
             vec![Action::send(NodeId(9), Message::ClearBit { key: KeyId(1) })],
@@ -1751,33 +1735,33 @@ mod tests {
             NodeId(1),
             NodeConfig::cup_with_policy(CutoffPolicy::adaptive()),
         );
-        node.handle_query(
+        emitted!(node.handle_query_into(
             SimTime::ZERO,
             KeyId(1),
             Requester::Client(ClientId(1)),
             Some(NodeId(9)),
-        );
-        node.handle_update(
+        ));
+        emitted!(node.handle_update_into(
             SimTime::from_secs(1),
             NodeId(9),
             first_time(1, vec![entry(1, 0, 0)], 2),
-        );
+        ));
         // A query in every interval (posted while the cache is still
         // fresh, so no Pending-First-Update round-trips): each refresh is
         // a justified decision interval recorded against this key's
         // state.
         for round in 1..6 {
-            node.handle_query(
+            emitted!(node.handle_query_into(
                 SimTime::from_secs(round * 300 - 10),
                 KeyId(1),
                 Requester::Client(ClientId(round)),
                 Some(NodeId(9)),
-            );
-            node.handle_update(
+            ));
+            emitted!(node.handle_update_into(
                 SimTime::from_secs(round * 300),
                 NodeId(9),
                 refresh(1, 0, round * 300, 2),
-            );
+            ));
         }
         let st = node.key_state(KeyId(1)).unwrap();
         assert_eq!(st.policy_state.intervals(), 5);
@@ -1800,24 +1784,32 @@ mod tests {
         let mut fixed = CupNode::new(NodeId(2), NodeConfig::cup_default());
 
         for node in [&mut naive, &mut fixed] {
-            node.handle_query(
+            emitted!(node.handle_query_into(
                 SimTime::ZERO,
                 KeyId(1),
                 Requester::Client(ClientId(1)),
                 Some(NodeId(9)),
-            );
-            node.handle_update(
+            ));
+            emitted!(node.handle_update_into(
                 SimTime::from_secs(1),
                 NodeId(9),
                 first_time(1, vec![entry(1, 0, 0)], 2),
-            );
+            ));
         }
         // Updates from three different replicas arrive back-to-back with
         // no interleaved queries.
         for (i, replica) in [1u32, 2, 3].into_iter().enumerate() {
             let t = 10 + i as u64;
-            naive.handle_update(SimTime::from_secs(t), NodeId(9), refresh(1, replica, t, 2));
-            fixed.handle_update(SimTime::from_secs(t), NodeId(9), refresh(1, replica, t, 2));
+            emitted!(naive.handle_update_into(
+                SimTime::from_secs(t),
+                NodeId(9),
+                refresh(1, replica, t, 2)
+            ));
+            emitted!(fixed.handle_update_into(
+                SimTime::from_secs(t),
+                NodeId(9),
+                refresh(1, replica, t, 2)
+            ));
         }
         assert!(naive.stats.cutoffs >= 1, "naive reset cut off");
         assert_eq!(fixed.stats.cutoffs, 0, "replica-independent survived");

@@ -1,0 +1,618 @@
+//! The delivery kernel: everything between "a message arrives" and "its
+//! children are enqueued", written once for both runtimes.
+//!
+//! What surrounds a handler call is protocol too, and order-sensitive:
+//! charge the hop to the §3.3 cost model by kind, drop at a crashed
+//! receiver, let a Byzantine receiver swallow, trace, feed the §3.1
+//! justification tracker, run the handler; then for each send let a
+//! Byzantine sender suppress or rewrite *before* the loss roll (a
+//! suppressed send never advances the per-link counter) and decide the
+//! drop *before* the message enters any queue; for each client answer
+//! record latency and staleness. [`Plane`] owns that order and the state
+//! it touches; an [`Env`] supplies only what differs between transports.
+//!
+//! Hops are charged at the *receiver*, before the crashed-receiver gate:
+//! a message in flight when its receiver crashed was transmitted (the
+//! send-time verdict predates the crash), so it costs a hop and is then
+//! counted `dropped_to_crashed`. A message is either vetoed before
+//! enqueue or received exactly once, so at every quiescent point the
+//! per-kind counts sum to the number of messages sent.
+
+use cup_core::justify::JustificationTracker;
+use cup_core::obs::TraceKind;
+use cup_core::{
+    Action, ClientId, CupNode, IndexEntry, Message, ReplicaEvent, Requester, UpdateKind,
+};
+use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
+
+use crate::metrics::NetMetrics;
+use crate::state::{DropVerdict, FaultState};
+
+/// An overlay routing lookup failed. The kernel drops the message that
+/// needed it and counts it in [`NetMetrics::routing_failures`] — one bad
+/// route must not take a runtime down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RoutingFailed;
+
+/// What a transport supplies to the kernel: a clock, routing, node
+/// storage, a way to carry a message one hop, the waiting clients, and
+/// the run-wide ground truth the kernel reads but does not own.
+pub trait Env {
+    /// The current time (simulated, virtual or wall-mapped).
+    fn now(&self) -> SimTime;
+
+    /// Next hop from `at` toward `key`'s authority; `None` at the
+    /// authority itself.
+    fn upstream_of(&mut self, at: NodeId, key: KeyId) -> Result<Option<NodeId>, RoutingFailed>;
+
+    /// The node `id`; callers of the entry points vouch it is present.
+    fn node_mut(&mut self, id: NodeId) -> &mut CupNode;
+
+    /// Carries `msg` one hop (only messages the fault plane let through
+    /// get here). `latency_factor` is the plane's spike multiplier, 1.0
+    /// when none; transports without modeled latency ignore it.
+    fn enqueue(&mut self, from: NodeId, to: NodeId, msg: Message, latency_factor: f64);
+
+    /// Hands an answer to a waiting client. Returns when the query was
+    /// posted if this is its first answer, `None` afterwards.
+    fn respond(&mut self, client: ClientId, entries: Vec<IndexEntry>) -> Option<SimTime>;
+
+    /// Discards `client`'s posted time: a crashed node swallowed the
+    /// query, so no answer will ever be a latency sample.
+    fn forget_client(&mut self, client: ClientId);
+
+    /// A query for `key` was posted at `at` at time `t`: mark every node
+    /// on its virtual path to the authority in the tracker holding that
+    /// node's windows (§3.1). `own` is the posting plane's tracker.
+    fn mark_path(&mut self, own: &mut JustificationTracker, at: NodeId, key: KeyId, t: SimTime);
+
+    /// When `replica` of `key` was globally deleted, if it was.
+    fn died_at(&self, key: KeyId, replica: ReplicaId) -> Option<SimTime>;
+
+    /// Records `replica` of `key` as dead from `now` (first death wins).
+    fn note_dead(&mut self, key: KeyId, replica: ReplicaId, now: SimTime);
+
+    /// Records one trace event, if tracing is on.
+    fn trace(&mut self, t: SimTime, node: NodeId, kind: TraceKind, key: KeyId, detail: u64);
+}
+
+/// The state a delivery touches besides its node: the fault plane, the
+/// justification tracker and the metrics sink. The DES owns one; the
+/// live runtime one per shard, each seeing exactly the messages its
+/// shard's nodes send and receive, folded by [`Plane::totals`].
+#[derive(Debug, Default)]
+pub struct Plane {
+    /// The fault plane. Always present; inert until an action is
+    /// applied (every gate returns before touching any per-link state).
+    pub faults: FaultState,
+    /// Latches once a fault plane was armed: staleness ground truth
+    /// keeps being recorded after the faults heal.
+    pub armed: bool,
+    /// §3.1 justified-update accounting for the nodes this plane serves.
+    pub justify: JustificationTracker,
+    /// Whether `justify` records events (it costs a virtual-path lookup
+    /// per posted query; the cost metrics never depend on it).
+    pub justify_on: bool,
+    /// Hop, answer, staleness and latency accounting.
+    pub metrics: NetMetrics,
+    /// Reusable action buffer: handlers push into it, [`Plane::emit`]
+    /// drains it, so steady-state delivery allocates nothing of its own.
+    scratch: Vec<Action>,
+}
+
+/// What a run's planes add up to.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Totals {
+    /// The merged metrics, `faults` filled from the planes' fault states.
+    pub net: NetMetrics,
+    /// §3.1 justified maintenance updates.
+    pub justified: u64,
+    /// Maintenance updates tracked (the justification denominator).
+    pub tracked: u64,
+}
+
+impl Plane {
+    /// Arms the fault plane with a fresh [`FaultState`] keyed by `seed`.
+    pub fn arm(&mut self, seed: u64) {
+        self.faults = FaultState::new(seed);
+        self.armed = true;
+    }
+
+    /// Folds the planes of one run (every replica fed the same actions).
+    /// Exact: each message was counted by exactly one plane.
+    pub fn totals<'a>(planes: impl IntoIterator<Item = &'a Plane> + Clone) -> Totals {
+        let mut totals = Totals::default();
+        for plane in planes.clone() {
+            totals.net.merge(&plane.metrics);
+            totals.justified += plane.justify.justified();
+            totals.tracked += plane.justify.total();
+        }
+        totals.net.faults = FaultState::merged_counters(planes.into_iter().map(|p| &p.faults));
+        totals
+    }
+
+    /// A client posts a query for `key` at node `at`. The transport has
+    /// already registered `client` with its posted time.
+    pub fn post_query<E: Env>(&mut self, env: &mut E, at: NodeId, key: KeyId, client: ClientId) {
+        // A crashed node accepts no connections: the query is swallowed,
+        // the client hears nothing, and no latency sample is ever taken.
+        if self.faults.is_crashed(at) {
+            self.faults.note_query_at_crashed();
+            env.forget_client(client);
+            return;
+        }
+        let now = env.now();
+        env.trace(now, at, TraceKind::ClientQuery, key, client.0);
+        let Ok(upstream) = env.upstream_of(at, key) else {
+            // Dead on arrival: answer empty now rather than let the
+            // client stew until its timeout.
+            self.metrics.routing_failures += 1;
+            env.respond(client, Vec::new());
+            return;
+        };
+        // One mark per posted query, never per forwarded hop.
+        if self.justify_on {
+            env.mark_path(&mut self.justify, at, key, now);
+        }
+        self.emit(env, now, at, |node, out| {
+            node.handle_query_into(now, key, Requester::Client(client), upstream, out)
+        });
+    }
+
+    /// The peer message `msg` from `from` arrives at `to`.
+    pub fn receive<E: Env>(&mut self, env: &mut E, from: NodeId, to: NodeId, msg: Message) {
+        let (m, key) = (&mut self.metrics, msg.key());
+        let (hops, kind) = match &msg {
+            Message::Query { .. } => (&mut m.query_hops, TraceKind::Query),
+            Message::Update(u) => match u.kind {
+                UpdateKind::FirstTime => (&mut m.first_time_hops, TraceKind::UpdateFirstTime),
+                UpdateKind::Refresh => (&mut m.refresh_hops, TraceKind::UpdateRefresh),
+                UpdateKind::Delete => (&mut m.delete_hops, TraceKind::UpdateDelete),
+                UpdateKind::Append => (&mut m.append_hops, TraceKind::UpdateAppend),
+            },
+            Message::ClearBit { .. } => (&mut m.clear_bit_hops, TraceKind::ClearBit),
+            Message::AuditProbe { .. } => (&mut m.audit_hops, TraceKind::AuditProbe),
+            Message::AuditReply { .. } => (&mut m.audit_hops, TraceKind::AuditReply),
+        };
+        *hops += 1;
+        // (On an inert plane nobody is crashed and nobody misbehaves.)
+        if self.faults.active() {
+            if self.faults.is_crashed(to) {
+                self.faults.counters.dropped_to_crashed += 1;
+                return;
+            }
+            // A stale-serve node swallows inbound deletions and audit
+            // repairs after the hop is paid.
+            if !self.faults.behavior_recv(to, &msg) {
+                return;
+            }
+        }
+        // Only messages that reach a handler are traced.
+        let now = env.now();
+        env.trace(now, to, kind, key, from.0 as u64);
+        let upstream = match msg {
+            Message::Query { .. } | Message::ClearBit { .. } => {
+                let Ok(upstream) = env.upstream_of(to, key) else {
+                    self.metrics.routing_failures += 1;
+                    return;
+                };
+                upstream
+            }
+            _ => None,
+        };
+        // First-time updates are query answers, not §3.1 maintenance.
+        if let Message::Update(u) = &msg {
+            if self.justify_on && u.kind != UpdateKind::FirstTime {
+                self.justify
+                    .on_update_delivered(to, u.key, now, u.window_end);
+            }
+        }
+        self.emit(env, now, to, |node, out| match msg {
+            Message::Query { key } => {
+                node.handle_query_into(now, key, Requester::Neighbor(from), upstream, out)
+            }
+            Message::Update(u) => node.handle_update_into(now, from, u, out),
+            Message::ClearBit { key } => node.handle_clear_bit_into(now, key, from, upstream, out),
+            Message::AuditProbe { key, round } => {
+                node.handle_audit_probe_into(now, key, round, from, out)
+            }
+            Message::AuditReply {
+                key,
+                round,
+                entries,
+                retired,
+            } => node.handle_audit_reply(now, key, round, &entries, &retired),
+        });
+    }
+
+    /// A replica lifecycle event reaches `at`, its key's authority.
+    pub fn replica_event<E: Env>(&mut self, env: &mut E, at: NodeId, event: ReplicaEvent) {
+        let now = env.now();
+        let (kind, key, replica) = match event {
+            ReplicaEvent::Birth { key, replica, .. } => (TraceKind::ReplicaBirth, key, replica),
+            ReplicaEvent::Refresh { key, replica, .. } => (TraceKind::ReplicaRefresh, key, replica),
+            ReplicaEvent::Deletion { key, replica } => (TraceKind::ReplicaDeletion, key, replica),
+        };
+        // Ground truth for staleness, before the crashed-authority gate:
+        // the replica is dead from this instant whether or not its
+        // deletion reaches (or survives at) the authority.
+        if self.armed && kind == TraceKind::ReplicaDeletion {
+            env.note_dead(key, replica, now);
+        }
+        // A crashed authority hears nothing from its replicas.
+        if self.faults.is_crashed(at) {
+            self.faults.note_replica_at_crashed();
+            return;
+        }
+        env.trace(now, at, kind, key, replica.0 as u64);
+        self.emit(env, now, at, |node, out| {
+            node.handle_replica_event_into(now, event, out)
+        });
+    }
+
+    /// Runs one handler of node `from` at `now` and turns the actions it
+    /// emitted into traffic and client answers.
+    pub fn emit<E: Env>(
+        &mut self,
+        env: &mut E,
+        now: SimTime,
+        from: NodeId,
+        handler: impl FnOnce(&mut CupNode, &mut Vec<Action>),
+    ) {
+        let mut actions = std::mem::take(&mut self.scratch);
+        handler(env.node_mut(from), &mut actions);
+        for action in actions.drain(..) {
+            match action {
+                Action::Send { to, mut msg } => {
+                    if self.faults.active() {
+                        if !self.faults.behavior_send(from, &mut msg) {
+                            continue;
+                        }
+                        if self.faults.roll(from, to) != DropVerdict::Deliver {
+                            continue;
+                        }
+                    }
+                    env.enqueue(from, to, msg, self.faults.latency_factor());
+                }
+                Action::RespondClient {
+                    client,
+                    key,
+                    entries,
+                } => {
+                    self.metrics.client_responses += 1;
+                    env.trace(now, from, TraceKind::Respond, key, entries.len() as u64);
+                    // Staleness: the answer names a replica the world
+                    // already deleted (the cache missed the delete —
+                    // under loss, the delete may never arrive).
+                    if self.armed {
+                        let deaths = entries.iter().filter_map(|e| env.died_at(e.key, e.replica));
+                        if let Some(died) = deaths.min() {
+                            let age = now.saturating_since(died).as_micros();
+                            self.metrics.stale_answers += 1;
+                            self.metrics.stale_age_micros += age;
+                            self.metrics.stale_age_hist.record(age);
+                        }
+                    }
+                    if let Some(posted) = env.respond(client, entries) {
+                        let waited = now.saturating_since(posted).as_micros();
+                        self.metrics.query_latency.record(waited);
+                    }
+                }
+            }
+        }
+        self.scratch = actions;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use cup_core::{Hist, NodeConfig, Update};
+    use cup_des::SimDuration;
+
+    use super::*;
+    use crate::plan::{Behavior, FaultAction};
+
+    /// An in-memory transport over a line of nodes: node `i`'s upstream
+    /// is `i - 1`, node 0 is every key's authority, routing from node 9
+    /// is stuck. Records what the kernel asked of it.
+    #[derive(Default)]
+    struct Fake {
+        now: SimTime,
+        nodes: Vec<CupNode>,
+        sent: Vec<(NodeId, NodeId, Message)>,
+        posted: BTreeMap<u64, SimTime>,
+        answers: Vec<(u64, usize)>,
+        dead: BTreeMap<(KeyId, ReplicaId), SimTime>,
+        traced: Vec<TraceKind>,
+    }
+
+    impl Env for Fake {
+        fn now(&self) -> SimTime {
+            self.now
+        }
+        fn upstream_of(&mut self, at: NodeId, _: KeyId) -> Result<Option<NodeId>, RoutingFailed> {
+            match at.0 {
+                9 => Err(RoutingFailed),
+                at => Ok(at.checked_sub(1).map(NodeId)),
+            }
+        }
+        fn node_mut(&mut self, id: NodeId) -> &mut CupNode {
+            &mut self.nodes[id.index()]
+        }
+        fn enqueue(&mut self, from: NodeId, to: NodeId, msg: Message, _: f64) {
+            self.sent.push((from, to, msg));
+        }
+        fn respond(&mut self, client: ClientId, entries: Vec<IndexEntry>) -> Option<SimTime> {
+            self.answers.push((client.0, entries.len()));
+            self.posted.remove(&client.0)
+        }
+        fn forget_client(&mut self, client: ClientId) {
+            self.posted.remove(&client.0);
+        }
+        fn mark_path(
+            &mut self,
+            own: &mut JustificationTracker,
+            at: NodeId,
+            key: KeyId,
+            t: SimTime,
+        ) {
+            let path: Vec<NodeId> = (0..=at.0).rev().map(NodeId).collect();
+            own.on_query(key, t, &path);
+        }
+        fn died_at(&self, key: KeyId, replica: ReplicaId) -> Option<SimTime> {
+            self.dead.get(&(key, replica)).copied()
+        }
+        fn note_dead(&mut self, key: KeyId, replica: ReplicaId, now: SimTime) {
+            self.dead.entry((key, replica)).or_insert(now);
+        }
+        fn trace(&mut self, _: SimTime, _: NodeId, kind: TraceKind, _: KeyId, _: u64) {
+            self.traced.push(kind);
+        }
+    }
+
+    const KEY: KeyId = KeyId(1);
+    const LIFE: SimDuration = SimDuration::from_secs(300);
+
+    /// One plane, armed with `actions`, over a line of ten nodes.
+    fn world(actions: &[FaultAction]) -> (Plane, Fake) {
+        let mut plane = Plane::default();
+        plane.arm(7);
+        for &action in actions {
+            plane.faults.apply(action);
+        }
+        let nodes = (0..10).map(|i| CupNode::new(NodeId(i), NodeConfig::cup_default()));
+        let env = Fake {
+            nodes: nodes.collect(),
+            ..Fake::default()
+        };
+        (plane, env)
+    }
+
+    fn behave(node: usize, behavior: Behavior) -> FaultAction {
+        FaultAction::SetBehavior { node, behavior }
+    }
+
+    fn entry(replica: u32) -> IndexEntry {
+        IndexEntry::new(KEY, ReplicaId(replica), LIFE, SimTime::ZERO)
+    }
+
+    fn update(kind: UpdateKind, replica: u32) -> Message {
+        Message::Update(Update {
+            key: KEY,
+            kind,
+            entries: vec![entry(replica)],
+            replica: ReplicaId(replica),
+            depth: 1,
+            origin: SimTime::ZERO,
+            window_end: entry(replica).expires_at(),
+        })
+    }
+
+    /// Node 1 answers client 1 with entries of `replicas` at `secs`.
+    fn answer(plane: &mut Plane, env: &mut Fake, secs: u64, replicas: &[u32]) {
+        let mut actions = vec![Action::RespondClient {
+            client: ClientId(1),
+            key: KEY,
+            entries: replicas.iter().map(|&r| entry(r)).collect(),
+        }];
+        env.now = SimTime::from_secs(secs);
+        plane.emit(env, env.now(), NodeId(1), |_, out| out.append(&mut actions));
+    }
+
+    fn recv(plane: &mut Plane, env: &mut Fake, from: u32, to: u32, msg: Message) {
+        plane.receive(env, NodeId(from), NodeId(to), msg);
+    }
+
+    /// Posts a query the way a transport does: register, then hand over.
+    fn post(plane: &mut Plane, env: &mut Fake, at: u32, client: u64) {
+        env.posted.insert(client, env.now);
+        plane.post_query(env, NodeId(at), KEY, ClientId(client));
+    }
+
+    #[test]
+    fn receiver_gates_sit_after_the_charge_and_before_the_trace() {
+        let crash = FaultAction::Crash { node: 2 };
+        let (mut plane, mut env) = world(&[crash, behave(3, Behavior::StaleServe)]);
+        recv(&mut plane, &mut env, 1, 2, Message::Query { key: KEY });
+        assert_eq!(plane.metrics.query_hops, 1, "the transmission happened");
+        assert_eq!(plane.faults.counters.dropped_to_crashed, 1);
+        recv(&mut plane, &mut env, 2, 3, update(UpdateKind::Delete, 0));
+        assert_eq!(plane.metrics.delete_hops, 1, "the hop was paid");
+        assert_eq!(plane.faults.counters.byz_updates_swallowed, 1);
+        assert!(env.traced.is_empty() && env.sent.is_empty());
+        let handled = |env: &Fake, n: usize| {
+            env.nodes[n].stats.neighbor_queries + env.nodes[n].stats.updates_received
+        };
+        assert_eq!(handled(&env, 2) + handled(&env, 3), 0, "no handler ran");
+        // An honest receiver of the same message is traced and handled.
+        recv(&mut plane, &mut env, 3, 4, update(UpdateKind::Delete, 0));
+        assert_eq!(env.traced, [TraceKind::UpdateDelete]);
+        assert_eq!(handled(&env, 4), 1);
+    }
+
+    #[test]
+    fn a_suppressed_send_never_reaches_the_loss_roll() {
+        // Same seed, same epoch, same 50 % loss. The second sender also
+        // drops maintenance updates; its refreshes, interleaved on the
+        // same link, must leave the queries' verdicts where they were.
+        let survivors = |dropper: usize, with_refreshes: bool| {
+            let loss = FaultAction::SetLoss { rate: 0.5 };
+            let (mut plane, mut env) = world(&[loss, behave(dropper, Behavior::DropUpdates)]);
+            let mut actions = Vec::new();
+            for k in 0..64 {
+                if with_refreshes {
+                    actions.push(Action::send(NodeId(2), update(UpdateKind::Refresh, k)));
+                }
+                actions.push(Action::send(NodeId(2), Message::Query { key: KeyId(k) }));
+            }
+            plane.emit(&mut env, SimTime::ZERO, NodeId(1), |_, out| {
+                out.append(&mut actions)
+            });
+            let keys: Vec<KeyId> = env.sent.iter().map(|(_, _, msg)| msg.key()).collect();
+            (keys, plane.faults.counters)
+        };
+        let (alone, alone_counters) = survivors(8, false);
+        let (mixed, mixed_counters) = survivors(1, true);
+        assert!(alone.len() > 8 && alone.len() < 56, "the loss plane bit");
+        assert_eq!(alone, mixed, "suppressed sends advanced the link counter");
+        assert_eq!(mixed_counters.byz_updates_dropped, 64);
+        assert_eq!(mixed_counters.dropped_loss, alone_counters.dropped_loss);
+    }
+
+    #[test]
+    fn only_maintenance_updates_open_justification_windows() {
+        let (mut plane, mut env) = world(&[]);
+        plane.justify_on = true;
+        recv(&mut plane, &mut env, 1, 2, update(UpdateKind::FirstTime, 0));
+        assert_eq!(plane.justify.total(), 0, "an answer is not maintenance");
+        recv(&mut plane, &mut env, 1, 2, update(UpdateKind::Refresh, 0));
+        assert_eq!(plane.justify.total(), 1);
+        plane.justify_on = false;
+        recv(&mut plane, &mut env, 1, 2, update(UpdateKind::Refresh, 0));
+        assert_eq!(plane.justify.total(), 1, "off means off");
+    }
+
+    #[test]
+    fn the_first_answer_claims_the_posted_time_once() {
+        let (mut plane, mut env) = world(&[]);
+        env.posted.insert(1, SimTime::from_secs(2));
+        answer(&mut plane, &mut env, 5, &[0]);
+        answer(&mut plane, &mut env, 8, &[0]);
+        assert_eq!(env.answers, [(1, 1), (1, 1)], "both reach the client");
+        assert_eq!(plane.metrics.client_responses, 2);
+        let mut one_sample = Hist::default();
+        one_sample.record(3_000_000);
+        assert_eq!(plane.metrics.query_latency, one_sample, "5 s − 2 s, once");
+        assert_eq!(env.traced, [TraceKind::Respond, TraceKind::Respond]);
+    }
+
+    #[test]
+    fn staleness_is_age_since_the_earliest_death_and_needs_an_armed_plane() {
+        let mut env = world(&[]).1;
+        let mut plane = Plane::default();
+        let deletion = |replica| ReplicaEvent::Deletion {
+            key: KEY,
+            replica: ReplicaId(replica),
+        };
+        // Unarmed: no ground truth is kept, no answer is judged.
+        plane.replica_event(&mut env, NodeId(0), deletion(7));
+        assert!(env.dead.is_empty());
+        env.dead.insert((KEY, ReplicaId(1)), SimTime::from_secs(10));
+        answer(&mut plane, &mut env, 25, &[1]);
+        assert_eq!(plane.metrics.stale_answers, 0);
+
+        plane.arm(3);
+        for secs in [4, 6] {
+            env.now = SimTime::from_secs(secs);
+            plane.replica_event(&mut env, NodeId(0), deletion(2));
+        }
+        assert_eq!(env.dead[&(KEY, ReplicaId(2))], SimTime::from_secs(4));
+        // Served: one replica dead since 10 s, one since 4 s, one alive.
+        answer(&mut plane, &mut env, 25, &[1, 2, 3]);
+        answer(&mut plane, &mut env, 25, &[3]);
+        assert_eq!(plane.metrics.stale_answers, 1, "one per stale answer");
+        assert_eq!(plane.metrics.stale_age_micros, 21_000_000);
+        assert_eq!(plane.metrics.stale_age_hist.count(), 1);
+    }
+
+    #[test]
+    fn a_failed_lookup_drops_the_message_and_counts_it() {
+        let (mut plane, mut env) = world(&[]);
+        recv(&mut plane, &mut env, 8, 9, Message::Query { key: KEY });
+        recv(&mut plane, &mut env, 8, 9, Message::ClearBit { key: KEY });
+        assert_eq!(plane.metrics.routing_failures, 2);
+        assert_eq!(plane.metrics.hops(), 2, "both were received");
+        assert!(env.sent.is_empty());
+        assert_eq!(env.nodes[9].stats.neighbor_queries, 0, "no handler ran");
+        // A client query dead on arrival is answered empty, unsampled.
+        post(&mut plane, &mut env, 9, 5);
+        assert_eq!(plane.metrics.routing_failures, 3);
+        assert_eq!(env.answers, [(5, 0)]);
+        assert_eq!(plane.metrics.query_latency.count(), 0);
+        // Updates need no lookup and still flow.
+        recv(&mut plane, &mut env, 8, 9, update(UpdateKind::Refresh, 0));
+        assert_eq!(plane.metrics.routing_failures, 3);
+    }
+
+    #[test]
+    fn a_query_at_a_crashed_node_is_swallowed_and_forgotten() {
+        let (mut plane, mut env) = world(&[FaultAction::Crash { node: 2 }]);
+        post(&mut plane, &mut env, 2, 4);
+        assert_eq!(plane.faults.counters.queries_at_crashed, 1);
+        assert!(env.posted.is_empty(), "no answer will ever be a sample");
+        assert!(env.answers.is_empty() && env.traced.is_empty());
+    }
+
+    /// One scripted stream — a birth, queries from three depths, a
+    /// refresh, a deletion, a last query — over `k` planes, node `n`
+    /// served by plane `n % k`.
+    fn run_stream(k: usize) -> (Totals, Vec<TraceKind>) {
+        let mut env = world(&[]).1;
+        let mut planes: Vec<Plane> = (0..k).map(|_| Plane::default()).collect();
+        let (key, replica, lifetime) = (KEY, ReplicaId(0), LIFE);
+        let birth = ReplicaEvent::Birth {
+            key,
+            replica,
+            lifetime,
+        };
+        let refresh = ReplicaEvent::Refresh {
+            key,
+            replica,
+            lifetime,
+        };
+        let deletion = ReplicaEvent::Deletion { key, replica };
+        let queries = [Ok(5), Ok(3), Ok(4), Ok(5)];
+        let script = [
+            &[Err(birth)],
+            &queries[..],
+            &[Err(refresh), Err(deletion), Ok(2)],
+        ];
+        for (client, step) in script.concat().into_iter().enumerate() {
+            match step {
+                Ok(at) => post(&mut planes[at as usize % k], &mut env, at, client as u64),
+                Err(event) => planes[0].replica_event(&mut env, NodeId(0), event),
+            }
+            env.now += SimDuration::from_secs(3);
+            while !env.sent.is_empty() {
+                let (from, to, msg) = env.sent.remove(0);
+                planes[to.index() % k].receive(&mut env, from, to, msg);
+            }
+        }
+        (Plane::totals(&planes), env.traced)
+    }
+
+    #[test]
+    fn a_k_way_split_merges_to_the_unsplit_metrics() {
+        let (whole, trace) = run_stream(1);
+        assert!(whole.net.query_hops > 0 && whole.net.first_time_hops > 0);
+        assert!(whole.net.refresh_hops > 0 && whole.net.delete_hops > 0);
+        assert_eq!(whole.net.client_responses, 5);
+        assert_eq!(whole.net.query_latency.count(), 5);
+        assert!(whole.net.query_latency.quantile(999) > 0);
+        for k in [2, 3, 6] {
+            assert_eq!(run_stream(k), (whole, trace.clone()), "{k} planes");
+        }
+    }
+}

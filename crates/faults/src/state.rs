@@ -142,6 +142,13 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
+impl Default for FaultState {
+    /// A fault-free plane keyed by seed 0.
+    fn default() -> Self {
+        FaultState::new(0)
+    }
+}
+
 impl FaultState {
     /// A fault-free plane keyed by `seed` (derive the seed from the
     /// experiment's `DetRng` so fault decisions are part of the same
@@ -164,6 +171,7 @@ impl FaultState {
 
     /// Returns `true` while any fault is in effect (the hot-path gate:
     /// an inactive plane never touches the per-link counters).
+    #[inline]
     pub fn active(&self) -> bool {
         self.loss_rate > 0.0
             || self.crashed_count > 0

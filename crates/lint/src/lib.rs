@@ -16,8 +16,9 @@
 //! | `wall-clock` | cup-core, cup-runtime | wall-time reads outside `clock.rs` |
 //! | `unordered-iteration` | cup-core, cup-simnet, cup-runtime | `HashMap`/`HashSet` iteration order leaking into state or metrics |
 //! | `relaxed-atomic` | cup-runtime | `Ordering::Relaxed` on non-monotone-counter atomics at the quiesce barrier |
-//! | `panic-path` | cup-runtime | `unwrap`/`expect` on the live worker dispatch path |
+//! | `panic-path` | cup-runtime, the delivery kernel, the DES network | `unwrap`/`expect` on the per-message path |
 //! | `conformance-parity` | counter structs + assertion sites | counters declared but never merged/asserted |
+//! | `delivery-gate` | cup-simnet, cup-runtime | a fault gate or the justify hook called outside the shared delivery kernel |
 //!
 //! The pass runs twice: in-process as the tier-1 `tests/lint.rs` gate,
 //! and as `cargo run -p cup-lint` in CI (which uploads `LINT.json`).
@@ -31,7 +32,7 @@ use std::path::{Path, PathBuf};
 
 use engine::{Report, Rule, Workspace};
 use parity::ConformanceParity;
-use rules::{PanicPath, RelaxedAtomic, UnorderedIteration, WallClock};
+use rules::{PanicPath, RelaxedAtomic, UnorderedIteration, DELIVERY_GATE, WALL_CLOCK};
 
 /// Source trees a full workspace run loads. Wider than any single
 /// rule's scope: the parity rule reads the conformance harness and the
@@ -58,12 +59,16 @@ pub fn workspace_root() -> PathBuf {
 
 /// Runs the full rule set over a prepared workspace.
 pub fn run_all(ws: &Workspace) -> Report {
-    let wall = WallClock;
-    let iter = UnorderedIteration;
-    let atomics = RelaxedAtomic;
-    let panics = PanicPath;
+    let (iter, atomics, panics) = (UnorderedIteration, RelaxedAtomic, PanicPath);
     let parity = ConformanceParity::workspace();
-    let rules: [&dyn Rule; 5] = [&wall, &iter, &atomics, &panics, &parity];
+    let rules: [&dyn Rule; 6] = [
+        &WALL_CLOCK,
+        &iter,
+        &atomics,
+        &panics,
+        &parity,
+        &DELIVERY_GATE,
+    ];
     engine::run(ws, &rules)
 }
 

@@ -8,20 +8,20 @@
 //! invariant. This rule parses the field lists out of the masked source
 //! and fails when:
 //!
-//! * a `NodeStats`, `Hist` or `FaultCounters` field is missing from its
-//!   own `merge()` body (the counter would vanish when per-node stats,
-//!   per-worker histograms or per-shard fault replicas are aggregated);
-//! * a `NetMetrics` counter is never consumed by the conformance
-//!   harness, directly or through a `NetMetrics` helper method the
-//!   harness calls (`total_cost()` covers the six hop counters, for
-//!   example — the rule computes that closure);
+//! * a `NodeStats`, `Hist`, `FaultCounters` or `NetMetrics` field is
+//!   missing from its own `merge()` body (the counter would vanish when
+//!   per-node stats, per-worker histograms, per-shard fault replicas or
+//!   per-shard delivery planes are aggregated);
 //! * a conformance `Outcome` field is never referenced by the
 //!   sim-vs-live assertion suite.
+//!
+//! `NetMetrics` needs no consumer obligation of its own: the `Outcome`
+//! carries it whole and compares it with `==`.
 //!
 //! A field that is intentionally report-only can carry an allow-pragma
 //! on its declaration line.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use crate::engine::{Finding, Rule, Workspace};
 
@@ -36,9 +36,8 @@ pub enum ParityCheck {
         struct_name: String,
         fn_name: String,
     },
-    /// Every field of `struct_name` must be referenced by at least one
-    /// of the `consumer_files` — directly, or via an inherent method of
-    /// the struct whose (transitive) body touches the field.
+    /// Every field of `struct_name` must be referenced, by name, by at
+    /// least one of the `consumer_files`.
     ConsumedBy {
         struct_file: String,
         struct_name: String,
@@ -77,10 +76,13 @@ impl ConformanceParity {
                     struct_name: "FaultCounters".into(),
                     fn_name: "merge".into(),
                 },
-                ParityCheck::ConsumedBy {
-                    struct_file: "crates/simnet/src/metrics.rs".into(),
+                // The delivery kernel's metrics sink: one per shard
+                // live, folded by `Plane::totals`. A field `merge`
+                // forgets reads zero live while the DES still counts it.
+                ParityCheck::MergedInto {
+                    struct_file: "crates/faults/src/metrics.rs".into(),
                     struct_name: "NetMetrics".into(),
-                    consumer_files: vec!["crates/testkit/src/conformance.rs".into()],
+                    fn_name: "merge".into(),
                 },
                 ParityCheck::ConsumedBy {
                     struct_file: "crates/testkit/src/conformance.rs".into(),
@@ -166,17 +168,8 @@ impl Rule for ConformanceParity {
                         };
                         consumer_idents.extend(idents(&consumer.masked));
                     }
-                    let covers = method_field_closure(
-                        &file.masked,
-                        struct_name,
-                        &fields.iter().map(|(_, f)| f.clone()).collect::<Vec<_>>(),
-                    );
                     for (line, field) in fields {
-                        let direct = consumer_idents.contains(&field);
-                        let via_method = covers.iter().any(|(method, covered)| {
-                            consumer_idents.contains(method) && covered.contains(&field)
-                        });
-                        if !direct && !via_method {
+                        if !consumer_idents.contains(&field) {
                             out.push(Finding::new(
                                 RULE,
                                 struct_file,
@@ -320,93 +313,4 @@ pub fn idents(masked: &str) -> BTreeSet<String> {
         out.insert(cur);
     }
     out
-}
-
-/// For each inherent method of `type_name` (in `impl type_name { … }`
-/// blocks), the set of struct fields its body touches — transitively:
-/// `total_cost()` calling `miss_cost()` covers whatever `miss_cost`
-/// covers.
-fn method_field_closure(
-    masked: &str,
-    type_name: &str,
-    fields: &[String],
-) -> Vec<(String, BTreeSet<String>)> {
-    // Collect method name → body idents from every `impl type_name`
-    // block (trait impls like `impl Default for T` don't match the
-    // header and are rightly excluded: constructing a default is not
-    // consuming a counter).
-    let mut bodies: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let header = format!("impl {type_name}");
-    let mut from = 0;
-    while let Some((start, end)) = {
-        let rest = &masked[from..];
-        item_body(rest, &header).map(|(s, e)| (from + s, from + e))
-    } {
-        let block = &masked[start..end];
-        let mut pos = 0;
-        while let Some(rel) = block[pos..].find("fn ") {
-            let fn_at = pos + rel;
-            let name_start = fn_at + 3;
-            let name: String = block[name_start..]
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if name.is_empty() {
-                pos = name_start;
-                continue;
-            }
-            if let Some((bs, be)) = item_body(&block[fn_at..], &format!("fn {name}")) {
-                bodies
-                    .entry(name)
-                    .or_default()
-                    .extend(idents(&block[fn_at + bs..fn_at + be]));
-                pos = fn_at + be;
-            } else {
-                pos = name_start;
-            }
-        }
-        from = end;
-    }
-
-    // Fixpoint: a method covers a field if its body names it, or names
-    // a method that covers it.
-    let mut covers: BTreeMap<String, BTreeSet<String>> = bodies
-        .iter()
-        .map(|(name, ids)| {
-            (
-                name.clone(),
-                fields
-                    .iter()
-                    .filter(|f| ids.contains(*f))
-                    .cloned()
-                    .collect(),
-            )
-        })
-        .collect();
-    loop {
-        let mut changed = false;
-        let names: Vec<String> = covers.keys().cloned().collect();
-        for name in &names {
-            let callees: Vec<String> = names
-                .iter()
-                .filter(|m| *m != name && bodies[name].contains(*m))
-                .cloned()
-                .collect();
-            for callee in callees {
-                let add: Vec<String> = covers[&callee]
-                    .iter()
-                    .filter(|f| !covers[name].contains(*f))
-                    .cloned()
-                    .collect();
-                if !add.is_empty() {
-                    covers.get_mut(name).unwrap().extend(add);
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    covers.into_iter().collect()
 }

@@ -9,53 +9,88 @@
 
 use crate::engine::{masked_lines, Finding, PreparedFile, Rule, Workspace};
 
-/// Scope of the wall-clock ban: the crates whose state machines must
-/// take "now" exclusively from `cup_core::clock::Clock`.
-pub const WALL_CLOCK_SCOPE: &[&str] = &["crates/core/src", "crates/runtime/src"];
+/// One row of the token-ban table: a set of constructs that may appear
+/// in one designated file and nowhere else in a scope. Tests are policed
+/// too — test code in these crates has no more business sleeping, or
+/// running a fault gate by hand, than production code has.
+pub struct TokenBan {
+    /// Rule name, as pragmas and `LINT.json` spell it.
+    pub name: &'static str,
+    /// One-line description for the report.
+    pub description: &'static str,
+    /// Workspace-relative path prefixes the ban covers.
+    pub scope: &'static [&'static str],
+    /// The one file (by path suffix) that implements the banned thing
+    /// and is therefore exempt.
+    pub designated: &'static str,
+    /// The banned constructs, matched in masked (code-only) text.
+    pub banned: &'static [&'static str],
+    /// What to do instead; appended to each finding.
+    pub advice: &'static str,
+}
 
-/// The one module allowed to touch the wall clock (it *implements* the
-/// clock abstraction).
-pub const WALL_CLOCK_DESIGNATED: &str = "clock.rs";
+/// Rule 1: **wall-clock** — no wall-time reads in the crates whose state
+/// machines must take "now" exclusively from `cup_core::clock::Clock`.
+/// `Instant::now(` covers every way of reading the monotonic clock;
+/// sleeping and `SystemTime` are banned outright (a sleeping worker is a
+/// timing-dependent flake waiting to happen; protocol state never needs
+/// calendar time). Mirrored by `clippy.toml`'s `disallowed-methods` as
+/// an independent second layer.
+pub const WALL_CLOCK: TokenBan = TokenBan {
+    name: "wall-clock",
+    description: "protocol crates must take time from cup_core::clock::Clock, never the wall clock",
+    scope: &["crates/core/src", "crates/runtime/src"],
+    designated: "crates/core/src/clock.rs",
+    banned: &["Instant::now(", "thread::sleep", "SystemTime"],
+    advice: "use cup_core::clock::Clock instead",
+};
 
-/// Banned wall-time constructs. `Instant::now(` covers every way of
-/// reading the monotonic clock; sleeping and `SystemTime` are banned
-/// outright (a sleeping worker is a timing-dependent flake waiting to
-/// happen; protocol state never needs calendar time). Mirrored by
-/// `clippy.toml`'s `disallowed-methods` as an independent second layer.
-pub const WALL_CLOCK_BANNED: &[&str] = &["Instant::now(", "thread::sleep", "SystemTime"];
+/// Rule 6: **delivery-gate** — the fault gates and the justification
+/// hook run in one fixed order inside the shared delivery kernel. A
+/// runtime that calls one of them itself is growing a second copy of
+/// the pipeline, which is how the DES and the live runtime came to hold
+/// hand-synchronized twins in the first place.
+pub const DELIVERY_GATE: TokenBan = TokenBan {
+    name: "delivery-gate",
+    description: "fault gates and the justify hook run only inside cup_faults::deliver",
+    scope: &["crates/simnet/src", "crates/runtime/src"],
+    designated: "crates/faults/src/deliver.rs",
+    banned: &[
+        "behavior_recv(",
+        "behavior_send(",
+        ".roll(",
+        "on_update_delivered(",
+        "is_crashed(",
+    ],
+    advice: "go through a cup_faults::Plane entry point (post_query, receive, replica_event, emit)",
+};
 
 fn in_scope(path: &str, scope: &[&str]) -> bool {
     scope.iter().any(|s| path.starts_with(s))
 }
 
-/// Rule 1: **wall-clock** — no wall-time reads in protocol crates.
-pub struct WallClock;
-
-impl Rule for WallClock {
+impl Rule for TokenBan {
     fn name(&self) -> &'static str {
-        "wall-clock"
+        self.name
     }
 
     fn description(&self) -> &'static str {
-        "protocol crates must take time from cup_core::clock::Clock, never the wall clock"
+        self.description
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
         for file in &ws.files {
-            if !in_scope(&file.path, WALL_CLOCK_SCOPE) || file.path.ends_with(WALL_CLOCK_DESIGNATED)
-            {
+            if !in_scope(&file.path, self.scope) || file.path.ends_with(self.designated) {
                 continue;
             }
-            // Tests included: even test code in these crates must not
-            // sleep or read the clock (same semantics as the old grep).
             for (line_no, line) in masked_lines(file, true) {
-                for token in WALL_CLOCK_BANNED {
+                for token in self.banned {
                     if line.contains(token) {
                         out.push(Finding::new(
-                            self.name(),
+                            self.name,
                             &file.path,
                             line_no,
-                            format!("`{token}` — use cup_core::clock::Clock instead"),
+                            format!("`{token}` — {}", self.advice),
                         ));
                     }
                 }
@@ -296,7 +331,6 @@ pub const MONOTONE_COUNTERS: &[&str] = &[
     "cross_shard",
     "batch_flushes",
     "batched_envelopes",
-    "routing_failures",
     "next_client",
 ];
 
@@ -403,16 +437,21 @@ impl Rule for RelaxedAtomic {
     }
 }
 
-/// Scope of the panic rule: same as the atomics rule — the live worker
-/// dispatch path.
-pub const PANIC_SCOPE: &[&str] = &["crates/runtime/src"];
+/// Scope of the panic rule: the live worker dispatch path, and the
+/// per-message path both runtimes share (the delivery kernel and the
+/// DES network that drives it).
+pub const PANIC_SCOPE: &[&str] = &[
+    "crates/runtime/src",
+    "crates/faults/src/deliver.rs",
+    "crates/simnet/src/network.rs",
+];
 
-/// Rule 4: **panic-path** — `unwrap`/`expect` in the live runtime's
-/// production code. A panicking worker poisons the pool mid-run;
-/// degradation must be drop-and-count (`routing_failures`-style) so a
-/// live run keeps its books instead of dying. Start-up/shutdown sites
-/// carry allow-pragmas: before workers exist and after they join,
-/// panicking is the correct report.
+/// Rule 4: **panic-path** — `unwrap`/`expect` in per-message production
+/// code. A panicking worker poisons the pool mid-run, and a panicking
+/// DES loses the whole experiment; degradation must be drop-and-count
+/// (`routing_failures`-style) so a run keeps its books instead of
+/// dying. Start-up/shutdown sites carry allow-pragmas: before workers
+/// exist and after they join, panicking is the correct report.
 pub struct PanicPath;
 
 impl Rule for PanicPath {
@@ -421,7 +460,7 @@ impl Rule for PanicPath {
     }
 
     fn description(&self) -> &'static str {
-        "unwrap/expect in live-runtime production code (workers must degrade, not die)"
+        "unwrap/expect on the per-message path (runtimes must degrade, not die)"
     }
 
     fn check(&self, ws: &Workspace, out: &mut Vec<Finding>) {
@@ -439,7 +478,7 @@ impl Rule for PanicPath {
                             &file.path,
                             line_no,
                             format!(
-                                "`{token}` on the live path — recover (e.g. \
+                                "`{token}` on the per-message path — recover (e.g. \
                                  `unwrap_or_else(|e| e.into_inner())` for poisoned locks) \
                                  or drop-and-count"
                             ),

@@ -4,7 +4,7 @@
 use crate::engine::{self, Rule, Workspace};
 use crate::lexer;
 use crate::parity::{ConformanceParity, ParityCheck};
-use crate::rules::{PanicPath, RelaxedAtomic, UnorderedIteration, WallClock};
+use crate::rules::{PanicPath, RelaxedAtomic, UnorderedIteration, DELIVERY_GATE, WALL_CLOCK};
 
 fn run_rule(rule: &dyn Rule, sources: &[(&str, &str)]) -> engine::Report {
     let ws = Workspace::from_sources(sources);
@@ -111,7 +111,7 @@ let a = Instant::now();
 let b = Instant::now(); // cup-lint: allow(wall-clock, \"fixture: same line\")
 let c = Instant::now();
 ";
-    let report = run_rule(&WallClock, &[("crates/core/src/x.rs", src)]);
+    let report = run_rule(&WALL_CLOCK, &[("crates/core/src/x.rs", src)]);
     let denied: Vec<_> = report.denied().collect();
     assert_eq!(denied.len(), 1, "only the unpragma'd site stays denied");
     assert_eq!(denied[0].line, 5);
@@ -121,7 +121,7 @@ let c = Instant::now();
 #[test]
 fn pragma_without_reason_is_itself_denied() {
     let src = "let a = Instant::now(); // cup-lint: allow(wall-clock)\n";
-    let report = run_rule(&WallClock, &[("crates/core/src/x.rs", src)]);
+    let report = run_rule(&WALL_CLOCK, &[("crates/core/src/x.rs", src)]);
     let rules: Vec<_> = report.denied().map(|f| f.rule).collect();
     // The wall-clock finding stays denied (no reason → no suppression)
     // and the naked pragma is reported too.
@@ -132,7 +132,7 @@ fn pragma_without_reason_is_itself_denied() {
 #[test]
 fn report_serializes_to_json() {
     let src = "let a = Instant::now();\n";
-    let report = run_rule(&WallClock, &[("crates/core/src/x.rs", src)]);
+    let report = run_rule(&WALL_CLOCK, &[("crates/core/src/x.rs", src)]);
     let json = report.to_json();
     assert!(json.contains("\"rule\": \"wall-clock\""));
     assert!(json.contains("\"path\": \"crates/core/src/x.rs\""));
@@ -144,7 +144,7 @@ fn report_serializes_to_json() {
 #[test]
 fn wall_clock_fires_in_code_not_prose() {
     let report = run_rule(
-        &WallClock,
+        &WALL_CLOCK,
         &[(
             "crates/runtime/src/x.rs",
             "// thread::sleep is banned\nlet s = \"SystemTime\";\nthread::sleep(d);\n",
@@ -158,13 +158,41 @@ fn wall_clock_fires_in_code_not_prose() {
 #[test]
 fn wall_clock_exempts_the_designated_module_and_other_crates() {
     let report = run_rule(
-        &WallClock,
+        &WALL_CLOCK,
         &[
             ("crates/core/src/clock.rs", "let t = Instant::now();\n"),
             ("crates/bench/src/lib.rs", "let t = Instant::now();\n"),
         ],
     );
     assert_eq!(report.denied().count(), 0);
+}
+
+// -------------------------------------------------------- delivery-gate
+
+#[test]
+fn a_gate_called_from_a_runtime_fires_but_the_kernel_and_prose_do_not() {
+    let (shard, network) = (
+        "crates/runtime/src/shard.rs",
+        "crates/simnet/src/network.rs",
+    );
+    let planted = "// behavior_send( belongs to the kernel\n\
+                   if f.behavior_send(from, &mut msg) && f.roll(from, to) == Deliver {}\n";
+    let report = run_rule(
+        &DELIVERY_GATE,
+        &[
+            (shard, planted),
+            (network, "if f.is_crashed(to) {}\n"),
+            ("crates/faults/src/deliver.rs", planted),
+            (
+                "crates/core/src/justify.rs",
+                "t.on_update_delivered(n, k);\n",
+            ),
+        ],
+    );
+    let denied: Vec<_> = report.denied().map(|f| (f.path.as_str(), f.line)).collect();
+    // Both gates on the planted line and the crashed check; not the
+    // comment, not the kernel, not a crate out of scope.
+    assert_eq!(denied, [(shard, 2), (shard, 2), (network, 1)]);
 }
 
 // -------------------------------------------------- unordered-iteration
@@ -227,14 +255,17 @@ fn relaxed_on_monotone_counter_is_fine() {
 
 #[test]
 fn relaxed_on_a_former_counter_fires() {
-    // Hop and stale-answer counts moved into the shard-local state as
-    // plain integers; an atomic by one of those names coming back must
-    // argue its ordering again, not inherit an allowlist entry.
-    let src = "fn f(s: &S) { s.hops.fetch_add(1, Ordering::Relaxed); }\n";
-    let report = run_rule(&RelaxedAtomic, &[("crates/runtime/src/s.rs", src)]);
-    let denied: Vec<_> = report.denied().collect();
-    assert_eq!(denied.len(), 1);
-    assert!(denied[0].message.contains("hops"));
+    // Hop, stale-answer and routing-failure counts moved into the
+    // shard-local state as plain integers; an atomic by one of those
+    // names coming back must argue its ordering again, not inherit an
+    // allowlist entry.
+    for name in ["hops", "routing_failures"] {
+        let src = format!("fn f(s: &S) {{ s.{name}.fetch_add(1, Ordering::Relaxed); }}\n");
+        let report = run_rule(&RelaxedAtomic, &[("crates/runtime/src/s.rs", &src)]);
+        let denied: Vec<_> = report.denied().collect();
+        assert_eq!(denied.len(), 1, "{name}");
+        assert!(denied[0].message.contains(name));
+    }
 }
 
 #[test]
@@ -422,35 +453,31 @@ impl FaultState {
 }
 
 #[test]
-fn consumption_via_helper_method_closure_counts() {
-    let metrics = "\
+fn net_metric_missing_from_merge_fires() {
+    // The live runtime keeps one metrics sink per shard; a counter the
+    // fold forgets reads zero live while the DES still counts it. A
+    // helper next to `merge` naming the field must not count.
+    let src = "\
 pub struct NetMetrics {
     pub query_hops: u64,
-    pub first_time_hops: u64,
+    pub audit_hops: u64,
 }
 impl NetMetrics {
-    pub fn miss_cost(&self) -> u64 { self.query_hops + self.first_time_hops }
-    pub fn total_cost(&self) -> u64 { self.miss_cost() }
+    pub fn hops(&self) -> u64 { self.query_hops + self.audit_hops }
+    pub fn merge(&mut self, other: &NetMetrics) { self.query_hops += other.query_hops; }
 }
 ";
-    // The consumer only calls total_cost(), two hops away from the
-    // fields — the closure must still count both as consumed.
-    let consumer = "fn check(m: &NetMetrics) { assert_eq!(m.total_cost(), 0); }\n";
     let rule = ConformanceParity {
-        checks: vec![ParityCheck::ConsumedBy {
-            struct_file: "crates/simnet/src/metrics.rs".into(),
+        checks: vec![ParityCheck::MergedInto {
+            struct_file: "crates/faults/src/metrics.rs".into(),
             struct_name: "NetMetrics".into(),
-            consumer_files: vec!["crates/testkit/src/conformance.rs".into()],
+            fn_name: "merge".into(),
         }],
     };
-    let report = run_rule(
-        &rule,
-        &[
-            ("crates/simnet/src/metrics.rs", metrics),
-            ("crates/testkit/src/conformance.rs", consumer),
-        ],
-    );
-    assert_eq!(report.denied().count(), 0);
+    let report = run_rule(&rule, &[("crates/faults/src/metrics.rs", src)]);
+    let denied: Vec<_> = report.denied().map(|f| (f.line, &f.message)).collect();
+    assert_eq!(denied.len(), 1);
+    assert!(denied[0].0 == 3 && denied[0].1.contains("audit_hops"));
 }
 
 #[test]

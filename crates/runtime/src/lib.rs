@@ -44,17 +44,21 @@
 //! configuration (mode, cut-off policy), replica events, and client
 //! queries.
 //!
-//! The `cup-faults` plane plugs in through the same decide-before-
-//! enqueue rule the DES uses: [`LiveNetwork::enable_faults`] arms one
-//! [`cup_faults::FaultState`] replica per shard, every worker consults
-//! its own before a message enters any mailbox (so `quiesce` stays exact
-//! under loss), and [`LiveNetwork::inject_fault`] scripts loss phases,
-//! partitions, and crash/restart cycles — applied to every replica
-//! between rounds; a crash wipes the node's protocol state while its
-//! counters are folded into a retained aggregate. The fault replica, the
-//! justification windows, the histograms and the hop count are all
-//! shard-local, taken once per dispatch round and folded by the handle
-//! at read time, so the per-message path takes no process-wide lock.
+//! Everything between a message's arrival and the enqueue of its
+//! children is the delivery kernel the DES also runs
+//! ([`cup_faults::deliver`]); a worker is its `Env`. The `cup-faults`
+//! plane therefore plugs in through the same decide-before-enqueue rule
+//! the DES uses: [`LiveNetwork::enable_faults`] arms one
+//! [`cup_faults::FaultState`] replica per shard, every worker's kernel
+//! consults its own before a message enters any mailbox (so `quiesce`
+//! stays exact under loss), and [`LiveNetwork::inject_fault`] scripts
+//! loss phases, partitions, and crash/restart cycles — applied to every
+//! replica between rounds; a crash wipes the node's protocol state while
+//! its counters are folded into a retained aggregate. The kernel's state
+//! (fault replica, justification windows, per-kind hop counts,
+//! histograms) is shard-local, taken once per dispatch round and folded
+//! by the handle at read time ([`LiveNetwork::totals`]), so the
+//! per-message path takes no process-wide lock.
 //!
 //! # Examples
 //!

@@ -11,10 +11,10 @@ use cup_core::obs::{Hist, TraceBuf};
 use cup_core::stats::NodeStats;
 use cup_core::{ClientId, CupNode, IndexEntry, NodeConfig, ReplicaEvent};
 use cup_des::{DetRng, KeyId, NodeId, ReplicaId, SimDuration, SimTime};
-use cup_faults::{FaultAction, FaultCounters, FaultEvent, FaultPlan, FaultState};
+use cup_faults::{FaultAction, FaultCounters, FaultEvent, FaultPlan, Plane, Totals};
 use cup_overlay::{AnyOverlay, Overlay, OverlayError, OverlayKind};
 
-use crate::shard::{worker_main, Envelope, ObsState, ShardLocal, Shared};
+use crate::shard::{worker_main, Envelope, Shared};
 use crate::shard_map::{ShardMap, ShardMapMode};
 
 /// Errors surfaced by the live runtime.
@@ -240,12 +240,13 @@ impl LiveNetwork {
 
     // Metric-accessor policy. Two kinds of reading:
     //
-    // * Shard-local state (hops, justification, fault counters, stale
-    //   sums, histograms, crash-retained stats) is plain data inside
-    //   each shard's `ShardLocal`. An accessor takes every shard's lock
-    //   (`Shared::lock_locals`, granted at round boundaries) and folds
-    //   with an exact merge — sums, `Hist::merge`, `NodeStats::merge`,
-    //   `FaultCounters::merge` — so the reading is one consistent cut,
+    // * Shard-local state (the delivery kernel's `Plane` — hops by kind,
+    //   justification, fault counters, stale sums, histograms, routing
+    //   failures — plus crash-retained stats and batch sizes) is plain
+    //   data inside each shard's `ShardLocal`. A reading takes every
+    //   shard's lock (`Shared::lock_locals`, granted at round
+    //   boundaries) and folds with exact merges — `Plane::totals`,
+    //   `Hist::merge`, `NodeStats::merge` — so it is one consistent cut,
     //   and after a `quiesce` it is the final one.
     // * The batch-plane counters are monotone event counts bumped with
     //   `Ordering::Relaxed` once per flush and read here with `Relaxed`
@@ -261,15 +262,20 @@ impl LiveNetwork {
     //   with its writer — never grow the allowlist just to silence the
     //   lint.
 
-    /// Peer messages delivered so far (hop count), folded over the
-    /// shards.
-    pub fn hops(&self) -> u64 {
-        self.sum_locals(|l| l.hops)
+    /// What the shards' delivery planes add up to — the same [`Totals`]
+    /// a DES run reports: the merged [`cup_faults::NetMetrics`] and the
+    /// justification counts. The single accessors below read this fold.
+    /// Call after [`LiveNetwork::quiesce`] for a stable reading.
+    pub fn totals(&self) -> Totals {
+        let locals = self.shared.lock_locals();
+        Plane::totals(locals.iter().map(|l| &l.plane))
     }
 
-    /// One of the per-shard counts, summed over the shards.
-    fn sum_locals(&self, pick: impl Fn(&ShardLocal) -> u64) -> u64 {
-        self.shared.lock_locals().iter().map(|l| pick(l)).sum()
+    /// Peer messages delivered so far (hop count). Charged when a
+    /// message is received, so while traffic is in flight it trails the
+    /// number sent; at a quiesce the two are equal.
+    pub fn hops(&self) -> u64 {
+        self.totals().net.hops()
     }
 
     /// Peer messages that crossed a shard boundary (subset of
@@ -303,7 +309,7 @@ impl LiveNetwork {
     /// (client queries are instead answered empty immediately). Always
     /// zero on a well-formed static overlay.
     pub fn routing_failures(&self) -> u64 {
-        self.shared.routing_failures.load(Ordering::Relaxed)
+        self.totals().net.routing_failures
     }
 
     /// Switches §3.1 justified-update accounting on or off. Enable it
@@ -313,9 +319,9 @@ impl LiveNetwork {
     /// posted query, plus one bookkeeping envelope to every other shard
     /// that path crosses.
     pub fn track_justification(&self, enabled: bool) {
-        self.shared
-            .justify_on
-            .store(enabled, std::sync::atomic::Ordering::SeqCst);
+        for local in &mut self.shared.lock_locals() {
+            local.plane.justify_on = enabled;
+        }
     }
 
     /// The live `(justified, tracked)` maintenance-update counts — the
@@ -324,19 +330,13 @@ impl LiveNetwork {
     /// `(0, 0)` until [`LiveNetwork::track_justification`] is enabled.
     /// Call after [`LiveNetwork::quiesce`] for a stable reading.
     pub fn justification(&self) -> (u64, u64) {
-        self.shared
-            .lock_locals()
-            .iter()
-            .fold((0, 0), |(justified, tracked), l| {
-                (
-                    justified + l.justify.justified(),
-                    tracked + l.justify.total(),
-                )
-            })
+        let totals = self.totals();
+        (totals.justified, totals.tracked)
     }
 
-    /// Arms the fault plane with a fresh [`FaultState`] keyed by `seed`
-    /// (one replica per shard, all from this seed). Use the same seed
+    /// Arms the fault plane with a fresh `FaultState` keyed by `seed`
+    /// (one replica per shard, all from this seed), and latches
+    /// staleness ground-truth recording for the rest of the run. Use the same seed
     /// as a DES run's plane to get byte-identical drop decisions (the
     /// conformance harness does exactly that).
     ///
@@ -349,13 +349,8 @@ impl LiveNetwork {
     /// on mailbox arrival order.
     pub fn enable_faults(&self, seed: u64) {
         for local in &mut self.shared.lock_locals() {
-            local.faults = FaultState::new(seed);
+            local.plane.arm(seed);
         }
-        // Latch staleness ground-truth recording for the rest of the run
-        // (the live mirror of the DES arming its `dead_replicas` map).
-        self.shared
-            .faults_armed
-            .store(true, std::sync::atomic::Ordering::SeqCst);
     }
 
     /// Applies one fault action to the live plane: loss rates and
@@ -374,7 +369,7 @@ impl LiveNetwork {
         // the action changed anything.
         let mut changed = false;
         for local in &mut self.shared.lock_locals() {
-            changed = local.faults.apply(action);
+            changed = local.plane.faults.apply(action);
         }
         if let FaultAction::Crash { node } = action {
             if changed && node < self.node_ids.len() {
@@ -388,7 +383,7 @@ impl LiveNetwork {
     /// The fault plane's drop/crash counters (all zero while unarmed).
     /// Call after [`LiveNetwork::quiesce`] for a stable reading.
     pub fn fault_counters(&self) -> FaultCounters {
-        FaultState::merged_counters(self.shared.lock_locals().iter().map(|l| &l.faults))
+        self.totals().net.faults
     }
 
     /// Messages the fault plane dropped so far.
@@ -401,13 +396,13 @@ impl LiveNetwork {
     /// node). Zero until [`LiveNetwork::enable_faults`] arms the plane.
     /// Call after [`LiveNetwork::quiesce`] for a stable reading.
     pub fn stale_answers(&self) -> u64 {
-        self.sum_locals(|l| l.stale_answers)
+        self.totals().net.stale_answers
     }
 
     /// Summed staleness age of those answers (µs since the deletion) —
     /// the live mirror of the DES's `stale_age_micros`.
     pub fn stale_age_micros(&self) -> u64 {
-        self.sum_locals(|l| l.stale_age_micros)
+        self.totals().net.stale_age_micros
     }
 
     /// The client-query latency histogram: µs from posting to answer,
@@ -416,7 +411,7 @@ impl LiveNetwork {
     /// (virtual-clock) µs otherwise. Call after [`LiveNetwork::quiesce`]
     /// for a stable reading.
     pub fn query_latency_hist(&self) -> Hist {
-        self.fold_hist(|obs| &obs.query_latency)
+        self.totals().net.query_latency
     }
 
     /// The staleness-age histogram: one sample (µs since the deletion)
@@ -424,7 +419,7 @@ impl LiveNetwork {
     /// [`LiveNetwork::stale_age_micros`]. Call after
     /// [`LiveNetwork::quiesce`] for a stable reading.
     pub fn stale_age_hist(&self) -> Hist {
-        self.fold_hist(|obs| &obs.stale_age)
+        self.totals().net.stale_age_hist
     }
 
     /// The batch-size histogram: envelopes per non-empty cross-shard
@@ -433,14 +428,9 @@ impl LiveNetwork {
     /// mean). Live-only — the DES has no batching. Call after
     /// [`LiveNetwork::quiesce`] for a stable reading.
     pub fn batch_size_hist(&self) -> Hist {
-        self.fold_hist(|obs| &obs.batch_sizes)
-    }
-
-    /// One of the per-shard histograms, merged over the shards.
-    fn fold_hist(&self, pick: impl Fn(&ObsState) -> &Hist) -> Hist {
         let mut merged = Hist::default();
         for local in &self.shared.lock_locals() {
-            merged.merge(pick(&local.obs));
+            merged.merge(&local.batch_sizes);
         }
         merged
     }

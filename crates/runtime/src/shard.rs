@@ -25,17 +25,23 @@
 //! retires), and *before* parking (a parked worker never sits on a
 //! partial batch, so the barrier cannot deadlock).
 //!
-//! Everything a message touches besides its node is shard-local too.
-//! Each shard has one [`ShardLocal`] — its replica of the fault plane,
-//! its slice of the justification tracker, its histograms, stale-answer
-//! sums, crash-retained counters and hop count — whose mutex the
-//! shard's worker takes once per dispatch round, so the per-message
-//! path reads and writes plain fields. The runtime handle is the only
-//! other party: it takes every shard's lock to apply a fault action to
-//! all replicas at once, and to fold the shards with exact merges when
-//! a counter or histogram is read. The client registry is per shard as
-//! well but sits behind its own small mutex, because the handle fills
-//! it at post time and a post must never wait for a round.
+//! What happens to a message between arrival and the enqueue of its
+//! children — hop charge, fault gates, trace, justification, handler,
+//! loss roll, answer accounting — is the shared delivery kernel's
+//! ([`cup_faults::deliver`]); a worker is that kernel's [`Env`]: the
+//! clock, the static overlay, its shard's nodes, the inline FIFO and the
+//! outboxes as `enqueue`, the client registry, the per-shard split of a
+//! posted query's virtual path. The kernel's state is shard-local too.
+//! Each shard has one [`ShardLocal`] — its [`Plane`] (a replica of the
+//! fault plane, its slice of the justification tracker, its metrics
+//! sink), crash-retained counters and the batch-size histogram — whose
+//! mutex the shard's worker takes once per dispatch round, so the
+//! per-message path reads and writes plain fields. The runtime handle is
+//! the only other party: it takes every shard's lock to apply a fault
+//! action to all replicas at once, and to fold the shards with exact
+//! merges when a counter or histogram is read. The client registry is
+//! per shard as well but sits behind its own small mutex, because the
+//! handle fills it at post time and a post must never wait for a round.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -46,11 +52,9 @@ use cup_core::clock::Clock;
 use cup_core::justify::JustificationTracker;
 use cup_core::obs::{Hist, TraceBuf, TraceEvent, TraceKind};
 use cup_core::stats::NodeStats;
-use cup_core::{
-    Action, ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent, Requester, UpdateKind,
-};
+use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
-use cup_faults::{DropVerdict, FaultState};
+use cup_faults::{Env, Plane, RoutingFailed};
 use cup_overlay::{AnyOverlay, Overlay};
 
 use crate::shard_map::ShardMap;
@@ -168,61 +172,34 @@ struct TransferSlot {
     buf: Mutex<Vec<Envelope>>,
 }
 
-/// Marker for a failed overlay routing lookup: the message carrying the
-/// lookup is dropped (and counted) instead of panicking the worker.
-pub(crate) struct RoutingFailed;
-
-/// One shard's latency histograms. A histogram is a multiset summary
-/// with an exact merge, so per-shard recording folded at read time is
-/// byte-identical to a serial run's single histogram.
-#[derive(Default)]
-pub(crate) struct ObsState {
-    /// µs from a client posting its query to the `RespondClient` answer
-    /// (the live mirror of `NetMetrics::query_latency`).
-    pub(crate) query_latency: Hist,
-    /// µs a served dead replica had been globally deleted (the live
-    /// mirror of `NetMetrics::stale_age_hist`).
-    pub(crate) stale_age: Hist,
-    /// Envelopes per non-empty cross-shard batch flush (live-only: the
-    /// DES has no batching, so this never enters conformance outcomes).
-    pub(crate) batch_sizes: Hist,
-}
-
 /// The state one shard owns outright. Its worker holds the lock for the
 /// length of a dispatch round; the handle takes every shard's lock
 /// ([`Shared::lock_locals`]) to change the fault plane or to fold a
 /// reading. Nothing here is ever touched on behalf of another shard's
-/// node, which is what makes the fold exact:
-///
-/// * `faults` is a replica of one logical plane — same seed, every
-///   action applied to every replica under all the locks — whose only
-///   per-message mutable input, the per-link sequence number, belongs
-///   to the sender's shard;
-/// * `justify` holds the windows of this shard's nodes (windows are
-///   keyed by `(node, key)`), marked by queries posted here directly and
-///   by [`Envelope::JustifyMark`] for queries posted elsewhere;
-/// * the rest are sums and histograms.
+/// node, which is what makes the fold exact.
 pub(crate) struct ShardLocal {
-    /// This shard's replica of the fault plane, shared in kind with the
-    /// DES through [`cup_faults`]: drops are decided here *before* a
-    /// message enters a buffer, so a dropped message never becomes
-    /// in-flight work and `wait_quiescent` stays exact.
-    pub(crate) faults: FaultState,
-    /// §3.1 justified-update accounting for this shard's nodes, shared
-    /// in kind with the DES through [`cup_core::justify`].
-    pub(crate) justify: JustificationTracker,
-    /// This shard's latency histograms (see [`ObsState`]).
-    pub(crate) obs: ObsState,
+    /// The delivery kernel's state for this shard's nodes:
+    ///
+    /// * `faults` is a replica of one logical plane — same seed, every
+    ///   action applied to every replica under all the locks — whose
+    ///   only per-message mutable input, the per-link sequence number,
+    ///   belongs to the sender's shard; drops are decided *before* a
+    ///   message enters a buffer, so a dropped message never becomes
+    ///   in-flight work and `wait_quiescent` stays exact;
+    /// * `justify` holds the windows of this shard's nodes (windows are
+    ///   keyed by `(node, key)`), marked by queries posted here directly
+    ///   and by [`Envelope::JustifyMark`] for queries posted elsewhere;
+    /// * `metrics` counts what this shard's nodes received and answered
+    ///   (a histogram is a multiset summary with an exact merge, so
+    ///   per-shard recording folded at read time is byte-identical to a
+    ///   serial run's).
+    pub(crate) plane: Plane,
     /// Counters retained from this shard's crashed nodes (the live
     /// mirror of the DES arena's departed-stats aggregate).
     pub(crate) crash_retained: NodeStats,
-    /// Client answers from this shard that served a globally dead replica.
-    pub(crate) stale_answers: u64,
-    /// Summed staleness age of those answers (µs since the deletion).
-    pub(crate) stale_age_micros: u64,
-    /// Peer messages this shard's nodes sent (the live equivalent of
-    /// hop counts; charged at the sender, like the DES).
-    pub(crate) hops: u64,
+    /// Envelopes per non-empty cross-shard batch flush (live-only: the
+    /// DES has no batching, so this never enters conformance outcomes).
+    pub(crate) batch_sizes: Hist,
 }
 
 /// A shard's waiting clients: the answer channel and, until the first
@@ -264,23 +241,13 @@ pub(crate) struct Shared {
     /// neither); kept separate so batch-size accounting survives if
     /// control traffic ever batches.
     pub(crate) batched_envelopes: AtomicU64,
-    /// Messages dropped because the overlay failed to route them.
-    pub(crate) routing_failures: AtomicU64,
-    /// Whether the shards' justification trackers record events.
-    pub(crate) justify_on: AtomicBool,
     /// The node configuration every node was built with (crash resets
     /// rebuild cold nodes from it).
     pub(crate) config: NodeConfig,
-    /// Whether a fault plane was ever armed this run. Unlike
-    /// `FaultState::active` (which tracks *current* activity and heals
-    /// back to false), this latches: staleness ground truth keeps being
-    /// recorded after the fault window closes, exactly like the DES's
-    /// `faults.is_some()`.
-    pub(crate) faults_armed: AtomicBool,
     /// Ground truth for staleness: globally deleted replicas and when
-    /// they died (tracked only while a fault plane is armed — the live
+    /// they died (tracked only once a fault plane is armed — the live
     /// mirror of the DES network's map).
-    pub(crate) dead_replicas: Mutex<HashMap<(KeyId, ReplicaId), SimTime>>,
+    dead_replicas: Mutex<HashMap<(KeyId, ReplicaId), SimTime>>,
     /// Whether structured event tracing is on. Acquire pairs with the
     /// SeqCst store in `enable_trace`, so a worker that observes the
     /// flag also observes the buffer installed before the flip; off
@@ -323,13 +290,9 @@ impl Shared {
             locals: (0..shards)
                 .map(|_| {
                     Mutex::new(ShardLocal {
-                        faults: FaultState::new(0),
-                        justify: JustificationTracker::new(),
-                        obs: ObsState::default(),
+                        plane: Plane::default(),
                         crash_retained: NodeStats::default(),
-                        stale_answers: 0,
-                        stale_age_micros: 0,
-                        hops: 0,
+                        batch_sizes: Hist::default(),
                     })
                 })
                 .collect(),
@@ -337,10 +300,7 @@ impl Shared {
             cross_shard: AtomicU64::new(0),
             batch_flushes: AtomicU64::new(0),
             batched_envelopes: AtomicU64::new(0),
-            routing_failures: AtomicU64::new(0),
-            justify_on: AtomicBool::new(false),
             config,
-            faults_armed: AtomicBool::new(false),
             dead_replicas: Mutex::new(HashMap::new()),
             trace_on: AtomicBool::new(false),
             trace: Mutex::new(None),
@@ -458,27 +418,6 @@ impl Shared {
         }
     }
 
-    /// Next hop from `at` toward `key`'s authority (`None` at the
-    /// authority itself). A failed lookup bumps the failure counter and
-    /// tells the caller to drop the message — one bad route must not
-    /// take a whole shard of nodes down.
-    pub(crate) fn upstream_of(
-        &self,
-        at: NodeId,
-        key: KeyId,
-    ) -> Result<Option<NodeId>, RoutingFailed> {
-        if self.overlay.authority(key) == at {
-            return Ok(None);
-        }
-        match self.overlay.next_hop(at, key) {
-            Ok(hop) => Ok(hop),
-            Err(_) => {
-                self.routing_failures.fetch_add(1, Ordering::Relaxed);
-                Err(RoutingFailed)
-            }
-        }
-    }
-
     /// Locks every shard's local state, in shard order (the one order
     /// any thread takes more than one of these locks in, so handle
     /// threads cannot deadlock each other; a worker only ever takes its
@@ -491,49 +430,6 @@ impl Shared {
             .iter()
             .map(|local| local.lock().unwrap_or_else(|e| e.into_inner()))
             .collect()
-    }
-
-    /// Whether justification accounting is live. Acquire pairs with the
-    /// SeqCst store in `track_justification`.
-    pub(crate) fn justify_enabled(&self) -> bool {
-        self.justify_on.load(Ordering::Acquire)
-    }
-
-    /// Whether staleness ground truth is being recorded (a fault plane
-    /// was armed at some point this run). Acquire pairs with the SeqCst
-    /// store in `enable_faults`: the flag guards the dead-replica map.
-    pub(crate) fn faults_armed(&self) -> bool {
-        self.faults_armed.load(Ordering::Acquire)
-    }
-
-    /// Records a replica as globally dead from `now` (first death wins,
-    /// matching the DES's `or_insert`).
-    pub(crate) fn note_dead_replica(&self, key: KeyId, replica: ReplicaId, now: SimTime) {
-        self.dead_replicas
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .entry((key, replica))
-            .or_insert(now);
-    }
-
-    /// Staleness check on one client answer: if any served entry names a
-    /// globally dead replica, the answer is poisoned — count it and its
-    /// age, byte-for-byte like the DES's `RespondClient` accounting.
-    fn note_client_answer(&self, state: &mut ShardLocal, entries: &[IndexEntry], now: SimTime) {
-        let dead = self.dead_replicas.lock().unwrap_or_else(|e| e.into_inner());
-        if dead.is_empty() {
-            return;
-        }
-        let stale_since = entries
-            .iter()
-            .filter_map(|e| dead.get(&(e.key, e.replica)))
-            .min();
-        if let Some(&died) = stale_since {
-            let age = now.saturating_since(died).as_micros();
-            state.stale_answers += 1;
-            state.stale_age_micros += age;
-            state.obs.stale_age.record(age);
-        }
     }
 
     /// Installs a fresh trace ring buffer of `cap` events and turns
@@ -549,37 +445,26 @@ impl Shared {
         self.trace.lock().unwrap_or_else(|e| e.into_inner()).take()
     }
 
-    /// Whether trace emission is on (the zero-cost-when-disabled gate:
-    /// one Acquire load per emission site, no lock).
-    pub(crate) fn trace_enabled(&self) -> bool {
-        self.trace_on.load(Ordering::Acquire)
-    }
-
-    /// Records one trace event. Callers gate on
-    /// [`Shared::trace_enabled`] first, so the disabled path never
-    /// reaches this lock.
-    pub(crate) fn trace_event(
-        &self,
-        t: SimTime,
-        node: NodeId,
-        kind: TraceKind,
-        key: KeyId,
-        detail: u64,
-    ) {
+    /// Records one trace event if emission is on. Off costs one Acquire
+    /// load per emission site and never reaches the lock.
+    fn trace_event(&self, event: TraceEvent) {
+        if !self.trace_on.load(Ordering::Acquire) {
+            return;
+        }
         if let Some(buf) = self
             .trace
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .as_mut()
         {
-            buf.record(TraceEvent {
-                t,
-                node,
-                kind,
-                key,
-                detail,
-            });
+            buf.record(event);
         }
+    }
+
+    /// The staleness ground truth. Poison is recovered: every update
+    /// leaves the map valid.
+    fn dead(&self) -> MutexGuard<'_, HashMap<(KeyId, ReplicaId), SimTime>> {
+        self.dead_replicas.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// `shard`'s client registry. A poisoned registry is recovered, not
@@ -589,22 +474,6 @@ impl Shared {
         self.clients[shard]
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Delivers a query answer to a client of `shard`, if it still
-    /// waits. The first answer also claims the query's posted time and
-    /// returns it — one latency sample per answered query, exactly like
-    /// the DES's `RespondClient` accounting.
-    fn respond_client(
-        &self,
-        shard: usize,
-        client: ClientId,
-        entries: Vec<IndexEntry>,
-    ) -> Option<SimTime> {
-        let mut clients = self.clients_of(shard);
-        let (tx, posted) = clients.get_mut(&client)?;
-        let _ = tx.send(entries);
-        posted.take()
     }
 }
 
@@ -616,8 +485,6 @@ struct Worker {
     shared: Arc<Shared>,
     /// Intra-shard messages handled inline, FIFO (to, from, msg).
     local: VecDeque<(NodeId, NodeId, Message)>,
-    /// Reusable action buffer for the allocation-free `_into` handlers.
-    actions: Vec<Action>,
     /// Control envelopes swapped out of the inbox for this round.
     control: VecDeque<Envelope>,
     /// Scratch vector batches are collected into (ping-pongs allocations
@@ -676,7 +543,6 @@ pub(crate) fn worker_main(shard: usize, nodes: Vec<CupNode>, shared: Arc<Shared>
         nodes,
         shared: Arc::clone(&shared),
         local: VecDeque::new(),
-        actions: Vec::new(),
         control: VecDeque::new(),
         incoming: Vec::new(),
         outbox: (0..shards).map(|_| Outbound::default()).collect(),
@@ -731,14 +597,6 @@ pub(crate) fn worker_main(shard: usize, nodes: Vec<CupNode>, shared: Arc<Shared>
 }
 
 impl Worker {
-    fn node_mut(&mut self, id: NodeId) -> &mut CupNode {
-        &mut self.nodes[self.shared.map.slot_of(id)]
-    }
-
-    fn owns(&self, id: NodeId) -> bool {
-        self.shared.shard_of(id) == self.shard
-    }
-
     /// Dispatches one round's work: every sender's transfer slot first
     /// — peer traffic carries the protocol's feedback (clear-bits,
     /// query answers), so it is applied before new control work is
@@ -781,15 +639,15 @@ impl Worker {
             }
             let peers = out.buf.len() as u64 - std::mem::take(&mut out.marks);
             if peers > 0 {
-                state.obs.batch_sizes.record(peers);
+                state.batch_sizes.record(peers);
             }
             self.shared.deposit(self.shard, dest, &mut out.buf, peers);
         }
     }
 
     /// Handles one envelope plus the whole intra-shard cascade it sets
-    /// off. Cross-shard children are only *buffered* here; the caller
-    /// flushes them at the round boundary.
+    /// off, through the delivery kernel. Cross-shard children are only
+    /// *buffered* here; the caller flushes them at the round boundary.
     fn dispatch(&mut self, state: &mut ShardLocal, env: Envelope) {
         match env {
             Envelope::CrashReset { at } => {
@@ -798,103 +656,67 @@ impl Worker {
                 let dead = std::mem::replace(&mut self.nodes[idx], cold);
                 state.crash_retained.merge(&dead.stats);
             }
-            Envelope::Peer { to, from, msg } => self.handle_peer(state, to, from, msg),
-            Envelope::JustifyMark { key, now, nodes } => state.justify.on_query(key, now, &nodes),
-            Envelope::Client { at, key, client } => {
-                // A crashed node accepts no connections: the query is
-                // swallowed exactly like the DES harness swallows it
-                // (the waiting client observes no answer, and no latency
-                // sample — the DES never records a posted time there).
-                if state.faults.is_crashed(at) {
-                    state.faults.note_query_at_crashed();
-                    if let Some((_, posted)) = self.shared.clients_of(self.shard).get_mut(&client) {
-                        *posted = None;
-                    }
-                    return;
-                }
-                let now = self.shared.now();
-                if self.shared.trace_enabled() {
-                    self.shared
-                        .trace_event(now, at, TraceKind::ClientQuery, key, client.0);
-                }
-                match self.shared.upstream_of(at, key) {
-                    Ok(upstream) => {
-                        // Justification bookkeeping first, exactly like
-                        // the DES harness: the posted query covers every
-                        // node on its virtual path (§3.1).
-                        if self.shared.justify_enabled() {
-                            self.justify_query(state, at, key, now);
-                        }
-                        let mut actions = std::mem::take(&mut self.actions);
-                        self.node_mut(at).handle_query_into(
-                            now,
-                            key,
-                            Requester::Client(client),
-                            upstream,
-                            &mut actions,
-                        );
-                        self.deliver(state, at, &mut actions);
-                        self.actions = actions;
-                    }
-                    // The query is dead on arrival; answer the client
-                    // empty now rather than letting it stew until its
-                    // timeout (the counter records the failure).
-                    Err(RoutingFailed) => {
-                        self.shared.respond_client(self.shard, client, Vec::new());
-                    }
-                }
+            Envelope::Peer { to, from, msg } => state.plane.receive(self, from, to, msg),
+            Envelope::JustifyMark { key, now, nodes } => {
+                state.plane.justify.on_query(key, now, &nodes)
             }
-            Envelope::Replica { at, event } => {
-                // Ground truth for the staleness metric, recorded before
-                // the crashed-authority gate like the DES: the replica
-                // is globally dead from this instant whether or not its
-                // deletion reaches (or survives at) the authority.
-                if self.shared.faults_armed() {
-                    if let ReplicaEvent::Deletion { key, replica } = event {
-                        self.shared
-                            .note_dead_replica(key, replica, self.shared.now());
-                    }
-                }
-                // A crashed authority hears nothing from its replicas.
-                if state.faults.is_crashed(at) {
-                    state.faults.note_replica_at_crashed();
-                    return;
-                }
-                let now = self.shared.now();
-                if self.shared.trace_enabled() {
-                    let (kind, key, replica) = match event {
-                        ReplicaEvent::Birth { key, replica, .. } => {
-                            (TraceKind::ReplicaBirth, key, replica)
-                        }
-                        ReplicaEvent::Refresh { key, replica, .. } => {
-                            (TraceKind::ReplicaRefresh, key, replica)
-                        }
-                        ReplicaEvent::Deletion { key, replica } => {
-                            (TraceKind::ReplicaDeletion, key, replica)
-                        }
-                    };
-                    self.shared
-                        .trace_event(now, at, kind, key, replica.0 as u64);
-                }
-                let mut actions = std::mem::take(&mut self.actions);
-                self.node_mut(at)
-                    .handle_replica_event_into(now, event, &mut actions);
-                self.deliver(state, at, &mut actions);
-                self.actions = actions;
-            }
+            Envelope::Client { at, key, client } => state.plane.post_query(self, at, key, client),
+            Envelope::Replica { at, event } => state.plane.replica_event(self, at, event),
         }
         while let Some((to, from, msg)) = self.local.pop_front() {
-            self.handle_peer(state, to, from, msg);
+            state.plane.receive(self, from, to, msg);
+        }
+    }
+}
+
+impl Env for Worker {
+    fn now(&self) -> SimTime {
+        self.shared.now()
+    }
+
+    fn upstream_of(&mut self, at: NodeId, key: KeyId) -> Result<Option<NodeId>, RoutingFailed> {
+        let overlay = &self.shared.overlay;
+        if overlay.authority(key) == at {
+            return Ok(None);
+        }
+        overlay.next_hop(at, key).map_err(|_| RoutingFailed)
+    }
+
+    fn node_mut(&mut self, id: NodeId) -> &mut CupNode {
+        &mut self.nodes[self.shared.map.slot_of(id)]
+    }
+
+    /// Intra-shard sends join the inline FIFO, cross-shard sends the
+    /// destination's outbound buffer (flushed at the round boundary).
+    /// The live runtime has no modeled latency to scale.
+    fn enqueue(&mut self, from: NodeId, to: NodeId, msg: Message, _latency_factor: f64) {
+        let shard = self.shared.shard_of(to);
+        if shard == self.shard {
+            self.local.push_back((to, from, msg));
+        } else {
+            self.outbox[shard]
+                .buf
+                .push(Envelope::Peer { to, from, msg });
         }
     }
 
-    /// Records a posted client query's virtual path with the trackers
-    /// (mirrors the DES harness: one `on_query` per posted query, never
-    /// per forwarded hop). Windows are keyed by `(node, key)` and live
-    /// with the node's shard, so this shard's path nodes are marked
-    /// inline and every other shard gets its own in one
-    /// [`Envelope::JustifyMark`].
-    fn justify_query(&mut self, state: &mut ShardLocal, at: NodeId, key: KeyId, now: SimTime) {
+    fn respond(&mut self, client: ClientId, entries: Vec<IndexEntry>) -> Option<SimTime> {
+        let mut clients = self.shared.clients_of(self.shard);
+        let (tx, posted) = clients.get_mut(&client)?;
+        let _ = tx.send(entries);
+        posted.take()
+    }
+
+    fn forget_client(&mut self, client: ClientId) {
+        if let Some((_, posted)) = self.shared.clients_of(self.shard).get_mut(&client) {
+            *posted = None;
+        }
+    }
+
+    /// Windows are keyed by `(node, key)` and live with the node's
+    /// shard, so this shard's path nodes are marked inline and every
+    /// other shard gets its own in one [`Envelope::JustifyMark`].
+    fn mark_path(&mut self, own: &mut JustificationTracker, at: NodeId, key: KeyId, t: SimTime) {
         let Ok(path) = self.shared.overlay.route(at, key) else {
             return;
         };
@@ -906,12 +728,12 @@ impl Worker {
                 continue;
             }
             if shard == self.shard {
-                state.justify.on_query(key, now, nodes);
+                own.on_query(key, t, nodes);
             } else {
                 let out = &mut self.outbox[shard];
                 out.buf.push(Envelope::JustifyMark {
                     key,
-                    now,
+                    now: t,
                     nodes: nodes.clone(),
                 });
                 out.marks += 1;
@@ -920,155 +742,21 @@ impl Worker {
         }
     }
 
-    /// Runs one peer message through its target node. A message whose
-    /// routing lookup fails is dropped (counted in `routing_failures`).
-    fn handle_peer(&mut self, state: &mut ShardLocal, to: NodeId, from: NodeId, msg: Message) {
-        // In flight when its receiver crashed (the sender's verdict
-        // predates the crash): a crashed node processes nothing.
-        if state.faults.is_crashed(to) {
-            state.faults.counters.dropped_to_crashed += 1;
-            return;
-        }
-        // Byzantine receivers: a stale-serve node swallows inbound
-        // deletions and audit repairs after the hop was paid (the hop
-        // was counted at the sender in `deliver`).
-        if !state.faults.behavior_recv(to, &msg) {
-            return;
-        }
-        let now = self.shared.now();
-        // Trace only messages that actually reach a handler — the same
-        // gate the DES applies, so the two multisets match.
-        if self.shared.trace_enabled() {
-            let (kind, key) = match &msg {
-                Message::Query { key } => (TraceKind::Query, *key),
-                Message::Update(u) => (
-                    match u.kind {
-                        UpdateKind::FirstTime => TraceKind::UpdateFirstTime,
-                        UpdateKind::Refresh => TraceKind::UpdateRefresh,
-                        UpdateKind::Delete => TraceKind::UpdateDelete,
-                        UpdateKind::Append => TraceKind::UpdateAppend,
-                    },
-                    u.key,
-                ),
-                Message::ClearBit { key } => (TraceKind::ClearBit, *key),
-                Message::AuditProbe { key, .. } => (TraceKind::AuditProbe, *key),
-                Message::AuditReply { key, .. } => (TraceKind::AuditReply, *key),
-            };
-            self.shared.trace_event(now, to, kind, key, from.0 as u64);
-        }
-        let mut actions = std::mem::take(&mut self.actions);
-        match msg {
-            Message::Query { key } => {
-                if let Ok(upstream) = self.shared.upstream_of(to, key) {
-                    self.node_mut(to).handle_query_into(
-                        now,
-                        key,
-                        Requester::Neighbor(from),
-                        upstream,
-                        &mut actions,
-                    );
-                }
-            }
-            Message::Update(update) => {
-                if update.kind != UpdateKind::FirstTime && self.shared.justify_enabled() {
-                    state
-                        .justify
-                        .on_update_delivered(to, update.key, now, update.window_end);
-                }
-                self.node_mut(to)
-                    .handle_update_into(now, from, update, &mut actions);
-            }
-            Message::ClearBit { key } => {
-                if let Ok(upstream) = self.shared.upstream_of(to, key) {
-                    self.node_mut(to)
-                        .handle_clear_bit_into(now, key, from, upstream, &mut actions);
-                }
-            }
-            Message::AuditProbe { key, round } => {
-                self.node_mut(to)
-                    .handle_audit_probe_into(now, key, round, from, &mut actions);
-            }
-            Message::AuditReply {
-                key,
-                round,
-                entries,
-                retired,
-            } => {
-                self.node_mut(to)
-                    .handle_audit_reply(now, key, round, &entries, &retired);
-            }
-        }
-        self.deliver(state, to, &mut actions);
-        self.actions = actions;
+    fn died_at(&self, key: KeyId, replica: ReplicaId) -> Option<SimTime> {
+        self.shared.dead().get(&(key, replica)).copied()
     }
 
-    /// Turns `from`'s protocol actions into traffic: intra-shard sends
-    /// join the inline FIFO, cross-shard sends join the per-destination
-    /// outbound buffers (flushed at the round boundary), client
-    /// responses go to their waiting channel.
-    fn deliver(&mut self, state: &mut ShardLocal, from: NodeId, actions: &mut Vec<Action>) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, mut msg } => {
-                    // Decide-before-enqueue: a fault-plane drop never
-                    // enters a buffer (the quiesce barrier stays exact)
-                    // and never counts as a hop — exactly like the DES,
-                    // which never schedules the delivery. Behavior
-                    // faults run first: a suppressed (or rewritten) send
-                    // never advances the per-link loss counter, in
-                    // either runtime. Verdicts are rolled here at
-                    // dispatch time, in send order, so batching does not
-                    // move them — on this shard's replica, the only one
-                    // that ever sees the `(from, _)` links.
-                    if state.faults.active() {
-                        if !state.faults.behavior_send(from, &mut msg) {
-                            continue;
-                        }
-                        if state.faults.roll(from, to) != DropVerdict::Deliver {
-                            continue;
-                        }
-                    }
-                    // Charged per envelope, at the sender: a client
-                    // answer can unblock its caller mid-round, and a
-                    // caller reading `hops()` then waits for the round
-                    // boundary, so the count never lags an answer
-                    // derived from it.
-                    state.hops += 1;
-                    if self.owns(to) {
-                        self.local.push_back((to, from, msg));
-                    } else {
-                        let shard = self.shared.shard_of(to);
-                        self.outbox[shard]
-                            .buf
-                            .push(Envelope::Peer { to, from, msg });
-                    }
-                }
-                Action::RespondClient {
-                    client,
-                    key,
-                    entries,
-                } => {
-                    let now = self.shared.now();
-                    if self.shared.trace_enabled() {
-                        self.shared.trace_event(
-                            now,
-                            from,
-                            TraceKind::Respond,
-                            key,
-                            entries.len() as u64,
-                        );
-                    }
-                    if self.shared.faults_armed() {
-                        self.shared.note_client_answer(state, &entries, now);
-                    }
-                    if let Some(posted) = self.shared.respond_client(self.shard, client, entries) {
-                        state
-                            .obs
-                            .query_latency
-                            .record(now.saturating_since(posted).as_micros());
-                    }
-                }
-            }
-        }
+    fn note_dead(&mut self, key: KeyId, replica: ReplicaId, now: SimTime) {
+        self.shared.dead().entry((key, replica)).or_insert(now);
+    }
+
+    fn trace(&mut self, t: SimTime, node: NodeId, kind: TraceKind, key: KeyId, detail: u64) {
+        self.shared.trace_event(TraceEvent {
+            t,
+            node,
+            kind,
+            key,
+            detail,
+        });
     }
 }

@@ -13,13 +13,9 @@
 //! Ordering is a total order on `(time, sequence)`: the sequence number
 //! breaks ties so that events scheduled for the same instant fire in FIFO
 //! order, which keeps simulations deterministic. The retired heap-based
-//! scheduler survives as [`ReferenceHeapQueue`], the oracle the
-//! differential test suite (`tests/calendar_queue_diff.rs`) pins the
-//! calendar queue against: same schedule/pop stream, byte-identical pop
-//! order.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! scheduler survives as the oracle of the differential test suite
+//! (`tests/calendar_queue_diff.rs`), which pins the calendar queue
+//! against it: same schedule/pop stream, byte-identical pop order.
 
 use crate::time::SimTime;
 
@@ -29,30 +25,6 @@ struct Scheduled<E> {
     at: SimTime,
     seq: u64,
     payload: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
 }
 
 /// Smallest number of calendar buckets; also the initial size.
@@ -264,76 +236,6 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The retired `BinaryHeap` scheduler, kept as the differential-test
-/// oracle for [`EventQueue`].
-///
-/// Same API, same `(time, sequence)` total order; its pop order defines
-/// correctness for any future scheduler. Production code should use
-/// [`EventQueue`] — this type exists so tests can compare the two on the
-/// same event stream.
-#[derive(Debug)]
-pub struct ReferenceHeapQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
-}
-
-impl<E> Default for ReferenceHeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> ReferenceHeapQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        ReferenceHeapQueue {
-            heap: BinaryHeap::new(),
-            next_seq: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at absolute time `at`.
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { at, seq, payload });
-    }
-
-    /// Removes and returns the earliest event, or `None` if empty.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|s| (s.at, s.payload))
-    }
-
-    /// Removes and returns the earliest event only if it fires strictly
-    /// before `deadline` (API parity with [`EventQueue::pop_before`]).
-    pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.peek()?.at >= deadline {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Returns the firing time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.at)
-    }
-
-    /// Returns the number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Discards all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,23 +343,5 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), "near")));
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1_000_000)));
         assert_eq!(q.pop(), Some((SimTime::from_secs(1_000_000), "far")));
-    }
-
-    #[test]
-    fn reference_heap_agrees_on_a_smoke_stream() {
-        let mut cal = EventQueue::new();
-        let mut heap = ReferenceHeapQueue::new();
-        for i in 0u64..500 {
-            let at = SimTime::from_micros((i * 6151) % 4_096);
-            cal.schedule(at, i);
-            heap.schedule(at, i);
-        }
-        loop {
-            assert_eq!(cal.peek_time(), heap.peek_time());
-            match (cal.pop(), heap.pop()) {
-                (None, None) => break,
-                (a, b) => assert_eq!(a, b),
-            }
-        }
     }
 }

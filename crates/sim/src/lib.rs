@@ -6,8 +6,8 @@
 //! * a microsecond-resolution simulated clock ([`SimTime`], [`SimDuration`]),
 //! * a deterministic event queue with stable FIFO ordering for simultaneous
 //!   events ([`EventQueue`]) — a calendar queue with O(1) amortized
-//!   schedule/pop, pinned against the retired heap scheduler
-//!   ([`ReferenceHeapQueue`]) by a differential test suite,
+//!   schedule/pop, pinned against the retired heap scheduler by a
+//!   differential test suite (`tests/calendar_queue_diff.rs`),
 //! * a generic simulation driver ([`Engine`]) that dispatches events to a
 //!   user-supplied handler,
 //! * a deterministic, seedable random number generator ([`rng::DetRng`])
@@ -48,7 +48,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::Engine;
-pub use event::{EventQueue, ReferenceHeapQueue};
+pub use event::EventQueue;
 pub use id::{KeyId, NodeId, ReplicaId};
 pub use latency::LatencyModel;
 pub use rng::DetRng;

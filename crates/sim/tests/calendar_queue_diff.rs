@@ -9,9 +9,90 @@
 //! that cross calendar resize and direct-scan paths — and require
 //! identical observable behavior at every step.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
 
-use cup_des::{DetRng, EventQueue, ReferenceHeapQueue, SimDuration, SimTime};
+use cup_des::{DetRng, EventQueue, SimDuration, SimTime};
+
+/// A scheduled event: fires at `at`, carrying `payload`.
+#[derive(Debug)]
+struct Scheduled<E> {
+    at: SimTime,
+    seq: u64,
+    payload: E,
+}
+
+impl<E> PartialEq for Scheduled<E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.at == other.at && self.seq == other.seq
+    }
+}
+
+impl<E> Eq for Scheduled<E> {}
+
+impl<E> PartialOrd for Scheduled<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Scheduled<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // Reversed: BinaryHeap is a max-heap, we want the earliest event.
+        other
+            .at
+            .cmp(&self.at)
+            .then_with(|| other.seq.cmp(&self.seq))
+    }
+}
+
+/// The retired `BinaryHeap` scheduler, kept as the differential-test
+/// oracle for [`EventQueue`].
+///
+/// Same `(time, sequence)` total order, same API as the [`EventQueue`]
+/// methods the tests drive; its pop order defines correctness for any
+/// future scheduler.
+#[derive(Debug)]
+struct ReferenceHeapQueue<E> {
+    heap: BinaryHeap<Scheduled<E>>,
+    next_seq: u64,
+}
+
+impl<E> ReferenceHeapQueue<E> {
+    fn new() -> Self {
+        ReferenceHeapQueue {
+            heap: BinaryHeap::new(),
+            next_seq: 0,
+        }
+    }
+
+    fn schedule(&mut self, at: SimTime, payload: E) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Scheduled { at, seq, payload });
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.heap.pop().map(|s| (s.at, s.payload))
+    }
+
+    fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        if self.heap.peek()?.at >= deadline {
+            return None;
+        }
+        self.pop()
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|s| s.at)
+    }
+
+    fn len(&self) -> usize {
+        self.heap.len()
+    }
+}
 
 /// Drains both queues fully, asserting every peek and pop agrees. The
 /// engine's actual draining primitive, `pop_before`, is exercised too:
@@ -118,5 +199,23 @@ proptest! {
             heap.schedule(at, i);
         }
         assert_drain_identical(&mut cal, &mut heap)?;
+    }
+}
+
+#[test]
+fn reference_heap_agrees_on_a_smoke_stream() {
+    let mut cal = EventQueue::new();
+    let mut heap = ReferenceHeapQueue::new();
+    for i in 0u64..500 {
+        let at = SimTime::from_micros((i * 6151) % 4_096);
+        cal.schedule(at, i);
+        heap.schedule(at, i);
+    }
+    loop {
+        assert_eq!(cal.peek_time(), heap.peek_time());
+        match (cal.pop(), heap.pop()) {
+            (None, None) => break,
+            (a, b) => assert_eq!(a, b),
+        }
     }
 }

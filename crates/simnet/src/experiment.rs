@@ -1,9 +1,8 @@
 //! One experiment, end to end.
 
-use cup_core::justify::JustificationTracker;
 use cup_core::{CutoffPolicy, NodeConfig, PropagationPolicy};
 use cup_des::{DetRng, Engine, LatencyModel, SimDuration};
-use cup_faults::{FaultPlan, FaultState};
+use cup_faults::{FaultPlan, Plane};
 use cup_overlay::{AnyOverlay, OverlayKind};
 use cup_workload::{
     capacity::CapacityProfile, churn::ChurnSchedule, replica::ReplicaPlan,
@@ -101,9 +100,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     let overlay = AnyOverlay::build(config.overlay, scenario.nodes, &mut overlay_rng)
         .expect("overlay construction");
     let mut net = Network::new(overlay, node_config, config.latency.clone(), latency_rng);
-    if config.track_justification {
-        net.justify = Some(JustificationTracker::new());
-    }
+    net.plane.justify_on = config.track_justification;
 
     // The fault plane: spec strings become a timed event script, and the
     // plane's decision seed derives from the experiment's root RNG so
@@ -114,7 +111,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     } else {
         let plan = FaultPlan::parse_specs(&scenario.fault_plan)
             .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
-        net.faults = Some(FaultState::new(root.derive(6).next()));
+        net.plane.arm(root.derive(6).next());
         plan
     };
 
@@ -179,19 +176,12 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
 
     let events = engine.processed();
     let net = engine.into_state();
-    let (justified, tracked) = net
-        .justify
-        .as_ref()
-        .map_or((0, 0), |j| (j.justified(), j.total()));
-    let mut metrics = net.metrics;
-    if let Some(f) = net.faults.as_ref() {
-        metrics.faults = f.counters;
-    }
+    let totals = Plane::totals([&net.plane]);
     ExperimentResult {
-        net: metrics,
+        net: totals.net,
         nodes: net.aggregate_stats(),
-        justified_updates: justified,
-        tracked_updates: tracked,
+        justified_updates: totals.justified,
+        tracked_updates: totals.tracked,
         node_count,
         events,
     }

@@ -3,9 +3,11 @@
 //! This crate glues the pieces together inside the discrete-event engine:
 //! a structured overlay (`cup-overlay`) carries protocol messages between
 //! [`cup_core::CupNode`]s with per-hop latency, while workload generators
-//! (`cup-workload`) post queries and drive replica lifecycles. Every
-//! message delivery is one overlay hop and is charged to the paper's cost
-//! model (§3.3):
+//! (`cup-workload`) post queries and drive replica lifecycles. What a
+//! delivery does — gates, accounting, handler, sends — is the delivery
+//! kernel shared with the live runtime (`cup_faults::deliver`); the
+//! [`Network`] is its DES transport. Every message delivery is one
+//! overlay hop and is charged to the paper's cost model (§3.3):
 //!
 //! * **miss cost** — hops of queries traveling upstream plus hops of
 //!   first-time updates (query responses) traveling downstream;

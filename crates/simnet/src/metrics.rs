@@ -1,77 +1,10 @@
-//! Network-level cost accounting (the paper's §3.3 cost model).
+//! One experiment's outcome: the network cost counters
+//! ([`NetMetrics`], kept by the delivery kernel in `cup-faults` and
+//! re-exported here) plus the aggregated node counters.
 
-use cup_core::obs::Hist;
 use cup_core::stats::NodeStats;
-use cup_faults::FaultCounters;
 
-/// Hop counters accumulated while the simulation runs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NetMetrics {
-    /// Hops traveled by queries (upstream).
-    pub query_hops: u64,
-    /// Hops traveled by first-time updates (query responses, downstream).
-    pub first_time_hops: u64,
-    /// Hops traveled by refresh updates.
-    pub refresh_hops: u64,
-    /// Hops traveled by delete updates.
-    pub delete_hops: u64,
-    /// Hops traveled by append updates.
-    pub append_hops: u64,
-    /// Hops traveled by clear-bit control messages.
-    pub clear_bit_hops: u64,
-    /// Client queries answered (responses handed to local clients).
-    pub client_responses: u64,
-    /// Messages dropped because the destination had departed.
-    pub dropped_messages: u64,
-    /// Fault-plane drop/crash counters (all zero without a fault plan).
-    pub faults: FaultCounters,
-    /// Client responses that served a globally dead replica (a deletion
-    /// the cache had not yet learned about — only tracked while a fault
-    /// plan is active, since loss is what makes deletes go missing).
-    pub stale_answers: u64,
-    /// Summed staleness age of those answers (µs since the deletion),
-    /// the numerator of the mean recovery-latency metric.
-    pub stale_age_micros: u64,
-    /// Hops traveled by audit probes and replies. Kept out of the paper's
-    /// §3.3 `total_cost` so CUP-vs-baseline numbers stay comparable; the
-    /// audit bench reports it as the defense's own overhead.
-    pub audit_hops: u64,
-    /// Distribution of client-query latency: µs from the client posting
-    /// the query to its `RespondClient` answer, one sample per response.
-    /// Logical (virtual-clock) time in the DES and under the live
-    /// runtime's virtual clock; wall µs under a wall clock.
-    pub query_latency: Hist,
-    /// Distribution of the staleness ages summed in `stale_age_micros`:
-    /// one sample (µs since the deletion) per stale answer, so loss and
-    /// Byzantine sweeps report recovery *tails*, not just the mean.
-    pub stale_age_hist: Hist,
-}
-
-impl NetMetrics {
-    /// Miss cost: "the total number of hops incurred by all misses, i.e.
-    /// freshness and first-time misses" — queries up plus responses down.
-    pub fn miss_cost(&self) -> u64 {
-        self.query_hops + self.first_time_hops
-    }
-
-    /// CUP overhead: "the total number of hops traveled by all updates
-    /// sent downstream plus the total number of hops traveled by all
-    /// clear-bit messages upstream".
-    pub fn overhead(&self) -> u64 {
-        self.refresh_hops + self.delete_hops + self.append_hops + self.clear_bit_hops
-    }
-
-    /// Total cost = miss cost + overhead. For standard caching this
-    /// equals the miss cost (no updates, no clear-bits).
-    pub fn total_cost(&self) -> u64 {
-        self.miss_cost() + self.overhead()
-    }
-
-    /// Maintenance update transmissions (everything except first-time).
-    pub fn maintenance_hops(&self) -> u64 {
-        self.refresh_hops + self.delete_hops + self.append_hops
-    }
-}
+pub use cup_faults::NetMetrics;
 
 /// The outcome of one experiment run.
 ///

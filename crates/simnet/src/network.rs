@@ -1,19 +1,31 @@
 //! The simulated network: nodes wired over an overlay inside the DES.
 //!
+//! What happens to a message between arrival and the enqueue of its
+//! children — hop charge, fault gates, trace, justification, handler,
+//! loss roll, answer accounting — is the shared delivery kernel's
+//! ([`cup_faults::deliver`]); this module is the DES's half of that
+//! contract. [`Network`] owns one [`Plane`] and a [`Fabric`], the
+//! simulated transport the kernel runs over through [`Env`]: the event
+//! queue with the latency model (× the fault plane's spike factor), the
+//! node arena, the authority cache, the posted-time and dead-replica
+//! maps and the trace buffer. What stays here is what only a simulation
+//! has: the workload generators, churn (and the liveness gate that
+//! counts deliveries to departed nodes), capacity service.
+//!
 //! Storage is sized for 100k-node experiments: per-node state lives in a
 //! dense [`NodeArena`] indexed by [`NodeId`], the key → authority map is
 //! a flat vector indexed by [`KeyId`] (keys are dense workload ids), and
-//! protocol actions are drained through one reusable scratch buffer — the
-//! dispatch hot path performs no per-event allocation of its own.
+//! protocol actions are drained through the plane's reusable scratch
+//! buffer — the dispatch hot path performs no per-event allocation of
+//! its own.
 
 use std::collections::{BTreeMap, HashMap};
 
+use cup_core::justify::JustificationTracker;
 use cup_core::obs::{TraceBuf, TraceEvent, TraceKind};
-use cup_core::{
-    Action, ClientId, CupNode, Message, NodeConfig, ReplicaEvent, Requester, UpdateKind,
-};
+use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
 use cup_des::{DetRng, EventQueue, KeyId, LatencyModel, NodeId, ReplicaId, SimDuration, SimTime};
-use cup_faults::{DropVerdict, FaultAction, FaultState};
+use cup_faults::{Env, FaultAction, Plane, RoutingFailed};
 use cup_overlay::{AnyOverlay, Overlay};
 use cup_workload::{
     churn::ChurnEvent,
@@ -21,11 +33,8 @@ use cup_workload::{
     QueryGen,
 };
 
-use cup_core::justify::JustificationTracker;
-
 use crate::arena::NodeArena;
 use crate::event::Ev;
-use crate::metrics::NetMetrics;
 
 /// How often capacity-limited nodes service their outgoing queues.
 pub const SERVICE_INTERVAL: SimDuration = SimDuration::from_secs(1);
@@ -33,33 +42,13 @@ pub const SERVICE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// The complete state of one simulated CUP network.
 #[derive(Debug)]
 pub struct Network {
-    /// The structured overlay carrying the messages.
-    pub overlay: AnyOverlay,
-    /// Dense per-node storage (protocol state + hot capacity array).
-    nodes: NodeArena,
-    latency: LatencyModel,
-    rng: DetRng,
-    /// Key → authority, dense by key id (`None` = not resolved since the
-    /// last topology change).
-    authority_cache: Vec<Option<NodeId>>,
+    /// What a delivery touches besides its node — fault plane (inert
+    /// until armed), justification tracker (off until switched on) and
+    /// the hop/answer metrics. Drops are decided *before* an event is
+    /// scheduled, so a dropped message never becomes pending work.
+    pub plane: Plane,
+    fabric: Fabric,
     alive_list: Vec<NodeId>,
-    /// Hop accounting.
-    pub metrics: NetMetrics,
-    /// Justified-update tracking (optional: costs CPU at high rates).
-    pub justify: Option<JustificationTracker>,
-    /// The fault plane (optional: loss-free and crash-free without it).
-    /// Drops are decided here *before* an event is scheduled, mirroring
-    /// the live runtime's decide-before-enqueue rule.
-    pub faults: Option<FaultState>,
-    /// Ground truth for staleness: globally deleted replicas and when
-    /// they died (tracked only while a fault plan is active).
-    dead_replicas: HashMap<(KeyId, ReplicaId), SimTime>,
-    /// When each outstanding client query was posted (keyed by the raw
-    /// client id), the start time of the `query_latency` histogram's
-    /// samples. `BTreeMap` keeps iteration deterministic.
-    query_posted: BTreeMap<u64, SimTime>,
-    /// Structured event trace (off by default — see [`Network::enable_trace`]).
-    pub trace: Option<TraceBuf>,
     /// The query workload (drained lazily via [`Ev::NextQuery`]).
     pub query_gen: Option<QueryGen>,
     /// Replica lifecycle plan.
@@ -67,9 +56,130 @@ pub struct Network {
     next_client: u64,
     /// Configuration template for nodes joining after the build.
     node_config: NodeConfig,
-    /// Reusable action buffer: handlers push into it, `apply_actions`
-    /// drains it, so steady-state dispatch allocates nothing.
-    scratch: Vec<Action>,
+}
+
+/// The simulated transport: everything the delivery kernel reaches
+/// through [`Env`], apart from the event queue the engine lends per
+/// event.
+#[derive(Debug)]
+struct Fabric {
+    /// The structured overlay carrying the messages.
+    overlay: AnyOverlay,
+    /// Dense per-node storage (protocol state + hot capacity array).
+    nodes: NodeArena,
+    latency: LatencyModel,
+    rng: DetRng,
+    /// Key → authority, dense by key id (`None` = not resolved since the
+    /// last topology change).
+    authority_cache: Vec<Option<NodeId>>,
+    /// Ground truth for staleness: globally deleted replicas and when
+    /// they died (tracked only once a fault plane is armed).
+    dead_replicas: HashMap<(KeyId, ReplicaId), SimTime>,
+    /// When each outstanding client query was posted (keyed by the raw
+    /// client id), the start time of the `query_latency` histogram's
+    /// samples. `BTreeMap` keeps iteration deterministic.
+    query_posted: BTreeMap<u64, SimTime>,
+    /// Structured event trace (off by default — see [`Network::enable_trace`]).
+    trace: Option<TraceBuf>,
+}
+
+/// A [`Fabric`] for the length of one event: the kernel's [`Env`].
+struct Wire<'a> {
+    fabric: &'a mut Fabric,
+    queue: &'a mut EventQueue<Ev>,
+    now: SimTime,
+}
+
+impl Fabric {
+    fn wire<'a>(&'a mut self, queue: &'a mut EventQueue<Ev>, now: SimTime) -> Wire<'a> {
+        Wire {
+            fabric: self,
+            queue,
+            now,
+        }
+    }
+
+    /// The authority node for `key` (cached; invalidated on churn).
+    fn authority_of(&mut self, key: KeyId) -> NodeId {
+        let idx = key.index();
+        if idx >= self.authority_cache.len() {
+            self.authority_cache.resize(idx + 1, None);
+        }
+        if let Some(a) = self.authority_cache[idx] {
+            return a;
+        }
+        let a = self.overlay.authority(key);
+        self.authority_cache[idx] = Some(a);
+        a
+    }
+}
+
+impl Env for Wire<'_> {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    fn upstream_of(&mut self, at: NodeId, key: KeyId) -> Result<Option<NodeId>, RoutingFailed> {
+        if self.fabric.authority_of(key) == at {
+            return Ok(None);
+        }
+        self.fabric
+            .overlay
+            .next_hop(at, key)
+            .map_err(|_| RoutingFailed)
+    }
+
+    fn node_mut(&mut self, id: NodeId) -> &mut CupNode {
+        self.fabric.nodes.get_mut(id)
+    }
+
+    fn enqueue(&mut self, from: NodeId, to: NodeId, msg: Message, latency_factor: f64) {
+        let mut delay = self.fabric.latency.sample(&mut self.fabric.rng);
+        if latency_factor != 1.0 {
+            delay = SimDuration::from_secs_f64(delay.as_secs_f64() * latency_factor);
+        }
+        self.queue
+            .schedule(self.now + delay, Ev::Deliver { from, to, msg });
+    }
+
+    fn respond(&mut self, client: ClientId, _entries: Vec<IndexEntry>) -> Option<SimTime> {
+        self.fabric.query_posted.remove(&client.0)
+    }
+
+    fn forget_client(&mut self, client: ClientId) {
+        self.fabric.query_posted.remove(&client.0);
+    }
+
+    fn mark_path(&mut self, own: &mut JustificationTracker, at: NodeId, key: KeyId, t: SimTime) {
+        // Routing is deterministic, so the virtual path V(N, K) is
+        // exactly the route the query would travel.
+        if let Ok(path) = self.fabric.overlay.route(at, key) {
+            own.on_query(key, t, &path);
+        }
+    }
+
+    fn died_at(&self, key: KeyId, replica: ReplicaId) -> Option<SimTime> {
+        self.fabric.dead_replicas.get(&(key, replica)).copied()
+    }
+
+    fn note_dead(&mut self, key: KeyId, replica: ReplicaId, now: SimTime) {
+        self.fabric
+            .dead_replicas
+            .entry((key, replica))
+            .or_insert(now);
+    }
+
+    fn trace(&mut self, t: SimTime, node: NodeId, kind: TraceKind, key: KeyId, detail: u64) {
+        if let Some(buf) = self.fabric.trace.as_mut() {
+            buf.record(TraceEvent {
+                t,
+                node,
+                kind,
+                key,
+                detail,
+            });
+        }
+    }
 }
 
 impl Network {
@@ -84,23 +194,22 @@ impl Network {
         let ids = overlay.nodes();
         let nodes = NodeArena::build(&ids, node_config);
         Network {
-            overlay,
-            nodes,
-            latency,
-            rng,
-            authority_cache: Vec::new(),
+            plane: Plane::default(),
+            fabric: Fabric {
+                overlay,
+                nodes,
+                latency,
+                rng,
+                authority_cache: Vec::new(),
+                dead_replicas: HashMap::new(),
+                query_posted: BTreeMap::new(),
+                trace: None,
+            },
             alive_list: ids,
-            metrics: NetMetrics::default(),
-            justify: None,
-            faults: None,
-            dead_replicas: HashMap::new(),
-            query_posted: BTreeMap::new(),
-            trace: None,
             query_gen: None,
             replica_plan: None,
             next_client: 0,
             node_config,
-            scratch: Vec::new(),
         }
     }
 
@@ -108,78 +217,30 @@ impl Network {
     /// events. Tracing is off by default and costs nothing when off (one
     /// `Option` check per emission site).
     pub fn enable_trace(&mut self, cap: usize) {
-        self.trace = Some(TraceBuf::new(cap));
+        self.fabric.trace = Some(TraceBuf::new(cap));
     }
 
     /// Detaches the trace buffer (tracing turns back off).
     pub fn take_trace(&mut self) -> Option<TraceBuf> {
-        self.trace.take()
-    }
-
-    #[inline]
-    fn trace_event(&mut self, t: SimTime, node: NodeId, kind: TraceKind, key: KeyId, detail: u64) {
-        if let Some(buf) = self.trace.as_mut() {
-            buf.record(TraceEvent {
-                t,
-                node,
-                kind,
-                key,
-                detail,
-            });
-        }
-    }
-
-    /// The authority node for `key` (cached; invalidated on churn).
-    pub fn authority_of(&mut self, key: KeyId) -> NodeId {
-        let idx = key.index();
-        if idx >= self.authority_cache.len() {
-            self.authority_cache.resize(idx + 1, None);
-        }
-        if let Some(a) = self.authority_cache[idx] {
-            return a;
-        }
-        let a = self.overlay.authority(key);
-        self.authority_cache[idx] = Some(a);
-        a
-    }
-
-    /// The next hop from `node` toward the authority of `key`, or `None`
-    /// if `node` is the authority.
-    fn upstream_of(&mut self, node: NodeId, key: KeyId) -> Option<NodeId> {
-        if self.authority_of(key) == node {
-            return None;
-        }
-        self.overlay
-            .next_hop(node, key)
-            .expect("routing from a live node must succeed")
-    }
-
-    /// Access a node (panics if it departed — callers check liveness).
-    fn node_mut(&mut self, id: NodeId) -> &mut CupNode {
-        self.nodes.get_mut(id)
+        self.fabric.trace.take()
     }
 
     /// Read-only access to one node's state, if alive.
     pub fn node(&self, id: NodeId) -> Option<&CupNode> {
-        self.nodes.get(id)
+        self.fabric.nodes.get(id)
     }
 
     /// Aggregates the protocol counters of all nodes, including counters
     /// retained from nodes that have since departed.
     pub fn aggregate_stats(&self) -> cup_core::stats::NodeStats {
-        self.nodes.aggregate_stats()
+        self.fabric.nodes.aggregate_stats()
     }
 
     /// Counters retained from departed or crash-wiped nodes only (the
     /// conformance harness mirrors them against the live runtime's
     /// crash-retained aggregate).
     pub fn retained_stats(&self) -> cup_core::stats::NodeStats {
-        *self.nodes.departed_stats()
-    }
-
-    /// Number of live nodes.
-    pub fn live_nodes(&self) -> usize {
-        self.alive_list.len()
+        *self.fabric.nodes.departed_stats()
     }
 
     /// Handles one simulation event; the entry point the engine drives.
@@ -187,27 +248,36 @@ impl Network {
         match ev {
             Ev::NextQuery => self.on_next_query(queue, now),
             Ev::PostQuery { node_index, key } => self.on_post_query(queue, now, node_index, key),
-            Ev::Deliver { from, to, msg } => self.on_deliver(queue, now, from, to, msg),
+            Ev::Deliver { from, to, msg } => {
+                // Churn liveness is the simulation's own gate: a message
+                // to a departed node was never a hop.
+                if self.fabric.overlay.is_alive(to) && self.fabric.nodes.is_alive(to) {
+                    let mut wire = self.fabric.wire(queue, now);
+                    self.plane.receive(&mut wire, from, to, msg);
+                } else {
+                    self.plane.metrics.dropped_messages += 1;
+                }
+            }
             Ev::Replica(action) => self.on_replica(queue, now, action),
             Ev::ServiceCapacity { node } => self.on_service(queue, now, node),
             Ev::SetCapacity { nodes, capacity } => {
                 self.on_set_capacity(queue, now, &nodes, capacity)
             }
             Ev::Churn(ev) => self.on_churn(queue, now, ev),
-            Ev::Fault(ev) => self.on_fault(now, ev.action),
+            Ev::Fault(ev) => self.on_fault(ev.action),
         }
     }
 
     /// Applies one scripted fault action. A crash additionally wipes the
     /// node's protocol state (cold cache, empty directory) while its
     /// counters are retained, matching the live runtime's crash reset.
-    fn on_fault(&mut self, _now: SimTime, action: FaultAction) {
-        let state = self.faults.get_or_insert_with(|| FaultState::new(0));
-        let changed = state.apply(action);
+    fn on_fault(&mut self, action: FaultAction) {
+        self.plane.armed = true;
+        let changed = self.plane.faults.apply(action);
         if let FaultAction::Crash { node } = action {
             let id = NodeId(node as u32);
-            if changed && self.nodes.is_alive(id) {
-                self.nodes.reset(id, self.node_config);
+            if changed && self.fabric.nodes.is_alive(id) {
+                self.fabric.nodes.reset(id, self.node_config);
             }
         }
     }
@@ -244,147 +314,11 @@ impl Network {
             return;
         }
         let node = self.alive_list[node_index % self.alive_list.len()];
-        // A crashed node accepts no connections: the query is swallowed
-        // (the live runtime answers such clients empty for the same
-        // bookkeeping, without touching any node state).
-        if let Some(f) = self.faults.as_mut() {
-            if f.is_crashed(node) {
-                f.note_query_at_crashed();
-                return;
-            }
-        }
         let client = ClientId(self.next_client);
         self.next_client += 1;
-        self.query_posted.insert(client.0, now);
-        self.trace_event(now, node, TraceKind::ClientQuery, key, client.0);
-        // Justification bookkeeping: this query covers every node on its
-        // virtual path to the authority (§3.1 — V(N, K) membership).
-        if self.justify.is_some() {
-            let path = self
-                .overlay
-                .route(node, key)
-                .expect("routing must succeed on a live overlay");
-            if let Some(j) = self.justify.as_mut() {
-                j.on_query(key, now, &path);
-            }
-        }
-        let upstream = self.upstream_of(node, key);
-        let mut actions = std::mem::take(&mut self.scratch);
-        self.node_mut(node).handle_query_into(
-            now,
-            key,
-            Requester::Client(client),
-            upstream,
-            &mut actions,
-        );
-        self.apply_actions(queue, now, node, &mut actions);
-        self.scratch = actions;
-    }
-
-    /// Delivers one message after its hop of latency.
-    fn on_deliver(
-        &mut self,
-        queue: &mut EventQueue<Ev>,
-        now: SimTime,
-        from: NodeId,
-        to: NodeId,
-        msg: Message,
-    ) {
-        if !self.overlay.is_alive(to) || !self.nodes.is_alive(to) {
-            self.metrics.dropped_messages += 1;
-            return;
-        }
-        // Charge this hop to the §3.3 cost model.
-        match &msg {
-            Message::Query { .. } => self.metrics.query_hops += 1,
-            Message::Update(u) => match u.kind {
-                UpdateKind::FirstTime => self.metrics.first_time_hops += 1,
-                UpdateKind::Refresh => self.metrics.refresh_hops += 1,
-                UpdateKind::Delete => self.metrics.delete_hops += 1,
-                UpdateKind::Append => self.metrics.append_hops += 1,
-            },
-            Message::ClearBit { .. } => self.metrics.clear_bit_hops += 1,
-            Message::AuditProbe { .. } | Message::AuditReply { .. } => self.metrics.audit_hops += 1,
-        }
-        // A message in flight when its receiver crashed: the send-time
-        // verdict predates the crash, so the transmission happened (the
-        // hop above is charged, exactly as the live runtime charges it
-        // at send) but a crashed node processes nothing. Scripted runs
-        // that quiesce before a crash never hit this; it guards
-        // overlapping traffic.
-        if let Some(f) = self.faults.as_mut() {
-            if f.is_crashed(to) {
-                f.counters.dropped_to_crashed += 1;
-                return;
-            }
-            // Byzantine receivers: a stale-serve node swallows inbound
-            // deletions and audit repairs after the hop is paid.
-            if !f.behavior_recv(to, &msg) {
-                return;
-            }
-        }
-        // Trace only messages that will actually be handled — the same
-        // gate the live worker applies, so the two multisets match.
-        if self.trace.is_some() {
-            let (kind, key) = match &msg {
-                Message::Query { key } => (TraceKind::Query, *key),
-                Message::Update(u) => (
-                    match u.kind {
-                        UpdateKind::FirstTime => TraceKind::UpdateFirstTime,
-                        UpdateKind::Refresh => TraceKind::UpdateRefresh,
-                        UpdateKind::Delete => TraceKind::UpdateDelete,
-                        UpdateKind::Append => TraceKind::UpdateAppend,
-                    },
-                    u.key,
-                ),
-                Message::ClearBit { key } => (TraceKind::ClearBit, *key),
-                Message::AuditProbe { key, .. } => (TraceKind::AuditProbe, *key),
-                Message::AuditReply { key, .. } => (TraceKind::AuditReply, *key),
-            };
-            self.trace_event(now, to, kind, key, from.0 as u64);
-        }
-        let mut actions = std::mem::take(&mut self.scratch);
-        match msg {
-            Message::Query { key } => {
-                let upstream = self.upstream_of(to, key);
-                self.node_mut(to).handle_query_into(
-                    now,
-                    key,
-                    Requester::Neighbor(from),
-                    upstream,
-                    &mut actions,
-                );
-            }
-            Message::Update(u) => {
-                if u.kind != UpdateKind::FirstTime {
-                    if let Some(j) = self.justify.as_mut() {
-                        j.on_update_delivered(to, u.key, now, u.window_end);
-                    }
-                }
-                self.node_mut(to)
-                    .handle_update_into(now, from, u, &mut actions);
-            }
-            Message::ClearBit { key } => {
-                let upstream = self.upstream_of(to, key);
-                self.node_mut(to)
-                    .handle_clear_bit_into(now, key, from, upstream, &mut actions);
-            }
-            Message::AuditProbe { key, round } => {
-                self.node_mut(to)
-                    .handle_audit_probe_into(now, key, round, from, &mut actions);
-            }
-            Message::AuditReply {
-                key,
-                round,
-                entries,
-                retired,
-            } => {
-                self.node_mut(to)
-                    .handle_audit_reply(now, key, round, &entries, &retired);
-            }
-        }
-        self.apply_actions(queue, now, to, &mut actions);
-        self.scratch = actions;
+        self.fabric.query_posted.insert(client.0, now);
+        let mut wire = self.fabric.wire(queue, now);
+        self.plane.post_query(&mut wire, node, key, client);
     }
 
     /// A replica lifecycle action reaches its key's authority.
@@ -409,59 +343,31 @@ impl Network {
                 replica: action.replica,
             },
         };
-        if let Some(next) = self
-            .replica_plan
-            .as_ref()
-            .and_then(|p| p.next_event(&action, now))
-        {
+        // The plan keeps running whatever happens to this event, so
+        // later ones land once a crashed authority restarts.
+        if let Some(next) = plan.next_event(&action, now) {
             queue.schedule(next.at, Ev::Replica(next));
         }
-        // Ground truth for the staleness metric: the replica is globally
-        // dead from this instant, whether or not its deletion reaches
-        // (or survives at) the authority.
-        if self.faults.is_some() && action.kind == ReplicaActionKind::Death {
-            self.dead_replicas
-                .entry((action.key, action.replica))
-                .or_insert(now);
-        }
-        let authority = self.authority_of(action.key);
-        // A crashed authority hears nothing from its replicas; the plan
-        // keeps running so later events land once it restarts.
-        if let Some(f) = self.faults.as_mut() {
-            if f.is_crashed(authority) {
-                f.note_replica_at_crashed();
-                return;
-            }
-        }
-        let kind = match action.kind {
-            ReplicaActionKind::Birth => TraceKind::ReplicaBirth,
-            ReplicaActionKind::Refresh => TraceKind::ReplicaRefresh,
-            ReplicaActionKind::Death => TraceKind::ReplicaDeletion,
-        };
-        self.trace_event(now, authority, kind, action.key, action.replica.0 as u64);
-        let mut actions = std::mem::take(&mut self.scratch);
-        self.node_mut(authority)
-            .handle_replica_event_into(now, event, &mut actions);
-        self.apply_actions(queue, now, authority, &mut actions);
-        self.scratch = actions;
+        let authority = self.fabric.authority_of(action.key);
+        let mut wire = self.fabric.wire(queue, now);
+        self.plane.replica_event(&mut wire, authority, event);
     }
 
     /// Services a capacity-limited node's outgoing queues.
     fn on_service(&mut self, queue: &mut EventQueue<Ev>, now: SimTime, node: NodeId) {
-        if !self.overlay.is_alive(node) {
+        if !self.fabric.overlay.is_alive(node) {
             return;
         }
-        let c = self.nodes.capacity(node);
-        let mut actions = std::mem::take(&mut self.scratch);
-        self.node_mut(node)
-            .service_outgoing_into(now, c, &mut actions);
-        self.apply_actions(queue, now, node, &mut actions);
-        self.scratch = actions;
+        let c = self.fabric.nodes.capacity(node);
+        let mut wire = self.fabric.wire(queue, now);
+        self.plane.emit(&mut wire, now, node, |n, out| {
+            n.service_outgoing_into(now, c, out)
+        });
         if c < 1.0 {
             queue.schedule(now + SERVICE_INTERVAL, Ev::ServiceCapacity { node });
         } else {
             // Fully recovered: back to immediate forwarding.
-            self.node_mut(node).set_capacity_limited(false);
+            self.fabric.nodes.get_mut(node).set_capacity_limited(false);
         }
     }
 
@@ -475,12 +381,12 @@ impl Network {
     ) {
         for &idx in nodes {
             let id = NodeId(idx as u32);
-            if !self.overlay.is_alive(id) {
+            if !self.fabric.overlay.is_alive(id) {
                 continue;
             }
-            let was = self.nodes.set_capacity(id, capacity);
+            let was = self.fabric.nodes.set_capacity(id, capacity);
             if capacity < 1.0 && was >= 1.0 {
-                self.node_mut(id).set_capacity_limited(true);
+                self.fabric.nodes.get_mut(id).set_capacity_limited(true);
                 queue.schedule(now + SERVICE_INTERVAL, Ev::ServiceCapacity { node: id });
             }
             // Recovery (capacity >= 1.0) is finalized by the next
@@ -492,20 +398,23 @@ impl Network {
     fn on_churn(&mut self, _queue: &mut EventQueue<Ev>, now: SimTime, ev: ChurnEvent) {
         match ev {
             ChurnEvent::Join { .. } => {
-                let Ok(report) = self.overlay.join(&mut self.rng) else {
+                let Ok(report) = self.fabric.overlay.join(&mut self.fabric.rng) else {
                     return;
                 };
-                let new_id = report.joined.expect("join reports the joiner");
-                self.nodes.push_joined(new_id, self.node_config);
+                let Some(new_id) = report.joined else {
+                    return;
+                };
+                self.fabric.nodes.push_joined(new_id, self.node_config);
                 self.patch_interest(&report);
                 // Hand over the directory slice the new node now owns.
                 if let Some(split) = report.counterpart {
-                    let overlay = &self.overlay;
+                    let overlay = &self.fabric.overlay;
                     let moved = self
+                        .fabric
                         .nodes
                         .get_mut(split)
                         .export_directory(|k| overlay.authority(k) == new_id);
-                    self.node_mut(new_id).import_directory(moved);
+                    self.fabric.nodes.get_mut(new_id).import_directory(moved);
                 }
                 self.after_topology_change();
             }
@@ -513,8 +422,8 @@ impl Network {
                 if self.alive_list.len() <= 1 {
                     return;
                 }
-                let victim = self.alive_list[self.rng.choose_index(self.alive_list.len())];
-                let Ok(report) = self.overlay.leave(victim) else {
+                let victim = self.alive_list[self.fabric.rng.choose_index(self.alive_list.len())];
+                let Ok(report) = self.fabric.overlay.leave(victim) else {
                     return;
                 };
                 let takeover = report.counterpart;
@@ -522,12 +431,12 @@ impl Network {
                     // §2.9: a graceful departure may hand its entries to
                     // the takeover node, which merges and de-duplicates.
                     if let Some(t) = takeover {
-                        let moved = self.nodes.get_mut(victim).export_directory(|_| true);
-                        self.node_mut(t).import_directory(moved);
+                        let moved = self.fabric.nodes.get_mut(victim).export_directory(|_| true);
+                        self.fabric.nodes.get_mut(t).import_directory(moved);
                     }
                 }
                 self.patch_interest(&report);
-                self.nodes.remove(victim);
+                self.fabric.nodes.remove(victim);
                 self.after_topology_change();
                 let _ = now;
             }
@@ -540,10 +449,10 @@ impl Network {
     /// no-hand-over option).
     fn patch_interest(&mut self, report: &cup_overlay::ChurnReport) {
         for change in &report.neighbor_changes {
-            if !self.nodes.is_alive(change.node) {
+            if !self.fabric.nodes.is_alive(change.node) {
                 continue;
             }
-            let node = self.nodes.get_mut(change.node);
+            let node = self.fabric.nodes.get_mut(change.node);
             for &removed in &change.removed {
                 node.on_neighbor_departed(removed, None);
             }
@@ -552,83 +461,43 @@ impl Network {
 
     /// Refreshes caches that depend on the topology.
     fn after_topology_change(&mut self) {
-        self.authority_cache.fill(None);
-        self.alive_list = self.overlay.nodes();
+        self.fabric.authority_cache.fill(None);
+        self.alive_list = self.fabric.overlay.nodes();
     }
+}
 
-    /// Turns protocol actions (emitted by `sender`'s handlers) into
-    /// network traffic and client responses, draining the buffer for
-    /// reuse.
-    fn apply_actions(
-        &mut self,
-        queue: &mut EventQueue<Ev>,
-        now: SimTime,
-        sender: NodeId,
-        actions: &mut Vec<Action>,
-    ) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Send { to, mut msg } => {
-                    // Fault-plane drops are decided *here*, before the
-                    // delivery is scheduled — the same decide-before-
-                    // enqueue rule the live runtime follows, so a
-                    // dropped message never becomes in-flight work.
-                    // Behavior faults run first: a suppressed (or
-                    // rewritten) send never advances the per-link loss
-                    // counter, in either runtime.
-                    if let Some(f) = self.faults.as_mut() {
-                        if !f.behavior_send(sender, &mut msg) {
-                            continue;
-                        }
-                        if f.roll(sender, to) != DropVerdict::Deliver {
-                            continue;
-                        }
-                    }
-                    let mut delay = self.latency.sample(&mut self.rng);
-                    if let Some(f) = self.faults.as_ref() {
-                        let factor = f.latency_factor();
-                        if factor != 1.0 {
-                            delay = SimDuration::from_secs_f64(delay.as_secs_f64() * factor);
-                        }
-                    }
-                    queue.schedule(
-                        now + delay,
-                        Ev::Deliver {
-                            from: sender,
-                            to,
-                            msg,
-                        },
-                    );
-                }
-                Action::RespondClient {
-                    client,
-                    key,
-                    ref entries,
-                } => {
-                    self.metrics.client_responses += 1;
-                    if let Some(t0) = self.query_posted.remove(&client.0) {
-                        self.metrics
-                            .query_latency
-                            .record(now.saturating_since(t0).as_micros());
-                    }
-                    self.trace_event(now, sender, TraceKind::Respond, key, entries.len() as u64);
-                    // Staleness: the answer names a replica the world
-                    // already deleted (the cache missed the delete —
-                    // under loss, the delete may never arrive).
-                    if !self.dead_replicas.is_empty() {
-                        let stale_since = entries
-                            .iter()
-                            .filter_map(|e| self.dead_replicas.get(&(e.key, e.replica)))
-                            .min();
-                        if let Some(&died) = stale_since {
-                            let age = now.saturating_since(died).as_micros();
-                            self.metrics.stale_answers += 1;
-                            self.metrics.stale_age_micros += age;
-                            self.metrics.stale_age_hist.record(age);
-                        }
-                    }
-                }
-            }
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cup_overlay::OverlayKind;
+
+    #[test]
+    fn a_failed_routing_lookup_is_dropped_and_counted() {
+        // A node the overlay no longer routes from while the arena still
+        // holds it: every lookup there fails. The DES used to `expect`
+        // these; now it degrades exactly like the live runtime.
+        let mut rng = DetRng::seed_from(5);
+        let overlay = AnyOverlay::build(OverlayKind::Chord, 8, &mut rng).unwrap();
+        let (config, latency) = (NodeConfig::cup_default(), LatencyModel::default_wan());
+        let mut net = Network::new(overlay, config, latency, rng);
+        let key = KeyId(3);
+        let authority = net.fabric.authority_of(key);
+        let lost = *net.alive_list.iter().find(|&&n| n != authority).unwrap();
+        net.fabric.overlay.leave(lost).unwrap();
+        net.fabric.query_posted.insert(0, SimTime::ZERO);
+
+        let mut queue = EventQueue::new();
+        let mut wire = net.fabric.wire(&mut queue, SimTime::ZERO);
+        let query = Message::Query { key };
+        net.plane.receive(&mut wire, authority, lost, query);
+        net.plane.post_query(&mut wire, lost, key, ClientId(0));
+
+        let metrics = net.plane.metrics;
+        assert_eq!(metrics.routing_failures, 2);
+        assert_eq!(metrics.query_hops, 1, "the hop was still paid");
+        assert_eq!(metrics.client_responses, 0);
+        assert!(queue.is_empty(), "nothing was forwarded");
+        let answered = net.fabric.query_posted.is_empty();
+        assert!(answered, "the client got an empty answer, not a long wait");
     }
 }

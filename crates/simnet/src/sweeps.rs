@@ -532,12 +532,7 @@ pub fn fault_point_specs(base: &Scenario, loss: f64, crashes: u32) -> Vec<String
 /// (second-chance) and the all-out-push reference (`always`) under the
 /// same fault plan, with justification tracked. Rows come back in
 /// loss-major, crash-minor order with the two policies adjacent
-/// (CUP first).
-pub fn fault_grid(base: &Scenario, losses: &[f64], crash_counts: &[u32]) -> Vec<FaultGridPoint> {
-    fault_grid_with(base, losses, crash_counts, default_workers())
-}
-
-/// [`fault_grid`] with an explicit sweep worker count.
+/// (CUP first), whatever the sweep worker count.
 pub fn fault_grid_with(
     base: &Scenario,
     losses: &[f64],
@@ -647,16 +642,7 @@ pub fn audit_point_specs(base: &Scenario, attackers: u32) -> Vec<String> {
 /// The attacker-count × audit-on/off grid: every point runs CUP
 /// (second-chance) under the same stale-serve attack, with and without
 /// the sampled audit. Rows come back attacker-major with the two audit
-/// arms adjacent (audit off first).
-pub fn audit_grid(
-    base: &Scenario,
-    attacker_counts: &[u32],
-    interval_secs: u64,
-) -> Vec<AuditGridPoint> {
-    audit_grid_with(base, attacker_counts, interval_secs, default_workers())
-}
-
-/// [`audit_grid`] with an explicit sweep worker count.
+/// arms adjacent (audit off first), whatever the sweep worker count.
 pub fn audit_grid_with(
     base: &Scenario,
     attacker_counts: &[u32],

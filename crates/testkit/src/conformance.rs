@@ -29,9 +29,8 @@
 //! covers the economics, not just the caching behaviour.
 
 use cup::des::LatencyModel;
-use cup::faults::FaultEvent;
+use cup::faults::{FaultEvent, NetMetrics, Plane, Totals};
 use cup::prelude::*;
-use cup::protocol::justify::JustificationTracker;
 use cup::protocol::stats::NodeStats;
 use cup::simnet::{Ev, Network};
 use cup::workload::replica::{ReplicaAction, ReplicaActionKind, ReplicaPlan};
@@ -456,38 +455,18 @@ pub struct Outcome {
     pub stats: NodeStats,
     /// Per key: sorted node ids holding a fresh cached entry at quiesce.
     pub cached_by: Vec<Vec<NodeId>>,
+    /// The delivery kernel's merged metrics, whole: hops by kind (a
+    /// message vetoed at send time counts in none, one in flight when
+    /// its receiver crashed is charged), client responses, routing
+    /// failures, the fault plane's breakdown, poisoned (stale) answers
+    /// and the latency/staleness histograms — degenerate at the
+    /// conformance latency (every latency sample is 0), but their
+    /// *counts* and byte-exact `Eq` are part of the comparison.
+    pub net: NetMetrics,
     /// §3.1 justified maintenance updates.
     pub justified: u64,
     /// Maintenance updates tracked (the justification denominator).
     pub tracked: u64,
-    /// Peer messages delivered (total hops — the live counter and the
-    /// DES's summed hop metrics measure the same thing; messages vetoed
-    /// by the fault plane at send time count in neither, and a message
-    /// already in flight when its receiver crashes counts in both).
-    pub hops: u64,
-    /// Messages dropped by failed overlay routing lookups (always zero
-    /// on a well-formed static overlay; the DES panics instead, so its
-    /// side reports zero by construction).
-    pub routing_failures: u64,
-    /// Messages dropped for any reason — the fault plane plus, on the
-    /// DES side, deliveries to churned-away nodes.
-    pub dropped_messages: u64,
-    /// Client answers that served a replica the script had already
-    /// deleted (ground truth recorded at the deletion instant; only
-    /// populated while a fault plane is armed).
-    pub poisoned_answers: u64,
-    /// Summed logical age (µs past deletion) of those poisoned answers.
-    pub poisoned_age_micros: u64,
-    /// The fault plane's full drop/crash breakdown.
-    pub faults: cup::faults::FaultCounters,
-    /// Client-query latency histogram (µs, post → answer). Degenerate at
-    /// the conformance latency (zero per-hop delay on a stepped virtual
-    /// clock ⇒ every sample is 0), but its *counts* — one per answered
-    /// query — and its byte-exact `Eq` are part of the comparison.
-    pub query_latency: Hist,
-    /// Staleness-age histogram: one sample per poisoned answer, the
-    /// distribution whose sum is `poisoned_age_micros`.
-    pub stale_age_hist: Hist,
 }
 
 impl Outcome {
@@ -501,39 +480,13 @@ impl Outcome {
     }
 }
 
-/// The network-level counters one runtime reports into its [`Outcome`]
-/// (everything not derived from per-node state).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunCounters {
-    /// §3.1 justified maintenance updates.
-    pub justified: u64,
-    /// Maintenance updates tracked.
-    pub tracked: u64,
-    /// Peer messages delivered.
-    pub hops: u64,
-    /// Failed-routing drops.
-    pub routing_failures: u64,
-    /// Total dropped messages.
-    pub dropped_messages: u64,
-    /// Poisoned client answers (stale ground truth).
-    pub poisoned_answers: u64,
-    /// Summed poisoned-answer age in µs.
-    pub poisoned_age_micros: u64,
-    /// Fault-plane breakdown.
-    pub faults: cup::faults::FaultCounters,
-    /// Client-query latency histogram.
-    pub query_latency: Hist,
-    /// Staleness-age histogram.
-    pub stale_age_hist: Hist,
-}
-
 /// Collects the comparable outcome from final per-node states plus the
-/// runtime's network-level counters.
+/// fold of the runtime's delivery planes.
 pub fn outcome_of<'a>(
     nodes: impl Iterator<Item = &'a CupNode>,
     keys: u32,
     probe_time: SimTime,
-    counters: RunCounters,
+    totals: Totals,
 ) -> Outcome {
     let mut stats = NodeStats::default();
     let mut cached_by: Vec<Vec<NodeId>> = (0..keys).map(|_| Vec::new()).collect();
@@ -554,42 +507,31 @@ pub fn outcome_of<'a>(
     Outcome {
         stats,
         cached_by,
-        justified: counters.justified,
-        tracked: counters.tracked,
-        hops: counters.hops,
-        routing_failures: counters.routing_failures,
-        dropped_messages: counters.dropped_messages,
-        poisoned_answers: counters.poisoned_answers,
-        poisoned_age_micros: counters.poisoned_age_micros,
-        faults: counters.faults,
-        query_latency: counters.query_latency,
-        stale_age_hist: counters.stale_age_hist,
+        net: totals.net,
+        justified: totals.justified,
+        tracked: totals.tracked,
     }
 }
 
-/// Runs the script through the DES, returning the outcome plus the
-/// number of client responses delivered.
+/// Runs the script through the DES (the number of client responses
+/// delivered is the outcome's `net.client_responses`).
 ///
 /// # Panics
 ///
 /// Panics if the overlay cannot be built for the spec.
-pub fn run_sim(spec: &ConformanceSpec) -> (Outcome, u64) {
-    let (outcome, responses, _) = run_sim_inner(spec, None);
-    (outcome, responses)
+pub fn run_sim(spec: &ConformanceSpec) -> Outcome {
+    run_sim_inner(spec, None).0
 }
 
 /// [`run_sim`] with structured event tracing on (a ring buffer of
 /// `trace_cap` events). Compare against a live trace via
 /// `TraceBuf::sorted` / `cup::prelude::trace_diff`.
-pub fn run_sim_traced(spec: &ConformanceSpec, trace_cap: usize) -> (Outcome, u64, TraceBuf) {
-    let (outcome, responses, trace) = run_sim_inner(spec, Some(trace_cap));
-    (outcome, responses, trace.expect("tracing was enabled"))
+pub fn run_sim_traced(spec: &ConformanceSpec, trace_cap: usize) -> (Outcome, TraceBuf) {
+    let (outcome, trace) = run_sim_inner(spec, Some(trace_cap));
+    (outcome, trace.expect("tracing was enabled"))
 }
 
-fn run_sim_inner(
-    spec: &ConformanceSpec,
-    trace_cap: Option<usize>,
-) -> (Outcome, u64, Option<TraceBuf>) {
+fn run_sim_inner(spec: &ConformanceSpec, trace_cap: Option<usize>) -> (Outcome, Option<TraceBuf>) {
     let mut topo_rng = DetRng::seed_from(spec.topology_seed);
     let overlay = AnyOverlay::build(spec.kind, spec.nodes, &mut topo_rng).unwrap();
     // Zero per-hop latency: every handler in a cascade then observes
@@ -606,12 +548,12 @@ fn run_sim_inner(
         LatencyModel::Fixed(SimDuration::ZERO),
         DetRng::seed_from(7),
     );
-    net.justify = Some(JustificationTracker::new());
+    net.plane.justify_on = true;
     if let Some(cap) = trace_cap {
         net.enable_trace(cap);
     }
     if spec.any_faults() {
-        net.faults = Some(FaultState::new(spec.fault_seed));
+        net.plane.arm(spec.fault_seed);
     }
     // A plan is required for `Ev::Replica` dispatch; only its lifetime
     // and next-event logic are used (we schedule births ourselves so the
@@ -710,37 +652,17 @@ fn run_sim_inner(
     let probe = engine.now();
     let mut net = engine.into_state();
     let trace = net.take_trace();
-    let responses = net.metrics.client_responses;
-    let (justified, tracked) = net
-        .justify
-        .as_ref()
-        .map_or((0, 0), |j| (j.justified(), j.total()));
-    let faults = net.faults.as_ref().map(|f| f.counters).unwrap_or_default();
-    let counters = RunCounters {
-        justified,
-        tracked,
-        // Audit traffic rides outside the paper's §3.3 cost model, but
-        // the live side's hop counter sees every delivered message — add
-        // it back so the totals compare like for like.
-        hops: net.metrics.total_cost() + net.metrics.audit_hops,
-        routing_failures: 0,
-        dropped_messages: net.metrics.dropped_messages + faults.dropped(),
-        poisoned_answers: net.metrics.stale_answers,
-        poisoned_age_micros: net.metrics.stale_age_micros,
-        faults,
-        query_latency: net.metrics.query_latency,
-        stale_age_hist: net.metrics.stale_age_hist,
-    };
+    let totals = Plane::totals([&net.plane]);
     let ids: Vec<NodeId> = (0..spec.nodes as u32).map(NodeId).collect();
     let mut outcome = outcome_of(
         ids.iter().filter_map(|&id| net.node(id)),
         spec.keys,
         probe,
-        counters,
+        totals,
     );
     // Counters wiped by crashes live in the arena's departed aggregate.
     outcome.stats.merge(&net.retained_stats());
-    (outcome, responses, trace)
+    (outcome, trace)
 }
 
 /// Runs the same script through the worker-pool live runtime on a
@@ -756,25 +678,22 @@ fn run_sim_inner(
 /// # Panics
 ///
 /// Panics if the runtime cannot start, a query is not answered as the
-/// script demands, or any message hit a routing failure.
-pub fn run_live(spec: &ConformanceSpec) -> (Outcome, u64) {
-    let (outcome, responses, _) = run_live_inner(spec, None);
-    (outcome, responses)
+/// script demands, any message hit a routing failure, or the answers
+/// the waiting clients received are not the ones the runtime counted.
+pub fn run_live(spec: &ConformanceSpec) -> Outcome {
+    run_live_inner(spec, None).0
 }
 
 /// [`run_live`] with structured event tracing on (a ring buffer of
 /// `trace_cap` events). Raw live arrival order is scheduling-dependent;
 /// compare via `TraceBuf::sorted` / `cup::prelude::trace_diff`, which
 /// the canonical ordering makes deterministic.
-pub fn run_live_traced(spec: &ConformanceSpec, trace_cap: usize) -> (Outcome, u64, TraceBuf) {
-    let (outcome, responses, trace) = run_live_inner(spec, Some(trace_cap));
-    (outcome, responses, trace.expect("tracing was enabled"))
+pub fn run_live_traced(spec: &ConformanceSpec, trace_cap: usize) -> (Outcome, TraceBuf) {
+    let (outcome, trace) = run_live_inner(spec, Some(trace_cap));
+    (outcome, trace.expect("tracing was enabled"))
 }
 
-fn run_live_inner(
-    spec: &ConformanceSpec,
-    trace_cap: Option<usize>,
-) -> (Outcome, u64, Option<TraceBuf>) {
+fn run_live_inner(spec: &ConformanceSpec, trace_cap: Option<usize>) -> (Outcome, Option<TraceBuf>) {
     let mut topo_rng = DetRng::seed_from(spec.topology_seed);
     let net = LiveNetwork::start_virtual_with_map(
         spec.kind,
@@ -910,20 +829,13 @@ fn run_live_inner(
     responses += stranded.iter().filter(|p| p.poll().is_some()).count() as u64;
     drop(stranded);
     assert_eq!(net.routing_failures(), 0, "static routing must not fail");
-    let (justified, tracked) = net.justification();
-    let faults = net.fault_counters();
-    let counters = RunCounters {
-        justified,
-        tracked,
-        hops: net.hops(),
-        routing_failures: net.routing_failures(),
-        dropped_messages: faults.dropped(),
-        poisoned_answers: net.stale_answers(),
-        poisoned_age_micros: net.stale_age_micros(),
-        faults,
-        query_latency: net.query_latency_hist(),
-        stale_age_hist: net.stale_age_hist(),
-    };
+    let totals = net.totals();
+    // The client side of the ledger: what the waiting clients received
+    // is what the runtime says it handed them.
+    assert_eq!(
+        responses, totals.net.client_responses,
+        "answers claimed by clients vs answers the runtime counted"
+    );
     let crash_retained = net.crash_retained_stats();
     let trace = net.take_trace();
     // The probe instant is the virtual clock's final reading — the very
@@ -931,9 +843,9 @@ fn run_live_inner(
     // `run_until`), so freshness horizons agree bit for bit.
     let probe = net.now();
     let final_nodes = net.shutdown();
-    let mut outcome = outcome_of(final_nodes.iter(), spec.keys, probe, counters);
+    let mut outcome = outcome_of(final_nodes.iter(), spec.keys, probe, totals);
     outcome.stats.merge(&crash_retained);
-    (outcome, responses, trace)
+    (outcome, trace)
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! * **update delivery** — updates received/forwarded agree, and the
 //!   *set of nodes* caching each key is identical;
 //! * **justified-update accounting** — the §3.1 justified/tracked
-//!   maintenance-update counts (and total hop counts) agree exactly:
+//!   maintenance-update counts (and per-kind hop counts) agree exactly:
 //!   both runtimes report the same investment return from the shared
 //!   `cup_core::justify` tracker;
 //! * **no stale entries at quiesce** — after the deletion propagates,
@@ -24,7 +24,7 @@
 //! cannot race on slow CI.
 
 use cup::prelude::*;
-use cup_testkit::conformance::{run_live, run_sim, ConformanceSpec, DELETED_KEY};
+use cup_testkit::conformance::{run_live, run_sim, ConformanceSpec, Outcome, DELETED_KEY};
 
 /// The worker-count × shard-map grid the small scenarios sweep: the DES
 /// is worker- and placement-blind, so every cell must reproduce its
@@ -36,120 +36,130 @@ const FULL_MATRIX: [(usize, ShardMapMode); 4] = [
     (4, ShardMapMode::OverlayAware),
 ];
 
+/// Hops by message kind — query, first-time, refresh, delete, append,
+/// clear-bit (the six of the §3.3 cost model), audit — then the answers
+/// handed to clients. Both runtimes must agree entry by entry.
+fn traffic(outcome: &Outcome) -> [u64; 8] {
+    let net = &outcome.net;
+    [
+        net.query_hops,
+        net.first_time_hops,
+        net.refresh_hops,
+        net.delete_hops,
+        net.append_hops,
+        net.clear_bit_hops,
+        net.audit_hops,
+        net.client_responses,
+    ]
+}
+
+/// What every scenario demands of a sim/live pair: byte-identical
+/// protocol counters (`stats` holds the recovery and audit counters —
+/// PFU retries, audit rounds and repairs, with their PFU-retry-age and
+/// audit round-trip histograms — that the virtual clock and the
+/// adversarial plane exist for), caching sets, economics
+/// (justified/tracked counts and per-kind hops) and failure plane —
+/// neither runtime hides drops or routing failures from the comparison
+/// (all zero without a fault script; under one, the full breakdown —
+/// crash bookkeeping and behavior-fault counters included — must match).
+fn assert_outcomes_agree(sim: &Outcome, live: &Outcome, label: &str) {
+    let (sim_faults, live_faults) = (sim.net.faults, live.net.faults);
+    assert_eq!(sim_faults, live_faults, "{label}: fault counters diverged");
+    assert_eq!(
+        sim.net.dropped_messages + sim_faults.dropped(),
+        live.net.dropped_messages + live_faults.dropped(),
+        "{label}: dropped-message totals diverged"
+    );
+    // Name the counters the scenarios exist to pin — cache-hit
+    // accounting, update delivery, the decision plane (cut-offs and
+    // clear-bit traffic) — before the whole-struct comparison.
+    let (s, l) = (&sim.stats, &live.stats);
+    for (what, in_sim, in_live) in [
+        ("client query", s.client_queries, l.client_queries),
+        ("cache-hit", s.client_hits, l.client_hits),
+        ("first-time miss", s.first_time_misses, l.first_time_misses),
+        ("update delivery", s.updates_received, l.updates_received),
+        ("update forward", s.updates_forwarded, l.updates_forwarded),
+        ("neighbor query", s.neighbor_queries, l.neighbor_queries),
+        ("cut-off", s.cutoffs, l.cutoffs),
+        ("clear-bit", s.clear_bits_sent, l.clear_bits_sent),
+    ] {
+        assert_eq!(in_sim, in_live, "{label}: {what} counts diverged");
+    }
+    assert_eq!(sim.stats, live.stats, "{label}: protocol counters diverged");
+    assert_eq!(
+        sim.cached_by, live.cached_by,
+        "{label}: caching sets diverged"
+    );
+    assert_eq!(
+        traffic(sim),
+        traffic(live),
+        "{label}: hop or answered-query counts diverged"
+    );
+    assert_eq!(
+        (sim.justified, sim.tracked),
+        (live.justified, live.tracked),
+        "{label}: justification diverged"
+    );
+    assert_eq!(
+        sim.net.routing_failures, live.net.routing_failures,
+        "{label}: routing failures diverged"
+    );
+    assert_eq!(
+        (sim.net.stale_answers, sim.net.stale_age_micros),
+        (live.net.stale_answers, live.net.stale_age_micros),
+        "{label}: poisoned-answer accounting diverged"
+    );
+    // The observability plane agrees byte-for-byte: the latency and
+    // staleness histograms are multiset summaries of per-event samples,
+    // so identical protocol behavior must produce identical bucket
+    // state — even when drops and crashes reshuffle delivery (swallowed
+    // queries must be *forgotten* by both runtimes, not recorded by
+    // one). Under the conformance clock (zero per-hop latency) the
+    // latency samples are all zero — degenerate, but the *counts* still
+    // pin one sample per answered query / retried PFU / audit reply.
+    assert_eq!(
+        sim.net.query_latency, live.net.query_latency,
+        "{label}: query-latency histograms diverged"
+    );
+    assert_eq!(
+        sim.net.stale_age_hist, live.net.stale_age_hist,
+        "{label}: staleness-age histograms diverged"
+    );
+}
+
 fn assert_sim_live_agree(spec: ConformanceSpec) {
     assert_sim_live_agree_matrix(spec, &FULL_MATRIX);
 }
 
 fn assert_sim_live_agree_matrix(spec: ConformanceSpec, matrix: &[(usize, ShardMapMode)]) {
-    let (sim, sim_responses) = run_sim(&spec);
-    let (live, live_responses) = run_live(&spec);
+    let (sim, live) = (run_sim(&spec), run_live(&spec));
     let label = format!("{} x {} nodes", spec.kind, spec.nodes);
 
     // Every scripted query was answered in both runtimes.
     let total = spec.total_queries();
-    assert_eq!(sim_responses, total, "{label}: sim answered every query");
-    assert_eq!(live_responses, total, "{label}: live answered every query");
+    let answered = |outcome: &Outcome| outcome.net.client_responses;
+    assert_eq!(answered(&sim), total, "{label}: sim answered every query");
+    assert_eq!(answered(&live), total, "{label}: live answered every query");
 
-    // Cache-hit accounting agrees exactly.
     assert_eq!(
-        sim.stats.client_queries, live.stats.client_queries,
-        "{label}: client query counts diverged"
-    );
-    assert_eq!(
-        sim.stats.client_hits, live.stats.client_hits,
-        "{label}: cache-hit counts diverged"
-    );
-    assert_eq!(
-        sim.stats.first_time_misses, live.stats.first_time_misses,
-        "{label}: first-time miss counts diverged"
-    );
-    assert_eq!(
-        sim.stats.freshness_misses, 0,
+        (sim.stats.freshness_misses, live.stats.freshness_misses),
+        (0, 0),
         "{label}: nothing expires in-script"
     );
-    assert_eq!(live.stats.freshness_misses, 0, "{label}");
 
-    // Update delivery agrees: same message counts, and the same set of
-    // nodes ended up caching each key.
-    assert_eq!(
-        sim.stats.updates_received, live.stats.updates_received,
-        "{label}: update delivery counts diverged"
-    );
-    assert_eq!(
-        sim.stats.updates_forwarded, live.stats.updates_forwarded,
-        "{label}: update forward counts diverged"
-    );
-    assert_eq!(
-        sim.stats.neighbor_queries, live.stats.neighbor_queries,
-        "{label}: neighbor query counts diverged"
-    );
-    assert_eq!(
-        sim.cached_by, live.cached_by,
-        "{label}: the sets of caching nodes diverged"
-    );
-
-    // The decision plane agrees: cut-offs and clear-bit traffic match.
-    assert_eq!(
-        sim.stats.cutoffs, live.stats.cutoffs,
-        "{label}: cut-off counts diverged"
-    );
-    assert_eq!(
-        sim.stats.clear_bits_sent, live.stats.clear_bits_sent,
-        "{label}: clear-bit counts diverged"
-    );
-
-    // The economics agree byte-for-byte: both runtimes report identical
-    // justified/tracked maintenance-update counts and total hop counts.
+    // The caching sets, the economics, the failure plane and the
+    // observability plane agree byte-for-byte.
     assert!(
         sim.tracked > 0,
         "{label}: the refresh rounds must generate tracked maintenance updates"
     );
-    assert_eq!(
-        (sim.justified, sim.tracked),
-        (live.justified, live.tracked),
-        "{label}: justified-update accounting diverged"
-    );
-    assert_eq!(sim.hops, live.hops, "{label}: total hop counts diverged");
+    assert_outcomes_agree(&sim, &live, &label);
 
-    // The failure plane agrees: neither runtime hides drops or routing
-    // failures from the comparison (both are zero without a fault
-    // script; under one, the full breakdown must match).
     assert_eq!(
-        sim.routing_failures, live.routing_failures,
-        "{label}: routing-failure counts diverged"
-    );
-    assert_eq!(
-        sim.dropped_messages, live.dropped_messages,
-        "{label}: dropped-message counts diverged"
-    );
-    assert_eq!(sim.faults, live.faults, "{label}: fault counters diverged");
-
-    // The observability plane agrees byte-for-byte: the latency and
-    // staleness histograms are multiset summaries of per-event samples,
-    // so identical protocol behavior must produce identical bucket
-    // state. Under the conformance clock (zero per-hop latency) the
-    // latency samples are all zero — degenerate, but the *counts* still
-    // pin one sample per answered query / retried PFU / audit reply.
-    assert_eq!(
-        sim.query_latency, live.query_latency,
-        "{label}: query-latency histograms diverged"
-    );
-    assert_eq!(
-        sim.query_latency.count(),
-        sim_responses,
+        sim.net.query_latency.count(),
+        total,
         "{label}: one latency sample per answered query"
-    );
-    assert_eq!(
-        sim.stale_age_hist, live.stale_age_hist,
-        "{label}: staleness-age histograms diverged"
-    );
-    assert_eq!(
-        sim.stats.pfu_retry_age, live.stats.pfu_retry_age,
-        "{label}: PFU-retry-age histograms diverged"
-    );
-    assert_eq!(
-        sim.stats.audit_rtt, live.stats.audit_rtt,
-        "{label}: audit round-trip histograms diverged"
     );
 
     // No stale state at quiesce: the deleted key is gone everywhere.
@@ -181,12 +191,8 @@ fn assert_sim_live_agree_matrix(spec: ConformanceSpec, matrix: &[(usize, ShardMa
             shard_map,
             ..spec
         };
-        let (cell_live, cell_responses) = run_live(&cell);
+        let cell_live = run_live(&cell);
         let cell_label = format!("{label} @ {workers} workers / {shard_map}");
-        assert_eq!(
-            sim_responses, cell_responses,
-            "{cell_label}: answered-query counts diverged"
-        );
         assert_eq!(sim, cell_live, "{cell_label}: outcomes diverged");
     }
 }
@@ -226,7 +232,7 @@ fn sim_and_live_agree_on_chord_at_2k_nodes() {
 /// drop decisions on every link, identical crash bookkeeping — and the
 /// script must actually bite (messages dropped in every category).
 fn assert_sim_live_agree_under_faults(base: ConformanceSpec, label: &str) {
-    let (sim, sim_responses) = run_sim(&base);
+    let sim = run_sim(&base);
     // The DES is worker- and placement-blind; the live side must match
     // it from the serial pool, from a sharded one, and under either
     // shard-map mode.
@@ -237,56 +243,8 @@ fn assert_sim_live_agree_under_faults(base: ConformanceSpec, label: &str) {
             ..base
         };
         let label = format!("{label} @ {workers} workers / {shard_map}");
-        let (live, live_responses) = run_live(&spec);
-
-        // Byte-identical outcomes, including every fault counter.
-        assert_eq!(
-            sim_responses, live_responses,
-            "{label}: answered-query counts"
-        );
-        assert_eq!(sim.faults, live.faults, "{label}: fault counters diverged");
-        assert_eq!(
-            sim.dropped_messages, live.dropped_messages,
-            "{label}: dropped-message totals diverged"
-        );
-        assert_eq!(sim.stats, live.stats, "{label}: protocol counters diverged");
-        assert_eq!(
-            sim.cached_by, live.cached_by,
-            "{label}: caching sets diverged"
-        );
-        assert_eq!(sim.hops, live.hops, "{label}: hop counts diverged");
-        assert_eq!(
-            (sim.justified, sim.tracked),
-            (live.justified, live.tracked),
-            "{label}: justification diverged"
-        );
-        assert_eq!(
-            sim.routing_failures, live.routing_failures,
-            "{label}: routing failures diverged"
-        );
-        // The recovery counters are inside `stats`, but they are the
-        // point of the virtual clock — name them in the comparison.
-        assert_eq!(
-            sim.stats.pfu_retries, live.stats.pfu_retries,
-            "{label}: PFU-retry counts diverged"
-        );
-        assert_eq!(
-            (sim.faults.crashes, sim.faults.restarts),
-            (live.faults.crashes, live.faults.restarts),
-            "{label}: crash-recovery counters diverged"
-        );
-        // Observability under fire: the latency/staleness histograms
-        // must keep agreeing byte-for-byte even when drops and crashes
-        // reshuffle delivery — swallowed queries must be *forgotten* by
-        // both runtimes, not recorded by one.
-        assert_eq!(
-            sim.query_latency, live.query_latency,
-            "{label}: query-latency histograms diverged under faults"
-        );
-        assert_eq!(
-            sim.stale_age_hist, live.stale_age_hist,
-            "{label}: staleness-age histograms diverged under faults"
-        );
+        let live = run_live(&spec);
+        assert_outcomes_agree(&sim, &live, &label);
     }
     // Each fired retry contributed a PFU-age sample.
     assert_eq!(
@@ -308,23 +266,23 @@ fn sim_and_live_agree_under_faults_on_can() {
     let spec = ConformanceSpec::faulty(OverlayKind::Can);
     // The script must be non-trivial: loss, crash, and partition all
     // fired and all dropped something.
-    let (sim, _) = run_sim(&spec);
-    assert!(sim.faults.dropped_loss > 0, "loss never bit");
-    assert!(sim.faults.dropped_partition > 0, "partition never bit");
-    assert_eq!(sim.faults.crashes, 1);
-    assert_eq!(sim.faults.restarts, 1);
-    assert!(sim.dropped_messages > 0);
+    let sim = run_sim(&spec);
+    assert!(sim.net.faults.dropped_loss > 0, "loss never bit");
+    assert!(sim.net.faults.dropped_partition > 0, "partition never bit");
+    assert_eq!(sim.net.faults.crashes, 1);
+    assert_eq!(sim.net.faults.restarts, 1);
+    assert!(sim.net.faults.dropped() > 0);
     assert_sim_live_agree_under_faults(spec, "can faulty");
 }
 
 #[test]
 fn sim_and_live_agree_under_faults_on_chord() {
     let spec = ConformanceSpec::faulty(OverlayKind::Chord);
-    let (sim, _) = run_sim(&spec);
-    assert!(sim.faults.dropped_loss > 0, "loss never bit");
-    assert!(sim.faults.dropped_partition > 0, "partition never bit");
-    assert_eq!(sim.faults.crashes, 1);
-    assert_eq!(sim.faults.restarts, 1);
+    let sim = run_sim(&spec);
+    assert!(sim.net.faults.dropped_loss > 0, "loss never bit");
+    assert!(sim.net.faults.dropped_partition > 0, "partition never bit");
+    assert_eq!(sim.net.faults.crashes, 1);
+    assert_eq!(sim.net.faults.restarts, 1);
     assert_sim_live_agree_under_faults(spec, "chord faulty");
 }
 
@@ -337,13 +295,13 @@ fn sim_and_live_agree_under_faults_on_chord() {
 fn assert_sim_live_agree_on_timed_windows(kind: OverlayKind) {
     let spec = ConformanceSpec::timed(kind);
     let label = format!("{kind} timed");
-    let (sim, _) = run_sim(&spec);
+    let sim = run_sim(&spec);
     // Every window must bite: loss dropped messages, the crash cycle
     // completed, and the stranded-PFU recovery path actually ran.
-    assert!(sim.faults.dropped_loss > 0, "{label}: loss never bit");
-    assert_eq!(sim.faults.crashes, 1, "{label}");
-    assert_eq!(sim.faults.restarts, 1, "{label}");
-    assert!(sim.dropped_messages > 0, "{label}");
+    assert!(sim.net.faults.dropped_loss > 0, "{label}: loss never bit");
+    assert_eq!(sim.net.faults.crashes, 1, "{label}");
+    assert_eq!(sim.net.faults.restarts, 1, "{label}");
+    assert!(sim.net.faults.dropped() > 0, "{label}");
     assert_sim_live_agree_under_faults(spec, &label);
 }
 
@@ -368,25 +326,25 @@ fn sim_and_live_agree_on_timed_windows_on_chord() {
 /// in different orders.
 fn assert_sim_live_agree_under_byzantine(kind: OverlayKind) {
     let spec = ConformanceSpec::byzantine(kind);
-    let (sim, sim_responses) = run_sim(&spec);
+    let sim = run_sim(&spec);
 
     // The attack bit: the witness answered clients from poisoned state
     // (the stale server swallowed the deletion before it could arrive),
     // and the maintenance plane was corrupted.
     assert!(
-        sim.poisoned_answers > 0,
+        sim.net.stale_answers > 0,
         "{kind} byzantine: no poisoned answer was ever served"
     );
     assert!(
-        sim.poisoned_age_micros > 0,
+        sim.net.stale_age_micros > 0,
         "{kind} byzantine: poisoned answers must age past the deletion"
     );
     assert!(
-        sim.faults.byz_updates_swallowed > 0,
+        sim.net.faults.byz_updates_swallowed > 0,
         "{kind} byzantine: the stale server never swallowed the deletion"
     );
     assert!(
-        sim.faults.byz_updates_dropped > 0,
+        sim.net.faults.byz_updates_dropped > 0,
         "{kind} byzantine: the update-dropper never bit a refresh forward"
     );
 
@@ -420,57 +378,8 @@ fn assert_sim_live_agree_under_byzantine(kind: OverlayKind) {
             ..spec
         };
         let label = format!("{kind} byzantine @ {workers} workers / {shard_map}");
-        let (live, live_responses) = run_live(&live_spec);
-
-        assert_eq!(
-            sim_responses, live_responses,
-            "{label}: answered-query counts"
-        );
-        assert_eq!(
-            (sim.poisoned_answers, sim.poisoned_age_micros),
-            (live.poisoned_answers, live.poisoned_age_micros),
-            "{label}: poisoned-answer accounting diverged"
-        );
-        assert_eq!(sim.faults, live.faults, "{label}: fault counters diverged");
-        assert_eq!(sim.stats, live.stats, "{label}: protocol counters diverged");
-        assert_eq!(
-            sim.cached_by, live.cached_by,
-            "{label}: caching sets diverged"
-        );
-        assert_eq!(sim.hops, live.hops, "{label}: hop counts diverged");
-        assert_eq!(
-            (sim.justified, sim.tracked),
-            (live.justified, live.tracked),
-            "{label}: justification diverged"
-        );
-        assert_eq!(
-            sim.routing_failures, live.routing_failures,
-            "{label}: routing failures diverged"
-        );
-        assert_eq!(
-            sim.dropped_messages, live.dropped_messages,
-            "{label}: dropped-message totals diverged"
-        );
-        // Name the adversarial counters individually: they are inside
-        // `stats`/`faults`, but they are the point of this plane.
-        assert_eq!(
-            (sim.stats.audits_started, sim.stats.audit_repairs),
-            (live.stats.audits_started, live.stats.audit_repairs),
-            "{label}: audit round/repair counters diverged"
-        );
-        assert_eq!(
-            (
-                sim.faults.byz_updates_swallowed,
-                sim.faults.byz_updates_dropped,
-                sim.faults.byz_refresh_lies
-            ),
-            (
-                live.faults.byz_updates_swallowed,
-                live.faults.byz_updates_dropped,
-                live.faults.byz_refresh_lies
-            ),
-            "{label}: behavior-fault counters diverged"
-        );
+        let live = run_live(&live_spec);
+        assert_outcomes_agree(&sim, &live, &label);
     }
 }
 

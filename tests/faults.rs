@@ -126,11 +126,10 @@ fn live_fault_outcomes_are_identical_across_worker_counts() {
             workers: 4,
             ..ConformanceSpec::faulty(kind)
         };
-        let (serial, serial_responses) = run_live(&spec_serial);
-        let (pool, pool_responses) = run_live(&spec_pool);
-        assert_eq!(serial_responses, pool_responses, "{kind}");
+        let (serial, pool) = (run_live(&spec_serial), run_live(&spec_pool));
         assert_eq!(serial, pool, "{kind}: worker count leaked into the outcome");
-        assert!(serial.faults.dropped() > 0, "{kind}: the script must bite");
+        let faults = serial.net.faults;
+        assert!(faults.dropped() > 0, "{kind}: the script must bite");
     }
 }
 
@@ -149,13 +148,12 @@ fn timed_window_live_outcomes_are_identical_across_worker_counts() {
             workers: 4,
             ..ConformanceSpec::timed(kind)
         };
-        let (serial, serial_responses) = run_live(&spec_serial);
-        let (pool, pool_responses) = run_live(&spec_pool);
-        assert_eq!(serial_responses, pool_responses, "{kind}");
+        let (serial, pool) = (run_live(&spec_serial), run_live(&spec_pool));
         assert_eq!(serial, pool, "{kind}: worker count leaked into the outcome");
-        assert!(serial.faults.dropped() > 0, "{kind}: the windows must bite");
-        assert_eq!(serial.faults.crashes, 1, "{kind}: the crash window fired");
-        assert_eq!(serial.faults.restarts, 1, "{kind}: the restart edge fired");
+        let faults = serial.net.faults;
+        assert!(faults.dropped() > 0, "{kind}: the windows must bite");
+        assert_eq!(faults.crashes, 1, "{kind}: the crash window fired");
+        assert_eq!(faults.restarts, 1, "{kind}: the restart edge fired");
         assert!(
             serial.stats.pfu_retries > 0,
             "{kind}: the un-parked PFU timeout must fire retries live"
@@ -274,7 +272,8 @@ fn lost_clear_bits_resend_instead_of_assuming_delivery() {
         origin: SimTime::from_secs(at),
         window_end: SimTime::MAX,
     };
-    let first = node.handle_update(SimTime::from_secs(10), NodeId(9), refresh(10));
+    let (mut first, mut second, from) = (Vec::new(), Vec::new(), NodeId(9));
+    node.handle_update_into(SimTime::from_secs(10), from, refresh(10), &mut first);
     assert_eq!(
         first,
         vec![Action::send(NodeId(9), Message::ClearBit { key: KeyId(1) })],
@@ -282,7 +281,7 @@ fn lost_clear_bits_resend_instead_of_assuming_delivery() {
     );
     // The Clear-Bit was dropped: the parent pushes again. The node must
     // re-send rather than assume the first one arrived.
-    let second = node.handle_update(SimTime::from_secs(300), NodeId(9), refresh(300));
+    node.handle_update_into(SimTime::from_secs(300), from, refresh(300), &mut second);
     assert_eq!(
         second,
         vec![Action::send(NodeId(9), Message::ClearBit { key: KeyId(1) })],

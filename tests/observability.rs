@@ -25,8 +25,8 @@ const TRACE_CAP: usize = 1 << 16;
 
 fn assert_traces_agree(spec: ConformanceSpec) {
     let label = format!("{} x {} nodes", spec.kind, spec.nodes);
-    let (sim_out, _, sim_trace) = run_sim_traced(&spec, TRACE_CAP);
-    let (live_out, _, live_trace) = run_live_traced(&spec, TRACE_CAP);
+    let (sim_out, sim_trace) = run_sim_traced(&spec, TRACE_CAP);
+    let (live_out, live_trace) = run_live_traced(&spec, TRACE_CAP);
 
     assert_eq!(sim_trace.dropped(), 0, "{label}: sim trace overflowed");
     assert_eq!(live_trace.dropped(), 0, "{label}: live trace overflowed");
@@ -56,8 +56,7 @@ fn assert_traces_agree(spec: ConformanceSpec) {
     );
 
     // Observer effect: tracing must not change the outcome.
-    let (sim_plain, _) = run_sim(&spec);
-    let (live_plain, _) = run_live(&spec);
+    let (sim_plain, live_plain) = (run_sim(&spec), run_live(&spec));
     assert_eq!(sim_out, sim_plain, "{label}: tracing changed the sim run");
     assert_eq!(
         live_out, live_plain,
@@ -90,8 +89,8 @@ fn trace_diff_pinpoints_a_perturbed_run() {
         script_seed: base.script_seed + 1,
         ..base
     };
-    let (_, _, a) = run_sim_traced(&base, TRACE_CAP);
-    let (_, _, b) = run_sim_traced(&perturbed, TRACE_CAP);
+    let (_, a) = run_sim_traced(&base, TRACE_CAP);
+    let (_, b) = run_sim_traced(&perturbed, TRACE_CAP);
     let div = trace_diff(&a, &b).expect("perturbing the script seed must move some event");
     // The divergence names a real position in at least one trace, and
     // the events there genuinely differ.
@@ -111,11 +110,11 @@ fn trace_diff_pinpoints_a_perturbed_run() {
 #[test]
 fn traces_are_reproducible_across_reruns() {
     let spec = ConformanceSpec::small(OverlayKind::Chord);
-    let (_, _, a) = run_sim_traced(&spec, TRACE_CAP);
-    let (_, _, b) = run_sim_traced(&spec, TRACE_CAP);
+    let (_, a) = run_sim_traced(&spec, TRACE_CAP);
+    let (_, b) = run_sim_traced(&spec, TRACE_CAP);
     assert_eq!(a.sorted(), b.sorted());
-    let (_, _, c) = run_live_traced(&spec, TRACE_CAP);
-    let (_, _, d) = run_live_traced(&spec, TRACE_CAP);
+    let (_, c) = run_live_traced(&spec, TRACE_CAP);
+    let (_, d) = run_live_traced(&spec, TRACE_CAP);
     assert_eq!(c.sorted(), d.sorted());
 }
 
@@ -124,9 +123,9 @@ fn traces_are_reproducible_across_reruns() {
 #[test]
 fn tiny_trace_capacity_keeps_the_tail() {
     let spec = ConformanceSpec::small(OverlayKind::Can);
-    let (_, _, full) = run_sim_traced(&spec, TRACE_CAP);
+    let (_, full) = run_sim_traced(&spec, TRACE_CAP);
     let cap = 32;
-    let (_, _, small) = run_sim_traced(&spec, cap);
+    let (_, small) = run_sim_traced(&spec, cap);
     assert_eq!(small.len(), cap, "ring must be full");
     assert_eq!(
         small.dropped() + cap as u64,

@@ -11,17 +11,17 @@
 //! name in a doc comment or an error string no longer trips the gate.
 
 use cup_lint::engine::{self, Rule, Workspace};
-use cup_lint::rules::{WallClock, WALL_CLOCK_BANNED, WALL_CLOCK_DESIGNATED, WALL_CLOCK_SCOPE};
+use cup_lint::rules::WALL_CLOCK;
 
 #[test]
 fn wall_time_never_leaks_into_protocol_crates() {
     let root = cup_lint::workspace_root();
-    let ws = Workspace::load(&root, WALL_CLOCK_SCOPE);
+    let ws = Workspace::load(&root, WALL_CLOCK.scope);
     assert!(
         ws.files.len() > 10,
         "the scan must actually cover the crates"
     );
-    let report = engine::run(&ws, &[&WallClock as &dyn Rule]);
+    let report = engine::run(&ws, &[&WALL_CLOCK as &dyn Rule]);
     let violations: Vec<String> = report
         .denied()
         .map(|f| format!("{}:{}: {}", f.path, f.line, f.message))
@@ -42,7 +42,7 @@ fn the_rule_still_fires_on_a_planted_violation() {
         "crates/runtime/src/planted.rs",
         "fn nap(d: Duration) { std::thread::sleep(d); }\n",
     )]);
-    let report = engine::run(&ws, &[&WallClock as &dyn Rule]);
+    let report = engine::run(&ws, &[&WALL_CLOCK as &dyn Rule]);
     assert_eq!(report.denied().count(), 1);
 }
 
@@ -52,14 +52,13 @@ fn the_designated_module_still_exists() {
     // rather than silently exempting nothing.
     let root = cup_lint::workspace_root();
     assert!(
-        root.join("crates/core/src")
-            .join(WALL_CLOCK_DESIGNATED)
-            .is_file(),
-        "crates/core/src/{WALL_CLOCK_DESIGNATED} is the one module allowed to touch the wall \
-         clock; update cup_lint::rules if it moved"
+        root.join(WALL_CLOCK.designated).is_file(),
+        "{} is the one module allowed to touch the wall clock; update cup_lint::rules if it \
+         moved",
+        WALL_CLOCK.designated
     );
     assert!(
-        WALL_CLOCK_BANNED.contains(&"thread::sleep"),
+        WALL_CLOCK.banned.contains(&"thread::sleep"),
         "the banned-construct list must keep covering sleeps"
     );
 }
