@@ -8,7 +8,7 @@
 use cup_des::{KeyId, ReplicaId, SimDuration, SimTime};
 
 /// One index entry: "replica `replica` serves key `key`".
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexEntry {
     /// The key this entry indexes.
     pub key: KeyId,

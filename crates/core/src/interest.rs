@@ -7,15 +7,27 @@
 //! (a neighbor is either interested or not), and churn patching becomes
 //! plain set operations instead of bit-vector surgery. The paper itself
 //! notes this bookkeeping is local and "involves no network overhead".
-
-use std::collections::BTreeSet;
+//!
+//! The set is a sorted `InlineVec` (`crate::inline`) of four ids: at the
+//! end of the four ledger workloads at most four neighbors are
+//! interested in 99.9 % of a CAN node's keys and 97–99 % of a Chord
+//! node's (none or one in 82–96 %), so the set owns no heap memory in
+//! the common case and copying it is a 24-byte stack copy. Keeping it
+//! sorted makes iteration ascending, which is the order updates are
+//! forwarded in and therefore part of the sim-vs-live byte identity.
 
 use cup_des::NodeId;
+
+use crate::inline::InlineVec;
+
+/// Interested neighbors a key holds in place (see the module docs).
+const INLINE_INTEREST: usize = 4;
 
 /// The set of neighbors interested in updates for one key.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InterestSet {
-    interested: BTreeSet<NodeId>,
+    /// Ascending, no duplicates.
+    interested: InlineVec<NodeId, INLINE_INTEREST>,
 }
 
 impl InterestSet {
@@ -26,18 +38,26 @@ impl InterestSet {
 
     /// Marks `neighbor` as interested (sets its bit).
     pub fn set(&mut self, neighbor: NodeId) {
-        self.interested.insert(neighbor);
+        if let Err(at) = self.interested.binary_search(&neighbor) {
+            self.interested.insert(at, neighbor);
+        }
     }
 
     /// Clears `neighbor`'s interest (a Clear-Bit message arrived, or the
     /// neighbor departed). Returns `true` if it was set.
     pub fn clear(&mut self, neighbor: NodeId) -> bool {
-        self.interested.remove(&neighbor)
+        match self.interested.binary_search(&neighbor) {
+            Ok(at) => {
+                self.interested.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
     }
 
     /// Returns `true` if `neighbor` is interested.
     pub fn contains(&self, neighbor: NodeId) -> bool {
-        self.interested.contains(&neighbor)
+        self.interested.binary_search(&neighbor).is_ok()
     }
 
     /// Returns `true` if no neighbor is interested.
@@ -61,9 +81,9 @@ impl InterestSet {
     /// neighbor is remapped to the successor, preserving the update flow
     /// for nodes that depended on the departed node.
     pub fn remap(&mut self, departed: NodeId, successor: Option<NodeId>) {
-        if self.interested.remove(&departed) {
+        if self.clear(departed) {
             if let Some(s) = successor {
-                self.interested.insert(s);
+                self.set(s);
             }
         }
     }
@@ -122,5 +142,62 @@ mod tests {
         s.remap(NodeId(2), Some(NodeId(7)));
         assert!(s.contains(NodeId(1)));
         assert!(!s.contains(NodeId(7)));
+    }
+
+    #[test]
+    fn remap_onto_an_interested_successor_does_not_duplicate_it() {
+        let mut s = InterestSet::new();
+        s.set(NodeId(2));
+        s.set(NodeId(7));
+        s.remap(NodeId(2), Some(NodeId(7)));
+        assert_eq!(s.iter().collect::<Vec<_>>(), vec![NodeId(7)]);
+    }
+
+    /// The model: a plain `Vec` kept sorted and free of duplicates.
+    fn model_set(model: &mut Vec<NodeId>, n: NodeId) {
+        if !model.contains(&n) {
+            model.push(n);
+            model.sort_unstable();
+        }
+    }
+
+    fn model_clear(model: &mut Vec<NodeId>, n: NodeId) -> bool {
+        let before = model.len();
+        model.retain(|&m| m != n);
+        model.len() < before
+    }
+
+    proptest::proptest! {
+        /// Random set / clear / remap sequences against the model, over
+        /// enough ids to spill past the inline capacity and come back:
+        /// membership, length and ascending iteration agree after every
+        /// step.
+        #[test]
+        fn matches_a_sorted_vec_model(ops in proptest::collection::vec((0u32..4, 0u32..10, 0u32..11), 0..160)) {
+            let mut set = InterestSet::new();
+            let mut model: Vec<NodeId> = Vec::new();
+            for (op, a, b) in ops {
+                let (a, successor) = (NodeId(a), (b < 10).then_some(NodeId(b)));
+                match op {
+                    0 | 1 => {
+                        set.set(a);
+                        model_set(&mut model, a);
+                    }
+                    2 => proptest::prop_assert_eq!(set.clear(a), model_clear(&mut model, a)),
+                    _ => {
+                        set.remap(a, successor);
+                        if model_clear(&mut model, a) {
+                            if let Some(s) = successor {
+                                model_set(&mut model, s);
+                            }
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(set.len(), model.len());
+                proptest::prop_assert_eq!(set.is_empty(), model.is_empty());
+                proptest::prop_assert_eq!(set.contains(a), model.contains(&a));
+                proptest::prop_assert!(set.iter().eq(model.iter().copied()), "ascending, no duplicates");
+            }
+        }
     }
 }

@@ -4,11 +4,39 @@
 //! entries, the Pending-First-Update flag, the interest record over
 //! neighbors, the popularity measure, and any local clients whose
 //! connections are held open awaiting a fresh answer.
+//!
+//! CUP's scaling argument is that this record is tiny, so it is laid out
+//! to be: a [`KeyState`] is at most 160 bytes (checked at compile time
+//! below) and owns no heap memory in the common case. The capacities are
+//! read off the four ledger workloads' end-of-run states, not tuned per
+//! run:
+//!
+//! * **entries** hold one replica in place — 87–100 % of states cache
+//!   zero or one entry, none more than four;
+//! * **interest** holds four neighbors in place (see
+//!   [`crate::interest`]);
+//! * **tombstones** hold three replicas in place — over half of a
+//!   long-running node's states carry one or two, so they are not behind
+//!   a box;
+//! * **waiters** (held-open clients, requesters to answer) exist only
+//!   between a miss and its first-time update — 0.2–11 % of states at
+//!   any instant — and live in one box that the answer frees; when the
+//!   answer comes, at most two of either kind are waiting in 97–100 %
+//!   of cases (Chord's high-in-degree nodes are the tail), so the box
+//!   holds two of each in place and a miss costs one allocation;
+//! * **audit** and **refresh** state belong to planes
+//!   `NodeConfig::cup_default()` leaves off (the sampled audit; §3.6
+//!   suppression and aggregation at the authority), each behind a box
+//!   that the first use allocates.
+//!
+//! The short lists are all one type, `crate::inline::InlineVec`, which
+//! spills to the heap past its capacity and comes back.
 
 use cup_des::{ReplicaId, SimTime};
 
 use crate::audit::AuditTally;
 use crate::entry::IndexEntry;
+use crate::inline::InlineVec;
 use crate::interest::InterestSet;
 use crate::message::{ClientId, Requester, Update, UpdateKind};
 use crate::policy::PolicyState;
@@ -18,15 +46,26 @@ use crate::popularity::Popularity;
 /// dropped tombstone's entry has long expired anyway).
 const RETIRED_CAP: usize = 8;
 
+/// Cached entries a key holds in place (see the module docs).
+const INLINE_ENTRIES: usize = 1;
+
+/// Tombstones a key holds in place.
+const INLINE_RETIRED: usize = 3;
+
+/// Waiters of either kind the box holds in place.
+const INLINE_WAITERS: usize = 2;
+
 /// All state a node keeps for one cached (non-local) key.
 #[derive(Debug, Clone, Default)]
 pub struct KeyState {
     /// Cached index entries (disjoint from any local directory).
-    entries: Vec<IndexEntry>,
+    entries: InlineVec<IndexEntry, INLINE_ENTRIES>,
     /// Set while a first-time update is awaited; coalesces query bursts.
     pub pending_first_update: bool,
     /// When the flag was set (guards against lost responses).
     pub pfu_since: SimTime,
+    /// Who is waiting for that update; `None` when nobody is.
+    pub(crate) waiters: Option<Box<Waiters>>,
     /// Which neighbors want updates for this key.
     pub interest: InterestSet,
     /// Popularity measure driving cut-off decisions.
@@ -34,24 +73,51 @@ pub struct KeyState {
     /// Per-key propagation-policy decision state (interval observations
     /// and, for the adaptive policy, its tuned tolerance).
     pub policy_state: PolicyState,
-    /// Local clients with connections held open (CUP mode; §2.5).
-    pub waiting_clients: Vec<ClientId>,
-    /// Pending requesters in standard-caching mode (per-query response
-    /// routing, no coalescing).
-    pub pending_requesters: Vec<Requester>,
     /// Distance from the authority as carried by the most recent update.
     pub last_depth: u32,
-    /// Delete tombstones: replicas this node has seen retired, newest
-    /// last. This is the firsthand negative knowledge the sampled cache
-    /// audit exchanges — a node that only *lacks* an entry cannot say
-    /// whether it never knew it or saw it die.
-    pub retired: Vec<ReplicaId>,
+    /// Delete tombstones, newest last (see [`KeyState::retired`]).
+    retired: InlineVec<ReplicaId, INLINE_RETIRED>,
+    /// Sampled-audit state; `None` until this key's first audit round.
+    pub(crate) audit: Option<Box<AuditState>>,
+    /// Authority-side §3.6 refresh state; `None` until first needed.
+    pub(crate) refresh: Option<Box<RefreshState>>,
+}
+
+const _: () = assert!(std::mem::size_of::<KeyState>() <= 160);
+
+/// Who a node owes an answer for one key once its first-time update
+/// arrives.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Waiters {
+    /// Local clients with connections held open (CUP mode; §2.5).
+    pub(crate) clients: InlineVec<ClientId, INLINE_WAITERS>,
+    /// Requesters to route the response to: the waiting neighbors in CUP
+    /// mode (one each, however many queries it coalesced), every
+    /// requester in arrival order in standard-caching mode.
+    pub(crate) requesters: InlineVec<Requester, INLINE_WAITERS>,
+}
+
+/// One key's sampled-audit bookkeeping at the auditing node.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AuditState {
     /// When this key was last audited here (the audit rate-limit anchor).
-    pub last_audit: SimTime,
+    pub(crate) last_audit: SimTime,
     /// Audit rounds started here for this key (the probe round nonce).
-    pub audit_round: u64,
+    pub(crate) round: u64,
     /// The in-flight audit round's tally, if one is open.
-    pub audit: Option<AuditTally>,
+    pub(crate) tally: Option<AuditTally>,
+}
+
+/// One key's §3.6 refresh-overhead state at its authority.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct RefreshState {
+    /// Suppression: refreshes seen since the last one propagated.
+    pub(crate) skips: u32,
+    /// Aggregation: when the filling batch opened.
+    pub(crate) batch_opened: SimTime,
+    /// Aggregation: refreshed entries awaiting the batching window
+    /// (empty: no batch is open).
+    pub(crate) batch: Vec<IndexEntry>,
 }
 
 impl KeyState {
@@ -85,6 +151,19 @@ impl KeyState {
         &self.entries
     }
 
+    /// Delete tombstones: replicas this node has seen retired, newest
+    /// last. This is the firsthand negative knowledge the sampled cache
+    /// audit exchanges — a node that only *lacks* an entry cannot say
+    /// whether it never knew it or saw it die.
+    pub fn retired(&self) -> &[ReplicaId] {
+        &self.retired
+    }
+
+    /// The waiters, allocated on first use.
+    pub(crate) fn waiters_mut(&mut self) -> &mut Waiters {
+        self.waiters.get_or_insert_with(Box::default)
+    }
+
     /// Applies an update to the cached entry set.
     ///
     /// First-time updates replace the whole set (they carry the
@@ -93,7 +172,7 @@ impl KeyState {
     pub fn apply(&mut self, update: &Update) {
         match update.kind {
             UpdateKind::FirstTime => {
-                self.entries = update.entries.clone();
+                self.entries = InlineVec::from_slice(&update.entries);
             }
             UpdateKind::Refresh | UpdateKind::Append => {
                 for e in &update.entries {
@@ -261,22 +340,22 @@ mod tests {
             vec![entry(0, 0, 100), entry(1, 0, 100)],
         ));
         st.apply(&update(UpdateKind::Delete, 0, vec![entry(0, 0, 100)]));
-        assert_eq!(st.retired, vec![ReplicaId(0)], "delete tombstones");
+        assert_eq!(st.retired(), vec![ReplicaId(0)], "delete tombstones");
         st.apply(&update(UpdateKind::Delete, 0, vec![entry(0, 0, 100)]));
-        assert_eq!(st.retired.len(), 1, "tombstones dedup");
+        assert_eq!(st.retired().len(), 1, "tombstones dedup");
 
         // Repair: evict a served replica, adopt the quorum's entries —
         // except ones we have tombstones for.
         st.audit_repair(&[ReplicaId(1)], &[entry(0, 50, 100), entry(2, 50, 100)]);
         assert_eq!(st.entries().len(), 1);
         assert_eq!(st.entries()[0].replica, ReplicaId(2));
-        assert!(st.retired.contains(&ReplicaId(1)), "eviction tombstones");
+        assert!(st.retired().contains(&ReplicaId(1)), "eviction tombstones");
         // The cap bounds the list.
         for r in 10..30 {
             st.mark_retired(ReplicaId(r));
         }
-        assert_eq!(st.retired.len(), 8);
-        assert!(st.retired.contains(&ReplicaId(29)), "newest kept");
+        assert_eq!(st.retired().len(), 8);
+        assert!(st.retired().contains(&ReplicaId(29)), "newest kept");
     }
 
     #[test]

@@ -47,9 +47,11 @@ pub mod clock;
 pub mod config;
 pub mod directory;
 pub mod entry;
+mod inline;
 pub mod interest;
 pub mod justify;
 pub mod keystate;
+mod keytable;
 pub mod message;
 pub mod node;
 pub mod obs;

@@ -10,7 +10,7 @@ use cup_des::{KeyId, NodeId, ReplicaId, SimDuration, SimTime};
 use crate::entry::IndexEntry;
 
 /// Identifies a local client connection waiting for a query response.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ClientId(pub u64);
 
 /// Who posted a query at a node.
@@ -21,6 +21,14 @@ pub enum Requester {
     /// A local client posted the query; the node keeps the connection open
     /// until it can return a fresh answer (§2.5).
     Client(ClientId),
+}
+
+/// A placeholder for the unused slots of an in-place waiter list, never
+/// a requester anyone answers.
+impl Default for Requester {
+    fn default() -> Self {
+        Requester::Client(ClientId::default())
+    }
 }
 
 /// The four update categories of §2.4.

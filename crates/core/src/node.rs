@@ -7,18 +7,25 @@
 //! runtime-agnostic: handlers take the current time and emit
 //! [`Action`]s; the embedding runtime routes queries (supplying the
 //! `upstream` next hop toward each key's authority) and delivers messages.
-
-use std::collections::HashMap;
+//!
+//! Everything a node knows about a key — cache, flags, interest, the
+//! authority-side refresh state — is one [`KeyState`] record in the
+//! node's key table (`crate::keytable`). Each handler finds that record
+//! once and works on it; the helpers below take the record (or what they
+//! need from it) instead of the key, so no path looks a key up twice or
+//! has to assume a second lookup succeeds.
 
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
 
 use crate::action::Action;
 use crate::audit::{sample_targets, AuditTally};
 use crate::capacity::OutgoingQueues;
-use crate::config::{Mode, NodeConfig};
+use crate::config::{AuditConfig, Mode, NodeConfig};
 use crate::directory::{DirectoryChange, LocalDirectory};
 use crate::entry::IndexEntry;
-use crate::keystate::KeyState;
+use crate::interest::InterestSet;
+use crate::keystate::{KeyState, Waiters};
+use crate::keytable::KeyTable;
 use crate::message::{Message, ReplicaEvent, Requester, Update, UpdateKind};
 use crate::policy::CutoffContext;
 use crate::stats::NodeStats;
@@ -32,24 +39,11 @@ const NO_REPLICA: cup_des::ReplicaId = cup_des::ReplicaId(u32::MAX);
 pub struct CupNode {
     id: NodeId,
     config: NodeConfig,
-    keys: HashMap<KeyId, KeyState>,
+    keys: KeyTable,
     directory: LocalDirectory,
     outgoing: OutgoingQueues,
-    /// §3.6 refresh suppression: per-key count of refreshes seen since
-    /// the last one propagated.
-    refresh_skips: HashMap<KeyId, u32>,
-    /// §3.6 refresh aggregation: per-key batch of refreshed entries
-    /// awaiting the batching window.
-    refresh_batches: HashMap<KeyId, RefreshBatch>,
     /// Local protocol counters (no network cost).
     pub stats: NodeStats,
-}
-
-/// A pending batch of aggregated replica refreshes.
-#[derive(Debug, Clone)]
-struct RefreshBatch {
-    opened: SimTime,
-    entries: Vec<IndexEntry>,
 }
 
 impl CupNode {
@@ -58,11 +52,9 @@ impl CupNode {
         CupNode {
             id,
             config,
-            keys: HashMap::new(),
+            keys: KeyTable::default(),
             directory: LocalDirectory::new(),
             outgoing: OutgoingQueues::new(),
-            refresh_skips: HashMap::new(),
-            refresh_batches: HashMap::new(),
             stats: NodeStats::default(),
         }
     }
@@ -87,7 +79,7 @@ impl CupNode {
 
     /// Read access to the per-key state (tests and diagnostics).
     pub fn key_state(&self, key: KeyId) -> Option<&KeyState> {
-        self.keys.get(&key)
+        self.keys.get(key)
     }
 
     /// Read access to the local index directory.
@@ -134,7 +126,7 @@ impl CupNode {
             return;
         };
 
-        let st = self.keys.entry(key).or_default();
+        let st = self.keys.get_or_default(key);
         st.popularity.record_query();
         if let Requester::Neighbor(n) = from {
             st.interest.set(n);
@@ -145,11 +137,13 @@ impl CupNode {
                 self.stats.client_hits += 1;
             }
             let entries = st.fresh_entries(now);
-            let depth = st.last_depth;
-            self.respond(from, key, entries, depth.saturating_add(1), now, out);
+            let depth = st.last_depth.saturating_add(1);
+            respond(&mut self.stats, from, key, entries, depth, now, out);
             // Served from cache: the moment worth double-checking the
             // cache's honesty (traffic-driven, rate-limited).
-            self.maybe_audit(now, key, out);
+            if let Some(cfg) = self.config.audit {
+                maybe_audit(&cfg, self.id, &mut self.stats, st, now, key, out);
+            }
             return;
         }
 
@@ -165,14 +159,15 @@ impl CupNode {
         match self.config.mode {
             Mode::Cup => {
                 match from {
-                    Requester::Client(c) => st.waiting_clients.push(c),
+                    Requester::Client(c) => st.waiters_mut().clients.push(c),
                     Requester::Neighbor(_) => {
                         // Remember the waiting neighbor so the first-time
                         // update (the response) reaches it. Coalescing:
                         // one response per neighbor however many queries
                         // it coalesces on its own side.
-                        if !st.pending_requesters.contains(&from) {
-                            st.pending_requesters.push(from);
+                        let requesters = &mut st.waiters_mut().requesters;
+                        if !requesters.contains(&from) {
+                            requesters.push(from);
                         }
                     }
                 }
@@ -196,7 +191,7 @@ impl CupNode {
             Mode::StandardCaching => {
                 // No coalescing: every missing query is forwarded and the
                 // requester recorded for per-query response routing.
-                st.pending_requesters.push(from);
+                st.waiters_mut().requesters.push(from);
                 out.push(Action::send(upstream, Message::Query { key }));
             }
         }
@@ -218,49 +213,11 @@ impl CupNode {
             if let Requester::Neighbor(n) = from {
                 // Register the neighbor so future replica updates flow to
                 // it.
-                self.keys.entry(key).or_default().interest.set(n);
+                self.keys.get_or_default(key).interest.set(n);
             }
         }
         let entries = self.directory.fresh_entries(key, now);
-        self.respond(from, key, entries, 1, now, out);
-    }
-
-    /// Builds the response to one requester: a client gets its held-open
-    /// connection answered; a neighbor gets a first-time update.
-    fn respond(
-        &mut self,
-        to: Requester,
-        key: KeyId,
-        entries: Vec<IndexEntry>,
-        depth: u32,
-        now: SimTime,
-        out: &mut Vec<Action>,
-    ) {
-        match to {
-            Requester::Client(client) => out.push(Action::RespondClient {
-                client,
-                key,
-                entries,
-            }),
-            Requester::Neighbor(n) => {
-                let replica = entries.first().map_or(NO_REPLICA, |e| e.replica);
-                let update = Update {
-                    key,
-                    kind: UpdateKind::FirstTime,
-                    entries,
-                    replica,
-                    depth,
-                    origin: now,
-                    window_end: SimTime::MAX,
-                };
-                self.stats.updates_forwarded += 1;
-                // Responses are not throttled: a capacity-limited node
-                // stops *maintaining* downstream caches (its dependents
-                // fall back to standard caching, §2.8), but it still
-                // answers queries.
-                out.push(Action::send(n, Message::Update(update)));
-            }
-        }
+        respond(&mut self.stats, from, key, entries, 1, now, out);
     }
 
     /// Handles an update arriving from upstream neighbor `from` (§2.6).
@@ -285,68 +242,42 @@ impl CupNode {
             self.stats.updates_expired_on_arrival += 1;
             return;
         }
+        let st = self.keys.get_or_default(update.key);
         // Audit hygiene: with the sampled audit on, a replica this node
         // has seen retired (delete tombstone) cannot be resurrected by
         // any later update — otherwise a lying upstream re-poisons a
         // repaired cache on the next miss. A maintenance update scrubbed
         // empty dies here; a scrubbed first-time update still proceeds
         // (it is a response — a negative one).
-        if self.config.audit.is_some() && !update.entries.is_empty() {
-            if let Some(st) = self.keys.get(&update.key) {
-                if !st.retired.is_empty() {
-                    update.entries.retain(|e| !st.retired.contains(&e.replica));
-                    if update.entries.is_empty() && update.kind != UpdateKind::FirstTime {
-                        return;
-                    }
-                }
+        if self.config.audit.is_some() && !update.entries.is_empty() && !st.retired().is_empty() {
+            update
+                .entries
+                .retain(|e| !st.retired().contains(&e.replica));
+            if update.entries.is_empty() && update.kind != UpdateKind::FirstTime {
+                return;
             }
         }
-        let st = self.keys.entry(update.key).or_default();
 
-        if st.pending_first_update && update.kind == UpdateKind::FirstTime {
-            // Case 1.
+        let awaited = st.pending_first_update && update.kind == UpdateKind::FirstTime;
+        if awaited || self.config.mode == Mode::StandardCaching {
+            // Case 1 — or the baseline, where every update is a response
+            // (one message per recorded requester, no coalescing): cache
+            // it and answer whoever is waiting. The first-time update
+            // travels down the reverse query path to every waiting
+            // requester; neighbors that are merely subscribed (interest
+            // bit set, nothing pending) are served by the maintenance
+            // update stream, not by other nodes' responses — this is
+            // what makes push level 0 degenerate exactly to standard
+            // caching (§3.3).
             st.apply(&update);
-            st.pending_first_update = false;
-            st.popularity
-                .on_update(update.replica, self.config.reset_mode);
+            if awaited {
+                st.pending_first_update = false;
+                st.popularity
+                    .on_update(update.replica, self.config.reset_mode);
+            }
             let fresh = st.fresh_entries(now);
-            let clients: Vec<_> = st.waiting_clients.drain(..).collect();
-            let pending: Vec<_> = st.pending_requesters.drain(..).collect();
-            for client in clients {
-                out.push(Action::RespondClient {
-                    client,
-                    key: update.key,
-                    entries: fresh.clone(),
-                });
-            }
-            // The first-time update is a *response*: it travels down the
-            // reverse query path to every waiting requester. Neighbors
-            // that are merely subscribed (interest bit set, nothing
-            // pending) are served by the maintenance update stream, not
-            // by other nodes' responses — this is what makes push level 0
-            // degenerate exactly to standard caching (§3.3).
-            for requester in pending {
-                self.answer_requester(requester, &update, &fresh, out);
-            }
-            return;
-        }
-
-        if self.config.mode == Mode::StandardCaching {
-            // Baseline: a response arrived; cache it and answer every
-            // recorded requester (one message each — no coalescing).
-            st.apply(&update);
-            let fresh = st.fresh_entries(now);
-            let pending: Vec<_> = st.pending_requesters.drain(..).collect();
-            let clients: Vec<_> = st.waiting_clients.drain(..).collect();
-            for client in clients {
-                out.push(Action::RespondClient {
-                    client,
-                    key: update.key,
-                    entries: fresh.clone(),
-                });
-            }
-            for requester in pending {
-                self.answer_requester(requester, &update, &fresh, out);
+            if let Some(waiters) = st.waiters.take() {
+                answer_waiters(&mut self.stats, &waiters, &update, &fresh, out);
             }
             return;
         }
@@ -383,37 +314,17 @@ impl CupNode {
         st.popularity
             .on_update(update.replica, self.config.reset_mode);
         st.apply(&update);
-        self.forward_to_interested(update, Some(from), out);
+        let interested = st.interest.clone();
+        self.forward_to(&interested, update, Some(from), out);
     }
 
-    /// Answers one recorded requester (standard-caching response routing).
-    fn answer_requester(
+    /// Pushes an update to every neighbor in `interested` except
+    /// `exclude` (the neighbor it came from), honoring the sender-side
+    /// push-level cap and the capacity limiter. The caller passes a copy
+    /// of the key's interest set — a stack copy unless it spilled.
+    fn forward_to(
         &mut self,
-        requester: Requester,
-        update: &Update,
-        fresh: &[IndexEntry],
-        out: &mut Vec<Action>,
-    ) {
-        match requester {
-            Requester::Client(client) => out.push(Action::RespondClient {
-                client,
-                key: update.key,
-                entries: fresh.to_vec(),
-            }),
-            Requester::Neighbor(n) => {
-                self.stats.updates_forwarded += 1;
-                // Like `respond`: responses bypass the capacity queues so
-                // the network stays functional at zero capacity.
-                out.push(Action::send(n, Message::Update(update.forwarded())));
-            }
-        }
-    }
-
-    /// Pushes an update to every interested neighbor except `exclude`
-    /// (the neighbor it came from), honoring the sender-side push-level
-    /// cap and the capacity limiter.
-    fn forward_to_interested(
-        &mut self,
+        interested: &InterestSet,
         update: Update,
         exclude: Option<NodeId>,
         actions: &mut Vec<Action>,
@@ -426,12 +337,7 @@ impl CupNode {
                 }
             }
         }
-        let st = self
-            .keys
-            .get(&update.key)
-            .expect("forwarding requires key state");
-        let targets: Vec<NodeId> = st.interest.iter().filter(|&n| Some(n) != exclude).collect();
-        for to in targets {
+        for to in interested.iter().filter(|&n| Some(n) != exclude) {
             let fwd = update.forwarded();
             self.stats.updates_forwarded += 1;
             if self.config.capacity_limited {
@@ -455,14 +361,13 @@ impl CupNode {
         out: &mut Vec<Action>,
     ) {
         self.stats.clear_bits_received += 1;
-        let Some(st) = self.keys.get_mut(&key) else {
+        let Some(st) = self.keys.get_mut(key) else {
             return;
         };
         st.interest.clear(from);
         // Stop wasting queue space on the disinterested neighbor.
         let dropped = self.outgoing.drop_matching(from, key);
         self.stats.updates_forwarded = self.stats.updates_forwarded.saturating_sub(dropped as u64);
-        let st = self.keys.get_mut(&key).expect("state exists");
         if !st.interest.is_empty() {
             return;
         }
@@ -483,34 +388,6 @@ impl CupNode {
         }
     }
 
-    /// Opens a rate-limited sampled audit round for `key` if one is due
-    /// (the LOCKSS defense; see [`crate::config::AuditConfig`]). Called
-    /// after a cache hit is served, so audits are traffic-driven — a node
-    /// only audits keys it actually answers from — and the per-key
-    /// `interval` bounds the overhead regardless of query rate.
-    fn maybe_audit(&mut self, now: SimTime, key: KeyId, out: &mut Vec<Action>) {
-        let Some(cfg) = self.config.audit else {
-            return;
-        };
-        let st = self.keys.get_mut(&key).expect("audited key has state");
-        if now.saturating_since(st.last_audit) < cfg.interval {
-            return;
-        }
-        st.last_audit = now;
-        st.audit_round += 1;
-        let round = st.audit_round;
-        let targets = sample_targets(&cfg, self.id, key, round);
-        if targets.is_empty() {
-            st.audit = None;
-            return;
-        }
-        st.audit = Some(AuditTally::new(round, targets.len() as u32));
-        self.stats.audits_started += 1;
-        for to in targets {
-            out.push(Action::send(to, Message::AuditProbe { key, round }));
-        }
-    }
-
     /// Answers an audit probe from `from`: everything this node knows
     /// about `key` — directory knowledge (authoritative), fresh cached
     /// entries, and delete tombstones (the firsthand negative knowledge
@@ -526,13 +403,13 @@ impl CupNode {
         self.stats.audit_probes_served += 1;
         let mut entries = self.directory.fresh_entries(key, now);
         let mut retired = Vec::new();
-        if let Some(st) = self.keys.get(&key) {
+        if let Some(st) = self.keys.get(key) {
             for e in st.fresh_entries(now) {
                 if !entries.iter().any(|d| d.replica == e.replica) {
                     entries.push(e);
                 }
             }
-            retired = st.retired.clone();
+            retired = st.retired().to_vec();
         }
         out.push(Action::send(
             from,
@@ -565,14 +442,15 @@ impl CupNode {
         let Some(cfg) = self.config.audit else {
             return;
         };
-        let Some(st) = self.keys.get_mut(&key) else {
+        let Some(st) = self.keys.get_mut(key) else {
             return;
         };
         let my_fresh: Vec<ReplicaId> = st.fresh_entries(now).iter().map(|e| e.replica).collect();
         // `last_audit` is the instant the currently open round was
         // started, so for a reply that matches the open round it is the
-        // probe's send time — the round-trip base.
-        let opened = st.last_audit;
+        // probe's send time — the round-trip base (time zero for a key
+        // this node never audited).
+        let opened = st.audit.as_ref().map_or(SimTime::ZERO, |a| a.last_audit);
         // Recorded for every reply reaching an auditing key, *before*
         // the round checks below: whether a reply lands before or after
         // its round closes depends on arrival interleaving, which the
@@ -583,7 +461,10 @@ impl CupNode {
         self.stats
             .audit_rtt
             .record(now.saturating_since(opened).as_micros());
-        let Some(tally) = st.audit.as_mut() else {
+        let Some(audit) = st.audit.as_mut() else {
+            return;
+        };
+        let Some(tally) = audit.tally.as_mut() else {
             return;
         };
         if tally.round != round {
@@ -609,14 +490,14 @@ impl CupNode {
         let condemned = tally.condemned(cfg.quorum);
         if !condemned.is_empty() {
             let adopt: Vec<IndexEntry> = tally.payload().to_vec();
-            st.audit = None;
+            audit.tally = None;
             st.audit_repair(&condemned, &adopt);
             self.stats.audit_repairs += 1;
             return;
         }
         if tally.received >= tally.expected {
             // Round closed clean: the sample agrees with us (or abstains).
-            st.audit = None;
+            audit.tally = None;
         }
     }
 
@@ -669,16 +550,19 @@ impl CupNode {
             DirectoryChange::Removed(e) => (UpdateKind::Delete, e),
             DirectoryChange::Nothing => return,
         };
-        if self.keys.get(&key).is_none_or(|st| st.interest.is_empty()) {
+        let Some(st) = self.keys.get_mut(key) else {
+            return;
+        };
+        if st.interest.is_empty() {
             return;
         }
         let entries = match kind {
             UpdateKind::Refresh => {
                 // §3.6 overhead reductions for keys with many replicas.
-                if !self.refresh_due(key) {
+                if !refresh_due(&self.config, st) {
                     return;
                 }
-                match self.batch_refresh(key, entry, now) {
+                match batch_refresh(&self.config, st, entry, now) {
                     Some(batch) => batch,
                     None => return,
                 }
@@ -697,60 +581,12 @@ impl CupNode {
             window_end,
             entries,
             // The authority *sends* at depth 0; its children receive
-            // depth 1 (`forward_to_interested` increments).
+            // depth 1 (`forward_to` increments).
             depth: 0,
             origin: now,
         };
-        self.forward_to_interested(update, None, out);
-    }
-
-    /// §3.6 subset suppression: returns `true` when this refresh is the
-    /// k-th since the last propagated one for the key.
-    fn refresh_due(&mut self, key: KeyId) -> bool {
-        let k = self.config.refresh_keep_one_in.max(1);
-        if k == 1 {
-            return true;
-        }
-        let seen = self.refresh_skips.entry(key).or_insert(0);
-        *seen += 1;
-        if *seen >= k {
-            *seen = 0;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// §3.6 aggregation: accumulates refreshed entries per key and
-    /// releases them as one batch once the window has elapsed since the
-    /// batch opened. Returns `None` while the batch is still filling.
-    fn batch_refresh(
-        &mut self,
-        key: KeyId,
-        entry: IndexEntry,
-        now: SimTime,
-    ) -> Option<Vec<IndexEntry>> {
-        let Some(window) = self.config.refresh_batch_window else {
-            return Some(vec![entry]);
-        };
-        let batch = self.refresh_batches.entry(key).or_insert(RefreshBatch {
-            opened: now,
-            entries: Vec::new(),
-        });
-        match batch
-            .entries
-            .iter_mut()
-            .find(|e| e.replica == entry.replica)
-        {
-            Some(slot) => *slot = entry,
-            None => batch.entries.push(entry),
-        }
-        if now.saturating_since(batch.opened) >= window {
-            let done = self.refresh_batches.remove(&key).expect("batch exists");
-            Some(done.entries)
-        } else {
-            None
-        }
+        let interested = st.interest.clone();
+        self.forward_to(&interested, update, None, out);
     }
 
     /// Releases capacity-limited outgoing updates: pushes out roughly
@@ -774,7 +610,6 @@ impl CupNode {
     /// `successor` (the node that took over its zone) or dropped, and any
     /// queued updates for it are discarded.
     pub fn on_neighbor_departed(&mut self, departed: NodeId, successor: Option<NodeId>) {
-        // cup-lint: allow(unordered-iteration, "independent per-key remap; no output or message is emitted, so visit order cannot leak")
         for st in self.keys.values_mut() {
             st.interest.remap(departed, successor);
         }
@@ -795,13 +630,156 @@ impl CupNode {
 
     /// Housekeeping: evicts expired cached entries to bound memory.
     pub fn evict_expired(&mut self, now: SimTime) -> usize {
-        let mut evicted = 0;
-        // cup-lint: allow(unordered-iteration, "per-key eviction summed into one count; addition is commutative, so order cannot leak")
-        for st in self.keys.values_mut() {
-            evicted += st.evict_expired(now);
-        }
-        evicted
+        self.keys.values_mut().map(|st| st.evict_expired(now)).sum()
     }
+}
+
+// The helpers below run while a handler holds its key's record, so they
+// take the node's other fields one by one instead of `&mut CupNode`.
+
+/// Builds the response to one requester: a client gets its held-open
+/// connection answered; a neighbor gets a first-time update.
+fn respond(
+    stats: &mut NodeStats,
+    to: Requester,
+    key: KeyId,
+    entries: Vec<IndexEntry>,
+    depth: u32,
+    now: SimTime,
+    out: &mut Vec<Action>,
+) {
+    match to {
+        Requester::Client(client) => out.push(Action::RespondClient {
+            client,
+            key,
+            entries,
+        }),
+        Requester::Neighbor(n) => {
+            let replica = entries.first().map_or(NO_REPLICA, |e| e.replica);
+            let update = Update {
+                key,
+                kind: UpdateKind::FirstTime,
+                entries,
+                replica,
+                depth,
+                origin: now,
+                window_end: SimTime::MAX,
+            };
+            stats.updates_forwarded += 1;
+            // Responses are not throttled: a capacity-limited node
+            // stops *maintaining* downstream caches (its dependents
+            // fall back to standard caching, §2.8), but it still
+            // answers queries.
+            out.push(Action::send(n, Message::Update(update)));
+        }
+    }
+}
+
+/// Answers everyone who was waiting for `update`: held-open clients
+/// first, then each recorded requester (standard-caching response
+/// routing: one message each).
+fn answer_waiters(
+    stats: &mut NodeStats,
+    waiters: &Waiters,
+    update: &Update,
+    fresh: &[IndexEntry],
+    out: &mut Vec<Action>,
+) {
+    let clients = waiters.clients.iter().copied().map(Requester::Client);
+    for requester in clients.chain(waiters.requesters.iter().copied()) {
+        match requester {
+            Requester::Client(client) => out.push(Action::RespondClient {
+                client,
+                key: update.key,
+                entries: fresh.to_vec(),
+            }),
+            Requester::Neighbor(n) => {
+                stats.updates_forwarded += 1;
+                // Like `respond`: responses bypass the capacity queues so
+                // the network stays functional at zero capacity.
+                out.push(Action::send(n, Message::Update(update.forwarded())));
+            }
+        }
+    }
+}
+
+/// Opens a rate-limited sampled audit round for `key` if one is due
+/// (the LOCKSS defense; see [`crate::config::AuditConfig`]). Called
+/// after a cache hit is served, so audits are traffic-driven — a node
+/// only audits keys it actually answers from — and the per-key
+/// `interval` bounds the overhead regardless of query rate.
+fn maybe_audit(
+    cfg: &AuditConfig,
+    me: NodeId,
+    stats: &mut NodeStats,
+    st: &mut KeyState,
+    now: SimTime,
+    key: KeyId,
+    out: &mut Vec<Action>,
+) {
+    let last_audit = st.audit.as_ref().map_or(SimTime::ZERO, |a| a.last_audit);
+    if now.saturating_since(last_audit) < cfg.interval {
+        return;
+    }
+    let audit = st.audit.get_or_insert_with(Box::default);
+    audit.last_audit = now;
+    audit.round += 1;
+    let round = audit.round;
+    let targets = sample_targets(cfg, me, key, round);
+    if targets.is_empty() {
+        audit.tally = None;
+        return;
+    }
+    audit.tally = Some(AuditTally::new(round, targets.len() as u32));
+    stats.audits_started += 1;
+    for to in targets {
+        out.push(Action::send(to, Message::AuditProbe { key, round }));
+    }
+}
+
+/// §3.6 subset suppression: returns `true` when this refresh is the
+/// k-th since the last propagated one for the key.
+fn refresh_due(config: &NodeConfig, st: &mut KeyState) -> bool {
+    let k = config.refresh_keep_one_in.max(1);
+    if k == 1 {
+        return true;
+    }
+    let seen = &mut st.refresh.get_or_insert_with(Box::default).skips;
+    *seen += 1;
+    if *seen >= k {
+        *seen = 0;
+        true
+    } else {
+        false
+    }
+}
+
+/// §3.6 aggregation: accumulates refreshed entries per key and
+/// releases them as one batch once the window has elapsed since the
+/// batch opened. Returns `None` while the batch is still filling.
+fn batch_refresh(
+    config: &NodeConfig,
+    st: &mut KeyState,
+    entry: IndexEntry,
+    now: SimTime,
+) -> Option<Vec<IndexEntry>> {
+    let Some(window) = config.refresh_batch_window else {
+        return Some(vec![entry]);
+    };
+    let refresh = st.refresh.get_or_insert_with(Box::default);
+    if refresh.batch.is_empty() {
+        refresh.batch_opened = now;
+    }
+    match refresh
+        .batch
+        .iter_mut()
+        .find(|e| e.replica == entry.replica)
+    {
+        Some(slot) => *slot = entry,
+        None => refresh.batch.push(entry),
+    }
+    (now.saturating_since(refresh.batch_opened) >= window)
+        .then(|| std::mem::take(&mut refresh.batch))
 }
 
 #[cfg(test)]

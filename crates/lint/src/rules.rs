@@ -438,12 +438,14 @@ impl Rule for RelaxedAtomic {
 }
 
 /// Scope of the panic rule: the live worker dispatch path, and the
-/// per-message path both runtimes share (the delivery kernel and the
-/// DES network that drives it).
+/// per-message path both runtimes share (the delivery kernel, the DES
+/// network that drives it, and the node handlers every delivery ends
+/// in).
 pub const PANIC_SCOPE: &[&str] = &[
     "crates/runtime/src",
     "crates/faults/src/deliver.rs",
     "crates/simnet/src/network.rs",
+    "crates/core/src/node.rs",
 ];
 
 /// Rule 4: **panic-path** — `unwrap`/`expect` in per-message production

@@ -350,6 +350,29 @@ fn start() {
     assert_eq!(report.allowed().count(), 1);
 }
 
+#[test]
+fn expect_in_a_node_handler_fires_but_not_elsewhere_in_core() {
+    // The handlers find a key's record once and thread it through; a
+    // second lookup that "cannot fail" is how the per-message expects
+    // this scope was extended to forbid came about.
+    let src = "\
+fn forward(&mut self, key: KeyId) {
+    let st = self.keys.get(key).expect(\"forwarding requires key state\");
+}
+";
+    let report = run_rule(
+        &PanicPath,
+        &[
+            ("crates/core/src/node.rs", src),
+            ("crates/core/src/directory.rs", src),
+        ],
+    );
+    let denied: Vec<_> = report.denied().collect();
+    assert_eq!(denied.len(), 1, "only the handler file is in scope");
+    assert_eq!(denied[0].path, "crates/core/src/node.rs");
+    assert_eq!(denied[0].line, 2);
+}
+
 // --------------------------------------------------- conformance-parity
 
 const STATS_FIXTURE: &str = "\

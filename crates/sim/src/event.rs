@@ -4,11 +4,21 @@
 //! divided into fixed-width buckets laid out on a circular calendar, an
 //! event is filed under the bucket its firing time falls in, and popping
 //! scans forward from the current virtual time, one bucket-day at a time.
-//! With the bucket width tracking the average inter-event gap (recomputed
-//! on resize), schedule and pop are O(1) amortized — the property that
-//! lets 100k-node experiments with millions of pending events run at
-//! memory speed, where the previous `BinaryHeap` paid O(log n) per
-//! operation on a cache-hostile layout.
+//! With buckets a few event gaps wide, schedule and pop are O(1)
+//! amortized — the property that lets 100k-node experiments with
+//! millions of pending events run at memory speed, where the previous
+//! `BinaryHeap` paid O(log n) per operation on a cache-hostile layout.
+//!
+//! Two rules keep the width there. A resize (growth past two events a
+//! bucket, shrink below a quarter) sizes buckets from the spread of what
+//! is pending, which is all a bulk fill before the first pop has to go
+//! on. Once events are popped, the queue reads its own pop stream: every
+//! `2 × buckets` pops it compares the width with three times the mean
+//! gap between the popped times and rebuilds when they are 4× apart
+//! (`EventQueue::retune`). The second rule exists because a simulation's
+//! pending set is bimodal — in-flight messages milliseconds out, timers
+//! minutes out — and the spread then describes the timers, not the head
+//! of the queue where pops happen.
 //!
 //! Ordering is a total order on `(time, sequence)`: the sequence number
 //! breaks ties so that events scheduled for the same instant fire in FIFO
@@ -66,6 +76,22 @@ pub struct EventQueue<E> {
     vtime: u64,
     len: usize,
     next_seq: u64,
+    /// Pops since the width was last checked against the pop stream.
+    pops_since_tune: usize,
+    /// Firing time (µs) of the pop that ended the previous check.
+    tune_start: u64,
+    /// Entries `find_min` compared, for the scan-length tests.
+    #[cfg(test)]
+    examined: std::cell::Cell<u64>,
+}
+
+/// log₂ of the narrowest power-of-two bucket at least `width_us` wide.
+fn width_shift_for(width_us: u64) -> u32 {
+    width_us
+        .max(1)
+        .checked_next_power_of_two()
+        .map_or(MAX_WIDTH_SHIFT, u64::trailing_zeros)
+        .min(MAX_WIDTH_SHIFT)
 }
 
 impl<E> Default for EventQueue<E> {
@@ -83,6 +109,10 @@ impl<E> EventQueue<E> {
             vtime: 0,
             len: 0,
             next_seq: 0,
+            pops_since_tune: 0,
+            tune_start: 0,
+            #[cfg(test)]
+            examined: std::cell::Cell::new(0),
         }
     }
 
@@ -127,6 +157,9 @@ impl<E> EventQueue<E> {
             let b = (chunk as usize) & (nb - 1);
             let day_end = (u128::from(chunk) + 1) << self.width_shift;
             let mut best: Option<(usize, u64, u64)> = None;
+            #[cfg(test)]
+            self.examined
+                .set(self.examined.get() + self.buckets[b].len() as u64);
             for (i, s) in self.buckets[b].iter().enumerate() {
                 let at = s.at.as_micros();
                 if u128::from(at) < day_end && best.is_none_or(|(_, ba, bs)| (at, s.seq) < (ba, bs))
@@ -139,6 +172,8 @@ impl<E> EventQueue<E> {
             }
         }
         let mut best: Option<(usize, usize, u64, u64)> = None;
+        #[cfg(test)]
+        self.examined.set(self.examined.get() + self.len as u64);
         for (b, bucket) in self.buckets.iter().enumerate() {
             for (i, s) in bucket.iter().enumerate() {
                 let at = s.at.as_micros();
@@ -178,10 +213,42 @@ impl<E> EventQueue<E> {
         let s = self.buckets[b].swap_remove(i);
         self.len -= 1;
         self.vtime = s.at.as_micros();
+        self.pops_since_tune += 1;
         if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
             self.resize(self.buckets.len() / 2);
+        } else if self.pops_since_tune >= 2 * self.buckets.len() {
+            self.retune();
         }
         Some((s.at, s.payload))
+    }
+
+    /// Checks the bucket width against the pop stream: over the stretch
+    /// of pops since the last check, the mean gap between popped times
+    /// is the event separation *at the head of the queue*, which is what
+    /// a bucket should hold a few of (Brown's 3 × separation). A width
+    /// 4× or more off that target rebuilds the calendar.
+    ///
+    /// The spread-based width `resize` derives cannot see this: with a
+    /// bimodal pending set — a dense cluster of in-flight messages plus
+    /// a few timers minutes out — `(max − min) / len` is set by the
+    /// timers, the whole cluster files under one bucket, and every pop
+    /// scans all of it. The rule reads only popped times, so it is as
+    /// deterministic as the pops are, and the pop order is the
+    /// `(time, seq)` minimum whatever the width.
+    fn retune(&mut self) {
+        let span = self.vtime.saturating_sub(self.tune_start);
+        let mean_gap = span / self.pops_since_tune as u64;
+        self.pops_since_tune = 0;
+        self.tune_start = self.vtime;
+        if span == 0 {
+            // A stretch of simultaneous events says nothing about gaps.
+            return;
+        }
+        let target = width_shift_for(mean_gap.saturating_mul(3));
+        if target.abs_diff(self.width_shift) >= 2 {
+            self.width_shift = target;
+            self.rebuild(self.buckets.len());
+        }
     }
 
     /// Returns the firing time of the earliest event without removing it.
@@ -201,12 +268,14 @@ impl<E> EventQueue<E> {
             max_at = max_at.max(at);
         }
         if self.len > 0 && max_at > min_at {
-            let avg_gap = ((max_at - min_at) / self.len as u64).max(1);
-            self.width_shift = avg_gap
-                .next_power_of_two()
-                .trailing_zeros()
-                .min(MAX_WIDTH_SHIFT);
+            self.width_shift = width_shift_for((max_at - min_at) / self.len as u64);
         }
+        self.rebuild(new_len);
+    }
+
+    /// Refiles every pending event into `new_len` buckets of the current
+    /// width.
+    fn rebuild(&mut self, new_len: usize) {
         let old = std::mem::replace(
             &mut self.buckets,
             (0..new_len).map(|_| Vec::new()).collect(),
@@ -239,6 +308,8 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::DetRng;
+    use crate::time::SimDuration;
 
     #[test]
     fn pops_in_time_order() {
@@ -343,5 +414,46 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), "near")));
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(1_000_000)));
         assert_eq!(q.pop(), Some((SimTime::from_secs(1_000_000), "far")));
+    }
+
+    #[test]
+    fn bimodal_pending_set_keeps_pop_scans_short() {
+        // The DES workloads' shape: ≈ 300 in-flight messages inside
+        // 150 ms plus 160 replica timers up to 300 s out. Sized from the
+        // spread at resize, one bucket is (300 s / 460) wide and holds
+        // the whole in-flight cluster, so every pop scans ≈ 300 entries;
+        // retuned from the pop stream, a bucket holds a few.
+        let mut rng = DetRng::seed_from(1);
+        let mut rand = move |below: u64| rng.next_below(below);
+        let mut q = EventQueue::new();
+        // Timers first, as in a run (replicas are born before queries
+        // start): the growth resizes then see both modes.
+        for _ in 0..160 {
+            q.schedule(SimTime::from_micros(rand(300_000_000)), true);
+        }
+        for _ in 0..300 {
+            q.schedule(SimTime::from_micros(rand(150_000)), false);
+        }
+        let mut step = |q: &mut EventQueue<bool>| {
+            let (at, timer) = q.pop().expect("pop-and-reschedule never drains");
+            let delay = if timer {
+                1 + rand(300_000_000)
+            } else {
+                1 + rand(150_000)
+            };
+            q.schedule(at + SimDuration::from_micros(delay), timer);
+        };
+        for _ in 0..20_000 {
+            step(&mut q);
+        }
+        q.examined.set(0);
+        for _ in 0..100_000 {
+            step(&mut q);
+        }
+        let per_pop = q.examined.get() as f64 / 100_000.0;
+        assert!(
+            per_pop <= 16.0,
+            "{per_pop:.1} entries examined per pop after warm-up"
+        );
     }
 }

@@ -10,18 +10,18 @@ use core::fmt;
 ///
 /// Node ids are dense indices assigned by the overlay builder; departed
 /// nodes keep their id (ids are never reused within one simulation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 /// Identifies a key in the global index (the name of a content item).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct KeyId(pub u32);
 
 /// Identifies one replica of a content item.
 ///
 /// Several replicas may serve the same key; each gets its own index entry
 /// (the paper's `(key, value)` pairs where the value points at the replica).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ReplicaId(pub u32);
 
 impl NodeId {

@@ -5,8 +5,9 @@
 //! defined the simulations' determinism contract before the calendar
 //! queue landed, and every golden snapshot was generated under it. These
 //! tests drive both queues with the same schedule/pop stream — including
-//! interleavings, heavy timestamp collisions, and far-future outliers
-//! that cross calendar resize and direct-scan paths — and require
+//! interleavings, heavy timestamp collisions, far-future outliers that
+//! cross calendar resize and direct-scan paths, and a bimodal stream
+//! that makes the calendar retune its width mid-run — and require
 //! identical observable behavior at every step.
 
 use std::cmp::Ordering;
@@ -197,6 +198,59 @@ proptest! {
             };
             cal.schedule(at, i);
             heap.schedule(at, i);
+        }
+        assert_drain_identical(&mut cal, &mut heap)?;
+    }
+
+    /// The DES workloads' bimodal pending set — a dense cluster of
+    /// in-flight messages plus a few timers minutes out — under steady
+    /// pop-and-reschedule with bursts of fan-out, long enough that the
+    /// calendar retunes its width from the pop stream (and resizes)
+    /// several times mid-stream. Whatever width it lands on, the pop
+    /// order is the heap's.
+    #[test]
+    fn bimodal_stream_pops_identically_across_retunes(seed in any::<u64>(), pops in 1_500usize..4_000) {
+        let mut rng = DetRng::seed_from(seed);
+        let mut cal = EventQueue::new();
+        let mut heap = ReferenceHeapQueue::new();
+        // The payload's low bit says which mode an event belongs to, so
+        // both modes keep being fed however long the stream runs.
+        let mut next_payload = 0u64;
+        let mut schedule = |cal: &mut EventQueue<u64>,
+                            heap: &mut ReferenceHeapQueue<u64>,
+                            at: SimTime,
+                            timer: bool| {
+            let payload = next_payload << 1 | u64::from(timer);
+            next_payload += 1;
+            cal.schedule(at, payload);
+            heap.schedule(at, payload);
+        };
+        for _ in 0..40 {
+            let at = SimTime::from_micros(rng.next_below(300_000_000));
+            schedule(&mut cal, &mut heap, at, true);
+        }
+        for _ in 0..80 {
+            let at = SimTime::from_micros(rng.next_below(150_000));
+            schedule(&mut cal, &mut heap, at, false);
+        }
+        for _ in 0..pops {
+            let (a, b) = (cal.pop(), heap.pop());
+            prop_assert_eq!(&a, &b);
+            let Some((now, payload)) = a else { break };
+            // A timer re-arms itself; a message is forwarded once on
+            // average but sometimes fans out and sometimes dies, so the
+            // depth drifts across the resize thresholds as well.
+            let timer = payload & 1 == 1;
+            let (reach, copies) = if timer {
+                (300_000_000, 1)
+            } else {
+                (150_000, [0, 1, 1, 2][rng.next_below(4) as usize])
+            };
+            for _ in 0..copies {
+                let at = now + SimDuration::from_micros(rng.next_below(reach));
+                schedule(&mut cal, &mut heap, at, timer);
+            }
+            prop_assert_eq!(cal.len(), heap.len());
         }
         assert_drain_identical(&mut cal, &mut heap)?;
     }
