@@ -68,6 +68,6 @@ pub use entry::IndexEntry;
 pub use justify::JustificationTracker;
 pub use message::{ClientId, Message, ReplicaEvent, Requester, Update, UpdateKind};
 pub use node::CupNode;
-pub use obs::{trace_diff, Hist, TraceBuf, TraceDivergence, TraceEvent, TraceKind};
+pub use obs::{trace_diff, Hist, LazyHist, TraceBuf, TraceDivergence, TraceEvent, TraceKind};
 pub use policy::{CutoffPolicy, PolicyState, PropagationPolicy};
 pub use popularity::ResetMode;

@@ -99,11 +99,14 @@ impl Update {
         !self.entries.is_empty() && self.entries.iter().all(|e| !e.is_fresh(now))
     }
 
-    /// A copy of this update as forwarded one hop further downstream.
-    pub fn forwarded(&self) -> Update {
-        let mut next = self.clone();
-        next.depth += 1;
-        next
+    /// This update as sent one hop further downstream. The one place a
+    /// child's depth is computed — saturating, so the push-level cap and
+    /// the copy on the wire read the same number even at `u32::MAX`.
+    /// Takes the update by value: whoever forwards decides which
+    /// recipient gets the original and which get clones.
+    pub fn forwarded(mut self) -> Update {
+        self.depth = self.depth.saturating_add(1);
+        self
     }
 }
 
@@ -248,10 +251,24 @@ mod tests {
     #[test]
     fn forwarding_increments_depth_only() {
         let u = update(UpdateKind::Append, 5, 10);
-        let f = u.forwarded();
+        let f = u.clone().forwarded();
         assert_eq!(f.depth, u.depth + 1);
-        assert_eq!(f.entries, u.entries);
-        assert_eq!(f.window_end, u.window_end);
+        assert_eq!(
+            Update {
+                depth: u.depth,
+                ..f
+            },
+            u
+        );
+    }
+
+    #[test]
+    fn forwarding_saturates_at_the_deepest_depth() {
+        let mut u = update(UpdateKind::Refresh, 5, 10);
+        u.depth = u32::MAX - 1;
+        let child = u.forwarded();
+        assert_eq!(child.depth, u32::MAX);
+        assert_eq!(child.forwarded().depth, u32::MAX, "no wrap, no panic");
     }
 
     #[test]

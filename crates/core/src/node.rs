@@ -14,6 +14,30 @@
 //! once and works on it; the helpers below take the record (or what they
 //! need from it) instead of the key, so no path looks a key up twice or
 //! has to assume a second lookup succeeds.
+//!
+//! # Who owns the payload
+//!
+//! An update's entries are the one heap block a message carries, and a
+//! handler receives the update by value, so each path moves that block
+//! as far as it goes and clones it only where two recipients need one
+//! each:
+//!
+//! * **applied and kept** (cut-off evaluated, nobody downstream) — the
+//!   record copies the entries it wants in place and the update is
+//!   dropped;
+//! * **forwarded** (`forward_to`, from a received update or a directory
+//!   change) — the last interested neighbor gets the update itself, the
+//!   others clones: fan-out *n* costs *n* − 1 allocations, a relay to one
+//!   neighbor none;
+//! * **answered** (`answer_waiters`, the first-time path) — waiting
+//!   neighbors share the received update the same way; waiting clients
+//!   share one copy of the key's fresh entries, which is built only if a
+//!   client is waiting and whose last taker gets the original;
+//! * **served from cache or directory** (`respond`) — the fresh entries
+//!   are built once and moved into the single answer.
+//!
+//! Where the update goes one hop further down, its depth is set by
+//! [`Update::forwarded`] and nowhere else.
 
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
 
@@ -275,9 +299,8 @@ impl CupNode {
                 st.popularity
                     .on_update(update.replica, self.config.reset_mode);
             }
-            let fresh = st.fresh_entries(now);
             if let Some(waiters) = st.waiters.take() {
-                answer_waiters(&mut self.stats, &waiters, &update, &fresh, out);
+                answer_waiters(&mut self.stats, &waiters, update, st, now, out);
             }
             return;
         }
@@ -321,7 +344,9 @@ impl CupNode {
     /// Pushes an update to every neighbor in `interested` except
     /// `exclude` (the neighbor it came from), honoring the sender-side
     /// push-level cap and the capacity limiter. The caller passes a copy
-    /// of the key's interest set — a stack copy unless it spilled.
+    /// of the key's interest set — a stack copy unless it spilled — and
+    /// gives the update up: the last recipient gets it, payload and all,
+    /// and only the others get clones.
     fn forward_to(
         &mut self,
         interested: &InterestSet,
@@ -329,21 +354,23 @@ impl CupNode {
         exclude: Option<NodeId>,
         actions: &mut Vec<Action>,
     ) {
-        let child_depth = update.depth.saturating_add(1);
+        let mut update = update.forwarded();
         if update.kind != UpdateKind::FirstTime {
             if let Some(level) = self.config.policies.sender_side_level(update.key) {
-                if child_depth > level {
+                if update.depth > level {
                     return;
                 }
             }
         }
-        for to in interested.iter().filter(|&n| Some(n) != exclude) {
-            let fwd = update.forwarded();
+        let mut recipients = interested.iter().filter(|&n| Some(n) != exclude).peekable();
+        while let Some(to) = recipients.next() {
+            let entries = hand_over(&mut update.entries, recipients.peek().is_none());
+            let copy = Update { entries, ..update };
             self.stats.updates_forwarded += 1;
             if self.config.capacity_limited {
-                self.outgoing.enqueue(to, fwd);
+                self.outgoing.enqueue(to, copy);
             } else {
-                actions.push(Action::send(to, Message::Update(fwd)));
+                actions.push(Action::send(to, Message::Update(copy)));
             }
         }
     }
@@ -675,31 +702,66 @@ fn respond(
     }
 }
 
-/// Answers everyone who was waiting for `update`: held-open clients
-/// first, then each recorded requester (standard-caching response
-/// routing: one message each).
+/// Answers everyone who was waiting for `update`, which `st` has already
+/// applied: held-open clients first, then each recorded requester
+/// (standard-caching response routing: one message each, and there the
+/// clients are among the requesters).
+///
+/// Two payloads leave here and each is built once: the key's fresh
+/// entries for the clients — only if a client is waiting — and the
+/// update's own entries for the neighbors. The last taker of either gets
+/// the original, so a response relayed to one neighbor allocates nothing.
 fn answer_waiters(
     stats: &mut NodeStats,
     waiters: &Waiters,
-    update: &Update,
-    fresh: &[IndexEntry],
+    update: Update,
+    st: &KeyState,
+    now: SimTime,
     out: &mut Vec<Action>,
 ) {
+    let is_client = |r: &&Requester| matches!(r, Requester::Client(_));
+    let routed_clients = waiters.requesters.iter().filter(is_client).count();
+    let mut clients_left = waiters.clients.len() + routed_clients;
+    let mut neighbors_left = waiters.requesters.len() - routed_clients;
+    let mut fresh = if clients_left > 0 {
+        st.fresh_entries(now)
+    } else {
+        Vec::new()
+    };
+    let mut update = update.forwarded();
     let clients = waiters.clients.iter().copied().map(Requester::Client);
     for requester in clients.chain(waiters.requesters.iter().copied()) {
         match requester {
-            Requester::Client(client) => out.push(Action::RespondClient {
-                client,
-                key: update.key,
-                entries: fresh.to_vec(),
-            }),
+            Requester::Client(client) => {
+                clients_left -= 1;
+                out.push(Action::RespondClient {
+                    client,
+                    key: update.key,
+                    entries: hand_over(&mut fresh, clients_left == 0),
+                });
+            }
             Requester::Neighbor(n) => {
+                neighbors_left -= 1;
                 stats.updates_forwarded += 1;
+                let entries = hand_over(&mut update.entries, neighbors_left == 0);
                 // Like `respond`: responses bypass the capacity queues so
                 // the network stays functional at zero capacity.
-                out.push(Action::send(n, Message::Update(update.forwarded())));
+                out.push(Action::send(
+                    n,
+                    Message::Update(Update { entries, ..update }),
+                ));
             }
         }
+    }
+}
+
+/// A payload for one more recipient: the original for the last one, a
+/// clone for the others.
+fn hand_over(payload: &mut Vec<IndexEntry>, last: bool) -> Vec<IndexEntry> {
+    if last {
+        std::mem::take(payload)
+    } else {
+        payload.clone()
     }
 }
 
@@ -1252,6 +1314,48 @@ mod tests {
             refresh(1, 0, 10, 3)
         ));
         assert!(actions.is_empty(), "no forwarding past the push level");
+    }
+
+    #[test]
+    fn the_deepest_depth_saturates_on_both_forwarding_paths() {
+        // A push level of u32::MAX admits every depth, so the cap and
+        // the copy on the wire must read the same saturated number.
+        let deepest = CutoffPolicy::PushLevel { level: u32::MAX };
+        let mut node = CupNode::new(NodeId(1), NodeConfig::cup_with_policy(deepest));
+        let sent_depths = |actions: &[Action]| -> Vec<u32> {
+            let depth = |a: &Action| match a {
+                Action::Send {
+                    msg: Message::Update(u),
+                    ..
+                } => Some(u.depth),
+                _ => None,
+            };
+            actions.iter().filter_map(depth).collect()
+        };
+        // The response path: a first-time update relayed to two waiters.
+        for n in [4, 5] {
+            emitted!(node.handle_query_into(
+                SimTime::ZERO,
+                KeyId(1),
+                Requester::Neighbor(NodeId(n)),
+                Some(NodeId(9)),
+            ));
+        }
+        let answers = emitted!(node.handle_update_into(
+            SimTime::from_secs(1),
+            NodeId(9),
+            first_time(1, vec![entry(1, 0, 0)], u32::MAX - 1),
+        ));
+        assert_eq!(sent_depths(&answers), [u32::MAX, u32::MAX]);
+        // The maintenance path, one below the top and at it.
+        for (at, depth) in [(10, u32::MAX - 1), (20, u32::MAX)] {
+            let forwards = emitted!(node.handle_update_into(
+                SimTime::from_secs(at),
+                NodeId(9),
+                refresh(1, 0, at, depth),
+            ));
+            assert_eq!(sent_depths(&forwards), [u32::MAX, u32::MAX], "from {depth}");
+        }
     }
 
     #[test]

@@ -13,6 +13,11 @@
 //!   of values hold byte-identical state — whatever order the values
 //!   arrived in. That order-independence is what lets M live workers
 //!   record concurrently and still match the serial DES exactly.
+//!   A `Hist` is a kilobyte in place, which is right where there is one
+//!   per plane (`NetMetrics`) and wrong where there is one per node:
+//!   [`LazyHist`] is the per-node form, one pointer wide until the first
+//!   sample allocates the buckets, equal to a `Hist` in everything read
+//!   from it.
 //! * [`TraceBuf`] — a ring-buffered **structured event trace**
 //!   ([`TraceEvent`]`{ t, node, kind, key, detail }`, virtual-clock
 //!   timestamped) with canonical ordering, JSONL export, and
@@ -33,15 +38,14 @@ const SUB: usize = 1 << SUB_BITS;
 
 /// Total buckets. Values `0..4` are exact; the top bucket saturates at
 /// ~1.5e10 (≈ 4.2 hours in µs) — far beyond any latency, staleness age,
-/// or batch size the workloads record, while keeping the struct small
-/// enough to live inside every per-node [`crate::stats::NodeStats`].
+/// or batch size the workloads record.
 pub const HIST_BUCKETS: usize = 128;
 
 /// An integer log-linear histogram (HDR-style, fixed footprint).
 ///
-/// `Copy + Eq` on purpose: it embeds in [`crate::stats::NodeStats`] and
-/// the simnet `NetMetrics`, which are copied and compared byte-exactly
-/// by the conformance suites.
+/// `Copy + Eq` on purpose: it embeds in the delivery kernel's
+/// `NetMetrics`, which is copied and compared byte-exactly by the
+/// conformance suites. Per-node counters hold a [`LazyHist`] instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hist {
     counts: [u64; HIST_BUCKETS],
@@ -167,6 +171,45 @@ impl Hist {
             h.total = h.total.checked_add(c)?;
         }
         Some(h)
+    }
+}
+
+/// A [`Hist`] that owns no memory until its first sample.
+///
+/// [`crate::stats::NodeStats`] keeps two distributions that almost no
+/// node ever records into (a PFU retry needs a lost answer, an audit
+/// round-trip needs the audit plane on); in place they were four fifths
+/// of a node's fixed bytes. The buckets exist exactly when a sample does
+/// (only `record`, and a merge of something non-empty, allocate), so
+/// absent is the one representation of empty: the derived `==` treats an
+/// untouched histogram, a default one and one merged with empties alike,
+/// and the exact-merge law of `Hist` carries over unchanged.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LazyHist(Option<Box<Hist>>);
+
+impl LazyHist {
+    /// Records one value, allocating the buckets on the first.
+    pub fn record(&mut self, v: u64) {
+        self.0.get_or_insert_with(Box::default).record(v);
+    }
+
+    /// Exact merge; an empty `other` leaves `self` untouched (and
+    /// unallocated).
+    pub fn merge(&mut self, other: &LazyHist) {
+        if let Some(theirs) = &other.0 {
+            self.0.get_or_insert_with(Box::default).merge(theirs);
+        }
+    }
+
+    /// Number of recorded values.
+    pub fn count(&self) -> u64 {
+        self.0.as_deref().map_or(0, Hist::count)
+    }
+
+    /// The histogram itself (empty when nothing was recorded), for
+    /// quantiles and serialization.
+    pub fn to_hist(&self) -> Hist {
+        self.0.as_deref().copied().unwrap_or_default()
     }
 }
 

@@ -3,11 +3,17 @@
 //! These are local bookkeeping only (no network cost); the experiment
 //! harness aggregates them across nodes and combines them with hop counts
 //! measured at the network layer.
+//!
+//! Every node carries one of these, so its fixed size is paid ten
+//! thousand times over: the counters are plain words and the two
+//! distributions are [`LazyHist`]s, which cost a pointer each until a
+//! node actually records a sample. That is why the struct is `Clone` but
+//! not `Copy` — a copy may have buckets to duplicate.
 
-use crate::obs::Hist;
+use crate::obs::LazyHist;
 
 /// Counters maintained by one node.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Queries posted by local clients.
     pub client_queries: u64,
@@ -51,10 +57,10 @@ pub struct NodeStats {
     /// Distribution of how long each retried Pending-First-Update flag
     /// had been stranded when the retry fired (µs since `pfu_since`) —
     /// the tail companion of the `pfu_retries` count.
-    pub pfu_retry_age: Hist,
+    pub pfu_retry_age: LazyHist,
     /// Distribution of audit round-trips: µs from opening a sampled
     /// audit round to each reply of that round arriving back.
-    pub audit_rtt: Hist,
+    pub audit_rtt: LazyHist,
 }
 
 impl NodeStats {

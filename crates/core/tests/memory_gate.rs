@@ -7,13 +7,29 @@
 //! through the protocol's own path owns at most 300 live heap bytes per
 //! key, and a repeat pass of hits and refreshes over them allocates
 //! nothing but the answer payloads (`Action::RespondClient` owns a
-//! `Vec<IndexEntry>`). One test per binary: the counters are
-//! thread-local, but the allocator is the process's.
+//! `Vec<IndexEntry>`).
+//!
+//! The other tests hold the per-hop path to the same standard. A
+//! node's fixed bytes stay under 640 (its two histograms allocate on
+//! first use). A handler that passes an update on moves the payload into
+//! the last recipient and clones it for the others, so a relay through a
+//! fan-out-1 node allocates nothing, fan-out 4 exactly three copies, a
+//! response relayed to one waiting neighbor nothing and one answered to
+//! a waiting client exactly its payload. And the justification tracker,
+//! which sees every update and every query path, allocates nothing once
+//! its slots exist.
+//!
+//! The allocator is the process's but the counters are thread-local and
+//! the harness runs each test on a thread of its own, so the tests do
+//! not see each other's traffic.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use cup_core::{Action, ClientId, CupNode, IndexEntry, NodeConfig, Requester, Update, UpdateKind};
+use cup_core::{
+    Action, ClientId, CupNode, IndexEntry, JustificationTracker, Message, NodeConfig, Requester,
+    Update, UpdateKind,
+};
 use cup_des::{KeyId, NodeId, ReplicaId, SimDuration, SimTime};
 
 thread_local! {
@@ -136,4 +152,146 @@ fn a_cached_key_costs_at_most_300_heap_bytes_and_steady_traffic_allocates_only_p
     );
     assert_eq!(node.stats.client_hits, u64::from(KEYS));
     assert_eq!(node.stats.cutoffs, 0);
+}
+
+#[test]
+fn a_node_is_at_most_640_bytes_before_it_caches_anything() {
+    let size = std::mem::size_of::<CupNode>();
+    assert!(size <= 640, "CupNode is {size} bytes");
+    // And owns nothing on the heap yet: ten thousand idle nodes are ten
+    // thousand times the number above.
+    let live_before = LIVE_BYTES.get();
+    let node = CupNode::new(NodeId(1), NodeConfig::cup_default());
+    assert_eq!(LIVE_BYTES.get() - live_before, 0, "an idle node's heap");
+    assert_eq!(node.stats.pfu_retry_age.count(), 0);
+}
+
+/// A node caching `KEYS` keys, each with `fan_out` subscribed neighbors
+/// (ids 100…), through the protocol's own path: their misses, then the
+/// first-time update that answers them.
+fn relay_node(fan_out: u32, out: &mut Vec<Action>) -> CupNode {
+    let t0 = SimTime::from_secs(1);
+    let mut node = CupNode::new(NodeId(1), NodeConfig::cup_default());
+    for k in 0..KEYS {
+        for n in 0..fan_out {
+            let from = Requester::Neighbor(NodeId(100 + n));
+            node.handle_query_into(t0, KeyId(k), from, Some(UPSTREAM), out);
+        }
+        out.clear();
+        node.handle_update_into(t0, UPSTREAM, update(k, UpdateKind::FirstTime, t0), out);
+        assert_eq!(out.len(), fan_out as usize, "one answer per neighbor");
+        out.clear();
+    }
+    node
+}
+
+#[test]
+fn a_forwarded_refresh_allocates_one_payload_per_recipient_but_the_last() {
+    for fan_out in [1u32, 4] {
+        let mut out: Vec<Action> = Vec::with_capacity(8);
+        let mut node = relay_node(fan_out, &mut out);
+        let t1 = SimTime::from_secs(2);
+        let refreshes: Vec<Update> = (0..KEYS)
+            .map(|k| update(k, UpdateKind::Refresh, t1))
+            .collect();
+        let allocs_before = ALLOCS.get();
+        for u in refreshes {
+            node.handle_update_into(t1, UPSTREAM, u, &mut out);
+            assert_eq!(out.len(), fan_out as usize);
+            // Dropping the copies frees; it never allocates.
+            out.clear();
+        }
+        assert_eq!(
+            ALLOCS.get() - allocs_before,
+            u64::from(KEYS * (fan_out - 1)),
+            "fan-out {fan_out}: the received payload moves into the last copy"
+        );
+        assert_eq!(
+            node.stats.updates_forwarded,
+            2 * u64::from(KEYS * fan_out),
+            "answers and refreshes were all sent"
+        );
+    }
+}
+
+#[test]
+fn a_first_time_update_moves_to_a_waiting_neighbor_and_builds_one_answer_for_a_client() {
+    let mut out: Vec<Action> = Vec::with_capacity(8);
+    let t0 = SimTime::from_secs(1);
+    let mut node = CupNode::new(NodeId(1), NodeConfig::cup_default());
+    // Even keys are awaited by a neighbor, odd keys by a client.
+    let waiter = |k: u32| match k % 2 {
+        0 => Requester::Neighbor(NodeId(100)),
+        _ => Requester::Client(ClientId(u64::from(k))),
+    };
+    for k in 0..KEYS {
+        node.handle_query_into(t0, KeyId(k), waiter(k), Some(UPSTREAM), &mut out);
+        out.clear();
+    }
+    let answers: Vec<Update> = (0..KEYS)
+        .map(|k| update(k, UpdateKind::FirstTime, t0))
+        .collect();
+    for (k, u) in (0..KEYS).zip(answers) {
+        let payload = u.entries.as_ptr();
+        let allocs_before = ALLOCS.get();
+        node.handle_update_into(t0, UPSTREAM, u, &mut out);
+        let allocs = ALLOCS.get() - allocs_before;
+        match &out[..] {
+            [Action::Send {
+                msg: Message::Update(relayed),
+                ..
+            }] => {
+                assert_eq!(allocs, 0, "key {k}: relayed to one neighbor");
+                assert_eq!(relayed.entries.as_ptr(), payload, "the very same block");
+                assert_eq!(relayed.depth, 4, "one hop further down");
+            }
+            [Action::RespondClient { entries, .. }] => {
+                assert_eq!(allocs, 1, "key {k}: the client's answer and nothing else");
+                assert_eq!(entries.len(), 1);
+            }
+            other => panic!("key {k}: unexpected actions {other:?}"),
+        }
+        out.clear();
+    }
+}
+
+#[test]
+fn tracker_cycles_over_existing_slots_allocate_nothing() {
+    const PATH: u32 = 8;
+    let mut tracker = JustificationTracker::new();
+    let paths: Vec<[NodeId; PATH as usize]> = (0..KEYS)
+        .map(|k| std::array::from_fn(|i| NodeId(k * PATH + i as u32)))
+        .collect();
+    // One cycle: every path node of every key gets a refresh (a window
+    // opens), then a query walks the path (and settles all eight).
+    let mut now = SimTime::from_secs(1);
+    let mut cycle = |tracker: &mut JustificationTracker| {
+        now += SimDuration::from_secs(1);
+        for (k, path) in (0..KEYS).zip(&paths) {
+            for &node in path {
+                tracker.on_update_delivered(node, KeyId(k), now, now + LIFE);
+            }
+        }
+        for (k, path) in (0..KEYS).zip(&paths) {
+            tracker.on_query(KeyId(k), now, path);
+        }
+    };
+    // Warm-up: the table grows to its working size.
+    cycle(&mut tracker);
+    cycle(&mut tracker);
+    let allocs_before = ALLOCS.get();
+    for _ in 0..10 {
+        cycle(&mut tracker);
+    }
+    assert_eq!(
+        ALLOCS.get() - allocs_before,
+        0,
+        "10 240 updates and 1 280 path walks over slots that exist"
+    );
+    let delivered = 12 * u64::from(KEYS * PATH);
+    assert_eq!(
+        (tracker.justified(), tracker.total()),
+        (delivered, delivered)
+    );
+    assert_eq!(tracker.held_slots(), 0, "a settled slot is given back");
 }

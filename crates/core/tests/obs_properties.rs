@@ -1,5 +1,6 @@
 //! Algebraic properties of the integer latency histogram
-//! ([`cup_core::Hist`]).
+//! ([`cup_core::Hist`]) and of its allocate-on-first-sample form
+//! ([`cup_core::LazyHist`]).
 //!
 //! The conformance suites compare histogram state byte-for-byte across
 //! runtimes, and the parallel sweeps fold per-worker histograms into
@@ -11,7 +12,7 @@
 
 use proptest::prelude::*;
 
-use cup_core::Hist;
+use cup_core::{Hist, LazyHist};
 
 /// Values spanning every histogram regime: the exact low range, the
 /// log-linear middle, huge values, and the saturating top bucket.
@@ -35,7 +36,46 @@ fn hist_of(values: &[u64]) -> Hist {
     h
 }
 
+fn lazy_of(values: &[u64]) -> LazyHist {
+    let mut h = LazyHist::default();
+    for &v in values {
+        h.record(v);
+    }
+    h
+}
+
 proptest! {
+    /// A `LazyHist` is the `Hist` it defers in everything read from it:
+    /// an untouched one, a default one and one merged with empties are
+    /// equal; merging is exact and order-free; merging an empty one,
+    /// from either side, changes nothing.
+    #[test]
+    fn lazy_hist_reads_like_the_hist_it_defers(a in arb_values(), b in arb_values()) {
+        let mut untouched = LazyHist::default();
+        untouched.merge(&LazyHist::default());
+        untouched.merge(&lazy_of(&[]));
+        prop_assert_eq!(&untouched, &LazyHist::default());
+        prop_assert_eq!(untouched.to_hist(), Hist::new());
+
+        let (la, lb) = (lazy_of(&a), lazy_of(&b));
+        prop_assert_eq!(la == LazyHist::default(), a.is_empty());
+        let mut ab = la.clone();
+        ab.merge(&lb);
+        let mut ba = lb.clone();
+        ba.merge(&la);
+        prop_assert_eq!(&ab, &ba);
+        let whole: Vec<u64> = a.iter().chain(&b).copied().collect();
+        prop_assert_eq!(ab.to_hist(), hist_of(&whole));
+        prop_assert_eq!(ab.count(), whole.len() as u64);
+
+        let mut same = la.clone();
+        same.merge(&LazyHist::default());
+        prop_assert_eq!(&same, &la);
+        let mut from_empty = LazyHist::default();
+        from_empty.merge(&la);
+        prop_assert_eq!(&from_empty, &la);
+    }
+
     /// Merge is commutative: a ∪ b == b ∪ a.
     #[test]
     fn merge_commutes(a in arb_values(), b in arb_values()) {

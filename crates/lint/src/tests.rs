@@ -238,6 +238,42 @@ impl S {
 }
 
 #[test]
+fn the_trackers_hashed_table_is_policed_walk_by_walk() {
+    // `JustificationTracker.slots` is hash-ordered on purpose. Its
+    // order-free walks carry reasoned pragmas; the type's extra
+    // parameters (a tuple key, a custom hasher) must not hide the field
+    // from the rule, and a walk whose result *would* depend on order —
+    // reporting the first open slot, say — still fires.
+    let src = "\
+pub struct JustificationTracker {
+    slots: HashMap<(NodeId, KeyId), InlineVec<Window, 2>, BuildHasherDefault<PairHasher>>,
+    prune_at: usize,
+}
+impl JustificationTracker {
+    pub fn prune_settled(&mut self, now: SimTime) {
+        // cup-lint: allow(unordered-iteration, \"a retain whose predicate reads one slot\")
+        self.slots.retain(|_, windows| !windows.is_empty());
+    }
+    pub fn open_windows(&self) -> usize {
+        // cup-lint: allow(unordered-iteration, \"a sum is the same in any order\")
+        self.slots.values().map(|w| w.len()).sum()
+    }
+    pub fn first_open(&self) -> Option<NodeId> {
+        self.slots.keys().next().map(|&(node, _)| node)
+    }
+    pub fn dump(&self, out: &mut Vec<NodeId>) {
+        for (&(node, _), _) in &self.slots { out.push(node); }
+    }
+    pub fn probe(&mut self, slot: (NodeId, KeyId)) -> bool { self.slots.contains_key(&slot) }
+}
+";
+    let report = run_rule(&UnorderedIteration, &[("crates/core/src/justify.rs", src)]);
+    let denied: Vec<usize> = report.denied().map(|f| f.line).collect();
+    assert_eq!(denied, vec![15, 18], "the two order-dependent walks");
+    assert_eq!(report.allowed().count(), 2, "the retain and the sum");
+}
+
+#[test]
 fn iteration_rule_ignores_out_of_scope_crates() {
     let src = "struct S { m: HashMap<K, V> }\nfn f(s: &S) { for x in &s.m {} }\n";
     let report = run_rule(&UnorderedIteration, &[("crates/workload/src/w.rs", src)]);
@@ -401,6 +437,39 @@ fn field_missing_from_merge_fires() {
     assert_eq!(denied.len(), 1);
     assert!(denied[0].message.contains("updates_received"));
     assert_eq!(denied[0].line, 3, "reported at the field's declaration");
+}
+
+#[test]
+fn lazy_hist_field_missing_from_merge_fires() {
+    // The per-node histograms are `LazyHist`s now; the catalog reads
+    // field names, not types, so a merge that folds one distribution and
+    // forgets the other is still caught — and a mention outside `merge`
+    // does not count.
+    let src = "\
+pub struct NodeStats {
+    pub pfu_retries: u64,
+    pub pfu_retry_age: LazyHist,
+    pub audit_rtt: LazyHist,
+}
+impl NodeStats {
+    pub fn audits_seen(&self) -> u64 { self.audit_rtt.count() }
+    pub fn merge(&mut self, other: &NodeStats) {
+        self.pfu_retries += other.pfu_retries;
+        self.pfu_retry_age.merge(&other.pfu_retry_age);
+    }
+}
+";
+    let rule = ConformanceParity {
+        checks: vec![ParityCheck::MergedInto {
+            struct_file: "crates/core/src/stats.rs".into(),
+            struct_name: "NodeStats".into(),
+            fn_name: "merge".into(),
+        }],
+    };
+    let report = run_rule(&rule, &[("crates/core/src/stats.rs", src)]);
+    let denied: Vec<_> = report.denied().map(|f| (f.line, &f.message)).collect();
+    assert_eq!(denied.len(), 1);
+    assert!(denied[0].0 == 4 && denied[0].1.contains("audit_rtt"));
 }
 
 #[test]

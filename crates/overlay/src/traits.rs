@@ -80,13 +80,30 @@ pub trait Overlay {
     /// answered it, and is used by the cost model to attribute queries to
     /// virtual subtrees.
     fn route(&self, from: NodeId, key: KeyId) -> Result<Vec<NodeId>, OverlayError> {
-        let mut path = vec![from];
+        let mut path = Vec::new();
+        self.route_into(from, key, &mut path)?;
+        Ok(path)
+    }
+
+    /// [`Overlay::route`] into a buffer the caller owns: `path` is
+    /// cleared and filled with the same walk, so a caller that routes
+    /// per query (the justification marks) allocates nothing once the
+    /// buffer has grown to the longest path. On error `path` holds the
+    /// walk up to where routing failed.
+    fn route_into(
+        &self,
+        from: NodeId,
+        key: KeyId,
+        path: &mut Vec<NodeId>,
+    ) -> Result<(), OverlayError> {
+        path.clear();
+        path.push(from);
         let mut at = from;
         // Any simple path visits each node at most once.
         let bound = self.len() + 1;
         for _ in 0..bound {
             match self.next_hop(at, key)? {
-                None => return Ok(path),
+                None => return Ok(()),
                 Some(next) => {
                     at = next;
                     path.push(next);

@@ -45,6 +45,10 @@ fn check_lookup(
         Ok(path) => path,
         Err(e) => return Err(TestCaseError::fail(format!("route({start}, {key}): {e}"))),
     };
+    // The buffer form is the same walk, whatever the buffer held before.
+    let mut reused = vec![authority; 3];
+    prop_assert!(overlay.route_into(start, key, &mut reused).is_ok());
+    prop_assert_eq!(&reused, &path);
     prop_assert_eq!(*path.first().unwrap(), start);
     prop_assert_eq!(
         *path.last().unwrap(),

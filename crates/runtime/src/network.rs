@@ -1030,6 +1030,55 @@ mod tests {
     }
 
     #[test]
+    fn a_crashed_nodes_histograms_fold_into_the_retained_aggregate() {
+        let mut rng = DetRng::seed_from(13);
+        let config = NodeConfig::cup_default();
+        let net = LiveNetwork::start_virtual(OverlayKind::Can, 16, config, 2, &mut rng).unwrap();
+        net.enable_faults(5);
+        net.replica_birth(KeyId(1), ReplicaId(0), SimDuration::from_secs(3600));
+        net.quiesce();
+        // Total loss strands a Pending-First-Update flag at every node
+        // but the authority; past the 30 s timeout each node's next
+        // query retries and records how long its flag sat.
+        net.inject_fault(FaultAction::SetLoss { rate: 1.0 });
+        let stranded: Vec<_> = (net.nodes().iter())
+            .map(|&node| net.query_detached(node, KeyId(1)).unwrap())
+            .collect();
+        net.quiesce();
+        net.inject_fault(FaultAction::SetLoss { rate: 0.0 });
+        net.advance(SimDuration::from_secs(31));
+        for &node in net.nodes() {
+            assert_eq!(net.query(node, KeyId(1)).unwrap().len(), 1);
+        }
+        drop(stranded);
+        // Crash half the nodes: at least seven of them hold a sample.
+        for node in 0..8 {
+            net.inject_fault(FaultAction::Crash { node });
+        }
+        net.quiesce();
+        let retained = net.crash_retained_stats();
+        assert!(
+            retained.pfu_retries >= 7,
+            "{} retries",
+            retained.pfu_retries
+        );
+        assert_eq!(retained.pfu_retry_age.count(), retained.pfu_retries);
+        let median_age = retained.pfu_retry_age.to_hist().quantile(500);
+        assert!(
+            (24_000_000..=31_000_000).contains(&median_age),
+            "{median_age} µs"
+        );
+        // Nothing was lost and nothing doubled: the crashed nodes came
+        // back with empty histograms, the others kept theirs.
+        let mut total = retained;
+        for node in net.shutdown() {
+            total.merge(&node.stats);
+        }
+        assert_eq!(total.pfu_retries, 15, "one per non-authority node");
+        assert_eq!(total.pfu_retry_age.count(), 15);
+    }
+
+    #[test]
     fn full_loss_drops_everything_and_quiesce_stays_exact() {
         let net = network(OverlayKind::Can, 16);
         net.enable_faults(9);

@@ -492,7 +492,9 @@ struct Worker {
     incoming: Vec<Envelope>,
     /// Per-destination outbound buffers, flushed at loop boundaries.
     outbox: Vec<Outbound>,
-    /// Per-shard scratch a posted query's virtual path is split into.
+    /// Scratch a posted query's virtual path is routed into.
+    path: Vec<NodeId>,
+    /// Per-shard scratch that path is split into.
     path_split: Vec<Vec<NodeId>>,
 }
 
@@ -546,6 +548,7 @@ pub(crate) fn worker_main(shard: usize, nodes: Vec<CupNode>, shared: Arc<Shared>
         control: VecDeque::new(),
         incoming: Vec::new(),
         outbox: (0..shards).map(|_| Outbound::default()).collect(),
+        path: Vec::new(),
         path_split: (0..shards).map(|_| Vec::new()).collect(),
     };
     loop {
@@ -717,10 +720,15 @@ impl Env for Worker {
     /// shard, so this shard's path nodes are marked inline and every
     /// other shard gets its own in one [`Envelope::JustifyMark`].
     fn mark_path(&mut self, own: &mut JustificationTracker, at: NodeId, key: KeyId, t: SimTime) {
-        let Ok(path) = self.shared.overlay.route(at, key) else {
+        if self
+            .shared
+            .overlay
+            .route_into(at, key, &mut self.path)
+            .is_err()
+        {
             return;
-        };
-        for node in path {
+        }
+        for &node in &self.path {
             self.path_split[self.shared.shard_of(node)].push(node);
         }
         for (shard, nodes) in self.path_split.iter_mut().enumerate() {

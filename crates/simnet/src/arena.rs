@@ -127,7 +127,7 @@ impl NodeArena {
     /// Aggregates the protocol counters of all live nodes plus the
     /// departed carry-over.
     pub fn aggregate_stats(&self) -> cup_core::stats::NodeStats {
-        let mut total = self.departed_stats;
+        let mut total = self.departed_stats.clone();
         for n in self.nodes.iter().flatten() {
             total.merge(&n.stats);
         }
@@ -169,6 +169,32 @@ mod tests {
         assert!(arena.remove(NodeId(2)).is_none());
         assert_eq!(arena.aggregate_stats(), before);
         assert_eq!(arena.departed_stats().client_queries, 7);
+    }
+
+    #[test]
+    fn reset_folds_a_crashed_nodes_histograms_into_the_retained_aggregate() {
+        let mut arena = NodeArena::build(&ids(4), NodeConfig::cup_default());
+        // Only node 1 ever recorded a sample; everyone else's
+        // histograms were never allocated.
+        let stats = &mut arena.get_mut(NodeId(1)).stats;
+        stats.pfu_retries = 2;
+        stats.pfu_retry_age.record(31_000_000);
+        stats.pfu_retry_age.record(45_000_000);
+        let before = arena.aggregate_stats();
+        assert!(arena.reset(NodeId(1), NodeConfig::cup_default()));
+        let cold = &arena.get(NodeId(1)).unwrap().stats;
+        assert_eq!(*cold, cup_core::stats::NodeStats::default());
+        let retained = arena.departed_stats();
+        assert_eq!(retained.pfu_retry_age.count(), 2);
+        assert_eq!(retained.pfu_retry_age.to_hist().quantile(1000), 41_943_040);
+        assert_eq!(
+            arena.aggregate_stats(),
+            before,
+            "conserved across the crash"
+        );
+        // A second crash of the now-cold node adds nothing.
+        assert!(arena.reset(NodeId(1), NodeConfig::cup_default()));
+        assert_eq!(arena.aggregate_stats(), before);
     }
 
     #[test]

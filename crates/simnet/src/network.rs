@@ -81,6 +81,8 @@ struct Fabric {
     query_posted: BTreeMap<u64, SimTime>,
     /// Structured event trace (off by default — see [`Network::enable_trace`]).
     trace: Option<TraceBuf>,
+    /// Scratch a posted query's virtual path is routed into.
+    path: Vec<NodeId>,
 }
 
 /// A [`Fabric`] for the length of one event: the kernel's [`Env`].
@@ -153,8 +155,9 @@ impl Env for Wire<'_> {
     fn mark_path(&mut self, own: &mut JustificationTracker, at: NodeId, key: KeyId, t: SimTime) {
         // Routing is deterministic, so the virtual path V(N, K) is
         // exactly the route the query would travel.
-        if let Ok(path) = self.fabric.overlay.route(at, key) {
-            own.on_query(key, t, &path);
+        let Fabric { overlay, path, .. } = &mut *self.fabric;
+        if overlay.route_into(at, key, path).is_ok() {
+            own.on_query(key, t, path);
         }
     }
 
@@ -204,6 +207,7 @@ impl Network {
                 dead_replicas: HashMap::new(),
                 query_posted: BTreeMap::new(),
                 trace: None,
+                path: Vec::new(),
             },
             alive_list: ids,
             query_gen: None,
@@ -240,7 +244,7 @@ impl Network {
     /// conformance harness mirrors them against the live runtime's
     /// crash-retained aggregate).
     pub fn retained_stats(&self) -> cup_core::stats::NodeStats {
-        *self.fabric.nodes.departed_stats()
+        self.fabric.nodes.departed_stats().clone()
     }
 
     /// Handles one simulation event; the entry point the engine drives.

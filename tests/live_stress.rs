@@ -110,7 +110,11 @@ fn run_script(workers: usize, map: ShardMapMode) -> (Vec<NodeStats>, u64, u64) {
     let cross_shard = net.cross_shard_messages();
     let nodes = net.shutdown();
     assert_eq!(nodes.len(), NODES);
-    (nodes.iter().map(|n| n.stats).collect(), hops, cross_shard)
+    (
+        nodes.into_iter().map(|n| n.stats).collect(),
+        hops,
+        cross_shard,
+    )
 }
 
 #[test]
