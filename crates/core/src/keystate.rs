@@ -6,8 +6,10 @@
 //! connections are held open awaiting a fresh answer.
 //!
 //! CUP's scaling argument is that this record is tiny, so it is laid out
-//! to be: a [`KeyState`] is at most 160 bytes (checked at compile time
-//! below) and owns no heap memory in the common case. The capacities are
+//! to be: a [`KeyState`] is at most 144 bytes (checked at compile time
+//! below; that includes the record's own key, which the key table's
+//! hashed index confirms lookups against) and owns no heap memory in
+//! the common case. The capacities are
 //! read off the four ledger workloads' end-of-run states, not tuned per
 //! run:
 //!
@@ -32,7 +34,7 @@
 //! The short lists are all one type, `crate::inline::InlineVec`, which
 //! spills to the heap past its capacity and comes back.
 
-use cup_des::{ReplicaId, SimTime};
+use cup_des::{KeyId, ReplicaId, SimTime};
 
 use crate::audit::AuditTally;
 use crate::entry::IndexEntry;
@@ -81,9 +83,13 @@ pub struct KeyState {
     pub(crate) audit: Option<Box<AuditState>>,
     /// Authority-side §3.6 refresh state; `None` until first needed.
     pub(crate) refresh: Option<Box<RefreshState>>,
+    /// The key this record belongs to, which the key table's index
+    /// confirms a hash-tag match against (see `crate::keytable`). It
+    /// sits in what was the record's tail padding, so it costs nothing.
+    pub(crate) key: KeyId,
 }
 
-const _: () = assert!(std::mem::size_of::<KeyState>() <= 160);
+const _: () = assert!(std::mem::size_of::<KeyState>() <= 144);
 
 /// Who a node owes an answer for one key once its first-time update
 /// arrives.

@@ -1,58 +1,160 @@
-//! A node's per-key records: one sorted key table per [`crate::CupNode`].
+//! A node's per-key records: one hashed key table per [`crate::CupNode`].
 //!
 //! Every message a node handles starts by finding its key's
-//! [`KeyState`], and a node holds tens to a few hundred keys, so the
-//! table is two flat arrays instead of a hash map: the `(key, slot)`
-//! index sorted by key and searched by bisection, and the records
-//! themselves in arrival order. A new key shifts eight-byte index pairs,
-//! never 144-byte records; records are never moved or removed, so a
-//! slot, once handed out, names its record for the node's lifetime.
-//! Iteration is in arrival order — a fixed order, unlike a hash map's.
+//! [`KeyState`], so the lookup is the first link in each hop's chain of
+//! cache misses (node → index → record). The table is two flat arrays:
+//!
+//! * **records**, one per key in the order the keys were first seen.
+//!   Records are never moved or removed, so a slot, once handed out,
+//!   names its record for the node's lifetime, and iteration is arrival
+//!   order — a fixed order, unlike a hash map's.
+//! * **index**, an open-addressed table of 4-byte words probed linearly
+//!   and never more than half full. A word holds a slot + 1 (0 is empty)
+//!   over eight tag bits of the key's hash; a lookup reads one word,
+//!   rarely two, and confirms a tag match against the key the record
+//!   keeps in what used to be its tail padding — one index line before
+//!   the record, where bisecting sorted `(key, slot)` pairs read about
+//!   four dependent ones.
+//!
+//! Why hashing changes nothing observable: the hash decides only where a
+//! word sits in the index, and nothing reads the index's order. What
+//! the handlers and [`KeyTable::values_mut`] see — the records, their
+//! order, their contents — depends only on which keys arrived when, so
+//! every statistic, the golden fixture and sim-vs-live conformance are
+//! what the sorted index produced, byte for byte. So is the memory: the
+//! index doubles when a new key would take it past half full, i.e. it
+//! has twice the words the pair vector had slots at every key count, at
+//! half the size each. Keys are the program's own ids, not outside
+//! input, so a fixed hash that a chosen key set could cluster is enough.
 
 use cup_des::KeyId;
 
 use crate::keystate::KeyState;
 
+/// Low bits of an index word: the tag, the low bits of the key's hash.
+const TAG_BITS: u32 = 8;
+
+/// Mask of the tag bits.
+const TAG_MASK: u32 = (1 << TAG_BITS) - 1;
+
+/// Words in the first index a table allocates.
+const MIN_WORDS: usize = 8;
+
+/// The most keys one table holds: a slot + 1 must fit above the tag.
+/// (At 144 bytes a record, that is 2.4 GB of records for one node.)
+const MAX_KEYS: usize = (u32::MAX >> TAG_BITS) as usize;
+
 /// The per-key records of one node, found by key.
 #[derive(Debug, Default)]
 pub(crate) struct KeyTable {
-    /// `(key, slot)` pairs, ascending by key; `slot` indexes `records`.
-    index: Vec<(KeyId, u32)>,
+    /// `(slot + 1) << TAG_BITS | tag` per occupied word, 0 for an empty
+    /// one; the length is a power of two (or 0 before the first key) and
+    /// at least twice `records.len()`.
+    index: Box<[u32]>,
     /// One record per key, in the order the keys were first seen.
     records: Vec<KeyState>,
 }
 
+/// Fibonacci hashing: a multiplication by an odd constant is a bijection
+/// on `u32`, and its top bits are well mixed even for dense keys.
+fn hash(key: KeyId) -> u32 {
+    key.0.wrapping_mul(0x9E37_79B9)
+}
+
+/// Where `hash`'s probe starts in an index of `words` words (a power of
+/// two): its top bits.
+fn home(hash: u32, words: usize) -> usize {
+    ((u64::from(hash) * words as u64) >> 32) as usize
+}
+
+/// The index word of the record in `slot` (below [`MAX_KEYS`]) whose key
+/// hashes to `hash`.
+fn word(slot: usize, hash: u32) -> u32 {
+    ((slot as u32 + 1) << TAG_BITS) | (hash & TAG_MASK)
+}
+
+/// The first empty word on `hash`'s probe sequence. The index is at most
+/// half full, so there is one.
+fn vacant(index: &[u32], hash: u32) -> usize {
+    let mask = index.len() - 1;
+    let mut pos = home(hash, index.len());
+    while index[pos] != 0 {
+        pos = (pos + 1) & mask;
+    }
+    pos
+}
+
 impl KeyTable {
-    /// Position of `key` in the index, or where it would be inserted.
+    /// The slot of `key`'s record, or the empty word where `key` would
+    /// be indexed (meaningless while the index is empty).
     fn find(&self, key: KeyId) -> Result<usize, usize> {
-        self.index.binary_search_by_key(&key, |&(k, _)| k)
+        if self.index.is_empty() {
+            return Err(0);
+        }
+        let h = hash(key);
+        let mask = self.index.len() - 1;
+        let mut pos = home(h, self.index.len());
+        loop {
+            let w = self.index[pos];
+            if w == 0 {
+                return Err(pos);
+            }
+            if w & TAG_MASK == h & TAG_MASK {
+                let slot = (w >> TAG_BITS) as usize - 1;
+                if self.records[slot].key == key {
+                    return Ok(slot);
+                }
+            }
+            pos = (pos + 1) & mask;
+        }
     }
 
     /// The record for `key`, if the node has seen the key.
     pub(crate) fn get(&self, key: KeyId) -> Option<&KeyState> {
-        let at = self.find(key).ok()?;
-        self.records.get(self.index[at].1 as usize)
+        let slot = self.find(key).ok()?;
+        self.records.get(slot)
     }
 
     /// Mutable access to the record for `key`, if there is one.
     pub(crate) fn get_mut(&mut self, key: KeyId) -> Option<&mut KeyState> {
-        let at = self.find(key).ok()?;
-        self.records.get_mut(self.index[at].1 as usize)
+        let slot = self.find(key).ok()?;
+        self.records.get_mut(slot)
     }
 
     /// The record for `key`, created empty on first sight.
     pub(crate) fn get_or_default(&mut self, key: KeyId) -> &mut KeyState {
         let slot = match self.find(key) {
-            Ok(at) => self.index[at].1 as usize,
-            Err(at) => {
+            Ok(slot) => slot,
+            Err(mut pos) => {
                 let slot = self.records.len();
-                // Keys are 32-bit, so a slot always fits beside one.
-                self.index.insert(at, (key, slot as u32));
-                self.records.push(KeyState::default());
+                assert!(
+                    slot < MAX_KEYS,
+                    "a node's key table holds at most {MAX_KEYS} keys"
+                );
+                let h = hash(key);
+                if 2 * (slot + 1) > self.index.len() {
+                    self.grow();
+                    pos = vacant(&self.index, h);
+                }
+                self.index[pos] = word(slot, h);
+                let mut st = KeyState::default();
+                st.key = key;
+                self.records.push(st);
                 slot
             }
         };
         &mut self.records[slot]
+    }
+
+    /// Doubles the index and re-indexes every record, in slot order.
+    fn grow(&mut self) {
+        let mut index = vec![0u32; (2 * self.index.len()).max(MIN_WORDS)].into_boxed_slice();
+        for (slot, st) in self.records.iter().enumerate() {
+            let h = hash(st.key);
+            let pos = vacant(&index, h);
+            index[pos] = word(slot, h);
+        }
+        self.index = index;
     }
 
     /// Every record, in the order the keys were first seen.
@@ -84,45 +186,154 @@ mod tests {
         assert_eq!(arrival, vec![0, 1, 2, 3, 4], "records keep arrival order");
     }
 
-    proptest! {
-        /// Random insert / lookup / write sequences agree with a
-        /// `BTreeMap` model, the index stays strictly ascending, and
-        /// iteration visits each record once in first-seen order.
-        #[test]
-        fn matches_a_btreemap_model(ops in proptest::collection::vec((0u32..3, 0u32..48, 0u32..1_000), 0..300)) {
-            let mut table = KeyTable::default();
-            let mut model: BTreeMap<u32, u32> = BTreeMap::new();
-            let mut first_seen: Vec<u32> = Vec::new();
-            for (op, key, value) in ops {
-                match op {
-                    0 => {
-                        if !model.contains_key(&key) {
-                            first_seen.push(key);
-                        }
-                        let st = table.get_or_default(KeyId(key));
-                        prop_assert_eq!(st.last_depth, model.get(&key).copied().unwrap_or(0));
+    #[test]
+    fn an_empty_table_finds_nothing_and_owns_no_index() {
+        let mut t = KeyTable::default();
+        assert!(t.get(KeyId(0)).is_none());
+        assert!(t.get_mut(KeyId(u32::MAX)).is_none());
+        assert!(t.index.is_empty());
+        t.get_or_default(KeyId(u32::MAX));
+        assert_eq!(t.index.len(), MIN_WORDS);
+    }
+
+    /// `n` (≤ 4 096) distinct keys whose hashes agree on their top 12
+    /// bits and on the tag, i.e. that share one home word in every index
+    /// of up to 4 096 words and that no tag tells apart: hashes with only
+    /// the bits in between varying, mapped back through the hash's
+    /// inverse.
+    fn colliding_keys(n: u32) -> Vec<u32> {
+        // 0x9E37_79B9 · 0x144C_BC89 ≡ 1 (mod 2³²).
+        const INVERSE: u32 = 0x144C_BC89;
+        assert!(n <= 1 << 12);
+        (0..n)
+            .map(|i| (0xA5C0_0000 | (i << TAG_BITS) | 0x5A).wrapping_mul(INVERSE))
+            .collect()
+    }
+
+    #[test]
+    fn colliding_keys_really_collide() {
+        assert_eq!(0x9E37_79B9u32.wrapping_mul(0x144C_BC89), 1);
+        let keys = colliding_keys(600);
+        let hashes: Vec<u32> = keys.iter().map(|&k| hash(KeyId(k))).collect();
+        for words in [8, 512, 1 << 12] {
+            assert!(hashes
+                .iter()
+                .all(|&h| home(h, words) == home(hashes[0], words)));
+        }
+        assert!(hashes.iter().all(|&h| h & TAG_MASK == 0x5A));
+    }
+
+    /// The index is at most half full, a power of two, and maps every
+    /// record's key to its own slot.
+    fn check_index(table: &KeyTable) -> Result<(), TestCaseError> {
+        let words = table.index.len();
+        prop_assert!(words == 0 || words.is_power_of_two());
+        prop_assert!(2 * table.records.len() <= words);
+        prop_assert_eq!(
+            table.index.iter().filter(|&&w| w != 0).count(),
+            table.records.len()
+        );
+        for (slot, st) in table.records.iter().enumerate() {
+            prop_assert_eq!(table.find(st.key), Ok(slot));
+        }
+        Ok(())
+    }
+
+    /// Random insert / lookup / write sequences agree with a `BTreeMap`
+    /// model, and iteration visits each record once in first-seen order —
+    /// checked after every operation, so across every growth.
+    fn run_model(ops: Vec<(u32, u32, u32)>, keys: &[u32]) -> Result<(), TestCaseError> {
+        let mut table = KeyTable::default();
+        let mut model: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut first_seen: Vec<u32> = Vec::new();
+        for (op, key, value) in ops {
+            let key = keys[key as usize % keys.len()];
+            match op {
+                0 => {
+                    if !model.contains_key(&key) {
+                        first_seen.push(key);
+                    }
+                    let st = table.get_or_default(KeyId(key));
+                    prop_assert_eq!(st.key, KeyId(key));
+                    prop_assert_eq!(st.last_depth, model.get(&key).copied().unwrap_or(0));
+                    st.last_depth = value;
+                    model.insert(key, value);
+                }
+                1 => {
+                    let got = table.get(KeyId(key)).map(|st| st.last_depth);
+                    prop_assert_eq!(got, model.get(&key).copied());
+                }
+                _ => {
+                    if let Some(st) = table.get_mut(KeyId(key)) {
                         st.last_depth = value;
-                        model.insert(key, value);
                     }
-                    1 => {
-                        let got = table.get(KeyId(key)).map(|st| st.last_depth);
-                        prop_assert_eq!(got, model.get(&key).copied());
-                    }
-                    _ => {
-                        if let Some(st) = table.get_mut(KeyId(key)) {
-                            st.last_depth = value;
-                        }
-                        if let Some(v) = model.get_mut(&key) {
-                            *v = value;
-                        }
+                    if let Some(v) = model.get_mut(&key) {
+                        *v = value;
                     }
                 }
-                prop_assert!(table.index.windows(2).all(|w| w[0].0 < w[1].0));
-                prop_assert_eq!(table.index.len(), model.len());
             }
+            prop_assert_eq!(table.records.len(), model.len());
             let walked: Vec<u32> = table.values_mut().map(|st| st.last_depth).collect();
             let expected: Vec<u32> = first_seen.iter().map(|k| model[k]).collect();
             prop_assert_eq!(walked, expected);
+        }
+        check_index(&table)
+    }
+
+    proptest! {
+        #[test]
+        fn matches_a_btreemap_model(ops in proptest::collection::vec((0u32..3, 0u32..48, 0u32..1_000), 0..300)) {
+            let keys: Vec<u32> = (0..48).collect();
+            run_model(ops, &keys)?;
+        }
+
+        /// Keys that share a home word and a tag: every lookup walks the
+        /// cluster and only the record's key tells them apart.
+        #[test]
+        fn matches_the_model_when_every_key_collides(ops in proptest::collection::vec((0u32..3, 0u32..40, 0u32..1_000), 0..200)) {
+            run_model(ops, &colliding_keys(40))?;
+        }
+
+        /// Sparse keys across the whole `u32` range, mixed with colliding
+        /// ones.
+        #[test]
+        fn matches_the_model_on_sparse_and_colliding_keys(
+            ops in proptest::collection::vec((0u32..3, 0u32..64, 0u32..1_000), 0..300),
+            sparse in proptest::collection::vec(0u32..u32::MAX, 32),
+        ) {
+            let mut keys = colliding_keys(32);
+            keys.extend(sparse);
+            run_model(ops, &keys)?;
+        }
+    }
+
+    #[test]
+    fn growth_keeps_every_key_and_arrival_order_across_each_rehash() {
+        for keys in [(0..600).collect::<Vec<u32>>(), colliding_keys(600)] {
+            let mut table = KeyTable::default();
+            let mut words_seen = Vec::new();
+            for (n, &k) in keys.iter().enumerate() {
+                table.get_or_default(KeyId(k)).last_depth = n as u32;
+                let words = table.index.len();
+                if words_seen.last() != Some(&words) {
+                    words_seen.push(words);
+                }
+                // Load ≤ ½: 256 keys fit 512 words, the 257th doubles.
+                match n + 1 {
+                    255 | 256 => assert_eq!(words, 512),
+                    257 => assert_eq!(words, 1024),
+                    _ => {}
+                }
+                if (n + 1).is_power_of_two() || matches!(n + 1, 255..=257) {
+                    check_index(&table).unwrap();
+                    for (i, &k) in keys[..=n].iter().enumerate() {
+                        assert_eq!(table.get(KeyId(k)).map(|st| st.last_depth), Some(i as u32));
+                    }
+                    let arrival: Vec<u32> = table.values_mut().map(|st| st.last_depth).collect();
+                    assert_eq!(arrival, (0..=n as u32).collect::<Vec<_>>());
+                }
+            }
+            assert_eq!(words_seen, vec![8, 16, 32, 64, 128, 256, 512, 1024, 2048]);
         }
     }
 }

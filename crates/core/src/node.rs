@@ -106,6 +106,24 @@ impl CupNode {
         self.keys.get(key)
     }
 
+    /// Reads `key`'s record, if the node has one, and nothing else: no
+    /// record is created and nothing is written. A driver that knows the
+    /// `(node, key)` pairs it handles next touches them back to back
+    /// first, so their cache misses overlap instead of each handler
+    /// waiting out its own (the live worker's dispatch loop does).
+    pub fn touch_key(&self, key: KeyId) {
+        if let Some(st) = self.keys.get(key) {
+            // Fields spread over the record's 144 bytes, so each of the
+            // cache lines it spans is read (the lookup read its key).
+            std::hint::black_box((
+                st.popularity.tracked_replica(),
+                st.entries().len(),
+                st.pfu_since,
+                st.last_depth,
+            ));
+        }
+    }
+
     /// Read access to the local index directory.
     pub fn directory(&self) -> &LocalDirectory {
         &self.directory
@@ -1007,6 +1025,38 @@ mod tests {
         assert!(a2.is_empty(), "second query coalesced");
         assert!(a3.is_empty(), "third query coalesced");
         assert_eq!(node.stats.coalesced_queries, 2);
+    }
+
+    #[test]
+    fn touching_keys_reads_and_never_writes() {
+        let mut node = cup_node(1);
+        for k in [1u32, 5, 9] {
+            emitted!(node.handle_query_into(
+                SimTime::ZERO,
+                KeyId(k),
+                Requester::Neighbor(NodeId(4)),
+                Some(NodeId(9)),
+            ));
+        }
+        let update = first_time(5, vec![entry(5, 0, 0)], 3);
+        emitted!(node.handle_update_into(SimTime::from_secs(1), NodeId(9), update));
+        let records = |node: &mut CupNode| -> Vec<String> {
+            node.keys.values_mut().map(|st| format!("{st:?}")).collect()
+        };
+        let (before, stats) = (records(&mut node), node.stats.clone());
+        // Present and absent keys alike, twice over.
+        for k in (0..12).chain(0..12) {
+            node.touch_key(KeyId(k));
+        }
+        assert_eq!(
+            records(&mut node),
+            before,
+            "the same records, in the same order"
+        );
+        assert_eq!(node.stats, stats);
+        for k in (0..12).filter(|k| ![1, 5, 9].contains(k)) {
+            assert!(node.key_state(KeyId(k)).is_none(), "key {k} got a record");
+        }
     }
 
     #[test]

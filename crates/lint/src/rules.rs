@@ -439,13 +439,15 @@ impl Rule for RelaxedAtomic {
 
 /// Scope of the panic rule: the live worker dispatch path, and the
 /// per-message path both runtimes share (the delivery kernel, the DES
-/// network that drives it, and the node handlers every delivery ends
-/// in).
+/// network that drives it, the node handlers every delivery ends in,
+/// and the key table and per-key record every handler starts from).
 pub const PANIC_SCOPE: &[&str] = &[
     "crates/runtime/src",
     "crates/faults/src/deliver.rs",
     "crates/simnet/src/network.rs",
     "crates/core/src/node.rs",
+    "crates/core/src/keytable.rs",
+    "crates/core/src/keystate.rs",
 ];
 
 /// Rule 4: **panic-path** — `unwrap`/`expect` in per-message production

@@ -409,6 +409,34 @@ fn forward(&mut self, key: KeyId) {
     assert_eq!(denied[0].line, 2);
 }
 
+#[test]
+fn unwrap_in_the_key_table_fires() {
+    // Every message's handler starts with a key-table lookup, so the
+    // table and the record it returns are on the per-message path too.
+    let src = "\
+fn get_or_default(&mut self, key: KeyId) -> &mut KeyState {
+    let slot = self.find(key).unwrap();
+}
+";
+    let report = run_rule(
+        &PanicPath,
+        &[
+            ("crates/core/src/keytable.rs", src),
+            ("crates/core/src/keystate.rs", src),
+            ("crates/core/src/directory.rs", src),
+        ],
+    );
+    let mut denied: Vec<_> = report.denied().map(|f| (f.path.as_str(), f.line)).collect();
+    denied.sort();
+    assert_eq!(
+        denied,
+        vec![
+            ("crates/core/src/keystate.rs", 2),
+            ("crates/core/src/keytable.rs", 2)
+        ]
+    );
+}
+
 // --------------------------------------------------- conformance-parity
 
 const STATS_FIXTURE: &str = "\
