@@ -439,11 +439,14 @@ impl Rule for RelaxedAtomic {
 
 /// Scope of the panic rule: the live worker dispatch path, and the
 /// per-message path both runtimes share (the delivery kernel, the DES
-/// network that drives it, the node handlers every delivery ends in,
-/// and the key table and per-key record every handler starts from).
+/// engine and event queue every simulated event passes through, the DES
+/// network that drives the kernel, the node handlers every delivery ends
+/// in, and the key table and per-key record every handler starts from).
 pub const PANIC_SCOPE: &[&str] = &[
     "crates/runtime/src",
     "crates/faults/src/deliver.rs",
+    "crates/sim/src/event.rs",
+    "crates/sim/src/engine.rs",
     "crates/simnet/src/network.rs",
     "crates/core/src/node.rs",
     "crates/core/src/keytable.rs",

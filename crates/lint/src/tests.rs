@@ -437,6 +437,34 @@ fn get_or_default(&mut self, key: KeyId) -> &mut KeyState {
     );
 }
 
+#[test]
+fn unwrap_in_the_des_event_queue_fires() {
+    // Every simulated event is scheduled and popped through the queue,
+    // and a panic there loses the whole experiment.
+    let src = "\
+fn pop(&mut self) -> Option<(SimTime, E)> {
+    let s = self.head.pop_front().unwrap();
+}
+";
+    let report = run_rule(
+        &PanicPath,
+        &[
+            ("crates/sim/src/event.rs", src),
+            ("crates/sim/src/engine.rs", src),
+            ("crates/sim/src/rng.rs", src),
+        ],
+    );
+    let mut denied: Vec<_> = report.denied().map(|f| (f.path.as_str(), f.line)).collect();
+    denied.sort();
+    assert_eq!(
+        denied,
+        vec![
+            ("crates/sim/src/engine.rs", 2),
+            ("crates/sim/src/event.rs", 2)
+        ]
+    );
+}
+
 // --------------------------------------------------- conformance-parity
 
 const STATS_FIXTURE: &str = "\

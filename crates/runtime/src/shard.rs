@@ -545,16 +545,6 @@ impl Drop for PanicGuard {
 /// other shards instead of sitting on it until the storm ends.
 const CONTROL_QUANTUM: usize = 64;
 
-/// Inline messages a worker looks ahead over. Each hop's handler starts
-/// with a chain of dependent cache misses (node → key index → record);
-/// touching the next group's records back to back first lets those
-/// chains overlap, and the handlers then find them cached. On
-/// `live_plain_can` groups of 8, 16 and 32 measured alike, a group of
-/// 1 (no look-ahead) at 0.6–0.7 of their update rate; touching one message
-/// a fixed distance ahead of the one being handled gained nothing — the
-/// loads must issue together.
-const LOOKAHEAD: usize = 16;
-
 /// The worker thread body: rounds of (park until work → take the shard's
 /// [`ShardLocal`] → pull in control envelopes and batch slots → dispatch
 /// incoming, then one control quantum → flush outbound batches →
@@ -693,7 +683,7 @@ impl Worker {
             Envelope::Replica { at, event } => state.plane.replica_event(self, at, event),
         }
         while !self.local.is_empty() {
-            let group = self.local.len().min(LOOKAHEAD);
+            let group = self.local.len().min(CupNode::LOOKAHEAD);
             for (to, _, msg) in self.local.iter().take(group) {
                 self.nodes[self.shared.map.slot_of(*to)].touch_key(msg.key());
             }

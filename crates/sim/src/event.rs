@@ -1,17 +1,40 @@
 //! The simulation event queue.
 //!
-//! [`EventQueue`] is a *calendar queue* (Brown 1988): the time axis is
-//! divided into fixed-width buckets laid out on a circular calendar, an
-//! event is filed under the bucket its firing time falls in, and popping
-//! scans forward from the current virtual time, one bucket-day at a time.
-//! With buckets a few event gaps wide, schedule and pop are O(1)
-//! amortized — the property that lets 100k-node experiments with
-//! millions of pending events run at memory speed, where the previous
-//! `BinaryHeap` paid O(log n) per operation on a cache-hostile layout.
+//! [`EventQueue`] is a *calendar queue* (Brown 1988) with a sorted
+//! *head*. The time axis is divided into fixed-width buckets laid out on
+//! a circular calendar, and an event is filed under the bucket its firing
+//! time falls in. Popping never searches the calendar per event: when the
+//! head runs short, the earliest non-empty bucket-day is located — a scan
+//! forward from the current virtual time, one bucket-day at a time — and
+//! that whole day moves into the head in one go and is sorted there. With
+//! buckets a few event gaps wide, schedule and pop are O(1) amortized — the
+//! property that lets 100k-node experiments with millions of pending
+//! events run at memory speed, where the previous `BinaryHeap` paid
+//! O(log n) per operation on a cache-hostile layout — and a burst of
+//! same-instant events, all filed under one day, is moved and sorted once
+//! instead of being scanned once per pop.
 //!
-//! Two rules keep the width there. A resize (growth past two events a
+//! **The head invariant.** Every head entry precedes every calendar entry
+//! in `(time, sequence)` order. Draining keeps it because the earliest
+//! non-empty day precedes everything else filed; `schedule` keeps it by
+//! inserting an event that lands before the head's last entry into the
+//! head, in place. The head is what makes look-ahead possible:
+//! [`EventQueue::ahead`] tops it up and shows the next events' payloads
+//! without popping them, so a driver can touch their targets before
+//! handling them.
+//!
+//! The head is a `VecDeque` in pop order, and in a simulation it is often
+//! most of the near-term pending set: topping up across a sparse stretch
+//! pulls in far timers, and every hop scheduled before the last of them
+//! then joins the head. With one delay for every hop, such an event is
+//! later than all in-flight ones, so it goes in just before the few
+//! timers at the back, and the insert shifts only those — 5–7 entries per
+//! insert on the ledger's DES workloads, where a descending `Vec` popped
+//! off its end shifted the in-flight set (111–188).
+//!
+//! Two rules keep the width right. A resize (growth past two events a
 //! bucket, shrink below a quarter) sizes buckets from the spread of what
-//! is pending, which is all a bulk fill before the first pop has to go
+//! is filed, which is all a bulk fill before the first pop has to go
 //! on. Once events are popped, the queue reads its own pop stream: every
 //! `2 × buckets` pops it compares the width with three times the mean
 //! gap between the popped times and rebuilds when they are 4× apart
@@ -26,6 +49,8 @@
 //! scheduler survives as the oracle of the differential test suite
 //! (`tests/calendar_queue_diff.rs`), which pins the calendar queue
 //! against it: same schedule/pop stream, byte-identical pop order.
+
+use std::collections::VecDeque;
 
 use crate::time::SimTime;
 
@@ -46,7 +71,7 @@ const INITIAL_WIDTH_SHIFT: u32 = 10;
 /// Widest allowed bucket (2⁴⁰ µs ≈ 13 simulated days per bucket).
 const MAX_WIDTH_SHIFT: u32 = 40;
 
-/// A deterministic future-event list (calendar queue).
+/// A deterministic future-event list (calendar queue with a sorted head).
 ///
 /// Events scheduled for the same instant are returned in the order they
 /// were scheduled, whatever the internal bucket layout — the pop order is
@@ -61,26 +86,32 @@ const MAX_WIDTH_SHIFT: u32 = 40;
 /// let mut q = EventQueue::new();
 /// q.schedule(SimTime::from_secs(2), "later");
 /// q.schedule(SimTime::from_secs(1), "sooner");
+/// assert_eq!(q.ahead(2).copied().collect::<Vec<_>>(), ["sooner", "later"]);
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "sooner")));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(2), "later")));
 /// assert_eq!(q.pop(), None);
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// The next events, out of the calendar, in `(time, sequence)`
+    /// order. Every entry precedes every calendar entry.
+    head: VecDeque<Scheduled<E>>,
     /// Calendar buckets; `buckets.len()` is always a power of two.
     buckets: Vec<Vec<Scheduled<E>>>,
     /// log₂ of the bucket width in microseconds.
     width_shift: u32,
-    /// Lower bound on every pending event's firing time (µs). Maintained
-    /// so the pop scan can start at the right calendar day.
+    /// Lower bound on every calendar entry's firing time (µs). Maintained
+    /// so the drain scan can start at the right calendar day.
     vtime: u64,
-    len: usize,
+    /// Events filed in the calendar (the head holds the rest).
+    filed: usize,
     next_seq: u64,
     /// Pops since the width was last checked against the pop stream.
     pops_since_tune: usize,
     /// Firing time (µs) of the pop that ended the previous check.
     tune_start: u64,
-    /// Entries `find_min` compared, for the scan-length tests.
+    /// Calendar entries the drain scan compared, for the scan-length
+    /// tests.
     #[cfg(test)]
     examined: std::cell::Cell<u64>,
 }
@@ -104,10 +135,11 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
+            head: VecDeque::new(),
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
             width_shift: INITIAL_WIDTH_SHIFT,
             vtime: 0,
-            len: 0,
+            filed: 0,
             next_seq: 0,
             pops_since_tune: 0,
             tune_start: 0,
@@ -125,64 +157,126 @@ impl<E> EventQueue<E> {
     pub fn schedule(&mut self, at: SimTime, payload: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let s = Scheduled { at, seq, payload };
+        // A new event carries the largest sequence yet, so it precedes
+        // the head's last entry exactly when it fires strictly earlier —
+        // and then it belongs in the head, where a simulation's slot is
+        // near the back (see the module docs).
+        if self.head.back().is_some_and(|latest| at < latest.at) {
+            let i = self.head.partition_point(|h| h.at <= at);
+            self.head.insert(i, s);
+            return;
+        }
         let at_us = at.as_micros();
-        if self.len == 0 || at_us < self.vtime {
+        if self.filed == 0 || at_us < self.vtime {
             self.vtime = at_us;
         }
         let b = self.bucket_of(at_us);
-        self.buckets[b].push(Scheduled { at, seq, payload });
-        self.len += 1;
-        if self.len > 2 * self.buckets.len() {
+        self.buckets[b].push(s);
+        self.filed += 1;
+        if self.filed > 2 * self.buckets.len() {
             self.resize(self.buckets.len() * 2);
         }
     }
 
-    /// Locates the earliest pending event as `(bucket, index)`.
+    /// Tops the head up to at least `k` events (fewer only when the
+    /// calendar runs dry), moving whole bucket-days out of the calendar.
+    fn fill_head(&mut self, k: usize) {
+        if self.head.len() >= k || self.filed == 0 {
+            return;
+        }
+        if self.head.is_empty() {
+            // Rewinds the ring, so a refill lands contiguous and the sort
+            // below finds it in place.
+            self.head.clear();
+        }
+        let sorted = self.head.len();
+        while self.head.len() < k && self.drain_next_day() {}
+        // Every drained day is later than what the head already held.
+        self.head.make_contiguous()[sorted..].sort_unstable_by_key(|s| (s.at, s.seq));
+        let mut len = self.buckets.len();
+        while len > MIN_BUCKETS && self.filed < len / 4 {
+            len /= 2;
+        }
+        if len < self.buckets.len() {
+            self.resize(len);
+        }
+    }
+
+    /// Moves the earliest calendar bucket-day's events to the back of the
+    /// head, unsorted. Returns `false` if the calendar is empty.
     ///
-    /// Scans one calendar lap starting at `vtime`'s bucket. Because
-    /// `vtime` lower-bounds every pending time, an event filed in the
-    /// k-th visited bucket either belongs to that bucket's current day
-    /// (fires before the day ends) or to a later lap; the earliest event
-    /// of the first bucket with a current-day entry is the global
-    /// minimum. If a whole lap finds nothing, every event is at least one
-    /// lap ahead and a direct scan finds the minimum.
-    fn find_min(&self) -> Option<(usize, usize)> {
-        if self.len == 0 {
-            return None;
+    /// Scans one calendar lap starting at `vtime`'s day. Because `vtime`
+    /// lower-bounds every filed time, an event filed in the k-th visited
+    /// bucket either belongs to that bucket's current day or to a later
+    /// lap, so the first day found non-empty precedes everything else in
+    /// the calendar and can leave whole. If a whole lap finds nothing,
+    /// every event is at least one lap ahead and a direct scan finds the
+    /// earliest one's day.
+    fn drain_next_day(&mut self) -> bool {
+        if self.filed == 0 {
+            return false;
         }
-        let nb = self.buckets.len();
-        let start_chunk = self.vtime >> self.width_shift;
-        for k in 0..nb as u64 {
-            let chunk = start_chunk + k;
-            let b = (chunk as usize) & (nb - 1);
-            let day_end = (u128::from(chunk) + 1) << self.width_shift;
-            let mut best: Option<(usize, u64, u64)> = None;
-            #[cfg(test)]
-            self.examined
-                .set(self.examined.get() + self.buckets[b].len() as u64);
-            for (i, s) in self.buckets[b].iter().enumerate() {
-                let at = s.at.as_micros();
-                if u128::from(at) < day_end && best.is_none_or(|(_, ba, bs)| (at, s.seq) < (ba, bs))
-                {
-                    best = Some((i, at, s.seq));
-                }
-            }
-            if let Some((i, _, _)) = best {
-                return Some((b, i));
+        let start = self.vtime >> self.width_shift;
+        let lap = self.buckets.len() as u64;
+        for day in start..start.saturating_add(lap) {
+            if self.drain_day(day) {
+                return true;
             }
         }
-        let mut best: Option<(usize, usize, u64, u64)> = None;
         #[cfg(test)]
-        self.examined.set(self.examined.get() + self.len as u64);
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            for (i, s) in bucket.iter().enumerate() {
-                let at = s.at.as_micros();
-                if best.is_none_or(|(_, _, ba, bs)| (at, s.seq) < (ba, bs)) {
-                    best = Some((b, i, at, s.seq));
+        self.examined.set(self.examined.get() + self.filed as u64);
+        let earliest = self
+            .buckets
+            .iter()
+            .flatten()
+            .map(|s| s.at.as_micros())
+            .min();
+        earliest.is_some_and(|at| self.drain_day(at >> self.width_shift))
+    }
+
+    /// Moves every event of calendar day `day` to the back of the head;
+    /// returns whether there were any.
+    fn drain_day(&mut self, day: u64) -> bool {
+        let shift = self.width_shift;
+        let b = (day as usize) & (self.buckets.len() - 1);
+        let bucket = &mut self.buckets[b];
+        #[cfg(test)]
+        self.examined.set(self.examined.get() + bucket.len() as u64);
+        let before = self.head.len();
+        if bucket.iter().all(|s| s.at.as_micros() >> shift == day) {
+            // The usual case. Moved over in filing order, which with one
+            // delay per hop is already time order, so the sort that
+            // follows has nothing to move.
+            self.head.extend(bucket.drain(..));
+        } else {
+            // Back to front, so what `swap_remove` moves down was already
+            // kept.
+            for i in (0..bucket.len()).rev() {
+                if bucket[i].at.as_micros() >> shift == day {
+                    self.head.push_back(bucket.swap_remove(i));
                 }
             }
         }
-        best.map(|(b, i, _, _)| (b, i))
+        let moved = self.head.len() - before;
+        if moved == 0 {
+            return false;
+        }
+        self.filed -= moved;
+        // Everything still filed is in a later day.
+        self.vtime = (day << shift).saturating_add(1 << shift);
+        true
+    }
+
+    /// Returns the payloads of the next `k` events (fewer if fewer are
+    /// pending) in pop order, without popping them.
+    ///
+    /// The events are moved into the head if they are not there already;
+    /// scheduling afterwards may still put an earlier event in front of
+    /// them.
+    pub fn ahead(&mut self, k: usize) -> impl Iterator<Item = &E> {
+        self.fill_head(k);
+        self.head.iter().take(k).map(|s| &s.payload)
     }
 
     /// Removes and returns the earliest event, or `None` if empty.
@@ -190,56 +284,43 @@ impl<E> EventQueue<E> {
     /// Events scheduled for the same instant are returned in the order they
     /// were scheduled.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (b, i) = self.find_min()?;
-        self.remove_at(b, i)
-    }
-
-    /// Removes and returns the earliest event only if it fires strictly
-    /// before `deadline`.
-    ///
-    /// One minimum search serves both the deadline test and the removal —
-    /// the engine's `run_until` loop calls this once per event instead of
-    /// paying a `peek_time` scan followed by a `pop` scan.
-    pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        let (b, i) = self.find_min()?;
-        if self.buckets[b][i].at >= deadline {
-            return None;
-        }
-        self.remove_at(b, i)
-    }
-
-    /// Extracts the event at a position `find_min` located.
-    fn remove_at(&mut self, b: usize, i: usize) -> Option<(SimTime, E)> {
-        let s = self.buckets[b].swap_remove(i);
-        self.len -= 1;
-        self.vtime = s.at.as_micros();
+        self.fill_head(1);
+        let s = self.head.pop_front()?;
         self.pops_since_tune += 1;
-        if self.len < self.buckets.len() / 4 && self.buckets.len() > MIN_BUCKETS {
-            self.resize(self.buckets.len() / 2);
-        } else if self.pops_since_tune >= 2 * self.buckets.len() {
-            self.retune();
+        if self.pops_since_tune >= 2 * self.buckets.len() {
+            self.retune(s.at.as_micros());
         }
         Some((s.at, s.payload))
     }
 
+    /// Removes and returns the earliest event only if it fires strictly
+    /// before `deadline`.
+    pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+        if self.peek_time()? >= deadline {
+            return None;
+        }
+        self.pop()
+    }
+
     /// Checks the bucket width against the pop stream: over the stretch
-    /// of pops since the last check, the mean gap between popped times
-    /// is the event separation *at the head of the queue*, which is what
-    /// a bucket should hold a few of (Brown's 3 × separation). A width
-    /// 4× or more off that target rebuilds the calendar.
+    /// of pops since the last check (the last one firing at `now_us`),
+    /// the mean gap between popped times is the event separation *at the
+    /// head of the queue*, which is what a bucket should hold a few of
+    /// (Brown's 3 × separation). A width 4× or more off that target
+    /// rebuilds the calendar.
     ///
     /// The spread-based width `resize` derives cannot see this: with a
     /// bimodal pending set — a dense cluster of in-flight messages plus
     /// a few timers minutes out — `(max − min) / len` is set by the
-    /// timers, the whole cluster files under one bucket, and every pop
-    /// scans all of it. The rule reads only popped times, so it is as
+    /// timers, the whole cluster files under one bucket, and every drain
+    /// moves all of it. The rule reads only popped times, so it is as
     /// deterministic as the pops are, and the pop order is the
     /// `(time, seq)` minimum whatever the width.
-    fn retune(&mut self) {
-        let span = self.vtime.saturating_sub(self.tune_start);
+    fn retune(&mut self, now_us: u64) {
+        let span = now_us.saturating_sub(self.tune_start);
         let mean_gap = span / self.pops_since_tune as u64;
         self.pops_since_tune = 0;
-        self.tune_start = self.vtime;
+        self.tune_start = now_us;
         if span == 0 {
             // A stretch of simultaneous events says nothing about gaps.
             return;
@@ -252,12 +333,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Returns the firing time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.find_min().map(|(b, i)| self.buckets[b][i].at)
+    pub fn peek_time(&mut self) -> Option<SimTime> {
+        self.fill_head(1);
+        self.head.front().map(|s| s.at)
     }
 
     /// Rebuilds the calendar with `new_len` buckets, re-deriving the
-    /// bucket width from the current spread of pending firing times so
+    /// bucket width from the current spread of filed firing times so
     /// buckets keep holding O(1) events each.
     fn resize(&mut self, new_len: usize) {
         let mut min_at = u64::MAX;
@@ -267,13 +349,13 @@ impl<E> EventQueue<E> {
             min_at = min_at.min(at);
             max_at = max_at.max(at);
         }
-        if self.len > 0 && max_at > min_at {
-            self.width_shift = width_shift_for((max_at - min_at) / self.len as u64);
+        if self.filed > 0 && max_at > min_at {
+            self.width_shift = width_shift_for((max_at - min_at) / self.filed as u64);
         }
         self.rebuild(new_len);
     }
 
-    /// Refiles every pending event into `new_len` buckets of the current
+    /// Refiles every calendar entry into `new_len` buckets of the current
     /// width.
     fn rebuild(&mut self, new_len: usize) {
         let old = std::mem::replace(
@@ -288,12 +370,12 @@ impl<E> EventQueue<E> {
 
     /// Returns the number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.filed + self.head.len()
     }
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     /// Discards all pending events.
@@ -301,7 +383,8 @@ impl<E> EventQueue<E> {
         for bucket in &mut self.buckets {
             bucket.clear();
         }
-        self.len = 0;
+        self.head.clear();
+        self.filed = 0;
     }
 }
 
@@ -454,6 +537,33 @@ mod tests {
         assert!(
             per_pop <= 16.0,
             "{per_pop:.1} entries examined per pop after warm-up"
+        );
+    }
+
+    #[test]
+    fn same_instant_burst_is_drained_once_not_scanned_per_pop() {
+        // A flash crowd: 4,096 events at one instant beside 160 replica
+        // timers up to 300 s out. The whole crowd files under one
+        // bucket-day; a per-pop minimum search scans it once per pop
+        // (≈ n/2 entries each), draining moves and sorts it once.
+        let mut rng = DetRng::seed_from(3);
+        let mut q = EventQueue::new();
+        for _ in 0..160 {
+            let at = SimTime::from_micros(1_000_000 + rng.next_below(300_000_000));
+            q.schedule(at, u64::MAX);
+        }
+        let crowd = SimTime::from_micros(500_000);
+        for i in 0..4_096 {
+            q.schedule(crowd, i);
+        }
+        q.examined.set(0);
+        for i in 0..4_096 {
+            assert_eq!(q.pop(), Some((crowd, i)));
+        }
+        let per_pop = q.examined.get() as f64 / 4_096.0;
+        assert!(
+            per_pop <= 16.0,
+            "{per_pop:.1} entries examined per pop in a same-instant burst"
         );
     }
 }

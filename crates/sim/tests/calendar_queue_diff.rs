@@ -6,8 +6,11 @@
 //! queue landed, and every golden snapshot was generated under it. These
 //! tests drive both queues with the same schedule/pop stream — including
 //! interleavings, heavy timestamp collisions, far-future outliers that
-//! cross calendar resize and direct-scan paths, and a bimodal stream
-//! that makes the calendar retune its width mid-run — and require
+//! cross calendar resize and direct-scan paths, a bimodal stream that
+//! makes the calendar retune its width mid-run, and the shapes that
+//! exercise the sorted head (same-instant bursts, zero-delay schedules,
+//! schedules landing inside the head, `ahead` at random points,
+//! `pop_before` deadlines inside the head, `clear`) — and require
 //! identical observable behavior at every step.
 
 use std::cmp::Ordering;
@@ -92,6 +95,84 @@ impl<E> ReferenceHeapQueue<E> {
 
     fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// The next `k` events in pop order.
+    fn next(&self, k: usize) -> Vec<(SimTime, E)>
+    where
+        E: Clone,
+    {
+        let mut next: Vec<&Scheduled<E>> = self.heap.iter().collect();
+        // `Ord` is reversed, so the earliest event is the greatest.
+        next.sort_by(|a, b| b.cmp(a));
+        next.into_iter()
+            .take(k)
+            .map(|s| (s.at, s.payload.clone()))
+            .collect()
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+    }
+}
+
+/// Both queues driven by one stream, every observation compared. The
+/// payload is the schedule's ordinal, so equal pops are equal events.
+struct Twin {
+    cal: EventQueue<u64>,
+    heap: ReferenceHeapQueue<u64>,
+    next: u64,
+}
+
+impl Twin {
+    fn new() -> Self {
+        Twin {
+            cal: EventQueue::new(),
+            heap: ReferenceHeapQueue::new(),
+            next: 0,
+        }
+    }
+
+    fn schedule(&mut self, at: SimTime) {
+        self.cal.schedule(at, self.next);
+        self.heap.schedule(at, self.next);
+        self.next += 1;
+    }
+
+    fn pop(&mut self) -> Result<Option<(SimTime, u64)>, TestCaseError> {
+        let (a, b) = (self.cal.pop(), self.heap.pop());
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(self.cal.len(), self.heap.len());
+        Ok(a)
+    }
+
+    fn pop_before(&mut self, deadline: SimTime) -> Result<Option<(SimTime, u64)>, TestCaseError> {
+        let (a, b) = (
+            self.cal.pop_before(deadline),
+            self.heap.pop_before(deadline),
+        );
+        prop_assert_eq!(&a, &b);
+        prop_assert_eq!(self.cal.len(), self.heap.len());
+        Ok(a)
+    }
+
+    /// Compares `ahead(k)` with the oracle's next `k` events and
+    /// returns their times.
+    fn ahead(&mut self, k: usize) -> Result<Vec<SimTime>, TestCaseError> {
+        let seen: Vec<u64> = self.cal.ahead(k).copied().collect();
+        let (times, payloads): (Vec<SimTime>, Vec<u64>) = self.heap.next(k).into_iter().unzip();
+        prop_assert_eq!(seen, payloads);
+        prop_assert_eq!(self.cal.len(), self.heap.len());
+        Ok(times)
+    }
+
+    fn clear(&mut self) {
+        self.cal.clear();
+        self.heap.clear();
+    }
+
+    fn drain(&mut self) -> Result<(), TestCaseError> {
+        assert_drain_identical(&mut self.cal, &mut self.heap)
     }
 }
 
@@ -253,6 +334,195 @@ proptest! {
             prop_assert_eq!(cal.len(), heap.len());
         }
         assert_drain_identical(&mut cal, &mut heap)?;
+    }
+}
+
+proptest! {
+    /// Flash crowds: bursts of up to 300 events at one instant, some at
+    /// the instant being popped, others just after or well after it.
+    /// Each burst files under one bucket-day and leaves the calendar
+    /// whole; events joining a burst mid-drain keep its FIFO tail.
+    #[test]
+    fn same_instant_bursts_pop_identically(seed in any::<u64>()) {
+        let mut rng = DetRng::seed_from(seed);
+        let mut twin = Twin::new();
+        let mut now = SimTime::ZERO;
+        for _ in 0..30 {
+            let offset = match rng.next_below(4) {
+                0 => 0,
+                1 => 1,
+                2 => rng.next_below(1_000),
+                _ => rng.next_below(1_000_000),
+            };
+            let at = now + SimDuration::from_micros(offset);
+            for _ in 0..1 + rng.next_below(300) {
+                twin.schedule(at);
+            }
+            for _ in 0..rng.next_below(400) {
+                let Some((t, _)) = twin.pop()? else { break };
+                now = t;
+                if rng.next_below(8) == 0 {
+                    twin.schedule(now);
+                }
+            }
+        }
+        twin.drain()?;
+    }
+
+    /// Zero-delay schedules, the conformance harness's
+    /// `LatencyModel::Fixed(ZERO)` shape: every pop forwards 0–3
+    /// children at the very instant it fires, beside a few timers.
+    #[test]
+    fn zero_delay_schedules_pop_identically(seed in any::<u64>(), pops in 100usize..2_000) {
+        let mut rng = DetRng::seed_from(seed);
+        let mut twin = Twin::new();
+        for _ in 0..20 {
+            twin.schedule(SimTime::from_micros(rng.next_below(10_000)));
+        }
+        for _ in 0..pops {
+            let Some((now, _)) = twin.pop()? else { break };
+            for _ in 0..[0, 1, 1, 2, 3][rng.next_below(5) as usize] {
+                twin.schedule(now);
+            }
+            if rng.next_below(16) == 0 {
+                twin.schedule(now + SimDuration::from_micros(rng.next_below(1_000_000)));
+            }
+        }
+        twin.drain()?;
+    }
+
+    /// Schedules that land inside the head: `ahead` pulls a stretch of
+    /// events out of the calendar, then new events are aimed before the
+    /// last of them — some exactly onto an event already in the head, so
+    /// ties with it must go behind it.
+    #[test]
+    fn schedules_landing_in_the_head_pop_identically(seed in any::<u64>()) {
+        let mut rng = DetRng::seed_from(seed);
+        let mut twin = Twin::new();
+        for _ in 0..200 {
+            // A coarse grid, so the stream is full of ties.
+            twin.schedule(SimTime::from_micros(rng.next_below(200) * 500));
+        }
+        let mut now = SimTime::ZERO;
+        for _ in 0..300 {
+            let pulled = twin.ahead(1 + rng.next_below(64) as usize)?;
+            let Some(&last) = pulled.last() else { break };
+            for _ in 0..rng.next_below(4) {
+                let at = if rng.next_below(2) == 0 {
+                    pulled[rng.next_below(pulled.len() as u64) as usize]
+                } else {
+                    now + SimDuration::from_micros(rng.next_below(last.as_micros() - now.as_micros() + 1))
+                };
+                twin.schedule(at);
+            }
+            for _ in 0..rng.next_below(6) {
+                let Some((t, _)) = twin.pop()? else { break };
+                now = t;
+            }
+        }
+        twin.drain()?;
+    }
+
+    /// `ahead(k)` at random points of an interleaved stream shows
+    /// exactly the oracle's next `k` events, and never disturbs what
+    /// follows.
+    #[test]
+    fn ahead_at_random_points_matches_the_oracle(seed in any::<u64>(), ops in 10usize..600) {
+        let mut rng = DetRng::seed_from(seed);
+        let mut twin = Twin::new();
+        let mut now = SimTime::ZERO;
+        for _ in 0..ops {
+            match rng.next_below(8) {
+                0 | 1 => {
+                    if let Some((t, _)) = twin.pop()? {
+                        now = t;
+                    }
+                }
+                2 => {
+                    twin.ahead(rng.next_below(40) as usize)?;
+                }
+                _ => {
+                    let magnitude = 10u64.pow(rng.next_below(7) as u32);
+                    twin.schedule(now + SimDuration::from_micros(rng.next_below(magnitude)));
+                }
+            }
+        }
+        twin.drain()?;
+    }
+
+    /// `pop_before` with deadlines that fall inside the head: between,
+    /// on, and just past the times `ahead` has already pulled out.
+    #[test]
+    fn pop_before_deadlines_inside_the_head_pop_identically(seed in any::<u64>()) {
+        let mut rng = DetRng::seed_from(seed);
+        let mut twin = Twin::new();
+        for _ in 0..300 {
+            twin.schedule(SimTime::from_micros(rng.next_below(50_000)));
+        }
+        for _ in 0..60 {
+            let times = twin.ahead(32)?;
+            let Some(&pick) = times.get(rng.next_below(times.len().max(1) as u64) as usize) else {
+                break;
+            };
+            let deadline = pick + SimDuration::from_micros(rng.next_below(2));
+            while let Some((now, _)) = twin.pop_before(deadline)? {
+                if rng.next_below(4) == 0 {
+                    twin.schedule(now + SimDuration::from_micros(rng.next_below(5_000)));
+                }
+            }
+        }
+        twin.drain()?;
+    }
+
+    /// `clear` at random points — with the head empty, part-filled by
+    /// `ahead`, or holding a burst — empties both queues, and the stream
+    /// after it pops identically.
+    #[test]
+    fn clear_midstream_pops_identically(seed in any::<u64>()) {
+        let mut rng = DetRng::seed_from(seed);
+        let mut twin = Twin::new();
+        let mut now = SimTime::ZERO;
+        for _ in 0..6 {
+            for _ in 0..rng.next_below(300) {
+                twin.schedule(now + SimDuration::from_micros(rng.next_below(100_000)));
+            }
+            twin.ahead(rng.next_below(40) as usize)?;
+            for _ in 0..rng.next_below(100) {
+                if let Some((t, _)) = twin.pop()? {
+                    now = t;
+                }
+            }
+            twin.clear();
+            prop_assert!(twin.cal.is_empty());
+            prop_assert_eq!(twin.cal.pop(), None);
+            // After a clear, time may restart anywhere, earlier included.
+            now = SimTime::from_micros(rng.next_below(now.as_micros() + 1));
+        }
+        for _ in 0..100 {
+            twin.schedule(now + SimDuration::from_micros(rng.next_below(10_000)));
+        }
+        twin.drain()?;
+    }
+
+    /// With nothing scheduled in between, `ahead(k)` yields exactly the
+    /// payloads of the next `k` pops.
+    #[test]
+    fn ahead_yields_exactly_the_next_pops(
+        times in proptest::collection::vec(0u64..20_000, 0..400),
+        popped_first in 0usize..200,
+        k in 0usize..64,
+    ) {
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_micros(t), i);
+        }
+        for _ in 0..popped_first {
+            q.pop();
+        }
+        let seen: Vec<usize> = q.ahead(k).copied().collect();
+        prop_assert_eq!(seen.len(), k.min(q.len()));
+        let pops: Vec<usize> = (0..k).filter_map(|_| q.pop().map(|(_, p)| p)).collect();
+        prop_assert_eq!(seen, pops);
     }
 }
 
