@@ -6,12 +6,14 @@
 //! connections are held open awaiting a fresh answer.
 //!
 //! CUP's scaling argument is that this record is tiny, so it is laid out
-//! to be: a [`KeyState`] is at most 144 bytes (checked at compile time
+//! to be: a [`KeyState`] is at most 136 bytes (checked at compile time
 //! below; that includes the record's own key, which the key table's
 //! hashed index confirms lookups against) and owns no heap memory in
-//! the common case. The capacities are
-//! read off the four ledger workloads' end-of-run states, not tuned per
-//! run:
+//! the common case. The node's key table holds its records in one
+//! array that grows by a quarter at a time, so a node pays for at most
+//! a quarter more records than it holds (`crate::keytable`). The
+//! capacities are read off the four ledger workloads' end-of-run states,
+//! not tuned per run:
 //!
 //! * **entries** hold one replica in place — 87–100 % of states cache
 //!   zero or one entry, none more than four;
@@ -28,8 +30,9 @@
 //!   holds two of each in place and a miss costs one allocation;
 //! * **audit** and **refresh** state belong to planes
 //!   `NodeConfig::cup_default()` leaves off (the sampled audit; §3.6
-//!   suppression and aggregation at the authority), each behind a box
-//!   that the first use allocates.
+//!   suppression and aggregation at the authority), and share one box,
+//!   [`ColdState`], that the first use of either allocates — one pointer
+//!   per record where a box each cost two.
 //!
 //! The short lists are all one type, `crate::inline::InlineVec`, which
 //! spills to the heap past its capacity and comes back.
@@ -79,17 +82,16 @@ pub struct KeyState {
     pub last_depth: u32,
     /// Delete tombstones, newest last (see [`KeyState::retired`]).
     retired: InlineVec<ReplicaId, INLINE_RETIRED>,
-    /// Sampled-audit state; `None` until this key's first audit round.
-    pub(crate) audit: Option<Box<AuditState>>,
-    /// Authority-side §3.6 refresh state; `None` until first needed.
-    pub(crate) refresh: Option<Box<RefreshState>>,
+    /// The off-by-default planes' state; `None` until either plane first
+    /// needs it (see [`ColdState`]).
+    pub(crate) cold: Option<Box<ColdState>>,
     /// The key this record belongs to, which the key table's index
     /// confirms a hash-tag match against (see `crate::keytable`). It
     /// sits in what was the record's tail padding, so it costs nothing.
     pub(crate) key: KeyId,
 }
 
-const _: () = assert!(std::mem::size_of::<KeyState>() <= 144);
+const _: () = assert!(std::mem::size_of::<KeyState>() <= 136);
 
 /// Who a node owes an answer for one key once its first-time update
 /// arrives.
@@ -101,6 +103,17 @@ pub(crate) struct Waiters {
     /// mode (one each, however many queries it coalesced), every
     /// requester in arrival order in standard-caching mode.
     pub(crate) requesters: InlineVec<Requester, INLINE_WAITERS>,
+}
+
+/// What a key keeps for the planes `NodeConfig::cup_default()` leaves
+/// off. One box holds both: a key that uses either plane pays for one
+/// allocation, and every other key pays one pointer instead of two.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ColdState {
+    /// Sampled-audit state (all defaults until the first audit round).
+    pub(crate) audit: AuditState,
+    /// Authority-side §3.6 refresh state.
+    pub(crate) refresh: RefreshState,
 }
 
 /// One key's sampled-audit bookkeeping at the auditing node.
@@ -168,6 +181,39 @@ impl KeyState {
     /// The waiters, allocated on first use.
     pub(crate) fn waiters_mut(&mut self) -> &mut Waiters {
         self.waiters.get_or_insert_with(Box::default)
+    }
+
+    /// The off-by-default planes' state, allocated on first use.
+    pub(crate) fn cold_mut(&mut self) -> &mut ColdState {
+        self.cold.get_or_insert_with(Box::default)
+    }
+
+    /// When this key was last audited here (time zero if never).
+    pub(crate) fn last_audit(&self) -> SimTime {
+        self.cold
+            .as_ref()
+            .map_or(SimTime::ZERO, |c| c.audit.last_audit)
+    }
+
+    /// Reads a field in each cache line the record spans, whatever its
+    /// offset in the table's array, and writes nothing (the test
+    /// `touching_reads_every_cache_line_a_record_spans` holds the layout
+    /// to that). See `CupNode::touch_key`.
+    pub(crate) fn touch(&self) {
+        let pop = &self.popularity;
+        std::hint::black_box((
+            // All three of the measure's fields: every byte of it.
+            (
+                pop.queries_since_reset(),
+                pop.consecutive_empty(),
+                pop.tracked_replica(),
+            ),
+            self.entries.len(),
+            self.retired.len(),
+            self.pfu_since,
+            self.last_depth,
+            self.key,
+        ));
     }
 
     /// Applies an update to the cached entry set.
@@ -362,6 +408,52 @@ mod tests {
         }
         assert_eq!(st.retired().len(), 8);
         assert!(st.retired().contains(&ReplicaId(29)), "newest kept");
+    }
+
+    #[test]
+    fn touching_reads_every_cache_line_a_record_spans() {
+        use std::mem::{align_of, offset_of, size_of, size_of_val};
+        const LINE: usize = 64;
+        let st = KeyState::new();
+        // What `touch` reads, as byte ranges of the record: `true` where
+        // every byte of the field is read, `false` where only some byte
+        // is (a list's length), so the field must lie inside a line.
+        macro_rules! span {
+            ($field:ident, $whole:expr) => {{
+                let at = offset_of!(KeyState, $field);
+                (at, at + size_of_val(&st.$field), $whole)
+            }};
+        }
+        assert_eq!(
+            size_of::<Popularity>(),
+            2 * size_of::<u32>() + size_of::<Option<ReplicaId>>(),
+            "the measure's three fields fill it"
+        );
+        let touched = [
+            span!(popularity, true),
+            span!(entries, false),
+            span!(retired, false),
+            span!(pfu_since, true),
+            span!(last_depth, true),
+            span!(key, true),
+        ];
+        let size = size_of::<KeyState>();
+        // Records sit back to back, so over a table a record starts at
+        // every multiple of its alignment modulo the line size.
+        for start in (0..LINE).step_by(align_of::<KeyState>()) {
+            for line in 0..(start + size).div_ceil(LINE) {
+                let lo = (line * LINE).saturating_sub(start);
+                let hi = ((line + 1) * LINE - start).min(size);
+                let read = touched.iter().any(|&(a, b, whole)| match whole {
+                    true => a < hi && lo < b,
+                    false => lo <= a && b <= hi,
+                });
+                assert!(
+                    read,
+                    "a record at {start} mod {LINE}: bytes {lo}..{hi} unread"
+                );
+            }
+        }
     }
 
     #[test]

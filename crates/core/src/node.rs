@@ -131,14 +131,7 @@ impl CupNode {
     /// of [`CupNode::LOOKAHEAD`]).
     pub fn touch_key(&self, key: KeyId) {
         if let Some(st) = self.keys.get(key) {
-            // Fields spread over the record's 144 bytes, so each of the
-            // cache lines it spans is read (the lookup read its key).
-            std::hint::black_box((
-                st.popularity.tracked_replica(),
-                st.entries().len(),
-                st.pfu_since,
-                st.last_depth,
-            ));
+            st.touch();
         }
     }
 
@@ -513,7 +506,7 @@ impl CupNode {
         // started, so for a reply that matches the open round it is the
         // probe's send time — the round-trip base (time zero for a key
         // this node never audited).
-        let opened = st.audit.as_ref().map_or(SimTime::ZERO, |a| a.last_audit);
+        let opened = st.last_audit();
         // Recorded for every reply reaching an auditing key, *before*
         // the round checks below: whether a reply lands before or after
         // its round closes depends on arrival interleaving, which the
@@ -524,9 +517,10 @@ impl CupNode {
         self.stats
             .audit_rtt
             .record(now.saturating_since(opened).as_micros());
-        let Some(audit) = st.audit.as_mut() else {
+        let Some(cold) = st.cold.as_mut() else {
             return;
         };
+        let audit = &mut cold.audit;
         let Some(tally) = audit.tally.as_mut() else {
             return;
         };
@@ -815,11 +809,10 @@ fn maybe_audit(
     key: KeyId,
     out: &mut Vec<Action>,
 ) {
-    let last_audit = st.audit.as_ref().map_or(SimTime::ZERO, |a| a.last_audit);
-    if now.saturating_since(last_audit) < cfg.interval {
+    if now.saturating_since(st.last_audit()) < cfg.interval {
         return;
     }
-    let audit = st.audit.get_or_insert_with(Box::default);
+    let audit = &mut st.cold_mut().audit;
     audit.last_audit = now;
     audit.round += 1;
     let round = audit.round;
@@ -842,7 +835,7 @@ fn refresh_due(config: &NodeConfig, st: &mut KeyState) -> bool {
     if k == 1 {
         return true;
     }
-    let seen = &mut st.refresh.get_or_insert_with(Box::default).skips;
+    let seen = &mut st.cold_mut().refresh.skips;
     *seen += 1;
     if *seen >= k {
         *seen = 0;
@@ -864,7 +857,7 @@ fn batch_refresh(
     let Some(window) = config.refresh_batch_window else {
         return Some(vec![entry]);
     };
-    let refresh = st.refresh.get_or_insert_with(Box::default);
+    let refresh = &mut st.cold_mut().refresh;
     if refresh.batch.is_empty() {
         refresh.batch_opened = now;
     }

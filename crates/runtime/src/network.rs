@@ -1,7 +1,6 @@
 //! The worker-pool runtime handle.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -584,10 +583,10 @@ impl LiveNetwork {
     /// [`LiveNetwork::query_timeout`].
     pub fn query(&self, node: NodeId, key: KeyId) -> Result<Vec<IndexEntry>, RuntimeError> {
         let pending = self.query_detached(node, key)?;
-        pending
-            .rx
-            .recv_timeout(self.query_timeout)
-            .map_err(|_| RuntimeError::QueryTimeout)
+        self.shared
+            .clients_of(pending.shard)
+            .wait(pending.client, self.query_timeout)
+            .ok_or(RuntimeError::QueryTimeout)
     }
 
     /// Posts a client query without blocking for the answer. Under fault
@@ -610,13 +609,12 @@ impl LiveNetwork {
         }
         let client = ClientId(self.next_client.fetch_add(1, Ordering::Relaxed));
         let shard = self.shared.shard_of(node);
-        let (tx, rx) = channel();
         // Registered with its posted time (so wall-clock latency
         // includes queue wait) in the posting node's shard — the only
         // shard that ever answers this client.
         self.shared
             .clients_of(shard)
-            .insert(client, (tx, Some(self.shared.now())));
+            .register(client, self.shared.now());
         self.shared.post(
             shard,
             Envelope::Client {
@@ -629,7 +627,6 @@ impl LiveNetwork {
             net: self,
             shard,
             client,
-            rx,
         })
     }
 
@@ -657,14 +654,14 @@ impl LiveNetwork {
 }
 
 /// A posted-but-unclaimed client query (see
-/// [`LiveNetwork::query_detached`]). Dropping it deregisters the client,
-/// posted-time record included.
+/// [`LiveNetwork::query_detached`]). Its answers wait in its slot in
+/// the posting shard's client registry; dropping the handle removes the
+/// slot, unclaimed answers and posted-time record included.
 pub struct PendingQuery<'a> {
     net: &'a LiveNetwork,
     /// The shard whose registry holds this client.
     shard: usize,
     client: ClientId,
-    rx: Receiver<Vec<IndexEntry>>,
 }
 
 impl PendingQuery<'_> {
@@ -678,15 +675,19 @@ impl PendingQuery<'_> {
     /// Like [`PendingQuery::try_take`] without consuming the handle: the
     /// client stays registered, so an answer resurrected later — e.g. a
     /// PFU retry's first-time update reaching a node with this client
-    /// still waiting — can still be claimed by a later poll.
+    /// still waiting — can still be claimed by a later poll. Answers
+    /// come out in the order they arrived, one per poll.
     pub fn poll(&self) -> Option<Vec<IndexEntry>> {
-        self.rx.try_recv().ok()
+        self.net.shared.clients_of(self.shard).take(self.client)
     }
 }
 
 impl Drop for PendingQuery<'_> {
     fn drop(&mut self) {
-        self.net.shared.clients_of(self.shard).remove(&self.client);
+        self.net
+            .shared
+            .clients_of(self.shard)
+            .deregister(self.client);
     }
 }
 
@@ -1134,6 +1135,78 @@ mod tests {
         );
         drop(pending);
         assert_eq!(registered(), 0);
+        net.shutdown();
+    }
+
+    #[test]
+    fn a_query_at_a_crashed_node_times_out() {
+        let mut net = network(OverlayKind::Can, 16);
+        net.query_timeout = Duration::from_millis(50);
+        net.enable_faults(5);
+        net.replica_birth(KeyId(1), ReplicaId(0), LIFE);
+        net.quiesce();
+        let victim = net.nodes()[6];
+        net.inject_fault(FaultAction::Crash {
+            node: victim.index(),
+        });
+        net.quiesce();
+        // The network's wall-mapped clock doubles as the stopwatch.
+        let posted = net.now();
+        let answer = net.query(victim, KeyId(1));
+        let waited = net.now().saturating_since(posted);
+        assert!(
+            matches!(answer, Err(RuntimeError::QueryTimeout)),
+            "{answer:?}"
+        );
+        assert!(
+            (SimDuration::from_millis(50)..SimDuration::from_secs(5)).contains(&waited),
+            "waited {waited:?} on a 50 ms timeout"
+        );
+        assert_eq!(net.fault_counters().queries_at_crashed, 1);
+        net.shutdown();
+    }
+
+    #[test]
+    fn an_answered_query_does_not_wait_out_the_timeout() {
+        let mut net = network(OverlayKind::Chord, 16);
+        net.query_timeout = Duration::from_secs(60);
+        net.replica_birth(KeyId(1), ReplicaId(0), LIFE);
+        net.quiesce();
+        // Misses that need a round trip across shards and hits answered
+        // inline: some answers land before the wait starts, some after.
+        let started = net.now();
+        for _ in 0..2 {
+            for &node in net.nodes() {
+                assert_eq!(net.query(node, KeyId(1)).unwrap().len(), 1);
+            }
+        }
+        let waited = net.now().saturating_since(started);
+        assert!(
+            waited < SimDuration::from_secs(10),
+            "32 answered queries took {waited:?}"
+        );
+        net.shutdown();
+    }
+
+    #[test]
+    fn a_second_answer_waits_behind_the_first() {
+        let net = network(OverlayKind::Can, 16);
+        net.replica_birth(KeyId(1), ReplicaId(0), LIFE);
+        net.quiesce();
+        let pending = net.query_detached(net.nodes()[9], KeyId(1)).unwrap();
+        net.quiesce();
+        // A second answer for the same client, as a PFU retry's
+        // first-time update would hand it, through the worker's path.
+        let clients = net.shared.clients_of(pending.shard);
+        assert_eq!(
+            clients.answer(pending.client, Vec::new()),
+            None,
+            "the first answer already claimed the posted time"
+        );
+        assert_eq!(pending.poll().map(|e| e.len()), Some(1), "the original");
+        assert_eq!(pending.poll().map(|e| e.len()), Some(0), "the retry's");
+        assert!(pending.poll().is_none());
+        drop(pending);
         net.shutdown();
     }
 

@@ -39,14 +39,16 @@
 //! per-message path reads and writes plain fields. The runtime handle is
 //! the only other party: it takes every shard's lock to apply a fault
 //! action to all replicas at once, and to fold the shards with exact
-//! merges when a counter or histogram is read. The client registry is
-//! per shard as well but sits behind its own small mutex, because the
-//! handle fills it at post time and a post must never wait for a round.
+//! merges when a counter or histogram is read. The client registry
+//! ([`Clients`]) is per shard as well but sits behind its own small
+//! mutex, because the handle fills it at post time and a post must never
+//! wait for a round; answers land in it in place, and a blocking query
+//! waits on a condvar paired with that mutex.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::Duration;
 
 use cup_core::clock::Clock;
 use cup_core::justify::JustificationTracker;
@@ -71,7 +73,7 @@ pub(crate) enum Envelope {
         msg: Message,
     },
     /// A local client query posted at `at`; the response goes to the
-    /// registered client channel.
+    /// client's slot in this shard's [`Clients`].
     Client {
         /// The posting node.
         at: NodeId,
@@ -132,6 +134,12 @@ struct InboxState {
     /// The pool is stopping. Checked only when no work remains, so a
     /// worker always drains before exiting.
     shutdown: bool,
+    /// The worker is waiting on the condvar. Set and cleared under this
+    /// mutex around the wait, so a poster that finds it clear knows the
+    /// worker will see its work before it next parks, and skips the
+    /// notify: a futex `notify_one` is a syscall even when nobody waits,
+    /// and costs several times the lock itself.
+    parked: bool,
 }
 
 impl Inbox {
@@ -147,13 +155,19 @@ impl Inbox {
     }
 
     fn push_control(&self, env: Envelope) {
-        self.lock().control.push_back(env);
-        self.cv.notify_one();
+        let mut st = self.lock();
+        st.control.push_back(env);
+        if st.parked {
+            self.cv.notify_one();
+        }
     }
 
     fn signal_dirty(&self) {
-        self.lock().dirty = true;
-        self.cv.notify_one();
+        let mut st = self.lock();
+        st.dirty = true;
+        if st.parked {
+            self.cv.notify_one();
+        }
     }
 
     pub(crate) fn shutdown(&self) {
@@ -202,12 +216,126 @@ pub(crate) struct ShardLocal {
     pub(crate) batch_sizes: Hist,
 }
 
-/// A shard's waiting clients: the answer channel and, until the first
-/// answer claims it (or a crashed node swallows the query), when the
-/// query was posted — the live mirror of the DES network's
-/// `query_posted` map. Filled handle-side at post time, so wall-clock
-/// latency includes queue wait; removed when the `PendingQuery` drops.
-type ClientRegistry = HashMap<ClientId, (Sender<Vec<IndexEntry>>, Option<SimTime>)>;
+/// One waiting client: when its query was posted, until the first
+/// answer claims it (or a crashed node swallows the query) — the live
+/// mirror of the DES network's `query_posted` map — and the answers not
+/// yet taken, in arrival order. The first sits in place; a second (a
+/// PFU retry's, say) queues behind it.
+#[derive(Default)]
+struct ClientSlot {
+    posted: Option<SimTime>,
+    first: Option<Vec<IndexEntry>>,
+    later: Vec<Vec<IndexEntry>>,
+}
+
+impl ClientSlot {
+    /// The oldest answer not yet taken.
+    fn take(&mut self) -> Option<Vec<IndexEntry>> {
+        let answer = self.first.take()?;
+        if !self.later.is_empty() {
+            self.first = Some(self.later.remove(0));
+        }
+        Some(answer)
+    }
+}
+
+/// What [`Clients`]' mutex guards.
+#[derive(Default)]
+struct ClientRegistry {
+    slots: HashMap<ClientId, ClientSlot>,
+    /// Threads blocked in [`Clients::wait`]: an answer notifies the
+    /// condvar only if there are some.
+    blocked: usize,
+}
+
+/// A shard's waiting clients, filled handle-side at post time (so
+/// wall-clock latency includes queue wait) and emptied when each
+/// `PendingQuery` drops. Only the shard of the node a query was posted
+/// at ever answers it.
+pub(crate) struct Clients {
+    registry: Mutex<ClientRegistry>,
+    /// Signalled when an answer lands while some thread is blocked.
+    answered: Condvar,
+}
+
+impl Clients {
+    fn new() -> Clients {
+        Clients {
+            registry: Mutex::new(ClientRegistry::default()),
+            answered: Condvar::new(),
+        }
+    }
+
+    /// The registry. A poisoned one is recovered, not propagated: every
+    /// update leaves it valid, and a worker must keep dispatching (the
+    /// barrier reports the panic).
+    fn lock(&self) -> MutexGuard<'_, ClientRegistry> {
+        self.registry.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Registers `client`, posted at `posted`.
+    pub(crate) fn register(&self, client: ClientId, posted: SimTime) {
+        let slot = ClientSlot {
+            posted: Some(posted),
+            ..ClientSlot::default()
+        };
+        self.lock().slots.insert(client, slot);
+    }
+
+    /// Removes `client`'s slot, answers and posted time included.
+    pub(crate) fn deregister(&self, client: ClientId) {
+        self.lock().slots.remove(&client);
+    }
+
+    /// `client`'s oldest answer not yet taken, if one has arrived.
+    pub(crate) fn take(&self, client: ClientId) -> Option<Vec<IndexEntry>> {
+        self.lock().slots.get_mut(&client)?.take()
+    }
+
+    /// Like [`Clients::take`], but blocks up to `timeout` for an answer.
+    pub(crate) fn wait(&self, client: ClientId, timeout: Duration) -> Option<Vec<IndexEntry>> {
+        let mut registry = self.lock();
+        registry.blocked += 1;
+        let unanswered =
+            |r: &mut ClientRegistry| r.slots.get(&client).is_some_and(|s| s.first.is_none());
+        let (mut registry, _) = self
+            .answered
+            .wait_timeout_while(registry, timeout, unanswered)
+            .unwrap_or_else(|e| e.into_inner());
+        registry.blocked -= 1;
+        registry.slots.get_mut(&client)?.take()
+    }
+
+    /// Hands `client` an answer. Returns when the query was posted if
+    /// this is its first answer, `None` afterwards or if the client is
+    /// gone (its answer is dropped).
+    pub(crate) fn answer(&self, client: ClientId, entries: Vec<IndexEntry>) -> Option<SimTime> {
+        let mut registry = self.lock();
+        let slot = registry.slots.get_mut(&client)?;
+        match slot.first {
+            None => slot.first = Some(entries),
+            Some(_) => slot.later.push(entries),
+        }
+        let posted = slot.posted.take();
+        if registry.blocked > 0 {
+            self.answered.notify_all();
+        }
+        posted
+    }
+
+    /// Discards `client`'s posted time (see [`Env::forget_client`]).
+    fn forget(&self, client: ClientId) {
+        if let Some(slot) = self.lock().slots.get_mut(&client) {
+            slot.posted = None;
+        }
+    }
+
+    /// How many clients are registered.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.lock().slots.len()
+    }
+}
 
 /// [`Shared`]'s panicked-shard value while no worker has unwound.
 const NO_PANIC: usize = usize::MAX;
@@ -225,7 +353,7 @@ pub(crate) struct Shared {
     pub(crate) overlay: AnyOverlay,
     /// Per-shard client registries, indexed by the shard of the node
     /// the query was posted at (the only shard that ever answers it).
-    clients: Vec<Mutex<ClientRegistry>>,
+    clients: Vec<Clients>,
     /// Per-shard local state, indexed by shard (see [`ShardLocal`]).
     locals: Vec<Mutex<ShardLocal>>,
     /// Where "now" comes from: wall-mapped for real deployments,
@@ -290,7 +418,7 @@ impl Shared {
                 .collect(),
             map,
             overlay,
-            clients: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            clients: (0..shards).map(|_| Clients::new()).collect(),
             locals: (0..shards)
                 .map(|_| {
                     Mutex::new(ShardLocal {
@@ -476,13 +604,9 @@ impl Shared {
         self.dead_replicas.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// `shard`'s client registry. A poisoned registry is recovered, not
-    /// propagated: every update leaves the map valid, and a worker must
-    /// keep dispatching (the barrier reports the panic).
-    pub(crate) fn clients_of(&self, shard: usize) -> MutexGuard<'_, ClientRegistry> {
-        self.clients[shard]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    /// `shard`'s waiting clients.
+    pub(crate) fn clients_of(&self, shard: usize) -> &Clients {
+        &self.clients[shard]
     }
 }
 
@@ -589,7 +713,9 @@ pub(crate) fn worker_main(shard: usize, nodes: Vec<CupNode>, shared: Arc<Shared>
                 }
                 // Flush-before-park already happened (end of the last
                 // round), so waiting here cannot strand a partial batch.
+                st.parked = true;
                 st = inbox.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                st.parked = false;
             }
         };
         if stop {
@@ -731,16 +857,11 @@ impl Env for Worker {
     }
 
     fn respond(&mut self, client: ClientId, entries: Vec<IndexEntry>) -> Option<SimTime> {
-        let mut clients = self.shared.clients_of(self.shard);
-        let (tx, posted) = clients.get_mut(&client)?;
-        let _ = tx.send(entries);
-        posted.take()
+        self.shared.clients_of(self.shard).answer(client, entries)
     }
 
     fn forget_client(&mut self, client: ClientId) {
-        if let Some((_, posted)) = self.shared.clients_of(self.shard).get_mut(&client) {
-            *posted = None;
-        }
+        self.shared.clients_of(self.shard).forget(client);
     }
 
     /// Windows are keyed by `(node, key)` and live with the node's
