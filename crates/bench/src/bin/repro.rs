@@ -20,7 +20,7 @@ use cup_bench::Scale;
 use cup_simnet::par::default_workers;
 use cup_simnet::report;
 use cup_simnet::sweeps;
-use cup_workload::{capacity::CapacityProfile, Scenario};
+use cup_workload::Scenario;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -79,7 +79,7 @@ fn main() {
     if want("table1") {
         println!("## Table 1 — total cost for varying cut-off policies");
         let rates = scale.rates();
-        let rows = sweeps::policy_table_with(&base, &rates, &scale.push_levels(), workers);
+        let rows = sweeps::policy_table(&base, &rates, &scale.push_levels(), workers);
         println!("{}", report::render_policy_table(&rows, &rates));
     }
     if want("table2") {
@@ -90,12 +90,12 @@ fn main() {
             query_rate: 1.0,
             ..base.clone()
         };
-        let cols = sweeps::size_sweep_with(&scenario, &scale.sizes(), workers);
+        let cols = sweeps::size_sweep(&scenario, &scale.sizes(), workers);
         println!("{}", report::render_size_table(&cols));
     }
     if want("table3") {
         println!("## Table 3 — naive vs replica-independent cut-off across replica counts");
-        let rows = sweeps::replica_sweep_with(&base, &scale.replica_counts(), workers);
+        let rows = sweeps::replica_sweep(&base, &scale.replica_counts(), workers);
         println!("{}", report::render_replica_table(&rows));
     }
     if want("fig5") {
@@ -126,7 +126,7 @@ fn run_fig34(base: &Scenario, scale: Scale, high: bool, workers: usize) {
         return;
     }
     println!("## {name} — total and miss cost vs push level");
-    let points = sweeps::push_level_sweep_with(base, &selected, &scale.push_levels(), workers);
+    let points = sweeps::push_level_sweep(base, &selected, &scale.push_levels(), workers);
     println!("{}", report::render_push_level(&points));
 }
 
@@ -145,7 +145,7 @@ fn run_fig56(base: &Scenario, scale: Scale, high: bool, workers: usize) {
         query_rate: rate,
         ..base.clone()
     };
-    let points = sweeps::capacity_sweep_with(&scenario, &scale.capacities(), workers);
+    let points = sweeps::capacity_sweep(&scenario, &scale.capacities(), workers);
     println!("{}", report::render_capacity(&points));
     // Sanity line mirroring the paper's observation.
     if let Some(zero) = points.iter().find(|p| p.capacity == 0.0) {
@@ -155,5 +155,4 @@ fn run_fig56(base: &Scenario, scale: Scale, high: bool, workers: usize) {
             zero.once_down as f64 / zero.standard as f64
         );
     }
-    let _ = CapacityProfile::Full; // Profiles selected inside the sweep.
 }

@@ -1,7 +1,7 @@
-//! Tiny flag-parsing helpers shared by the bench binaries.
+//! Tiny flag-parsing helpers shared by the experiment binaries.
 //!
-//! The workspace builds fully offline (no clap); `bench_des` and
-//! `bench_live` share these so their `--flag value` handling, error
+//! The workspace builds fully offline (no clap); `repro` and
+//! `trace_smoke` share these so their `--flag value` handling, error
 //! wording, and exit-code convention (2 = usage error) cannot drift
 //! apart.
 

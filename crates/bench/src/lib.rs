@@ -1,29 +1,21 @@
-//! Shared scales and scenarios for the benchmark harness.
+//! Shared scales and scenarios for the experiment binaries.
 //!
-//! Criterion benches run the *same sweeps* as the paper at a reduced
-//! scale (so `cargo bench` terminates in minutes); the `repro` binary
-//! regenerates the tables and figures at configurable scale, up to the
-//! paper's 2¹⁰-node / 3 000 s configuration.
-
-// cup-bench's whole job is measuring wall time, so it is exempt from
-// clippy.toml's disallowed-methods wall (cup-lint's wall-clock rule
-// never scoped it either).
-#![allow(clippy::disallowed_methods)]
+//! The `repro` binary regenerates the paper's tables and figures at a
+//! chosen [`Scale`], up to the paper's 2¹⁰-node / 3 000 s configuration;
+//! `trace_smoke` diffs one traced scenario across the two runtimes.
+//! Speed is measured elsewhere, by the `cupbench` package in
+//! `benchmark/`.
 
 use cup_des::{SimDuration, SimTime};
 use cup_workload::Scenario;
 
-pub mod audit_bench;
 pub mod cli;
-pub mod des_bench;
-pub mod fault_bench;
-pub mod live_bench;
-pub mod policy_bench;
 
 /// How big to run an experiment sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Tiny: for Criterion iterations (64 nodes, 500 s of querying).
+    /// Tiny: the scale of the golden snapshot
+    /// `tests/golden/repro_bench.txt` (64 nodes, 500 s of querying).
     Bench,
     /// Medium: quick tables with visible shape (256 nodes, 1 500 s).
     Small,

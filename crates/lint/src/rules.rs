@@ -4,8 +4,8 @@
 //! scope, so a banned construct quoted in a doc comment or an error
 //! string never fires. Scopes are workspace-relative path prefixes —
 //! the protocol crates (`cup-core`, `cup-simnet`, `cup-runtime`) are
-//! policed; bench crates and shims measure wall time for a living and
-//! stay out of scope.
+//! policed; the experiment binaries, the test shims and the `cupbench`
+//! package (which measures wall time for a living) stay out of scope.
 
 use crate::engine::{masked_lines, Finding, PreparedFile, Rule, Workspace};
 

@@ -89,6 +89,28 @@ mod tests {
     }
 
     #[test]
+    fn two_workers_run_two_items_at_once() {
+        // Item 0 waits for item 1's message, so only a pool that really
+        // runs both at once answers `true`; a map collapsed to serial
+        // runs item 0 alone, times out, and fails here instead of hanging.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rx = Mutex::new(rx);
+        let met = parallel_map(&[0, 1], 2, |&i| {
+            if i == 1 {
+                tx.send(()).unwrap();
+                return true;
+            }
+            let rx = rx.lock().unwrap();
+            rx.recv_timeout(std::time::Duration::from_secs(10)).is_ok()
+        });
+        assert_eq!(
+            met,
+            [true, true],
+            "parallel_map with 2 workers ran its items one at a time"
+        );
+    }
+
+    #[test]
     fn default_workers_is_positive() {
         assert!(default_workers() >= 1);
     }

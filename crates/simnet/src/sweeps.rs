@@ -2,16 +2,16 @@
 //! run as a thread-parallel sweep subsystem.
 //!
 //! Each function takes a *base* scenario so callers choose the scale: the
-//! `repro` binary uses the paper's parameters (2¹⁰ nodes, 3 000 s of
-//! querying), the Criterion benches use scaled-down versions with the same
-//! shape.
+//! `repro` binary runs anything from its 64-node golden-snapshot scale up
+//! to the paper's parameters (2¹⁰ nodes, 3 000 s of querying), and the
+//! economics suites run scaled-down versions with the same shape.
 //!
 //! Every grid point is an independent deterministic DES run, so each
 //! sweep flattens its grid into a job list and farms it over
-//! [`crate::par::parallel_map`] — results come back in input order, which
-//! makes the parallel path byte-identical to the serial one (`workers =
-//! 1`). The `*_with` variants expose the worker count; the plain
-//! functions use the machine's available parallelism.
+//! [`crate::par::parallel_map`] on `workers` threads (callers without an
+//! opinion pass [`crate::par::default_workers`]). Results come back in
+//! input order, which makes the parallel path byte-identical to the
+//! serial one (`workers = 1`).
 
 use cup_core::{AuditConfig, CutoffPolicy, NodeConfig, ResetMode};
 use cup_des::SimDuration;
@@ -19,7 +19,7 @@ use cup_workload::{capacity::CapacityProfile, Scenario};
 
 use crate::experiment::{run_experiment, ExperimentConfig};
 use crate::metrics::ExperimentResult;
-use crate::par::{default_workers, parallel_map};
+use crate::par::parallel_map;
 
 /// Runs one grid point: `base` at `rate` under `node_config`.
 fn run_point(base: &Scenario, node_config: NodeConfig, rate: f64) -> ExperimentResult {
@@ -51,12 +51,7 @@ pub struct PushLevelPoint {
 /// "A push level of p means that updates are propagated to all nodes that
 /// have queried for the key and that are at most p hops from the
 /// authority node. A push level of 0 corresponds to standard caching."
-pub fn push_level_sweep(base: &Scenario, rates: &[f64], levels: &[u32]) -> Vec<PushLevelPoint> {
-    push_level_sweep_with(base, rates, levels, default_workers())
-}
-
-/// [`push_level_sweep`] with an explicit sweep worker count.
-pub fn push_level_sweep_with(
+pub fn push_level_sweep(
     base: &Scenario,
     rates: &[f64],
     levels: &[u32],
@@ -97,12 +92,7 @@ pub struct PolicyRow {
 /// Runs standard caching, linear and logarithmic thresholds for several
 /// α values, second-chance, and the optimal push level (the minimum over
 /// `optimal_levels`).
-pub fn policy_table(base: &Scenario, rates: &[f64], optimal_levels: &[u32]) -> Vec<PolicyRow> {
-    policy_table_with(base, rates, optimal_levels, default_workers())
-}
-
-/// [`policy_table`] with an explicit sweep worker count.
-pub fn policy_table_with(
+pub fn policy_table(
     base: &Scenario,
     rates: &[f64],
     optimal_levels: &[u32],
@@ -183,76 +173,6 @@ fn normalize(costs: &[u64], baseline: &[u64]) -> Vec<f64> {
         .collect()
 }
 
-/// One point of the `bench_policy` policy × query-rate grid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PolicyGridPoint {
-    /// Stable policy name ([`CutoffPolicy::name`]).
-    pub policy: String,
-    /// Network-wide query rate (q/s).
-    pub rate: f64,
-    /// Total cost in hops.
-    pub total_cost: u64,
-    /// Miss cost in hops.
-    pub miss_cost: u64,
-    /// §3.1 justified maintenance updates.
-    pub justified: u64,
-    /// Maintenance updates tracked (justification denominator).
-    pub tracked: u64,
-    /// Client cache-hit rate.
-    pub hit_rate: f64,
-    /// Median client-query latency (µs of virtual time).
-    pub query_p50_us: u64,
-    /// p99 client-query latency (µs of virtual time) — deeper push
-    /// levels trade maintenance cost for a shorter miss tail.
-    pub query_p99_us: u64,
-}
-
-impl PolicyGridPoint {
-    /// Fraction of tracked updates that were justified.
-    pub fn justified_ratio(&self) -> f64 {
-        ratio(self.justified, self.tracked)
-    }
-}
-
-/// The policy × query-rate grid behind `BENCH_policy.json`: every
-/// combination runs one justification-tracked experiment; rows come back
-/// in `policies`-major, `rates`-minor order.
-pub fn policy_rate_grid(
-    base: &Scenario,
-    policies: &[CutoffPolicy],
-    rates: &[f64],
-    workers: usize,
-) -> Vec<PolicyGridPoint> {
-    let grid: Vec<(CutoffPolicy, f64)> = policies
-        .iter()
-        .flat_map(|&p| rates.iter().map(move |&r| (p, r)))
-        .collect();
-    parallel_map(&grid, workers, |&(policy, rate)| {
-        let scenario = Scenario {
-            query_rate: rate,
-            ..base.clone()
-        };
-        let config = ExperimentConfig {
-            node_config: NodeConfig::cup_with_policy(policy),
-            track_justification: true,
-            ..ExperimentConfig::cup(scenario)
-        };
-        let r = run_experiment(&config);
-        let hit_rate = ratio(r.nodes.client_hits, r.nodes.client_queries);
-        PolicyGridPoint {
-            policy: policy.name(),
-            rate,
-            total_cost: r.total_cost(),
-            miss_cost: r.miss_cost(),
-            justified: r.justified_updates,
-            tracked: r.tracked_updates,
-            hit_rate,
-            query_p50_us: r.query_latency_us(500),
-            query_p99_us: r.query_latency_us(990),
-        }
-    })
-}
-
 /// One column of Table 2.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SizeColumn {
@@ -270,12 +190,7 @@ pub struct SizeColumn {
 
 /// Table 2: CUP versus standard caching across network sizes (second-
 /// chance policy).
-pub fn size_sweep(base: &Scenario, sizes: &[usize]) -> Vec<SizeColumn> {
-    size_sweep_with(base, sizes, default_workers())
-}
-
-/// [`size_sweep`] with an explicit sweep worker count.
-pub fn size_sweep_with(base: &Scenario, sizes: &[usize], workers: usize) -> Vec<SizeColumn> {
+pub fn size_sweep(base: &Scenario, sizes: &[usize], workers: usize) -> Vec<SizeColumn> {
     // Two jobs per size: the baseline and the CUP run.
     let jobs: Vec<(usize, bool)> = sizes
         .iter()
@@ -336,16 +251,7 @@ pub struct ReplicaRow {
 /// Table 3: the effect of multiple replicas per key under the naive and
 /// the replica-independent cut-off (second-chance policy, λ = 1 q/s in
 /// the paper).
-pub fn replica_sweep(base: &Scenario, replica_counts: &[u32]) -> Vec<ReplicaRow> {
-    replica_sweep_with(base, replica_counts, default_workers())
-}
-
-/// [`replica_sweep`] with an explicit sweep worker count.
-pub fn replica_sweep_with(
-    base: &Scenario,
-    replica_counts: &[u32],
-    workers: usize,
-) -> Vec<ReplicaRow> {
+pub fn replica_sweep(base: &Scenario, replica_counts: &[u32], workers: usize) -> Vec<ReplicaRow> {
     // Two jobs per count: naive reset and replica-independent reset.
     let jobs: Vec<(u32, bool)> = replica_counts
         .iter()
@@ -394,16 +300,7 @@ pub struct CapacityPoint {
 
 /// Figures 5 and 6: total cost versus reduced capacity for the two §3.7
 /// degradation profiles, plus the standard-caching horizontal reference.
-pub fn capacity_sweep(base: &Scenario, capacities: &[f64]) -> Vec<CapacityPoint> {
-    capacity_sweep_with(base, capacities, default_workers())
-}
-
-/// [`capacity_sweep`] with an explicit sweep worker count.
-pub fn capacity_sweep_with(
-    base: &Scenario,
-    capacities: &[f64],
-    workers: usize,
-) -> Vec<CapacityPoint> {
+pub fn capacity_sweep(base: &Scenario, capacities: &[f64], workers: usize) -> Vec<CapacityPoint> {
     // Job 0 is the shared standard-caching reference; then two profile
     // runs per capacity.
     let mut jobs: Vec<Option<(f64, bool)>> = vec![None];
@@ -442,7 +339,7 @@ pub fn capacity_sweep_with(
         .collect()
 }
 
-/// One point of the fault-plane grid behind `BENCH_faults.json`.
+/// One point of the loss × crash fault grid ([`fault_grid`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultGridPoint {
     /// Stable policy name (`CutoffPolicy::name`): `second-chance` is
@@ -533,7 +430,7 @@ pub fn fault_point_specs(base: &Scenario, loss: f64, crashes: u32) -> Vec<String
 /// same fault plan, with justification tracked. Rows come back in
 /// loss-major, crash-minor order with the two policies adjacent
 /// (CUP first), whatever the sweep worker count.
-pub fn fault_grid_with(
+pub fn fault_grid(
     base: &Scenario,
     losses: &[f64],
     crash_counts: &[u32],
@@ -581,8 +478,7 @@ pub fn fault_grid_with(
     })
 }
 
-/// One point of the Byzantine-attack × audit grid behind
-/// `BENCH_audit.json`.
+/// One point of the Byzantine-attack × audit grid ([`audit_grid`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditGridPoint {
     /// Nodes running the stale-serve behavior fault.
@@ -643,7 +539,7 @@ pub fn audit_point_specs(base: &Scenario, attackers: u32) -> Vec<String> {
 /// (second-chance) under the same stale-serve attack, with and without
 /// the sampled audit. Rows come back attacker-major with the two audit
 /// arms adjacent (audit off first), whatever the sweep worker count.
-pub fn audit_grid_with(
+pub fn audit_grid(
     base: &Scenario,
     attacker_counts: &[u32],
     interval_secs: u64,
@@ -704,7 +600,7 @@ mod tests {
 
     #[test]
     fn push_level_sweep_monotone_miss_cost() {
-        let points = push_level_sweep(&tiny(), &[5.0], &[0, 2, 8]);
+        let points = push_level_sweep(&tiny(), &[5.0], &[0, 2, 8], 2);
         assert_eq!(points.len(), 3);
         // Level 0 is standard caching: highest miss cost; deeper push
         // levels cannot increase it.
@@ -716,7 +612,7 @@ mod tests {
 
     #[test]
     fn policy_table_contains_all_rows() {
-        let rows = policy_table(&tiny(), &[5.0], &[2, 6]);
+        let rows = policy_table(&tiny(), &[5.0], &[2, 6], 2);
         assert_eq!(rows.len(), 11);
         assert_eq!(rows[0].policy, "Standard Caching");
         assert_eq!(rows[0].normalized[0], 1.0);
@@ -729,7 +625,7 @@ mod tests {
 
     #[test]
     fn size_sweep_reports_requested_sizes() {
-        let cols = size_sweep(&tiny(), &[16, 32]);
+        let cols = size_sweep(&tiny(), &[16, 32], 2);
         assert_eq!(cols.len(), 2);
         for c in cols {
             assert!(c.miss_cost_ratio < 1.0, "CUP should reduce miss cost");
@@ -739,7 +635,7 @@ mod tests {
 
     #[test]
     fn replica_sweep_fix_beats_naive() {
-        let rows = replica_sweep(&tiny(), &[1, 4]);
+        let rows = replica_sweep(&tiny(), &[1, 4], 2);
         assert_eq!(rows.len(), 2);
         let many = &rows[1];
         assert!(
@@ -752,7 +648,7 @@ mod tests {
 
     #[test]
     fn capacity_sweep_degrades_gracefully() {
-        let points = capacity_sweep(&tiny(), &[0.0, 1.0]);
+        let points = capacity_sweep(&tiny(), &[0.0, 1.0], 2);
         assert_eq!(points.len(), 2);
         // Full capacity is at least as good as zero capacity.
         assert!(points[1].up_and_down <= points[0].up_and_down);
@@ -765,28 +661,28 @@ mod tests {
     fn parallel_sweeps_match_serial_byte_for_byte() {
         let base = tiny();
         assert_eq!(
-            policy_table_with(&base, &[5.0], &[2, 6], 1),
-            policy_table_with(&base, &[5.0], &[2, 6], 4),
+            policy_table(&base, &[5.0], &[2, 6], 1),
+            policy_table(&base, &[5.0], &[2, 6], 4),
             "policy table"
         );
         assert_eq!(
-            push_level_sweep_with(&base, &[5.0], &[0, 4], 1),
-            push_level_sweep_with(&base, &[5.0], &[0, 4], 4),
+            push_level_sweep(&base, &[5.0], &[0, 4], 1),
+            push_level_sweep(&base, &[5.0], &[0, 4], 4),
             "push-level sweep"
         );
         assert_eq!(
-            size_sweep_with(&base, &[16, 32], 1),
-            size_sweep_with(&base, &[16, 32], 4),
+            size_sweep(&base, &[16, 32], 1),
+            size_sweep(&base, &[16, 32], 4),
             "size sweep"
         );
         assert_eq!(
-            replica_sweep_with(&base, &[1, 4], 1),
-            replica_sweep_with(&base, &[1, 4], 4),
+            replica_sweep(&base, &[1, 4], 1),
+            replica_sweep(&base, &[1, 4], 4),
             "replica sweep"
         );
         assert_eq!(
-            capacity_sweep_with(&base, &[0.0, 1.0], 1),
-            capacity_sweep_with(&base, &[0.0, 1.0], 4),
+            capacity_sweep(&base, &[0.0, 1.0], 1),
+            capacity_sweep(&base, &[0.0, 1.0], 4),
             "capacity sweep"
         );
     }
@@ -795,7 +691,7 @@ mod tests {
     fn fault_grid_covers_the_cross_product_and_is_worker_invariant() {
         let losses = [0.0, 0.1];
         let crashes = [0, 2];
-        let grid = fault_grid_with(&tiny(), &losses, &crashes, 2);
+        let grid = fault_grid(&tiny(), &losses, &crashes, 2);
         assert_eq!(grid.len(), losses.len() * crashes.len() * 2);
         for pair in grid.chunks_exact(2) {
             assert_eq!(pair[0].policy, "second-chance");
@@ -811,8 +707,14 @@ mod tests {
         assert_eq!(clean.dropped, 0);
         let lossy = grid.iter().find(|p| p.loss > 0.0).unwrap();
         assert!(lossy.dropped > 0, "5%+ loss must drop messages");
+        // The query-latency tail is ordered in every row.
+        assert!(grid.iter().all(|p| {
+            p.query_p50_us <= p.query_p90_us
+                && p.query_p90_us <= p.query_p99_us
+                && p.query_p99_us <= p.query_p999_us
+        }));
         // Byte-identical across sweep worker counts.
-        assert_eq!(grid, fault_grid_with(&tiny(), &losses, &crashes, 1));
+        assert_eq!(grid, fault_grid(&tiny(), &losses, &crashes, 1));
     }
 
     #[test]
@@ -826,7 +728,7 @@ mod tests {
     #[test]
     fn audit_grid_covers_the_cross_product_and_is_worker_invariant() {
         let attackers = [0, 4];
-        let grid = audit_grid_with(&tiny(), &attackers, 60, 2);
+        let grid = audit_grid(&tiny(), &attackers, 60, 2);
         assert_eq!(grid.len(), attackers.len() * 2);
         for pair in grid.chunks_exact(2) {
             assert_eq!(pair[0].attackers, pair[1].attackers);
@@ -841,7 +743,7 @@ mod tests {
         assert_eq!(grid[0].poisoned, 0);
         assert_eq!(grid[1].repairs, 0);
         // Byte-identical across sweep worker counts.
-        assert_eq!(grid, audit_grid_with(&tiny(), &attackers, 60, 1));
+        assert_eq!(grid, audit_grid(&tiny(), &attackers, 60, 1));
     }
 
     #[test]
@@ -853,30 +755,5 @@ mod tests {
         // Victims stay distinct even when oversubscribed.
         let crowded = audit_point_specs(&tiny(), 64);
         assert_eq!(crowded.len(), 32);
-    }
-
-    #[test]
-    fn policy_rate_grid_covers_the_cross_product() {
-        let policies = [
-            CutoffPolicy::second_chance(),
-            CutoffPolicy::Always,
-            CutoffPolicy::adaptive(),
-        ];
-        let rates = [2.0, 5.0];
-        let grid = policy_rate_grid(&tiny(), &policies, &rates, 2);
-        assert_eq!(grid.len(), policies.len() * rates.len());
-        for (i, point) in grid.iter().enumerate() {
-            assert_eq!(point.policy, policies[i / rates.len()].name());
-            assert_eq!(point.rate, rates[i % rates.len()]);
-            assert!(
-                point.tracked > 0,
-                "{}: justification must be tracked",
-                point.policy
-            );
-            assert!(point.justified_ratio() <= 1.0);
-            assert!((0.0..=1.0).contains(&point.hit_rate));
-        }
-        // Deterministic across worker counts.
-        assert_eq!(grid, policy_rate_grid(&tiny(), &policies, &rates, 1));
     }
 }

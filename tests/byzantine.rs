@@ -26,7 +26,7 @@
 //!   the defense never costs more than the protocol's reason to exist.
 
 use cup::prelude::*;
-use cup::simnet::sweeps::{audit_config_for, audit_grid_with, audit_point_specs};
+use cup::simnet::sweeps::{audit_config_for, audit_grid, audit_point_specs};
 use cup_testkit::scenario;
 
 /// Four stale-serve attackers spread across a 64-node network serving a
@@ -145,15 +145,15 @@ fn audit_overhead_stays_below_cups_update_savings() {
 
 #[test]
 fn audit_grid_rows_are_consistent_with_the_single_runs() {
-    // The grid behind BENCH_audit.json tells the same story — and its
-    // attacked/audited row is the *same experiment* as the single runs
-    // above (same scenario, same derived audit config), so the numbers
-    // must agree exactly across the two drivers.
+    // The audit grid tells the same story — and its attacked/audited row
+    // is the *same experiment* as the single runs above (same scenario,
+    // same derived audit config), so the numbers must agree exactly
+    // across the two drivers.
     let clean_base = Scenario {
         fault_plan: Vec::new(),
         ..attacked_scenario(11)
     };
-    let grid = audit_grid_with(&clean_base, &[0, 4], 30, 2);
+    let grid = audit_grid(&clean_base, &[0, 4], 30, 2);
     assert_eq!(grid.len(), 4);
     let (calm_off, calm_on, hot_off, hot_on) = (&grid[0], &grid[1], &grid[2], &grid[3]);
     assert_eq!((calm_off.attackers, hot_off.attackers), (0, 4));
@@ -166,6 +166,20 @@ fn audit_grid_rows_are_consistent_with_the_single_runs() {
     assert!(hot_on.repairs > 0);
     assert!(hot_on.poisoned < hot_off.poisoned);
     assert!(hot_on.poisoned_rate < 0.01);
+    // Repairs shorten exposure: poison served under the audit is no
+    // older than without it, in the mean and in the p99 tail.
+    assert!(
+        hot_on.poisoned_exposure_secs <= hot_off.poisoned_exposure_secs,
+        "audited mean exposure {:.1}s vs {:.1}s unaudited",
+        hot_on.poisoned_exposure_secs,
+        hot_off.poisoned_exposure_secs
+    );
+    assert!(
+        hot_on.poisoned_age_p99_secs <= hot_off.poisoned_age_p99_secs,
+        "audited p99 exposure {:.1}s vs {:.1}s unaudited",
+        hot_on.poisoned_age_p99_secs,
+        hot_off.poisoned_age_p99_secs
+    );
     // Cross-check against the single runs, byte for byte.
     let off = run_experiment(&ExperimentConfig::cup(attacked_scenario(11)));
     let on = run_experiment(&audited_config(attacked_scenario(11)));

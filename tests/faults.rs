@@ -15,7 +15,7 @@
 
 use cup::prelude::*;
 use cup::simnet::sweeps::{
-    audit_config_for, audit_grid_with, audit_point_specs, fault_grid_with, fault_point_specs,
+    audit_config_for, audit_grid, audit_point_specs, fault_grid, fault_point_specs,
 };
 use cup_testkit::conformance::{run_live, ConformanceSpec};
 use cup_testkit::{assert_deterministic, medium, tiny};
@@ -52,8 +52,8 @@ fn fault_sweep_is_identical_across_sweep_worker_counts() {
     let base = tiny(5.0, 11);
     let losses = [0.0, 0.05];
     let crashes = [0, 3];
-    let serial = fault_grid_with(&base, &losses, &crashes, 1);
-    let parallel = fault_grid_with(&base, &losses, &crashes, 4);
+    let serial = fault_grid(&base, &losses, &crashes, 1);
+    let parallel = fault_grid(&base, &losses, &crashes, 4);
     assert_eq!(
         serial, parallel,
         "sweep rows must not depend on the pool size"
@@ -104,8 +104,8 @@ fn audit_sweep_is_identical_across_sweep_worker_counts() {
         replica_mean_life: Some(SimDuration::from_secs(600)),
         ..tiny(5.0, 11)
     };
-    let serial = audit_grid_with(&base, &[0, 4], 30, 1);
-    let parallel = audit_grid_with(&base, &[0, 4], 30, 4);
+    let serial = audit_grid(&base, &[0, 4], 30, 1);
+    let parallel = audit_grid(&base, &[0, 4], 30, 4);
     assert_eq!(
         serial, parallel,
         "audit sweep rows must not depend on the pool size"
@@ -182,7 +182,7 @@ fn cup_beats_all_out_push_on_hit_rate_per_cost_at_5_percent_loss() {
         key_distribution: cup::workload::scenario::KeyDistribution::Zipf { exponent: 0.9 },
         ..medium(10.0, 7)
     };
-    let grid = fault_grid_with(&base, &[0.05], &[0], 2);
+    let grid = fault_grid(&base, &[0.05], &[0], 2);
     assert_eq!(grid.len(), 2);
     let (cup, push) = (&grid[0], &grid[1]);
     assert_eq!(cup.policy, "second-chance");

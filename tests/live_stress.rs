@@ -23,6 +23,11 @@
 //! injection takes every shard's lock between rounds; what is asserted
 //! is that nothing hangs and the per-shard books still fold to
 //! consistent totals.
+//!
+//! The observability run checks the wall-clock histograms the live
+//! handle reports: one latency sample per answered query with a real
+//! tail, one batch-size sample per cross-shard flush, and no staleness
+//! on a healthy run.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -307,5 +312,89 @@ fn armed_run_keeps_its_books_under_concurrent_fault_injection() {
         "the cache-hit queries still justified the refresh's windows"
     );
     assert!(justified_after <= tracked_after);
+    net.shutdown();
+}
+
+/// Starts a wall-clock `kind` network of `nodes` nodes on 2 workers,
+/// births `keys` replicas, and posts `queries` client queries from
+/// `THREADS` concurrent threads (thread `t` queries key `t mod keys`,
+/// so tiny catalogs are shared), then one refresh per key. Returns the
+/// quiesced network for the caller to read.
+fn observed_run(
+    kind: OverlayKind,
+    nodes: usize,
+    keys: u32,
+    queries: usize,
+    map: ShardMapMode,
+) -> LiveNetwork {
+    let mut rng = DetRng::seed_from(53);
+    let net = LiveNetwork::start_with_map(
+        kind,
+        nodes,
+        NodeConfig::cup_default(),
+        2,
+        map,
+        Clock::wall(),
+        &mut rng,
+    )
+    .unwrap();
+    for k in 0..keys {
+        net.replica_birth(KeyId(k), ReplicaId(k), LIFETIME);
+    }
+    net.quiesce();
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let net = &net;
+            s.spawn(move || {
+                let mut rng = DetRng::seed_from(5_300 + t as u64);
+                let key = KeyId(t as u32 % keys);
+                for _ in 0..queries / THREADS {
+                    let node = net.nodes()[rng.choose_index(nodes)];
+                    assert_eq!(net.query(node, key).unwrap().len(), 1);
+                }
+            });
+        }
+    });
+    for k in 0..keys {
+        net.replica_refresh(KeyId(k), ReplicaId(k), LIFETIME);
+    }
+    net.quiesce();
+    assert_eq!(net.routing_failures(), 0);
+    net
+}
+
+#[test]
+fn live_histograms_account_for_every_query_and_flush() {
+    const QUERIES: usize = 64;
+    for kind in OverlayKind::ALL {
+        for map in ShardMapMode::ALL {
+            let net = observed_run(kind, 128, KEYS, QUERIES, map);
+            let latency = net.query_latency_hist();
+            assert_eq!(
+                latency.count(),
+                QUERIES as u64,
+                "{kind}/{}: one latency sample per answered query",
+                map.name()
+            );
+            // Wall time moves between post and answer: a zero p99.9 would
+            // mean the histogram fell off the query path.
+            assert!(latency.quantile(999) > 0, "{kind}: wall latency degenerate");
+            assert!(latency.quantile(500) <= latency.quantile(999));
+            if map == ShardMapMode::Contiguous {
+                assert!(net.cross_shard_messages() > 0, "{kind}: nothing crossed");
+            }
+            assert_eq!(net.batched_envelopes(), net.cross_shard_messages());
+            assert_eq!(net.batch_size_hist().count(), net.batch_flushes());
+            assert!(net.stale_age_hist().is_empty(), "healthy run served stale");
+            net.shutdown();
+        }
+    }
+
+    // Two nodes, one key, four client threads all on that key: the books
+    // still balance however small the network.
+    let net = observed_run(OverlayKind::Can, 2, 1, 8, ShardMapMode::OverlayAware);
+    assert_eq!(net.query_latency_hist().count(), 8);
+    assert_eq!(net.batched_envelopes(), net.cross_shard_messages());
+    assert_eq!(net.batch_size_hist().count(), net.batch_flushes());
     net.shutdown();
 }
