@@ -1,9 +1,8 @@
-//! Tiny flag-parsing helpers shared by the experiment binaries.
+//! Tiny flag-parsing helpers for the `repro` binary.
 //!
-//! The workspace builds fully offline (no clap); `repro` and
-//! `trace_smoke` share these so their `--flag value` handling, error
-//! wording, and exit-code convention (2 = usage error) cannot drift
-//! apart.
+//! The workspace builds fully offline (no clap); these keep the
+//! `--flag value` handling, error wording, and exit-code convention
+//! (2 = usage error) in one place.
 
 use std::fmt::Display;
 use std::str::FromStr;

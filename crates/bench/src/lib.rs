@@ -1,8 +1,7 @@
 //! Shared scales and scenarios for the experiment binaries.
 //!
 //! The `repro` binary regenerates the paper's tables and figures at a
-//! chosen [`Scale`], up to the paper's 2¹⁰-node / 3 000 s configuration;
-//! `trace_smoke` diffs one traced scenario across the two runtimes.
+//! chosen [`Scale`], up to the paper's 2¹⁰-node / 3 000 s configuration.
 //! Speed is measured elsewhere, by the `cupbench` package in
 //! `benchmark/`.
 

@@ -177,18 +177,6 @@ impl FaultPlan {
         self.events.insert(idx, FaultEvent { at, action });
     }
 
-    /// The not-yet-replayed events due at or before `until`, advancing
-    /// `cursor` past them. A driver stepping a clock through the script
-    /// calls this once per step with a persistent cursor (start at 0)
-    /// and applies each returned event at exactly its `at` — the
-    /// returned slice is in fire order, ties in insertion order.
-    pub fn due(&self, cursor: &mut usize, until: SimTime) -> &[FaultEvent] {
-        let start = (*cursor).min(self.events.len());
-        let end = start + self.events[start..].partition_point(|e| e.at <= until);
-        *cursor = end;
-        &self.events[start..end]
-    }
-
     /// Parses a list of fault spec strings (see the module docs for the
     /// grammar) into one plan.
     ///
@@ -425,9 +413,16 @@ fn split_window(spec: &str) -> Result<(&str, Option<SpecWindow>), String> {
 }
 
 fn parse_secs(s: &str) -> Result<u64, String> {
-    s.trim()
+    let secs = s
+        .trim()
         .parse::<u64>()
-        .map_err(|_| format!("bad time '{s}' (whole seconds)"))
+        .map_err(|_| format!("bad time '{s}' (whole seconds)"))?;
+    // `SimTime::from_secs` multiplies by 10⁶: anything larger overflows.
+    let max = SimTime::MAX.as_micros() / 1_000_000;
+    if secs > max {
+        return Err(format!("time '{s}' exceeds the {max} s a SimTime holds"));
+    }
+    Ok(secs)
 }
 
 #[cfg(test)]
@@ -588,28 +583,6 @@ mod tests {
         );
         let err = FaultPlan::parse_specs(&["drop:0.1@t=abc"]).unwrap_err();
         assert!(err.contains("'abc'"), "bad time token named: {err}");
-    }
-
-    #[test]
-    fn due_replays_the_script_in_order_without_repeats() {
-        let plan = FaultPlan::parse_specs(&["drop:0.2@t=100..400", "crash:17@t=50..90"]).unwrap();
-        let mut cursor = 0;
-        // Nothing due before the first event.
-        assert!(plan.due(&mut cursor, SimTime::from_secs(49)).is_empty());
-        // Events at exactly `until` are due.
-        let first = plan.due(&mut cursor, SimTime::from_secs(90));
-        assert_eq!(first.len(), 2);
-        assert_eq!(first[0].action, FaultAction::Crash { node: 17 });
-        assert_eq!(first[1].action, FaultAction::Restart { node: 17 });
-        // Already-replayed events never come back.
-        assert!(plan.due(&mut cursor, SimTime::from_secs(90)).is_empty());
-        let rest = plan.due(&mut cursor, SimTime::from_secs(1_000));
-        assert_eq!(rest.len(), 2);
-        assert_eq!(rest[1].action, FaultAction::SetLoss { rate: 0.0 });
-        assert!(plan.due(&mut cursor, SimTime::MAX).is_empty(), "drained");
-        // An overshot cursor is clamped, not a panic.
-        let mut wild = 99;
-        assert!(plan.due(&mut wild, SimTime::MAX).is_empty());
     }
 
     #[test]

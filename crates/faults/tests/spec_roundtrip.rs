@@ -119,6 +119,7 @@ fn parse_failures_name_the_offending_token() {
         ("drop-updates:1.5", "'1.5'"),
         ("lie-refresh:3@t=9..9", "9..9 must end after it starts"),
         ("drop:0.1@t=soon", "'soon'"),
+        ("drop:0.1@t=18446744073710", "'18446744073710'"),
     ] {
         let err = FaultPlan::parse_specs(&[bad]).unwrap_err();
         assert!(

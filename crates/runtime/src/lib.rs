@@ -27,8 +27,9 @@
 //! workers observe byte-identical timestamps regardless of scheduling.
 //! On the virtual clock every time-compared protocol behavior — the
 //! `pfu_timeout` retry timer, freshness horizons, `@t=`-windowed fault
-//! scripts replayed with [`LiveNetwork::run_plan_until`] — matches the
-//! DES exactly; the conformance harness asserts it byte for byte.
+//! edges applied with [`LiveNetwork::inject_fault`] at their instants —
+//! matches the DES exactly; the conformance harness asserts it byte for
+//! byte.
 //!
 //! [`LiveNetwork::quiesce`] is the runtime's barrier: it blocks until
 //! every inbox and transfer slot is drained and no worker is

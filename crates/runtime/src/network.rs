@@ -10,7 +10,7 @@ use cup_core::obs::{Hist, TraceBuf};
 use cup_core::stats::NodeStats;
 use cup_core::{ClientId, CupNode, IndexEntry, NodeConfig, ReplicaEvent};
 use cup_des::{DetRng, KeyId, NodeId, ReplicaId, SimDuration, SimTime};
-use cup_faults::{FaultAction, FaultCounters, FaultEvent, FaultPlan, Plane, Totals};
+use cup_faults::{FaultAction, FaultCounters, Plane, Totals};
 use cup_overlay::{AnyOverlay, Overlay, OverlayError, OverlayKind};
 
 use crate::shard::{worker_main, Envelope, Shared};
@@ -515,27 +515,6 @@ impl LiveNetwork {
         );
         let deadline = self.now() + by;
         self.run_until(deadline)
-    }
-
-    /// Replays the timed fault script up to and including `deadline`,
-    /// then leaves the clock at `deadline`: each due event is applied at
-    /// exactly its scripted logical instant (quiesce, jump to
-    /// `event.at`, inject, quiesce), which is the same interleaving the
-    /// DES realizes by scheduling `Ev::Fault` events — so `@t=`-windowed
-    /// specs execute byte-identically on both runtimes. `cursor` tracks
-    /// replay progress across calls; start it at 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a wall-mapped clock or if the next due event is in the
-    /// logical past (the cursor is behind the clock).
-    pub fn run_plan_until(&self, plan: &FaultPlan, cursor: &mut usize, deadline: SimTime) {
-        for &FaultEvent { at, action } in plan.due(cursor, deadline) {
-            self.run_until(at);
-            self.inject_fault(action);
-            self.quiesce();
-        }
-        self.run_until(deadline);
     }
 
     /// Announces a replica serving `key` to the key's authority node.
@@ -1323,39 +1302,6 @@ mod tests {
         let nodes = net.shutdown();
         let freshness_misses: u64 = nodes.iter().map(|n| n.stats.freshness_misses).sum();
         assert!(freshness_misses > 0, "the second query was an expiry miss");
-    }
-
-    #[test]
-    fn run_plan_until_replays_windows_at_their_instants() {
-        let mut rng = DetRng::seed_from(21);
-        let net = LiveNetwork::start_virtual(
-            OverlayKind::Can,
-            16,
-            NodeConfig::cup_default(),
-            4,
-            &mut rng,
-        )
-        .unwrap();
-        net.enable_faults(3);
-        net.replica_birth(KeyId(1), ReplicaId(0), SimDuration::from_secs(3600));
-        net.quiesce();
-        let plan = FaultPlan::parse_specs(&["drop:1.0@t=10..20"]).unwrap();
-        let mut cursor = 0;
-        // Before the window: queries resolve.
-        net.run_plan_until(&plan, &mut cursor, SimTime::from_secs(5));
-        assert_eq!(net.query(net.nodes()[9], KeyId(1)).unwrap().len(), 1);
-        // Inside the window: total loss, the query dies on its first hop.
-        net.run_plan_until(&plan, &mut cursor, SimTime::from_secs(15));
-        assert_eq!(net.now(), SimTime::from_secs(15));
-        let dropped_before = net.fault_counters().dropped_loss;
-        let pending = net.query_detached(net.nodes()[10], KeyId(1)).unwrap();
-        net.quiesce();
-        drop(pending.try_take());
-        assert!(net.fault_counters().dropped_loss > dropped_before);
-        // Past the window: the closing edge replayed, traffic flows.
-        net.run_plan_until(&plan, &mut cursor, SimTime::from_secs(30));
-        assert_eq!(net.query(net.nodes()[11], KeyId(1)).unwrap().len(), 1);
-        net.shutdown();
     }
 
     #[test]

@@ -133,9 +133,14 @@ fn second_chance_justifies_better_than_all_out_push_in_sim() {
 fn second_chance_justifies_better_than_all_out_push_on_both_runtimes() {
     // Extra refresh rounds give the cut-offs time to prune the
     // no-longer-queried subscriptions that all-out push keeps feeding.
-    let base = ConformanceSpec::small(OverlayKind::Can).with_refresh_rounds(6);
-    let second_spec = base; // cup_default *is* second-chance
-    let always_spec = base.with_config(NodeConfig::cup_with_policy(CutoffPolicy::Always));
+    let second_spec = ConformanceSpec {
+        refresh_rounds: 6,
+        ..ConformanceSpec::small(OverlayKind::Can) // cup_default *is* second-chance
+    };
+    let always_spec = ConformanceSpec {
+        config: NodeConfig::cup_with_policy(CutoffPolicy::Always),
+        ..second_spec
+    };
     type Runner = fn(&ConformanceSpec) -> Outcome;
     for (runtime, run) in [("sim", run_sim as Runner), ("live", run_live as Runner)] {
         let (second, always) = (run(&second_spec), run(&always_spec));

@@ -5,8 +5,9 @@
 //! the properties that make the `cup-faults` plane trustworthy there:
 //!
 //! * fault runs are **deterministic** — byte-identical
-//!   `ExperimentResult`s across reruns, across sweep worker counts, and
-//!   (via the conformance script) across live worker-pool sizes;
+//!   `ExperimentResult`s across reruns and across sweep worker counts
+//!   (live worker-pool sizes are pinned by `tests/conformance.rs`, whose
+//!   fault scenarios assert every live cell equals the DES outcome);
 //! * **recovery works** — a crashed authority rebuilds its directory
 //!   from replica refreshes once restarted, and lost Clear-Bits re-send
 //!   on the next unwanted update instead of assuming delivery;
@@ -17,7 +18,6 @@ use cup::prelude::*;
 use cup::simnet::sweeps::{
     audit_config_for, audit_grid, audit_point_specs, fault_grid, fault_point_specs,
 };
-use cup_testkit::conformance::{run_live, ConformanceSpec};
 use cup_testkit::{assert_deterministic, medium, tiny};
 
 /// A lossy, crashy, partitioned scenario over the tiny preset.
@@ -110,55 +110,6 @@ fn audit_sweep_is_identical_across_sweep_worker_counts() {
         serial, parallel,
         "audit sweep rows must not depend on the pool size"
     );
-}
-
-#[test]
-fn live_fault_outcomes_are_identical_across_worker_counts() {
-    // The same fault conformance script on 1 worker and on 4: the
-    // sharded pool must make the very same drop decisions and reach the
-    // very same final state as the serial pool.
-    for kind in OverlayKind::ALL {
-        let spec_serial = ConformanceSpec {
-            workers: 1,
-            ..ConformanceSpec::faulty(kind)
-        };
-        let spec_pool = ConformanceSpec {
-            workers: 4,
-            ..ConformanceSpec::faulty(kind)
-        };
-        let (serial, pool) = (run_live(&spec_serial), run_live(&spec_pool));
-        assert_eq!(serial, pool, "{kind}: worker count leaked into the outcome");
-        let faults = serial.net.faults;
-        assert!(faults.dropped() > 0, "{kind}: the script must bite");
-    }
-}
-
-#[test]
-fn timed_window_live_outcomes_are_identical_across_worker_counts() {
-    // The timed-window script (`drop:…@t=`, `spike:…@t=`, `crash:…@t=A..B`)
-    // replayed against the virtual clock: the sharded pool must reach
-    // the very same final state as the serial pool, including the
-    // PFU-retry counts the 30 s timeout now produces live.
-    for kind in OverlayKind::ALL {
-        let spec_serial = ConformanceSpec {
-            workers: 1,
-            ..ConformanceSpec::timed(kind)
-        };
-        let spec_pool = ConformanceSpec {
-            workers: 4,
-            ..ConformanceSpec::timed(kind)
-        };
-        let (serial, pool) = (run_live(&spec_serial), run_live(&spec_pool));
-        assert_eq!(serial, pool, "{kind}: worker count leaked into the outcome");
-        let faults = serial.net.faults;
-        assert!(faults.dropped() > 0, "{kind}: the windows must bite");
-        assert_eq!(faults.crashes, 1, "{kind}: the crash window fired");
-        assert_eq!(faults.restarts, 1, "{kind}: the restart edge fired");
-        assert!(
-            serial.stats.pfu_retries > 0,
-            "{kind}: the un-parked PFU timeout must fire retries live"
-        );
-    }
 }
 
 #[test]
