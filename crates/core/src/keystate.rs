@@ -2,8 +2,9 @@
 //!
 //! For every non-local key a node has seen, it keeps the cached index
 //! entries, the Pending-First-Update flag, the interest record over
-//! neighbors, the popularity measure, and any local clients whose
-//! connections are held open awaiting a fresh answer.
+//! neighbors, the popularity measure, any local clients whose
+//! connections are held open awaiting a fresh answer, and the next hop
+//! toward the key's authority once it has routed the key.
 //!
 //! CUP's scaling argument is that this record is tiny, so it is laid out
 //! to be: a [`KeyState`] is at most 136 bytes (checked at compile time
@@ -36,8 +37,23 @@
 //!
 //! The short lists are all one type, `crate::inline::InlineVec`, which
 //! spills to the heap past its capacity and comes back.
+//!
+//! The record also remembers the key's **upstream hop**: the next hop
+//! toward the authority that the last query or clear-bit handled here
+//! was routed with, [`NOT_ROUTED`] before the first. The route does not
+//! change while the overlay does not, so a runtime asks the node
+//! (`CupNode::upstream_hint`) before it asks the overlay, and a
+//! topology change clears every hint (`CupNode::forget_upstream_hints`).
+//!
+//! Layout (x86-64, as the compiler orders the fields): `popularity` at
+//! 0, `entries` at 16, `interest` at 48, `retired` at 72, `pfu_since` at
+//! 88, the `waiters` and `cold` boxes at 96 and 104, `policy_state` at
+//! 112, `key` at 124, `hop` at 128, `last_depth` at 132 and
+//! `pending_first_update` at 134: 136 bytes, one of them padding. The
+//! hop fits because `last_depth` is a `u16` that saturates — paths are
+//! hundreds of hops at most, never 65 535.
 
-use cup_des::{KeyId, ReplicaId, SimTime};
+use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
 
 use crate::audit::AuditTally;
 use crate::entry::IndexEntry;
@@ -61,7 +77,7 @@ const INLINE_RETIRED: usize = 3;
 const INLINE_WAITERS: usize = 2;
 
 /// All state a node keeps for one cached (non-local) key.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct KeyState {
     /// Cached index entries (disjoint from any local directory).
     entries: InlineVec<IndexEntry, INLINE_ENTRIES>,
@@ -78,8 +94,9 @@ pub struct KeyState {
     /// Per-key propagation-policy decision state (interval observations
     /// and, for the adaptive policy, its tuned tolerance).
     pub policy_state: PolicyState,
-    /// Distance from the authority as carried by the most recent update.
-    pub last_depth: u32,
+    /// Distance from the authority as carried by the most recent update,
+    /// saturated at `u16::MAX`.
+    pub last_depth: u16,
     /// Delete tombstones, newest last (see [`KeyState::retired`]).
     retired: InlineVec<ReplicaId, INLINE_RETIRED>,
     /// The off-by-default planes' state; `None` until either plane first
@@ -89,9 +106,17 @@ pub struct KeyState {
     /// confirms a hash-tag match against (see `crate::keytable`). It
     /// sits in what was the record's tail padding, so it costs nothing.
     pub(crate) key: KeyId,
+    /// The next hop toward the key's authority the last query or
+    /// clear-bit here was routed with: the node's own id at the
+    /// authority, [`NOT_ROUTED`] before the first (see the module docs).
+    pub(crate) hop: NodeId,
 }
 
 const _: () = assert!(std::mem::size_of::<KeyState>() <= 136);
+
+/// A record's [`KeyState::hop`] before the key was first routed here; no
+/// node has this id.
+pub(crate) const NOT_ROUTED: NodeId = NodeId(u32::MAX);
 
 /// Who a node owes an answer for one key once its first-time update
 /// arrives.
@@ -137,6 +162,25 @@ pub(crate) struct RefreshState {
     /// Aggregation: refreshed entries awaiting the batching window
     /// (empty: no batch is open).
     pub(crate) batch: Vec<IndexEntry>,
+}
+
+impl Default for KeyState {
+    fn default() -> Self {
+        KeyState {
+            entries: InlineVec::default(),
+            pending_first_update: false,
+            pfu_since: SimTime::ZERO,
+            waiters: None,
+            interest: InterestSet::default(),
+            popularity: Popularity::default(),
+            policy_state: PolicyState::default(),
+            last_depth: 0,
+            retired: InlineVec::default(),
+            cold: None,
+            key: KeyId::default(),
+            hop: NOT_ROUTED,
+        }
+    }
 }
 
 impl KeyState {
@@ -213,6 +257,7 @@ impl KeyState {
             self.pfu_since,
             self.last_depth,
             self.key,
+            self.hop,
         ));
     }
 
@@ -237,7 +282,7 @@ impl KeyState {
                 self.mark_retired(update.replica);
             }
         }
-        self.last_depth = update.depth;
+        self.last_depth = u16::try_from(update.depth).unwrap_or(u16::MAX);
     }
 
     /// Records that `replica` was seen retired (bounded, deduplicated).
@@ -436,6 +481,7 @@ mod tests {
             span!(pfu_since, true),
             span!(last_depth, true),
             span!(key, true),
+            span!(hop, true),
         ];
         let size = size_of::<KeyState>();
         // Records sit back to back, so over a table a record starts at
@@ -454,6 +500,20 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_depth_past_u16_saturates() {
+        let mut st = KeyState::new();
+        let mut deep = update(UpdateKind::Refresh, 0, vec![entry(0, 0, 100)]);
+        for (depth, kept) in [(65_535, u16::MAX), (65_536, u16::MAX), (u32::MAX, u16::MAX)] {
+            deep.depth = depth;
+            st.apply(&deep);
+            assert_eq!(st.last_depth, kept, "depth {depth}");
+        }
+        deep.depth = 7;
+        st.apply(&deep);
+        assert_eq!(st.last_depth, 7, "and comes back down");
     }
 
     #[test]

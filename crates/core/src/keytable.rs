@@ -194,7 +194,7 @@ mod tests {
     fn keys_are_found_whatever_order_they_arrive_in() {
         let mut t = KeyTable::default();
         for (i, k) in [9u32, 2, 7, 0, 4].into_iter().enumerate() {
-            t.get_or_default(KeyId(k)).last_depth = i as u32;
+            t.get_or_default(KeyId(k)).last_depth = i as u16;
         }
         assert_eq!(t.get(KeyId(7)).map(|st| st.last_depth), Some(2));
         assert_eq!(t.get(KeyId(0)).map(|st| st.last_depth), Some(3));
@@ -203,7 +203,7 @@ mod tests {
         // Seeing a key again neither duplicates nor resets it.
         assert_eq!(t.get_or_default(KeyId(9)).last_depth, 0);
         assert_eq!(t.values_mut().count(), 5);
-        let arrival: Vec<u32> = t.values_mut().map(|st| st.last_depth).collect();
+        let arrival: Vec<u16> = t.values_mut().map(|st| st.last_depth).collect();
         assert_eq!(arrival, vec![0, 1, 2, 3, 4], "records keep arrival order");
     }
 
@@ -263,9 +263,9 @@ mod tests {
     /// Random insert / lookup / write sequences agree with a `BTreeMap`
     /// model, and iteration visits each record once in first-seen order —
     /// checked after every operation, so across every growth.
-    fn run_model(ops: Vec<(u32, u32, u32)>, keys: &[u32]) -> Result<(), TestCaseError> {
+    fn run_model(ops: Vec<(u32, u32, u16)>, keys: &[u32]) -> Result<(), TestCaseError> {
         let mut table = KeyTable::default();
-        let mut model: BTreeMap<u32, u32> = BTreeMap::new();
+        let mut model: BTreeMap<u32, u16> = BTreeMap::new();
         let mut first_seen: Vec<u32> = Vec::new();
         for (op, key, value) in ops {
             let key = keys[key as usize % keys.len()];
@@ -294,8 +294,8 @@ mod tests {
                 }
             }
             prop_assert_eq!(table.records.len(), model.len());
-            let walked: Vec<u32> = table.values_mut().map(|st| st.last_depth).collect();
-            let expected: Vec<u32> = first_seen.iter().map(|k| model[k]).collect();
+            let walked: Vec<u16> = table.values_mut().map(|st| st.last_depth).collect();
+            let expected: Vec<u16> = first_seen.iter().map(|k| model[k]).collect();
             prop_assert_eq!(walked, expected);
         }
         check_index(&table)
@@ -303,7 +303,7 @@ mod tests {
 
     proptest! {
         #[test]
-        fn matches_a_btreemap_model(ops in proptest::collection::vec((0u32..3, 0u32..48, 0u32..1_000), 0..300)) {
+        fn matches_a_btreemap_model(ops in proptest::collection::vec((0u32..3, 0u32..48, 0u16..1_000), 0..300)) {
             let keys: Vec<u32> = (0..48).collect();
             run_model(ops, &keys)?;
         }
@@ -311,7 +311,7 @@ mod tests {
         /// Keys that share a home word and a tag: every lookup walks the
         /// cluster and only the record's key tells them apart.
         #[test]
-        fn matches_the_model_when_every_key_collides(ops in proptest::collection::vec((0u32..3, 0u32..40, 0u32..1_000), 0..200)) {
+        fn matches_the_model_when_every_key_collides(ops in proptest::collection::vec((0u32..3, 0u32..40, 0u16..1_000), 0..200)) {
             run_model(ops, &colliding_keys(40))?;
         }
 
@@ -319,7 +319,7 @@ mod tests {
         /// ones.
         #[test]
         fn matches_the_model_on_sparse_and_colliding_keys(
-            ops in proptest::collection::vec((0u32..3, 0u32..64, 0u32..1_000), 0..300),
+            ops in proptest::collection::vec((0u32..3, 0u32..64, 0u16..1_000), 0..300),
             sparse in proptest::collection::vec(0u32..u32::MAX, 32),
         ) {
             let mut keys = colliding_keys(32);
@@ -362,7 +362,7 @@ mod tests {
             let mut table = KeyTable::default();
             let mut words_seen = Vec::new();
             for (n, &k) in keys.iter().enumerate() {
-                table.get_or_default(KeyId(k)).last_depth = n as u32;
+                table.get_or_default(KeyId(k)).last_depth = n as u16;
                 assert_slack_bounded(&table);
                 let words = table.index.len();
                 if words_seen.last() != Some(&words) {
@@ -377,10 +377,10 @@ mod tests {
                 if (n + 1).is_power_of_two() || matches!(n + 1, 255..=257) {
                     check_index(&table).unwrap();
                     for (i, &k) in keys[..=n].iter().enumerate() {
-                        assert_eq!(table.get(KeyId(k)).map(|st| st.last_depth), Some(i as u32));
+                        assert_eq!(table.get(KeyId(k)).map(|st| st.last_depth), Some(i as u16));
                     }
-                    let arrival: Vec<u32> = table.values_mut().map(|st| st.last_depth).collect();
-                    assert_eq!(arrival, (0..=n as u32).collect::<Vec<_>>());
+                    let arrival: Vec<u16> = table.values_mut().map(|st| st.last_depth).collect();
+                    assert_eq!(arrival, (0..=n as u16).collect::<Vec<_>>());
                 }
             }
             assert_eq!(words_seen, vec![8, 16, 32, 64, 128, 256, 512, 1024, 2048]);

@@ -48,7 +48,7 @@ use crate::config::{AuditConfig, Mode, NodeConfig};
 use crate::directory::{DirectoryChange, LocalDirectory};
 use crate::entry::IndexEntry;
 use crate::interest::InterestSet;
-use crate::keystate::{KeyState, Waiters};
+use crate::keystate::{KeyState, Waiters, NOT_ROUTED};
 use crate::keytable::KeyTable;
 use crate::message::{Message, ReplicaEvent, Requester, Update, UpdateKind};
 use crate::policy::CutoffContext;
@@ -135,6 +135,26 @@ impl CupNode {
         }
     }
 
+    /// The next hop from this node toward `key`'s authority, as the last
+    /// query or clear-bit for `key` handled here was routed: `Some(None)`
+    /// if this node is the authority, `None` if the node has not routed
+    /// `key` (no record, or a record no query or clear-bit has reached).
+    /// A runtime that asks here before it asks the overlay routes once per
+    /// `(node, key)`, as long as it calls
+    /// [`CupNode::forget_upstream_hints`] whenever the overlay changes.
+    pub fn upstream_hint(&self, key: KeyId) -> Option<Option<NodeId>> {
+        let hop = self.keys.get(key)?.hop;
+        (hop != NOT_ROUTED).then_some((hop != self.id).then_some(hop))
+    }
+
+    /// Forgets every key's upstream hop (see [`CupNode::upstream_hint`]):
+    /// the overlay changed, so the next query or clear-bit routes afresh.
+    pub fn forget_upstream_hints(&mut self) {
+        for st in self.keys.values_mut() {
+            st.hop = NOT_ROUTED;
+        }
+    }
+
     /// Read access to the local index directory.
     pub fn directory(&self) -> &LocalDirectory {
         &self.directory
@@ -180,6 +200,7 @@ impl CupNode {
         };
 
         let st = self.keys.get_or_default(key);
+        st.hop = upstream;
         st.popularity.record_query();
         if let Requester::Neighbor(n) = from {
             st.interest.set(n);
@@ -190,7 +211,7 @@ impl CupNode {
                 self.stats.client_hits += 1;
             }
             let entries = st.fresh_entries(now);
-            let depth = st.last_depth.saturating_add(1);
+            let depth = u32::from(st.last_depth) + 1;
             respond(&mut self.stats, from, key, entries, depth, now, out);
             // Served from cache: the moment worth double-checking the
             // cache's honesty (traffic-driven, rate-limited).
@@ -266,7 +287,9 @@ impl CupNode {
             if let Requester::Neighbor(n) = from {
                 // Register the neighbor so future replica updates flow to
                 // it.
-                self.keys.get_or_default(key).interest.set(n);
+                let st = self.keys.get_or_default(key);
+                st.interest.set(n);
+                st.hop = self.id;
             }
         }
         let entries = self.directory.fresh_entries(key, now);
@@ -420,6 +443,7 @@ impl CupNode {
         let Some(st) = self.keys.get_mut(key) else {
             return;
         };
+        st.hop = upstream.unwrap_or(self.id);
         st.interest.clear(from);
         // Stop wasting queue space on the disinterested neighbor.
         let dropped = self.outgoing.drop_matching(from, key);
@@ -434,7 +458,7 @@ impl CupNode {
         let ctx = CutoffContext {
             queries_since_reset: st.popularity.queries_since_reset(),
             consecutive_empty: st.popularity.consecutive_empty(),
-            depth: st.last_depth,
+            depth: u32::from(st.last_depth),
         };
         // Read-only evaluation: losing a downstream subscriber is not an
         // update decision point, so no interval is consumed here.
@@ -1068,6 +1092,32 @@ mod tests {
         for k in (0..12).filter(|k| ![1, 5, 9].contains(k)) {
             assert!(node.key_state(KeyId(k)).is_none(), "key {k} got a record");
         }
+    }
+
+    #[test]
+    fn queries_and_clear_bits_remember_the_upstream_hop() {
+        let (key, neighbor) = (KeyId(1), Requester::Neighbor(NodeId(4)));
+        let mut node = cup_node(1);
+        assert_eq!(node.upstream_hint(key), None, "no record");
+        // A record an update made has not been routed.
+        let update = refresh(1, 0, 0, 2);
+        emitted!(node.handle_update_into(SimTime::ZERO, NodeId(9), update));
+        assert_eq!(node.upstream_hint(key), None);
+        emitted!(node.handle_query_into(SimTime::ZERO, key, neighbor, Some(NodeId(9))));
+        assert_eq!(node.upstream_hint(key), Some(Some(NodeId(9))));
+        node.forget_upstream_hints();
+        assert_eq!(node.upstream_hint(key), None, "forgotten");
+        emitted!(node.handle_clear_bit_into(SimTime::ZERO, key, NodeId(4), Some(NodeId(8))));
+        assert_eq!(node.upstream_hint(key), Some(Some(NodeId(8))));
+        // A clear-bit for a key without a record leaves none behind.
+        emitted!(node.handle_clear_bit_into(SimTime::ZERO, KeyId(2), NodeId(4), Some(NodeId(8))));
+        assert_eq!(node.upstream_hint(KeyId(2)), None);
+        // At the authority the hop is the node itself: no upstream.
+        let mut authority = cup_node(0);
+        emitted!(authority.handle_query_into(SimTime::ZERO, key, neighbor, None));
+        assert_eq!(authority.upstream_hint(key), Some(None));
+        emitted!(authority.handle_clear_bit_into(SimTime::ZERO, KeyId(3), NodeId(4), None));
+        assert_eq!(authority.upstream_hint(KeyId(3)), None);
     }
 
     #[test]

@@ -11,6 +11,15 @@
 //! record latency and staleness. [`Plane`] owns that order and the state
 //! it touches; an [`Env`] supplies only what differs between transports.
 //!
+//! A query or clear-bit needs its receiver's next hop toward the key's
+//! authority. The kernel asks the node first ([`CupNode::upstream_hint`]:
+//! one probe of a record the look-ahead already touched, which the
+//! handler filled the first time it routed the key) and the transport's
+//! [`Env::upstream_of`] only when the node has no hint, so a node routes
+//! each key once for as long as the overlay stands. A transport whose
+//! overlay changes clears the hints ([`CupNode::forget_upstream_hints`]).
+//! Debug builds route every hinted hop again and panic on disagreement.
+//!
 //! Hops are charged at the *receiver*, before the crashed-receiver gate:
 //! a message in flight when its receiver crashed was transmitted (the
 //! send-time verdict predates the crash), so it costs a hop and is then
@@ -42,7 +51,8 @@ pub trait Env {
     fn now(&self) -> SimTime;
 
     /// Next hop from `at` toward `key`'s authority; `None` at the
-    /// authority itself.
+    /// authority itself. The kernel asks only where the node has no
+    /// upstream hint (see the module docs).
     fn upstream_of(&mut self, at: NodeId, key: KeyId) -> Result<Option<NodeId>, RoutingFailed>;
 
     /// The node `id`; callers of the entry points vouch it is present.
@@ -143,7 +153,7 @@ impl Plane {
         }
         let now = env.now();
         env.trace(now, at, TraceKind::ClientQuery, key, client.0);
-        let Ok(upstream) = env.upstream_of(at, key) else {
+        let Ok(upstream) = upstream_of(env, at, key) else {
             // Dead on arrival: answer empty now rather than let the
             // client stew until its timeout.
             self.metrics.routing_failures += 1;
@@ -192,7 +202,7 @@ impl Plane {
         env.trace(now, to, kind, key, from.0 as u64);
         let upstream = match msg {
             Message::Query { .. } | Message::ClearBit { .. } => {
-                let Ok(upstream) = env.upstream_of(to, key) else {
+                let Ok(upstream) = upstream_of(env, to, key) else {
                     self.metrics.routing_failures += 1;
                     return;
                 };
@@ -304,6 +314,27 @@ impl Plane {
     }
 }
 
+/// The next hop from `at` toward `key`'s authority: the node's hint if
+/// it has one, else the transport's route.
+fn upstream_of<E: Env>(
+    env: &mut E,
+    at: NodeId,
+    key: KeyId,
+) -> Result<Option<NodeId>, RoutingFailed> {
+    let Some(hint) = env.node_mut(at).upstream_hint(key) else {
+        return env.upstream_of(at, key);
+    };
+    #[cfg(debug_assertions)]
+    {
+        let routed = env.upstream_of(at, key);
+        assert!(
+            routed == Ok(hint),
+            "{at:?} remembers {hint:?} as its hop toward {key:?}, the overlay routes {routed:?}"
+        );
+    }
+    Ok(hint)
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
@@ -315,11 +346,14 @@ mod tests {
     use crate::plan::{Behavior, FaultAction};
 
     /// An in-memory transport over a line of nodes: node `i`'s upstream
-    /// is `i - 1`, node 0 is every key's authority, routing from node 9
-    /// is stuck. Records what the kernel asked of it.
+    /// is `i - 1` (unless `detour` reroutes one node), node 0 is every
+    /// key's authority, routing from node 9 is stuck. Records what the
+    /// kernel asked of it.
     #[derive(Default)]
     struct Fake {
         now: SimTime,
+        routed: Vec<NodeId>,
+        detour: Option<(NodeId, NodeId)>,
         nodes: Vec<CupNode>,
         sent: Vec<(NodeId, NodeId, Message)>,
         posted: BTreeMap<u64, SimTime>,
@@ -333,9 +367,11 @@ mod tests {
             self.now
         }
         fn upstream_of(&mut self, at: NodeId, _: KeyId) -> Result<Option<NodeId>, RoutingFailed> {
-            match at.0 {
-                9 => Err(RoutingFailed),
-                at => Ok(at.checked_sub(1).map(NodeId)),
+            self.routed.push(at);
+            match (at.0, self.detour) {
+                (9, _) => Err(RoutingFailed),
+                (_, Some((from, to))) if from == at => Ok(Some(to)),
+                (at, _) => Ok(at.checked_sub(1).map(NodeId)),
             }
         }
         fn node_mut(&mut self, id: NodeId) -> &mut CupNode {
@@ -537,6 +573,45 @@ mod tests {
         assert_eq!(plane.metrics.stale_age_hist.count(), 1);
     }
 
+    /// The routing calls a hinted hop makes: none, but debug builds
+    /// route it again to check the hint.
+    const CHECKS: usize = if cfg!(debug_assertions) { 1 } else { 0 };
+
+    #[test]
+    fn a_node_routes_each_key_once() {
+        let (mut plane, mut env) = world(&[]);
+        post(&mut plane, &mut env, 5, 1);
+        assert_eq!(env.routed, [NodeId(5)], "the first query routes");
+        recv(&mut plane, &mut env, 6, 5, Message::Query { key: KEY });
+        assert_eq!(env.routed.len(), 1 + CHECKS, "a second query asks the node");
+        recv(&mut plane, &mut env, 6, 5, Message::ClearBit { key: KEY });
+        assert_eq!(
+            env.routed.len(),
+            1 + 2 * CHECKS,
+            "a clear-bit asks the node"
+        );
+        assert_eq!(env.sent.len(), 1, "the first query went upstream");
+        assert_eq!(env.sent[0].1, NodeId(4));
+        // A record an update made has not been routed; its first
+        // clear-bit routes, its second asks the node.
+        recv(&mut plane, &mut env, 2, 3, update(UpdateKind::Refresh, 0));
+        env.routed.clear();
+        recv(&mut plane, &mut env, 4, 3, Message::ClearBit { key: KEY });
+        recv(&mut plane, &mut env, 4, 3, Message::ClearBit { key: KEY });
+        assert_eq!(env.routed.len(), 1 + CHECKS);
+        assert_eq!(env.routed[0], NodeId(3));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "remembers Some(NodeId(4)) as its hop")]
+    fn a_hint_the_overlay_disowns_panics_in_debug_builds() {
+        let (mut plane, mut env) = world(&[]);
+        post(&mut plane, &mut env, 5, 1);
+        env.detour = Some((NodeId(5), NodeId(3)));
+        recv(&mut plane, &mut env, 6, 5, Message::Query { key: KEY });
+    }
+
     #[test]
     fn a_failed_lookup_drops_the_message_and_counts_it() {
         let (mut plane, mut env) = world(&[]);
@@ -549,6 +624,7 @@ mod tests {
         // A client query dead on arrival is answered empty, unsampled.
         post(&mut plane, &mut env, 9, 5);
         assert_eq!(plane.metrics.routing_failures, 3);
+        assert_eq!(env.routed, [NodeId(9); 3], "no record, so every one routed");
         assert_eq!(env.answers, [(5, 0)]);
         assert_eq!(plane.metrics.query_latency.count(), 0);
         // Updates need no lookup and still flow.

@@ -97,20 +97,31 @@ pub(crate) enum Envelope {
         at: NodeId,
     },
     /// Justification plane: a client query for `key` was posted at `now`
-    /// on another shard, and `nodes` are the nodes of its virtual path
-    /// this shard owns — their open windows become justified (§3.1).
-    /// Travels in the batch plane (so the quiesce barrier counts it) but
-    /// is bookkeeping, not protocol traffic: neither a hop nor a
-    /// cross-shard message.
+    /// on another shard, and the first `len` of `nodes` are nodes of its
+    /// virtual path this shard owns — their open windows become
+    /// justified (§3.1). A shard that owns more than [`MARK_NODES`] of a
+    /// path gets several marks, so a mark owns no heap memory. Travels
+    /// in the batch plane (so the quiesce barrier counts it) but is
+    /// bookkeeping, not protocol traffic: neither a hop nor a cross-shard
+    /// message.
     JustifyMark {
         /// The key queried.
         key: KeyId,
         /// When the query was posted.
         now: SimTime,
+        /// How many of `nodes` are on the path.
+        len: u8,
         /// The receiving shard's nodes on the query's virtual path.
-        nodes: Vec<NodeId>,
+        nodes: [NodeId; MARK_NODES],
     },
 }
+
+/// Path nodes one [`Envelope::JustifyMark`] carries: as many as fit
+/// beside the key and the time without growing the envelope.
+const MARK_NODES: usize = 8;
+
+// A mark must not grow the envelope every message travels in.
+const _: () = assert!(std::mem::size_of::<Envelope>() == 72);
 
 /// A shard's control inbox: the queue the runtime handle posts into
 /// (client queries, replica events, crash resets), plus the flags that
@@ -802,9 +813,12 @@ impl Worker {
                 state.crash_retained.merge(&dead.stats);
             }
             Envelope::Peer { to, from, msg } => state.plane.receive(self, from, to, msg),
-            Envelope::JustifyMark { key, now, nodes } => {
-                state.plane.justify.on_query(key, now, &nodes)
-            }
+            Envelope::JustifyMark {
+                key,
+                now,
+                len,
+                nodes,
+            } => state.plane.justify.on_query(key, now, &nodes[..len.into()]),
             Envelope::Client { at, key, client } => state.plane.post_query(self, at, key, client),
             Envelope::Replica { at, event } => state.plane.replica_event(self, at, event),
         }
@@ -866,7 +880,8 @@ impl Env for Worker {
 
     /// Windows are keyed by `(node, key)` and live with the node's
     /// shard, so this shard's path nodes are marked inline and every
-    /// other shard gets its own in one [`Envelope::JustifyMark`].
+    /// other shard gets its own in [`Envelope::JustifyMark`]s of up to
+    /// [`MARK_NODES`] nodes each.
     fn mark_path(&mut self, own: &mut JustificationTracker, at: NodeId, key: KeyId, t: SimTime) {
         if self
             .shared
@@ -887,12 +902,17 @@ impl Env for Worker {
                 own.on_query(key, t, nodes);
             } else {
                 let out = &mut self.outbox[shard];
-                out.buf.push(Envelope::JustifyMark {
-                    key,
-                    now: t,
-                    nodes: nodes.clone(),
-                });
-                out.marks += 1;
+                for chunk in nodes.chunks(MARK_NODES) {
+                    let mut mark = [NodeId(0); MARK_NODES];
+                    mark[..chunk.len()].copy_from_slice(chunk);
+                    out.buf.push(Envelope::JustifyMark {
+                        key,
+                        now: t,
+                        len: chunk.len() as u8,
+                        nodes: mark,
+                    });
+                    out.marks += 1;
+                }
             }
             nodes.clear();
         }

@@ -138,6 +138,11 @@ impl NodeArena {
     pub fn iter_live(&self) -> impl Iterator<Item = &CupNode> {
         self.nodes.iter().flatten()
     }
+
+    /// Iterates mutably over the live nodes.
+    pub fn iter_live_mut(&mut self) -> impl Iterator<Item = &mut CupNode> {
+        self.nodes.iter_mut().flatten()
+    }
 }
 
 #[cfg(test)]

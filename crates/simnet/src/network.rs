@@ -12,6 +12,12 @@
 //! has: the workload generators, churn (and the liveness gate that
 //! counts deliveries to departed nodes), capacity service.
 //!
+//! Churn is also the one thing that moves a route. A join or a leave
+//! clears the authority cache and, with it, every live node's upstream
+//! hints (`CupNode::forget_upstream_hints`; the kernel routes a query
+//! or clear-bit through the overlay only where its node has none), so
+//! the next hop from each node is routed afresh on the new topology.
+//!
 //! Storage is sized for 100k-node experiments: per-node state lives in a
 //! dense [`NodeArena`] indexed by [`NodeId`], the key → authority map is
 //! a flat vector indexed by [`KeyId`] (keys are dense workload ids), and
@@ -488,9 +494,13 @@ impl Network {
         }
     }
 
-    /// Refreshes caches that depend on the topology.
+    /// Refreshes caches that depend on the topology: the authority
+    /// cache, every live node's upstream hints and the live list.
     fn after_topology_change(&mut self) {
         self.fabric.authority_cache.fill(None);
+        for node in self.fabric.nodes.iter_live_mut() {
+            node.forget_upstream_hints();
+        }
         self.alive_list = self.fabric.overlay.nodes();
     }
 }
@@ -499,6 +509,7 @@ impl Network {
 mod tests {
     use super::*;
     use cup_overlay::OverlayKind;
+    use cup_workload::churn::ChurnEvent;
 
     #[test]
     fn a_failed_routing_lookup_is_dropped_and_counted() {
@@ -528,5 +539,59 @@ mod tests {
         assert!(queue.is_empty(), "nothing was forwarded");
         let answered = net.fabric.query_posted.is_empty();
         assert!(answered, "the client got an empty answer, not a long wait");
+    }
+
+    #[test]
+    fn churn_clears_the_hints_it_makes_stale() {
+        for kind in [OverlayKind::Can, OverlayKind::Chord] {
+            let mut rng = DetRng::seed_from(11);
+            let overlay = AnyOverlay::build(kind, 64, &mut rng).unwrap();
+            let (config, latency) = (NodeConfig::cup_default(), LatencyModel::default_wan());
+            let mut net = Network::new(overlay, config, latency, rng);
+            let mut queue = EventQueue::new();
+            let keys = (0..16).map(KeyId);
+            // Every (node, key) hint a live node holds.
+            let hints = |net: &Network| -> Vec<(NodeId, KeyId, Option<NodeId>)> {
+                let live = net.fabric.nodes.iter_live();
+                let held = live.flat_map(|n| keys.clone().map(move |k| (n, k)));
+                let hint = |(n, k): (&CupNode, KeyId)| Some((n.id(), k, n.upstream_hint(k)?));
+                held.filter_map(hint).collect()
+            };
+            let (mut stale, mut client) = (0, 0);
+            for round in 0..6 {
+                // Every live node routes every key (the first query at a
+                // node is routed, so its record learns the hop).
+                for node in net.alive_list.clone() {
+                    for key in keys.clone() {
+                        client += 1;
+                        let mut wire = net.fabric.wire(&mut queue, SimTime::ZERO);
+                        net.plane.post_query(&mut wire, node, key, ClientId(client));
+                    }
+                }
+                // All but each key's authority, where a client's query
+                // makes no record.
+                let before = hints(&net);
+                assert_eq!(before.len(), (net.alive_list.len() - 1) * 16, "{kind:?}");
+                let churn = match round % 2 {
+                    0 => ChurnEvent::Join { at: SimTime::ZERO },
+                    _ => ChurnEvent::Leave {
+                        at: SimTime::ZERO,
+                        graceful: false,
+                    },
+                };
+                net.on_churn(&mut queue, SimTime::ZERO, churn);
+                let mut wire = net.fabric.wire(&mut queue, SimTime::ZERO);
+                for (node, key, hop) in before {
+                    if wire.fabric.nodes.is_alive(node) {
+                        stale += usize::from(wire.upstream_of(node, key) != Ok(hop));
+                    }
+                }
+                assert_eq!(hints(&net), [], "{kind:?}: churn left hints behind");
+            }
+            assert!(
+                stale > 0,
+                "{kind:?}: no churn moved a route the test watched"
+            );
+        }
     }
 }
