@@ -23,8 +23,8 @@
 //!   timestamped) with canonical ordering, JSONL export, and
 //!   [`trace_diff`], which pinpoints the first diverging event between
 //!   two runs instead of a whole-struct mismatch. Tracing is off by
-//!   default and costs one branch (sim) or one atomic load (live) when
-//!   disabled.
+//!   default and costs one branch when disabled. The live runtime keeps
+//!   one ring per shard and folds them with [`TraceBuf::merge`].
 
 use cup_des::{KeyId, NodeId, SimTime};
 
@@ -347,6 +347,21 @@ impl TraceBuf {
         self.dropped
     }
 
+    /// Folds `other` in: the result keeps every event either ring kept,
+    /// counts what either dropped, and has room for both. Merging the
+    /// per-shard rings of a live run this way gives the trace one ring
+    /// would have kept had neither ring wrapped.
+    pub fn merge(&mut self, other: &TraceBuf) {
+        // Both rings oldest first, so the result is a ring again.
+        self.events.rotate_left(self.next);
+        self.next = 0;
+        let (newer, older) = other.events.split_at(other.next);
+        self.events.extend_from_slice(older);
+        self.events.extend_from_slice(newer);
+        self.cap += other.cap;
+        self.dropped += other.dropped;
+    }
+
     /// The retained events in canonical order: sorted by
     /// `(t, node, kind, key, detail)`. Two runs that handled the same
     /// multiset of events — however their workers interleaved — export
@@ -511,6 +526,33 @@ mod tests {
         assert_eq!(buf.dropped(), 3);
         let tail: Vec<u64> = buf.sorted().iter().map(|e| e.t.as_micros()).collect();
         assert_eq!(tail, vec![3, 4]);
+    }
+
+    #[test]
+    fn merge_keeps_the_union_and_sums_the_drops() {
+        let (mut a, mut b) = (TraceBuf::new(2), TraceBuf::new(3));
+        for t in 0..5 {
+            a.record(ev(t, 0, TraceKind::Query, 0, 0));
+        }
+        for t in [9, 1, 7, 8] {
+            b.record(ev(t, 1, TraceKind::Respond, 0, 0));
+        }
+        let mut merged = TraceBuf::default();
+        merged.merge(&a);
+        merged.merge(&b);
+        assert_eq!(merged.len(), a.len() + b.len());
+        assert_eq!(merged.dropped(), 3 + 1);
+        let mut union = [a.sorted(), b.sorted()].concat();
+        union.sort_unstable();
+        assert_eq!(merged.sorted(), union);
+        let times =
+            |buf: &TraceBuf| -> Vec<u64> { buf.sorted().iter().map(|e| e.t.as_micros()).collect() };
+        assert_eq!(times(&merged), [1, 3, 4, 7, 8], "each ring's tail");
+        // Room for both and no more: one event more evicts the oldest
+        // event of the first ring.
+        merged.record(ev(10, 0, TraceKind::Query, 0, 0));
+        assert_eq!((merged.len(), merged.dropped()), (5, 5));
+        assert_eq!(times(&merged), [1, 4, 7, 8, 10]);
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //! Byzantine sender suppress or rewrite *before* the loss roll (a
 //! suppressed send never advances the per-link counter) and decide the
 //! drop *before* the message enters any queue; for each client answer
-//! record latency and staleness. [`Plane`] owns that order and the state
-//! it touches; an [`Env`] supplies only what differs between transports.
+//! record latency and staleness. [`Plane`] owns that order and every book
+//! the kernel keeps — metrics, justification windows, the staleness
+//! ground truth ([`Plane::deaths`], written by the driver through
+//! [`Plane::note_death`]) and the trace ring; an [`Env`] supplies only
+//! the transport.
 //!
 //! A query or clear-bit needs its receiver's next hop toward the key's
 //! authority. The kernel asks the node first ([`CupNode::upstream_hint`]:
@@ -27,8 +30,10 @@
 //! enqueue or received exactly once, so at every quiescent point the
 //! per-kind counts sum to the number of messages sent.
 
+use std::collections::HashMap;
+
 use cup_core::justify::JustificationTracker;
-use cup_core::obs::TraceKind;
+use cup_core::obs::{TraceBuf, TraceEvent, TraceKind};
 use cup_core::{
     Action, ClientId, CupNode, IndexEntry, Message, ReplicaEvent, Requester, UpdateKind,
 };
@@ -44,8 +49,7 @@ use crate::state::{DropVerdict, FaultState};
 pub struct RoutingFailed;
 
 /// What a transport supplies to the kernel: a clock, routing, node
-/// storage, a way to carry a message one hop, the waiting clients, and
-/// the run-wide ground truth the kernel reads but does not own.
+/// storage, a way to carry a message one hop and the waiting clients.
 pub trait Env {
     /// The current time (simulated, virtual or wall-mapped).
     fn now(&self) -> SimTime;
@@ -75,21 +79,13 @@ pub trait Env {
     /// on its virtual path to the authority in the tracker holding that
     /// node's windows (§3.1). `own` is the posting plane's tracker.
     fn mark_path(&mut self, own: &mut JustificationTracker, at: NodeId, key: KeyId, t: SimTime);
-
-    /// When `replica` of `key` was globally deleted, if it was.
-    fn died_at(&self, key: KeyId, replica: ReplicaId) -> Option<SimTime>;
-
-    /// Records `replica` of `key` as dead from `now` (first death wins).
-    fn note_dead(&mut self, key: KeyId, replica: ReplicaId, now: SimTime);
-
-    /// Records one trace event, if tracing is on.
-    fn trace(&mut self, t: SimTime, node: NodeId, kind: TraceKind, key: KeyId, detail: u64);
 }
 
 /// The state a delivery touches besides its node: the fault plane, the
-/// justification tracker and the metrics sink. The DES owns one; the
-/// live runtime one per shard, each seeing exactly the messages its
-/// shard's nodes send and receive, folded by [`Plane::totals`].
+/// justification tracker, the metrics sink, the staleness ground truth
+/// and the trace ring. The DES owns one; the live runtime one per shard,
+/// each seeing exactly the messages its shard's nodes send and receive,
+/// folded by [`Plane::totals`].
 #[derive(Debug, Default)]
 pub struct Plane {
     /// The fault plane. Always present; inert until an action is
@@ -98,6 +94,15 @@ pub struct Plane {
     /// Latches once a fault plane was armed: staleness ground truth
     /// keeps being recorded after the faults heal.
     pub armed: bool,
+    /// Ground truth for staleness: when each globally deleted replica
+    /// died (first death wins; recorded only while armed). The driver
+    /// writes it ([`Plane::note_death`]) — every plane of a run learns
+    /// every death — and the kernel judges answers against it.
+    pub deaths: HashMap<(KeyId, ReplicaId), SimTime>,
+    /// The event trace (off while `None`): every message that reaches a
+    /// handler, every client query and answer, every replica event this
+    /// plane's nodes handle.
+    pub trace: Option<TraceBuf>,
     /// §3.1 justified-update accounting for the nodes this plane serves.
     pub justify: JustificationTracker,
     /// Whether `justify` records events (it costs a virtual-path lookup
@@ -128,6 +133,14 @@ impl Plane {
         self.armed = true;
     }
 
+    /// Records `replica` of `key` as globally deleted at `at`, if the
+    /// plane is armed and the replica is not dead already.
+    pub fn note_death(&mut self, key: KeyId, replica: ReplicaId, at: SimTime) {
+        if self.armed {
+            self.deaths.entry((key, replica)).or_insert(at);
+        }
+    }
+
     /// Folds the planes of one run (every replica fed the same actions).
     /// Exact: each message was counted by exactly one plane.
     pub fn totals<'a>(planes: impl IntoIterator<Item = &'a Plane> + Clone) -> Totals {
@@ -152,7 +165,7 @@ impl Plane {
             return;
         }
         let now = env.now();
-        env.trace(now, at, TraceKind::ClientQuery, key, client.0);
+        self.trace(now, at, TraceKind::ClientQuery, key, client.0);
         let Ok(upstream) = upstream_of(env, at, key) else {
             // Dead on arrival: answer empty now rather than let the
             // client stew until its timeout.
@@ -199,7 +212,7 @@ impl Plane {
         }
         // Only messages that reach a handler are traced.
         let now = env.now();
-        env.trace(now, to, kind, key, from.0 as u64);
+        self.trace(now, to, kind, key, from.0 as u64);
         let upstream = match msg {
             Message::Query { .. } | Message::ClearBit { .. } => {
                 let Ok(upstream) = upstream_of(env, to, key) else {
@@ -235,26 +248,23 @@ impl Plane {
         });
     }
 
-    /// A replica lifecycle event reaches `at`, its key's authority.
+    /// A replica lifecycle event reaches `at`, its key's authority. A
+    /// deletion's ground truth is the driver's to record first
+    /// ([`Plane::note_death`]): the replica is dead from that instant
+    /// whether or not its deletion reaches (or survives at) the authority.
     pub fn replica_event<E: Env>(&mut self, env: &mut E, at: NodeId, event: ReplicaEvent) {
-        let now = env.now();
-        let (kind, key, replica) = match event {
-            ReplicaEvent::Birth { key, replica, .. } => (TraceKind::ReplicaBirth, key, replica),
-            ReplicaEvent::Refresh { key, replica, .. } => (TraceKind::ReplicaRefresh, key, replica),
-            ReplicaEvent::Deletion { key, replica } => (TraceKind::ReplicaDeletion, key, replica),
-        };
-        // Ground truth for staleness, before the crashed-authority gate:
-        // the replica is dead from this instant whether or not its
-        // deletion reaches (or survives at) the authority.
-        if self.armed && kind == TraceKind::ReplicaDeletion {
-            env.note_dead(key, replica, now);
-        }
         // A crashed authority hears nothing from its replicas.
         if self.faults.is_crashed(at) {
             self.faults.note_replica_at_crashed();
             return;
         }
-        env.trace(now, at, kind, key, replica.0 as u64);
+        let (kind, key, replica) = match event {
+            ReplicaEvent::Birth { key, replica, .. } => (TraceKind::ReplicaBirth, key, replica),
+            ReplicaEvent::Refresh { key, replica, .. } => (TraceKind::ReplicaRefresh, key, replica),
+            ReplicaEvent::Deletion { key, replica } => (TraceKind::ReplicaDeletion, key, replica),
+        };
+        let now = env.now();
+        self.trace(now, at, kind, key, replica.0 as u64);
         self.emit(env, now, at, |node, out| {
             node.handle_replica_event_into(now, event, out)
         });
@@ -290,13 +300,14 @@ impl Plane {
                     entries,
                 } => {
                     self.metrics.client_responses += 1;
-                    env.trace(now, from, TraceKind::Respond, key, entries.len() as u64);
+                    self.trace(now, from, TraceKind::Respond, key, entries.len() as u64);
                     // Staleness: the answer names a replica the world
                     // already deleted (the cache missed the delete —
                     // under loss, the delete may never arrive).
                     if self.armed {
-                        let deaths = entries.iter().filter_map(|e| env.died_at(e.key, e.replica));
-                        if let Some(died) = deaths.min() {
+                        let died_at =
+                            |e: &IndexEntry| self.deaths.get(&(e.key, e.replica)).copied();
+                        if let Some(died) = entries.iter().filter_map(died_at).min() {
                             let age = now.saturating_since(died).as_micros();
                             self.metrics.stale_answers += 1;
                             self.metrics.stale_age_micros += age;
@@ -311,6 +322,19 @@ impl Plane {
             }
         }
         self.scratch = actions;
+    }
+
+    /// Records one trace event, if tracing is on.
+    fn trace(&mut self, t: SimTime, node: NodeId, kind: TraceKind, key: KeyId, detail: u64) {
+        if let Some(ring) = self.trace.as_mut() {
+            ring.record(TraceEvent {
+                t,
+                node,
+                kind,
+                key,
+                detail,
+            });
+        }
     }
 }
 
@@ -358,8 +382,6 @@ mod tests {
         sent: Vec<(NodeId, NodeId, Message)>,
         posted: BTreeMap<u64, SimTime>,
         answers: Vec<(u64, usize)>,
-        dead: BTreeMap<(KeyId, ReplicaId), SimTime>,
-        traced: Vec<TraceKind>,
     }
 
     impl Env for Fake {
@@ -397,23 +419,28 @@ mod tests {
             let path: Vec<NodeId> = (0..=at.0).rev().map(NodeId).collect();
             own.on_query(key, t, &path);
         }
-        fn died_at(&self, key: KeyId, replica: ReplicaId) -> Option<SimTime> {
-            self.dead.get(&(key, replica)).copied()
-        }
-        fn note_dead(&mut self, key: KeyId, replica: ReplicaId, now: SimTime) {
-            self.dead.entry((key, replica)).or_insert(now);
-        }
-        fn trace(&mut self, _: SimTime, _: NodeId, kind: TraceKind, _: KeyId, _: u64) {
-            self.traced.push(kind);
-        }
     }
 
     const KEY: KeyId = KeyId(1);
     const LIFE: SimDuration = SimDuration::from_secs(300);
 
-    /// One plane, armed with `actions`, over a line of ten nodes.
+    /// A plane that traces everything, unarmed.
+    fn traced_plane() -> Plane {
+        Plane {
+            trace: Some(TraceBuf::new(64)),
+            ..Plane::default()
+        }
+    }
+
+    /// The kinds `plane` traced, in canonical order.
+    fn traced(plane: &Plane) -> Vec<TraceKind> {
+        let ring = plane.trace.as_ref().unwrap();
+        ring.sorted().iter().map(|ev| ev.kind).collect()
+    }
+
+    /// One traced plane, armed with `actions`, over a line of ten nodes.
     fn world(actions: &[FaultAction]) -> (Plane, Fake) {
-        let mut plane = Plane::default();
+        let mut plane = traced_plane();
         plane.arm(7);
         for &action in actions {
             plane.faults.apply(action);
@@ -477,14 +504,14 @@ mod tests {
         recv(&mut plane, &mut env, 2, 3, update(UpdateKind::Delete, 0));
         assert_eq!(plane.metrics.delete_hops, 1, "the hop was paid");
         assert_eq!(plane.faults.counters.byz_updates_swallowed, 1);
-        assert!(env.traced.is_empty() && env.sent.is_empty());
+        assert!(traced(&plane).is_empty() && env.sent.is_empty());
         let handled = |env: &Fake, n: usize| {
             env.nodes[n].stats.neighbor_queries + env.nodes[n].stats.updates_received
         };
         assert_eq!(handled(&env, 2) + handled(&env, 3), 0, "no handler ran");
         // An honest receiver of the same message is traced and handled.
         recv(&mut plane, &mut env, 3, 4, update(UpdateKind::Delete, 0));
-        assert_eq!(env.traced, [TraceKind::UpdateDelete]);
+        assert_eq!(traced(&plane), [TraceKind::UpdateDelete]);
         assert_eq!(handled(&env, 4), 1);
     }
 
@@ -541,7 +568,7 @@ mod tests {
         let mut one_sample = Hist::default();
         one_sample.record(3_000_000);
         assert_eq!(plane.metrics.query_latency, one_sample, "5 s − 2 s, once");
-        assert_eq!(env.traced, [TraceKind::Respond, TraceKind::Respond]);
+        assert_eq!(traced(&plane), [TraceKind::Respond, TraceKind::Respond]);
     }
 
     #[test]
@@ -552,19 +579,26 @@ mod tests {
             key: KEY,
             replica: ReplicaId(replica),
         };
+        // The driver notes a death, then hands the event to the kernel.
+        let delete = |plane: &mut Plane, env: &mut Fake, replica| {
+            plane.note_death(KEY, ReplicaId(replica), env.now);
+            plane.replica_event(env, NodeId(0), deletion(replica));
+        };
         // Unarmed: no ground truth is kept, no answer is judged.
-        plane.replica_event(&mut env, NodeId(0), deletion(7));
-        assert!(env.dead.is_empty());
-        env.dead.insert((KEY, ReplicaId(1)), SimTime::from_secs(10));
+        delete(&mut plane, &mut env, 7);
+        assert!(plane.deaths.is_empty());
+        plane
+            .deaths
+            .insert((KEY, ReplicaId(1)), SimTime::from_secs(10));
         answer(&mut plane, &mut env, 25, &[1]);
         assert_eq!(plane.metrics.stale_answers, 0);
 
         plane.arm(3);
         for secs in [4, 6] {
             env.now = SimTime::from_secs(secs);
-            plane.replica_event(&mut env, NodeId(0), deletion(2));
+            delete(&mut plane, &mut env, 2);
         }
-        assert_eq!(env.dead[&(KEY, ReplicaId(2))], SimTime::from_secs(4));
+        assert_eq!(plane.deaths[&(KEY, ReplicaId(2))], SimTime::from_secs(4));
         // Served: one replica dead since 10 s, one since 4 s, one alive.
         answer(&mut plane, &mut env, 25, &[1, 2, 3]);
         answer(&mut plane, &mut env, 25, &[3]);
@@ -638,15 +672,15 @@ mod tests {
         post(&mut plane, &mut env, 2, 4);
         assert_eq!(plane.faults.counters.queries_at_crashed, 1);
         assert!(env.posted.is_empty(), "no answer will ever be a sample");
-        assert!(env.answers.is_empty() && env.traced.is_empty());
+        assert!(env.answers.is_empty() && traced(&plane).is_empty());
     }
 
     /// One scripted stream — a birth, queries from three depths, a
     /// refresh, a deletion, a last query — over `k` planes, node `n`
-    /// served by plane `n % k`.
-    fn run_stream(k: usize) -> (Totals, Vec<TraceKind>) {
+    /// served by plane `n % k`; returns the totals and the merged trace.
+    fn run_stream(k: usize) -> (Totals, Vec<TraceEvent>) {
         let mut env = world(&[]).1;
-        let mut planes: Vec<Plane> = (0..k).map(|_| Plane::default()).collect();
+        let mut planes: Vec<Plane> = (0..k).map(|_| traced_plane()).collect();
         let (key, replica, lifetime) = (KEY, ReplicaId(0), LIFE);
         let birth = ReplicaEvent::Birth {
             key,
@@ -676,7 +710,12 @@ mod tests {
                 planes[to.index() % k].receive(&mut env, from, to, msg);
             }
         }
-        (Plane::totals(&planes), env.traced)
+        let mut merged = TraceBuf::default();
+        for plane in &planes {
+            merged.merge(plane.trace.as_ref().unwrap());
+        }
+        assert_eq!(merged.dropped(), 0);
+        (Plane::totals(&planes), merged.sorted())
     }
 
     #[test]
@@ -687,6 +726,7 @@ mod tests {
         assert_eq!(whole.net.client_responses, 5);
         assert_eq!(whole.net.query_latency.count(), 5);
         assert!(whole.net.query_latency.quantile(999) > 0);
+        assert!(trace.len() > 5, "every hop and answer traced");
         for k in [2, 3, 6] {
             assert_eq!(run_stream(k), (whole, trace.clone()), "{k} planes");
         }

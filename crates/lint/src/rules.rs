@@ -322,17 +322,12 @@ impl Rule for UnorderedIteration {
 /// exact at every `quiesce()` barrier.
 pub const ATOMIC_SCOPE: &[&str] = &["crates/runtime/src"];
 
-/// Atomics that are pure monotone counters: workers only `fetch_add`
-/// them, and every read happens after the quiesce barrier's
-/// SeqCst release/acquire edge on the in-flight envelope count, which
-/// makes all prior worker writes visible. Relaxed is sound *and* the
-/// point (no ordering constraint on the hot path).
-pub const MONOTONE_COUNTERS: &[&str] = &[
-    "cross_shard",
-    "batch_flushes",
-    "batched_envelopes",
-    "next_client",
-];
+/// Atomics that are pure monotone counters, only ever advanced with
+/// `fetch_add`. `next_client` hands out client ids: uniqueness needs the
+/// atomic read-modify-write, not an ordering, so Relaxed is sound *and*
+/// the point. Traffic counters are not atomics at all: they live in the
+/// shard-local state and are folded under the shard locks.
+pub const MONOTONE_COUNTERS: &[&str] = &["next_client"];
 
 /// Rule 3: **relaxed-atomic** — `Ordering::Relaxed` on an atomic that
 /// is not a recognized monotone counter. Control-flow flags read by

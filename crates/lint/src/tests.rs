@@ -284,18 +284,25 @@ fn iteration_rule_ignores_out_of_scope_crates() {
 
 #[test]
 fn relaxed_on_monotone_counter_is_fine() {
-    let src = "fn f(s: &S) { s.cross_shard.fetch_add(n, Ordering::Relaxed); }\n";
+    let src = "fn f(s: &S) { s.next_client.fetch_add(1, Ordering::Relaxed); }\n";
     let report = run_rule(&RelaxedAtomic, &[("crates/runtime/src/s.rs", src)]);
     assert_eq!(report.denied().count(), 0);
 }
 
 #[test]
 fn relaxed_on_a_former_counter_fires() {
-    // Hop, stale-answer and routing-failure counts moved into the
-    // shard-local state as plain integers; an atomic by one of those
-    // names coming back must argue its ordering again, not inherit an
-    // allowlist entry.
-    for name in ["hops", "routing_failures"] {
+    // Hop, stale-answer, routing-failure and batch-plane counts moved
+    // into the shard-local state as plain integers; an atomic by one of
+    // those names coming back must argue its ordering again, not inherit
+    // an allowlist entry.
+    let names = [
+        "hops",
+        "routing_failures",
+        "cross_shard",
+        "batch_flushes",
+        "batched_envelopes",
+    ];
+    for name in names {
         let src = format!("fn f(s: &S) {{ s.{name}.fetch_add(1, Ordering::Relaxed); }}\n");
         let report = run_rule(&RelaxedAtomic, &[("crates/runtime/src/s.rs", &src)]);
         let denied: Vec<_> = report.denied().collect();
@@ -321,13 +328,13 @@ fn f(s: &S) -> bool {
 
 #[test]
 fn relaxed_batch_counters_pass_but_a_relaxed_flush_flag_fires() {
-    // The batch plane's throughput counters are monotone — Relaxed is
-    // the point — but its dirty/flush *flags* gate worker wakeups and
-    // must carry ordering.
+    // An id counter is monotone — Relaxed is the point — but the batch
+    // plane's dirty/flush *flags* gate worker wakeups and must carry
+    // ordering.
     let src = "\
 fn f(s: &S) {
-    s.batch_flushes.fetch_add(1, Ordering::Relaxed);
-    s.batched_envelopes.fetch_add(n as u64, Ordering::Relaxed);
+    s.next_client.fetch_add(1, Ordering::Relaxed);
+    s.next_client.fetch_add(n as u64, Ordering::Relaxed);
     s.flush_dirty.store(true, Ordering::Relaxed);
 }
 ";

@@ -10,7 +10,7 @@ use cup_core::obs::{Hist, TraceBuf};
 use cup_core::stats::NodeStats;
 use cup_core::{ClientId, CupNode, IndexEntry, NodeConfig, ReplicaEvent};
 use cup_des::{DetRng, KeyId, NodeId, ReplicaId, SimDuration, SimTime};
-use cup_faults::{FaultAction, FaultCounters, Plane, Totals};
+use cup_faults::{FaultAction, Plane, Totals};
 use cup_overlay::{AnyOverlay, Overlay, OverlayError, OverlayKind};
 
 use crate::shard::{worker_main, Envelope, Shared};
@@ -237,34 +237,22 @@ impl LiveNetwork {
         self.handles.len()
     }
 
-    // Metric-accessor policy. Two kinds of reading:
-    //
-    // * Shard-local state (the delivery kernel's `Plane` — hops by kind,
-    //   justification, fault counters, stale sums, histograms, routing
-    //   failures — plus crash-retained stats and batch sizes) is plain
-    //   data inside each shard's `ShardLocal`. A reading takes every
-    //   shard's lock (`Shared::lock_locals`, granted at round
-    //   boundaries) and folds with exact merges — `Plane::totals`,
-    //   `Hist::merge`, `NodeStats::merge` — so it is one consistent cut,
-    //   and after a `quiesce` it is the final one.
-    // * The batch-plane counters are monotone event counts bumped with
-    //   `Ordering::Relaxed` once per flush and read here with `Relaxed`
-    //   loads. That is sound — not merely tolerated — because no reader
-    //   derives an invariant from *cross-counter* ordering while
-    //   traffic is in flight, and every stable reading is taken after
-    //   [`LiveNetwork::quiesce`], whose SeqCst in-flight counter
-    //   (`Shared::pending`) makes all worker writes happen-before the
-    //   caller's loads. The relaxed-atomic lint's `MONOTONE_COUNTERS`
-    //   allowlist enumerates exactly these counters; a new metric must
-    //   either live in `ShardLocal`, satisfy the same contract
-    //   (monotone, quiesce-published) or use an `Acquire` load paired
-    //   with its writer — never grow the allowlist just to silence the
-    //   lint.
+    // Metric-accessor policy: every reading is shard-local state (the
+    // delivery kernel's `Plane` — hops by kind, justification, fault
+    // counters, stale sums, histograms, routing failures, the trace ring
+    // — plus crash-retained stats and the batch-plane counters), plain
+    // data inside each shard's `ShardLocal`. A reading takes every
+    // shard's lock (`Shared::lock_locals`, granted at round boundaries)
+    // and folds with exact merges — `Plane::totals`, `Hist::merge`,
+    // `NodeStats::merge`, `TraceBuf::merge` — so it is one consistent
+    // cut, and after a `quiesce` it is the final one. A new metric lives
+    // there too, not in an atomic on `Shared`.
 
     /// What the shards' delivery planes add up to — the same [`Totals`]
-    /// a DES run reports: the merged [`cup_faults::NetMetrics`] and the
-    /// justification counts. The single accessors below read this fold.
-    /// Call after [`LiveNetwork::quiesce`] for a stable reading.
+    /// a DES run reports: the merged [`cup_faults::NetMetrics`] (fault
+    /// counters, staleness and latency included) and the justification
+    /// counts. The single accessors below read this fold. Call after
+    /// [`LiveNetwork::quiesce`] for a stable reading.
     pub fn totals(&self) -> Totals {
         let locals = self.shared.lock_locals();
         Plane::totals(locals.iter().map(|l| &l.plane))
@@ -280,9 +268,11 @@ impl LiveNetwork {
     /// Peer messages that crossed a shard boundary (subset of
     /// [`LiveNetwork::hops`]). Batching does not change the count:
     /// every envelope inside a flushed batch is charged individually
-    /// at flush time.
+    /// at flush time. Call after [`LiveNetwork::quiesce`] for a stable
+    /// reading.
     pub fn cross_shard_messages(&self) -> u64 {
-        self.shared.cross_shard.load(Ordering::Relaxed)
+        let locals = self.shared.lock_locals();
+        locals.iter().map(|local| local.cross_shard).sum()
     }
 
     /// The node→shard placement mode this network was started with.
@@ -294,14 +284,16 @@ impl LiveNetwork {
     /// (non-empty flushes). Call after [`LiveNetwork::quiesce`] for a
     /// stable reading.
     pub fn batch_flushes(&self) -> u64 {
-        self.shared.batch_flushes.load(Ordering::Relaxed)
+        self.batch_size_hist().count()
     }
 
-    /// Envelopes that traveled inside those batches (equals
-    /// [`LiveNetwork::cross_shard_messages`]; the ratio of the two is
-    /// the mean batch size).
+    /// Peer envelopes that traveled inside those batches: every
+    /// cross-shard message, so this is
+    /// [`LiveNetwork::cross_shard_messages`] (justification marks batch
+    /// too but count as neither). Divided by
+    /// [`LiveNetwork::batch_flushes`] it is the mean batch size.
     pub fn batched_envelopes(&self) -> u64 {
-        self.shared.batched_envelopes.load(Ordering::Relaxed)
+        self.cross_shard_messages()
     }
 
     /// Messages dropped because an overlay routing lookup failed
@@ -379,46 +371,10 @@ impl LiveNetwork {
         }
     }
 
-    /// The fault plane's drop/crash counters (all zero while unarmed).
-    /// Call after [`LiveNetwork::quiesce`] for a stable reading.
-    pub fn fault_counters(&self) -> FaultCounters {
-        self.totals().net.faults
-    }
-
-    /// Messages the fault plane dropped so far.
+    /// Messages the fault plane dropped so far (all zero while
+    /// unarmed; the per-cause counters are `totals().net.faults`).
     pub fn dropped_messages(&self) -> u64 {
-        self.fault_counters().dropped()
-    }
-
-    /// Client answers that served a globally dead replica (a deletion
-    /// the cache had not learned — lost, or swallowed by a Byzantine
-    /// node). Zero until [`LiveNetwork::enable_faults`] arms the plane.
-    /// Call after [`LiveNetwork::quiesce`] for a stable reading.
-    pub fn stale_answers(&self) -> u64 {
-        self.totals().net.stale_answers
-    }
-
-    /// Summed staleness age of those answers (µs since the deletion) —
-    /// the live mirror of the DES's `stale_age_micros`.
-    pub fn stale_age_micros(&self) -> u64 {
-        self.totals().net.stale_age_micros
-    }
-
-    /// The client-query latency histogram: µs from posting to answer,
-    /// one sample per answered query — the live mirror of the DES's
-    /// `NetMetrics::query_latency`. Wall µs under a wall clock; logical
-    /// (virtual-clock) µs otherwise. Call after [`LiveNetwork::quiesce`]
-    /// for a stable reading.
-    pub fn query_latency_hist(&self) -> Hist {
-        self.totals().net.query_latency
-    }
-
-    /// The staleness-age histogram: one sample (µs since the deletion)
-    /// per stale answer — the distribution whose sum is
-    /// [`LiveNetwork::stale_age_micros`]. Call after
-    /// [`LiveNetwork::quiesce`] for a stable reading.
-    pub fn stale_age_hist(&self) -> Hist {
-        self.totals().net.stale_age_hist
+        self.totals().net.faults.dropped()
     }
 
     /// The batch-size histogram: envelopes per non-empty cross-shard
@@ -434,21 +390,34 @@ impl LiveNetwork {
         merged
     }
 
-    /// Turns on structured event tracing with a ring buffer of `cap`
-    /// events. Off by default; when off, every emission site costs one
-    /// atomic load and nothing else. Enable before injecting the traffic
-    /// to trace; harvest with [`LiveNetwork::take_trace`].
+    /// Turns on structured event tracing: each shard records its own
+    /// events into a ring of its own, keeping up to `cap` events per
+    /// shard. Off by default; when off, every emission site costs one
+    /// `Option` check and nothing else. Enable before injecting the
+    /// traffic to trace; harvest with [`LiveNetwork::take_trace`].
     pub fn enable_trace(&self, cap: usize) {
-        self.shared.enable_trace(cap);
+        for local in &mut self.shared.lock_locals() {
+            local.plane.trace = Some(TraceBuf::new(cap));
+        }
     }
 
-    /// Detaches the trace buffer (tracing turns back off). Call after
-    /// [`LiveNetwork::quiesce`] so the buffer covers all injected
+    /// Detaches the shards' trace rings (tracing turns back off) and
+    /// merges them ([`TraceBuf::merge`]): every event a shard kept, and
+    /// what the shards dropped, summed. Call after
+    /// [`LiveNetwork::quiesce`] so the trace covers all injected
     /// traffic; compare runs via `TraceBuf::sorted` /
     /// `cup_core::obs::trace_diff` — worker interleaving makes raw
     /// arrival order nondeterministic, canonical order is not.
     pub fn take_trace(&self) -> Option<TraceBuf> {
-        self.shared.take_trace()
+        let mut locals = self.shared.lock_locals();
+        let mut rings = locals
+            .iter_mut()
+            .filter_map(|local| local.plane.trace.take());
+        let mut merged = rings.next()?;
+        for ring in rings {
+            merged.merge(&ring);
+        }
+        Some(merged)
     }
 
     /// Protocol counters retained from crashed nodes (the live mirror of
@@ -535,8 +504,18 @@ impl LiveNetwork {
         });
     }
 
-    /// Withdraws a replica.
+    /// Withdraws a replica. Once the fault plane is armed, every shard
+    /// also records the replica as dead from now (the staleness ground
+    /// truth an answer is judged against), ahead of the deletion itself.
+    /// On a wall-mapped clock "now" is when this call posts, not when the
+    /// authority's shard handles the deletion, so a staleness age can
+    /// read a few µs larger than the authority's view of it.
     pub fn replica_deletion(&self, key: KeyId, replica: ReplicaId) {
+        let at = self.now();
+        for shard in 0..self.shared.map.shards() {
+            self.shared
+                .post(shard, Envelope::Death { key, replica, at });
+        }
         self.send_replica(ReplicaEvent::Deletion { key, replica });
     }
 
@@ -993,8 +972,8 @@ mod tests {
             pending.try_take().is_none(),
             "a crashed node answers nothing"
         );
-        assert_eq!(net.fault_counters().queries_at_crashed, 1);
-        assert_eq!(net.fault_counters().crashes, 1);
+        assert_eq!(net.totals().net.faults.queries_at_crashed, 1);
+        assert_eq!(net.totals().net.faults.crashes, 1);
         // Restart: the node is reachable again, but cold — its next
         // answer needs a fresh upstream fetch, and its pre-crash
         // counters moved to the retained aggregate.
@@ -1004,7 +983,7 @@ mod tests {
         net.quiesce();
         let entries = net.query(victim, KeyId(1)).unwrap();
         assert_eq!(entries.len(), 1, "restarted node re-fetches and answers");
-        assert_eq!(net.fault_counters().restarts, 1);
+        assert_eq!(net.totals().net.faults.restarts, 1);
         assert!(net.crash_retained_stats().client_queries >= 1);
         net.shutdown();
     }
@@ -1080,7 +1059,7 @@ mod tests {
             assert!(entries.is_empty() || net.hops() == hops_before);
         }
         assert!(
-            net.fault_counters().dropped_loss > 0,
+            net.totals().net.faults.dropped_loss > 0,
             "the upstream query must have been dropped"
         );
         assert_eq!(net.hops(), hops_before, "dropped messages are not hops");
@@ -1109,7 +1088,7 @@ mod tests {
         };
         assert_eq!(registered(), 16, "one record per live handle");
         assert!(
-            net.query_latency_hist().count() < 16,
+            net.totals().net.query_latency.count() < 16,
             "lost answers leave no latency sample"
         );
         drop(pending);
@@ -1141,7 +1120,7 @@ mod tests {
             (SimDuration::from_millis(50)..SimDuration::from_secs(5)).contains(&waited),
             "waited {waited:?} on a 50 ms timeout"
         );
-        assert_eq!(net.fault_counters().queries_at_crashed, 1);
+        assert_eq!(net.totals().net.faults.queries_at_crashed, 1);
         net.shutdown();
     }
 
@@ -1216,7 +1195,7 @@ mod tests {
             net.quiesce();
             drop(pending.try_take());
         }
-        let partitioned = net.fault_counters().dropped_partition;
+        let partitioned = net.totals().net.faults.dropped_partition;
         assert!(partitioned > 0, "a 2-way split must cut some query paths");
         net.inject_fault(FaultAction::Heal);
         net.quiesce();
@@ -1228,7 +1207,7 @@ mod tests {
             assert_eq!(entries.len(), 1, "after heal every query resolves");
         }
         assert_eq!(
-            net.fault_counters().dropped_partition,
+            net.totals().net.faults.dropped_partition,
             partitioned,
             "healed traffic must not count as partitioned"
         );
@@ -1317,7 +1296,10 @@ mod tests {
         net.replica_birth(KeyId(1), ReplicaId(0), LIFE);
         net.quiesce();
         net.query(net.nodes()[5], KeyId(1)).unwrap();
-        assert_eq!(net.fault_counters(), cup_faults::FaultCounters::default());
+        assert_eq!(
+            net.totals().net.faults,
+            cup_faults::FaultCounters::default()
+        );
         assert_eq!(net.dropped_messages(), 0);
         net.shutdown();
     }

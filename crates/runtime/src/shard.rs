@@ -11,8 +11,8 @@
 //! swap-buffer slots at loop boundaries, so queue locking and the
 //! atomic in-flight counter are paid once per batch, not once per
 //! envelope. Control traffic from the runtime handle (client queries,
-//! replica events, crash resets) goes through a small per-shard inbox
-//! queue next to the slots.
+//! replica events and deaths, crash resets) goes through a small
+//! per-shard inbox queue next to the slots.
 //!
 //! The in-flight counter still brackets every envelope from enqueue to
 //! fully-dispatched — one `fetch_add(batch_len)` when a batch is
@@ -34,25 +34,30 @@
 //! posted query's virtual path. The kernel's state is shard-local too.
 //! Each shard has one [`ShardLocal`] — its [`Plane`] (a replica of the
 //! fault plane, its slice of the justification tracker, its metrics
-//! sink), crash-retained counters and the batch-size histogram — whose
-//! mutex the shard's worker takes once per dispatch round, so the
-//! per-message path reads and writes plain fields. The runtime handle is
-//! the only other party: it takes every shard's lock to apply a fault
-//! action to all replicas at once, and to fold the shards with exact
-//! merges when a counter or histogram is read. The client registry
+//! sink, its trace ring, its copy of the staleness ground truth),
+//! crash-retained counters and the batch-plane counters — whose mutex
+//! the shard's worker takes once per dispatch round, so the per-message
+//! path reads and writes plain fields and touches no lock or atomic
+//! another shard also touches. The runtime handle is the only other
+//! party: it takes every shard's lock to apply a fault action to all
+//! replicas at once, to switch tracing, and to fold the shards with
+//! exact merges when a counter, histogram or trace is read. What a shard
+//! cannot see from its own traffic — a replica's death, which happens at
+//! the key's authority — the handle posts to every shard's inbox
+//! ([`Envelope::Death`]). The client registry
 //! ([`Clients`]) is per shard as well but sits behind its own small
 //! mutex, because the handle fills it at post time and a post must never
 //! wait for a round; answers land in it in place, and a blocking query
 //! waits on a condvar paired with that mutex.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{self, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use cup_core::clock::Clock;
 use cup_core::justify::JustificationTracker;
-use cup_core::obs::{Hist, TraceBuf, TraceEvent, TraceKind};
+use cup_core::obs::Hist;
 use cup_core::stats::NodeStats;
 use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
@@ -89,6 +94,18 @@ pub(crate) enum Envelope {
         /// Birth, refresh, or deletion.
         event: ReplicaEvent,
     },
+    /// Staleness ground truth: `replica` of `key` was deleted at `at`.
+    /// Posted to every shard ahead of the deletion's [`Envelope::Replica`],
+    /// so a query posted afterwards finds the death in its shard's plane
+    /// (inboxes are FIFO, and an answer is judged at the posting shard).
+    Death {
+        /// The key served.
+        key: KeyId,
+        /// The deleted replica.
+        replica: ReplicaId,
+        /// When it died.
+        at: SimTime,
+    },
     /// Fault plane: wipe `at`'s protocol state (a crash). The node comes
     /// back cold; its counters are folded into the crash-retained
     /// aggregate so network-wide statistics stay conserved.
@@ -124,9 +141,10 @@ const MARK_NODES: usize = 8;
 const _: () = assert!(std::mem::size_of::<Envelope>() == 72);
 
 /// A shard's control inbox: the queue the runtime handle posts into
-/// (client queries, replica events, crash resets), plus the flags that
-/// park and wake the worker. Batched peer traffic does *not* travel
-/// through here — it sits in [`TransferSlot`]s and only raises `dirty`.
+/// (client queries, replica events and deaths, crash resets), plus the
+/// flags that park and wake the worker. Batched peer traffic does *not*
+/// travel through here — it sits in [`TransferSlot`]s and only raises
+/// `dirty`.
 pub(crate) struct Inbox {
     state: Mutex<InboxState>,
     cv: Condvar,
@@ -218,12 +236,20 @@ pub(crate) struct ShardLocal {
     ///   (a histogram is a multiset summary with an exact merge, so
     ///   per-shard recording folded at read time is byte-identical to a
     ///   serial run's).
+    ///
+    /// Its `trace` ring (when tracing is on) keeps this shard's events,
+    /// folded with [`cup_core::obs::TraceBuf::merge`] when the trace is
+    /// taken; its `deaths` learn every death from [`Envelope::Death`].
     pub(crate) plane: Plane,
     /// Counters retained from this shard's crashed nodes (the live
     /// mirror of the DES arena's departed-stats aggregate).
     pub(crate) crash_retained: NodeStats,
-    /// Envelopes per non-empty cross-shard batch flush (live-only: the
-    /// DES has no batching, so this never enters conformance outcomes).
+    /// Peer messages this shard's nodes sent across a shard boundary (a
+    /// subset of the hops), charged when their batch is flushed.
+    pub(crate) cross_shard: u64,
+    /// Peer envelopes per non-empty cross-shard batch flush (live-only:
+    /// the DES has no batching, so this never enters conformance
+    /// outcomes); its count is the number of such flushes.
     pub(crate) batch_sizes: Hist,
 }
 
@@ -371,38 +397,15 @@ pub(crate) struct Shared {
     /// virtual (stepped at quiesce barriers) for deterministic runs —
     /// see [`cup_core::clock`].
     pub(crate) clock: Clock,
-    /// Peer messages that crossed a shard boundary (subset of the hops).
-    /// Charged at flush time, one bump of `batch_len` per deposited
-    /// batch, so the count still reflects individual envelopes while the
-    /// atomic is paid per batch.
-    pub(crate) cross_shard: AtomicU64,
-    /// Batches deposited into transfer slots (non-empty flushes).
-    pub(crate) batch_flushes: AtomicU64,
-    /// Peer envelopes that traveled inside those batches. Equals
-    /// `cross_shard` (justification marks batch too but are counted by
-    /// neither); kept separate so batch-size accounting survives if
-    /// control traffic ever batches.
-    pub(crate) batched_envelopes: AtomicU64,
     /// The node configuration every node was built with (crash resets
     /// rebuild cold nodes from it).
     pub(crate) config: NodeConfig,
-    /// Ground truth for staleness: globally deleted replicas and when
-    /// they died (tracked only once a fault plane is armed — the live
-    /// mirror of the DES network's map).
-    dead_replicas: Mutex<HashMap<(KeyId, ReplicaId), SimTime>>,
-    /// Whether structured event tracing is on. Acquire pairs with the
-    /// SeqCst store in `enable_trace`, so a worker that observes the
-    /// flag also observes the buffer installed before the flip; off
-    /// costs one load per emission site.
-    trace_on: AtomicBool,
-    /// The trace ring buffer (present iff tracing was enabled).
-    trace: Mutex<Option<TraceBuf>>,
     /// In-flight envelopes: incremented before an envelope (or a whole
     /// batch of them) enters an inbox or transfer slot, decremented
     /// after the receiving worker fully dispatched it — including its
     /// inline intra-shard cascade *and* the flush of any cross-shard
     /// children it produced (flush-before-decrement).
-    pending: AtomicU64,
+    pending: atomic::AtomicU64,
     /// The shard whose worker unwound mid-dispatch first, or
     /// [`NO_PANIC`]; `wait_quiescent` turns it into a panic naming that
     /// shard instead of waiting forever on an in-flight counter that
@@ -435,19 +438,14 @@ impl Shared {
                     Mutex::new(ShardLocal {
                         plane: Plane::default(),
                         crash_retained: NodeStats::default(),
+                        cross_shard: 0,
                         batch_sizes: Hist::default(),
                     })
                 })
                 .collect(),
             clock,
-            cross_shard: AtomicU64::new(0),
-            batch_flushes: AtomicU64::new(0),
-            batched_envelopes: AtomicU64::new(0),
             config,
-            dead_replicas: Mutex::new(HashMap::new()),
-            trace_on: AtomicBool::new(false),
-            trace: Mutex::new(None),
-            pending: AtomicU64::new(0),
+            pending: atomic::AtomicU64::new(0),
             panicked: AtomicUsize::new(NO_PANIC),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
@@ -482,21 +480,11 @@ impl Shared {
     /// transfer slot and wakes the receiver. The in-flight counter is
     /// bumped by the full batch length *before* the deposit — one
     /// amortized `fetch_add` per flush — so the barrier can never
-    /// observe a deposited envelope it has not counted. `peers` of the
-    /// batch's envelopes are peer messages (the rest are
-    /// [`Envelope::JustifyMark`]s, which the barrier counts and the
-    /// traffic counters do not). `buf` comes back empty but with
-    /// capacity (the slot's previous vector when the swap path was
-    /// taken).
-    fn deposit(&self, sender: usize, receiver: usize, buf: &mut Vec<Envelope>, peers: u64) {
+    /// observe a deposited envelope it has not counted. `buf` comes
+    /// back empty but with capacity (the slot's previous vector when the
+    /// swap path was taken).
+    fn deposit(&self, sender: usize, receiver: usize, buf: &mut Vec<Envelope>) {
         self.pending.fetch_add(buf.len() as u64, Ordering::SeqCst);
-        if peers > 0 {
-            // Cross-shard accounting: charged at flush, still counting
-            // individual envelopes.
-            self.cross_shard.fetch_add(peers, Ordering::Relaxed);
-            self.batched_envelopes.fetch_add(peers, Ordering::Relaxed);
-            self.batch_flushes.fetch_add(1, Ordering::Relaxed);
-        }
         {
             let mut slot = self
                 .slot(sender, receiver)
@@ -578,41 +566,6 @@ impl Shared {
             .iter()
             .map(|local| local.lock().unwrap_or_else(|e| e.into_inner()))
             .collect()
-    }
-
-    /// Installs a fresh trace ring buffer of `cap` events and turns
-    /// emission on (off by default; see [`Shared::trace_event`]).
-    pub(crate) fn enable_trace(&self, cap: usize) {
-        *self.trace.lock().unwrap_or_else(|e| e.into_inner()) = Some(TraceBuf::new(cap));
-        self.trace_on.store(true, Ordering::SeqCst);
-    }
-
-    /// Detaches the trace buffer, turning emission back off.
-    pub(crate) fn take_trace(&self) -> Option<TraceBuf> {
-        self.trace_on.store(false, Ordering::SeqCst);
-        self.trace.lock().unwrap_or_else(|e| e.into_inner()).take()
-    }
-
-    /// Records one trace event if emission is on. Off costs one Acquire
-    /// load per emission site and never reaches the lock.
-    fn trace_event(&self, event: TraceEvent) {
-        if !self.trace_on.load(Ordering::Acquire) {
-            return;
-        }
-        if let Some(buf) = self
-            .trace
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_mut()
-        {
-            buf.record(event);
-        }
-    }
-
-    /// The staleness ground truth. Poison is recovered: every update
-    /// leaves the map valid.
-    fn dead(&self) -> MutexGuard<'_, HashMap<(KeyId, ReplicaId), SimTime>> {
-        self.dead_replicas.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// `shard`'s waiting clients.
@@ -787,7 +740,9 @@ impl Worker {
     /// Flushes the round's accumulated output: the per-destination
     /// outbound batches into their transfer slots. Runs before
     /// `finish_n` and before parking — see the module docs for why both
-    /// orderings are load-bearing.
+    /// orderings are load-bearing. Only a batch's peer messages count as
+    /// cross-shard traffic: [`Envelope::JustifyMark`]s ride along for
+    /// the barrier's sake.
     fn flush(&mut self, state: &mut ShardLocal) {
         for (dest, out) in self.outbox.iter_mut().enumerate() {
             if out.buf.is_empty() {
@@ -795,9 +750,10 @@ impl Worker {
             }
             let peers = out.buf.len() as u64 - std::mem::take(&mut out.marks);
             if peers > 0 {
+                state.cross_shard += peers;
                 state.batch_sizes.record(peers);
             }
-            self.shared.deposit(self.shard, dest, &mut out.buf, peers);
+            self.shared.deposit(self.shard, dest, &mut out.buf);
         }
     }
 
@@ -821,6 +777,7 @@ impl Worker {
             } => state.plane.justify.on_query(key, now, &nodes[..len.into()]),
             Envelope::Client { at, key, client } => state.plane.post_query(self, at, key, client),
             Envelope::Replica { at, event } => state.plane.replica_event(self, at, event),
+            Envelope::Death { key, replica, at } => state.plane.note_death(key, replica, at),
         }
         while !self.local.is_empty() {
             let group = self.local.len().min(CupNode::LOOKAHEAD);
@@ -916,24 +873,6 @@ impl Env for Worker {
             }
             nodes.clear();
         }
-    }
-
-    fn died_at(&self, key: KeyId, replica: ReplicaId) -> Option<SimTime> {
-        self.shared.dead().get(&(key, replica)).copied()
-    }
-
-    fn note_dead(&mut self, key: KeyId, replica: ReplicaId, now: SimTime) {
-        self.shared.dead().entry((key, replica)).or_insert(now);
-    }
-
-    fn trace(&mut self, t: SimTime, node: NodeId, kind: TraceKind, key: KeyId, detail: u64) {
-        self.shared.trace_event(TraceEvent {
-            t,
-            node,
-            kind,
-            key,
-            detail,
-        });
     }
 }
 

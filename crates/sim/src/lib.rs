@@ -45,7 +45,6 @@ pub mod latency;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use engine::Engine;
 pub use event::EventQueue;

@@ -4,13 +4,14 @@
 //! children — hop charge, fault gates, trace, justification, handler,
 //! loss roll, answer accounting — is the shared delivery kernel's
 //! ([`cup_faults::deliver`]); this module is the DES's half of that
-//! contract. [`Network`] owns one [`Plane`] and a [`Fabric`], the
-//! simulated transport the kernel runs over through [`Env`]: the event
-//! queue with the latency model (× the fault plane's spike factor), the
-//! node arena, the authority cache, the posted-time and dead-replica
-//! maps and the trace buffer. What stays here is what only a simulation
-//! has: the workload generators, churn (and the liveness gate that
-//! counts deliveries to departed nodes), capacity service.
+//! contract. [`Network`] owns one [`Plane`] — with the trace ring and
+//! the staleness ground truth, which a replica death notes before the
+//! kernel sees the deletion — and a [`Fabric`], the simulated transport
+//! the kernel runs over through [`Env`]: the event queue with the
+//! latency model (× the fault plane's spike factor), the node arena, the
+//! authority cache and the posted-time map. What stays here is what only
+//! a simulation has: the workload generators, churn (and the liveness
+//! gate that counts deliveries to departed nodes), capacity service.
 //!
 //! Churn is also the one thing that moves a route. A join or a leave
 //! clears the authority cache and, with it, every live node's upstream
@@ -25,12 +26,12 @@
 //! buffer — the dispatch hot path performs no per-event allocation of
 //! its own.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use cup_core::justify::JustificationTracker;
-use cup_core::obs::{TraceBuf, TraceEvent, TraceKind};
+use cup_core::obs::TraceBuf;
 use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
-use cup_des::{DetRng, EventQueue, KeyId, LatencyModel, NodeId, ReplicaId, SimDuration, SimTime};
+use cup_des::{DetRng, EventQueue, KeyId, LatencyModel, NodeId, SimDuration, SimTime};
 use cup_faults::{Env, FaultAction, Plane, RoutingFailed};
 use cup_overlay::{AnyOverlay, Overlay};
 use cup_workload::{
@@ -81,15 +82,10 @@ struct Fabric {
     /// Key → authority, dense by key id (`None` = not resolved since the
     /// last topology change).
     authority_cache: Vec<Option<NodeId>>,
-    /// Ground truth for staleness: globally deleted replicas and when
-    /// they died (tracked only once a fault plane is armed).
-    dead_replicas: HashMap<(KeyId, ReplicaId), SimTime>,
     /// When each outstanding client query was posted (keyed by the raw
     /// client id), the start time of the `query_latency` histogram's
     /// samples. `BTreeMap` keeps iteration deterministic.
     query_posted: BTreeMap<u64, SimTime>,
-    /// Structured event trace (off by default — see [`Network::enable_trace`]).
-    trace: Option<TraceBuf>,
     /// Scratch a posted query's virtual path is routed into.
     path: Vec<NodeId>,
 }
@@ -169,29 +165,6 @@ impl Env for Wire<'_> {
             own.on_query(key, t, path);
         }
     }
-
-    fn died_at(&self, key: KeyId, replica: ReplicaId) -> Option<SimTime> {
-        self.fabric.dead_replicas.get(&(key, replica)).copied()
-    }
-
-    fn note_dead(&mut self, key: KeyId, replica: ReplicaId, now: SimTime) {
-        self.fabric
-            .dead_replicas
-            .entry((key, replica))
-            .or_insert(now);
-    }
-
-    fn trace(&mut self, t: SimTime, node: NodeId, kind: TraceKind, key: KeyId, detail: u64) {
-        if let Some(buf) = self.fabric.trace.as_mut() {
-            buf.record(TraceEvent {
-                t,
-                node,
-                kind,
-                key,
-                detail,
-            });
-        }
-    }
 }
 
 impl Network {
@@ -213,9 +186,7 @@ impl Network {
                 latency,
                 rng,
                 authority_cache: Vec::new(),
-                dead_replicas: HashMap::new(),
                 query_posted: BTreeMap::new(),
-                trace: None,
                 path: Vec::new(),
             },
             alive_list: ids,
@@ -231,12 +202,12 @@ impl Network {
     /// events. Tracing is off by default and costs nothing when off (one
     /// `Option` check per emission site).
     pub fn enable_trace(&mut self, cap: usize) {
-        self.fabric.trace = Some(TraceBuf::new(cap));
+        self.plane.trace = Some(TraceBuf::new(cap));
     }
 
     /// Detaches the trace buffer (tracing turns back off).
     pub fn take_trace(&mut self) -> Option<TraceBuf> {
-        self.fabric.trace.take()
+        self.plane.trace.take()
     }
 
     /// Read-only access to one node's state, if alive.
@@ -373,10 +344,15 @@ impl Network {
                 replica: action.replica,
                 lifetime,
             },
-            ReplicaActionKind::Death => ReplicaEvent::Deletion {
-                key: action.key,
-                replica: action.replica,
-            },
+            ReplicaActionKind::Death => {
+                // Dead from this instant, whatever becomes of the
+                // deletion on its way to (or at) the authority.
+                self.plane.note_death(action.key, action.replica, now);
+                ReplicaEvent::Deletion {
+                    key: action.key,
+                    replica: action.replica,
+                }
+            }
         };
         // The plan keeps running whatever happens to this event, so
         // later ones land once a crashed authority restarts.

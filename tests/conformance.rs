@@ -275,3 +275,33 @@ fn sim_and_live_agree_under_byzantine_on_can() {
 fn sim_and_live_agree_under_byzantine_on_chord() {
     assert_agree_under_byzantine(OverlayKind::Chord);
 }
+
+/// The staleness ground truth is every shard's, not the authority's:
+/// with one node per shard, the Byzantine witness — whose deletion the
+/// stale server upstream of it swallows, so every delete into it is
+/// lost — serves its poisoned answers on a shard other than the deleted
+/// key's authority's, and the live runtime still counts exactly the
+/// answers the DES counts.
+#[test]
+fn stale_answers_are_judged_on_a_shard_other_than_the_authoritys() {
+    for kind in OverlayKind::ALL {
+        let base = ConformanceSpec::byzantine(kind);
+        let spec = ConformanceSpec {
+            workers: base.nodes,
+            ..base
+        };
+        let witness = NodeId(spec.byzantine_cast().unwrap().witness as u32);
+        let mut topo_rng = DetRng::seed_from(spec.topology_seed);
+        let overlay = AnyOverlay::build(kind, spec.nodes, &mut topo_rng).unwrap();
+        let map = ShardMap::build(spec.shard_map, &overlay, spec.workers);
+        let authority = overlay.authority(KeyId(DELETED_KEY));
+        assert_ne!(map.shard_of(witness), map.shard_of(authority), "{kind}");
+        let (sim, live) = (run_sim(&spec), run_live(&spec));
+        assert!(sim.net.stale_answers > 0, "{kind}: nothing stale served");
+        assert_eq!(
+            live.net.stale_answers, sim.net.stale_answers,
+            "{kind}: stale answers"
+        );
+        assert_eq!(live.net.stale_age_hist, sim.net.stale_age_hist, "{kind}");
+    }
+}

@@ -260,7 +260,7 @@ fn armed_run_keeps_its_books_under_concurrent_fault_injection() {
     // dropped sends all crossed it.
     net.quiesce();
 
-    let faults = net.fault_counters();
+    let faults = net.totals().net.faults;
     assert_eq!(faults.crashes, CYCLES as u64, "every crash applied once");
     assert_eq!(faults.restarts, CYCLES as u64, "every restart applied once");
     assert!(faults.dropped_loss > 0, "the loss plane was live");
@@ -369,7 +369,7 @@ fn live_histograms_account_for_every_query_and_flush() {
     for kind in OverlayKind::ALL {
         for map in ShardMapMode::ALL {
             let net = observed_run(kind, 128, KEYS, QUERIES, map);
-            let latency = net.query_latency_hist();
+            let latency = net.totals().net.query_latency;
             assert_eq!(
                 latency.count(),
                 QUERIES as u64,
@@ -385,7 +385,10 @@ fn live_histograms_account_for_every_query_and_flush() {
             }
             assert_eq!(net.batched_envelopes(), net.cross_shard_messages());
             assert_eq!(net.batch_size_hist().count(), net.batch_flushes());
-            assert!(net.stale_age_hist().is_empty(), "healthy run served stale");
+            assert!(
+                net.totals().net.stale_age_hist.is_empty(),
+                "healthy run served stale"
+            );
             net.shutdown();
         }
     }
@@ -393,7 +396,7 @@ fn live_histograms_account_for_every_query_and_flush() {
     // Two nodes, one key, four client threads all on that key: the books
     // still balance however small the network.
     let net = observed_run(OverlayKind::Can, 2, 1, 8, ShardMapMode::OverlayAware);
-    assert_eq!(net.query_latency_hist().count(), 8);
+    assert_eq!(net.totals().net.query_latency.count(), 8);
     assert_eq!(net.batched_envelopes(), net.cross_shard_messages());
     assert_eq!(net.batch_size_hist().count(), net.batch_flushes());
     net.shutdown();

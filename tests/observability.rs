@@ -143,6 +143,36 @@ fn tiny_trace_capacity_keeps_the_tail() {
     }
 }
 
+/// The live runtime keeps one ring per shard, each of `cap` events:
+/// the merged trace holds what every shard kept, and what the shards
+/// dropped plus what they kept still accounts for every event.
+#[test]
+fn tiny_live_trace_capacity_keeps_each_shards_tail() {
+    let spec = ConformanceSpec::small(OverlayKind::Can);
+    assert_eq!(spec.workers, 3);
+    let (_, full) = run_live_traced(&spec, TRACE_CAP);
+    assert_eq!(full.dropped(), 0);
+    let cap = 32;
+    let (_, small) = run_live_traced(&spec, cap);
+    assert!(
+        small.len() > cap && small.len() <= spec.workers * cap,
+        "up to {cap} per shard, and more than one shard filled: {}",
+        small.len()
+    );
+    assert_eq!(
+        small.dropped() + small.len() as u64,
+        full.len() as u64,
+        "dropped + kept must account for every event"
+    );
+    let full_sorted = full.sorted();
+    for ev in small.sorted() {
+        assert!(
+            full_sorted.binary_search(&ev).is_ok(),
+            "tail event missing from the full trace: {ev:?}"
+        );
+    }
+}
+
 /// Latency histograms carry real (non-degenerate) samples once the
 /// clock advances between post and respond: the simnet experiment path
 /// records wall-clock-equivalent virtual latencies.
