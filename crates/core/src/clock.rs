@@ -17,9 +17,9 @@
 //!
 //! This module is the workspace's **single designated wall-clock
 //! module**: `std::time::Instant` may be touched here and nowhere else
-//! in the protocol crates (`cup-core`, `cup-runtime`). CI and
-//! `tests/wall_clock_lint.rs` enforce the ban, so wall time can never
-//! leak back into protocol logic.
+//! in the protocol crates (`cup-core`, `cup-runtime`). Clippy's
+//! `disallowed-methods` list (`clippy.toml`, CI's clippy job) enforces
+//! the ban, so wall time can never leak back into protocol logic.
 
 // The one sanctioned escape from clippy.toml's disallowed-methods wall:
 // this module *implements* the clock abstraction everything else is

@@ -31,8 +31,10 @@
 //! probes, and the three whole-table walks ([`prune_settled`], the
 //! self-prune that calls it, [`open_windows`]) are a `retain` whose
 //! predicate looks at one slot and a sum. Anything that needed slots *in
-//! order* would have to sort first; cup-lint's `unordered-iteration` rule
-//! looks at every walk over the field.
+//! order* would have to sort first. Clippy's `disallowed-methods` list
+//! (`clippy.toml`) bans every order-revealing walk over a hash container,
+//! so the two functions that walk the table carry an `expect` stating
+//! why their order cannot leak.
 //!
 //! The table also prunes itself: whenever it has doubled since the last
 //! prune, an update delivery runs [`prune_settled`] at its own instant
@@ -161,8 +163,11 @@ impl JustificationTracker {
     /// empty). The per-event hooks prune the slots they touch and the
     /// table calls this on itself as it grows; it stays public for a
     /// caller that knows its traffic stopped.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a retain whose predicate reads only the slot it is given: which slots survive cannot depend on visit order"
+    )]
     pub fn prune_settled(&mut self, now: SimTime) {
-        // cup-lint: allow(unordered-iteration, "a retain whose predicate reads only the slot it is given: which slots survive cannot depend on visit order")
         self.slots.retain(|_, windows| {
             windows.retain(|w| w.closes > now);
             !windows.is_empty()
@@ -190,8 +195,11 @@ impl JustificationTracker {
 
     /// Windows currently held in memory (the memory-bound metric:
     /// settled windows must not accumulate here).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sum of lengths is the same in any order"
+    )]
     pub fn open_windows(&self) -> usize {
-        // cup-lint: allow(unordered-iteration, "a sum of lengths is the same in any order")
         self.slots.values().map(|windows| windows.len()).sum()
     }
 

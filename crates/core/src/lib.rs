@@ -40,6 +40,8 @@
 //! comparison system in every experiment of the paper) is available as
 //! [`config::Mode::StandardCaching`] on the same node implementation.
 
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod action;
 pub mod audit;
 pub mod capacity;

@@ -26,6 +26,8 @@
 //!   default and costs one branch when disabled. The live runtime keeps
 //!   one ring per shard and folds them with [`TraceBuf::merge`].
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use cup_des::{KeyId, NodeId, SimTime};
 
 /// Linear sub-bucket bits: each power-of-two range splits into
@@ -101,10 +103,12 @@ impl Hist {
     /// so per-worker histograms folded in any order equal the serial
     /// recording byte-for-byte.
     pub fn merge(&mut self, other: &Hist) {
-        for (c, o) in self.counts.iter_mut().zip(other.counts.iter()) {
+        // No `..`: a field added and not folded here is error E0027.
+        let Self { counts, total } = other;
+        for (c, o) in self.counts.iter_mut().zip(counts) {
             *c += *o;
         }
-        self.total += other.total;
+        self.total += total;
     }
 
     /// Number of recorded values.

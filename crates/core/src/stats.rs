@@ -71,25 +71,48 @@ impl NodeStats {
 
     /// Adds another node's counters into this one (aggregation).
     pub fn merge(&mut self, other: &NodeStats) {
-        self.client_queries += other.client_queries;
-        self.client_hits += other.client_hits;
-        self.first_time_misses += other.first_time_misses;
-        self.freshness_misses += other.freshness_misses;
-        self.neighbor_queries += other.neighbor_queries;
-        self.coalesced_queries += other.coalesced_queries;
-        self.updates_received += other.updates_received;
-        self.updates_expired_on_arrival += other.updates_expired_on_arrival;
-        self.updates_forwarded += other.updates_forwarded;
-        self.clear_bits_sent += other.clear_bits_sent;
-        self.clear_bits_received += other.clear_bits_received;
-        self.cutoffs += other.cutoffs;
-        self.pfu_retries += other.pfu_retries;
-        self.audits_started += other.audits_started;
-        self.audit_probes_served += other.audit_probes_served;
-        self.audit_replies += other.audit_replies;
-        self.audit_repairs += other.audit_repairs;
-        self.pfu_retry_age.merge(&other.pfu_retry_age);
-        self.audit_rtt.merge(&other.audit_rtt);
+        // No `..`: a field added to the struct and not folded here is
+        // a compile error (E0027), not a counter that reads zero.
+        let Self {
+            client_queries,
+            client_hits,
+            first_time_misses,
+            freshness_misses,
+            neighbor_queries,
+            coalesced_queries,
+            updates_received,
+            updates_expired_on_arrival,
+            updates_forwarded,
+            clear_bits_sent,
+            clear_bits_received,
+            cutoffs,
+            pfu_retries,
+            audits_started,
+            audit_probes_served,
+            audit_replies,
+            audit_repairs,
+            pfu_retry_age,
+            audit_rtt,
+        } = other;
+        self.client_queries += client_queries;
+        self.client_hits += client_hits;
+        self.first_time_misses += first_time_misses;
+        self.freshness_misses += freshness_misses;
+        self.neighbor_queries += neighbor_queries;
+        self.coalesced_queries += coalesced_queries;
+        self.updates_received += updates_received;
+        self.updates_expired_on_arrival += updates_expired_on_arrival;
+        self.updates_forwarded += updates_forwarded;
+        self.clear_bits_sent += clear_bits_sent;
+        self.clear_bits_received += clear_bits_received;
+        self.cutoffs += cutoffs;
+        self.pfu_retries += pfu_retries;
+        self.audits_started += audits_started;
+        self.audit_probes_served += audit_probes_served;
+        self.audit_replies += audit_replies;
+        self.audit_repairs += audit_repairs;
+        self.pfu_retry_age.merge(pfu_retry_age);
+        self.audit_rtt.merge(audit_rtt);
     }
 }
 

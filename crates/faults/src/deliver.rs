@@ -10,9 +10,18 @@
 //! drop *before* the message enters any queue; for each client answer
 //! record latency and staleness. [`Plane`] owns that order and every book
 //! the kernel keeps — metrics, justification windows, the staleness
-//! ground truth ([`Plane::deaths`], written by the driver through
-//! [`Plane::note_death`]) and the trace ring; an [`Env`] supplies only
-//! the transport.
+//! ground truth (written by the driver through [`Plane::note_death`]) and
+//! the trace ring; an [`Env`] supplies only the transport.
+//!
+//! The fault state, the justification tracker and the ground truth are
+//! private fields, so a runtime cannot run a gate or feed the tracker
+//! outside this order: the compiler refuses (E0616). A driver reaches
+//! them only through entry points — [`Plane::apply`] for a fault action,
+//! [`Plane::note_death`] for a death, [`Plane::mark`] for path nodes a
+//! query posted on another plane crossed. Marking a posted query's
+//! virtual path is split the same way: [`Env::mark_path`] routes the path,
+//! hands every other plane its share and returns this plane's, and the
+//! kernel marks that share in its own tracker.
 //!
 //! A query or clear-bit needs its receiver's next hop toward the key's
 //! authority. The kernel asks the node first ([`CupNode::upstream_hint`]:
@@ -30,6 +39,8 @@
 //! enqueue or received exactly once, so at every quiescent point the
 //! per-kind counts sum to the number of messages sent.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::HashMap;
 
 use cup_core::justify::JustificationTracker;
@@ -40,6 +51,7 @@ use cup_core::{
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
 
 use crate::metrics::NetMetrics;
+use crate::plan::FaultAction;
 use crate::state::{DropVerdict, FaultState};
 
 /// An overlay routing lookup failed. The kernel drops the message that
@@ -75,10 +87,12 @@ pub trait Env {
     /// query, so no answer will ever be a latency sample.
     fn forget_client(&mut self, client: ClientId);
 
-    /// A query for `key` was posted at `at` at time `t`: mark every node
-    /// on its virtual path to the authority in the tracker holding that
-    /// node's windows (§3.1). `own` is the posting plane's tracker.
-    fn mark_path(&mut self, own: &mut JustificationTracker, at: NodeId, key: KeyId, t: SimTime);
+    /// A query for `key` was posted at `at` at time `t`: route its
+    /// virtual path to the authority, pass the nodes other planes serve
+    /// to those planes (their [`Plane::mark`]), and return the nodes this
+    /// plane serves, which the kernel marks itself (§3.1). A failed route
+    /// marks nothing.
+    fn mark_path(&mut self, at: NodeId, key: KeyId, t: SimTime) -> &[NodeId];
 }
 
 /// The state a delivery touches besides its node: the fault plane, the
@@ -90,21 +104,21 @@ pub trait Env {
 pub struct Plane {
     /// The fault plane. Always present; inert until an action is
     /// applied (every gate returns before touching any per-link state).
-    pub faults: FaultState,
-    /// Latches once a fault plane was armed: staleness ground truth
-    /// keeps being recorded after the faults heal.
+    faults: FaultState,
+    /// Latches once a fault plane was armed or a fault action applied:
+    /// staleness ground truth keeps being recorded after the faults heal.
     pub armed: bool,
     /// Ground truth for staleness: when each globally deleted replica
     /// died (first death wins; recorded only while armed). The driver
     /// writes it ([`Plane::note_death`]) — every plane of a run learns
     /// every death — and the kernel judges answers against it.
-    pub deaths: HashMap<(KeyId, ReplicaId), SimTime>,
+    deaths: HashMap<(KeyId, ReplicaId), SimTime>,
     /// The event trace (off while `None`): every message that reaches a
     /// handler, every client query and answer, every replica event this
     /// plane's nodes handle.
     pub trace: Option<TraceBuf>,
     /// §3.1 justified-update accounting for the nodes this plane serves.
-    pub justify: JustificationTracker,
+    justify: JustificationTracker,
     /// Whether `justify` records events (it costs a virtual-path lookup
     /// per posted query; the cost metrics never depend on it).
     pub justify_on: bool,
@@ -131,6 +145,20 @@ impl Plane {
     pub fn arm(&mut self, seed: u64) {
         self.faults = FaultState::new(seed);
         self.armed = true;
+    }
+
+    /// Applies one fault action (see [`FaultState::apply`]) and latches
+    /// `armed`: from here on deaths are ground truth. Returns whether the
+    /// action changed anything.
+    pub fn apply(&mut self, action: FaultAction) -> bool {
+        self.armed = true;
+        self.faults.apply(action)
+    }
+
+    /// Marks `nodes`, nodes this plane serves on the virtual path of a
+    /// query for `key` posted at `now` on another plane (§3.1).
+    pub fn mark(&mut self, key: KeyId, now: SimTime, nodes: &[NodeId]) {
+        self.justify.on_query(key, now, nodes);
     }
 
     /// Records `replica` of `key` as globally deleted at `at`, if the
@@ -175,7 +203,8 @@ impl Plane {
         };
         // One mark per posted query, never per forwarded hop.
         if self.justify_on {
-            env.mark_path(&mut self.justify, at, key, now);
+            let mine = env.mark_path(at, key, now);
+            self.justify.on_query(key, now, mine);
         }
         self.emit(env, now, at, |node, out| {
             node.handle_query_into(now, key, Requester::Client(client), upstream, out)
@@ -367,7 +396,7 @@ mod tests {
     use cup_des::SimDuration;
 
     use super::*;
-    use crate::plan::{Behavior, FaultAction};
+    use crate::plan::Behavior;
 
     /// An in-memory transport over a line of nodes: node `i`'s upstream
     /// is `i - 1` (unless `detour` reroutes one node), node 0 is every
@@ -382,6 +411,7 @@ mod tests {
         sent: Vec<(NodeId, NodeId, Message)>,
         posted: BTreeMap<u64, SimTime>,
         answers: Vec<(u64, usize)>,
+        path: Vec<NodeId>,
     }
 
     impl Env for Fake {
@@ -409,15 +439,9 @@ mod tests {
         fn forget_client(&mut self, client: ClientId) {
             self.posted.remove(&client.0);
         }
-        fn mark_path(
-            &mut self,
-            own: &mut JustificationTracker,
-            at: NodeId,
-            key: KeyId,
-            t: SimTime,
-        ) {
-            let path: Vec<NodeId> = (0..=at.0).rev().map(NodeId).collect();
-            own.on_query(key, t, &path);
+        fn mark_path(&mut self, at: NodeId, _: KeyId, _: SimTime) -> &[NodeId] {
+            self.path = (0..=at.0).rev().map(NodeId).collect();
+            &self.path
         }
     }
 
@@ -443,7 +467,7 @@ mod tests {
         let mut plane = traced_plane();
         plane.arm(7);
         for &action in actions {
-            plane.faults.apply(action);
+            plane.apply(action);
         }
         let nodes = (0..10).map(|i| CupNode::new(NodeId(i), NodeConfig::cup_default()));
         let env = Fake {
@@ -605,6 +629,21 @@ mod tests {
         assert_eq!(plane.metrics.stale_answers, 1, "one per stale answer");
         assert_eq!(plane.metrics.stale_age_micros, 21_000_000);
         assert_eq!(plane.metrics.stale_age_hist.count(), 1);
+    }
+
+    #[test]
+    fn applying_a_fault_action_latches_armed_and_deaths_count_from_then_on() {
+        let mut plane = Plane::default();
+        plane.note_death(KEY, ReplicaId(1), SimTime::from_secs(1));
+        assert!(!plane.armed && plane.deaths.is_empty(), "unarmed: no truth");
+        assert!(plane.apply(FaultAction::Crash { node: 4 }));
+        assert!(plane.armed, "an applied action arms the plane");
+        // Healing does not unlatch: the staleness books stay open.
+        assert!(plane.apply(FaultAction::Restart { node: 4 }));
+        plane.note_death(KEY, ReplicaId(1), SimTime::from_secs(2));
+        plane.note_death(KEY, ReplicaId(1), SimTime::from_secs(3));
+        assert_eq!(plane.deaths[&(KEY, ReplicaId(1))], SimTime::from_secs(2));
+        assert_eq!(plane.deaths.len(), 1);
     }
 
     /// The routing calls a hinted hop makes: none, but debug builds

@@ -89,20 +89,39 @@ impl NetMetrics {
     /// count or a histogram of events each seen by exactly one slice, so
     /// the fold is exact, associative and commutative.
     pub fn merge(&mut self, other: &NetMetrics) {
-        self.query_hops += other.query_hops;
-        self.first_time_hops += other.first_time_hops;
-        self.refresh_hops += other.refresh_hops;
-        self.delete_hops += other.delete_hops;
-        self.append_hops += other.append_hops;
-        self.clear_bit_hops += other.clear_bit_hops;
-        self.client_responses += other.client_responses;
-        self.dropped_messages += other.dropped_messages;
-        self.routing_failures += other.routing_failures;
-        self.faults.merge(&other.faults);
-        self.stale_answers += other.stale_answers;
-        self.stale_age_micros += other.stale_age_micros;
-        self.audit_hops += other.audit_hops;
-        self.query_latency.merge(&other.query_latency);
-        self.stale_age_hist.merge(&other.stale_age_hist);
+        // No `..`: a field added to the struct and not folded here is
+        // a compile error (E0027), not a counter that reads zero.
+        let Self {
+            query_hops,
+            first_time_hops,
+            refresh_hops,
+            delete_hops,
+            append_hops,
+            clear_bit_hops,
+            client_responses,
+            dropped_messages,
+            routing_failures,
+            faults,
+            stale_answers,
+            stale_age_micros,
+            audit_hops,
+            query_latency,
+            stale_age_hist,
+        } = other;
+        self.query_hops += query_hops;
+        self.first_time_hops += first_time_hops;
+        self.refresh_hops += refresh_hops;
+        self.delete_hops += delete_hops;
+        self.append_hops += append_hops;
+        self.clear_bit_hops += clear_bit_hops;
+        self.client_responses += client_responses;
+        self.dropped_messages += dropped_messages;
+        self.routing_failures += routing_failures;
+        self.faults.merge(faults);
+        self.stale_answers += stale_answers;
+        self.stale_age_micros += stale_age_micros;
+        self.audit_hops += audit_hops;
+        self.query_latency.merge(query_latency);
+        self.stale_age_hist.merge(stale_age_hist);
     }
 }

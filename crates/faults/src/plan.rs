@@ -24,6 +24,8 @@
 //! `FromStr`/`Display` pair round-trips: `Display` prints the canonical
 //! spelling, which parses back to the same value.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::fmt;
 use std::str::FromStr;
 
@@ -131,6 +133,22 @@ pub enum FaultAction {
         /// The override being lifted.
         behavior: Behavior,
     },
+}
+
+impl FaultAction {
+    /// The node this action names, if it names one.
+    pub fn node(&self) -> Option<usize> {
+        match *self {
+            FaultAction::Crash { node }
+            | FaultAction::Restart { node }
+            | FaultAction::SetBehavior { node, .. }
+            | FaultAction::ClearBehavior { node, .. } => Some(node),
+            FaultAction::SetLoss { .. }
+            | FaultAction::SetLatencyFactor { .. }
+            | FaultAction::Partition { .. }
+            | FaultAction::Heal => None,
+        }
+    }
 }
 
 /// One timed fault action.

@@ -67,16 +67,30 @@ impl FaultCounters {
     /// applied actions, which every replica applies alike, so they are
     /// taken once. Associative and commutative, like `NodeStats::merge`.
     pub fn merge(&mut self, other: &FaultCounters) {
-        self.dropped_loss += other.dropped_loss;
-        self.dropped_partition += other.dropped_partition;
-        self.dropped_to_crashed += other.dropped_to_crashed;
-        self.crashes = self.crashes.max(other.crashes);
-        self.restarts = self.restarts.max(other.restarts);
-        self.queries_at_crashed += other.queries_at_crashed;
-        self.replica_at_crashed += other.replica_at_crashed;
-        self.byz_updates_dropped += other.byz_updates_dropped;
-        self.byz_updates_swallowed += other.byz_updates_swallowed;
-        self.byz_refresh_lies += other.byz_refresh_lies;
+        // No `..`: a field added to the struct and not folded here is
+        // a compile error (E0027), not a counter that reads zero.
+        let Self {
+            dropped_loss,
+            dropped_partition,
+            dropped_to_crashed,
+            crashes,
+            restarts,
+            queries_at_crashed,
+            replica_at_crashed,
+            byz_updates_dropped,
+            byz_updates_swallowed,
+            byz_refresh_lies,
+        } = other;
+        self.dropped_loss += dropped_loss;
+        self.dropped_partition += dropped_partition;
+        self.dropped_to_crashed += dropped_to_crashed;
+        self.crashes = self.crashes.max(*crashes);
+        self.restarts = self.restarts.max(*restarts);
+        self.queries_at_crashed += queries_at_crashed;
+        self.replica_at_crashed += replica_at_crashed;
+        self.byz_updates_dropped += byz_updates_dropped;
+        self.byz_updates_swallowed += byz_updates_swallowed;
+        self.byz_refresh_lies += byz_refresh_lies;
     }
 }
 

@@ -61,6 +61,13 @@
 //! by the handle at read time ([`LiveNetwork::totals`]), so the
 //! per-message path takes no process-wide lock.
 //!
+//! A worker that panics poisons the pool mid-run, so the whole crate
+//! denies `clippy::unwrap_used` and `clippy::expect_used` (the attribute
+//! below); a poisoned lock is recovered with `into_inner`, a bad route is
+//! dropped and counted. The two exceptions, spawning the pool and joining
+//! it at shutdown, carry an `expect` attribute stating why panicking is
+//! the report there. Test code may unwrap (`clippy.toml`).
+//!
 //! # Examples
 //!
 //! ```
@@ -77,6 +84,9 @@
 //! assert_eq!(entries.len(), 1);
 //! net.shutdown();
 //! ```
+
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::iter_over_hash_type)]
 
 pub mod network;
 mod shard;

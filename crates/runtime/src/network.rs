@@ -205,10 +205,13 @@ impl LiveNetwork {
                 .map(|&id| CupNode::new(id, config))
                 .collect();
             let shared = Arc::clone(&shared);
+            #[expect(
+                clippy::expect_used,
+                reason = "start-up, before any worker dispatches: failing to spawn the pool has nothing to degrade to"
+            )]
             let handle = std::thread::Builder::new()
                 .name(format!("cup-shard-{shard}"))
                 .spawn(move || worker_main(shard, nodes, shared))
-                // cup-lint: allow(panic-path, "start-up, before any worker dispatches: failing to spawn the pool has nothing to degrade to")
                 .expect("worker thread must spawn");
             handles.push(handle);
         }
@@ -355,15 +358,26 @@ impl LiveNetwork {
     /// against a half-applied plane. Workers consult their replica only
     /// while some fault is in effect, so a fully healed network (loss 0,
     /// no partition, everyone restarted) pays nothing per send again.
+    ///
+    /// An action naming a node outside the population (a crash, restart
+    /// or behavior of node `n >= nodes().len()`) is dropped before it
+    /// reaches any replica: no such node can send or receive, and the
+    /// plane's per-node tables are sized by the node it names.
     pub fn inject_fault(&self, action: FaultAction) {
+        if action
+            .node()
+            .is_some_and(|node| node >= self.node_ids.len())
+        {
+            return;
+        }
         // Replicas hold identical tables, so they all agree on whether
         // the action changed anything.
         let mut changed = false;
         for local in &mut self.shared.lock_locals() {
-            changed = local.plane.faults.apply(action);
+            changed = local.plane.apply(action);
         }
         if let FaultAction::Crash { node } = action {
-            if changed && node < self.node_ids.len() {
+            if changed {
                 let at = NodeId(node as u32);
                 self.shared
                     .post(self.shared.shard_of(at), Envelope::CrashReset { at });
@@ -601,7 +615,10 @@ impl LiveNetwork {
         }
         let mut nodes = Vec::with_capacity(self.node_ids.len());
         for handle in self.handles {
-            // cup-lint: allow(panic-path, "shutdown, after the last quiesce: surfacing a worker panic to the caller is the report, not a degradation")
+            #[expect(
+                clippy::expect_used,
+                reason = "shutdown, after the last quiesce: surfacing a worker panic to the caller is the report, not a degradation"
+            )]
             nodes.extend(handle.join().expect("worker thread must not panic"));
         }
         // Overlay-aware shards own non-contiguous id sets, so the
@@ -985,6 +1002,21 @@ mod tests {
         assert_eq!(entries.len(), 1, "restarted node re-fetches and answers");
         assert_eq!(net.totals().net.faults.restarts, 1);
         assert!(net.crash_retained_stats().client_queries >= 1);
+        net.shutdown();
+    }
+
+    #[test]
+    fn a_fault_naming_a_node_outside_the_population_is_dropped() {
+        let net = network(OverlayKind::Can, 16);
+        net.enable_faults(5);
+        let plan = cup_faults::FaultPlan::parse_specs(&["crash:18446744073709551615@t=1"]);
+        for event in plan.unwrap().events() {
+            net.inject_fault(event.action);
+        }
+        net.replica_birth(KeyId(1), ReplicaId(0), LIFE);
+        net.quiesce();
+        assert_eq!(net.query(net.nodes()[6], KeyId(1)).unwrap().len(), 1);
+        assert_eq!(net.totals().net.faults.crashes, 0, "no replica saw it");
         net.shutdown();
     }
 

@@ -56,7 +56,6 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use cup_core::clock::Clock;
-use cup_core::justify::JustificationTracker;
 use cup_core::obs::Hist;
 use cup_core::stats::NodeStats;
 use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
@@ -774,7 +773,7 @@ impl Worker {
                 now,
                 len,
                 nodes,
-            } => state.plane.justify.on_query(key, now, &nodes[..len.into()]),
+            } => state.plane.mark(key, now, &nodes[..len.into()]),
             Envelope::Client { at, key, client } => state.plane.post_query(self, at, key, client),
             Envelope::Replica { at, event } => state.plane.replica_event(self, at, event),
             Envelope::Death { key, replica, at } => state.plane.note_death(key, replica, at),
@@ -836,43 +835,41 @@ impl Env for Worker {
     }
 
     /// Windows are keyed by `(node, key)` and live with the node's
-    /// shard, so this shard's path nodes are marked inline and every
-    /// other shard gets its own in [`Envelope::JustifyMark`]s of up to
-    /// [`MARK_NODES`] nodes each.
-    fn mark_path(&mut self, own: &mut JustificationTracker, at: NodeId, key: KeyId, t: SimTime) {
+    /// shard, so every other shard gets its path nodes in
+    /// [`Envelope::JustifyMark`]s of up to [`MARK_NODES`] nodes each, and
+    /// this shard's are returned for the kernel to mark inline.
+    fn mark_path(&mut self, at: NodeId, key: KeyId, t: SimTime) -> &[NodeId] {
+        self.path_split[self.shard].clear();
         if self
             .shared
             .overlay
             .route_into(at, key, &mut self.path)
             .is_err()
         {
-            return;
+            return &[];
         }
         for &node in &self.path {
             self.path_split[self.shared.shard_of(node)].push(node);
         }
         for (shard, nodes) in self.path_split.iter_mut().enumerate() {
-            if nodes.is_empty() {
+            if shard == self.shard || nodes.is_empty() {
                 continue;
             }
-            if shard == self.shard {
-                own.on_query(key, t, nodes);
-            } else {
-                let out = &mut self.outbox[shard];
-                for chunk in nodes.chunks(MARK_NODES) {
-                    let mut mark = [NodeId(0); MARK_NODES];
-                    mark[..chunk.len()].copy_from_slice(chunk);
-                    out.buf.push(Envelope::JustifyMark {
-                        key,
-                        now: t,
-                        len: chunk.len() as u8,
-                        nodes: mark,
-                    });
-                    out.marks += 1;
-                }
+            let out = &mut self.outbox[shard];
+            for chunk in nodes.chunks(MARK_NODES) {
+                let mut mark = [NodeId(0); MARK_NODES];
+                mark[..chunk.len()].copy_from_slice(chunk);
+                out.buf.push(Envelope::JustifyMark {
+                    key,
+                    now: t,
+                    len: chunk.len() as u8,
+                    nodes: mark,
+                });
+                out.marks += 1;
             }
             nodes.clear();
         }
+        &self.path_split[self.shard]
     }
 }
 

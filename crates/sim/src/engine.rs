@@ -5,6 +5,8 @@
 //! mutable access to both the state and the queue so it can schedule
 //! follow-up events.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::event::EventQueue;
 use crate::time::SimTime;
 
@@ -63,11 +65,6 @@ impl<S, E> Engine<S, E> {
     /// Returns a shared reference to the simulation state.
     pub fn state(&self) -> &S {
         &self.state
-    }
-
-    /// Returns a mutable reference to the simulation state.
-    pub fn state_mut(&mut self) -> &mut S {
-        &mut self.state
     }
 
     /// Consumes the engine, returning the final state.

@@ -50,6 +50,8 @@
 //! (`tests/calendar_queue_diff.rs`), which pins the calendar queue
 //! against it: same schedule/pop stream, byte-identical pop order.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::VecDeque;
 
 use crate::time::SimTime;

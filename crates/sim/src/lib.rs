@@ -11,8 +11,7 @@
 //! * a generic simulation driver ([`Engine`]) that dispatches events to a
 //!   user-supplied handler,
 //! * a deterministic, seedable random number generator ([`rng::DetRng`])
-//!   that is stable across platforms and crate versions,
-//! * light-weight statistics collectors ([`stats`]), and
+//!   that is stable across platforms and crate versions, and
 //! * per-hop network latency models ([`latency`]).
 //!
 //! The engine is intentionally protocol-agnostic: the CUP protocol crates
@@ -43,7 +42,6 @@ pub mod event;
 pub mod id;
 pub mod latency;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use engine::Engine;

@@ -156,14 +156,6 @@ impl DetRng {
         all.truncate(k.min(len));
         all
     }
-
-    /// Fills a byte slice with random bytes.
-    pub fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -247,14 +239,6 @@ mod tests {
         s.dedup();
         assert_eq!(s.len(), 20);
         assert!(s.iter().all(|&i| i < 100));
-    }
-
-    #[test]
-    fn fill_bytes_covers_tail() {
-        let mut rng = DetRng::seed_from(10);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

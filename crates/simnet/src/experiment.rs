@@ -111,6 +111,15 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     } else {
         let plan = FaultPlan::parse_specs(&scenario.fault_plan)
             .unwrap_or_else(|e| panic!("invalid fault plan: {e}"));
+        // The plane sizes its per-node tables by the node an action
+        // names, so a node outside the population is a spec error too.
+        let mut named = plan.events().iter().filter_map(|ev| ev.action.node());
+        if let Some(node) = named.find(|&node| node >= scenario.nodes) {
+            panic!(
+                "invalid fault plan: node {node} is outside the {}-node population",
+                scenario.nodes
+            );
+        }
         net.plane.arm(root.derive(6).next());
         plan
     };
@@ -399,6 +408,17 @@ mod tests {
     #[should_panic(expected = "invalid fault plan")]
     fn malformed_fault_plans_fail_loudly() {
         let scenario = small_scenario(1.0).with_fault_plan(&["drop:2.0"]);
+        let _ = run_experiment(&ExperimentConfig::cup(scenario));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fault plan: node 18446744073709551615 is outside")]
+    fn a_fault_naming_a_node_outside_the_population_fails_loudly() {
+        let scenario = Scenario {
+            nodes: 16,
+            ..small_scenario(1.0)
+        };
+        let scenario = scenario.with_fault_plan(&["crash:18446744073709551615@t=1"]);
         let _ = run_experiment(&ExperimentConfig::cup(scenario));
     }
 

@@ -28,6 +28,8 @@
 //! [`par::parallel_map`] farms them across worker threads with stable
 //! output ordering; [`report`] renders them in the paper's format.
 
+#![deny(clippy::iter_over_hash_type)]
+
 pub mod arena;
 pub mod event;
 pub mod experiment;

@@ -26,9 +26,10 @@
 //! buffer — the dispatch hot path performs no per-event allocation of
 //! its own.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use std::collections::BTreeMap;
 
-use cup_core::justify::JustificationTracker;
 use cup_core::obs::TraceBuf;
 use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
 use cup_des::{DetRng, EventQueue, KeyId, LatencyModel, NodeId, SimDuration, SimTime};
@@ -157,13 +158,15 @@ impl Env for Wire<'_> {
         self.fabric.query_posted.remove(&client.0);
     }
 
-    fn mark_path(&mut self, own: &mut JustificationTracker, at: NodeId, key: KeyId, t: SimTime) {
+    /// One plane serves every node, so the whole path is this plane's.
+    fn mark_path(&mut self, at: NodeId, key: KeyId, _: SimTime) -> &[NodeId] {
         // Routing is deterministic, so the virtual path V(N, K) is
         // exactly the route the query would travel.
         let Fabric { overlay, path, .. } = &mut *self.fabric;
-        if overlay.route_into(at, key, path).is_ok() {
-            own.on_query(key, t, path);
+        if overlay.route_into(at, key, path).is_err() {
+            path.clear();
         }
+        path
     }
 }
 
@@ -278,8 +281,7 @@ impl Network {
     /// node's protocol state (cold cache, empty directory) while its
     /// counters are retained, matching the live runtime's crash reset.
     fn on_fault(&mut self, action: FaultAction) {
-        self.plane.armed = true;
-        let changed = self.plane.faults.apply(action);
+        let changed = self.plane.apply(action);
         if let FaultAction::Crash { node } = action {
             let id = NodeId(node as u32);
             if changed && self.fabric.nodes.is_alive(id) {

@@ -28,6 +28,9 @@
 //! handle reports: one latency sample per answered query with a real
 //! tail, one batch-size sample per cross-shard flush, and no staleness
 //! on a healthy run.
+//!
+//! The last test reads the runtime's source: the quiesce barrier is exact
+//! only if no atomic it depends on is read or written `Relaxed`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
@@ -400,4 +403,30 @@ fn live_histograms_account_for_every_query_and_flush() {
     assert_eq!(net.batched_envelopes(), net.cross_shard_messages());
     assert_eq!(net.batch_size_hist().count(), net.batch_flushes());
     net.shutdown();
+}
+
+/// Every `Relaxed` ordering in the live runtime is the client-id
+/// counter's `fetch_add`: an id needs uniqueness, which the atomic
+/// read-modify-write gives under any ordering. Any other atomic there
+/// publishes work to the quiesce barrier and needs Acquire/Release.
+#[test]
+fn relaxed_ordering_in_the_runtime_is_only_the_client_id_counter() {
+    let src = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../runtime/src");
+    let mut relaxed = 0;
+    for file in std::fs::read_dir(&src).expect("runtime sources") {
+        let path = file.expect("directory entry").path();
+        let text = std::fs::read_to_string(&path).expect("a source file");
+        for (i, line) in text.lines().enumerate() {
+            if line.contains("Relaxed") {
+                assert!(
+                    line.contains("self.next_client.fetch_add(1, Ordering::Relaxed)"),
+                    "{}:{}: Relaxed on something other than the client-id counter",
+                    path.display(),
+                    i + 1
+                );
+                relaxed += 1;
+            }
+        }
+    }
+    assert_eq!(relaxed, 1, "the client-id counter's fetch_add moved");
 }

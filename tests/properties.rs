@@ -3,8 +3,10 @@
 use proptest::prelude::*;
 
 use cup::des::{DetRng, EventQueue, KeyId, NodeId, ReplicaId, SimDuration, SimTime};
+use cup::faults::FaultPlan;
 use cup::overlay::{can::CanOverlay, zone::Zone, Overlay};
 use cup::protocol::capacity::OutgoingQueues;
+use cup::protocol::obs::Hist;
 use cup::protocol::policy::{CutoffContext, CutoffPolicy};
 use cup::protocol::popularity::{Popularity, ResetMode};
 use cup::protocol::{IndexEntry, Update, UpdateKind};
@@ -29,7 +31,35 @@ fn arb_update(kind: UpdateKind) -> impl Strategy<Value = Update> {
     })
 }
 
+/// Fragments of the fault-spec and cut-off-policy grammars, and numbers
+/// that overflow or are not numbers, that hostile strings are made of.
+const SPEC_TOKENS: &str = "drop|spike|crash|partition|stale-serve|drop-updates|lie-refresh|\
+    always|never|linear|log|push|adaptive|second-chance|:|@t=|..|,|0|1|2|0.5|-1|1e308|\
+    18446744073709551615|99999999999999999999|nan|inf| |";
+
 proptest! {
+    /// Hostile input is an error, never a panic: raw bytes (and the same
+    /// bytes behind a header whose length matches) to `Hist::from_bytes`,
+    /// token soup to the fault-spec and cut-off-policy parsers.
+    #[test]
+    fn parsers_return_on_hostile_input(
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        tokens in proptest::collection::vec(0..SPEC_TOKENS.split('|').count(), 0..12),
+    ) {
+        let _ = Hist::from_bytes(&bytes);
+        if bytes.len() >= 2 {
+            let mut framed = bytes.clone();
+            let n = (framed.len() - 2) / 9;
+            framed.truncate(2 + 9 * n);
+            framed[..2].copy_from_slice(&(n as u16).to_le_bytes());
+            let _ = Hist::from_bytes(&framed);
+        }
+        let spec: String = tokens.iter().filter_map(|&i| SPEC_TOKENS.split('|').nth(i)).collect();
+        let _ = FaultPlan::parse_specs(&[spec.as_str()]);
+        let _ = FaultPlan::parse_specs(&[String::from_utf8_lossy(&bytes)]);
+        let _ = CutoffPolicy::parse(&spec);
+    }
+
     /// Recursive zone splitting always partitions the parent exactly.
     #[test]
     fn zone_splits_partition_area(depth in 0usize..24, choices in proptest::collection::vec(any::<bool>(), 24)) {
