@@ -8,10 +8,11 @@
 //! Byzantine sender suppress or rewrite *before* the loss roll (a
 //! suppressed send never advances the per-link counter) and decide the
 //! drop *before* the message enters any queue; for each client answer
-//! record latency and staleness. [`Plane`] owns that order and every book
-//! the kernel keeps — metrics, justification windows, the staleness
-//! ground truth (written by the driver through [`Plane::note_death`]) and
-//! the trace ring; an [`Env`] supplies only the transport.
+//! record latency and staleness. [`Plane`] owns that order, the nodes the
+//! handlers run on (its [`NodeArena`]) and every book the kernel keeps —
+//! metrics, justification windows, the staleness ground truth (written
+//! by the runtime through [`Plane::note_death`]) and the trace ring; an
+//! [`Env`] supplies only the transport, in six methods.
 //!
 //! The fault state, the justification tracker and the ground truth are
 //! private fields, so a runtime cannot run a gate or feed the tracker
@@ -22,6 +23,10 @@
 //! virtual path is split the same way: [`Env::mark_path`] routes the path,
 //! hands every other plane its share and returns this plane's, and the
 //! kernel marks that share in its own tracker.
+//!
+//! [`Plane::apply`] also wipes a node whose crash changed the plane, if
+//! the plane holds it (its counters stay in the arena), so no message
+//! can reach the pre-crash state once the crash is applied.
 //!
 //! A query or clear-bit needs its receiver's next hop toward the key's
 //! authority. The kernel asks the node first ([`CupNode::upstream_hint`]:
@@ -37,7 +42,8 @@
 //! send-time verdict predates the crash), so it costs a hop and is then
 //! counted `dropped_to_crashed`. A message is either vetoed before
 //! enqueue or received exactly once, so at every quiescent point the
-//! per-kind counts sum to the number of messages sent.
+//! per-kind counts sum to the number of messages sent. An entry point
+//! naming a node the plane does not hold runs no handler.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -50,6 +56,7 @@ use cup_core::{
 };
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
 
+use crate::arena::NodeArena;
 use crate::metrics::NetMetrics;
 use crate::plan::FaultAction;
 use crate::state::{DropVerdict, FaultState};
@@ -60,8 +67,8 @@ use crate::state::{DropVerdict, FaultState};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RoutingFailed;
 
-/// What a transport supplies to the kernel: a clock, routing, node
-/// storage, a way to carry a message one hop and the waiting clients.
+/// What a transport supplies to the kernel: a clock, routing, a way to
+/// carry a message one hop and the waiting clients.
 pub trait Env {
     /// The current time (simulated, virtual or wall-mapped).
     fn now(&self) -> SimTime;
@@ -70,9 +77,6 @@ pub trait Env {
     /// authority itself. The kernel asks only where the node has no
     /// upstream hint (see the module docs).
     fn upstream_of(&mut self, at: NodeId, key: KeyId) -> Result<Option<NodeId>, RoutingFailed>;
-
-    /// The node `id`; callers of the entry points vouch it is present.
-    fn node_mut(&mut self, id: NodeId) -> &mut CupNode;
 
     /// Carries `msg` one hop (only messages the fault plane let through
     /// get here). `latency_factor` is the plane's spike multiplier, 1.0
@@ -95,13 +99,18 @@ pub trait Env {
     fn mark_path(&mut self, at: NodeId, key: KeyId, t: SimTime) -> &[NodeId];
 }
 
-/// The state a delivery touches besides its node: the fault plane, the
+/// The state a delivery touches: the nodes, the fault plane, the
 /// justification tracker, the metrics sink, the staleness ground truth
-/// and the trace ring. The DES owns one; the live runtime one per shard,
-/// each seeing exactly the messages its shard's nodes send and receive,
-/// folded by [`Plane::totals`].
+/// and the trace ring. The DES owns one holding every node; the live
+/// runtime one per shard holding the shard's nodes, each seeing exactly
+/// the messages those nodes send and receive, folded by
+/// [`Plane::totals`].
 #[derive(Debug, Default)]
 pub struct Plane {
+    /// The nodes this plane serves. A runtime reads them and may move
+    /// state between them (churn hand-over, capacity flags); a crash is
+    /// reset by [`Plane::apply`].
+    pub nodes: NodeArena,
     /// The fault plane. Always present; inert until an action is
     /// applied (every gate returns before touching any per-link state).
     faults: FaultState,
@@ -141,6 +150,14 @@ pub struct Totals {
 }
 
 impl Plane {
+    /// An unarmed, untraced plane serving `nodes`.
+    pub fn new(nodes: NodeArena) -> Plane {
+        Plane {
+            nodes,
+            ..Plane::default()
+        }
+    }
+
     /// Arms the fault plane with a fresh [`FaultState`] keyed by `seed`.
     pub fn arm(&mut self, seed: u64) {
         self.faults = FaultState::new(seed);
@@ -148,11 +165,19 @@ impl Plane {
     }
 
     /// Applies one fault action (see [`FaultState::apply`]) and latches
-    /// `armed`: from here on deaths are ground truth. Returns whether the
-    /// action changed anything.
+    /// `armed`: from here on deaths are ground truth. A crash that changed
+    /// the plane wipes the node, if this plane holds it
+    /// ([`NodeArena::reset`]). Returns whether the action changed
+    /// anything.
     pub fn apply(&mut self, action: FaultAction) -> bool {
         self.armed = true;
-        self.faults.apply(action)
+        let changed = self.faults.apply(action);
+        if let (true, FaultAction::Crash { node }) = (changed, action) {
+            if let Ok(id) = u32::try_from(node) {
+                self.nodes.reset(NodeId(id));
+            }
+        }
+        changed
     }
 
     /// Marks `nodes`, nodes this plane serves on the virtual path of a
@@ -194,7 +219,7 @@ impl Plane {
         }
         let now = env.now();
         self.trace(now, at, TraceKind::ClientQuery, key, client.0);
-        let Ok(upstream) = upstream_of(env, at, key) else {
+        let Ok(upstream) = upstream_of(env, &self.nodes, at, key) else {
             // Dead on arrival: answer empty now rather than let the
             // client stew until its timeout.
             self.metrics.routing_failures += 1;
@@ -244,7 +269,7 @@ impl Plane {
         self.trace(now, to, kind, key, from.0 as u64);
         let upstream = match msg {
             Message::Query { .. } | Message::ClearBit { .. } => {
-                let Ok(upstream) = upstream_of(env, to, key) else {
+                let Ok(upstream) = upstream_of(env, &self.nodes, to, key) else {
                     self.metrics.routing_failures += 1;
                     return;
                 };
@@ -300,7 +325,8 @@ impl Plane {
     }
 
     /// Runs one handler of node `from` at `now` and turns the actions it
-    /// emitted into traffic and client answers.
+    /// emitted into traffic and client answers. Does nothing if this plane
+    /// does not hold `from`.
     pub fn emit<E: Env>(
         &mut self,
         env: &mut E,
@@ -308,8 +334,11 @@ impl Plane {
         from: NodeId,
         handler: impl FnOnce(&mut CupNode, &mut Vec<Action>),
     ) {
+        let Some(node) = self.nodes.get_mut(from) else {
+            return;
+        };
         let mut actions = std::mem::take(&mut self.scratch);
-        handler(env.node_mut(from), &mut actions);
+        handler(node, &mut actions);
         for action in actions.drain(..) {
             match action {
                 Action::Send { to, mut msg } => {
@@ -371,10 +400,11 @@ impl Plane {
 /// it has one, else the transport's route.
 fn upstream_of<E: Env>(
     env: &mut E,
+    nodes: &NodeArena,
     at: NodeId,
     key: KeyId,
 ) -> Result<Option<NodeId>, RoutingFailed> {
-    let Some(hint) = env.node_mut(at).upstream_hint(key) else {
+    let Some(hint) = nodes.get(at).and_then(|node| node.upstream_hint(key)) else {
         return env.upstream_of(at, key);
     };
     #[cfg(debug_assertions)]
@@ -392,6 +422,7 @@ fn upstream_of<E: Env>(
 mod tests {
     use std::collections::BTreeMap;
 
+    use cup_core::stats::NodeStats;
     use cup_core::{Hist, NodeConfig, Update};
     use cup_des::SimDuration;
 
@@ -407,7 +438,6 @@ mod tests {
         now: SimTime,
         routed: Vec<NodeId>,
         detour: Option<(NodeId, NodeId)>,
-        nodes: Vec<CupNode>,
         sent: Vec<(NodeId, NodeId, Message)>,
         posted: BTreeMap<u64, SimTime>,
         answers: Vec<(u64, usize)>,
@@ -425,9 +455,6 @@ mod tests {
                 (_, Some((from, to))) if from == at => Ok(Some(to)),
                 (at, _) => Ok(at.checked_sub(1).map(NodeId)),
             }
-        }
-        fn node_mut(&mut self, id: NodeId) -> &mut CupNode {
-            &mut self.nodes[id.index()]
         }
         fn enqueue(&mut self, from: NodeId, to: NodeId, msg: Message, _: f64) {
             self.sent.push((from, to, msg));
@@ -448,12 +475,19 @@ mod tests {
     const KEY: KeyId = KeyId(1);
     const LIFE: SimDuration = SimDuration::from_secs(300);
 
-    /// A plane that traces everything, unarmed.
-    fn traced_plane() -> Plane {
+    /// A plane serving the nodes of the line `ids` picks, tracing
+    /// everything, unarmed.
+    fn traced_plane(ids: impl Fn(&u32) -> bool) -> Plane {
+        let ids: Vec<NodeId> = (0..10).filter(ids).map(NodeId).collect();
         Plane {
             trace: Some(TraceBuf::new(64)),
-            ..Plane::default()
+            ..Plane::new(NodeArena::build(&ids, NodeConfig::cup_default()))
         }
+    }
+
+    /// Node `n` of `plane`.
+    fn node(plane: &Plane, n: u32) -> &CupNode {
+        plane.nodes.get(NodeId(n)).unwrap()
     }
 
     /// The kinds `plane` traced, in canonical order.
@@ -462,19 +496,15 @@ mod tests {
         ring.sorted().iter().map(|ev| ev.kind).collect()
     }
 
-    /// One traced plane, armed with `actions`, over a line of ten nodes.
+    /// One traced plane serving a line of ten nodes, armed with
+    /// `actions`.
     fn world(actions: &[FaultAction]) -> (Plane, Fake) {
-        let mut plane = traced_plane();
+        let mut plane = traced_plane(|_| true);
         plane.arm(7);
         for &action in actions {
             plane.apply(action);
         }
-        let nodes = (0..10).map(|i| CupNode::new(NodeId(i), NodeConfig::cup_default()));
-        let env = Fake {
-            nodes: nodes.collect(),
-            ..Fake::default()
-        };
-        (plane, env)
+        (plane, Fake::default())
     }
 
     fn behave(node: usize, behavior: Behavior) -> FaultAction {
@@ -529,14 +559,15 @@ mod tests {
         assert_eq!(plane.metrics.delete_hops, 1, "the hop was paid");
         assert_eq!(plane.faults.counters.byz_updates_swallowed, 1);
         assert!(traced(&plane).is_empty() && env.sent.is_empty());
-        let handled = |env: &Fake, n: usize| {
-            env.nodes[n].stats.neighbor_queries + env.nodes[n].stats.updates_received
+        let handled = |plane: &Plane, n| {
+            let stats = &node(plane, n).stats;
+            stats.neighbor_queries + stats.updates_received
         };
-        assert_eq!(handled(&env, 2) + handled(&env, 3), 0, "no handler ran");
+        assert_eq!(handled(&plane, 2) + handled(&plane, 3), 0, "no handler ran");
         // An honest receiver of the same message is traced and handled.
         recv(&mut plane, &mut env, 3, 4, update(UpdateKind::Delete, 0));
         assert_eq!(traced(&plane), [TraceKind::UpdateDelete]);
-        assert_eq!(handled(&env, 4), 1);
+        assert_eq!(handled(&plane, 4), 1);
     }
 
     #[test]
@@ -597,8 +628,8 @@ mod tests {
 
     #[test]
     fn staleness_is_age_since_the_earliest_death_and_needs_an_armed_plane() {
-        let mut env = world(&[]).1;
-        let mut plane = Plane::default();
+        let mut env = Fake::default();
+        let mut plane = traced_plane(|_| true);
         let deletion = |replica| ReplicaEvent::Deletion {
             key: KEY,
             replica: ReplicaId(replica),
@@ -644,6 +675,29 @@ mod tests {
         plane.note_death(KEY, ReplicaId(1), SimTime::from_secs(3));
         assert_eq!(plane.deaths[&(KEY, ReplicaId(1))], SimTime::from_secs(2));
         assert_eq!(plane.deaths.len(), 1);
+    }
+
+    #[test]
+    fn a_crash_wipes_the_node_at_once_and_keeps_its_counters() {
+        let (mut plane, mut env) = world(&[]);
+        let (crash, restart) = (
+            FaultAction::Crash { node: 2 },
+            FaultAction::Restart { node: 2 },
+        );
+        post(&mut plane, &mut env, 2, 1);
+        let before = plane.nodes.aggregate_stats();
+        assert!(plane.apply(crash));
+        assert_eq!(node(&plane, 2).stats, NodeStats::default(), "cold");
+        assert_eq!(node(&plane, 2).upstream_hint(KEY), None, "no record");
+        assert_eq!(plane.nodes.aggregate_stats(), before, "conserved");
+        // A crash that changes nothing wipes nothing.
+        plane.apply(restart);
+        post(&mut plane, &mut env, 2, 2);
+        assert!(plane.apply(crash) && !plane.apply(crash));
+        assert_eq!(plane.nodes.aggregate_stats().client_queries, 2);
+        // A plane that does not hold the node applies the action alone.
+        let mut other = traced_plane(|&n| n != 2);
+        assert!(other.apply(crash));
     }
 
     /// The routing calls a hinted hop makes: none, but debug builds
@@ -693,7 +747,7 @@ mod tests {
         assert_eq!(plane.metrics.routing_failures, 2);
         assert_eq!(plane.metrics.hops(), 2, "both were received");
         assert!(env.sent.is_empty());
-        assert_eq!(env.nodes[9].stats.neighbor_queries, 0, "no handler ran");
+        assert_eq!(node(&plane, 9).stats.neighbor_queries, 0, "no handler ran");
         // A client query dead on arrival is answered empty, unsampled.
         post(&mut plane, &mut env, 9, 5);
         assert_eq!(plane.metrics.routing_failures, 3);
@@ -716,10 +770,11 @@ mod tests {
 
     /// One scripted stream — a birth, queries from three depths, a
     /// refresh, a deletion, a last query — over `k` planes, node `n`
-    /// served by plane `n % k`; returns the totals and the merged trace.
-    fn run_stream(k: usize) -> (Totals, Vec<TraceEvent>) {
-        let mut env = world(&[]).1;
-        let mut planes: Vec<Plane> = (0..k).map(|_| traced_plane()).collect();
+    /// served by plane `n % k`; returns the totals, the merged trace and
+    /// the nodes' merged counters.
+    fn run_stream(k: u32) -> (Totals, Vec<TraceEvent>, NodeStats) {
+        let mut env = Fake::default();
+        let mut planes: Vec<Plane> = (0..k).map(|p| traced_plane(|n| n % k == p)).collect();
         let (key, replica, lifetime) = (KEY, ReplicaId(0), LIFE);
         let birth = ReplicaEvent::Birth {
             key,
@@ -740,34 +795,37 @@ mod tests {
         ];
         for (client, step) in script.concat().into_iter().enumerate() {
             match step {
-                Ok(at) => post(&mut planes[at as usize % k], &mut env, at, client as u64),
+                Ok(at) => post(&mut planes[(at % k) as usize], &mut env, at, client as u64),
                 Err(event) => planes[0].replica_event(&mut env, NodeId(0), event),
             }
             env.now += SimDuration::from_secs(3);
             while !env.sent.is_empty() {
                 let (from, to, msg) = env.sent.remove(0);
-                planes[to.index() % k].receive(&mut env, from, to, msg);
+                planes[(to.0 % k) as usize].receive(&mut env, from, to, msg);
             }
         }
-        let mut merged = TraceBuf::default();
+        let (mut merged, mut stats) = (TraceBuf::default(), NodeStats::default());
         for plane in &planes {
             merged.merge(plane.trace.as_ref().unwrap());
+            stats.merge(&plane.nodes.aggregate_stats());
         }
         assert_eq!(merged.dropped(), 0);
-        (Plane::totals(&planes), merged.sorted())
+        (Plane::totals(&planes), merged.sorted(), stats)
     }
 
     #[test]
     fn a_k_way_split_merges_to_the_unsplit_metrics() {
-        let (whole, trace) = run_stream(1);
+        let (whole, trace, stats) = run_stream(1);
         assert!(whole.net.query_hops > 0 && whole.net.first_time_hops > 0);
         assert!(whole.net.refresh_hops > 0 && whole.net.delete_hops > 0);
         assert_eq!(whole.net.client_responses, 5);
         assert_eq!(whole.net.query_latency.count(), 5);
         assert!(whole.net.query_latency.quantile(999) > 0);
         assert!(trace.len() > 5, "every hop and answer traced");
+        assert_eq!(stats.client_queries, 5);
         for k in [2, 3, 6] {
-            assert_eq!(run_stream(k), (whole, trace.clone()), "{k} planes");
+            let split = run_stream(k);
+            assert_eq!(split, (whole, trace.clone(), stats.clone()), "{k} planes");
         }
     }
 }

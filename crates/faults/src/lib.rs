@@ -74,17 +74,19 @@
 //! justification hook and the handler call is as much a part of the
 //! model as the gates themselves, so this crate — the one both runtimes
 //! already share — also holds the code that runs them: [`deliver`]. A
-//! [`Plane`] owns the `FaultState`, the justification tracker and the
-//! [`NetMetrics`] sink and walks every posted query, received message,
-//! replica event and emitted action through one fixed order; a runtime
-//! implements the narrow [`Env`] trait and owns nothing else of the
-//! pipeline.
+//! [`Plane`] owns the nodes (a [`NodeArena`]), the `FaultState`, the
+//! justification tracker and the [`NetMetrics`] sink and walks every
+//! posted query, received message, replica event and emitted action
+//! through one fixed order; a runtime implements the narrow [`Env`]
+//! trait and owns nothing else of the pipeline.
 
+pub mod arena;
 pub mod deliver;
 pub mod metrics;
 pub mod plan;
 pub mod state;
 
+pub use arena::NodeArena;
 pub use deliver::{Env, Plane, RoutingFailed, Totals};
 pub use metrics::NetMetrics;
 pub use plan::{

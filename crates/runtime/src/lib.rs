@@ -8,7 +8,8 @@
 //! pluggable ([`ShardMapMode`]): balanced contiguous id ranges by
 //! default, or **overlay-aware** runs that co-locate CAN zone neighbors
 //! and Chord successor arcs so neighbor-heavy protocol traffic stays
-//! intra-shard. Each worker owns its shard's [`cup_core::CupNode`]s:
+//! intra-shard. Each worker serves its shard's [`cup_core::CupNode`]s,
+//! which live in the shard's delivery plane:
 //! intra-shard messages are handled inline through a local FIFO, and
 //! cross-shard messages are **batched** — accumulated into
 //! per-destination buffers during dispatch and flushed as whole batches
@@ -17,10 +18,10 @@
 //! amortized over whole batches instead of paid per envelope. The
 //! overlay substrate (CAN or Chord) is a constructor parameter.
 //!
-//! **Two clock modes** ([`cup_core::clock::Clock`]): the default
-//! constructors map the wall clock onto [`cup_des::SimTime`]
-//! microseconds (real time for real deployments and throughput
-//! benchmarks), while [`LiveNetwork::start_virtual`] runs on a
+//! **Two clock modes** ([`cup_core::clock::Clock`]): [`LiveNetwork::start`]
+//! maps the wall clock onto [`cup_des::SimTime`] microseconds (real time
+//! for real deployments and throughput benchmarks), while
+//! [`LiveNetwork::start_virtual_with_map`] runs on a
 //! **virtual clock** — deterministic logical time that moves only when
 //! the driver steps it via [`LiveNetwork::advance`] /
 //! [`LiveNetwork::run_until`], always at a quiesce barrier, so all
@@ -54,9 +55,10 @@
 //! consults its own before a message enters any mailbox (so `quiesce`
 //! stays exact under loss), and [`LiveNetwork::inject_fault`] scripts
 //! loss phases, partitions, and crash/restart cycles — applied to every
-//! replica between rounds; a crash wipes the node's protocol state while
-//! its counters are folded into a retained aggregate. The kernel's state
-//! (fault replica, justification windows, per-kind hop counts,
+//! replica between rounds; a crash wipes the node's protocol state right
+//! there, in the plane holding the node, while its counters are folded
+//! into that plane's retained aggregate. The kernel's state (nodes,
+//! fault replica, justification windows, per-kind hop counts,
 //! histograms) is shard-local, taken once per dispatch round and folded
 //! by the handle at read time ([`LiveNetwork::totals`]), so the
 //! per-message path takes no process-wide lock.

@@ -42,7 +42,7 @@ impl std::error::Error for RuntimeError {}
 /// A running CUP network sharded across a pool of worker threads.
 pub struct LiveNetwork {
     shared: Arc<Shared>,
-    handles: Vec<JoinHandle<Vec<CupNode>>>,
+    handles: Vec<JoinHandle<()>>,
     node_ids: Vec<NodeId>,
     next_client: AtomicU64,
     /// How long [`LiveNetwork::query`] waits for a response.
@@ -52,7 +52,8 @@ pub struct LiveNetwork {
 impl LiveNetwork {
     /// Builds an overlay of `n` nodes of the given kind and starts the
     /// runtime on the default worker count
-    /// ([`LiveNetwork::default_workers`]).
+    /// ([`LiveNetwork::default_workers`]), contiguous shards and the
+    /// wall-mapped clock.
     ///
     /// # Errors
     ///
@@ -63,86 +64,18 @@ impl LiveNetwork {
         config: NodeConfig,
         rng: &mut DetRng,
     ) -> Result<Self, RuntimeError> {
-        Self::start_with_workers(kind, n, config, Self::default_workers(), rng)
+        let (workers, map) = (Self::default_workers(), ShardMapMode::Contiguous);
+        Self::start_with_map(kind, n, config, workers, map, Clock::wall(), rng)
     }
 
-    /// Like [`LiveNetwork::start`] with an explicit worker count.
-    ///
-    /// `workers` is clamped to `1..=n` and then honored exactly: each
-    /// worker owns one shard of nodes (shard sizes differ by at most
-    /// one) under the default contiguous [`ShardMapMode`]. Runs on the
-    /// wall-mapped clock; use [`LiveNetwork::start_virtual`] for
-    /// deterministic logical time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Overlay`] if the overlay cannot be built.
-    pub fn start_with_workers(
-        kind: OverlayKind,
-        n: usize,
-        config: NodeConfig,
-        workers: usize,
-        rng: &mut DetRng,
-    ) -> Result<Self, RuntimeError> {
-        Self::start_with_clock(kind, n, config, workers, Clock::wall(), rng)
-    }
-
-    /// Like [`LiveNetwork::start_with_workers`] on a virtual clock
-    /// frozen at `SimTime::ZERO`: "now" is deterministic logical time
-    /// that moves only through [`LiveNetwork::advance`] /
-    /// [`LiveNetwork::run_until`], so every worker observes
-    /// byte-identical timestamps regardless of scheduling and all
-    /// time-compared protocol behavior (`pfu_timeout` retries,
-    /// `@t=`-windowed fault scripts) matches the DES exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Overlay`] if the overlay cannot be built.
-    pub fn start_virtual(
-        kind: OverlayKind,
-        n: usize,
-        config: NodeConfig,
-        workers: usize,
-        rng: &mut DetRng,
-    ) -> Result<Self, RuntimeError> {
-        Self::start_with_clock(
-            kind,
-            n,
-            config,
-            workers,
-            Clock::virtual_at(SimTime::ZERO),
-            rng,
-        )
-    }
-
-    /// Like [`LiveNetwork::start_with_workers`] with an explicit
-    /// [`Clock`] (wall-mapped or virtual, possibly starting mid-epoch).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Overlay`] if the overlay cannot be built.
-    pub fn start_with_clock(
-        kind: OverlayKind,
-        n: usize,
-        config: NodeConfig,
-        workers: usize,
-        clock: Clock,
-        rng: &mut DetRng,
-    ) -> Result<Self, RuntimeError> {
-        Self::start_with_map(
-            kind,
-            n,
-            config,
-            workers,
-            ShardMapMode::Contiguous,
-            clock,
-            rng,
-        )
-    }
-
-    /// Like [`LiveNetwork::start_virtual`] with an explicit
-    /// [`ShardMapMode`] — the constructor the conformance harness uses
-    /// to prove sharding invisible across placement modes.
+    /// Like [`LiveNetwork::start_with_map`] on a virtual clock frozen at
+    /// `SimTime::ZERO`: "now" is deterministic logical time that moves
+    /// only through [`LiveNetwork::advance`] / [`LiveNetwork::run_until`],
+    /// so every worker observes byte-identical timestamps regardless of
+    /// scheduling and all time-compared protocol behavior (`pfu_timeout`
+    /// retries, `@t=`-windowed fault scripts) matches the DES exactly —
+    /// the constructor the conformance harness uses to prove sharding
+    /// invisible across placement modes.
     ///
     /// # Errors
     ///
@@ -155,20 +88,18 @@ impl LiveNetwork {
         map: ShardMapMode,
         rng: &mut DetRng,
     ) -> Result<Self, RuntimeError> {
-        Self::start_with_map(
-            kind,
-            n,
-            config,
-            workers,
-            map,
-            Clock::virtual_at(SimTime::ZERO),
-            rng,
-        )
+        let clock = Clock::virtual_at(SimTime::ZERO);
+        Self::start_with_map(kind, n, config, workers, map, clock, rng)
     }
 
     /// The fully explicit constructor: overlay kind, population, worker
-    /// count, node→shard placement mode, and clock. Every other `start_*`
-    /// delegates here.
+    /// count, node→shard placement mode, and clock (wall-mapped or
+    /// virtual, possibly starting mid-epoch). The other two delegate
+    /// here.
+    ///
+    /// `workers` is clamped to `1..=n` and then honored exactly: each
+    /// worker serves one shard of nodes (shard sizes differ by at most
+    /// one).
     ///
     /// # Errors
     ///
@@ -198,12 +129,6 @@ impl LiveNetwork {
         let shared = Arc::new(Shared::new(map, overlay, config, clock));
         let mut handles = Vec::with_capacity(workers);
         for shard in 0..workers {
-            let nodes: Vec<CupNode> = shared
-                .map
-                .owned(shard)
-                .iter()
-                .map(|&id| CupNode::new(id, config))
-                .collect();
             let shared = Arc::clone(&shared);
             #[expect(
                 clippy::expect_used,
@@ -211,7 +136,7 @@ impl LiveNetwork {
             )]
             let handle = std::thread::Builder::new()
                 .name(format!("cup-shard-{shard}"))
-                .spawn(move || worker_main(shard, nodes, shared))
+                .spawn(move || worker_main(shard, shared))
                 .expect("worker thread must spawn");
             handles.push(handle);
         }
@@ -241,9 +166,9 @@ impl LiveNetwork {
     }
 
     // Metric-accessor policy: every reading is shard-local state (the
-    // delivery kernel's `Plane` — hops by kind, justification, fault
-    // counters, stale sums, histograms, routing failures, the trace ring
-    // — plus crash-retained stats and the batch-plane counters), plain
+    // delivery kernel's `Plane` — node counters, hops by kind,
+    // justification, fault counters, stale sums, histograms, routing
+    // failures, the trace ring — plus the batch-plane counters), plain
     // data inside each shard's `ShardLocal`. A reading takes every
     // shard's lock (`Shared::lock_locals`, granted at round boundaries)
     // and folds with exact merges — `Plane::totals`, `Hist::merge`,
@@ -348,16 +273,18 @@ impl LiveNetwork {
     }
 
     /// Applies one fault action to the live plane: loss rates and
-    /// partitions take effect on the next send; a crash additionally
-    /// wipes the node's protocol state via its owner shard (quiesce
-    /// afterwards to observe the completed wipe).
+    /// partitions take effect on the next send; a crash also wipes the
+    /// node's protocol state before this returns (its counters stay in
+    /// [`LiveNetwork::node_stats`]), so nothing still in flight toward
+    /// the node can reach its pre-crash state, as in the DES.
     ///
     /// The action is applied to every shard's replica while every
     /// shard's lock is held — between rounds everywhere — so the
     /// replicas' epochs stay equal and no worker ever rolls a verdict
-    /// against a half-applied plane. Workers consult their replica only
-    /// while some fault is in effect, so a fully healed network (loss 0,
-    /// no partition, everyone restarted) pays nothing per send again.
+    /// against a half-applied plane. Only the plane holding a crashed
+    /// node resets it. Workers consult their replica only while some
+    /// fault is in effect, so a fully healed network (loss 0, no
+    /// partition, everyone restarted) pays nothing per send again.
     ///
     /// An action naming a node outside the population (a crash, restart
     /// or behavior of node `n >= nodes().len()`) is dropped before it
@@ -370,18 +297,8 @@ impl LiveNetwork {
         {
             return;
         }
-        // Replicas hold identical tables, so they all agree on whether
-        // the action changed anything.
-        let mut changed = false;
         for local in &mut self.shared.lock_locals() {
-            changed = local.plane.apply(action);
-        }
-        if let FaultAction::Crash { node } = action {
-            if changed {
-                let at = NodeId(node as u32);
-                self.shared
-                    .post(self.shared.shard_of(at), Envelope::CrashReset { at });
-            }
+            local.plane.apply(action);
         }
     }
 
@@ -434,13 +351,14 @@ impl LiveNetwork {
         Some(merged)
     }
 
-    /// Protocol counters retained from crashed nodes (the live mirror of
-    /// the DES arena's departed-stats aggregate; crash wipes must not
-    /// lose history from network-wide statistics).
-    pub fn crash_retained_stats(&self) -> NodeStats {
+    /// Every node's protocol counters plus those its crashes wiped,
+    /// folded across the shards — the live mirror of
+    /// `ExperimentResult::nodes`. Call after [`LiveNetwork::quiesce`] for
+    /// a stable reading.
+    pub fn node_stats(&self) -> NodeStats {
         let mut merged = NodeStats::default();
         for local in &self.shared.lock_locals() {
-            merged.merge(&local.crash_retained);
+            merged.merge(&local.plane.nodes.aggregate_stats());
         }
         merged
     }
@@ -535,7 +453,7 @@ impl LiveNetwork {
 
     fn send_replica(&self, event: ReplicaEvent) {
         let authority = self.shared.overlay.authority(event.key());
-        let shard = self.shared.shard_of(authority);
+        let shard = self.shared.map.shard_of(authority);
         self.shared.post(
             shard,
             Envelope::Replica {
@@ -580,7 +498,7 @@ impl LiveNetwork {
             return Err(RuntimeError::UnknownNode(node));
         }
         let client = ClientId(self.next_client.fetch_add(1, Ordering::Relaxed));
-        let shard = self.shared.shard_of(node);
+        let shard = self.shared.map.shard_of(node);
         // Registered with its posted time (so wall-clock latency
         // includes queue wait) in the posting node's shard — the only
         // shard that ever answers this client.
@@ -606,23 +524,25 @@ impl LiveNetwork {
     /// every node, in node-id order (useful for inspecting per-node
     /// statistics). Implies [`LiveNetwork::quiesce`], so all previously
     /// injected traffic is fully processed in the returned states.
-    /// Counters wiped by crashes are available separately through
-    /// [`LiveNetwork::crash_retained_stats`].
+    /// Counters wiped by crashes are not in them; read
+    /// [`LiveNetwork::node_stats`] before shutting down for the total.
     pub fn shutdown(self) -> Vec<CupNode> {
         self.quiesce();
         for inbox in &self.shared.inboxes {
             inbox.shutdown();
         }
-        let mut nodes = Vec::with_capacity(self.node_ids.len());
         for handle in self.handles {
             #[expect(
                 clippy::expect_used,
                 reason = "shutdown, after the last quiesce: surfacing a worker panic to the caller is the report, not a degradation"
             )]
-            nodes.extend(handle.join().expect("worker thread must not panic"));
+            handle.join().expect("worker thread must not panic");
         }
-        // Overlay-aware shards own non-contiguous id sets, so the
-        // concatenation above is not id-sorted in every mode.
+        let mut nodes = Vec::with_capacity(self.node_ids.len());
+        for local in &mut self.shared.lock_locals() {
+            nodes.append(&mut std::mem::take(&mut local.plane.nodes).into_nodes());
+        }
+        // Neither shard order nor slab order is id order.
         nodes.sort_unstable_by_key(|n| n.id().index());
         nodes
     }
@@ -673,11 +593,23 @@ mod tests {
 
     const LIFE: SimDuration = SimDuration::from_secs(60);
 
+    /// A network of `n` nodes over `workers` contiguous shards, its
+    /// overlay built from `seed`.
+    fn start(kind: OverlayKind, n: usize, workers: usize, clock: Clock, seed: u64) -> LiveNetwork {
+        let (config, map) = (NodeConfig::cup_default(), ShardMapMode::Contiguous);
+        let mut rng = DetRng::seed_from(seed);
+        LiveNetwork::start_with_map(kind, n, config, workers, map, clock, &mut rng).unwrap()
+    }
+
     /// A 4-worker network (forcing cross-shard traffic even on small
     /// populations and single-core CI runners).
     fn network(kind: OverlayKind, n: usize) -> LiveNetwork {
-        let mut rng = DetRng::seed_from(11);
-        LiveNetwork::start_with_workers(kind, n, NodeConfig::cup_default(), 4, &mut rng).unwrap()
+        start(kind, n, 4, Clock::wall(), 11)
+    }
+
+    /// A network like [`start`]'s on a virtual clock.
+    fn virtual_network(kind: OverlayKind, n: usize, workers: usize, seed: u64) -> LiveNetwork {
+        start(kind, n, workers, Clock::virtual_at(SimTime::ZERO), seed)
     }
 
     #[test]
@@ -774,15 +706,7 @@ mod tests {
 
     #[test]
     fn worker_count_is_clamped_to_population() {
-        let mut rng = DetRng::seed_from(3);
-        let net = LiveNetwork::start_with_workers(
-            OverlayKind::Can,
-            3,
-            NodeConfig::cup_default(),
-            64,
-            &mut rng,
-        )
-        .unwrap();
+        let net = start(OverlayKind::Can, 3, 64, Clock::wall(), 3);
         assert_eq!(net.workers(), 3);
         net.shutdown();
     }
@@ -792,15 +716,7 @@ mod tests {
         // 16 nodes over 7 workers does not divide evenly; the balanced
         // partition must still produce exactly 7 shards covering every
         // node exactly once.
-        let mut rng = DetRng::seed_from(5);
-        let net = LiveNetwork::start_with_workers(
-            OverlayKind::Can,
-            16,
-            NodeConfig::cup_default(),
-            7,
-            &mut rng,
-        )
-        .unwrap();
+        let net = start(OverlayKind::Can, 16, 7, Clock::wall(), 5);
         assert_eq!(net.workers(), 7);
         net.replica_birth(KeyId(1), ReplicaId(0), LIFE);
         net.quiesce();
@@ -877,15 +793,7 @@ mod tests {
 
     #[test]
     fn single_worker_networks_never_batch() {
-        let mut rng = DetRng::seed_from(29);
-        let net = LiveNetwork::start_with_workers(
-            OverlayKind::Can,
-            16,
-            NodeConfig::cup_default(),
-            1,
-            &mut rng,
-        )
-        .unwrap();
+        let net = start(OverlayKind::Can, 16, 1, Clock::wall(), 29);
         net.replica_birth(KeyId(1), ReplicaId(0), LIFE);
         net.quiesce();
         net.query(net.nodes()[7], KeyId(1)).unwrap();
@@ -977,11 +885,24 @@ mod tests {
         let entries = net.query(victim, KeyId(1)).unwrap();
         assert_eq!(entries.len(), 1);
         net.quiesce();
+        let before = net.node_stats();
+        assert_eq!(before.client_queries, 1);
         // Crash the node: queries at it are swallowed, traffic to it is
-        // dropped.
+        // dropped. Its counters are wiped from it but not from the
+        // network's.
         net.inject_fault(FaultAction::Crash {
             node: victim.index(),
         });
+        // Wiped inside `inject_fault`, under the shard locks: no barrier,
+        // no queued envelope, so nothing delivered later (a restart
+        // right behind it included) can reach the pre-crash state.
+        {
+            let locals = net.shared.lock_locals();
+            let node = locals.iter().find_map(|l| l.plane.nodes.get(victim));
+            let node = node.expect("the owner's plane holds the node");
+            assert!(node.stats == NodeStats::default() && node.key_state(KeyId(1)).is_none());
+        }
+        assert_eq!(net.node_stats(), before, "conserved across the crash");
         net.quiesce();
         let pending = net.query_detached(victim, KeyId(1)).unwrap();
         net.quiesce();
@@ -993,7 +914,7 @@ mod tests {
         assert_eq!(net.totals().net.faults.crashes, 1);
         // Restart: the node is reachable again, but cold — its next
         // answer needs a fresh upstream fetch, and its pre-crash
-        // counters moved to the retained aggregate.
+        // counters stay with the network, not with the node.
         net.inject_fault(FaultAction::Restart {
             node: victim.index(),
         });
@@ -1001,8 +922,14 @@ mod tests {
         let entries = net.query(victim, KeyId(1)).unwrap();
         assert_eq!(entries.len(), 1, "restarted node re-fetches and answers");
         assert_eq!(net.totals().net.faults.restarts, 1);
-        assert!(net.crash_retained_stats().client_queries >= 1);
-        net.shutdown();
+        let after = net.node_stats();
+        assert_eq!(after.client_queries, 2);
+        assert_eq!(after.first_time_misses, before.first_time_misses + 1);
+        let nodes = net.shutdown();
+        let cold = &nodes[victim.index()].stats;
+        assert_eq!((cold.client_queries, cold.first_time_misses), (1, 1));
+        let held: u64 = nodes.iter().map(|n| n.stats.client_queries).sum();
+        assert_eq!(held, 1, "the pre-crash query is retained, not held");
     }
 
     #[test]
@@ -1022,9 +949,7 @@ mod tests {
 
     #[test]
     fn a_crashed_nodes_histograms_fold_into_the_retained_aggregate() {
-        let mut rng = DetRng::seed_from(13);
-        let config = NodeConfig::cup_default();
-        let net = LiveNetwork::start_virtual(OverlayKind::Can, 16, config, 2, &mut rng).unwrap();
+        let net = virtual_network(OverlayKind::Can, 16, 2, 13);
         net.enable_faults(5);
         net.replica_birth(KeyId(1), ReplicaId(0), SimDuration::from_secs(3600));
         net.quiesce();
@@ -1042,31 +967,36 @@ mod tests {
             assert_eq!(net.query(node, KeyId(1)).unwrap().len(), 1);
         }
         drop(stranded);
+        let before = net.node_stats();
+        assert_eq!(before.pfu_retries, 15, "one per non-authority node");
+        assert_eq!(before.pfu_retry_age.count(), 15);
+        // Every retry waited out the timeout, so every age lies in the
+        // same window, and so does every retained one.
+        let ages = before.pfu_retry_age.to_hist();
+        for permille in [0, 500, 1000] {
+            let age = ages.quantile(permille);
+            assert!((24_000_000..=31_000_000).contains(&age), "{age} µs");
+        }
         // Crash half the nodes: at least seven of them hold a sample.
         for node in 0..8 {
             net.inject_fault(FaultAction::Crash { node });
         }
         net.quiesce();
-        let retained = net.crash_retained_stats();
-        assert!(
-            retained.pfu_retries >= 7,
-            "{} retries",
-            retained.pfu_retries
-        );
-        assert_eq!(retained.pfu_retry_age.count(), retained.pfu_retries);
-        let median_age = retained.pfu_retry_age.to_hist().quantile(500);
-        assert!(
-            (24_000_000..=31_000_000).contains(&median_age),
-            "{median_age} µs"
-        );
-        // Nothing was lost and nothing doubled: the crashed nodes came
-        // back with empty histograms, the others kept theirs.
-        let mut total = retained;
-        for node in net.shutdown() {
-            total.merge(&node.stats);
+        // Nothing was lost and nothing doubled: the network keeps every
+        // sample, the crashed nodes came back with empty histograms, the
+        // others kept theirs.
+        let after = net.node_stats();
+        assert_eq!(after, before, "conserved across the crashes");
+        let nodes = net.shutdown();
+        assert!(nodes[..8].iter().all(|n| n.stats == NodeStats::default()));
+        let mut held = NodeStats::default();
+        for node in &nodes[8..] {
+            held.merge(&node.stats);
         }
-        assert_eq!(total.pfu_retries, 15, "one per non-authority node");
-        assert_eq!(total.pfu_retry_age.count(), 15);
+        let retained = after.pfu_retries - held.pfu_retries;
+        assert!(retained >= 7, "{retained} retries");
+        let retained_samples = after.pfu_retry_age.count() - held.pfu_retry_age.count();
+        assert_eq!(retained_samples, retained);
     }
 
     #[test]
@@ -1207,15 +1137,7 @@ mod tests {
         // PFU timeout retrying on the next miss. On the virtual clock
         // the paper-default 30 s timeout is stepped over *exactly* —
         // no short timeout, no wall-clock wait, no race on slow CI.
-        let mut rng = DetRng::seed_from(11);
-        let net = LiveNetwork::start_virtual(
-            OverlayKind::Chord,
-            32,
-            NodeConfig::cup_default(),
-            4,
-            &mut rng,
-        )
-        .unwrap();
+        let net = virtual_network(OverlayKind::Chord, 32, 4, 11);
         net.enable_faults(11);
         for k in 0..4 {
             net.replica_birth(KeyId(k), ReplicaId(k), SimDuration::from_secs(3600));
@@ -1253,15 +1175,7 @@ mod tests {
 
     #[test]
     fn virtual_clock_steps_only_at_barriers() {
-        let mut rng = DetRng::seed_from(7);
-        let net = LiveNetwork::start_virtual(
-            OverlayKind::Can,
-            16,
-            NodeConfig::cup_default(),
-            4,
-            &mut rng,
-        )
-        .unwrap();
+        let net = virtual_network(OverlayKind::Can, 16, 4, 7);
         assert!(net.is_virtual_clock());
         assert_eq!(net.now(), SimTime::ZERO);
         net.replica_birth(KeyId(1), ReplicaId(0), SimDuration::from_secs(60));
@@ -1283,15 +1197,7 @@ mod tests {
     fn virtual_clock_expires_entries_deterministically() {
         // Freshness on the virtual clock is exact: one step to just
         // before the lifetime edge still hits, one past it misses.
-        let mut rng = DetRng::seed_from(13);
-        let net = LiveNetwork::start_virtual(
-            OverlayKind::Can,
-            16,
-            NodeConfig::cup_default(),
-            2,
-            &mut rng,
-        )
-        .unwrap();
+        let net = virtual_network(OverlayKind::Can, 16, 2, 13);
         net.replica_birth(KeyId(1), ReplicaId(0), SimDuration::from_secs(60));
         net.quiesce();
         // A non-authority node: the authority answers from its directory

@@ -3,16 +3,17 @@
 //! The node population is cut into shards by a [`crate::ShardMap`]
 //! (balanced contiguous ranges by default, overlay-locality runs in
 //! [`crate::ShardMapMode::OverlayAware`] mode); one OS worker thread
-//! owns each shard's [`CupNode`]s. A message whose target lives on the
-//! same shard is handled inline through a local FIFO (no queue
-//! round-trip); a cross-shard message is *batched*: the sending worker
+//! serves each shard's [`CupNode`]s, which live in the shard's [`Plane`].
+//! A message whose target lives on the same shard is handled inline
+//! through a local FIFO (no queue round-trip); a cross-shard message is
+//! *batched*: the sending worker
 //! accumulates envelopes into per-destination `Vec` buffers during
 //! dispatch and flushes whole batches into per-(sender, receiver)
 //! swap-buffer slots at loop boundaries, so queue locking and the
 //! atomic in-flight counter are paid once per batch, not once per
 //! envelope. Control traffic from the runtime handle (client queries,
-//! replica events and deaths, crash resets) goes through a small
-//! per-shard inbox queue next to the slots.
+//! replica events and deaths) goes through a small per-shard inbox queue
+//! next to the slots.
 //!
 //! The in-flight counter still brackets every envelope from enqueue to
 //! fully-dispatched — one `fetch_add(batch_len)` when a batch is
@@ -29,20 +30,22 @@
 //! children — hop charge, fault gates, trace, justification, handler,
 //! loss roll, answer accounting — is the shared delivery kernel's
 //! ([`cup_faults::deliver`]); a worker is that kernel's [`Env`]: the
-//! clock, the static overlay, its shard's nodes, the inline FIFO and the
-//! outboxes as `enqueue`, the client registry, the per-shard split of a
-//! posted query's virtual path. The kernel's state is shard-local too.
-//! Each shard has one [`ShardLocal`] — its [`Plane`] (a replica of the
-//! fault plane, its slice of the justification tracker, its metrics
-//! sink, its trace ring, its copy of the staleness ground truth),
-//! crash-retained counters and the batch-plane counters — whose mutex
-//! the shard's worker takes once per dispatch round, so the per-message
-//! path reads and writes plain fields and touches no lock or atomic
-//! another shard also touches. The runtime handle is the only other
-//! party: it takes every shard's lock to apply a fault action to all
-//! replicas at once, to switch tracing, and to fold the shards with
-//! exact merges when a counter, histogram or trace is read. What a shard
-//! cannot see from its own traffic — a replica's death, which happens at
+//! clock, the static overlay, the inline FIFO and the outboxes as
+//! `enqueue`, the client registry, the per-shard split of a posted
+//! query's virtual path. The kernel's state is shard-local too. Each
+//! shard has one [`ShardLocal`] — its [`Plane`] (the shard's nodes, a
+//! replica of the fault plane, its slice of the justification tracker,
+//! its metrics sink, its trace ring, its copy of the staleness ground
+//! truth) and the batch-plane counters — whose mutex the shard's worker
+//! takes once per dispatch round, so the per-message path reads and
+//! writes plain fields and touches no lock or atomic another shard also
+//! touches. The runtime handle is the only other party: it takes every
+//! shard's lock to apply a fault action to all replicas at once — a
+//! crash wipes its node right there, in the one plane holding it, so no
+//! message queued behind the crash can reach the pre-crash state — to
+//! switch tracing, and to fold the shards with exact merges when a
+//! counter, histogram or trace is read. What a shard cannot see from its
+//! own traffic — a replica's death, which happens at
 //! the key's authority — the handle posts to every shard's inbox
 //! ([`Envelope::Death`]). The client registry
 //! ([`Clients`]) is per shard as well but sits behind its own small
@@ -57,10 +60,9 @@ use std::time::Duration;
 
 use cup_core::clock::Clock;
 use cup_core::obs::Hist;
-use cup_core::stats::NodeStats;
 use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
-use cup_faults::{Env, Plane, RoutingFailed};
+use cup_faults::{Env, NodeArena, Plane, RoutingFailed};
 use cup_overlay::{AnyOverlay, Overlay};
 
 use crate::shard_map::ShardMap;
@@ -105,13 +107,6 @@ pub(crate) enum Envelope {
         /// When it died.
         at: SimTime,
     },
-    /// Fault plane: wipe `at`'s protocol state (a crash). The node comes
-    /// back cold; its counters are folded into the crash-retained
-    /// aggregate so network-wide statistics stay conserved.
-    CrashReset {
-        /// The crashing node (owned by this shard).
-        at: NodeId,
-    },
     /// Justification plane: a client query for `key` was posted at `now`
     /// on another shard, and the first `len` of `nodes` are nodes of its
     /// virtual path this shard owns — their open windows become
@@ -140,7 +135,7 @@ const MARK_NODES: usize = 8;
 const _: () = assert!(std::mem::size_of::<Envelope>() == 72);
 
 /// A shard's control inbox: the queue the runtime handle posts into
-/// (client queries, replica events and deaths, crash resets), plus the
+/// (client queries, replica events and deaths), plus the
 /// flags that park and wake the worker. Batched peer traffic does *not*
 /// travel through here — it sits in [`TransferSlot`]s and only raises
 /// `dirty`.
@@ -222,6 +217,8 @@ struct TransferSlot {
 pub(crate) struct ShardLocal {
     /// The delivery kernel's state for this shard's nodes:
     ///
+    /// * `nodes` holds the nodes [`ShardMap::owned`] gives this shard,
+    ///   and the counters of their crashed selves;
     /// * `faults` is a replica of one logical plane — same seed, every
     ///   action applied to every replica under all the locks — whose
     ///   only per-message mutable input, the per-link sequence number,
@@ -240,9 +237,6 @@ pub(crate) struct ShardLocal {
     /// folded with [`cup_core::obs::TraceBuf::merge`] when the trace is
     /// taken; its `deaths` learn every death from [`Envelope::Death`].
     pub(crate) plane: Plane,
-    /// Counters retained from this shard's crashed nodes (the live
-    /// mirror of the DES arena's departed-stats aggregate).
-    pub(crate) crash_retained: NodeStats,
     /// Peer messages this shard's nodes sent across a shard boundary (a
     /// subset of the hops), charged when their batch is flushed.
     pub(crate) cross_shard: u64,
@@ -396,9 +390,6 @@ pub(crate) struct Shared {
     /// virtual (stepped at quiesce barriers) for deterministic runs —
     /// see [`cup_core::clock`].
     pub(crate) clock: Clock,
-    /// The node configuration every node was built with (crash resets
-    /// rebuild cold nodes from it).
-    pub(crate) config: NodeConfig,
     /// In-flight envelopes: incremented before an envelope (or a whole
     /// batch of them) enters an inbox or transfer slot, decremented
     /// after the receiving worker fully dispatched it — including its
@@ -415,6 +406,9 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// The shared state of a pool over `map`'s shards, each shard's plane
+    /// holding a fresh node, configured with `config`, for every id the
+    /// shard owns.
     pub(crate) fn new(
         map: ShardMap,
         overlay: AnyOverlay,
@@ -422,6 +416,15 @@ impl Shared {
         clock: Clock,
     ) -> Self {
         let shards = map.shards();
+        let locals = (0..shards)
+            .map(|shard| {
+                Mutex::new(ShardLocal {
+                    plane: Plane::new(NodeArena::build(map.owned(shard), config)),
+                    cross_shard: 0,
+                    batch_sizes: Hist::default(),
+                })
+            })
+            .collect();
         Shared {
             inboxes: (0..shards).map(|_| Inbox::new()).collect(),
             slots: (0..shards * shards)
@@ -432,18 +435,8 @@ impl Shared {
             map,
             overlay,
             clients: (0..shards).map(|_| Clients::new()).collect(),
-            locals: (0..shards)
-                .map(|_| {
-                    Mutex::new(ShardLocal {
-                        plane: Plane::default(),
-                        crash_retained: NodeStats::default(),
-                        cross_shard: 0,
-                        batch_sizes: Hist::default(),
-                    })
-                })
-                .collect(),
+            locals,
             clock,
-            config,
             pending: atomic::AtomicU64::new(0),
             panicked: AtomicUsize::new(NO_PANIC),
             idle_lock: Mutex::new(()),
@@ -454,11 +447,6 @@ impl Shared {
     /// The live clock's current time (wall-mapped or virtual).
     pub(crate) fn now(&self) -> SimTime {
         self.clock.now()
-    }
-
-    /// The shard owning `node` — an O(1) [`ShardMap`] table lookup.
-    pub(crate) fn shard_of(&self, node: NodeId) -> usize {
-        self.map.shard_of(node)
     }
 
     /// Posts one control envelope to `shard`'s inbox, tracking it as
@@ -573,11 +561,10 @@ impl Shared {
     }
 }
 
-/// One worker thread's state: its shard of nodes plus reusable buffers.
+/// One worker thread's state: its shard's transport plus reusable
+/// buffers (the shard's nodes are in its [`ShardLocal`]'s plane).
 struct Worker {
     shard: usize,
-    /// This shard's nodes, indexed by [`ShardMap::slot_of`].
-    nodes: Vec<CupNode>,
     shared: Arc<Shared>,
     /// Intra-shard messages handled inline, FIFO (to, from, msg).
     local: VecDeque<(NodeId, NodeId, Message)>,
@@ -635,9 +622,8 @@ const CONTROL_QUANTUM: usize = 64;
 /// The worker thread body: rounds of (park until work → take the shard's
 /// [`ShardLocal`] → pull in control envelopes and batch slots → dispatch
 /// incoming, then one control quantum → flush outbound batches →
-/// release the `ShardLocal` → retire the consumed count) until shutdown,
-/// then hand the shard's final node states back.
-pub(crate) fn worker_main(shard: usize, nodes: Vec<CupNode>, shared: Arc<Shared>) -> Vec<CupNode> {
+/// release the `ShardLocal` → retire the consumed count) until shutdown.
+pub(crate) fn worker_main(shard: usize, shared: Arc<Shared>) {
     let guard = PanicGuard {
         shard,
         shared: Arc::clone(&shared),
@@ -645,7 +631,6 @@ pub(crate) fn worker_main(shard: usize, nodes: Vec<CupNode>, shared: Arc<Shared>
     let shards = shared.map.shards();
     let mut worker = Worker {
         shard,
-        nodes,
         shared: Arc::clone(&shared),
         local: VecDeque::new(),
         control: VecDeque::new(),
@@ -701,7 +686,6 @@ pub(crate) fn worker_main(shard: usize, nodes: Vec<CupNode>, shared: Arc<Shared>
         shared.finish_n(consumed);
     }
     drop(guard);
-    worker.nodes
 }
 
 impl Worker {
@@ -761,12 +745,6 @@ impl Worker {
     /// *buffered* here; the caller flushes them at the round boundary.
     fn dispatch(&mut self, state: &mut ShardLocal, env: Envelope) {
         match env {
-            Envelope::CrashReset { at } => {
-                let idx = self.shared.map.slot_of(at);
-                let cold = CupNode::new(at, self.shared.config);
-                let dead = std::mem::replace(&mut self.nodes[idx], cold);
-                state.crash_retained.merge(&dead.stats);
-            }
             Envelope::Peer { to, from, msg } => state.plane.receive(self, from, to, msg),
             Envelope::JustifyMark {
                 key,
@@ -781,7 +759,9 @@ impl Worker {
         while !self.local.is_empty() {
             let group = self.local.len().min(CupNode::LOOKAHEAD);
             for (to, _, msg) in self.local.iter().take(group) {
-                self.nodes[self.shared.map.slot_of(*to)].touch_key(msg.key());
+                if let Some(node) = state.plane.nodes.get(*to) {
+                    node.touch_key(msg.key());
+                }
             }
             // Children join the back of the FIFO, so handling the group
             // front first is exactly the one-at-a-time order.
@@ -808,15 +788,11 @@ impl Env for Worker {
         overlay.next_hop(at, key).map_err(|_| RoutingFailed)
     }
 
-    fn node_mut(&mut self, id: NodeId) -> &mut CupNode {
-        &mut self.nodes[self.shared.map.slot_of(id)]
-    }
-
     /// Intra-shard sends join the inline FIFO, cross-shard sends the
     /// destination's outbound buffer (flushed at the round boundary).
     /// The live runtime has no modeled latency to scale.
     fn enqueue(&mut self, from: NodeId, to: NodeId, msg: Message, _latency_factor: f64) {
-        let shard = self.shared.shard_of(to);
+        let shard = self.shared.map.shard_of(to);
         if shard == self.shard {
             self.local.push_back((to, from, msg));
         } else {
@@ -849,7 +825,7 @@ impl Env for Worker {
             return &[];
         }
         for &node in &self.path {
-            self.path_split[self.shared.shard_of(node)].push(node);
+            self.path_split[self.shared.map.shard_of(node)].push(node);
         }
         for (shard, nodes) in self.path_split.iter_mut().enumerate() {
             if shard == self.shard || nodes.is_empty() {

@@ -10,8 +10,10 @@
 //! arcs stay together; CAN: Morton/Z-order of the zone center, so zone
 //! neighbors cluster) and cuts the *sorted* order into the same balanced
 //! runs. Either way the map is a static table built once at start-up:
-//! `shard_of`/`slot_of` are O(1) dense-vector lookups on the hot path,
-//! and shard sizes still differ by at most one node.
+//! `shard_of` is an O(1) dense-vector lookup on the hot path, and shard
+//! sizes still differ by at most one node. Where a node sits inside its
+//! shard is the shard's node arena's business
+//! ([`cup_faults::NodeArena`], built from [`ShardMap::owned`]).
 
 use cup_des::NodeId;
 use cup_overlay::{AnyOverlay, Overlay};
@@ -30,17 +32,14 @@ pub enum ShardMapMode {
 
 cup_core::string_surface!(ShardMapMode { Contiguous => "contiguous", OverlayAware => "overlay-aware" });
 
-/// A frozen node→shard assignment: which shard owns each node, and at
-/// which slot of that shard's dense node vector it lives. Built once at
-/// start-up; shared read-only by every worker afterwards.
+/// A frozen node→shard assignment: which shard owns each node. Built
+/// once at start-up; shared read-only by every worker afterwards.
 pub struct ShardMap {
     mode: ShardMapMode,
     shards: usize,
     /// Owning shard per node id (dense, ids `0..population`).
     shard_of: Vec<u32>,
-    /// Index into the owning shard's node vector, per node id.
-    slot_of: Vec<u32>,
-    /// Per shard: the node ids it owns, in slot order.
+    /// Per shard: the node ids it owns, in locality order.
     owned: Vec<Vec<NodeId>>,
 }
 
@@ -64,15 +63,13 @@ impl ShardMap {
             }
         };
         let mut shard_of = vec![0u32; population];
-        let mut slot_of = vec![0u32; population];
         let mut owned = Vec::with_capacity(shards);
         for shard in 0..shards {
             let lo = Self::cut(population, shards, shard);
             let hi = Self::cut(population, shards, shard + 1);
             let mut own = Vec::with_capacity(hi - lo);
-            for (slot, &id) in order[lo..hi].iter().enumerate() {
+            for &id in &order[lo..hi] {
                 shard_of[id as usize] = shard as u32;
-                slot_of[id as usize] = slot as u32;
                 own.push(NodeId(id));
             }
             owned.push(own);
@@ -81,7 +78,6 @@ impl ShardMap {
             mode,
             shards,
             shard_of,
-            slot_of,
             owned,
         }
     }
@@ -118,12 +114,8 @@ impl ShardMap {
         self.shard_of[node.index()] as usize
     }
 
-    /// `node`'s position in its owning shard's node vector.
-    pub fn slot_of(&self, node: NodeId) -> usize {
-        self.slot_of[node.index()] as usize
-    }
-
-    /// The node ids `shard` owns, in slot order.
+    /// The node ids `shard` owns, in locality order (for a contiguous
+    /// map, id order).
     pub fn owned(&self, shard: usize) -> &[NodeId] {
         &self.owned[shard]
     }
@@ -172,7 +164,9 @@ fn spread(v: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cup_core::{CupNode, NodeConfig};
     use cup_des::DetRng;
+    use cup_faults::NodeArena;
     use cup_overlay::OverlayKind;
 
     fn overlay(kind: OverlayKind, n: usize) -> AnyOverlay {
@@ -188,16 +182,41 @@ mod tests {
                 let map = ShardMap::build(mode, &ov, 5);
                 let mut seen = [false; 37];
                 for shard in 0..map.shards() {
-                    for (slot, &id) in map.owned(shard).iter().enumerate() {
+                    for &id in map.owned(shard) {
                         assert!(!seen[id.index()], "{kind}/{mode}: {id} owned twice");
                         seen[id.index()] = true;
                         assert_eq!(map.shard_of(id), shard);
-                        assert_eq!(map.slot_of(id), slot);
                     }
                 }
                 assert!(seen.iter().all(|&s| s), "{kind}/{mode}: node unowned");
             }
         }
+    }
+
+    #[test]
+    fn an_overlay_aware_shards_arena_answers_only_for_the_ids_it_owns() {
+        let ov = overlay(OverlayKind::Chord, 37);
+        let map = ShardMap::build(ShardMapMode::OverlayAware, &ov, 3);
+        let own = map.owned(1);
+        let span = own.iter().max().unwrap().0 - own.iter().min().unwrap().0;
+        assert!(span as usize >= own.len(), "not an id range: {own:?}");
+        let mut arena = NodeArena::build(own, NodeConfig::cup_default());
+        for (i, &id) in own.iter().enumerate() {
+            arena.get_mut(id).unwrap().stats.client_queries = i as u64 + 1;
+        }
+        let before = arena.aggregate_stats();
+        let (gone, wiped) = (own[0], own[own.len() / 2]);
+        for round in 0..2 {
+            let holds = |id| map.shard_of(id) == 1 && (round == 0 || id != gone);
+            for id in (0..37).map(NodeId) {
+                assert_eq!(arena.get(id).map(CupNode::id), holds(id).then_some(id));
+            }
+            // A swap-remove and a reset, each keeping every counter.
+            assert_eq!(arena.remove(gone).is_some(), round == 0);
+            assert!(arena.reset(wiped));
+            assert_eq!(arena.aggregate_stats(), before, "conserved");
+        }
+        assert_eq!(arena.get(wiped).unwrap().stats.client_queries, 0);
     }
 
     #[test]

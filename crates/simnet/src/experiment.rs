@@ -188,7 +188,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     let totals = Plane::totals([&net.plane]);
     ExperimentResult {
         net: totals.net,
-        nodes: net.aggregate_stats(),
+        nodes: net.plane.nodes.aggregate_stats(),
         justified_updates: totals.justified,
         tracked_updates: totals.tracked,
         node_count,

@@ -30,7 +30,6 @@
 
 #![deny(clippy::iter_over_hash_type)]
 
-pub mod arena;
 pub mod event;
 pub mod experiment;
 pub mod metrics;
@@ -41,7 +40,6 @@ pub mod sweeps;
 
 pub use cup_core::justify;
 
-pub use arena::NodeArena;
 pub use event::Ev;
 pub use experiment::{run_experiment, ExperimentConfig};
 pub use metrics::{ExperimentResult, NetMetrics};

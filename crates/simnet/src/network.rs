@@ -4,14 +4,16 @@
 //! children — hop charge, fault gates, trace, justification, handler,
 //! loss roll, answer accounting — is the shared delivery kernel's
 //! ([`cup_faults::deliver`]); this module is the DES's half of that
-//! contract. [`Network`] owns one [`Plane`] — with the trace ring and
-//! the staleness ground truth, which a replica death notes before the
-//! kernel sees the deletion — and a [`Fabric`], the simulated transport
-//! the kernel runs over through [`Env`]: the event queue with the
-//! latency model (× the fault plane's spike factor), the node arena, the
-//! authority cache and the posted-time map. What stays here is what only
-//! a simulation has: the workload generators, churn (and the liveness
-//! gate that counts deliveries to departed nodes), capacity service.
+//! contract. [`Network`] owns one [`Plane`] holding every node — with
+//! the trace ring and the staleness ground truth, which a replica death
+//! notes before the kernel sees the deletion; a scripted fault is one
+//! [`Plane::apply`], which also wipes a crashed node — and a [`Fabric`],
+//! the simulated transport the kernel runs over through [`Env`]: the
+//! event queue with the latency model (× the fault plane's spike
+//! factor), the authority cache and the posted-time map. What stays here
+//! is what only a simulation has: the workload generators, churn (and
+//! the liveness gate that counts deliveries to departed nodes), capacity
+//! service and its per-node capacity fractions.
 //!
 //! Churn is also the one thing that moves a route. A join or a leave
 //! clears the authority cache and, with it, every live node's upstream
@@ -19,21 +21,21 @@
 //! or clear-bit through the overlay only where its node has none), so
 //! the next hop from each node is routed afresh on the new topology.
 //!
-//! Storage is sized for 100k-node experiments: per-node state lives in a
-//! dense [`NodeArena`] indexed by [`NodeId`], the key → authority map is
-//! a flat vector indexed by [`KeyId`] (keys are dense workload ids), and
-//! protocol actions are drained through the plane's reusable scratch
-//! buffer — the dispatch hot path performs no per-event allocation of
-//! its own.
+//! Storage is sized for 100k-node experiments: per-node state lives in
+//! the plane's dense [`cup_faults::NodeArena`] indexed by [`NodeId`], the
+//! capacity fractions in a flat vector beside it, the key → authority
+//! map is a flat vector indexed by [`KeyId`] (keys are dense workload
+//! ids), and protocol actions are drained through the plane's reusable
+//! scratch buffer — the dispatch hot path performs no per-event
+//! allocation of its own.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
 
-use cup_core::obs::TraceBuf;
 use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
 use cup_des::{DetRng, EventQueue, KeyId, LatencyModel, NodeId, SimDuration, SimTime};
-use cup_faults::{Env, FaultAction, Plane, RoutingFailed};
+use cup_faults::{Env, NodeArena, Plane, RoutingFailed};
 use cup_overlay::{AnyOverlay, Overlay};
 use cup_workload::{
     churn::ChurnEvent,
@@ -41,7 +43,6 @@ use cup_workload::{
     QueryGen,
 };
 
-use crate::arena::NodeArena;
 use crate::event::Ev;
 
 /// How often capacity-limited nodes service their outgoing queues.
@@ -50,9 +51,9 @@ pub const SERVICE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// The complete state of one simulated CUP network.
 #[derive(Debug)]
 pub struct Network {
-    /// What a delivery touches besides its node — fault plane (inert
-    /// until armed), justification tracker (off until switched on) and
-    /// the hop/answer metrics. Drops are decided *before* an event is
+    /// What a delivery touches — every node, the fault plane (inert
+    /// until armed), the justification tracker (off until switched on)
+    /// and the hop/answer metrics. Drops are decided *before* an event is
     /// scheduled, so a dropped message never becomes pending work.
     pub plane: Plane,
     fabric: Fabric,
@@ -62,8 +63,6 @@ pub struct Network {
     /// Replica lifecycle plan.
     pub replica_plan: Option<ReplicaPlan>,
     next_client: u64,
-    /// Configuration template for nodes joining after the build.
-    node_config: NodeConfig,
     /// Events left in the current look-ahead group (see
     /// [`Network::dispatch`]).
     group_left: usize,
@@ -76,8 +75,8 @@ pub struct Network {
 struct Fabric {
     /// The structured overlay carrying the messages.
     overlay: AnyOverlay,
-    /// Dense per-node storage (protocol state + hot capacity array).
-    nodes: NodeArena,
+    /// §3.7 outgoing-capacity fraction per node id.
+    capacities: Vec<f64>,
     latency: LatencyModel,
     rng: DetRng,
     /// Key → authority, dense by key id (`None` = not resolved since the
@@ -137,10 +136,6 @@ impl Env for Wire<'_> {
             .map_err(|_| RoutingFailed)
     }
 
-    fn node_mut(&mut self, id: NodeId) -> &mut CupNode {
-        self.fabric.nodes.get_mut(id)
-    }
-
     fn enqueue(&mut self, from: NodeId, to: NodeId, msg: Message, latency_factor: f64) {
         let mut delay = self.fabric.latency.sample(&mut self.fabric.rng);
         if latency_factor != 1.0 {
@@ -180,12 +175,11 @@ impl Network {
         rng: DetRng,
     ) -> Self {
         let ids = overlay.nodes();
-        let nodes = NodeArena::build(&ids, node_config);
         Network {
-            plane: Plane::default(),
+            plane: Plane::new(NodeArena::build(&ids, node_config)),
             fabric: Fabric {
+                capacities: vec![1.0; ids.iter().map(|n| n.index() + 1).max().unwrap_or(0)],
                 overlay,
-                nodes,
                 latency,
                 rng,
                 authority_cache: Vec::new(),
@@ -196,39 +190,8 @@ impl Network {
             query_gen: None,
             replica_plan: None,
             next_client: 0,
-            node_config,
             group_left: 0,
         }
-    }
-
-    /// Turns on structured event tracing with a ring buffer of `cap`
-    /// events. Tracing is off by default and costs nothing when off (one
-    /// `Option` check per emission site).
-    pub fn enable_trace(&mut self, cap: usize) {
-        self.plane.trace = Some(TraceBuf::new(cap));
-    }
-
-    /// Detaches the trace buffer (tracing turns back off).
-    pub fn take_trace(&mut self) -> Option<TraceBuf> {
-        self.plane.trace.take()
-    }
-
-    /// Read-only access to one node's state, if alive.
-    pub fn node(&self, id: NodeId) -> Option<&CupNode> {
-        self.fabric.nodes.get(id)
-    }
-
-    /// Aggregates the protocol counters of all nodes, including counters
-    /// retained from nodes that have since departed.
-    pub fn aggregate_stats(&self) -> cup_core::stats::NodeStats {
-        self.fabric.nodes.aggregate_stats()
-    }
-
-    /// Counters retained from departed or crash-wiped nodes only (the
-    /// conformance harness mirrors them against the live runtime's
-    /// crash-retained aggregate).
-    pub fn retained_stats(&self) -> cup_core::stats::NodeStats {
-        self.fabric.nodes.departed_stats().clone()
     }
 
     /// Handles one simulation event; the entry point the engine drives.
@@ -243,7 +206,7 @@ impl Network {
     pub fn dispatch(&mut self, queue: &mut EventQueue<Ev>, now: SimTime, ev: Ev) {
         if self.group_left == 0 {
             self.group_left = CupNode::LOOKAHEAD;
-            let nodes = &self.fabric.nodes;
+            let nodes = &self.plane.nodes;
             let next = queue.ahead(CupNode::LOOKAHEAD - 1);
             for ev in std::iter::once(&ev).chain(next) {
                 if let Ev::Deliver { to, msg, .. } = ev {
@@ -260,7 +223,7 @@ impl Network {
             Ev::Deliver { from, to, msg } => {
                 // Churn liveness is the simulation's own gate: a message
                 // to a departed node was never a hop.
-                if self.fabric.overlay.is_alive(to) && self.fabric.nodes.is_alive(to) {
+                if self.fabric.overlay.is_alive(to) && self.plane.nodes.holds(to) {
                     let mut wire = self.fabric.wire(queue, now);
                     self.plane.receive(&mut wire, from, to, msg);
                 } else {
@@ -272,20 +235,9 @@ impl Network {
             Ev::SetCapacity { nodes, capacity } => {
                 self.on_set_capacity(queue, now, &nodes, capacity)
             }
-            Ev::Churn(ev) => self.on_churn(queue, now, ev),
-            Ev::Fault(ev) => self.on_fault(ev.action),
-        }
-    }
-
-    /// Applies one scripted fault action. A crash additionally wipes the
-    /// node's protocol state (cold cache, empty directory) while its
-    /// counters are retained, matching the live runtime's crash reset.
-    fn on_fault(&mut self, action: FaultAction) {
-        let changed = self.plane.apply(action);
-        if let FaultAction::Crash { node } = action {
-            let id = NodeId(node as u32);
-            if changed && self.fabric.nodes.is_alive(id) {
-                self.fabric.nodes.reset(id, self.node_config);
+            Ev::Churn(ev) => self.on_churn(ev),
+            Ev::Fault(ev) => {
+                self.plane.apply(ev.action);
             }
         }
     }
@@ -371,7 +323,7 @@ impl Network {
         if !self.fabric.overlay.is_alive(node) {
             return;
         }
-        let c = self.fabric.nodes.capacity(node);
+        let c = self.fabric.capacities[node.index()];
         let mut wire = self.fabric.wire(queue, now);
         self.plane.emit(&mut wire, now, node, |n, out| {
             n.service_outgoing_into(now, c, out)
@@ -380,7 +332,9 @@ impl Network {
             queue.schedule(now + SERVICE_INTERVAL, Ev::ServiceCapacity { node });
         } else {
             // Fully recovered: back to immediate forwarding.
-            self.fabric.nodes.get_mut(node).set_capacity_limited(false);
+            if let Some(n) = self.plane.nodes.get_mut(node) {
+                n.set_capacity_limited(false);
+            }
         }
     }
 
@@ -397,9 +351,11 @@ impl Network {
             if !self.fabric.overlay.is_alive(id) {
                 continue;
             }
-            let was = self.fabric.nodes.set_capacity(id, capacity);
+            let was = std::mem::replace(&mut self.fabric.capacities[idx], capacity);
             if capacity < 1.0 && was >= 1.0 {
-                self.fabric.nodes.get_mut(id).set_capacity_limited(true);
+                if let Some(n) = self.plane.nodes.get_mut(id) {
+                    n.set_capacity_limited(true);
+                }
                 queue.schedule(now + SERVICE_INTERVAL, Ev::ServiceCapacity { node: id });
             }
             // Recovery (capacity >= 1.0) is finalized by the next
@@ -408,7 +364,7 @@ impl Network {
     }
 
     /// A node joins or leaves the overlay (§2.9).
-    fn on_churn(&mut self, _queue: &mut EventQueue<Ev>, now: SimTime, ev: ChurnEvent) {
+    fn on_churn(&mut self, ev: ChurnEvent) {
         match ev {
             ChurnEvent::Join { .. } => {
                 let Ok(report) = self.fabric.overlay.join(&mut self.fabric.rng) else {
@@ -417,17 +373,17 @@ impl Network {
                 let Some(new_id) = report.joined else {
                     return;
                 };
-                self.fabric.nodes.push_joined(new_id, self.node_config);
+                self.plane.nodes.push_joined(new_id);
+                self.fabric.capacities.push(1.0);
                 self.patch_interest(&report);
                 // Hand over the directory slice the new node now owns.
-                if let Some(split) = report.counterpart {
+                let nodes = &mut self.plane.nodes;
+                if let Some(split) = report.counterpart.and_then(|n| nodes.get_mut(n)) {
                     let overlay = &self.fabric.overlay;
-                    let moved = self
-                        .fabric
-                        .nodes
-                        .get_mut(split)
-                        .export_directory(|k| overlay.authority(k) == new_id);
-                    self.fabric.nodes.get_mut(new_id).import_directory(moved);
+                    let moved = split.export_directory(|k| overlay.authority(k) == new_id);
+                    if let Some(joined) = nodes.get_mut(new_id) {
+                        joined.import_directory(moved);
+                    }
                 }
                 self.after_topology_change();
             }
@@ -443,15 +399,17 @@ impl Network {
                 if graceful {
                     // §2.9: a graceful departure may hand its entries to
                     // the takeover node, which merges and de-duplicates.
-                    if let Some(t) = takeover {
-                        let moved = self.fabric.nodes.get_mut(victim).export_directory(|_| true);
-                        self.fabric.nodes.get_mut(t).import_directory(moved);
+                    let nodes = &mut self.plane.nodes;
+                    if let (Some(t), Some(gone)) = (takeover, nodes.get_mut(victim)) {
+                        let moved = gone.export_directory(|_| true);
+                        if let Some(t) = nodes.get_mut(t) {
+                            t.import_directory(moved);
+                        }
                     }
                 }
                 self.patch_interest(&report);
-                self.fabric.nodes.remove(victim);
+                self.plane.nodes.remove(victim);
                 self.after_topology_change();
-                let _ = now;
             }
         }
     }
@@ -462,10 +420,9 @@ impl Network {
     /// no-hand-over option).
     fn patch_interest(&mut self, report: &cup_overlay::ChurnReport) {
         for change in &report.neighbor_changes {
-            if !self.fabric.nodes.is_alive(change.node) {
+            let Some(node) = self.plane.nodes.get_mut(change.node) else {
                 continue;
-            }
-            let node = self.fabric.nodes.get_mut(change.node);
+            };
             for &removed in &change.removed {
                 node.on_neighbor_departed(removed, None);
             }
@@ -476,7 +433,7 @@ impl Network {
     /// cache, every live node's upstream hints and the live list.
     fn after_topology_change(&mut self) {
         self.fabric.authority_cache.fill(None);
-        for node in self.fabric.nodes.iter_live_mut() {
+        for node in self.plane.nodes.iter_mut() {
             node.forget_upstream_hints();
         }
         self.alive_list = self.fabric.overlay.nodes();
@@ -530,7 +487,7 @@ mod tests {
             let keys = (0..16).map(KeyId);
             // Every (node, key) hint a live node holds.
             let hints = |net: &Network| -> Vec<(NodeId, KeyId, Option<NodeId>)> {
-                let live = net.fabric.nodes.iter_live();
+                let live = net.plane.nodes.iter();
                 let held = live.flat_map(|n| keys.clone().map(move |k| (n, k)));
                 let hint = |(n, k): (&CupNode, KeyId)| Some((n.id(), k, n.upstream_hint(k)?));
                 held.filter_map(hint).collect()
@@ -557,10 +514,10 @@ mod tests {
                         graceful: false,
                     },
                 };
-                net.on_churn(&mut queue, SimTime::ZERO, churn);
+                net.on_churn(churn);
                 let mut wire = net.fabric.wire(&mut queue, SimTime::ZERO);
                 for (node, key, hop) in before {
-                    if wire.fabric.nodes.is_alive(node) {
+                    if net.plane.nodes.holds(node) {
                         stale += usize::from(wire.upstream_of(node, key) != Ok(hop));
                     }
                 }
@@ -570,6 +527,32 @@ mod tests {
                 stale > 0,
                 "{kind:?}: no churn moved a route the test watched"
             );
+        }
+    }
+
+    #[test]
+    fn join_extends_nodes_and_capacities_in_lockstep() {
+        let mut rng = DetRng::seed_from(3);
+        let overlay = AnyOverlay::build(OverlayKind::Chord, 8, &mut rng).unwrap();
+        let (config, latency) = (NodeConfig::cup_default(), LatencyModel::default_wan());
+        let mut net = Network::new(overlay, config, latency, rng);
+        net.on_churn(ChurnEvent::Join { at: SimTime::ZERO });
+        let joined = NodeId(8);
+        assert!(net.plane.nodes.holds(joined));
+        assert_eq!(net.fabric.capacities, [1.0; 9], "one fraction per id");
+        // Throttling the joined node limits it and starts one service
+        // loop; a second cut below full capacity starts no second one.
+        let mut queue = EventQueue::new();
+        for capacity in [0.25, 0.5] {
+            let nodes = vec![joined.index()];
+            net.dispatch(
+                &mut queue,
+                SimTime::ZERO,
+                Ev::SetCapacity { nodes, capacity },
+            );
+            let node = net.plane.nodes.get(joined).unwrap();
+            assert!(node.config().capacity_limited && queue.len() == 1);
+            assert_eq!(net.fabric.capacities[joined.index()], capacity);
         }
     }
 }

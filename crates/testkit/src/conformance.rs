@@ -74,8 +74,9 @@ pub enum Step {
 pub enum Faults {
     /// Fault-free: every query is answered with its scripted payload.
     None,
-    /// The standard script: a lossy phase, a crash/restart cycle, and a
-    /// 2-way partition, all inside phase A.
+    /// The standard script: a lossy phase, a warm node crashing and
+    /// restarting at one instant (then querying again), a crash/restart
+    /// cycle, and a 2-way partition, all inside phase A.
     Scripted,
     /// Timed windows: a loss window, a latency-spike window, and a
     /// crash/restart window at absolute logical times inside phase A.
@@ -347,8 +348,10 @@ impl ConformanceSpec {
     /// the network is drained there in both runtimes, so each edge
     /// applies to the same quiescent state at the same logical instant —
     /// and the Byzantine cast's unwindowed behaviors install at `t = 0`.
+    /// The scripted surface's bounce, a crash and a restart sharing one
+    /// mid-gap instant, is the only other pair of steps sharing one.
     pub fn script(&self) -> Vec<(SimTime, Step)> {
-        let (phase_a, mut phase_b) = self.draw();
+        let (mut phase_a, mut phase_b) = self.draw();
         let s = self.step_secs;
         // The mid-gap instant before phase-A query `pos`.
         let mid = |pos: usize| PHASE_A_SECS + pos as u64 * s - s / 2;
@@ -391,10 +394,25 @@ impl ConformanceSpec {
             }
         };
         let plan = FaultPlan::parse_specs(&specs).expect("the built-in specs parse");
-        let faults = plan
-            .events()
-            .iter()
-            .map(|ev| (ev.at, Step::Fault(ev.action)));
+        let mut faults: Vec<_> = (plan.events().iter())
+            .map(|ev| (ev.at, Step::Fault(ev.action)))
+            .collect();
+        if self.faults == Faults::Scripted {
+            // No spec string crashes and restarts a node at one instant:
+            // the bounce is scripted directly, after the lossy phase, at
+            // the last phase-A querier before it that owns no key — which
+            // then asks for the same key again, cold.
+            let (warm, key) = *(phase_a[..9].iter().rev())
+                .find(|q| !overlay.1.contains(&q.0))
+                .expect("a non-authority querier exists");
+            let at = SimTime::from_secs(mid(9));
+            let bounce = [
+                FaultAction::Crash { node: warm },
+                FaultAction::Restart { node: warm },
+            ];
+            faults.extend(bounce.map(|action| (at, Step::Fault(action))));
+            phase_a[9] = (warm, key);
+        }
         let births = (0..self.keys).map(|k| (SimTime::from_secs(1 + u64::from(k)), Step::Birth(k)));
         let query = |&(node, key): &Draw| Step::Query { node, key };
         let surviving: Vec<u32> = (0..self.keys).filter(|&k| k != DELETED_KEY).collect();
@@ -406,8 +424,9 @@ impl ConformanceSpec {
             .chain(phase_b.iter().map(query))
             .enumerate()
             .map(|(i, step)| (SimTime::from_secs(PHASE_A_SECS + i as u64 * s), step));
-        let mut script: Vec<_> = faults.chain(births).chain(serialized).collect();
-        // Stable: the Byzantine installs keep their spec order at t = 0.
+        let mut script: Vec<_> = faults.into_iter().chain(births).chain(serialized).collect();
+        // Stable: the Byzantine installs keep their spec order at t = 0,
+        // the bounce its crash before its restart.
         script.sort_by_key(|&(at, _)| at);
         script
     }
@@ -462,20 +481,18 @@ impl Outcome {
     }
 }
 
-/// Collects the comparable outcome from final per-node states, the
-/// counters crashes wiped from them, and the fold of the runtime's
-/// delivery planes.
+/// Collects the comparable outcome from the network-wide node counters
+/// (crash-wiped ones included), the final per-node states, and the fold
+/// of the runtime's delivery planes.
 pub fn outcome_of<'a>(
+    stats: NodeStats,
     nodes: impl Iterator<Item = &'a CupNode>,
-    crash_retained: NodeStats,
     keys: u32,
     probe_time: SimTime,
     totals: Totals,
 ) -> Outcome {
-    let mut stats = crash_retained;
     let mut cached_by: Vec<Vec<NodeId>> = (0..keys).map(|_| Vec::new()).collect();
     for node in nodes {
-        stats.merge(&node.stats);
         for k in 0..keys {
             let cached = node
                 .key_state(KeyId(k))
@@ -523,9 +540,7 @@ fn run_sim_inner(spec: &ConformanceSpec, trace_cap: Option<usize>) -> (Outcome, 
     let latency = LatencyModel::Fixed(SimDuration::ZERO);
     let mut net = Network::new(spec.overlay().0, spec.config, latency, DetRng::seed_from(7));
     net.plane.justify_on = true;
-    if let Some(cap) = trace_cap {
-        net.enable_trace(cap);
-    }
+    net.plane.trace = trace_cap.map(TraceBuf::new);
     if spec.faults != Faults::None {
         net.plane.arm(spec.fault_seed);
     }
@@ -565,11 +580,12 @@ fn run_sim_inner(spec: &ConformanceSpec, trace_cap: Option<usize>) -> (Outcome, 
     engine.run_until(end, |net, queue, now, ev| net.dispatch(queue, now, ev));
     let probe = engine.now();
     let mut net = engine.into_state();
-    let trace = net.take_trace();
-    let nodes = (0..spec.nodes as u32).filter_map(|i| net.node(NodeId(i)));
-    let totals = Plane::totals([&net.plane]);
-    // Counters wiped by crashes live in the arena's departed aggregate.
-    let outcome = outcome_of(nodes, net.retained_stats(), spec.keys, probe, totals);
+    let trace = net.plane.trace.take();
+    let (stats, totals) = (
+        net.plane.nodes.aggregate_stats(),
+        Plane::totals([&net.plane]),
+    );
+    let outcome = outcome_of(stats, net.plane.nodes.iter(), spec.keys, probe, totals);
     (outcome, trace)
 }
 
@@ -650,11 +666,11 @@ fn run_live_inner(spec: &ConformanceSpec, trace_cap: Option<usize>) -> (Outcome,
     let totals = net.totals();
     let counted = totals.net.client_responses;
     assert_eq!(responses, counted, "answers the clients claimed vs counted");
-    let retained = net.crash_retained_stats();
+    let stats = net.node_stats();
     let trace = net.take_trace();
     // The clock's final reading: the very instant `run_sim` probes.
     let probe = net.now();
-    let outcome = outcome_of(net.shutdown().iter(), retained, spec.keys, probe, totals);
+    let outcome = outcome_of(stats, net.shutdown().iter(), spec.keys, probe, totals);
     (outcome, trace)
 }
 
@@ -692,7 +708,8 @@ mod tests {
 
     /// The property both drivers rely on: the script is a pure function
     /// of the spec, every step has an instant of its own (only the
-    /// Byzantine installs share `t = 0`), and every other fault step
+    /// Byzantine installs share `t = 0`, the scripted bounce's crash and
+    /// restart one mid-gap instant), and every other fault step
     /// lands strictly between two phase-A queries, where both runtimes
     /// are drained.
     #[test]
@@ -703,10 +720,14 @@ mod tests {
                 let script = spec.script();
                 assert_eq!(script, spec.script(), "{label}: same spec, same script");
                 let byzantine = spec.faults == Faults::Byzantine;
+                let mut shared = 0;
                 for w in script.windows(2) {
                     let install = byzantine && w[1].0 == SimTime::ZERO;
-                    assert!(w[0].0 < w[1].0 || install, "{label}: {w:?}");
+                    shared += usize::from(w[0].0 == w[1].0 && !install);
+                    assert!(w[0].0 <= w[1].0, "{label}: {w:?}");
                 }
+                let bounces = usize::from(spec.faults == Faults::Scripted);
+                assert_eq!(shared, bounces, "{label}: only the bounce shares");
                 let (queries, faults) = split(&script);
                 let n = spec.phase_a_queries;
                 assert_eq!(queries.len(), n + 3 + spec.keys as usize - 1, "{label}");
@@ -717,7 +738,8 @@ mod tests {
                 }
                 let expected = match spec.faults {
                     Faults::None => 0,
-                    Faults::Scripted | Faults::Timed => 6,
+                    Faults::Scripted => 8,
+                    Faults::Timed => 6,
                     Faults::Byzantine => 3,
                 };
                 assert_eq!(faults.len(), expected, "{label}: fault step count");
@@ -733,20 +755,36 @@ mod tests {
     #[test]
     fn fault_script_is_deterministic_and_avoids_authorities() {
         for kind in OverlayKind::ALL {
-            for spec in [Spec::faulty(kind), Spec::timed(kind)] {
+            // The scripted surface bounces a node, then cycles another
+            // (or the same) one; the timed surface only cycles.
+            for (spec, cycles) in [(Spec::faulty(kind), 2), (Spec::timed(kind), 1)] {
                 let (_, authorities) = spec.overlay();
-                let victims: Vec<usize> = (split(&spec.script()).1.into_iter())
-                    .filter_map(|(_, action)| match action {
-                        FaultAction::Crash { node } | FaultAction::Restart { node } => Some(node),
+                let script = spec.script();
+                let victims: Vec<(SimTime, usize)> = (split(&script).1.into_iter())
+                    .filter_map(|(at, action)| match action {
+                        FaultAction::Crash { node } | FaultAction::Restart { node } => {
+                            Some((at, node))
+                        }
                         _ => None,
                     })
                     .collect();
-                assert_eq!(victims.len(), 2, "{kind}: one crash, one restart");
-                assert_eq!(victims[0], victims[1], "{kind}: the victim comes back");
-                assert!(
-                    !authorities.contains(&victims[0]),
-                    "{kind}: victim owns a key"
-                );
+                assert_eq!(victims.len(), 2 * cycles, "{kind}: crashes and restarts");
+                for pair in victims.chunks(2) {
+                    assert_eq!(pair[0].1, pair[1].1, "{kind}: the victim comes back");
+                    assert!(
+                        !authorities.contains(&pair[0].1),
+                        "{kind}: victim owns a key"
+                    );
+                }
+                if cycles == 2 {
+                    // The bounce is instant, and the bounced node's next
+                    // query asks for a key it asked for before.
+                    let ((at, warm), queries) = (victims[0], split(&script).0);
+                    let next = queries.iter().position(|q| q.0 > at).unwrap();
+                    let (_, node, key) = queries[next];
+                    assert_eq!((victims[1].0, node), (at, warm), "{kind}: the bounce");
+                    assert!(queries[..next].iter().any(|q| (q.1, q.2) == (warm, key)));
+                }
             }
             // Fault-free specs script no fault step.
             assert!(split(&Spec::small(kind).script()).1.is_empty());
