@@ -9,6 +9,11 @@
 //! first within a class), and eliminates expired updates. The queues are
 //! therefore "bounded by the expiration times of the entries in the
 //! queues": even a completely shut-off channel drains as entries expire.
+//!
+//! The queues also own the node's throttle. A cut below full capacity
+//! throttles the node, and forwarded updates wait here from then on; the
+//! first service that finds the fraction back at full drains the backlog
+//! in one go and lifts the throttle.
 
 use std::collections::BTreeMap;
 
@@ -24,12 +29,32 @@ pub struct OutgoingQueues {
     enqueued_since_service: u64,
     /// Fractional budget carried between services.
     carry: f64,
+    /// The capacity fraction while the node is throttled (1 is full, 0
+    /// pushes nothing); `None` at full capacity, unthrottled.
+    throttle: Option<f64>,
 }
 
 impl OutgoingQueues {
-    /// Creates empty queues.
+    /// Creates empty queues at full capacity, unthrottled.
     pub fn new() -> Self {
         OutgoingQueues::default()
+    }
+
+    /// Sets the capacity fraction. A cut from full capacity to below it
+    /// throttles the node and returns `true`: a service loop must start.
+    /// Any other change returns `false` — a recovery to full capacity
+    /// takes effect at the next service.
+    pub fn set_capacity(&mut self, c: f64) -> bool {
+        let cut = c < 1.0 && self.throttle.unwrap_or(1.0) >= 1.0;
+        if cut || self.throttle.is_some() {
+            self.throttle = Some(c);
+        }
+        cut
+    }
+
+    /// Whether forwarded updates wait here for a service.
+    pub fn is_throttled(&self) -> bool {
+        self.throttle.is_some()
     }
 
     /// Queues an update for one neighbor.
@@ -81,21 +106,24 @@ impl OutgoingQueues {
         dropped
     }
 
-    /// Services the queues with capacity fraction `c` (in `[0, 1]`): the
-    /// node pushes out roughly `c` times the updates it enqueued since the
-    /// last service, plus any fractional carry-over. Expired updates are
-    /// eliminated first; the budget is split across channels
-    /// proportionally to queue length; each channel sends its
+    /// Services the queues at the capacity fraction `c` last set (1 when
+    /// unthrottled): the node pushes out roughly `c` times the updates it
+    /// enqueued since the last service, plus any fractional carry-over.
+    /// Expired updates are eliminated first; the budget is split across
+    /// channels proportionally to queue length; each channel sends its
     /// highest-impact updates first.
     ///
     /// Returns the `(neighbor, update)` pairs to transmit now.
-    pub fn service(&mut self, now: SimTime, c: f64) -> Vec<(NodeId, Update)> {
+    pub fn service(&mut self, now: SimTime) -> Vec<(NodeId, Update)> {
         self.drop_expired(now);
         let arrived = std::mem::take(&mut self.enqueued_since_service);
+        let c = self.throttle.unwrap_or(1.0);
         if c >= 1.0 {
             // Full capacity: no limit — drain everything, including any
-            // backlog accumulated while the node was degraded.
+            // backlog accumulated while the node was degraded, and stop
+            // throttling.
             self.carry = 0.0;
+            self.throttle = None;
             let mut out = Vec::with_capacity(self.total_len());
             for (to, mut q) in std::mem::take(&mut self.queues) {
                 q.sort_by_key(|u| (u.kind.priority(), u.window_end));
@@ -189,7 +217,7 @@ mod tests {
         for i in 0..5 {
             q.enqueue(NodeId(i % 2), update(UpdateKind::Refresh, 300));
         }
-        let sent = q.service(SimTime::from_secs(1), 1.0);
+        let sent = q.service(SimTime::from_secs(1));
         assert_eq!(sent.len(), 5);
         assert_eq!(q.total_len(), 0);
     }
@@ -198,7 +226,8 @@ mod tests {
     fn zero_capacity_sends_nothing() {
         let mut q = OutgoingQueues::new();
         q.enqueue(NodeId(0), update(UpdateKind::Refresh, 300));
-        let sent = q.service(SimTime::from_secs(1), 0.0);
+        q.set_capacity(0.0);
+        let sent = q.service(SimTime::from_secs(1));
         assert!(sent.is_empty());
         assert_eq!(q.total_len(), 1, "update stays queued");
     }
@@ -207,10 +236,11 @@ mod tests {
     fn fractional_capacity_accumulates_carry() {
         let mut q = OutgoingQueues::new();
         // One update per service at c = 0.5: sends on every second call.
+        q.set_capacity(0.5);
         let mut sent_total = 0;
         for round in 0..4 {
             q.enqueue(NodeId(0), update(UpdateKind::Refresh, 300));
-            sent_total += q.service(SimTime::from_secs(round), 0.5).len();
+            sent_total += q.service(SimTime::from_secs(round)).len();
         }
         assert_eq!(sent_total, 2, "half the enqueued updates were pushed");
     }
@@ -220,7 +250,7 @@ mod tests {
         let mut q = OutgoingQueues::new();
         q.enqueue(NodeId(0), update(UpdateKind::Refresh, 10));
         q.enqueue(NodeId(0), update(UpdateKind::Refresh, 1_000));
-        let sent = q.service(SimTime::from_secs(100), 1.0);
+        let sent = q.service(SimTime::from_secs(100));
         assert_eq!(sent.len(), 1, "expired update dropped, fresh one sent");
         assert_eq!(sent[0].1.window_end, SimTime::from_secs(1_000));
     }
@@ -235,7 +265,8 @@ mod tests {
         q.enqueue(NodeId(0), update(UpdateKind::FirstTime, 600));
         // Budget of 3 out of 5 queued.
         q.enqueued_since_service = 5;
-        let sent = q.service(SimTime::from_secs(1), 0.6);
+        q.set_capacity(0.6);
+        let sent = q.service(SimTime::from_secs(1));
         let kinds: Vec<UpdateKind> = sent.iter().map(|(_, u)| u.kind).collect();
         assert_eq!(
             kinds,
@@ -259,7 +290,8 @@ mod tests {
             q.enqueue(NodeId(1), update(UpdateKind::Refresh, 300));
         }
         // Budget = 5 of 10: channel 0 (80% of queue) should get 4.
-        let sent = q.service(SimTime::from_secs(1), 0.5);
+        q.set_capacity(0.5);
+        let sent = q.service(SimTime::from_secs(1));
         let to0 = sent.iter().filter(|(to, _)| *to == NodeId(0)).count();
         let to1 = sent.iter().filter(|(to, _)| *to == NodeId(1)).count();
         assert_eq!(to0 + to1, 5);
@@ -282,14 +314,15 @@ mod tests {
         // Even with zero capacity forever, the queue empties as entries
         // expire (§2.8).
         let mut q = OutgoingQueues::new();
+        q.set_capacity(0.0);
         for w in [10u64, 20, 30] {
             q.enqueue(NodeId(0), update(UpdateKind::Refresh, w));
         }
-        assert!(q.service(SimTime::from_secs(5), 0.0).is_empty());
+        assert!(q.service(SimTime::from_secs(5)).is_empty());
         assert_eq!(q.total_len(), 3);
-        assert!(q.service(SimTime::from_secs(25), 0.0).is_empty());
+        assert!(q.service(SimTime::from_secs(25)).is_empty());
         assert_eq!(q.total_len(), 1);
-        assert!(q.service(SimTime::from_secs(35), 0.0).is_empty());
+        assert!(q.service(SimTime::from_secs(35)).is_empty());
         assert_eq!(q.total_len(), 0);
     }
 }

@@ -82,10 +82,6 @@ pub struct NodeConfig {
     pub policies: PropagationPolicy,
     /// When popularity decision windows reset (§3.6).
     pub reset_mode: ResetMode,
-    /// If `true`, outgoing updates pass through the bounded §2.8 queues
-    /// and are released by `service_outgoing_into`; if `false` the node has
-    /// full capacity and pushes updates immediately.
-    pub capacity_limited: bool,
     /// How long a Pending-First-Update flag may coalesce queries before a
     /// retry is pushed. Guards against responses lost to churn; the paper
     /// assumes reliable channels, so this only matters under failure
@@ -115,7 +111,6 @@ impl NodeConfig {
             mode: Mode::Cup,
             policies: PropagationPolicy::uniform(CutoffPolicy::second_chance()),
             reset_mode: ResetMode::ReplicaIndependent,
-            capacity_limited: false,
             pfu_timeout: SimDuration::from_secs(30),
             refresh_keep_one_in: 1,
             refresh_batch_window: None,
@@ -178,7 +173,6 @@ mod tests {
             PropagationPolicy::uniform(CutoffPolicy::second_chance())
         );
         assert_eq!(c.reset_mode, ResetMode::ReplicaIndependent);
-        assert!(!c.capacity_limited);
         assert_eq!(c.audit, None, "auditing is strictly opt-in");
     }
 
@@ -191,7 +185,7 @@ mod tests {
         assert_eq!(audit.quorum, 1);
         // Struct-update constructors preserve it.
         let d = NodeConfig {
-            capacity_limited: true,
+            pfu_timeout: SimDuration::from_secs(5),
             ..c
         };
         assert_eq!(d.audit, Some(audit));

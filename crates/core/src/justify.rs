@@ -20,7 +20,7 @@
 //! Every maintenance update and every node of every posted query's path
 //! is one probe here, so the store is a hashed table with no heap block
 //! per slot: the `(node, key)` pair hashes multiplicatively
-//! ([`PairHasher`]; the ids are dense indices this program assigned, not
+//! (`PairHasher`; the ids are dense indices this program assigned, not
 //! outside input, so nobody can craft collisions) and the slot's windows
 //! sit in the table itself, two in place before a list spills. A window
 //! is its two instants: the query that justifies it removes it in the

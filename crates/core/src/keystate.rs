@@ -1,13 +1,13 @@
 //! Per-key bookkeeping at a node (§2.3).
 //!
 //! For every non-local key a node has seen, it keeps the cached index
-//! entries, the Pending-First-Update flag, the interest record over
-//! neighbors, the popularity measure, any local clients whose
-//! connections are held open awaiting a fresh answer, and the next hop
-//! toward the key's authority once it has routed the key.
+//! entries, the interest record over neighbors, the popularity measure,
+//! a `Pending` record while it awaits a first-time update (who is
+//! waiting for it, and since when), and the next hop toward the key's
+//! authority once it has routed the key.
 //!
 //! CUP's scaling argument is that this record is tiny, so it is laid out
-//! to be: a [`KeyState`] is at most 136 bytes (checked at compile time
+//! to be: a [`KeyState`] is at most 128 bytes (checked at compile time
 //! below; that includes the record's own key, which the key table's
 //! hashed index confirms lookups against) and owns no heap memory in
 //! the common case. The node's key table holds its records in one
@@ -23,16 +23,18 @@
 //! * **tombstones** hold three replicas in place — over half of a
 //!   long-running node's states carry one or two, so they are not behind
 //!   a box;
-//! * **waiters** (held-open clients, requesters to answer) exist only
-//!   between a miss and its first-time update — 0.2–11 % of states at
-//!   any instant — and live in one box that the answer frees; when the
-//!   answer comes, at most two of either kind are waiting in 97–100 %
-//!   of cases (Chord's high-in-degree nodes are the tail), so the box
-//!   holds two of each in place and a miss costs one allocation;
+//! * **pending** state — the Pending-First-Update stamp and the waiters
+//!   (held-open clients, requesters to answer) — exists only between a
+//!   miss and its first-time update, 0.2–11 % of states at any instant,
+//!   and lives in one box that the answer frees: the record *is* the
+//!   flag, so no stamp can outlive it. When the answer comes, at most
+//!   two waiters of either kind are waiting in 97–100 % of cases
+//!   (Chord's high-in-degree nodes are the tail), so the box holds two
+//!   of each in place and a miss costs one allocation;
 //! * **audit** and **refresh** state belong to planes
 //!   `NodeConfig::cup_default()` leaves off (the sampled audit; §3.6
 //!   suppression and aggregation at the authority), and share one box,
-//!   [`ColdState`], that the first use of either allocates — one pointer
+//!   `ColdState`, that the first use of either allocates — one pointer
 //!   per record where a box each cost two.
 //!
 //! The short lists are all one type, `crate::inline::InlineVec`, which
@@ -40,18 +42,17 @@
 //!
 //! The record also remembers the key's **upstream hop**: the next hop
 //! toward the authority that the last query or clear-bit handled here
-//! was routed with, [`NOT_ROUTED`] before the first. The route does not
+//! was routed with, `NOT_ROUTED` before the first. The route does not
 //! change while the overlay does not, so a runtime asks the node
 //! (`CupNode::upstream_hint`) before it asks the overlay, and a
 //! topology change clears every hint (`CupNode::forget_upstream_hints`).
 //!
 //! Layout (x86-64, as the compiler orders the fields): `popularity` at
-//! 0, `entries` at 16, `interest` at 48, `retired` at 72, `pfu_since` at
-//! 88, the `waiters` and `cold` boxes at 96 and 104, `policy_state` at
-//! 112, `key` at 124, `hop` at 128, `last_depth` at 132 and
-//! `pending_first_update` at 134: 136 bytes, one of them padding. The
-//! hop fits because `last_depth` is a `u16` that saturates — paths are
-//! hundreds of hops at most, never 65 535.
+//! 0, `entries` at 16, `interest` at 48, `retired` at 72, the `pending`
+//! and `cold` boxes at 88 and 96, `policy_state` at 104, `key` at 116,
+//! `hop` at 120 and `last_depth` at 124: 128 bytes, two of them padding
+//! — two cache lines. The hop fits because `last_depth` is a `u16` that
+//! saturates — paths are hundreds of hops at most, never 65 535.
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
@@ -75,7 +76,7 @@ const INLINE_ENTRIES: usize = 1;
 /// Tombstones a key holds in place.
 const INLINE_RETIRED: usize = 3;
 
-/// Waiters of either kind the box holds in place.
+/// Waiters of either kind the pending box holds in place.
 const INLINE_WAITERS: usize = 2;
 
 /// All state a node keeps for one cached (non-local) key.
@@ -83,12 +84,9 @@ const INLINE_WAITERS: usize = 2;
 pub struct KeyState {
     /// Cached index entries (disjoint from any local directory).
     entries: InlineVec<IndexEntry, INLINE_ENTRIES>,
-    /// Set while a first-time update is awaited; coalesces query bursts.
-    pub pending_first_update: bool,
-    /// When the flag was set (guards against lost responses).
-    pub pfu_since: SimTime,
-    /// Who is waiting for that update; `None` when nobody is.
-    pub(crate) waiters: Option<Box<Waiters>>,
+    /// `Some` exactly while a first-time update is awaited (CUP) or
+    /// requesters wait for an answer (standard caching); see [`Pending`].
+    pub(crate) pending: Option<Box<Pending>>,
     /// Which neighbors want updates for this key.
     pub interest: InterestSet,
     /// Popularity measure driving cut-off decisions.
@@ -114,22 +112,46 @@ pub struct KeyState {
     pub(crate) hop: NodeId,
 }
 
-const _: () = assert!(std::mem::size_of::<KeyState>() <= 136);
+const _: () = assert!(std::mem::size_of::<KeyState>() <= 128);
 
 /// A record's [`KeyState::hop`] before the key was first routed here; no
 /// node has this id.
 pub(crate) const NOT_ROUTED: NodeId = NodeId(u32::MAX);
 
-/// Who a node owes an answer for one key once its first-time update
-/// arrives.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Waiters {
+/// A key's Pending-First-Update state: since when the node has awaited
+/// the first-time update, and who it owes an answer once it arrives.
+#[derive(Debug, Clone)]
+pub(crate) struct Pending {
+    /// When the query went upstream (restamped by a timeout retry).
+    pub(crate) since: SimTime,
     /// Local clients with connections held open (CUP mode; §2.5).
     pub(crate) clients: InlineVec<ClientId, INLINE_WAITERS>,
     /// Requesters to route the response to: the waiting neighbors in CUP
     /// mode (one each, however many queries it coalesced), every
     /// requester in arrival order in standard-caching mode.
     pub(crate) requesters: InlineVec<Requester, INLINE_WAITERS>,
+}
+
+impl Pending {
+    /// A record opened at `now`, nobody waiting yet.
+    pub(crate) fn boxed(now: SimTime) -> Box<Pending> {
+        Box::new(Pending {
+            since: now,
+            clients: InlineVec::default(),
+            requesters: InlineVec::default(),
+        })
+    }
+
+    /// Records `from` as waiting (CUP mode): a client's connection is
+    /// held open; a neighbor is recorded once, however many queries it
+    /// coalesces on its own side.
+    pub(crate) fn wait(&mut self, from: Requester) {
+        match from {
+            Requester::Client(c) => self.clients.push(c),
+            Requester::Neighbor(_) if self.requesters.contains(&from) => {}
+            Requester::Neighbor(_) => self.requesters.push(from),
+        }
+    }
 }
 
 /// What a key keeps for the planes `NodeConfig::cup_default()` leaves
@@ -170,9 +192,7 @@ impl Default for KeyState {
     fn default() -> Self {
         KeyState {
             entries: InlineVec::default(),
-            pending_first_update: false,
-            pfu_since: SimTime::ZERO,
-            waiters: None,
+            pending: None,
             interest: InterestSet::default(),
             popularity: Popularity::default(),
             policy_state: PolicyState::default(),
@@ -224,9 +244,11 @@ impl KeyState {
         &self.retired
     }
 
-    /// The waiters, allocated on first use.
-    pub(crate) fn waiters_mut(&mut self) -> &mut Waiters {
-        self.waiters.get_or_insert_with(Box::default)
+    /// When the node started awaiting this key's first-time update (CUP)
+    /// or an answer for its requesters (standard caching); `None` when it
+    /// awaits nothing.
+    pub fn pending_since(&self) -> Option<SimTime> {
+        self.pending.as_ref().map(|p| p.since)
     }
 
     /// The off-by-default planes' state, allocated on first use.
@@ -256,7 +278,7 @@ impl KeyState {
             ),
             self.entries.len(),
             self.retired.len(),
-            self.pfu_since,
+            self.pending.is_some(),
             self.last_depth,
             self.key,
             self.hop,
@@ -322,14 +344,6 @@ impl KeyState {
             Some(slot) => *slot = entry,
             None => self.entries.push(entry),
         }
-    }
-
-    /// Drops expired entries (housekeeping; freshness checks are already
-    /// time-based so this only bounds memory).
-    pub fn evict_expired(&mut self, now: SimTime) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.is_fresh(now));
-        before - self.entries.len()
     }
 }
 
@@ -418,19 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn evict_expired_drops_only_stale() {
-        let mut st = KeyState::new();
-        st.apply(&update(
-            UpdateKind::FirstTime,
-            0,
-            vec![entry(0, 0, 100), entry(1, 0, 500)],
-        ));
-        let evicted = st.evict_expired(SimTime::from_secs(200));
-        assert_eq!(evicted, 1);
-        assert_eq!(st.entries().len(), 1);
-    }
-
-    #[test]
     fn deletes_leave_tombstones_and_repairs_evict_and_refetch() {
         let mut st = KeyState::new();
         st.apply(&update(
@@ -480,7 +481,7 @@ mod tests {
             span!(popularity, true),
             span!(entries, false),
             span!(retired, false),
-            span!(pfu_since, true),
+            span!(pending, true),
             span!(last_depth, true),
             span!(key, true),
             span!(hop, true),

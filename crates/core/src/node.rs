@@ -50,7 +50,7 @@ use crate::config::{AuditConfig, Mode, NodeConfig};
 use crate::directory::{DirectoryChange, LocalDirectory};
 use crate::entry::IndexEntry;
 use crate::interest::InterestSet;
-use crate::keystate::{KeyState, Waiters, NOT_ROUTED};
+use crate::keystate::{KeyState, Pending, NOT_ROUTED};
 use crate::keytable::KeyTable;
 use crate::message::{Message, ReplicaEvent, Requester, Update, UpdateKind};
 use crate::policy::CutoffContext;
@@ -90,17 +90,21 @@ impl CupNode {
         self.id
     }
 
-    /// This node's configuration.
-    pub fn config(&self) -> &NodeConfig {
-        &self.config
+    /// Sets the node's §2.8 capacity fraction (a node's "ability or
+    /// willingness to propagate updates may vary with its workload").
+    /// A cut from full capacity to below it throttles the node: forwarded
+    /// updates then wait in the outgoing queues until
+    /// [`CupNode::service_outgoing_into`] releases them. Returns `true`
+    /// exactly for such a cut — the caller must start a service loop —
+    /// even if one is already running.
+    pub fn set_capacity(&mut self, c: f64) -> bool {
+        self.outgoing.set_capacity(c)
     }
 
-    /// Switches the §2.8 capacity limiter on or off at runtime (a node's
-    /// "ability or willingness to propagate updates may vary with its
-    /// workload"). While limited, forwarded updates wait in the outgoing
-    /// queues until [`CupNode::service_outgoing_into`] releases them.
-    pub fn set_capacity_limited(&mut self, limited: bool) {
-        self.config.capacity_limited = limited;
+    /// Whether forwarded updates wait in the outgoing queues (see
+    /// [`CupNode::set_capacity`]).
+    pub fn is_throttled(&self) -> bool {
+        self.outgoing.is_throttled()
     }
 
     /// Read access to the per-key state (tests and diagnostics).
@@ -176,10 +180,11 @@ impl CupNode {
     /// * **authority** — answer from the local directory immediately;
     /// * **case 1** (fresh entries cached) — answer from cache with a
     ///   first-time update;
-    /// * **case 2** (key not in cache) — mark Pending-First-Update and
-    ///   push one query upstream;
+    /// * **case 2** (key not in cache) — open the key's Pending-First-Update
+    ///   record and push one query upstream;
     /// * **case 3** (all entries expired) — as case 2, but the query is
-    ///   coalesced if the flag is already set.
+    ///   coalesced if the record is already open (and younger than
+    ///   `NodeConfig::pfu_timeout`; an older one is retried).
     ///
     /// Actions are pushed into `out`, so a driver can reuse one buffer
     /// across events (every handler below takes the same form).
@@ -233,41 +238,36 @@ impl CupNode {
         }
 
         match self.config.mode {
-            Mode::Cup => {
-                match from {
-                    Requester::Client(c) => st.waiters_mut().clients.push(c),
-                    Requester::Neighbor(_) => {
-                        // Remember the waiting neighbor so the first-time
-                        // update (the response) reaches it. Coalescing:
-                        // one response per neighbor however many queries
-                        // it coalesces on its own side.
-                        let requesters = &mut st.waiters_mut().requesters;
-                        if !requesters.contains(&from) {
-                            requesters.push(from);
-                        }
-                    }
-                }
-                let flag_stale = st.pending_first_update
-                    && now.saturating_since(st.pfu_since) > self.config.pfu_timeout;
-                if st.pending_first_update && !flag_stale {
-                    // Coalesced into the in-flight query.
-                    self.stats.coalesced_queries += 1;
-                } else {
-                    if flag_stale {
-                        self.stats.pfu_retries += 1;
-                        self.stats
-                            .pfu_retry_age
-                            .record(now.saturating_since(st.pfu_since).as_micros());
-                    }
-                    st.pending_first_update = true;
-                    st.pfu_since = now;
+            // Every waiter is remembered so the first-time update (the
+            // response) reaches it.
+            Mode::Cup => match st.pending.as_deref_mut() {
+                // No record: open one and send the query upstream.
+                None => {
+                    st.pending.insert(Pending::boxed(now)).wait(from);
                     out.push(Action::send(upstream, Message::Query { key }));
                 }
-            }
+                // Coalesced into the in-flight query.
+                Some(p) if self.config.pfu_timeout >= now.saturating_since(p.since) => {
+                    p.wait(from);
+                    self.stats.coalesced_queries += 1;
+                }
+                // The answer is overdue (lost under churn or faults):
+                // retry upstream, timing out from now.
+                Some(p) => {
+                    self.stats.pfu_retries += 1;
+                    self.stats
+                        .pfu_retry_age
+                        .record(now.saturating_since(p.since).as_micros());
+                    p.wait(from);
+                    p.since = now;
+                    out.push(Action::send(upstream, Message::Query { key }));
+                }
+            },
             Mode::StandardCaching => {
                 // No coalescing: every missing query is forwarded and the
                 // requester recorded for per-query response routing.
-                st.waiters_mut().requesters.push(from);
+                let pending = st.pending.get_or_insert_with(|| Pending::boxed(now));
+                pending.requesters.push(from);
                 out.push(Action::send(upstream, Message::Query { key }));
             }
         }
@@ -285,7 +285,7 @@ impl CupNode {
             // The authority always answers immediately (no miss).
             self.stats.client_hits += 1;
         }
-        if self.config.mode == Mode::Cup {
+        if matches!(self.config.mode, Mode::Cup) {
             if let Requester::Neighbor(n) = from {
                 // Register the neighbor so future replica updates flow to
                 // it.
@@ -301,10 +301,10 @@ impl CupNode {
     /// Handles an update arriving from upstream neighbor `from` (§2.6).
     ///
     /// * **case 3** — the update expired in transit: drop it;
-    /// * **case 1** — Pending-First-Update set and this is the first-time
-    ///   update: cache it, clear the flag, answer held-open clients, and
-    ///   forward to interested neighbors;
-    /// * **case 2** — flag clear: if no neighbor is interested, run the
+    /// * **case 1** — Pending-First-Update record open and this is the
+    ///   first-time update: cache it, close the record, answer held-open
+    ///   clients, and forward to interested neighbors;
+    /// * **case 2** — no record open: if no neighbor is interested, run the
     ///   cut-off policy and either push a Clear-Bit upstream or apply the
     ///   update; otherwise apply and forward to interested neighbors.
     pub fn handle_update_into(
@@ -336,8 +336,9 @@ impl CupNode {
             }
         }
 
-        let awaited = st.pending_first_update && update.kind == UpdateKind::FirstTime;
-        if awaited || self.config.mode == Mode::StandardCaching {
+        let cup = matches!(self.config.mode, Mode::Cup);
+        let awaited = cup && update.kind == UpdateKind::FirstTime && st.pending.is_some();
+        if awaited || !cup {
             // Case 1 — or the baseline, where every update is a response
             // (one message per recorded requester, no coalescing): cache
             // it and answer whoever is waiting. The first-time update
@@ -349,19 +350,18 @@ impl CupNode {
             // caching (§3.3).
             st.apply(&update);
             if awaited {
-                st.pending_first_update = false;
                 st.popularity
                     .on_update(update.replica, self.config.reset_mode);
             }
-            if let Some(waiters) = st.waiters.take() {
-                answer_waiters(&mut self.stats, &waiters, update, st, now, out);
+            if let Some(pending) = st.pending.take() {
+                answer_waiters(&mut self.stats, &pending, update, st, now, out);
             }
             return;
         }
 
-        // Case 2 (and stray non-first-time updates while the flag is set,
-        // which are applied without clearing the flag).
-        if st.interest.is_empty() && !st.pending_first_update {
+        // Case 2 (and stray non-first-time updates while the record is
+        // open, which are applied without closing it).
+        if st.interest.is_empty() && st.pending.is_none() {
             let queries_in_window = st.popularity.queries_since_reset();
             let triggered = st
                 .popularity
@@ -421,7 +421,7 @@ impl CupNode {
             let entries = hand_over(&mut update.entries, recipients.peek().is_none());
             let copy = Update { entries, ..update };
             self.stats.updates_forwarded += 1;
-            if self.config.capacity_limited {
+            if self.outgoing.is_throttled() {
                 self.outgoing.enqueue(to, copy);
             } else {
                 actions.push(Action::send(to, Message::Update(copy)));
@@ -623,7 +623,7 @@ impl CupNode {
         change: DirectoryChange,
         out: &mut Vec<Action>,
     ) {
-        if self.config.mode == Mode::StandardCaching {
+        if matches!(self.config.mode, Mode::StandardCaching) {
             // The baseline never pushes maintenance updates.
             return;
         }
@@ -672,21 +672,16 @@ impl CupNode {
         self.forward_to(&interested, update, None, out);
     }
 
-    /// Releases capacity-limited outgoing updates: pushes out roughly
-    /// `capacity_fraction` of what was enqueued since the last service
-    /// (§2.8), as the transmissions to perform now.
-    pub fn service_outgoing_into(
-        &mut self,
-        now: SimTime,
-        capacity_fraction: f64,
-        out: &mut Vec<Action>,
-    ) {
-        out.extend(
-            self.outgoing
-                .service(now, capacity_fraction)
-                .into_iter()
-                .map(|(to, u)| Action::send(to, Message::Update(u))),
-        );
+    /// Releases queued outgoing updates: pushes out roughly the node's
+    /// capacity fraction of what was enqueued since the last service
+    /// (§2.8), as the transmissions to perform now. A service at full
+    /// capacity drains the whole backlog and lifts the throttle. Returns
+    /// whether the node is still throttled, i.e. whether to service it
+    /// again.
+    pub fn service_outgoing_into(&mut self, now: SimTime, out: &mut Vec<Action>) -> bool {
+        let sends = self.outgoing.service(now).into_iter();
+        out.extend(sends.map(|(to, u)| Action::send(to, Message::Update(u))));
+        self.outgoing.is_throttled()
     }
 
     /// §2.9: a neighbor departed. Interest pointing at it is remapped to
@@ -709,11 +704,6 @@ impl CupNode {
     /// split neighbor into the local directory, eliminating duplicates.
     pub fn import_directory(&mut self, entries: Vec<IndexEntry>) {
         self.directory.merge(entries);
-    }
-
-    /// Housekeeping: evicts expired cached entries to bound memory.
-    pub fn evict_expired(&mut self, now: SimTime) -> usize {
-        self.keys.values_mut().map(|st| st.evict_expired(now)).sum()
     }
 }
 
@@ -769,7 +759,7 @@ fn respond(
 /// the original, so a response relayed to one neighbor allocates nothing.
 fn answer_waiters(
     stats: &mut NodeStats,
-    waiters: &Waiters,
+    waiters: &Pending,
     update: Update,
     st: &KeyState,
     now: SimTime,
@@ -940,6 +930,15 @@ mod tests {
         }
     }
 
+    /// `from` queries key 1 at t = 0 and the first-time answer (depth 2)
+    /// arrives at t = 1: the node caches key 1, and a neighbor that asked
+    /// gets its updates from then on. Returns what the answer emitted.
+    fn acquire(node: &mut CupNode, from: Requester) -> Vec<Action> {
+        emitted!(node.handle_query_into(SimTime::ZERO, KeyId(1), from, Some(NodeId(9))));
+        let answer = first_time(1, vec![entry(1, 0, 0)], 2);
+        emitted!(node.handle_update_into(SimTime::from_secs(1), NodeId(9), answer))
+    }
+
     fn refresh(key: u32, replica: u32, at: u64, depth: u32) -> Update {
         let e = entry(key, replica, at);
         Update {
@@ -1033,7 +1032,8 @@ mod tests {
             actions,
             vec![Action::send(NodeId(9), Message::Query { key: KeyId(1) })]
         );
-        assert!(node.key_state(KeyId(1)).unwrap().pending_first_update);
+        let pending = node.key_state(KeyId(1)).unwrap().pending_since();
+        assert_eq!(pending, Some(SimTime::ZERO), "open, stamped at the miss");
         assert_eq!(node.stats.first_time_misses, 1);
     }
 
@@ -1157,23 +1157,13 @@ mod tests {
         }
         assert_eq!(client_responses, 1);
         assert_eq!(forwards, 1);
-        assert!(!node.key_state(KeyId(1)).unwrap().pending_first_update);
+        assert_eq!(node.key_state(KeyId(1)).unwrap().pending_since(), None);
     }
 
     #[test]
     fn fresh_cache_answers_without_upstream_traffic() {
         let mut node = cup_node(1);
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Client(ClientId(1)),
-            Some(NodeId(9)),
-        ));
-        emitted!(node.handle_update_into(
-            SimTime::from_secs(1),
-            NodeId(9),
-            first_time(1, vec![entry(1, 0, 0)], 2),
-        ));
+        acquire(&mut node, Requester::Client(ClientId(1)));
         let actions = emitted!(node.handle_query_into(
             SimTime::from_secs(2),
             KeyId(1),
@@ -1199,8 +1189,9 @@ mod tests {
             emitted!(node.handle_update_into(SimTime::from_secs(1_000), NodeId(9), stale));
         assert!(actions.is_empty());
         assert_eq!(node.stats.updates_expired_on_arrival, 1);
-        assert!(
-            node.key_state(KeyId(1)).unwrap().pending_first_update,
+        assert_eq!(
+            node.key_state(KeyId(1)).unwrap().pending_since(),
+            Some(SimTime::ZERO),
             "a stale refresh is not the awaited first-time update"
         );
     }
@@ -1209,17 +1200,7 @@ mod tests {
     fn second_chance_cuts_off_after_two_empty_intervals() {
         let mut node = cup_node(1);
         // Acquire the key (one query, answered).
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Client(ClientId(1)),
-            Some(NodeId(9)),
-        ));
-        emitted!(node.handle_update_into(
-            SimTime::from_secs(1),
-            NodeId(9),
-            first_time(1, vec![entry(1, 0, 0)], 2),
-        ));
+        acquire(&mut node, Requester::Client(ClientId(1)));
         // First refresh with no queries since: second chance, applied.
         let a1 = emitted!(node.handle_update_into(
             SimTime::from_secs(300),
@@ -1252,17 +1233,7 @@ mod tests {
     #[test]
     fn queries_keep_the_subscription_alive() {
         let mut node = cup_node(1);
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Client(ClientId(1)),
-            Some(NodeId(9)),
-        ));
-        emitted!(node.handle_update_into(
-            SimTime::from_secs(1),
-            NodeId(9),
-            first_time(1, vec![entry(1, 0, 0)], 2),
-        ));
+        acquire(&mut node, Requester::Client(ClientId(1)));
         for round in 1..6 {
             let t = SimTime::from_secs(round * 300);
             // A query lands in every interval, so no cut-off ever fires.
@@ -1286,17 +1257,7 @@ mod tests {
     fn updates_forward_only_to_interested_neighbors() {
         let mut node = cup_node(1);
         // Neighbor 4 registers interest; neighbor 5 does not.
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Neighbor(NodeId(4)),
-            Some(NodeId(9)),
-        ));
-        emitted!(node.handle_update_into(
-            SimTime::from_secs(1),
-            NodeId(9),
-            first_time(1, vec![entry(1, 0, 0)], 2),
-        ));
+        acquire(&mut node, Requester::Neighbor(NodeId(4)));
         let actions = emitted!(node.handle_update_into(
             SimTime::from_secs(10),
             NodeId(9),
@@ -1318,17 +1279,7 @@ mod tests {
     #[test]
     fn clear_bit_cascades_when_unpopular() {
         let mut node = cup_node(1);
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Neighbor(NodeId(4)),
-            Some(NodeId(9)),
-        ));
-        emitted!(node.handle_update_into(
-            SimTime::from_secs(1),
-            NodeId(9),
-            first_time(1, vec![entry(1, 0, 0)], 2),
-        ));
+        acquire(&mut node, Requester::Neighbor(NodeId(4)));
         // Make the key unpopular here: two empty decision windows.
         emitted!(node.handle_update_into(
             SimTime::from_secs(300),
@@ -1357,17 +1308,7 @@ mod tests {
     #[test]
     fn clear_bit_stops_at_popular_node() {
         let mut node = cup_node(1);
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Neighbor(NodeId(4)),
-            Some(NodeId(9)),
-        ));
-        emitted!(node.handle_update_into(
-            SimTime::from_secs(1),
-            NodeId(9),
-            first_time(1, vec![entry(1, 0, 0)], 2),
-        ));
+        acquire(&mut node, Requester::Neighbor(NodeId(4)));
         // Local queries keep the key popular.
         emitted!(node.handle_query_into(
             SimTime::from_secs(2),
@@ -1598,22 +1539,11 @@ mod tests {
     }
 
     #[test]
-    fn capacity_limited_maintenance_updates_wait_for_service() {
-        let mut config = NodeConfig::cup_default();
-        config.capacity_limited = true;
-        let mut node = CupNode::new(NodeId(1), config);
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Neighbor(NodeId(4)),
-            Some(NodeId(9)),
-        ));
+    fn throttled_maintenance_updates_wait_for_service() {
+        let mut node = cup_node(1);
+        assert!(node.set_capacity(0.5));
         // The response itself is never throttled.
-        let response = emitted!(node.handle_update_into(
-            SimTime::from_secs(1),
-            NodeId(9),
-            first_time(1, vec![entry(1, 0, 0)], 2),
-        ));
+        let response = acquire(&mut node, Requester::Neighbor(NodeId(4)));
         assert_eq!(response.len(), 1, "first-time response sent immediately");
         assert_eq!(node.queued_updates(), 0);
         // A subsequent refresh for the interested neighbor is queued.
@@ -1624,35 +1554,53 @@ mod tests {
         ));
         assert!(actions.is_empty(), "refresh must be queued, not sent");
         assert_eq!(node.queued_updates(), 1);
-        let sent = emitted!(node.service_outgoing_into(SimTime::from_secs(11), 1.0));
+        node.set_capacity(1.0);
+        let sent = emitted!(node.service_outgoing_into(SimTime::from_secs(11)));
         assert_eq!(sent.len(), 1);
         assert_eq!(node.queued_updates(), 0);
     }
 
     #[test]
     fn zero_capacity_node_falls_back_to_standard_caching() {
-        let mut config = NodeConfig::cup_default();
-        config.capacity_limited = true;
-        let mut node = CupNode::new(NodeId(1), config);
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Neighbor(NodeId(4)),
-            Some(NodeId(9)),
-        ));
-        emitted!(node.handle_update_into(
-            SimTime::from_secs(1),
-            NodeId(9),
-            first_time(1, vec![entry(1, 0, 0)], 2),
-        ));
+        let mut node = cup_node(1);
+        assert!(node.set_capacity(0.0));
+        acquire(&mut node, Requester::Neighbor(NodeId(4)));
         emitted!(node.handle_update_into(SimTime::from_secs(10), NodeId(9), refresh(1, 0, 10, 2)));
         assert_eq!(node.queued_updates(), 1);
         // Zero capacity: nothing is ever sent; queue drains by expiry, so
         // the downstream neighbor silently falls back to expiration-based
         // caching (§2.8).
-        assert!(emitted!(node.service_outgoing_into(SimTime::from_secs(11), 0.0)).is_empty());
-        assert!(emitted!(node.service_outgoing_into(SimTime::from_secs(10_000), 0.0)).is_empty());
+        assert!(emitted!(node.service_outgoing_into(SimTime::from_secs(11))).is_empty());
+        assert!(emitted!(node.service_outgoing_into(SimTime::from_secs(10_000))).is_empty());
         assert_eq!(node.queued_updates(), 0, "expired entries left the queue");
+    }
+
+    #[test]
+    fn one_cut_from_full_capacity_starts_one_service_loop() {
+        let mut node = cup_node(1);
+        acquire(&mut node, Requester::Neighbor(NodeId(4)));
+        assert!(node.set_capacity(0.25), "a cut from full starts a loop");
+        assert!(!node.set_capacity(0.0), "a second cut starts none");
+        // Recovered, but still throttled until the next service.
+        assert!(!node.set_capacity(1.0));
+        assert!(node.is_throttled());
+        for at in [10, 20] {
+            let update = refresh(1, 0, at, 2);
+            let sent = emitted!(node.handle_update_into(SimTime::from_secs(at), NodeId(9), update));
+            assert!(sent.is_empty(), "queued at {at}");
+        }
+        // That service drains the backlog in one go and unthrottles.
+        let mut out = Vec::new();
+        assert!(!node.service_outgoing_into(SimTime::from_secs(21), &mut out));
+        assert_eq!((out.len(), node.queued_updates()), (2, 0));
+        assert!(!node.is_throttled());
+        let update = refresh(1, 0, 30, 2);
+        let sent = emitted!(node.handle_update_into(SimTime::from_secs(30), NodeId(9), update));
+        assert_eq!(sent.len(), 1, "forwarded at once again");
+        assert!(
+            !cup_node(1).is_throttled(),
+            "a cold node starts unthrottled"
+        );
     }
 
     #[test]
@@ -1674,15 +1622,18 @@ mod tests {
         ));
         assert_eq!(actions.len(), 1);
         assert_eq!(node.stats.pfu_retries, 1);
+        let pending = node.key_state(KeyId(1)).unwrap().pending_since();
+        assert_eq!(pending, Some(SimTime::from_secs(120)), "restamped");
+        let mut age = crate::obs::LazyHist::default();
+        age.record(SimDuration::from_secs(120).as_micros());
+        assert_eq!(node.stats.pfu_retry_age, age, "one retry, 120 s old");
     }
 
     #[test]
     fn cold_start_miss_at_late_time_is_not_a_pfu_retry() {
-        // Epoch-0 guard: `pfu_since` defaults to t = 0, so a node that
-        // never issued a PFU would look "stale since forever" if the
-        // timeout check ran unconditionally. The `pending_first_update`
-        // gate must keep a first-ever miss — at any clock reading — a
-        // plain upstream push, never a spurious retry.
+        // Epoch-0 guard: a node that never issued a PFU has no stamp to
+        // be "stale since forever", so a first-ever miss — at any clock
+        // reading — is a plain upstream push, never a spurious retry.
         let mut node = cup_node(1);
         let actions = emitted!(node.handle_query_into(
             SimTime::from_secs(1_000_000),
@@ -1930,17 +1881,7 @@ mod tests {
             NodeId(1),
             NodeConfig::cup_with_policy(CutoffPolicy::adaptive()),
         );
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Client(ClientId(1)),
-            Some(NodeId(9)),
-        ));
-        emitted!(node.handle_update_into(
-            SimTime::from_secs(1),
-            NodeId(9),
-            first_time(1, vec![entry(1, 0, 0)], 2),
-        ));
+        acquire(&mut node, Requester::Client(ClientId(1)));
         // A query in every interval (posted while the cache is still
         // fresh, so no Pending-First-Update round-trips): each refresh is
         // a justified decision interval recorded against this key's
@@ -1979,17 +1920,7 @@ mod tests {
         let mut fixed = CupNode::new(NodeId(2), NodeConfig::cup_default());
 
         for node in [&mut naive, &mut fixed] {
-            emitted!(node.handle_query_into(
-                SimTime::ZERO,
-                KeyId(1),
-                Requester::Client(ClientId(1)),
-                Some(NodeId(9)),
-            ));
-            emitted!(node.handle_update_into(
-                SimTime::from_secs(1),
-                NodeId(9),
-                first_time(1, vec![entry(1, 0, 0)], 2),
-            ));
+            acquire(node, Requester::Client(ClientId(1)));
         }
         // Updates from three different replicas arrive back-to-back with
         // no interleaved queries.

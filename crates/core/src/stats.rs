@@ -54,8 +54,8 @@ pub struct NodeStats {
     /// Audit repairs applied: rounds where a dissent quorum made this
     /// node evict condemned replicas and adopt the quorum's entries.
     pub audit_repairs: u64,
-    /// Distribution of how long each retried Pending-First-Update flag
-    /// had been stranded when the retry fired (µs since `pfu_since`) —
+    /// Distribution of how long each retried Pending-First-Update record
+    /// had been stranded when the retry fired (µs since its stamp) —
     /// the tail companion of the `pfu_retries` count.
     pub pfu_retry_age: LazyHist,
     /// Distribution of audit round-trips: µs from opening a sampled

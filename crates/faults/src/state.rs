@@ -238,9 +238,9 @@ impl FaultState {
             .map(|p| (mix64(p.salt ^ (node.index() as u64)) % u64::from(p.groups)) as u32)
     }
 
-    /// Applies one action to the plane. Crash/restart verdicts change
-    /// here; the embedding runtime is responsible for the matching state
-    /// wipe (the plane has no access to node internals).
+    /// Applies one action to the fault state. Crash/restart verdicts
+    /// change here; the matching state wipe is `Plane::apply`'s, which
+    /// rebuilds a crashed node cold in its arena.
     ///
     /// Returns `true` if the action changed anything (a crash of an
     /// already-crashed node, or a restart of a live one, is a no-op).

@@ -32,7 +32,7 @@ impl From<Range<usize>> for SizeRange {
     }
 }
 
-/// The strategy returned by [`vec`].
+/// The strategy returned by [`vec()`].
 #[derive(Debug, Clone)]
 pub struct VecStrategy<S> {
     element: S,

@@ -7,13 +7,14 @@
 //! contract. [`Network`] owns one [`Plane`] holding every node — with
 //! the trace ring and the staleness ground truth, which a replica death
 //! notes before the kernel sees the deletion; a scripted fault is one
-//! [`Plane::apply`], which also wipes a crashed node — and a [`Fabric`],
+//! [`Plane::apply`], which also wipes a crashed node — and a `Fabric`,
 //! the simulated transport the kernel runs over through [`Env`]: the
 //! event queue with the latency model (× the fault plane's spike
 //! factor), the authority cache and the posted-time map. What stays here
 //! is what only a simulation has: the workload generators, churn (and
-//! the liveness gate that counts deliveries to departed nodes), capacity
-//! service and its per-node capacity fractions.
+//! the liveness gate that counts deliveries to departed nodes) and the
+//! clock of capacity service (each node keeps its own capacity
+//! fraction, `CupNode::set_capacity`).
 //!
 //! Churn is also the one thing that moves a route. A join or a leave
 //! clears the authority cache and, with it, every live node's upstream
@@ -22,8 +23,8 @@
 //! the next hop from each node is routed afresh on the new topology.
 //!
 //! Storage is sized for 100k-node experiments: per-node state lives in
-//! the plane's dense [`cup_faults::NodeArena`] indexed by [`NodeId`], the
-//! capacity fractions in a flat vector beside it, the key → authority
+//! the plane's dense [`cup_faults::NodeArena`] indexed by [`NodeId`]
+//! (which holds exactly the overlay's live nodes), the key → authority
 //! map is a flat vector indexed by [`KeyId`] (keys are dense workload
 //! ids), and protocol actions are drained through the plane's reusable
 //! scratch buffer — the dispatch hot path performs no per-event
@@ -75,8 +76,6 @@ pub struct Network {
 struct Fabric {
     /// The structured overlay carrying the messages.
     overlay: AnyOverlay,
-    /// §3.7 outgoing-capacity fraction per node id.
-    capacities: Vec<f64>,
     latency: LatencyModel,
     rng: DetRng,
     /// Key → authority, dense by key id (`None` = not resolved since the
@@ -178,7 +177,6 @@ impl Network {
         Network {
             plane: Plane::new(NodeArena::build(&ids, node_config)),
             fabric: Fabric {
-                capacities: vec![1.0; ids.iter().map(|n| n.index() + 1).max().unwrap_or(0)],
                 overlay,
                 latency,
                 rng,
@@ -222,8 +220,9 @@ impl Network {
             Ev::PostQuery { node_index, key } => self.on_post_query(queue, now, node_index, key),
             Ev::Deliver { from, to, msg } => {
                 // Churn liveness is the simulation's own gate: a message
-                // to a departed node was never a hop.
-                if self.fabric.overlay.is_alive(to) && self.plane.nodes.holds(to) {
+                // to a departed node (one the arena no longer holds) was
+                // never a hop.
+                if self.plane.nodes.holds(to) {
                     let mut wire = self.fabric.wire(queue, now);
                     self.plane.receive(&mut wire, from, to, msg);
                 } else {
@@ -318,27 +317,23 @@ impl Network {
         self.plane.replica_event(&mut wire, authority, event);
     }
 
-    /// Services a capacity-limited node's outgoing queues.
+    /// Services a throttled node's outgoing queues, and keeps servicing
+    /// them while it stays throttled. The loop ends with the node: one
+    /// that departed is not serviced.
     fn on_service(&mut self, queue: &mut EventQueue<Ev>, now: SimTime, node: NodeId) {
-        if !self.fabric.overlay.is_alive(node) {
-            return;
-        }
-        let c = self.fabric.capacities[node.index()];
+        let mut again = false;
         let mut wire = self.fabric.wire(queue, now);
         self.plane.emit(&mut wire, now, node, |n, out| {
-            n.service_outgoing_into(now, c, out)
+            again = n.service_outgoing_into(now, out);
         });
-        if c < 1.0 {
+        if again {
             queue.schedule(now + SERVICE_INTERVAL, Ev::ServiceCapacity { node });
-        } else {
-            // Fully recovered: back to immediate forwarding.
-            if let Some(n) = self.plane.nodes.get_mut(node) {
-                n.set_capacity_limited(false);
-            }
         }
     }
 
-    /// Applies a §3.7 capacity change to a set of nodes.
+    /// Applies a §3.7 capacity change to a set of nodes. A cut from full
+    /// capacity starts a service loop; a recovery is finalized by the
+    /// next service, which drains the queue in one go.
     fn on_set_capacity(
         &mut self,
         queue: &mut EventQueue<Ev>,
@@ -348,18 +343,12 @@ impl Network {
     ) {
         for &idx in nodes {
             let id = NodeId(idx as u32);
-            if !self.fabric.overlay.is_alive(id) {
+            let Some(node) = self.plane.nodes.get_mut(id) else {
                 continue;
-            }
-            let was = std::mem::replace(&mut self.fabric.capacities[idx], capacity);
-            if capacity < 1.0 && was >= 1.0 {
-                if let Some(n) = self.plane.nodes.get_mut(id) {
-                    n.set_capacity_limited(true);
-                }
+            };
+            if node.set_capacity(capacity) {
                 queue.schedule(now + SERVICE_INTERVAL, Ev::ServiceCapacity { node: id });
             }
-            // Recovery (capacity >= 1.0) is finalized by the next
-            // ServiceCapacity event, which drains the queue in one go.
         }
     }
 
@@ -374,7 +363,6 @@ impl Network {
                     return;
                 };
                 self.plane.nodes.push_joined(new_id);
-                self.fabric.capacities.push(1.0);
                 self.patch_interest(&report);
                 // Hand over the directory slice the new node now owns.
                 let nodes = &mut self.plane.nodes;
@@ -531,17 +519,17 @@ mod tests {
     }
 
     #[test]
-    fn join_extends_nodes_and_capacities_in_lockstep() {
+    fn a_joined_node_runs_one_service_loop_while_throttled() {
         let mut rng = DetRng::seed_from(3);
         let overlay = AnyOverlay::build(OverlayKind::Chord, 8, &mut rng).unwrap();
         let (config, latency) = (NodeConfig::cup_default(), LatencyModel::default_wan());
         let mut net = Network::new(overlay, config, latency, rng);
         net.on_churn(ChurnEvent::Join { at: SimTime::ZERO });
         let joined = NodeId(8);
-        assert!(net.plane.nodes.holds(joined));
-        assert_eq!(net.fabric.capacities, [1.0; 9], "one fraction per id");
-        // Throttling the joined node limits it and starts one service
-        // loop; a second cut below full capacity starts no second one.
+        let throttled = |net: &Network| net.plane.nodes.get(joined).unwrap().is_throttled();
+        assert!(!throttled(&net), "a joined node starts unthrottled");
+        // The first cut throttles it and schedules exactly one service; a
+        // second cut below full capacity schedules none.
         let mut queue = EventQueue::new();
         for capacity in [0.25, 0.5] {
             let nodes = vec![joined.index()];
@@ -550,9 +538,25 @@ mod tests {
                 SimTime::ZERO,
                 Ev::SetCapacity { nodes, capacity },
             );
-            let node = net.plane.nodes.get(joined).unwrap();
-            assert!(node.config().capacity_limited && queue.len() == 1);
-            assert_eq!(net.fabric.capacities[joined.index()], capacity);
+            assert!(throttled(&net), "after the cut to {capacity}");
+            let scheduled: Vec<&Ev> = queue.ahead(2).collect();
+            let one_service =
+                matches!(scheduled[..], [Ev::ServiceCapacity { node }] if *node == joined);
+            assert!(one_service, "after the cut to {capacity}: {scheduled:?}");
+        }
+        // A service at a cut fraction schedules the next one; the first
+        // after a recovery lifts the throttle and ends the loop.
+        for (capacity, looping) in [(0.5, true), (1.0, false)] {
+            let nodes = vec![joined.index()];
+            net.dispatch(
+                &mut queue,
+                SimTime::ZERO,
+                Ev::SetCapacity { nodes, capacity },
+            );
+            let (at, service) = queue.pop().unwrap();
+            net.dispatch(&mut queue, at, service);
+            assert_eq!(queue.len(), usize::from(looping), "serviced at {capacity}");
+            assert_eq!(throttled(&net), looping, "serviced at {capacity}");
         }
     }
 }

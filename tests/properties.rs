@@ -153,11 +153,13 @@ proptest! {
         }
         let now = SimTime::from_secs(100);
         let expired = lives.iter().filter(|&&l| l <= 100).count();
-        let sent = q.service(now, c).len();
+        q.set_capacity(c);
+        let sent = q.service(now).len();
         prop_assert_eq!(sent + q.total_len() + expired, lives.len());
         // Full capacity sends everything unexpired.
-        let sent2 = q.service(now, 1.0).len();
-        let drained = q.service(now, 1.0).len();
+        q.set_capacity(1.0);
+        let sent2 = q.service(now).len();
+        let drained = q.service(now).len();
         prop_assert_eq!(sent + sent2 + expired, lives.len());
         prop_assert_eq!(drained, 0);
         prop_assert_eq!(q.total_len(), 0);
