@@ -73,6 +73,13 @@ fn repro_bench_scale_matches_golden() {
     assert_golden("repro_bench.txt", &out);
 }
 
+/// One sweep worker must print the same bytes as the default count.
+#[test]
+fn repro_bench_scale_on_one_worker_matches_golden() {
+    let out = run_repro(&["--scale", "bench", "all", "--workers", "1"]);
+    assert_golden("repro_bench.txt", &out);
+}
+
 /// Two in-process invocations must agree byte-for-byte (no hidden
 /// global state, time-of-day seeding, or map-iteration dependence).
 #[test]

@@ -174,10 +174,14 @@ impl OutgoingQueues {
             allocated += 1;
         }
         for (to, share, _) in shares {
+            // Every share was computed from a queue, so the lookup never
+            // misses.
             if share == 0 {
                 continue;
             }
-            let q = self.queues.get_mut(&to).expect("share implies queue");
+            let Some(q) = self.queues.get_mut(&to) else {
+                continue;
+            };
             for u in q.drain(..share) {
                 out.push((to, u));
             }

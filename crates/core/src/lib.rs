@@ -40,6 +40,7 @@
 //! comparison system in every experiment of the paper) is available as
 //! [`config::Mode::StandardCaching`] on the same node implementation.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::iter_over_hash_type)]
 
 pub mod action;

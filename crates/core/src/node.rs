@@ -39,8 +39,6 @@
 //! Where the update goes one hop further down, its depth is set by
 //! [`Update::forwarded`] and nowhere else.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
 
 use crate::action::Action;

@@ -26,8 +26,6 @@
 //!   default and costs one branch when disabled. The live runtime keeps
 //!   one ring per shard and folds them with [`TraceBuf::merge`].
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use cup_des::{KeyId, NodeId, SimTime};
 
 /// Linear sub-bucket bits: each power-of-two range splits into

@@ -28,8 +28,6 @@
 //! the paper's homogeneous configurations; per-class tables express
 //! mixed-policy populations.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use cup_des::KeyId;
 
 /// Inputs to a cut-off decision.

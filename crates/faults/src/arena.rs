@@ -17,8 +17,6 @@
 //! node into the hole — and nothing a run reports depends on it: stats
 //! fold by exact merges, and hint clearing touches every node.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use cup_core::stats::NodeStats;
 use cup_core::{CupNode, NodeConfig};
 use cup_des::NodeId;

@@ -80,6 +80,8 @@
 //! through one fixed order; a runtime implements the narrow [`Env`]
 //! trait and owns nothing else of the pipeline.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod arena;
 pub mod deliver;
 pub mod metrics;

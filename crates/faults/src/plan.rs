@@ -24,8 +24,6 @@
 //! `FromStr`/`Display` pair round-trips: `Display` prints the canonical
 //! spelling, which parses back to the same value.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use std::fmt;
 use std::str::FromStr;
 

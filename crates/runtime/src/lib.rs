@@ -13,8 +13,8 @@
 //! intra-shard messages are handled inline through a local FIFO, and
 //! cross-shard messages are **batched** — accumulated into
 //! per-destination buffers during dispatch and flushed as whole batches
-//! into per-(sender, receiver) swap-buffer slots at loop boundaries, so
-//! queue locking and the quiesce barrier's atomic in-flight counter are
+//! into the receiving shard's inbox at loop boundaries, so the inbox
+//! lock and the quiesce barrier's atomic in-flight counter are
 //! amortized over whole batches instead of paid per envelope. The
 //! overlay substrate (CAN or Chord) is a constructor parameter.
 //!
@@ -33,7 +33,7 @@
 //! byte.
 //!
 //! [`LiveNetwork::quiesce`] is the runtime's barrier: it blocks until
-//! every inbox and transfer slot is drained and no worker is
+//! every shard's inbox is drained and no worker is
 //! mid-dispatch, the live equivalent of running a simulation until its
 //! event queue empties. It stays exact under batching because workers
 //! flush their outbound buffers before retiring consumed work and

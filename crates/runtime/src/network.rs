@@ -208,7 +208,7 @@ impl LiveNetwork {
         self.shared.map.mode()
     }
 
-    /// Batches deposited into cross-shard transfer slots so far
+    /// Batches deposited into other shards' inboxes so far
     /// (non-empty flushes). Call after [`LiveNetwork::quiesce`] for a
     /// stable reading.
     pub fn batch_flushes(&self) -> u64 {
@@ -747,7 +747,8 @@ mod tests {
         );
         assert!(net.cross_shard_messages() <= net.hops());
         // Batched transfer still counts individual envelopes: every
-        // cross-shard message traveled inside some deposited batch.
+        // cross-shard message traveled inside some batch deposited into
+        // its receiver's inbox.
         assert_eq!(net.batched_envelopes(), net.cross_shard_messages());
         assert!(net.batch_flushes() > 0);
         assert!(

@@ -8,18 +8,18 @@
 //! through a local FIFO (no queue round-trip); a cross-shard message is
 //! *batched*: the sending worker
 //! accumulates envelopes into per-destination `Vec` buffers during
-//! dispatch and flushes whole batches into per-(sender, receiver)
-//! swap-buffer slots at loop boundaries, so queue locking and the
-//! atomic in-flight counter are paid once per batch, not once per
-//! envelope. Control traffic from the runtime handle (client queries,
-//! replica events and deaths) goes through a small per-shard inbox queue
-//! next to the slots.
+//! dispatch and flushes each whole batch into the receiver's [`Inbox`]
+//! at loop boundaries, so the inbox lock and the atomic in-flight
+//! counter are paid once per batch, not once per envelope. The inbox is
+//! a shard's only queue: peer batches land beside the runtime handle's
+//! control posts (client queries, replica events and deaths), and the
+//! worker takes one round's share of both under one lock.
 //!
 //! The in-flight counter still brackets every envelope from enqueue to
 //! fully-dispatched — one `fetch_add(batch_len)` when a batch is
 //! deposited, one `fetch_sub(consumed)` after the receiver dispatched a
 //! round — which keeps the [`Shared::wait_quiescent`] barrier exact:
-//! zero means every slot and inbox is drained *and* no worker is
+//! zero means every inbox is drained *and* no worker is
 //! mid-dispatch. Two orderings make that true under batching: a worker
 //! flushes its outbound buffers *before* decrementing the counter for
 //! the work it consumed (children are in flight before the parent
@@ -67,7 +67,7 @@ use cup_overlay::{AnyOverlay, Overlay};
 
 use crate::shard_map::ShardMap;
 
-/// What a shard's inbox (or a transfer slot) can carry.
+/// What a shard's inbox can carry.
 pub(crate) enum Envelope {
     /// A protocol message for `to` from peer `from`.
     Peer {
@@ -134,11 +134,11 @@ const MARK_NODES: usize = 8;
 // A mark must not grow the envelope every message travels in.
 const _: () = assert!(std::mem::size_of::<Envelope>() == 72);
 
-/// A shard's control inbox: the queue the runtime handle posts into
-/// (client queries, replica events and deaths), plus the
-/// flags that park and wake the worker. Batched peer traffic does *not*
-/// travel through here — it sits in [`TransferSlot`]s and only raises
-/// `dirty`.
+/// A shard's inbox, the one place other parties write to a shard: the
+/// peer batches other shards' workers deposit, the control envelopes
+/// the runtime handle posts (client queries, replica events and
+/// deaths), and the flags that park and wake the worker.
+#[derive(Default)]
 pub(crate) struct Inbox {
     state: Mutex<InboxState>,
     cv: Condvar,
@@ -146,14 +146,12 @@ pub(crate) struct Inbox {
 
 #[derive(Default)]
 struct InboxState {
+    /// Peer batches, each appended whole, so each sender's order
+    /// survives. Worker and senders swap vectors with it, ping-ponging
+    /// the same allocations: steady-state transfer allocates nothing.
+    peers: Vec<Envelope>,
     /// Handle-posted control envelopes, FIFO.
     control: VecDeque<Envelope>,
-    /// Some sender deposited a batch into one of this shard's transfer
-    /// slots since the worker last scanned them. Set under this mutex
-    /// *after* the deposit and cleared before the scan, so a deposit
-    /// racing the scan re-arms the flag and the worker rescans instead
-    /// of parking on unseen work (no missed wakeups).
-    dirty: bool,
     /// The pool is stopping. Checked only when no work remains, so a
     /// worker always drains before exiting.
     shutdown: bool,
@@ -166,13 +164,6 @@ struct InboxState {
 }
 
 impl Inbox {
-    fn new() -> Inbox {
-        Inbox {
-            state: Mutex::new(InboxState::default()),
-            cv: Condvar::new(),
-        }
-    }
-
     fn lock(&self) -> MutexGuard<'_, InboxState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -185,9 +176,15 @@ impl Inbox {
         }
     }
 
-    fn signal_dirty(&self) {
+    /// Lands a whole peer batch: swapped in when none is waiting (`buf`
+    /// comes back empty with the worker's old capacity), else appended.
+    fn deposit(&self, buf: &mut Vec<Envelope>) {
         let mut st = self.lock();
-        st.dirty = true;
+        if st.peers.is_empty() {
+            std::mem::swap(&mut st.peers, buf);
+        } else {
+            st.peers.append(buf);
+        }
         if st.parked {
             self.cv.notify_one();
         }
@@ -199,14 +196,18 @@ impl Inbox {
     }
 }
 
-/// One (sender shard → receiver shard) swap-buffer batch queue. The
-/// sender deposits a whole `Vec` of envelopes per flush (a swap when the
-/// slot is empty, an append when the receiver is behind); the receiver
-/// swaps the slot out against an empty scratch vector. The two sides
-/// ping-pong the same allocations, so steady-state transfer allocates
-/// nothing.
-struct TransferSlot {
-    buf: Mutex<Vec<Envelope>>,
+impl InboxState {
+    /// Takes one round's share into the worker's empty `peers` and
+    /// `control`: every peer envelope (a swap, leaving `peers`'
+    /// allocation here for the next sender) and at most
+    /// [`CONTROL_QUANTUM`] control envelopes; the rest stay queued.
+    /// Returns whether the round has any work.
+    fn take_round(&mut self, peers: &mut Vec<Envelope>, control: &mut Vec<Envelope>) -> bool {
+        std::mem::swap(&mut self.peers, peers);
+        let n = self.control.len().min(CONTROL_QUANTUM);
+        control.extend(self.control.drain(..n));
+        !peers.is_empty() || !control.is_empty()
+    }
 }
 
 /// The state one shard owns outright. Its worker holds the lock for the
@@ -282,6 +283,7 @@ struct ClientRegistry {
 /// wall-clock latency includes queue wait) and emptied when each
 /// `PendingQuery` drops. Only the shard of the node a query was posted
 /// at ever answers it.
+#[derive(Default)]
 pub(crate) struct Clients {
     registry: Mutex<ClientRegistry>,
     /// Signalled when an answer lands while some thread is blocked.
@@ -289,13 +291,6 @@ pub(crate) struct Clients {
 }
 
 impl Clients {
-    fn new() -> Clients {
-        Clients {
-            registry: Mutex::new(ClientRegistry::default()),
-            answered: Condvar::new(),
-        }
-    }
-
     /// The registry. A poisoned one is recovered, not propagated: every
     /// update leaves it valid, and a worker must keep dispatching (the
     /// barrier reports the panic).
@@ -372,11 +367,8 @@ const NO_PANIC: usize = usize::MAX;
 
 /// State shared between the runtime handle and every worker.
 pub(crate) struct Shared {
-    /// Per-shard control inboxes, indexed by shard.
+    /// Per-shard inboxes, indexed by shard.
     pub(crate) inboxes: Vec<Inbox>,
-    /// The (sender, receiver) transfer slots, row-major by sender:
-    /// `slots[sender * shards + receiver]`.
-    slots: Vec<TransferSlot>,
     /// The frozen node→shard assignment (and its O(1) lookup tables).
     pub(crate) map: ShardMap,
     /// The static overlay all routing decisions come from.
@@ -391,7 +383,7 @@ pub(crate) struct Shared {
     /// see [`cup_core::clock`].
     pub(crate) clock: Clock,
     /// In-flight envelopes: incremented before an envelope (or a whole
-    /// batch of them) enters an inbox or transfer slot, decremented
+    /// batch of them) enters an inbox, decremented
     /// after the receiving worker fully dispatched it — including its
     /// inline intra-shard cascade *and* the flush of any cross-shard
     /// children it produced (flush-before-decrement).
@@ -426,15 +418,10 @@ impl Shared {
             })
             .collect();
         Shared {
-            inboxes: (0..shards).map(|_| Inbox::new()).collect(),
-            slots: (0..shards * shards)
-                .map(|_| TransferSlot {
-                    buf: Mutex::new(Vec::new()),
-                })
-                .collect(),
+            inboxes: (0..shards).map(|_| Inbox::default()).collect(),
             map,
             overlay,
-            clients: (0..shards).map(|_| Clients::new()).collect(),
+            clients: (0..shards).map(|_| Clients::default()).collect(),
             locals,
             clock,
             pending: atomic::AtomicU64::new(0),
@@ -458,43 +445,12 @@ impl Shared {
         self.inboxes[shard].push_control(env);
     }
 
-    /// The (sender → receiver) transfer slot's buffer.
-    fn slot(&self, sender: usize, receiver: usize) -> &Mutex<Vec<Envelope>> {
-        &self.slots[sender * self.map.shards() + receiver].buf
-    }
-
-    /// Deposits a whole outbound batch into the (sender → receiver)
-    /// transfer slot and wakes the receiver. The in-flight counter is
-    /// bumped by the full batch length *before* the deposit — one
-    /// amortized `fetch_add` per flush — so the barrier can never
-    /// observe a deposited envelope it has not counted. `buf` comes
-    /// back empty but with capacity (the slot's previous vector when the
-    /// swap path was taken).
-    fn deposit(&self, sender: usize, receiver: usize, buf: &mut Vec<Envelope>) {
+    /// Deposits a whole outbound batch into `receiver`'s inbox, counted
+    /// in flight *before* the deposit — one amortized `fetch_add` per
+    /// flush — so the barrier never sees an envelope it has not counted.
+    fn deposit(&self, receiver: usize, buf: &mut Vec<Envelope>) {
         self.pending.fetch_add(buf.len() as u64, Ordering::SeqCst);
-        {
-            let mut slot = self
-                .slot(sender, receiver)
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if slot.is_empty() {
-                std::mem::swap(&mut *slot, buf);
-            } else {
-                slot.append(buf);
-            }
-        }
-        self.inboxes[receiver].signal_dirty();
-    }
-
-    /// Collects whatever the (sender → receiver) slot holds into `buf`
-    /// (expected empty), leaving the slot's allocation behind for the
-    /// sender to refill.
-    fn collect(&self, sender: usize, receiver: usize, buf: &mut Vec<Envelope>) {
-        let mut slot = self
-            .slot(sender, receiver)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        std::mem::swap(&mut *slot, buf);
+        self.inboxes[receiver].deposit(buf);
     }
 
     /// Marks `n` in-flight envelopes as fully dispatched, waking
@@ -568,10 +524,9 @@ struct Worker {
     shared: Arc<Shared>,
     /// Intra-shard messages handled inline, FIFO (to, from, msg).
     local: VecDeque<(NodeId, NodeId, Message)>,
-    /// Control envelopes swapped out of the inbox for this round.
-    control: VecDeque<Envelope>,
-    /// Scratch vector batches are collected into (ping-pongs allocations
-    /// with the transfer slots).
+    /// This round's control envelopes, emptied every round.
+    control: Vec<Envelope>,
+    /// This round's peer envelopes, emptied every round.
     incoming: Vec<Envelope>,
     /// Per-destination outbound buffers, flushed at loop boundaries.
     outbox: Vec<Outbound>,
@@ -606,8 +561,8 @@ impl Drop for PanicGuard {
     }
 }
 
-/// Control envelopes a worker dispatches per round before it re-scans
-/// its transfer slots and flushes — the dispatch quantum. Bounding the
+/// Control envelopes a worker takes per round before it flushes and
+/// takes fresh peer batches — the dispatch quantum. Bounding the
 /// round keeps the protocol's *feedback* latency low: a replica-event
 /// storm posted to an authority's shard would otherwise be consumed as
 /// one giant round, pumping every update downstream before a single
@@ -619,10 +574,10 @@ impl Drop for PanicGuard {
 /// other shards instead of sitting on it until the storm ends.
 const CONTROL_QUANTUM: usize = 64;
 
-/// The worker thread body: rounds of (park until work → take the shard's
-/// [`ShardLocal`] → pull in control envelopes and batch slots → dispatch
-/// incoming, then one control quantum → flush outbound batches →
-/// release the `ShardLocal` → retire the consumed count) until shutdown.
+/// The worker thread body: rounds of (park until the inbox holds work →
+/// take its peers and one control quantum → take the [`ShardLocal`] →
+/// dispatch peers, then control → flush outbound batches → release the
+/// `ShardLocal` → retire the consumed count) until shutdown.
 pub(crate) fn worker_main(shard: usize, shared: Arc<Shared>) {
     let guard = PanicGuard {
         shard,
@@ -633,7 +588,7 @@ pub(crate) fn worker_main(shard: usize, shared: Arc<Shared>) {
         shard,
         shared: Arc::clone(&shared),
         local: VecDeque::new(),
-        control: VecDeque::new(),
+        control: Vec::new(),
         incoming: Vec::new(),
         outbox: (0..shards).map(|_| Outbound::default()).collect(),
         path: Vec::new(),
@@ -644,16 +599,7 @@ pub(crate) fn worker_main(shard: usize, shared: Arc<Shared>) {
             let inbox = &shared.inboxes[shard];
             let mut st = inbox.lock();
             loop {
-                if !st.control.is_empty() || st.dirty {
-                    // Fresh control queues behind any quantum remainder
-                    // from the last round, preserving FIFO order.
-                    worker.control.append(&mut st.control);
-                    st.dirty = false;
-                    break false;
-                }
-                if !worker.control.is_empty() {
-                    // A quantum remainder is still in hand: keep
-                    // working, never park on unconsumed envelopes.
+                if st.take_round(&mut worker.incoming, &mut worker.control) {
                     break false;
                 }
                 if st.shutdown {
@@ -689,39 +635,25 @@ pub(crate) fn worker_main(shard: usize, shared: Arc<Shared>) {
 }
 
 impl Worker {
-    /// Dispatches one round's work: every sender's transfer slot first
-    /// — peer traffic carries the protocol's feedback (clear-bits,
-    /// query answers), so it is applied before new control work is
-    /// started — then at most [`CONTROL_QUANTUM`] control envelopes;
-    /// any remainder stays in hand for the next round. Returns the
-    /// number of in-flight envelopes consumed.
+    /// Dispatches the round [`InboxState::take_round`] took: the peer
+    /// envelopes first — peer traffic carries the protocol's feedback
+    /// (clear-bits, query answers), so it is applied before new control
+    /// work is started — then the control quantum. Returns the number of
+    /// in-flight envelopes consumed.
     fn drain_round(&mut self, state: &mut ShardLocal) -> u64 {
-        let mut consumed = 0u64;
-        let shards = self.outbox.len();
-        for sender in 0..shards {
-            if sender == self.shard {
-                continue;
-            }
-            let mut batch = std::mem::take(&mut self.incoming);
-            self.shared.collect(sender, self.shard, &mut batch);
-            for env in batch.drain(..) {
-                self.dispatch(state, env);
-                consumed += 1;
-            }
-            self.incoming = batch;
-        }
-        for _ in 0..CONTROL_QUANTUM {
-            let Some(env) = self.control.pop_front() else {
-                break;
-            };
+        let mut peers = std::mem::take(&mut self.incoming);
+        let mut control = std::mem::take(&mut self.control);
+        let consumed = (peers.len() + control.len()) as u64;
+        for env in peers.drain(..).chain(control.drain(..)) {
             self.dispatch(state, env);
-            consumed += 1;
         }
+        self.incoming = peers;
+        self.control = control;
         consumed
     }
 
-    /// Flushes the round's accumulated output: the per-destination
-    /// outbound batches into their transfer slots. Runs before
+    /// Flushes the round's accumulated output: each per-destination
+    /// outbound batch into its receiver's inbox. Runs before
     /// `finish_n` and before parking — see the module docs for why both
     /// orderings are load-bearing. Only a batch's peer messages count as
     /// cross-shard traffic: [`Envelope::JustifyMark`]s ride along for
@@ -736,7 +668,7 @@ impl Worker {
                 state.cross_shard += peers;
                 state.batch_sizes.record(peers);
             }
-            self.shared.deposit(self.shard, dest, &mut out.buf);
+            self.shared.deposit(dest, &mut out.buf);
         }
     }
 
@@ -871,5 +803,69 @@ mod tests {
             message.contains("worker for shard 1 panicked"),
             "unexpected message: {message}"
         );
+    }
+
+    fn peer(tag: u32) -> Envelope {
+        Envelope::Peer {
+            to: NodeId(tag),
+            from: NodeId(0),
+            msg: Message::Query { key: KeyId(0) },
+        }
+    }
+
+    fn control(tag: u32) -> Envelope {
+        Envelope::Client {
+            at: NodeId(tag),
+            key: KeyId(0),
+            client: ClientId(0),
+        }
+    }
+
+    /// The node each envelope is for: its tag.
+    fn tags(envs: &[Envelope]) -> Vec<u32> {
+        let tag = |env: &Envelope| match env {
+            Envelope::Peer { to: node, .. } | Envelope::Client { at: node, .. } => node.0,
+            _ => unreachable!("the test queues only peers and clients"),
+        };
+        envs.iter().map(tag).collect()
+    }
+
+    #[test]
+    fn a_round_takes_every_peer_and_one_control_quantum_in_order() {
+        let inbox = Inbox::default();
+        (0..100).for_each(|i| inbox.push_control(control(i)));
+        inbox.deposit(&mut vec![peer(1000), peer(1001)]);
+        inbox.deposit(&mut vec![peer(2000), peer(2001), peer(2002)]);
+
+        let (mut peers, mut taken) = (Vec::new(), Vec::new());
+        assert!(inbox.lock().take_round(&mut peers, &mut taken));
+        assert_eq!(
+            tags(&peers),
+            [1000, 1001, 2000, 2001, 2002],
+            "each batch whole"
+        );
+        assert_eq!(
+            tags(&taken),
+            (0..64).collect::<Vec<_>>(),
+            "one quantum, in order"
+        );
+
+        peers.clear();
+        taken.clear();
+        let left = peers.capacity();
+        assert!(inbox.lock().take_round(&mut peers, &mut taken));
+        assert!(peers.is_empty(), "no batch arrived since the first take");
+        assert_eq!(
+            tags(&taken),
+            (64..100).collect::<Vec<_>>(),
+            "the rest, in order"
+        );
+
+        // The take left the worker's emptied vector behind: the next
+        // deposit into the empty inbox hands that allocation to its sender.
+        let mut next = vec![peer(1002)];
+        inbox.deposit(&mut next);
+        assert!(left >= 5 && next.is_empty());
+        assert_eq!(next.capacity(), left, "a deposit into an empty inbox swaps");
     }
 }

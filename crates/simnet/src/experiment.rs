@@ -71,6 +71,7 @@ impl ExperimentConfig {
 /// class, or the overlay cannot be built — experiment configurations are
 /// programmer input.
 pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
+    #[expect(clippy::expect_used, reason = "documented: programmer input")]
     config
         .scenario
         .validate()
@@ -97,6 +98,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     let latency_rng = root.derive(4);
     let mut capacity_rng = root.derive(5);
 
+    #[expect(clippy::expect_used, reason = "documented: programmer input")]
     let overlay = AnyOverlay::build(config.overlay, scenario.nodes, &mut overlay_rng)
         .expect("overlay construction");
     let mut net = Network::new(overlay, node_config, config.latency.clone(), latency_rng);

@@ -28,6 +28,7 @@
 //! [`par::parallel_map`] farms them across worker threads with stable
 //! output ordering; [`report`] renders them in the paper's format.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::iter_over_hash_type)]
 
 pub mod event;

@@ -30,8 +30,6 @@
 //! scratch buffer — the dispatch hot path performs no per-event
 //! allocation of its own.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use std::collections::BTreeMap;
 
 use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};

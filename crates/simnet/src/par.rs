@@ -29,6 +29,10 @@ pub fn default_workers() -> usize {
 /// # Panics
 ///
 /// Propagates a panicking `f` (the scope join rethrows it).
+#[expect(
+    clippy::expect_used,
+    reason = "every claimed slot is filled by the join"
+)]
 pub fn parallel_map<I, T, F>(items: &[I], workers: usize, f: F) -> Vec<T>
 where
     I: Sync,
@@ -47,7 +51,7 @@ where
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
                 let result = f(item);
-                *slots[i].lock().unwrap() = Some(result);
+                *slots[i].lock().unwrap_or_else(|e| e.into_inner()) = Some(result);
             });
         }
     });
@@ -55,7 +59,7 @@ where
         .into_iter()
         .map(|slot| {
             slot.into_inner()
-                .unwrap()
+                .unwrap_or_else(|e| e.into_inner())
                 .expect("every slot is filled once the scope joins")
         })
         .collect()
