@@ -8,8 +8,9 @@
 //!
 //! This facade crate re-exports the whole workspace:
 //!
-//! * [`des`] — deterministic discrete-event engine (the Narses-equivalent
-//!   substrate);
+//! * [`des`] — the deterministic discrete-event substrate (the Narses
+//!   equivalent): simulated clock, event queue, seedable RNG and latency
+//!   models;
 //! * [`overlay`] — 2-D CAN and Chord overlays with deterministic routing;
 //! * [`protocol`] — the CUP node state machine (the paper's
 //!   contribution);

@@ -5,46 +5,41 @@
 //!
 //! * a microsecond-resolution simulated clock ([`SimTime`], [`SimDuration`]),
 //! * a deterministic event queue with stable FIFO ordering for simultaneous
-//!   events ([`EventQueue`]) — a calendar queue with O(1) amortized
-//!   schedule/pop, pinned against the retired heap scheduler by a
-//!   differential test suite (`tests/calendar_queue_diff.rs`),
-//! * a generic simulation driver ([`Engine`]) that dispatches events to a
-//!   user-supplied handler,
+//!   events ([`EventQueue`]) — std's binary heap behind a sorted look-ahead
+//!   head, pinned against a head-less heap by a differential test suite
+//!   (`tests/calendar_queue_diff.rs`),
 //! * a deterministic, seedable random number generator ([`rng::DetRng`])
 //!   that is stable across platforms and crate versions, and
 //! * per-hop network latency models ([`latency`]).
 //!
-//! The engine is intentionally protocol-agnostic: the CUP protocol crates
-//! define their own event payloads and state and drive them through
-//! [`Engine::run`].
+//! The crate is intentionally protocol-agnostic: the CUP protocol crates
+//! define their own event payloads and state and drain the queue with a
+//! [`EventQueue::pop_before`] loop of their own.
 //!
 //! # Examples
 //!
 //! ```
-//! use cup_des::{Engine, EventQueue, SimDuration, SimTime};
+//! use cup_des::{EventQueue, SimDuration, SimTime};
 //!
 //! // Count ticks of a self-rescheduling timer.
-//! struct State {
-//!     ticks: u32,
-//! }
-//!
-//! let mut engine = Engine::new(State { ticks: 0 });
-//! engine.schedule(SimTime::ZERO, ());
-//! engine.run_until(SimTime::from_secs(10), |state, queue, now, ()| {
-//!     state.ticks += 1;
+//! let mut queue = EventQueue::new();
+//! queue.schedule(SimTime::ZERO, ());
+//! let mut ticks = 0;
+//! while let Some((now, ())) = queue.pop_before(SimTime::from_secs(10)) {
+//!     ticks += 1;
 //!     queue.schedule(now + SimDuration::from_secs(1), ());
-//! });
-//! assert_eq!(engine.state().ticks, 10);
+//! }
+//! assert_eq!(ticks, 10);
 //! ```
 
-pub mod engine;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod event;
 pub mod id;
 pub mod latency;
 pub mod rng;
 pub mod time;
 
-pub use engine::Engine;
 pub use event::EventQueue;
 pub use id::{KeyId, NodeId, ReplicaId};
 pub use latency::LatencyModel;

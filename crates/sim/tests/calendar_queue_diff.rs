@@ -1,17 +1,18 @@
-//! Differential tests pinning the calendar queue against the retired
-//! heap scheduler.
+//! Differential tests pinning the event queue's sorted head against a
+//! head-less heap.
 //!
-//! [`ReferenceHeapQueue`] is the oracle: its `(time, sequence)` pop order
-//! defined the simulations' determinism contract before the calendar
-//! queue landed, and every golden snapshot was generated under it. These
-//! tests drive both queues with the same schedule/pop stream — including
-//! interleavings, heavy timestamp collisions, far-future outliers that
-//! cross calendar resize and direct-scan paths, a bimodal stream that
-//! makes the calendar retune its width mid-run, and the shapes that
-//! exercise the sorted head (same-instant bursts, zero-delay schedules,
-//! schedules landing inside the head, `ahead` at random points,
-//! `pop_before` deadlines inside the head, `clear`) — and require
-//! identical observable behavior at every step.
+//! [`ReferenceHeapQueue`] is the oracle: a bare `BinaryHeap` on the
+//! `(time, sequence)` total order, the simulations' determinism contract.
+//! [`EventQueue`] is the same heap behind a sorted head that `ahead`
+//! fills and `schedule` may insert into, so what these tests pin is the
+//! head logic. They drive both queues with the same schedule/pop stream —
+//! interleavings, heavy timestamp collisions, far-future outliers, a
+//! bimodal stream of in-flight messages and far timers, same-instant
+//! bursts, zero-delay schedules, schedules landing inside the head,
+//! `ahead` at random points, `pop_before` deadlines inside the head and
+//! `clear` — and require identical observable behavior at every step.
+//! The file name, some test names and the `cal` bindings are from the
+//! calendar queue the suite pinned before the heap replaced it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -52,12 +53,11 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The retired `BinaryHeap` scheduler, kept as the differential-test
-/// oracle for [`EventQueue`].
+/// A `BinaryHeap` with no head, the differential-test oracle for
+/// [`EventQueue`].
 ///
 /// Same `(time, sequence)` total order, same API as the [`EventQueue`]
-/// methods the tests drive; its pop order defines correctness for any
-/// future scheduler.
+/// methods the tests drive; its pop order defines correctness.
 #[derive(Debug)]
 struct ReferenceHeapQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
@@ -235,8 +235,8 @@ proptest! {
                     now = at;
                 }
             } else {
-                // Spread offsets over several orders of magnitude so the
-                // calendar queue crosses bucket-day and resize boundaries.
+                // Spread offsets over several orders of magnitude, so
+                // some land inside the head and some far beyond it.
                 let magnitude = 10u64.pow(rng.next_below(7) as u32);
                 let at = now + SimDuration::from_micros(rng.next_below(magnitude.max(1)));
                 cal.schedule(at, next_payload);
@@ -262,9 +262,8 @@ proptest! {
         assert_drain_identical(&mut cal, &mut heap)?;
     }
 
-    /// Far-future outliers (beyond a whole calendar lap) mixed with a
-    /// dense near-term cluster exercise the direct-scan fallback without
-    /// perturbing the order.
+    /// Far-future outliers (hours to months out) mixed with a dense
+    /// near-term cluster do not perturb the order.
     #[test]
     fn far_future_outliers_keep_order(seed in any::<u64>()) {
         let mut rng = DetRng::seed_from(seed);
@@ -285,10 +284,7 @@ proptest! {
 
     /// The DES workloads' bimodal pending set — a dense cluster of
     /// in-flight messages plus a few timers minutes out — under steady
-    /// pop-and-reschedule with bursts of fan-out, long enough that the
-    /// calendar retunes its width from the pop stream (and resizes)
-    /// several times mid-stream. Whatever width it lands on, the pop
-    /// order is the heap's.
+    /// pop-and-reschedule with bursts of fan-out.
     #[test]
     fn bimodal_stream_pops_identically_across_retunes(seed in any::<u64>(), pops in 1_500usize..4_000) {
         let mut rng = DetRng::seed_from(seed);
@@ -320,7 +316,7 @@ proptest! {
             let Some((now, payload)) = a else { break };
             // A timer re-arms itself; a message is forwarded once on
             // average but sometimes fans out and sometimes dies, so the
-            // depth drifts across the resize thresholds as well.
+            // depth drifts as well.
             let timer = payload & 1 == 1;
             let (reach, copies) = if timer {
                 (300_000_000, 1)
@@ -340,8 +336,7 @@ proptest! {
 proptest! {
     /// Flash crowds: bursts of up to 300 events at one instant, some at
     /// the instant being popped, others just after or well after it.
-    /// Each burst files under one bucket-day and leaves the calendar
-    /// whole; events joining a burst mid-drain keep its FIFO tail.
+    /// Events joining a burst mid-drain keep its FIFO tail.
     #[test]
     fn same_instant_bursts_pop_identically(seed in any::<u64>()) {
         let mut rng = DetRng::seed_from(seed);
@@ -392,7 +387,7 @@ proptest! {
     }
 
     /// Schedules that land inside the head: `ahead` pulls a stretch of
-    /// events out of the calendar, then new events are aimed before the
+    /// events out of the heap, then new events are aimed before the
     /// last of them — some exactly onto an event already in the head, so
     /// ties with it must go behind it.
     #[test]

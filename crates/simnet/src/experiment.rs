@@ -1,7 +1,7 @@
 //! One experiment, end to end.
 
 use cup_core::{CutoffPolicy, NodeConfig, PropagationPolicy};
-use cup_des::{DetRng, Engine, LatencyModel, SimDuration};
+use cup_des::{DetRng, EventQueue, LatencyModel, SimDuration};
 use cup_faults::{FaultPlan, Plane};
 use cup_overlay::{AnyOverlay, OverlayKind};
 use cup_workload::{
@@ -150,18 +150,18 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     net.replica_plan = Some(plan);
 
     let node_count = scenario.nodes;
-    let mut engine = Engine::new(net);
+    let mut queue = EventQueue::new();
     for birth in births {
-        engine.schedule(birth.at, Ev::Replica(birth));
+        queue.schedule(birth.at, Ev::Replica(birth));
     }
-    engine.schedule(scenario.query_start, Ev::NextQuery);
+    queue.schedule(scenario.query_start, Ev::NextQuery);
     for epoch in config.capacity_profile.schedule(
         scenario.nodes,
         scenario.query_start,
         scenario.query_end,
         &mut capacity_rng,
     ) {
-        engine.schedule(
+        queue.schedule(
             epoch.at,
             Ev::SetCapacity {
                 nodes: epoch.nodes,
@@ -170,10 +170,10 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
         );
     }
     for churn_event in config.churn.events() {
-        engine.schedule(churn_event.at(), Ev::Churn(*churn_event));
+        queue.schedule(churn_event.at(), Ev::Churn(*churn_event));
     }
     for fault_event in fault_plan.events() {
-        engine.schedule(fault_event.at, Ev::Fault(*fault_event));
+        queue.schedule(fault_event.at, Ev::Fault(*fault_event));
     }
 
     // Run through the query window plus the drain margin. The paper's
@@ -181,12 +181,7 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     // querying) contributes no queries; costs are accounted over the
     // active window, see EXPERIMENTS.md.
     let stop = scenario.query_end + config.drain;
-    engine.run_until(stop.min(scenario.sim_end), |net, queue, now, ev| {
-        net.dispatch(queue, now, ev)
-    });
-
-    let events = engine.processed();
-    let net = engine.into_state();
+    let events = net.run_until(&mut queue, stop.min(scenario.sim_end));
     let totals = Plane::totals([&net.plane]);
     ExperimentResult {
         net: totals.net,

@@ -68,8 +68,7 @@ pub struct Network {
 }
 
 /// The simulated transport: everything the delivery kernel reaches
-/// through [`Env`], apart from the event queue the engine lends per
-/// event.
+/// through [`Env`], apart from the event queue lent to it per event.
 #[derive(Debug)]
 struct Fabric {
     /// The structured overlay carrying the messages.
@@ -190,7 +189,23 @@ impl Network {
         }
     }
 
-    /// Handles one simulation event; the entry point the engine drives.
+    /// Drains `queue` through [`Network::dispatch`] until it is empty or
+    /// its next event fires at or after `deadline` (an event exactly at
+    /// `deadline` stays pending). Returns the number of events processed.
+    pub fn run_until(&mut self, queue: &mut EventQueue<Ev>, deadline: SimTime) -> u64 {
+        let mut processed = 0;
+        let mut now = SimTime::ZERO;
+        while let Some((at, ev)) = queue.pop_before(deadline) {
+            debug_assert!(at >= now, "event queue went backwards in time");
+            now = at;
+            processed += 1;
+            self.dispatch(queue, at, ev);
+        }
+        processed
+    }
+
+    /// Handles one simulation event; the entry point
+    /// [`Network::run_until`] drives.
     ///
     /// Events are handled one at a time, in pop order, but in groups of
     /// [`CupNode::LOOKAHEAD`]: a group starts by touching the receiving

@@ -21,7 +21,7 @@
 
 use std::collections::HashSet;
 
-use cup::des::LatencyModel;
+use cup::des::{EventQueue, LatencyModel};
 use cup::faults::{FaultEvent, NetMetrics, Plane, Totals};
 use cup::prelude::*;
 use cup::protocol::stats::NodeStats;
@@ -552,7 +552,7 @@ fn run_sim_inner(spec: &ConformanceSpec, trace_cap: Option<usize>) -> (Outcome, 
         ..Scenario::default()
     };
     net.replica_plan = Some(ReplicaPlan::build(&plan, &mut DetRng::seed_from(1)));
-    let mut engine = cup::des::Engine::new(net);
+    let mut queue = EventQueue::new();
     let script = spec.script();
     for &(at, step) in &script {
         let replica = |k: u32, kind| {
@@ -574,18 +574,16 @@ fn run_sim_inner(spec: &ConformanceSpec, trace_cap: Option<usize>) -> (Outcome, 
             Step::Delete(k) => replica(k, ReplicaActionKind::Death),
             Step::Fault(action) => Ev::Fault(FaultEvent { at, action }),
         };
-        engine.schedule(at, ev);
+        queue.schedule(at, ev);
     }
     let end = spec.end(&script);
-    engine.run_until(end, |net, queue, now, ev| net.dispatch(queue, now, ev));
-    let probe = engine.now();
-    let mut net = engine.into_state();
+    net.run_until(&mut queue, end);
     let trace = net.plane.trace.take();
     let (stats, totals) = (
         net.plane.nodes.aggregate_stats(),
         Plane::totals([&net.plane]),
     );
-    let outcome = outcome_of(stats, net.plane.nodes.iter(), spec.keys, probe, totals);
+    let outcome = outcome_of(stats, net.plane.nodes.iter(), spec.keys, end, totals);
     (outcome, trace)
 }
 
