@@ -22,6 +22,15 @@ use cup_simnet::report;
 use cup_simnet::sweeps;
 use cup_workload::Scenario;
 
+/// The usage line, printed on `--help` and after a usage error.
+const USAGE: &str = "usage: repro [--scale bench|small|paper] [--workers N] \
+                     [fig3|fig4|table1|table2|table3|fig5|fig6|all]...";
+
+/// The experiments `repro` can name.
+const EXPERIMENTS: [&str; 8] = [
+    "fig3", "fig4", "table1", "table2", "table3", "fig5", "fig6", "all",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Small;
@@ -45,13 +54,14 @@ fn main() {
                 }
             }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: repro [--scale bench|small|paper] [--workers N] \
-                     [fig3|fig4|table1|table2|table3|fig5|fig6|all]..."
-                );
+                eprintln!("{USAGE}");
                 return;
             }
-            other => wanted.push(other.to_string()),
+            other if EXPERIMENTS.contains(&other) => wanted.push(other.to_string()),
+            other => {
+                eprintln!("unknown experiment '{other}'\n{USAGE}");
+                std::process::exit(2);
+            }
         }
     }
     if wanted.is_empty() {

@@ -88,3 +88,19 @@ fn repro_bench_scale_is_reproducible() {
     let b = run_repro(&["--scale", "bench", "table1"]);
     assert_eq!(a, b, "same invocation must print identical bytes");
 }
+
+/// A misspelled experiment is a usage error, not an empty report.
+#[test]
+fn repro_rejects_unknown_experiment_names() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "bench", "tabel2"])
+        .output()
+        .expect("repro binary must run");
+    assert_eq!(out.status.code(), Some(2), "exit status {}", out.status);
+    assert!(out.stdout.is_empty(), "nothing runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown experiment 'tabel2'") && stderr.contains("usage: repro"),
+        "{stderr}"
+    );
+}

@@ -2,7 +2,7 @@
 
 use cup_des::SimDuration;
 
-use crate::policy::{CutoffPolicy, PropagationPolicy};
+use crate::policy::CutoffPolicy;
 use crate::popularity::ResetMode;
 
 /// Which protocol a node runs.
@@ -76,10 +76,8 @@ impl AuditConfig {
 pub struct NodeConfig {
     /// Protocol mode (CUP or the standard-caching baseline).
     pub mode: Mode,
-    /// Per-key cut-off policy assignment for incoming updates (§3.4).
-    /// A uniform table is the paper's homogeneous configuration; a
-    /// per-class table gives different key classes different policies.
-    pub policies: PropagationPolicy,
+    /// The cut-off policy for incoming updates (§3.4), one for every key.
+    pub policy: CutoffPolicy,
     /// When popularity decision windows reset (§3.6).
     pub reset_mode: ResetMode,
     /// How long a Pending-First-Update flag may coalesce queries before a
@@ -109,7 +107,7 @@ impl NodeConfig {
     pub fn cup_default() -> Self {
         NodeConfig {
             mode: Mode::Cup,
-            policies: PropagationPolicy::uniform(CutoffPolicy::second_chance()),
+            policy: CutoffPolicy::second_chance(),
             reset_mode: ResetMode::ReplicaIndependent,
             pfu_timeout: SimDuration::from_secs(30),
             refresh_keep_one_in: 1,
@@ -130,27 +128,22 @@ impl NodeConfig {
     pub fn standard_caching() -> Self {
         NodeConfig {
             mode: Mode::StandardCaching,
-            policies: PropagationPolicy::uniform(CutoffPolicy::Never),
+            policy: CutoffPolicy::Never,
             ..NodeConfig::cup_default()
         }
     }
 
-    /// CUP with one cut-off policy for every key.
+    /// CUP with the given cut-off policy.
     pub fn cup_with_policy(policy: CutoffPolicy) -> Self {
         NodeConfig {
-            policies: PropagationPolicy::uniform(policy),
-            ..NodeConfig::cup_default()
-        }
-    }
-
-    /// CUP with a per-key-class policy table.
-    pub fn cup_with_policies(policies: PropagationPolicy) -> Self {
-        NodeConfig {
-            policies,
+            policy,
             ..NodeConfig::cup_default()
         }
     }
 }
+
+// A node holds its own copy, so every byte here is paid once per node.
+const _: () = assert!(std::mem::size_of::<NodeConfig>() <= 96);
 
 impl Default for NodeConfig {
     fn default() -> Self {
@@ -162,16 +155,11 @@ impl Default for NodeConfig {
 mod tests {
     use super::*;
 
-    use cup_des::KeyId;
-
     #[test]
     fn defaults_are_cup_second_chance() {
         let c = NodeConfig::default();
         assert_eq!(c.mode, Mode::Cup);
-        assert_eq!(
-            c.policies,
-            PropagationPolicy::uniform(CutoffPolicy::second_chance())
-        );
+        assert_eq!(c.policy, CutoffPolicy::second_chance());
         assert_eq!(c.reset_mode, ResetMode::ReplicaIndependent);
         assert_eq!(c.audit, None, "auditing is strictly opt-in");
     }
@@ -195,29 +183,13 @@ mod tests {
     fn baseline_never_receives_updates() {
         let c = NodeConfig::standard_caching();
         assert_eq!(c.mode, Mode::StandardCaching);
-        assert_eq!(c.policies, PropagationPolicy::uniform(CutoffPolicy::Never));
+        assert_eq!(c.policy, CutoffPolicy::Never);
     }
 
     #[test]
     fn with_policy_overrides_policy_only() {
         let c = NodeConfig::cup_with_policy(CutoffPolicy::Linear { alpha: 0.1 });
         assert_eq!(c.mode, Mode::Cup);
-        assert_eq!(
-            c.policies.policy_for(KeyId(9)),
-            CutoffPolicy::Linear { alpha: 0.1 }
-        );
-    }
-
-    #[test]
-    fn per_class_tables_reach_the_node_config() {
-        let table =
-            PropagationPolicy::per_class(&[CutoffPolicy::Always, CutoffPolicy::second_chance()]);
-        let c = NodeConfig::cup_with_policies(table);
-        assert_eq!(c.mode, Mode::Cup);
-        assert_eq!(c.policies.policy_for(KeyId(0)), CutoffPolicy::Always);
-        assert_eq!(
-            c.policies.policy_for(KeyId(1)),
-            CutoffPolicy::second_chance()
-        );
+        assert_eq!(c.policy, CutoffPolicy::Linear { alpha: 0.1 });
     }
 }

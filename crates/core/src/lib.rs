@@ -29,8 +29,7 @@
 //!   probability-based thresholds, the log-based second-chance policy, the
 //!   fixed push-level policy used to find the optimal level, and an
 //!   adaptive policy tuned from the locally observed justified ratio —
-//!   assigned per key class through [`policy::PropagationPolicy`]
-//!   ([`policy::CutoffPolicy`]).
+//!   one per node ([`policy::CutoffPolicy`]).
 //! * **§3.1 justified-update accounting** — shared by the simulation and
 //!   live runtimes ([`justify::JustificationTracker`]).
 //! * **§3.6 replica-independent cut-off** — both the naive and the fixed
@@ -72,5 +71,5 @@ pub use justify::JustificationTracker;
 pub use message::{ClientId, Message, ReplicaEvent, Requester, Update, UpdateKind};
 pub use node::CupNode;
 pub use obs::{trace_diff, Hist, LazyHist, TraceBuf, TraceDivergence, TraceEvent, TraceKind};
-pub use policy::{CutoffPolicy, PolicyState, PropagationPolicy};
+pub use policy::{CutoffPolicy, PolicyState};
 pub use popularity::ResetMode;

@@ -370,11 +370,7 @@ impl CupNode {
                     consecutive_empty: st.popularity.consecutive_empty(),
                     depth: update.depth,
                 };
-                if !self
-                    .config
-                    .policies
-                    .decide(update.key, &mut st.policy_state, &ctx)
-                {
+                if !self.config.policy.decide(&mut st.policy_state, &ctx) {
                     // Not popular enough: cut off our incoming supply.
                     self.stats.cutoffs += 1;
                     self.stats.clear_bits_sent += 1;
@@ -408,7 +404,7 @@ impl CupNode {
     ) {
         let mut update = update.forwarded();
         if update.kind != UpdateKind::FirstTime {
-            if let Some(level) = self.config.policies.sender_side_level(update.key) {
+            if let Some(level) = self.config.policy.sender_side_level() {
                 if update.depth > level {
                     return;
                 }
@@ -462,7 +458,7 @@ impl CupNode {
         };
         // Read-only evaluation: losing a downstream subscriber is not an
         // update decision point, so no interval is consumed here.
-        if !self.config.policies.would_keep(key, &st.policy_state, &ctx) {
+        if !self.config.policy.would_keep(&st.policy_state, &ctx) {
             self.stats.clear_bits_sent += 1;
             out.push(Action::send(upstream, Message::ClearBit { key }));
         }
@@ -634,6 +630,11 @@ impl CupNode {
         let Some(st) = self.keys.get_mut(key) else {
             return;
         };
+        if let (UpdateKind::Delete, Some(cold)) = (kind, st.cold.as_mut()) {
+            // A held refresh of a dead replica would bring it back
+            // downstream when the batch is released.
+            cold.refresh.batch.retain(|e| e.replica != entry.replica);
+        }
         if st.interest.is_empty() {
             return;
         }
@@ -1832,45 +1833,58 @@ mod tests {
     }
 
     #[test]
-    fn per_key_policy_classes_decide_independently() {
-        use crate::policy::PropagationPolicy;
-        // Key class 0 pushes forever (Always); class 1 cuts immediately
-        // (Never). One node, two keys, opposite decisions.
-        let config = NodeConfig::cup_with_policies(PropagationPolicy::per_class(&[
-            CutoffPolicy::Always,
-            CutoffPolicy::Never,
-        ]));
-        let mut node = CupNode::new(NodeId(1), config);
-        for key in [0u32, 1] {
-            emitted!(node.handle_query_into(
+    fn a_deleted_replica_leaves_the_refresh_batch() {
+        let mut config = NodeConfig::cup_default();
+        config.refresh_batch_window = Some(SimDuration::from_secs(10));
+        let mut node = CupNode::new(NodeId(0), config);
+        emitted!(node.handle_query_into(
+            SimTime::ZERO,
+            KeyId(1),
+            Requester::Neighbor(NodeId(5)),
+            None,
+        ));
+        for r in 0..3 {
+            emitted!(node.handle_replica_event_into(
                 SimTime::ZERO,
-                KeyId(key),
-                Requester::Client(ClientId(u64::from(key))),
-                Some(NodeId(9)),
-            ));
-            emitted!(node.handle_update_into(
-                SimTime::from_secs(1),
-                NodeId(9),
-                first_time(key, vec![entry(key, 0, 0)], 2),
+                ReplicaEvent::Birth {
+                    key: KeyId(1),
+                    replica: ReplicaId(r),
+                    lifetime: LIFE,
+                },
             ));
         }
-        let keep = emitted!(node.handle_update_into(
-            SimTime::from_secs(300),
-            NodeId(9),
-            refresh(0, 0, 300, 2)
+        let refresh = |r| ReplicaEvent::Refresh {
+            key: KeyId(1),
+            replica: ReplicaId(r),
+            lifetime: LIFE,
+        };
+        // Replicas 0 and 2 refresh into the open batch, then 0 dies.
+        emitted!(node.handle_replica_event_into(SimTime::from_secs(300), refresh(0)));
+        emitted!(node.handle_replica_event_into(SimTime::from_secs(303), refresh(2)));
+        let deleted = emitted!(node.handle_replica_event_into(
+            SimTime::from_secs(305),
+            ReplicaEvent::Deletion {
+                key: KeyId(1),
+                replica: ReplicaId(0),
+            },
         ));
-        assert!(keep.is_empty(), "class 0 (Always) keeps receiving");
-        let cut = emitted!(node.handle_update_into(
-            SimTime::from_secs(300),
-            NodeId(9),
-            refresh(1, 0, 300, 2)
+        assert!(matches!(
+            &deleted[..],
+            [Action::Send { msg: Message::Update(u), .. }] if u.kind == UpdateKind::Delete
         ));
-        assert_eq!(
-            cut,
-            vec![Action::send(NodeId(9), Message::ClearBit { key: KeyId(1) })],
-            "class 1 (Never) cuts off"
-        );
-        assert_eq!(node.stats.cutoffs, 1);
+        // The release carries the live replicas only.
+        let released =
+            emitted!(node.handle_replica_event_into(SimTime::from_secs(312), refresh(1)));
+        match &released[..] {
+            [Action::Send {
+                msg: Message::Update(u),
+                ..
+            }] => {
+                let replicas: Vec<ReplicaId> = u.entries.iter().map(|e| e.replica).collect();
+                assert_eq!(replicas, [ReplicaId(2), ReplicaId(1)]);
+            }
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

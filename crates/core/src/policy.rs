@@ -1,4 +1,4 @@
-//! Incentive-based cut-off policies (§3.4) and the per-key policy engine.
+//! Incentive-based cut-off policies (§3.4).
 //!
 //! On receiving an update for a key whose interest bits are all clear, a
 //! node decides whether there is incentive to keep receiving updates or to
@@ -22,13 +22,9 @@
 //! query — §3.1's justification criterion evaluated with the information
 //! a single node has).
 //!
-//! Policies are assigned *per key*: a [`PropagationPolicy`] maps keys onto
-//! policy classes, and each key's decision state ([`PolicyState`]) lives
-//! in its [`crate::keystate::KeyState`]. A uniform assignment reproduces
-//! the paper's homogeneous configurations; per-class tables express
-//! mixed-policy populations.
-
-use cup_des::KeyId;
+//! A node runs one policy for every key (`NodeConfig::policy`), as in
+//! each of the paper's configurations; each key's decision state
+//! ([`PolicyState`]) lives in its [`crate::keystate::KeyState`].
 
 /// Inputs to a cut-off decision.
 #[derive(Debug, Clone, Copy)]
@@ -197,8 +193,8 @@ impl CutoffPolicy {
         }
     }
 
-    /// Stable parseable name (bench JSON fields, CLI flags, scenario
-    /// policy classes). Parameterized policies embed their parameters:
+    /// Stable name (sweep rows such as the fault grid's). Parameterized
+    /// policies embed their parameters:
     /// `linear:0.1`, `log:0.25`, `log-based:4`, `push:3`,
     /// `adaptive:2:6:0.5`. `LogBased {{ n: 3 }}` prints as the paper's
     /// `second-chance`.
@@ -216,49 +212,6 @@ impl CutoffPolicy {
                 max_n,
                 target,
             } => format!("adaptive:{min_n}:{max_n}:{target}"),
-        }
-    }
-
-    /// Parses the inverse of [`CutoffPolicy::name`]. Also accepts the
-    /// bare `adaptive` (the [`CutoffPolicy::adaptive`] defaults) and
-    /// `log-based:3` for second-chance.
-    pub fn parse(s: &str) -> Option<CutoffPolicy> {
-        match s {
-            "always" => return Some(CutoffPolicy::Always),
-            "never" => return Some(CutoffPolicy::Never),
-            "second-chance" => return Some(CutoffPolicy::second_chance()),
-            "adaptive" => return Some(CutoffPolicy::adaptive()),
-            _ => {}
-        }
-        let (family, params) = s.split_once(':')?;
-        match family {
-            "linear" => Some(CutoffPolicy::Linear {
-                alpha: params.parse().ok()?,
-            }),
-            "log" => Some(CutoffPolicy::Logarithmic {
-                alpha: params.parse().ok()?,
-            }),
-            "log-based" => Some(CutoffPolicy::LogBased {
-                n: params.parse().ok()?,
-            }),
-            "push" => Some(CutoffPolicy::PushLevel {
-                level: params.parse().ok()?,
-            }),
-            "adaptive" => {
-                let mut it = params.split(':');
-                let min_n = it.next()?.parse().ok()?;
-                let max_n = it.next()?.parse().ok()?;
-                let target = it.next()?.parse().ok()?;
-                if it.next().is_some() {
-                    return None;
-                }
-                Some(CutoffPolicy::Adaptive {
-                    min_n,
-                    max_n,
-                    target,
-                })
-            }
-            _ => None,
         }
     }
 
@@ -333,112 +286,6 @@ impl CutoffPolicy {
 }
 
 crate::string_surface!(display_via_name CutoffPolicy);
-
-/// Maximum policy classes a [`PropagationPolicy`] can hold (keeps
-/// `NodeConfig` `Copy`).
-pub const MAX_POLICY_CLASSES: usize = 8;
-
-/// Per-key policy assignment: keys map onto policy classes round-robin
-/// (`key.index() % classes`), so a table of k classes partitions any
-/// dense key catalog into k interleaved populations. One class is the
-/// paper's homogeneous configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PropagationPolicy {
-    classes: [CutoffPolicy; MAX_POLICY_CLASSES],
-    len: u8,
-}
-
-impl PropagationPolicy {
-    /// Every key gets the same policy (the paper's configurations).
-    pub fn uniform(policy: CutoffPolicy) -> Self {
-        PropagationPolicy {
-            classes: [policy; MAX_POLICY_CLASSES],
-            len: 1,
-        }
-    }
-
-    /// Keys are assigned by class: key k gets `policies[k % len]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policies` is empty or longer than
-    /// [`MAX_POLICY_CLASSES`] — policy tables are programmer input.
-    pub fn per_class(policies: &[CutoffPolicy]) -> Self {
-        assert!(
-            !policies.is_empty() && policies.len() <= MAX_POLICY_CLASSES,
-            "policy table needs 1..={MAX_POLICY_CLASSES} classes, got {}",
-            policies.len()
-        );
-        let mut classes = [policies[0]; MAX_POLICY_CLASSES];
-        classes[..policies.len()].copy_from_slice(policies);
-        PropagationPolicy {
-            classes,
-            len: policies.len() as u8,
-        }
-    }
-
-    /// The active policy classes.
-    pub fn classes(&self) -> &[CutoffPolicy] {
-        &self.classes[..self.len as usize]
-    }
-
-    /// `true` when every key shares one policy.
-    pub fn is_uniform(&self) -> bool {
-        self.len == 1
-    }
-
-    /// The policy governing `key`.
-    pub fn policy_for(&self, key: KeyId) -> CutoffPolicy {
-        self.classes[key.index() % self.len as usize]
-    }
-
-    /// Stateful decision for `key` at an update decision point.
-    pub fn decide(&self, key: KeyId, state: &mut PolicyState, ctx: &CutoffContext) -> bool {
-        self.policy_for(key).decide(state, ctx)
-    }
-
-    /// Read-only evaluation for `key` (the clear-bit path).
-    pub fn would_keep(&self, key: KeyId, state: &PolicyState, ctx: &CutoffContext) -> bool {
-        self.policy_for(key).would_keep(state, ctx)
-    }
-
-    /// Sender-side push-level cap for `key`, if its policy has one.
-    pub fn sender_side_level(&self, key: KeyId) -> Option<u32> {
-        self.policy_for(key).sender_side_level()
-    }
-
-    /// Stable comma-joined class names (inverse of
-    /// [`PropagationPolicy::parse`]).
-    pub fn name(&self) -> String {
-        self.classes()
-            .iter()
-            .map(CutoffPolicy::name)
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-
-    /// Parses a comma-separated list of policy names into a class table
-    /// (one name = uniform).
-    pub fn parse(s: &str) -> Option<Self> {
-        let classes: Option<Vec<CutoffPolicy>> = s
-            .split(',')
-            .map(|p| CutoffPolicy::parse(p.trim()))
-            .collect();
-        let classes = classes?;
-        if classes.is_empty() || classes.len() > MAX_POLICY_CLASSES {
-            return None;
-        }
-        Some(PropagationPolicy::per_class(&classes))
-    }
-}
-
-impl Default for PropagationPolicy {
-    fn default() -> Self {
-        PropagationPolicy::uniform(CutoffPolicy::second_chance())
-    }
-}
-
-crate::string_surface!(display_via_name PropagationPolicy);
 
 #[cfg(test)]
 mod tests {
@@ -529,41 +376,27 @@ mod tests {
     }
 
     #[test]
-    fn names_round_trip() {
+    fn names_are_stable() {
+        let names: Vec<String> = CutoffPolicy::ALL.iter().map(CutoffPolicy::name).collect();
+        assert_eq!(
+            names,
+            [
+                "always",
+                "never",
+                "linear:0.1",
+                "log:0.25",
+                "second-chance",
+                "push:4",
+                "adaptive:2:6:0.5"
+            ]
+        );
         for policy in CutoffPolicy::ALL {
-            assert_eq!(
-                CutoffPolicy::parse(&policy.name()),
-                Some(policy),
-                "{policy} must round-trip"
-            );
             assert_eq!(policy.to_string(), policy.name());
         }
-        // Parameterized forms round-trip through float formatting.
-        for p in [
-            CutoffPolicy::Linear { alpha: 0.001 },
-            CutoffPolicy::Logarithmic { alpha: 0.25 },
-            CutoffPolicy::LogBased { n: 7 },
-            CutoffPolicy::PushLevel { level: 0 },
-            CutoffPolicy::Adaptive {
-                min_n: 2,
-                max_n: 9,
-                target: 0.75,
-            },
-        ] {
-            assert_eq!(CutoffPolicy::parse(&p.name()), Some(p));
-        }
-        assert_eq!(CutoffPolicy::second_chance().name(), "second-chance");
-        assert_eq!(
-            CutoffPolicy::parse("log-based:3"),
-            Some(CutoffPolicy::second_chance())
-        );
-        assert_eq!(
-            CutoffPolicy::parse("adaptive"),
-            Some(CutoffPolicy::adaptive())
-        );
-        for garbage in ["", "linear", "linear:x", "pastry", "adaptive:1", "push:-1"] {
-            assert_eq!(CutoffPolicy::parse(garbage), None, "{garbage:?}");
-        }
+        // Parameters print through float formatting, and only n = 3 is
+        // the paper's second-chance.
+        assert_eq!(CutoffPolicy::Linear { alpha: 0.001 }.name(), "linear:0.001");
+        assert_eq!(CutoffPolicy::LogBased { n: 7 }.name(), "log-based:7");
     }
 
     #[test]
@@ -613,52 +446,5 @@ mod tests {
         p.decide(&mut state, &ctx(0, 1, 3));
         assert_eq!(state.intervals(), 4);
         assert_eq!(state.justified_ratio(), 0.5);
-    }
-
-    #[test]
-    fn uniform_table_assigns_every_key_the_same_policy() {
-        let t = PropagationPolicy::uniform(CutoffPolicy::Always);
-        assert!(t.is_uniform());
-        for k in 0..20 {
-            assert_eq!(t.policy_for(KeyId(k)), CutoffPolicy::Always);
-        }
-        assert_eq!(t.classes(), &[CutoffPolicy::Always]);
-    }
-
-    #[test]
-    fn per_class_table_interleaves_keys() {
-        let t = PropagationPolicy::per_class(&[
-            CutoffPolicy::Always,
-            CutoffPolicy::Never,
-            CutoffPolicy::second_chance(),
-        ]);
-        assert!(!t.is_uniform());
-        assert_eq!(t.policy_for(KeyId(0)), CutoffPolicy::Always);
-        assert_eq!(t.policy_for(KeyId(1)), CutoffPolicy::Never);
-        assert_eq!(t.policy_for(KeyId(2)), CutoffPolicy::second_chance());
-        assert_eq!(t.policy_for(KeyId(3)), CutoffPolicy::Always);
-        assert_eq!(t.sender_side_level(KeyId(1)), None);
-    }
-
-    #[test]
-    fn table_names_round_trip() {
-        let t = PropagationPolicy::per_class(&[
-            CutoffPolicy::second_chance(),
-            CutoffPolicy::Linear { alpha: 0.1 },
-        ]);
-        assert_eq!(t.name(), "second-chance,linear:0.1");
-        assert_eq!(PropagationPolicy::parse(&t.name()), Some(t));
-        assert_eq!(
-            PropagationPolicy::parse("always"),
-            Some(PropagationPolicy::uniform(CutoffPolicy::Always))
-        );
-        assert_eq!(PropagationPolicy::parse("always,pastry"), None);
-        assert_eq!(PropagationPolicy::default().name(), "second-chance");
-    }
-
-    #[test]
-    #[should_panic(expected = "policy table needs")]
-    fn per_class_rejects_empty_tables() {
-        let _ = PropagationPolicy::per_class(&[]);
     }
 }

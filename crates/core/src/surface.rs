@@ -1,14 +1,15 @@
 //! The workspace's stable string surface for configuration enums.
 //!
-//! Overlay kinds, cut-off policies, and fault-event kinds all need the
-//! same four things: an `ALL` constant for parametrized tests and
-//! benches, a stable lower-case `name` for bench JSON fields and CLI
-//! flags, a `parse` inverse for scenario spec strings, and a `Display`
-//! that prints the name. The [`string_surface!`](crate::string_surface)
-//! macro generates the whole surface for unit enums (so new kinds cannot
-//! drift from the convention), and its `display_via_name` arm covers
-//! parameterized enums like [`crate::CutoffPolicy`] that hand-roll
-//! `name`/`parse` to embed parameters but still want the canonical
+//! Overlay kinds and fault-event kinds need the same four things: an
+//! `ALL` constant for parametrized tests and benches, a stable
+//! lower-case `name` for bench JSON fields and CLI flags, a `parse`
+//! inverse for scenario spec strings, and a `Display` that prints the
+//! name. The [`string_surface!`](crate::string_surface) macro generates
+//! the whole surface for unit enums (so new kinds cannot drift from the
+//! convention), and its `display_via_name` arm covers parameterized
+//! enums like [`crate::CutoffPolicy`], which hand-roll a `name` that
+//! embeds parameters, has no `parse` (a node's policy is configured in
+//! code, never read from a string), and still wants the canonical
 //! `Display`.
 
 /// Generates the workspace's stable string surface.

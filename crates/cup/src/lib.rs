@@ -55,9 +55,8 @@ pub use cup_workload as workload;
 pub mod prelude {
     pub use cup_core::{
         trace_diff, Action, AuditConfig, CupNode, CutoffPolicy, Hist, IndexEntry,
-        JustificationTracker, Message, Mode, NodeConfig, PolicyState, PropagationPolicy,
-        ReplicaEvent, Requester, ResetMode, TraceBuf, TraceDivergence, TraceEvent, TraceKind,
-        Update, UpdateKind,
+        JustificationTracker, Message, Mode, NodeConfig, PolicyState, ReplicaEvent, Requester,
+        ResetMode, TraceBuf, TraceDivergence, TraceEvent, TraceKind, Update, UpdateKind,
     };
     pub use cup_des::{DetRng, KeyId, NodeId, ReplicaId, SimDuration, SimTime};
     pub use cup_faults::{Behavior, FaultAction, FaultCounters, FaultPlan, FaultState};
@@ -75,7 +74,7 @@ mod tests {
         let _ = NodeConfig::cup_default();
         let _ = Scenario::default();
         let _ = CutoffPolicy::second_chance();
-        let _ = PropagationPolicy::uniform(CutoffPolicy::adaptive());
+        let _ = NodeConfig::cup_with_policy(CutoffPolicy::adaptive());
         let _ = JustificationTracker::new();
         let _ = FaultPlan::none();
         let _ = FaultState::new(0);

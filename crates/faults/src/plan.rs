@@ -1,7 +1,7 @@
 //! Fault scripts: timed events and their stable spec-string surface.
 //!
-//! Workloads name faults as strings (mirroring `Scenario::policy_classes`,
-//! which keeps `cup-workload` free of protocol dependencies):
+//! Workloads name faults as strings (`Scenario::fault_plan`, which keeps
+//! `cup-workload` free of a fault-plane dependency):
 //!
 //! ```text
 //! drop:0.05                 5% link loss for the whole run

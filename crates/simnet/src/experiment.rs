@@ -1,6 +1,6 @@
 //! One experiment, end to end.
 
-use cup_core::{CutoffPolicy, NodeConfig, PropagationPolicy};
+use cup_core::NodeConfig;
 use cup_des::{DetRng, EventQueue, LatencyModel, SimDuration};
 use cup_faults::{FaultPlan, Plane};
 use cup_overlay::{AnyOverlay, OverlayKind};
@@ -67,9 +67,8 @@ impl ExperimentConfig {
 ///
 /// # Panics
 ///
-/// Panics if the scenario fails validation, names an unknown policy
-/// class, or the overlay cannot be built — experiment configurations are
-/// programmer input.
+/// Panics if the scenario fails validation or the overlay cannot be
+/// built — experiment configurations are programmer input.
 pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     #[expect(clippy::expect_used, reason = "documented: programmer input")]
     config
@@ -77,20 +76,6 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
         .validate()
         .expect("scenario must be internally consistent");
     let scenario = &config.scenario;
-    let mut node_config = config.node_config;
-    if !scenario.policy_classes.is_empty() {
-        // The workload names its policy mix; parse it into the table so
-        // heterogeneous populations come straight from the scenario.
-        let classes: Vec<CutoffPolicy> = scenario
-            .policy_classes
-            .iter()
-            .map(|name| {
-                CutoffPolicy::parse(name)
-                    .unwrap_or_else(|| panic!("unknown policy class name '{name}'"))
-            })
-            .collect();
-        node_config.policies = PropagationPolicy::per_class(&classes);
-    }
     let root = DetRng::seed_from(scenario.seed);
     let mut overlay_rng = root.derive(1);
     let workload_rng = root.derive(2);
@@ -101,7 +86,12 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
     #[expect(clippy::expect_used, reason = "documented: programmer input")]
     let overlay = AnyOverlay::build(config.overlay, scenario.nodes, &mut overlay_rng)
         .expect("overlay construction");
-    let mut net = Network::new(overlay, node_config, config.latency.clone(), latency_rng);
+    let mut net = Network::new(
+        overlay,
+        config.node_config,
+        config.latency.clone(),
+        latency_rng,
+    );
     net.plane.justify_on = config.track_justification;
 
     // The fault plane: spec strings become a timed event script, and the
@@ -285,36 +275,12 @@ mod tests {
     }
 
     #[test]
-    fn mixed_policy_scenario_interpolates_between_its_classes() {
-        // Keys alternate between all-out push and immediate cut-off; the
-        // mixed population's overhead must land strictly between the two
-        // homogeneous runs' (immediate cut-off is not free — clear-bit
-        // churn and re-subscription cycles give `never` its own overhead
-        // profile, distinct from `always`'s steady refresh stream).
-        let base = small_scenario(5.0);
-        let run_named = |classes: &[&str]| {
-            let scenario = base.clone().with_policy_classes(classes);
-            run_experiment(&ExperimentConfig::cup(scenario))
-        };
-        let all_push = run_named(&["always"]);
-        let no_push = run_named(&["never"]);
-        let mixed = run_named(&["always", "never"]);
-        let lo = no_push.overhead().min(all_push.overhead());
-        let hi = no_push.overhead().max(all_push.overhead());
-        assert!(
-            lo < mixed.overhead() && mixed.overhead() < hi,
-            "mixed overhead {} must sit strictly between the homogeneous runs' {lo} and {hi}",
-            mixed.overhead()
-        );
-        // Deterministic like every other configuration.
-        let again = run_named(&["always", "never"]);
-        assert_eq!(mixed, again);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown policy class name")]
+    #[should_panic(expected = "per-key policy classes were removed")]
     fn unknown_policy_class_names_fail_loudly() {
-        let scenario = small_scenario(1.0).with_policy_classes(&["pastry"]);
+        let scenario = Scenario {
+            policy_classes: vec!["pastry".into()],
+            ..small_scenario(1.0)
+        };
         let _ = run_experiment(&ExperimentConfig::cup(scenario));
     }
 

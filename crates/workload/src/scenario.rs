@@ -49,19 +49,17 @@ pub struct Scenario {
     pub burst_size: u32,
     /// Time window one burst's queries are spread over.
     pub burst_spread: SimDuration,
-    /// Cut-off policy assignment by key class, as stable policy *names*
-    /// (`cup_core::CutoffPolicy::parse`): key k runs
-    /// `policy_classes[k % len]`. Empty (the default) leaves the node
-    /// configuration's policy table in charge. Names keep this crate free
-    /// of a protocol dependency while letting workloads describe
-    /// mixed-policy populations.
+    /// Must stay empty: per-key policy classes were removed, and a node
+    /// runs the one policy its `NodeConfig` names. The field is kept only
+    /// because the benchmark's `Scenario` literal names it;
+    /// [`Scenario::validate`] rejects a non-empty list.
     pub policy_classes: Vec<String>,
     /// Fault-plane script, as fault spec *strings*
     /// (`cup_faults::FaultPlan::parse_specs`): `drop:0.05`,
     /// `drop:0.2@t=100..400`, `spike:3@t=50..80`, `crash:17@t=50..90`,
     /// `partition:2@t=30..60`. Empty (the default) runs loss-free and
     /// crash-free. Strings keep this crate free of a fault-plane
-    /// dependency, exactly like [`Scenario::policy_classes`].
+    /// dependency.
     pub fault_plan: Vec<String>,
     /// Master random seed.
     pub seed: u64,
@@ -130,13 +128,6 @@ impl Scenario {
         }
     }
 
-    /// Assigns cut-off policies by key class (policy *names*; see
-    /// [`Scenario::policy_classes`]).
-    pub fn with_policy_classes(mut self, names: &[&str]) -> Self {
-        self.policy_classes = names.iter().map(|s| (*s).to_string()).collect();
-        self
-    }
-
     /// Attaches a fault-plane script (fault spec *strings*; see
     /// [`Scenario::fault_plan`]).
     pub fn with_fault_plan(mut self, specs: &[&str]) -> Self {
@@ -184,8 +175,10 @@ impl Scenario {
         if self.burst_size == 0 {
             return Err("burst size must be at least 1".into());
         }
-        if self.policy_classes.iter().any(|s| s.trim().is_empty()) {
-            return Err("policy class names must be non-empty".into());
+        if !self.policy_classes.is_empty() {
+            return Err(
+                "per-key policy classes were removed: set NodeConfig::policy instead".into(),
+            );
         }
         if self.fault_plan.iter().any(|s| s.trim().is_empty()) {
             return Err("fault plan specs must be non-empty".into());
@@ -261,13 +254,13 @@ mod tests {
     }
 
     #[test]
-    fn policy_classes_ride_along() {
-        let s = Scenario::default().with_policy_classes(&["second-chance", "always"]);
-        s.validate().unwrap();
-        assert_eq!(s.policy_classes, vec!["second-chance", "always"]);
-        assert_ne!(s, Scenario::default());
-        let bad = Scenario::default().with_policy_classes(&["  "]);
-        assert!(bad.validate().is_err());
+    fn policy_classes_are_rejected() {
+        let s = Scenario {
+            policy_classes: vec!["always".into()],
+            ..Scenario::default()
+        };
+        let err = s.validate().unwrap_err();
+        assert!(err.contains("per-key policy classes were removed"), "{err}");
     }
 
     #[test]

@@ -273,15 +273,14 @@ fn stale_answers_surface_under_loss_when_deletes_go_missing() {
 }
 
 #[test]
-fn fault_specs_compose_with_policy_classes_and_chord() {
-    // The plane is orthogonal to the rest of the scenario surface:
-    // mixed policies, Chord, and a fault plan in one run.
+fn fault_specs_compose_with_a_non_default_policy_and_chord() {
+    // The plane is orthogonal to the rest of the configuration: a
+    // non-default policy, Chord, and a fault plan in one run.
     let specs = fault_point_specs(&tiny(5.0, 17), 0.05, 2);
     let spec_refs: Vec<&str> = specs.iter().map(String::as_str).collect();
-    let scenario = tiny(5.0, 17)
-        .with_policy_classes(&["second-chance", "always"])
-        .with_fault_plan(&spec_refs);
+    let scenario = tiny(5.0, 17).with_fault_plan(&spec_refs);
     let mut config = ExperimentConfig::cup(scenario);
+    config.node_config = NodeConfig::cup_with_policy(CutoffPolicy::Always);
     config.overlay = OverlayKind::Chord;
     config.track_justification = true;
     let result = assert_deterministic(&config);
