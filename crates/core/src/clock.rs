@@ -13,7 +13,7 @@
 //!   quiesce barriers, every worker thread observes byte-identical
 //!   timestamps regardless of scheduling, which is what lets the live
 //!   runtime agree with the DES on *time-compared* behavior
-//!   (`pfu_timeout` retries, `@t=`-windowed fault scripts).
+//!   (`PFU_TIMEOUT` retries, `@t=`-windowed fault scripts).
 //!
 //! This module is the workspace's **single designated wall-clock
 //! module**: `std::time::Instant` may be touched here and nowhere else

@@ -5,6 +5,12 @@ use cup_des::SimDuration;
 use crate::policy::CutoffPolicy;
 use crate::popularity::ResetMode;
 
+/// How long a Pending-First-Update flag may coalesce queries before a
+/// retry is pushed. Guards against responses lost to churn; the paper
+/// assumes reliable channels, so this only matters under failure
+/// injection.
+pub const PFU_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+
 /// Which protocol a node runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -80,11 +86,6 @@ pub struct NodeConfig {
     pub policy: CutoffPolicy,
     /// When popularity decision windows reset (§3.6).
     pub reset_mode: ResetMode,
-    /// How long a Pending-First-Update flag may coalesce queries before a
-    /// retry is pushed. Guards against responses lost to churn; the paper
-    /// assumes reliable channels, so this only matters under failure
-    /// injection.
-    pub pfu_timeout: SimDuration,
     /// §3.6 overhead reduction: with many replicas per key, the authority
     /// may "selectively choose to propagate a subset of the replica
     /// refreshes and suppress others". A value of `k` propagates every
@@ -109,7 +110,6 @@ impl NodeConfig {
             mode: Mode::Cup,
             policy: CutoffPolicy::second_chance(),
             reset_mode: ResetMode::ReplicaIndependent,
-            pfu_timeout: SimDuration::from_secs(30),
             refresh_keep_one_in: 1,
             refresh_batch_window: None,
             audit: None,
@@ -143,7 +143,7 @@ impl NodeConfig {
 }
 
 // A node holds its own copy, so every byte here is paid once per node.
-const _: () = assert!(std::mem::size_of::<NodeConfig>() <= 96);
+const _: () = assert!(std::mem::size_of::<NodeConfig>() <= 88);
 
 impl Default for NodeConfig {
     fn default() -> Self {
@@ -171,12 +171,6 @@ mod tests {
         assert_eq!(c.audit, Some(audit));
         assert_eq!(audit.sample, 8);
         assert_eq!(audit.quorum, 1);
-        // Struct-update constructors preserve it.
-        let d = NodeConfig {
-            pfu_timeout: SimDuration::from_secs(5),
-            ..c
-        };
-        assert_eq!(d.audit, Some(audit));
     }
 
     #[test]

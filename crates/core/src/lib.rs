@@ -65,7 +65,7 @@ pub mod surface;
 pub use action::Action;
 pub use audit::{sample_targets, AuditTally};
 pub use clock::Clock;
-pub use config::{AuditConfig, Mode, NodeConfig};
+pub use config::{AuditConfig, Mode, NodeConfig, PFU_TIMEOUT};
 pub use entry::IndexEntry;
 pub use justify::JustificationTracker;
 pub use message::{ClientId, Message, ReplicaEvent, Requester, Update, UpdateKind};

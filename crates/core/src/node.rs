@@ -44,7 +44,7 @@ use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
 use crate::action::Action;
 use crate::audit::{sample_targets, AuditTally};
 use crate::capacity::OutgoingQueues;
-use crate::config::{AuditConfig, Mode, NodeConfig};
+use crate::config::{AuditConfig, Mode, NodeConfig, PFU_TIMEOUT};
 use crate::directory::{DirectoryChange, LocalDirectory};
 use crate::entry::IndexEntry;
 use crate::interest::InterestSet;
@@ -182,7 +182,7 @@ impl CupNode {
     ///   record and push one query upstream;
     /// * **case 3** (all entries expired) — as case 2, but the query is
     ///   coalesced if the record is already open (and younger than
-    ///   `NodeConfig::pfu_timeout`; an older one is retried).
+    ///   [`PFU_TIMEOUT`]; an older one is retried).
     ///
     /// Actions are pushed into `out`, so a driver can reuse one buffer
     /// across events (every handler below takes the same form).
@@ -245,7 +245,7 @@ impl CupNode {
                     out.push(Action::send(upstream, Message::Query { key }));
                 }
                 // Coalesced into the in-flight query.
-                Some(p) if self.config.pfu_timeout >= now.saturating_since(p.since) => {
+                Some(p) if PFU_TIMEOUT >= now.saturating_since(p.since) => {
                     p.wait(from);
                     self.stats.coalesced_queries += 1;
                 }
@@ -1674,7 +1674,7 @@ mod tests {
         // "still in flight" in both runtimes (the conformance scripts
         // step logical time in exact multiples, so the boundary case is
         // reachable, not theoretical).
-        let timeout = NodeConfig::cup_default().pfu_timeout;
+        let timeout = PFU_TIMEOUT;
         let mut node = cup_node(1);
         emitted!(node.handle_query_into(
             SimTime::ZERO,

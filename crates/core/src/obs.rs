@@ -7,12 +7,12 @@
 //!
 //! * [`Hist`] — an HDR-style **log-linear integer histogram**: u64
 //!   counts over power-of-two buckets with linear sub-buckets, an exact
-//!   [`Hist::merge`], an integer [`Hist::quantile`], and a compact
-//!   serialized form. There is **no floating point anywhere in the
-//!   recording or read path**, so two runs that record the same multiset
-//!   of values hold byte-identical state — whatever order the values
-//!   arrived in. That order-independence is what lets M live workers
-//!   record concurrently and still match the serial DES exactly.
+//!   [`Hist::merge`] and an integer [`Hist::quantile`]. There is **no
+//!   floating point anywhere in the recording or read path**, so two
+//!   runs that record the same multiset of values hold byte-identical
+//!   state — whatever order the values arrived in. That
+//!   order-independence is what lets M live workers record concurrently
+//!   and still match the serial DES exactly.
 //!   A `Hist` is a kilobyte in place, which is right where there is one
 //!   per plane (`NetMetrics`) and wrong where there is one per node:
 //!   [`LazyHist`] is the per-node form, one pointer wide until the first
@@ -139,41 +139,6 @@ impl Hist {
         }
         Self::floor_of(HIST_BUCKETS - 1)
     }
-
-    /// Compact serialized form: a little-endian `u16` count of occupied
-    /// buckets, then `(u8 index, u64 count)` pairs in index order. An
-    /// empty histogram is two zero bytes.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let occupied = self.counts.iter().filter(|&&c| c != 0).count() as u16;
-        let mut out = Vec::with_capacity(2 + 9 * occupied as usize);
-        out.extend_from_slice(&occupied.to_le_bytes());
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c != 0 {
-                out.push(i as u8);
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    /// Parses [`Hist::to_bytes`] output; `None` on malformed input.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Hist> {
-        let n = u16::from_le_bytes([*bytes.first()?, *bytes.get(1)?]) as usize;
-        if bytes.len() != 2 + 9 * n {
-            return None;
-        }
-        let mut h = Hist::new();
-        for pair in bytes[2..].chunks_exact(9) {
-            let idx = pair[0] as usize;
-            if idx >= HIST_BUCKETS || h.counts[idx] != 0 {
-                return None;
-            }
-            let c = u64::from_le_bytes(pair[1..9].try_into().ok()?);
-            h.counts[idx] = c;
-            h.total = h.total.checked_add(c)?;
-        }
-        Some(h)
-    }
 }
 
 /// A [`Hist`] that owns no memory until its first sample.
@@ -209,7 +174,7 @@ impl LazyHist {
     }
 
     /// The histogram itself (empty when nothing was recorded), for
-    /// quantiles and serialization.
+    /// quantiles.
     pub fn to_hist(&self) -> Hist {
         self.0.as_deref().copied().unwrap_or_default()
     }
@@ -491,21 +456,6 @@ mod tests {
             last = q;
         }
         assert!(h.quantile(1000) <= 100_000);
-    }
-
-    #[test]
-    fn bytes_round_trip() {
-        let mut h = Hist::new();
-        for v in [0u64, 0, 9, 77, 1 << 30] {
-            h.record(v);
-        }
-        let bytes = h.to_bytes();
-        assert_eq!(Hist::from_bytes(&bytes), Some(h));
-        // Compact: 4 occupied buckets → 2 + 4·9 bytes.
-        assert_eq!(bytes.len(), 2 + 9 * 4);
-        assert_eq!(Hist::from_bytes(&[]), None);
-        assert_eq!(Hist::from_bytes(&[1, 0]), None);
-        assert_eq!(Hist::from_bytes(&Hist::new().to_bytes()), Some(Hist::new()));
     }
 
     fn ev(t: u64, node: u32, kind: TraceKind, key: u32, detail: u64) -> TraceEvent {

@@ -51,7 +51,8 @@
 //! pieces are already in CUP once faults make them reachable:
 //!
 //! * a lost first-time response leaves the Pending-First-Update flag set;
-//!   `NodeConfig::pfu_timeout` retries the query on the next miss;
+//!   the first miss more than `PFU_TIMEOUT` (30 s) after it retries the
+//!   query;
 //! * a restarted node comes back cold and **re-fetches interest-bearing
 //!   state query by query** — its first miss per key re-registers
 //!   interest along the path, exactly like a fresh join;
@@ -91,7 +92,5 @@ pub mod state;
 pub use arena::NodeArena;
 pub use deliver::{Env, Plane, RoutingFailed, Totals};
 pub use metrics::NetMetrics;
-pub use plan::{
-    Behavior, FaultAction, FaultEvent, FaultKind, FaultPlan, FaultSpec, SpecParam, SpecWindow,
-};
+pub use plan::{Behavior, FaultAction, FaultEvent, FaultPlan};
 pub use state::{DropVerdict, FaultCounters, FaultState};

@@ -1,4 +1,4 @@
-//! Fault scripts: timed events and their stable spec-string surface.
+//! Fault scripts: timed events and the spec strings that name them.
 //!
 //! Workloads name faults as strings (`Scenario::fault_plan`, which keeps
 //! `cup-workload` free of a fault-plane dependency):
@@ -20,46 +20,11 @@
 //! ```
 //!
 //! [`FaultPlan::parse_specs`] turns a list of those specs into one sorted
-//! event script. A single spec's structured form is [`FaultSpec`], whose
-//! `FromStr`/`Display` pair round-trips: `Display` prints the canonical
-//! spelling, which parses back to the same value.
-
-use std::fmt;
-use std::str::FromStr;
+//! event script. Each spec becomes its onset action at the window start
+//! (t = 0 without a window) and, for a closed window, the action that
+//! reverts it at the window end.
 
 use cup_des::SimTime;
-
-/// The fault families a spec string can name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// Probabilistic per-message link loss.
-    Drop,
-    /// Multiplicative latency spike.
-    Spike,
-    /// Node crash (state wiped), with optional restart.
-    Crash,
-    /// K-way overlay partition, with optional heal.
-    Partition,
-    /// Behavior fault: the node keeps serving entries it should retire
-    /// (inbound deletions and audit repairs are swallowed).
-    StaleServe,
-    /// Behavior fault: the node silently drops its outbound maintenance
-    /// updates while still forwarding queries and first-time answers.
-    DropUpdates,
-    /// Behavior fault: the node rewrites deletions it forwards into
-    /// fresh-looking refreshes (false versions downstream).
-    LieRefresh,
-}
-
-cup_core::string_surface!(FaultKind {
-    Drop => "drop",
-    Spike => "spike",
-    Crash => "crash",
-    Partition => "partition",
-    StaleServe => "stale-serve",
-    DropUpdates => "drop-updates",
-    LieRefresh => "lie-refresh",
-});
 
 /// A per-node behavior override: how a Byzantine node misbehaves while
 /// staying up and routable. Installed and removed by
@@ -180,15 +145,9 @@ impl FaultPlan {
         &self.events
     }
 
-    /// Appends one timed action (builder style).
-    pub fn with(mut self, at: SimTime, action: FaultAction) -> Self {
-        self.push(at, action);
-        self
-    }
-
     /// Appends one timed action, keeping the script sorted by time
     /// (insertion order breaks ties).
-    pub fn push(&mut self, at: SimTime, action: FaultAction) {
+    fn push(&mut self, at: SimTime, action: FaultAction) {
         let idx = self.events.partition_point(|e| e.at <= at);
         self.events.insert(idx, FaultEvent { at, action });
     }
@@ -204,211 +163,94 @@ impl FaultPlan {
         let mut plan = FaultPlan::none();
         for spec in specs {
             let spec = spec.as_ref();
-            let parsed: FaultSpec = spec
-                .parse()
+            plan.push_spec(spec)
                 .map_err(|e| format!("fault spec '{spec}': {e}"))?;
-            for ev in parsed.events() {
-                plan.push(ev.at, ev.action);
-            }
         }
         Ok(plan)
     }
-}
 
-/// The parameter a fault family takes, in structured form.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SpecParam {
-    /// `drop`: loss probability in `[0, 1]`.
-    Rate(f64),
-    /// `spike`: positive finite latency multiplier.
-    Factor(f64),
-    /// `crash` and the behavior families: a dense node index.
-    Node(usize),
-    /// `partition`: group count (≥ 2).
-    Groups(u32),
-}
-
-impl fmt::Display for SpecParam {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpecParam::Rate(v) | SpecParam::Factor(v) => write!(f, "{v}"),
-            SpecParam::Node(v) => write!(f, "{v}"),
-            SpecParam::Groups(v) => write!(f, "{v}"),
-        }
-    }
-}
-
-/// A parsed `@t=A` or `@t=A..B` suffix, in whole seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpecWindow {
-    /// When the fault switches on.
-    pub from_secs: u64,
-    /// When it reverts, if the window is closed.
-    pub until_secs: Option<u64>,
-}
-
-impl fmt::Display for SpecWindow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "@t={}", self.from_secs)?;
-        if let Some(until) = self.until_secs {
-            write!(f, "..{until}")?;
-        }
-        Ok(())
-    }
-}
-
-/// One fault spec in structured form: family, parameter, optional window.
-///
-/// `FromStr` validates exactly what [`FaultPlan::parse_specs`] accepts;
-/// `Display` prints the canonical spelling, and parsing that spelling
-/// yields the same value back (the round-trip the spec-grammar proptest
-/// pins).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultSpec {
-    /// The fault family.
-    pub kind: FaultKind,
-    /// Its parameter (paired with the family by parsing/validation).
-    pub param: SpecParam,
-    /// The optional time window. `None` means "for the whole run" for
-    /// the families that allow it (drop, spike, behaviors).
-    pub window: Option<SpecWindow>,
-}
-
-impl fmt::Display for FaultSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}", self.kind.name(), self.param)?;
-        if let Some(w) = self.window {
-            write!(f, "{w}")?;
-        }
-        Ok(())
-    }
-}
-
-impl FromStr for FaultSpec {
-    type Err = String;
-
-    fn from_str(spec: &str) -> Result<FaultSpec, String> {
+    /// Parses one spec and appends its onset event and, for a closed
+    /// window, the reverting event at the window end.
+    fn push_spec(&mut self, spec: &str) -> Result<(), String> {
         let (body, window) = split_window(spec.trim())?;
         let (family, params) = body
             .split_once(':')
             .ok_or_else(|| format!("'{body}' has no ':' separator (expected family:params)"))?;
-        let kind = FaultKind::parse(family).ok_or_else(|| {
-            let known = FaultKind::ALL.map(|k| k.name()).join("|");
-            format!("unknown fault family '{family}' ({known})")
-        })?;
-        let param = match kind {
-            FaultKind::Drop => {
-                let rate: f64 = params.parse().map_err(|_| format!("bad rate '{params}'"))?;
+        let (onset, revert) = match family {
+            "drop" => {
+                let rate: f64 = param(params, "rate")?;
                 if !(0.0..=1.0).contains(&rate) {
                     return Err(format!("loss rate {rate} outside [0, 1]"));
                 }
-                SpecParam::Rate(rate)
+                (
+                    FaultAction::SetLoss { rate },
+                    FaultAction::SetLoss { rate: 0.0 },
+                )
             }
-            FaultKind::Spike => {
-                let factor: f64 = params
-                    .parse()
-                    .map_err(|_| format!("bad factor '{params}'"))?;
+            "spike" => {
+                let factor: f64 = param(params, "factor")?;
                 if !(factor > 0.0 && factor.is_finite()) {
                     return Err(format!("latency factor {factor} must be positive"));
                 }
-                SpecParam::Factor(factor)
+                (
+                    FaultAction::SetLatencyFactor { factor },
+                    FaultAction::SetLatencyFactor { factor: 1.0 },
+                )
             }
-            FaultKind::Crash
-            | FaultKind::StaleServe
-            | FaultKind::DropUpdates
-            | FaultKind::LieRefresh => {
-                let node: usize = params.parse().map_err(|_| format!("bad node '{params}'"))?;
-                SpecParam::Node(node)
+            "crash" => {
+                let node = param(params, "node")?;
+                (FaultAction::Crash { node }, FaultAction::Restart { node })
             }
-            FaultKind::Partition => {
-                let groups: u32 = params
-                    .parse()
-                    .map_err(|_| format!("bad group count '{params}'"))?;
+            "partition" => {
+                let groups: u32 = param(params, "group count")?;
                 if groups < 2 {
                     return Err(format!("a {groups}-way partition partitions nothing"));
                 }
-                SpecParam::Groups(groups)
-            }
-        };
-        if window.is_none() && matches!(kind, FaultKind::Crash | FaultKind::Partition) {
-            return Err(format!("'{family}' needs a time (@t=A or @t=A..B)"));
-        }
-        Ok(FaultSpec {
-            kind,
-            param,
-            window,
-        })
-    }
-}
-
-impl FaultSpec {
-    /// The (one or two) timed events the spec expands to: the onset
-    /// action at the window start (t = 0 when unwindowed), and — for
-    /// closed windows — the matching reversal at the window end.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kind` and `param` were paired by hand in a combination
-    /// the grammar never produces (e.g. a `drop` with a node index).
-    pub fn events(&self) -> Vec<FaultEvent> {
-        let at = self
-            .window
-            .map_or(SimTime::ZERO, |w| SimTime::from_secs(w.from_secs));
-        let until = self
-            .window
-            .and_then(|w| w.until_secs)
-            .map(SimTime::from_secs);
-        let (set, clear) = match (self.kind, self.param) {
-            (FaultKind::Drop, SpecParam::Rate(rate)) => (
-                FaultAction::SetLoss { rate },
-                FaultAction::SetLoss { rate: 0.0 },
-            ),
-            (FaultKind::Spike, SpecParam::Factor(factor)) => (
-                FaultAction::SetLatencyFactor { factor },
-                FaultAction::SetLatencyFactor { factor: 1.0 },
-            ),
-            (FaultKind::Crash, SpecParam::Node(node)) => {
-                (FaultAction::Crash { node }, FaultAction::Restart { node })
-            }
-            (FaultKind::Partition, SpecParam::Groups(groups)) => {
                 (FaultAction::Partition { groups }, FaultAction::Heal)
             }
-            (FaultKind::StaleServe, SpecParam::Node(node)) => {
-                behavior_pair(node, Behavior::StaleServe)
+            _ => {
+                let behavior = Behavior::parse(family).ok_or_else(|| {
+                    let behaviors = Behavior::ALL.map(Behavior::name).join("|");
+                    format!(
+                        "unknown fault family '{family}' (drop|spike|crash|partition|{behaviors})"
+                    )
+                })?;
+                let node = param(params, "node")?;
+                (
+                    FaultAction::SetBehavior { node, behavior },
+                    FaultAction::ClearBehavior { node, behavior },
+                )
             }
-            (FaultKind::DropUpdates, SpecParam::Node(node)) => {
-                behavior_pair(node, Behavior::DropUpdates)
-            }
-            (FaultKind::LieRefresh, SpecParam::Node(node)) => {
-                behavior_pair(node, Behavior::LieRefresh)
-            }
-            (kind, param) => panic!("{kind} spec cannot carry {param:?}"),
         };
-        let mut evs = vec![FaultEvent { at, action: set }];
+        let (from, until) = match window {
+            Some(window) => window,
+            None if matches!(family, "crash" | "partition") => {
+                return Err(format!("'{family}' needs a time (@t=A or @t=A..B)"));
+            }
+            None => (SimTime::ZERO, None),
+        };
+        self.push(from, onset);
         if let Some(until) = until {
-            evs.push(FaultEvent {
-                at: until,
-                action: clear,
-            });
+            self.push(until, revert);
         }
-        evs
+        Ok(())
     }
 }
 
-/// The set/clear action pair of one behavior window.
-fn behavior_pair(node: usize, behavior: Behavior) -> (FaultAction, FaultAction) {
-    (
-        FaultAction::SetBehavior { node, behavior },
-        FaultAction::ClearBehavior { node, behavior },
-    )
+/// Parses a spec's parameter, naming it and the bad token on failure.
+fn param<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("bad {what} '{s}'"))
 }
 
+/// A `@t=A` or `@t=A..B` window: its start and, when closed, its end.
+type Window = (SimTime, Option<SimTime>);
+
 /// Splits `body@t=...` into the body and its (optional) time window.
-fn split_window(spec: &str) -> Result<(&str, Option<SpecWindow>), String> {
+fn split_window(spec: &str) -> Result<(&str, Option<Window>), String> {
     let Some((body, time)) = spec.split_once("@t=") else {
         return Ok((spec, None));
     };
-    let (from, until) = match time.split_once("..") {
+    let window = match time.split_once("..") {
         Some((a, b)) => {
             let from = parse_secs(a)?;
             let until = parse_secs(b)?;
@@ -419,16 +261,10 @@ fn split_window(spec: &str) -> Result<(&str, Option<SpecWindow>), String> {
         }
         None => (parse_secs(time)?, None),
     };
-    Ok((
-        body,
-        Some(SpecWindow {
-            from_secs: from,
-            until_secs: until,
-        }),
-    ))
+    Ok((body, Some(window)))
 }
 
-fn parse_secs(s: &str) -> Result<u64, String> {
+fn parse_secs(s: &str) -> Result<SimTime, String> {
     let secs = s
         .trim()
         .parse::<u64>()
@@ -438,7 +274,7 @@ fn parse_secs(s: &str) -> Result<u64, String> {
     if secs > max {
         return Err(format!("time '{s}' exceeds the {max} s a SimTime holds"));
     }
-    Ok(secs)
+    Ok(SimTime::from_secs(secs))
 }
 
 #[cfg(test)]
@@ -447,14 +283,13 @@ mod tests {
 
     #[test]
     fn kind_names_round_trip() {
-        for kind in FaultKind::ALL {
-            assert_eq!(FaultKind::parse(kind.name()), Some(kind));
-            assert_eq!(kind.to_string(), kind.name());
-        }
         for behavior in Behavior::ALL {
             assert_eq!(Behavior::parse(behavior.name()), Some(behavior));
         }
-        assert_eq!(FaultKind::parse("meteor"), None);
+        // An unknown family's error lists every family a spec may name.
+        let err = FaultPlan::parse_specs(&["meteor:1"]).unwrap_err();
+        let families = "(drop|spike|crash|partition|stale-serve|drop-updates|lie-refresh)";
+        assert!(err.contains(families), "{err}");
     }
 
     #[test]
@@ -542,26 +377,21 @@ mod tests {
     }
 
     #[test]
-    fn specs_display_their_canonical_spelling_and_reparse() {
-        for spec in [
-            "drop:0.05",
-            "drop:0.2@t=100..400",
-            "spike:3@t=50..80",
-            "crash:17@t=50",
-            "partition:2@t=30..60",
-            "stale-serve:17@t=50..200",
-            "drop-updates:9",
-            "lie-refresh:3@t=40",
+    fn spellings_of_one_spec_parse_to_the_same_events() {
+        // Numeric forms and blanks around the time are free; the events
+        // are what a spelling means.
+        for (loose, canonical) in [
+            ("drop:.5@t= 7", "drop:0.5@t=7"),
+            (" spike:3.0@t=050..80 ", "spike:3@t=50..80"),
+            ("crash:017@t=50", "crash:17@t=50"),
+            ("drop:1e-2", "drop:0.01"),
         ] {
-            let parsed: FaultSpec = spec.parse().unwrap();
-            let printed = parsed.to_string();
-            let reparsed: FaultSpec = printed.parse().unwrap();
-            assert_eq!(parsed, reparsed, "'{spec}' → '{printed}' must round-trip");
-            assert_eq!(parsed.events(), reparsed.events());
+            assert_eq!(
+                FaultPlan::parse_specs(&[loose]).unwrap(),
+                FaultPlan::parse_specs(&[canonical]).unwrap(),
+                "'{loose}' means '{canonical}'"
+            );
         }
-        // The canonical spelling normalizes numeric forms but nothing else.
-        let spec: FaultSpec = "drop:.5@t= 7".parse().unwrap();
-        assert_eq!(spec.to_string(), "drop:0.5@t=7");
     }
 
     #[test]
@@ -599,18 +429,5 @@ mod tests {
         );
         let err = FaultPlan::parse_specs(&["drop:0.1@t=abc"]).unwrap_err();
         assert!(err.contains("'abc'"), "bad time token named: {err}");
-    }
-
-    #[test]
-    fn builder_keeps_time_order_with_stable_ties() {
-        let plan = FaultPlan::none()
-            .with(SimTime::from_secs(5), FaultAction::Heal)
-            .with(SimTime::from_secs(1), FaultAction::Crash { node: 0 })
-            .with(SimTime::from_secs(5), FaultAction::Crash { node: 1 });
-        assert_eq!(plan.events()[0].action, FaultAction::Crash { node: 0 });
-        assert_eq!(plan.events()[1].action, FaultAction::Heal);
-        assert_eq!(plan.events()[2].action, FaultAction::Crash { node: 1 });
-        assert!(FaultPlan::none().is_empty());
-        assert!(!plan.is_empty());
     }
 }

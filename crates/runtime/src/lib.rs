@@ -27,7 +27,7 @@
 //! [`LiveNetwork::run_until`], always at a quiesce barrier, so all
 //! workers observe byte-identical timestamps regardless of scheduling.
 //! On the virtual clock every time-compared protocol behavior — the
-//! `pfu_timeout` retry timer, freshness horizons, `@t=`-windowed fault
+//! `PFU_TIMEOUT` retry timer, freshness horizons, `@t=`-windowed fault
 //! edges applied with [`LiveNetwork::inject_fault`] at their instants —
 //! matches the DES exactly; the conformance harness asserts it byte for
 //! byte.

@@ -72,7 +72,7 @@ impl LiveNetwork {
     /// `SimTime::ZERO`: "now" is deterministic logical time that moves
     /// only through [`LiveNetwork::advance`] / [`LiveNetwork::run_until`],
     /// so every worker observes byte-identical timestamps regardless of
-    /// scheduling and all time-compared protocol behavior (`pfu_timeout`
+    /// scheduling and all time-compared protocol behavior (`PFU_TIMEOUT`
     /// retries, `@t=`-windowed fault scripts) matches the DES exactly —
     /// the constructor the conformance harness uses to prove sharding
     /// invisible across placement modes.
@@ -1156,7 +1156,7 @@ mod tests {
         net.quiesce();
         // Step logical time past the PFU timeout so retries fire instead
         // of coalescing against fetches the partition swallowed.
-        net.advance(NodeConfig::cup_default().pfu_timeout + SimDuration::from_secs(1));
+        net.advance(cup_core::PFU_TIMEOUT + SimDuration::from_secs(1));
         for node in 0..32u32 {
             let entries = net.query(NodeId(node), KeyId(node % 4)).unwrap();
             assert_eq!(entries.len(), 1, "after heal every query resolves");

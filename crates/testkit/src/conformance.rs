@@ -14,7 +14,7 @@
 //! **virtual clock** stepped through the script's instants, and the DES
 //! runs at zero per-hop latency. So the comparison is exact, not
 //! statistical, and it covers *time-compared* behavior too: the
-//! paper-default 30 s `pfu_timeout` and `@t=` window edges. The refresh
+//! paper-default 30 s `PFU_TIMEOUT` and `@t=` window edges. The refresh
 //! rounds generate the maintenance updates the shared §3.1
 //! [`cup::protocol::justify::JustificationTracker`] measures, so the
 //! comparison covers the economics as well as the caching behaviour.
@@ -190,7 +190,7 @@ impl ConformanceSpec {
     /// [`Faults::Scripted`]); refresh rounds, the deletion, and phase B
     /// then run fault-free on whatever state the faults left behind.
     ///
-    /// Runs the paper-default 30 s `pfu_timeout`: on the virtual clock
+    /// Runs the paper-default 30 s `PFU_TIMEOUT`: on the virtual clock
     /// both runtimes compare the same logical elapsed times, so the
     /// retry counter is part of the byte-identical comparison (phase-A
     /// losses strand Pending-First-Update flags; later queries past the
@@ -591,7 +591,7 @@ fn run_sim_inner(spec: &ConformanceSpec, trace_cap: Option<usize>) -> (Outcome, 
 /// **virtual clock**: for each step, `run_until` its instant, apply it,
 /// and `quiesce()` (no sleeps). Every handler in both runtimes then
 /// observes identical timestamps, so time-compared behavior (the 30 s
-/// `pfu_timeout`, windowed fault edges) is part of the byte-identical
+/// `PFU_TIMEOUT`, windowed fault edges) is part of the byte-identical
 /// comparison.
 ///
 /// # Panics
@@ -853,21 +853,6 @@ mod tests {
             assert!(probes.into_iter().all(|q| q.1 == witness), "{kind}");
             // Non-Byzantine specs carry no cast.
             assert!(Spec::small(kind).byzantine_cast().is_none());
-        }
-    }
-
-    #[test]
-    fn faulty_spec_runs_the_paper_default_pfu_timeout() {
-        // No fault preset parks the retry path behind an effectively
-        // infinite timeout: they run the paper's 30 s like the rest.
-        for kind in OverlayKind::ALL {
-            for spec in [Spec::faulty(kind), Spec::timed(kind), Spec::byzantine(kind)] {
-                assert_eq!(
-                    spec.config.pfu_timeout,
-                    NodeConfig::cup_default().pfu_timeout,
-                    "{kind}: fault specs must not park the PFU timeout"
-                );
-            }
         }
     }
 

@@ -157,7 +157,7 @@ fn sim_and_live_agree_on_chord_at_2k_nodes() {
 
 /// A windowed fault script (the standard one or the timed windows) must
 /// bite: loss dropped messages, every crash/restart cycle completed, and
-/// with the paper-default 30 s `pfu_timeout` the stranded
+/// with the paper-default 30 s `PFU_TIMEOUT` the stranded
 /// Pending-First-Update flags retried upstream, one age sample each.
 fn assert_faults_bit(sim: &Outcome, label: &str, cycles: u64) {
     let faults = sim.net.faults;

@@ -6,7 +6,6 @@ use cup::des::{DetRng, EventQueue, KeyId, NodeId, ReplicaId, SimDuration, SimTim
 use cup::faults::FaultPlan;
 use cup::overlay::{can::CanOverlay, zone::Zone, Overlay};
 use cup::protocol::capacity::OutgoingQueues;
-use cup::protocol::obs::Hist;
 use cup::protocol::policy::{CutoffContext, CutoffPolicy};
 use cup::protocol::popularity::{Popularity, ResetMode};
 use cup::protocol::{IndexEntry, Update, UpdateKind};
@@ -37,22 +36,13 @@ const SPEC_TOKENS: &str = "drop|spike|crash|partition|stale-serve|drop-updates|l
     :|@t=|..|,|0|1|2|0.5|-1|1e308|18446744073709551615|99999999999999999999|nan|inf| |";
 
 proptest! {
-    /// Hostile input is an error, never a panic: raw bytes (and the same
-    /// bytes behind a header whose length matches) to `Hist::from_bytes`,
-    /// token soup to the fault-spec parser.
+    /// Hostile input is an error, never a panic: token soup and raw
+    /// bytes to the fault-spec parser.
     #[test]
     fn parsers_return_on_hostile_input(
         bytes in proptest::collection::vec(any::<u8>(), 0..64),
         tokens in proptest::collection::vec(0..SPEC_TOKENS.split('|').count(), 0..12),
     ) {
-        let _ = Hist::from_bytes(&bytes);
-        if bytes.len() >= 2 {
-            let mut framed = bytes.clone();
-            let n = (framed.len() - 2) / 9;
-            framed.truncate(2 + 9 * n);
-            framed[..2].copy_from_slice(&(n as u16).to_le_bytes());
-            let _ = Hist::from_bytes(&framed);
-        }
         let spec: String = tokens.iter().filter_map(|&i| SPEC_TOKENS.split('|').nth(i)).collect();
         let _ = FaultPlan::parse_specs(&[spec.as_str()]);
         let _ = FaultPlan::parse_specs(&[String::from_utf8_lossy(&bytes)]);
