@@ -35,9 +35,11 @@ impl Scale {
 
     /// The base scenario for this scale.
     ///
-    /// The paper does not state its key count; we use few keys so
-    /// per-key query rates match the regime its results imply (see
-    /// EXPERIMENTS.md).
+    /// The paper does not state its key count. The query rate is
+    /// network-wide, so the key count sets each key's share of it; we
+    /// use few keys so per-key query rates match the regime its results
+    /// imply, where a key's popularity measure sees queries between
+    /// updates at the paper's lower rates too.
     pub fn base_scenario(self) -> Scenario {
         match self {
             Scale::Bench => Scenario {

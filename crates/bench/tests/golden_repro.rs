@@ -3,7 +3,7 @@
 //! Runs the `repro` binary at `--scale bench` and byte-compares its full
 //! stdout against the checked-in fixture. The fixture was generated from
 //! the original `BinaryHeap` scheduler + map-based node table, so this
-//! test is the contract that the calendar-queue scheduler, the node
+//! test is the contract that the event-queue rewrites, the node
 //! arena, and every future engine rewrite change *nothing* about the
 //! simulated results.
 //!

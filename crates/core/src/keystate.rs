@@ -7,7 +7,7 @@
 //! authority once it has routed the key.
 //!
 //! CUP's scaling argument is that this record is tiny, so it is laid out
-//! to be: a [`KeyState`] is at most 128 bytes (checked at compile time
+//! to be: a [`KeyState`] is at most 120 bytes (checked at compile time
 //! below; that includes the record's own key, which the key table's
 //! hashed index confirms lookups against) and owns no heap memory in
 //! the common case. The node's key table holds its records in one
@@ -49,9 +49,12 @@
 //!
 //! Layout (x86-64, as the compiler orders the fields): `popularity` at
 //! 0, `entries` at 16, `interest` at 48, `retired` at 72, the `pending`
-//! and `cold` boxes at 88 and 96, `policy_state` at 104, `key` at 116,
-//! `hop` at 120 and `last_depth` at 124: 128 bytes, two of them padding
-//! — two cache lines. The hop fits because `last_depth` is a `u16` that
+//! and `cold` boxes at 88 and 96, `key` at 104, `hop` at 108 and
+//! `last_depth` at 112: 120 bytes, six of them padding. The record
+//! carries no cut-off decision state: every policy is a function of the
+//! popularity measure and the depth (`crate::policy`). Records sit back
+//! to back in the key table, so one spans two cache lines or three,
+//! by its offset. The hop fits because `last_depth` is a `u16` that
 //! saturates — paths are hundreds of hops at most, never 65 535.
 
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
@@ -61,7 +64,6 @@ use crate::entry::IndexEntry;
 use crate::inline::InlineVec;
 use crate::interest::InterestSet;
 use crate::message::{ClientId, Requester, Update, UpdateKind};
-use crate::policy::PolicyState;
 use crate::popularity::Popularity;
 
 /// How many delete tombstones a key keeps (oldest evicted first; a
@@ -89,9 +91,6 @@ pub struct KeyState {
     pub interest: InterestSet,
     /// Popularity measure driving cut-off decisions.
     pub popularity: Popularity,
-    /// Per-key propagation-policy decision state (interval observations
-    /// and, for the adaptive policy, its tuned tolerance).
-    pub policy_state: PolicyState,
     /// Distance from the authority as carried by the most recent update,
     /// saturated at `u16::MAX`.
     pub last_depth: u16,
@@ -101,8 +100,7 @@ pub struct KeyState {
     /// needs it (see [`ColdState`]).
     pub(crate) cold: Option<Box<ColdState>>,
     /// The key this record belongs to, which the key table's index
-    /// confirms a hash-tag match against (see `crate::keytable`). It
-    /// sits in what was the record's tail padding, so it costs nothing.
+    /// confirms a hash-tag match against (see `crate::keytable`).
     pub(crate) key: KeyId,
     /// The next hop toward the key's authority the last query or
     /// clear-bit here was routed with: the node's own id at the
@@ -110,7 +108,7 @@ pub struct KeyState {
     pub(crate) hop: NodeId,
 }
 
-const _: () = assert!(std::mem::size_of::<KeyState>() <= 128);
+const _: () = assert!(std::mem::size_of::<KeyState>() <= 120);
 
 /// A record's [`KeyState::hop`] before the key was first routed here; no
 /// node has this id.
@@ -193,7 +191,6 @@ impl Default for KeyState {
             pending: None,
             interest: InterestSet::default(),
             popularity: Popularity::default(),
-            policy_state: PolicyState::default(),
             last_depth: 0,
             retired: InlineVec::default(),
             cold: None,

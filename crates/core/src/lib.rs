@@ -26,10 +26,10 @@
 //! * **§2.9 churn support** — interest patching on neighbor changes and
 //!   index hand-over hooks.
 //! * **§3.4 cut-off policies** — linear and logarithmic
-//!   probability-based thresholds, the log-based second-chance policy, the
-//!   fixed push-level policy used to find the optimal level, and an
-//!   adaptive policy tuned from the locally observed justified ratio —
-//!   one per node ([`policy::CutoffPolicy`]).
+//!   probability-based thresholds, the log-based second-chance policy and
+//!   the fixed push-level policy used to find the optimal level — one per
+//!   node, each a stateless function of the key's popularity measure and
+//!   the update's depth ([`policy::CutoffPolicy`]).
 //! * **§3.1 justified-update accounting** — shared by the simulation and
 //!   live runtimes ([`justify::JustificationTracker`]).
 //! * **§3.6 replica-independent cut-off** — both the naive and the fixed
@@ -71,5 +71,5 @@ pub use justify::JustificationTracker;
 pub use message::{ClientId, Message, ReplicaEvent, Requester, Update, UpdateKind};
 pub use node::CupNode;
 pub use obs::{trace_diff, Hist, LazyHist, TraceBuf, TraceDivergence, TraceEvent, TraceKind};
-pub use policy::{CutoffPolicy, PolicyState};
+pub use policy::CutoffPolicy;
 pub use popularity::ResetMode;

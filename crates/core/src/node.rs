@@ -164,11 +164,6 @@ impl CupNode {
         &self.directory
     }
 
-    /// Number of updates currently waiting in the outgoing queues.
-    pub fn queued_updates(&self) -> usize {
-        self.outgoing.total_len()
-    }
-
     /// Handles a search query for `key` posted by `from` (§2.5).
     ///
     /// `upstream` is the next hop toward the key's authority, or `None`
@@ -370,7 +365,7 @@ impl CupNode {
                     consecutive_empty: st.popularity.consecutive_empty(),
                     depth: update.depth,
                 };
-                if !self.config.policy.decide(&mut st.policy_state, &ctx) {
+                if !self.config.policy.keep_receiving(&ctx) {
                     // Not popular enough: cut off our incoming supply.
                     self.stats.cutoffs += 1;
                     self.stats.clear_bits_sent += 1;
@@ -456,9 +451,7 @@ impl CupNode {
             consecutive_empty: st.popularity.consecutive_empty(),
             depth: u32::from(st.last_depth),
         };
-        // Read-only evaluation: losing a downstream subscriber is not an
-        // update decision point, so no interval is consumed here.
-        if !self.config.policy.would_keep(&st.policy_state, &ctx) {
+        if !self.config.policy.keep_receiving(&ctx) {
             self.stats.clear_bits_sent += 1;
             out.push(Action::send(upstream, Message::ClearBit { key }));
         }
@@ -1544,7 +1537,7 @@ mod tests {
         // The response itself is never throttled.
         let response = acquire(&mut node, Requester::Neighbor(NodeId(4)));
         assert_eq!(response.len(), 1, "first-time response sent immediately");
-        assert_eq!(node.queued_updates(), 0);
+        assert_eq!(node.outgoing.total_len(), 0);
         // A subsequent refresh for the interested neighbor is queued.
         let actions = emitted!(node.handle_update_into(
             SimTime::from_secs(10),
@@ -1552,11 +1545,11 @@ mod tests {
             refresh(1, 0, 10, 2)
         ));
         assert!(actions.is_empty(), "refresh must be queued, not sent");
-        assert_eq!(node.queued_updates(), 1);
+        assert_eq!(node.outgoing.total_len(), 1);
         node.set_capacity(1.0);
         let sent = emitted!(node.service_outgoing_into(SimTime::from_secs(11)));
         assert_eq!(sent.len(), 1);
-        assert_eq!(node.queued_updates(), 0);
+        assert_eq!(node.outgoing.total_len(), 0);
     }
 
     #[test]
@@ -1565,13 +1558,17 @@ mod tests {
         assert!(node.set_capacity(0.0));
         acquire(&mut node, Requester::Neighbor(NodeId(4)));
         emitted!(node.handle_update_into(SimTime::from_secs(10), NodeId(9), refresh(1, 0, 10, 2)));
-        assert_eq!(node.queued_updates(), 1);
+        assert_eq!(node.outgoing.total_len(), 1);
         // Zero capacity: nothing is ever sent; queue drains by expiry, so
         // the downstream neighbor silently falls back to expiration-based
         // caching (§2.8).
         assert!(emitted!(node.service_outgoing_into(SimTime::from_secs(11))).is_empty());
         assert!(emitted!(node.service_outgoing_into(SimTime::from_secs(10_000))).is_empty());
-        assert_eq!(node.queued_updates(), 0, "expired entries left the queue");
+        assert_eq!(
+            node.outgoing.total_len(),
+            0,
+            "expired entries left the queue"
+        );
     }
 
     #[test]
@@ -1591,7 +1588,7 @@ mod tests {
         // That service drains the backlog in one go and unthrottles.
         let mut out = Vec::new();
         assert!(!node.service_outgoing_into(SimTime::from_secs(21), &mut out));
-        assert_eq!((out.len(), node.queued_updates()), (2, 0));
+        assert_eq!((out.len(), node.outgoing.total_len()), (2, 0));
         assert!(!node.is_throttled());
         let update = refresh(1, 0, 30, 2);
         let sent = emitted!(node.handle_update_into(SimTime::from_secs(30), NodeId(9), update));
@@ -1885,40 +1882,6 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn adaptive_policy_state_lives_per_key() {
-        let mut node = CupNode::new(
-            NodeId(1),
-            NodeConfig::cup_with_policy(CutoffPolicy::adaptive()),
-        );
-        acquire(&mut node, Requester::Client(ClientId(1)));
-        // A query in every interval (posted while the cache is still
-        // fresh, so no Pending-First-Update round-trips): each refresh is
-        // a justified decision interval recorded against this key's
-        // state.
-        for round in 1..6 {
-            emitted!(node.handle_query_into(
-                SimTime::from_secs(round * 300 - 10),
-                KeyId(1),
-                Requester::Client(ClientId(round)),
-                Some(NodeId(9)),
-            ));
-            emitted!(node.handle_update_into(
-                SimTime::from_secs(round * 300),
-                NodeId(9),
-                refresh(1, 0, round * 300, 2),
-            ));
-        }
-        let st = node.key_state(KeyId(1)).unwrap();
-        assert_eq!(st.policy_state.intervals(), 5);
-        assert_eq!(st.policy_state.justified_ratio(), 1.0);
-        assert!(
-            st.policy_state.tolerance() > 3,
-            "sustained queries must loosen the adaptive tolerance"
-        );
-        assert_eq!(node.stats.cutoffs, 0);
     }
 
     #[test]

@@ -16,15 +16,12 @@
 //!   posteriori (updates propagate to all interested nodes at most `p`
 //!   hops from the authority; `p = 0` degenerates to standard caching).
 //!
-//! Beyond the paper's fixed policies, [`CutoffPolicy::Adaptive`] tunes a
-//! log-based tolerance from the node's locally observed justified-update
-//! ratio (the fraction of update intervals that contained at least one
-//! query — §3.1's justification criterion evaluated with the information
-//! a single node has).
-//!
 //! A node runs one policy for every key (`NodeConfig::policy`), as in
-//! each of the paper's configurations; each key's decision state
-//! ([`PolicyState`]) lives in its [`crate::keystate::KeyState`].
+//! each of the paper's configurations. Every policy is a pure function
+//! of a [`CutoffContext`] — the key's popularity measure and the update's
+//! depth — so a key carries no decision state of its own, and the update
+//! and clear-bit paths ask the same question,
+//! [`CutoffPolicy::keep_receiving`].
 
 /// Inputs to a cut-off decision.
 #[derive(Debug, Clone, Copy)]
@@ -37,80 +34,6 @@ pub struct CutoffContext {
     /// Distance (hops) of this node from the key's authority, as carried
     /// by the update being considered.
     pub depth: u32,
-}
-
-/// The adaptive policy's starting tolerance (second-chance's n = 3).
-const ADAPTIVE_START_N: u32 = 3;
-
-/// Decision intervals the adaptive policy observes before it starts
-/// moving its tolerance.
-const ADAPTIVE_WARMUP: u32 = 4;
-
-/// Per-key decision state, owned by [`crate::keystate::KeyState`].
-///
-/// Every policy decision records one *interval* observation (was there at
-/// least one query since the last decision?); the adaptive policy reads
-/// the resulting locally observed justified ratio to tune its tolerance.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PolicyState {
-    /// Decision intervals observed so far.
-    intervals: u32,
-    /// Intervals that contained at least one query (locally justified).
-    justified_intervals: u32,
-    /// The adaptive tolerance n; 0 until the first decision initializes
-    /// it.
-    n: u32,
-}
-
-impl PolicyState {
-    /// Fresh (zero) state.
-    pub fn new() -> Self {
-        PolicyState::default()
-    }
-
-    /// Decision intervals observed so far.
-    pub fn intervals(&self) -> u32 {
-        self.intervals
-    }
-
-    /// Fraction of observed intervals that contained at least one query —
-    /// the node-local estimate of the §3.1 justified-update ratio.
-    pub fn justified_ratio(&self) -> f64 {
-        if self.intervals == 0 {
-            0.0
-        } else {
-            f64::from(self.justified_intervals) / f64::from(self.intervals)
-        }
-    }
-
-    /// The adaptive policy's current tolerance (0 = not yet initialized).
-    pub fn tolerance(&self) -> u32 {
-        self.n
-    }
-
-    /// Records one decision interval.
-    fn observe(&mut self, justified: bool) {
-        self.intervals = self.intervals.saturating_add(1);
-        if justified {
-            self.justified_intervals = self.justified_intervals.saturating_add(1);
-        }
-    }
-
-    /// Moves the adaptive tolerance one step toward what the observed
-    /// ratio warrants.
-    fn adapt(&mut self, min_n: u32, max_n: u32, target: f64) {
-        if self.n == 0 {
-            self.n = ADAPTIVE_START_N.clamp(min_n, max_n);
-        }
-        if self.intervals < ADAPTIVE_WARMUP {
-            return;
-        }
-        if self.justified_ratio() >= target {
-            self.n = (self.n + 1).min(max_n);
-        } else {
-            self.n = self.n.saturating_sub(1).max(min_n);
-        }
-    }
 }
 
 /// A cut-off policy: decides whether a node keeps receiving updates.
@@ -148,56 +71,18 @@ pub enum CutoffPolicy {
         /// Maximum depth to which updates propagate.
         level: u32,
     },
-    /// Log-based with a tolerance tuned from the node's locally observed
-    /// justified-update ratio: intervals with queries push the tolerance
-    /// up (more lenient), query-less intervals pull it down (stricter).
-    Adaptive {
-        /// Lower bound on the tolerance (cut after `min_n - 1` empties).
-        min_n: u32,
-        /// Upper bound on the tolerance.
-        max_n: u32,
-        /// Justified-ratio target separating "lenient" from "strict".
-        target: f64,
-    },
 }
 
 impl CutoffPolicy {
-    /// Every policy family once, with representative parameters, for
-    /// parametrized tests and benches (mirrors `OverlayKind::ALL`).
-    pub const ALL: [CutoffPolicy; 7] = [
-        CutoffPolicy::Always,
-        CutoffPolicy::Never,
-        CutoffPolicy::Linear { alpha: 0.1 },
-        CutoffPolicy::Logarithmic { alpha: 0.25 },
-        CutoffPolicy::LogBased { n: 3 },
-        CutoffPolicy::PushLevel { level: 4 },
-        CutoffPolicy::Adaptive {
-            min_n: 2,
-            max_n: 6,
-            target: 0.5,
-        },
-    ];
-
     /// The paper's second-chance policy (log-based with n = 3).
     pub fn second_chance() -> Self {
         CutoffPolicy::LogBased { n: 3 }
     }
 
-    /// The default adaptive policy: tolerance in [2, 6], second-chance
-    /// start, 0.5 justified-ratio target.
-    pub fn adaptive() -> Self {
-        CutoffPolicy::Adaptive {
-            min_n: 2,
-            max_n: 6,
-            target: 0.5,
-        }
-    }
-
     /// Stable name (sweep rows such as the fault grid's). Parameterized
     /// policies embed their parameters:
-    /// `linear:0.1`, `log:0.25`, `log-based:4`, `push:3`,
-    /// `adaptive:2:6:0.5`. `LogBased {{ n: 3 }}` prints as the paper's
-    /// `second-chance`.
+    /// `linear:0.1`, `log:0.25`, `log-based:4`, `push:3`.
+    /// `LogBased {{ n: 3 }}` prints as the paper's `second-chance`.
     pub fn name(&self) -> String {
         match *self {
             CutoffPolicy::Always => "always".into(),
@@ -207,24 +92,14 @@ impl CutoffPolicy {
             CutoffPolicy::LogBased { n: 3 } => "second-chance".into(),
             CutoffPolicy::LogBased { n } => format!("log-based:{n}"),
             CutoffPolicy::PushLevel { level } => format!("push:{level}"),
-            CutoffPolicy::Adaptive {
-                min_n,
-                max_n,
-                target,
-            } => format!("adaptive:{min_n}:{max_n}:{target}"),
         }
     }
 
     /// Returns `true` if the node should keep receiving updates for the
-    /// key, `false` to cut off (push a Clear-Bit upstream). Stateless:
-    /// the adaptive policy is evaluated at its starting tolerance.
+    /// key, `false` to cut off (push a Clear-Bit upstream). Both decision
+    /// points ask this: an update arriving at an uninterested node, and
+    /// the last downstream subscriber clearing its bit.
     pub fn keep_receiving(&self, ctx: &CutoffContext) -> bool {
-        self.would_keep(&PolicyState::default(), ctx)
-    }
-
-    /// Read-only evaluation against per-key state (the clear-bit path,
-    /// which re-checks popularity without consuming a decision interval).
-    pub fn would_keep(&self, state: &PolicyState, ctx: &CutoffContext) -> bool {
         match *self {
             CutoffPolicy::Always => true,
             CutoffPolicy::Never => false,
@@ -244,31 +119,7 @@ impl CutoffPolicy {
             }
             CutoffPolicy::LogBased { n } => ctx.consecutive_empty < n.saturating_sub(1),
             CutoffPolicy::PushLevel { level } => ctx.depth <= level,
-            CutoffPolicy::Adaptive { min_n, max_n, .. } => {
-                let n = if state.n == 0 {
-                    ADAPTIVE_START_N.clamp(min_n, max_n)
-                } else {
-                    state.n
-                };
-                ctx.consecutive_empty < n.saturating_sub(1)
-            }
         }
-    }
-
-    /// Stateful decision at an update decision point: records the
-    /// interval observation in `state` (and, for the adaptive policy,
-    /// moves the tolerance), then decides keep/cut.
-    pub fn decide(&self, state: &mut PolicyState, ctx: &CutoffContext) -> bool {
-        state.observe(ctx.queries_since_reset > 0);
-        if let CutoffPolicy::Adaptive {
-            min_n,
-            max_n,
-            target,
-        } = *self
-        {
-            state.adapt(min_n, max_n, target);
-        }
-        self.would_keep(state, ctx)
     }
 
     /// Returns `true` if this policy limits propagation at the *sender*
@@ -377,74 +228,21 @@ mod tests {
 
     #[test]
     fn names_are_stable() {
-        let names: Vec<String> = CutoffPolicy::ALL.iter().map(CutoffPolicy::name).collect();
-        assert_eq!(
-            names,
-            [
-                "always",
-                "never",
-                "linear:0.1",
-                "log:0.25",
-                "second-chance",
-                "push:4",
-                "adaptive:2:6:0.5"
-            ]
-        );
-        for policy in CutoffPolicy::ALL {
-            assert_eq!(policy.to_string(), policy.name());
+        let cases = [
+            (CutoffPolicy::Always, "always"),
+            (CutoffPolicy::Never, "never"),
+            (CutoffPolicy::Linear { alpha: 0.1 }, "linear:0.1"),
+            (CutoffPolicy::Logarithmic { alpha: 0.25 }, "log:0.25"),
+            (CutoffPolicy::LogBased { n: 3 }, "second-chance"),
+            (CutoffPolicy::PushLevel { level: 4 }, "push:4"),
+        ];
+        for (policy, name) in cases {
+            assert_eq!(policy.name(), name);
+            assert_eq!(policy.to_string(), name);
         }
         // Parameters print through float formatting, and only n = 3 is
         // the paper's second-chance.
         assert_eq!(CutoffPolicy::Linear { alpha: 0.001 }.name(), "linear:0.001");
         assert_eq!(CutoffPolicy::LogBased { n: 7 }.name(), "log-based:7");
-    }
-
-    #[test]
-    fn adaptive_starts_as_second_chance() {
-        let p = CutoffPolicy::adaptive();
-        let mut state = PolicyState::new();
-        // First empty interval: tolerated (n = 3 start).
-        assert!(p.decide(&mut state, &ctx(0, 1, 5)));
-        // Second empty interval: cut, exactly like second-chance.
-        assert!(!p.decide(&mut state, &ctx(0, 2, 5)));
-        assert_eq!(state.tolerance(), 3);
-    }
-
-    #[test]
-    fn adaptive_tightens_under_sustained_silence() {
-        let p = CutoffPolicy::adaptive();
-        let mut state = PolicyState::new();
-        for i in 0..6 {
-            p.decide(&mut state, &ctx(0, i + 1, 5));
-        }
-        assert_eq!(state.tolerance(), 2, "ratio 0 drives n to the floor");
-        assert_eq!(state.justified_ratio(), 0.0);
-        // At the floor a single empty interval is terminal.
-        assert!(!p.decide(&mut state, &ctx(0, 1, 5)));
-    }
-
-    #[test]
-    fn adaptive_loosens_under_sustained_queries() {
-        let p = CutoffPolicy::adaptive();
-        let mut state = PolicyState::new();
-        for _ in 0..8 {
-            assert!(p.decide(&mut state, &ctx(3, 0, 5)));
-        }
-        assert_eq!(state.tolerance(), 6, "ratio 1 drives n to the cap");
-        // The earned leniency tolerates a long quiet stretch.
-        assert!(p.would_keep(&state, &ctx(0, 4, 5)));
-        assert!(!p.would_keep(&state, &ctx(0, 5, 5)));
-    }
-
-    #[test]
-    fn policy_state_tracks_justified_ratio() {
-        let p = CutoffPolicy::second_chance();
-        let mut state = PolicyState::new();
-        p.decide(&mut state, &ctx(2, 0, 3));
-        p.decide(&mut state, &ctx(0, 1, 3));
-        p.decide(&mut state, &ctx(1, 0, 3));
-        p.decide(&mut state, &ctx(0, 1, 3));
-        assert_eq!(state.intervals(), 4);
-        assert_eq!(state.justified_ratio(), 0.5);
     }
 }

@@ -183,18 +183,19 @@ fn bytes_per_cached_key(keys: u32) -> f64 {
 
 /// `core.node_bytes_per_key`. The record array grows by a quarter and
 /// the key index by doubling: 160 keys sit in 175 records, 256 keys in
-/// 272. A 128-byte record reads 145.44 B a key at 256 keys and 155.1 B
+/// 272. A 120-byte record reads 136.91 B a key at 256 keys and 146.3 B
 /// at 160. BENCH_28.json's 136-byte record read 154.59 B and 164.9 B;
 /// the 128-byte record saved 8 bytes on each of 272 and 175 records,
 /// less the 16 bytes the node's §2.8 throttle added to its struct, one
 /// cut-off policy per node in place of an 8-class table took 176 bytes
 /// off the struct, and the PFU timeout's move from the config to a
-/// constant 8 more. The 256-key pin once moved *up*, from
-/// 154.125 B, when the array stopped doubling: doubling filled it
-/// exactly at a power of two, which a quarter step does not.
+/// constant 8 more. Stateless cut-off policies took 8 bytes off each
+/// record (145.44 B and 155.1 B before). The 256-key pin once moved
+/// *up*, from 154.125 B, when the array stopped doubling: doubling
+/// filled it exactly at a power of two, which a quarter step does not.
 #[test]
 fn a_cached_key_costs_what_the_ledger_reads() {
-    for (keys, ledger) in [(256, 145.44), (160, 155.1)] {
+    for (keys, ledger) in [(256, 136.91), (160, 146.3)] {
         let per_key = bytes_per_cached_key(keys);
         assert!(
             per_key <= ledger,

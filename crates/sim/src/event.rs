@@ -15,7 +15,7 @@
 //! Ordering is a total order on `(time, sequence)`: the sequence number
 //! breaks ties so that events scheduled for the same instant fire in FIFO
 //! order, which keeps simulations deterministic. The differential test
-//! suite (`tests/calendar_queue_diff.rs`) pins the head logic against a
+//! suite (`tests/event_queue_diff.rs`) pins the head logic against a
 //! head-less heap: same schedule/pop stream, byte-identical pop order.
 
 use std::cmp::Ordering;

@@ -7,7 +7,7 @@
 //! * a deterministic event queue with stable FIFO ordering for simultaneous
 //!   events ([`EventQueue`]) — std's binary heap behind a sorted look-ahead
 //!   head, pinned against a head-less heap by a differential test suite
-//!   (`tests/calendar_queue_diff.rs`),
+//!   (`tests/event_queue_diff.rs`),
 //! * a deterministic, seedable random number generator ([`rng::DetRng`])
 //!   that is stable across platforms and crate versions, and
 //! * per-hop network latency models ([`latency`]).

@@ -11,8 +11,6 @@
 //! bursts, zero-delay schedules, schedules landing inside the head,
 //! `ahead` at random points, `pop_before` deadlines inside the head and
 //! `clear` — and require identical observable behavior at every step.
-//! The file name, some test names and the `cal` bindings are from the
-//! calendar queue the suite pinned before the heap replaced it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -119,7 +117,7 @@ impl<E> ReferenceHeapQueue<E> {
 /// Both queues driven by one stream, every observation compared. The
 /// payload is the schedule's ordinal, so equal pops are equal events.
 struct Twin {
-    cal: EventQueue<u64>,
+    queue: EventQueue<u64>,
     heap: ReferenceHeapQueue<u64>,
     next: u64,
 }
@@ -127,52 +125,52 @@ struct Twin {
 impl Twin {
     fn new() -> Self {
         Twin {
-            cal: EventQueue::new(),
+            queue: EventQueue::new(),
             heap: ReferenceHeapQueue::new(),
             next: 0,
         }
     }
 
     fn schedule(&mut self, at: SimTime) {
-        self.cal.schedule(at, self.next);
+        self.queue.schedule(at, self.next);
         self.heap.schedule(at, self.next);
         self.next += 1;
     }
 
     fn pop(&mut self) -> Result<Option<(SimTime, u64)>, TestCaseError> {
-        let (a, b) = (self.cal.pop(), self.heap.pop());
+        let (a, b) = (self.queue.pop(), self.heap.pop());
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(self.cal.len(), self.heap.len());
+        prop_assert_eq!(self.queue.len(), self.heap.len());
         Ok(a)
     }
 
     fn pop_before(&mut self, deadline: SimTime) -> Result<Option<(SimTime, u64)>, TestCaseError> {
         let (a, b) = (
-            self.cal.pop_before(deadline),
+            self.queue.pop_before(deadline),
             self.heap.pop_before(deadline),
         );
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(self.cal.len(), self.heap.len());
+        prop_assert_eq!(self.queue.len(), self.heap.len());
         Ok(a)
     }
 
     /// Compares `ahead(k)` with the oracle's next `k` events and
     /// returns their times.
     fn ahead(&mut self, k: usize) -> Result<Vec<SimTime>, TestCaseError> {
-        let seen: Vec<u64> = self.cal.ahead(k).copied().collect();
+        let seen: Vec<u64> = self.queue.ahead(k).copied().collect();
         let (times, payloads): (Vec<SimTime>, Vec<u64>) = self.heap.next(k).into_iter().unzip();
         prop_assert_eq!(seen, payloads);
-        prop_assert_eq!(self.cal.len(), self.heap.len());
+        prop_assert_eq!(self.queue.len(), self.heap.len());
         Ok(times)
     }
 
     fn clear(&mut self) {
-        self.cal.clear();
+        self.queue.clear();
         self.heap.clear();
     }
 
     fn drain(&mut self) -> Result<(), TestCaseError> {
-        assert_drain_identical(&mut self.cal, &mut self.heap)
+        assert_drain_identical(&mut self.queue, &mut self.heap)
     }
 }
 
@@ -181,20 +179,20 @@ impl Twin {
 /// each event is first refused at its own firing time (the deadline is
 /// exclusive) and then released one microsecond later.
 fn assert_drain_identical(
-    cal: &mut EventQueue<u64>,
+    queue: &mut EventQueue<u64>,
     heap: &mut ReferenceHeapQueue<u64>,
 ) -> Result<(), TestCaseError> {
     loop {
-        prop_assert_eq!(cal.peek_time(), heap.peek_time());
-        prop_assert_eq!(cal.len(), heap.len());
-        let Some(head) = cal.peek_time() else {
+        prop_assert_eq!(queue.peek_time(), heap.peek_time());
+        prop_assert_eq!(queue.len(), heap.len());
+        let Some(head) = queue.peek_time() else {
             prop_assert_eq!(heap.pop(), None);
             return Ok(());
         };
-        prop_assert_eq!(cal.pop_before(head), None);
+        prop_assert_eq!(queue.pop_before(head), None);
         prop_assert_eq!(heap.pop_before(head), None);
         let release = head + SimDuration::from_micros(1);
-        match (cal.pop_before(release), heap.pop_before(release)) {
+        match (queue.pop_before(release), heap.pop_before(release)) {
             (None, None) => return Ok(()),
             (a, b) => prop_assert_eq!(a, b),
         }
@@ -206,14 +204,14 @@ proptest! {
     /// times (collisions included: times are drawn from a small range).
     #[test]
     fn batch_schedule_pops_identically(times in proptest::collection::vec(0u64..5_000, 1..400)) {
-        let mut cal = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut heap = ReferenceHeapQueue::new();
         for (i, &t) in times.iter().enumerate() {
             let at = SimTime::from_micros(t);
-            cal.schedule(at, i as u64);
+            queue.schedule(at, i as u64);
             heap.schedule(at, i as u64);
         }
-        assert_drain_identical(&mut cal, &mut heap)?;
+        assert_drain_identical(&mut queue, &mut heap)?;
     }
 
     /// Identical behavior under interleaved schedule/pop, the engine's
@@ -222,14 +220,14 @@ proptest! {
     #[test]
     fn interleaved_stream_pops_identically(seed in any::<u64>(), ops in 10usize..300) {
         let mut rng = DetRng::seed_from(seed);
-        let mut cal = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut heap = ReferenceHeapQueue::new();
         let mut now = SimTime::ZERO;
         let mut next_payload = 0u64;
         for _ in 0..ops {
             // Mostly schedules, some pops, like a fanning-out simulation.
             if rng.next_below(4) == 0 {
-                let (a, b) = (cal.pop(), heap.pop());
+                let (a, b) = (queue.pop(), heap.pop());
                 prop_assert_eq!(&a, &b);
                 if let Some((at, _)) = a {
                     now = at;
@@ -239,13 +237,13 @@ proptest! {
                 // some land inside the head and some far beyond it.
                 let magnitude = 10u64.pow(rng.next_below(7) as u32);
                 let at = now + SimDuration::from_micros(rng.next_below(magnitude.max(1)));
-                cal.schedule(at, next_payload);
+                queue.schedule(at, next_payload);
                 heap.schedule(at, next_payload);
                 next_payload += 1;
             }
-            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(queue.len(), heap.len());
         }
-        assert_drain_identical(&mut cal, &mut heap)?;
+        assert_drain_identical(&mut queue, &mut heap)?;
     }
 
     /// All-simultaneous events: the degenerate case where ordering is
@@ -253,13 +251,13 @@ proptest! {
     #[test]
     fn simultaneous_burst_stays_fifo(at_us in 0u64..1 << 40, n in 1usize..300) {
         let at = SimTime::from_micros(at_us);
-        let mut cal = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut heap = ReferenceHeapQueue::new();
         for i in 0..n as u64 {
-            cal.schedule(at, i);
+            queue.schedule(at, i);
             heap.schedule(at, i);
         }
-        assert_drain_identical(&mut cal, &mut heap)?;
+        assert_drain_identical(&mut queue, &mut heap)?;
     }
 
     /// Far-future outliers (hours to months out) mixed with a dense
@@ -267,7 +265,7 @@ proptest! {
     #[test]
     fn far_future_outliers_keep_order(seed in any::<u64>()) {
         let mut rng = DetRng::seed_from(seed);
-        let mut cal = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut heap = ReferenceHeapQueue::new();
         for i in 0..200u64 {
             let at = if rng.next_below(10) == 0 {
@@ -276,42 +274,42 @@ proptest! {
             } else {
                 SimTime::from_micros(rng.next_below(50_000))
             };
-            cal.schedule(at, i);
+            queue.schedule(at, i);
             heap.schedule(at, i);
         }
-        assert_drain_identical(&mut cal, &mut heap)?;
+        assert_drain_identical(&mut queue, &mut heap)?;
     }
 
     /// The DES workloads' bimodal pending set — a dense cluster of
     /// in-flight messages plus a few timers minutes out — under steady
     /// pop-and-reschedule with bursts of fan-out.
     #[test]
-    fn bimodal_stream_pops_identically_across_retunes(seed in any::<u64>(), pops in 1_500usize..4_000) {
+    fn bimodal_stream_pops_identically(seed in any::<u64>(), pops in 1_500usize..4_000) {
         let mut rng = DetRng::seed_from(seed);
-        let mut cal = EventQueue::new();
+        let mut queue = EventQueue::new();
         let mut heap = ReferenceHeapQueue::new();
         // The payload's low bit says which mode an event belongs to, so
         // both modes keep being fed however long the stream runs.
         let mut next_payload = 0u64;
-        let mut schedule = |cal: &mut EventQueue<u64>,
+        let mut schedule = |queue: &mut EventQueue<u64>,
                             heap: &mut ReferenceHeapQueue<u64>,
                             at: SimTime,
                             timer: bool| {
             let payload = next_payload << 1 | u64::from(timer);
             next_payload += 1;
-            cal.schedule(at, payload);
+            queue.schedule(at, payload);
             heap.schedule(at, payload);
         };
         for _ in 0..40 {
             let at = SimTime::from_micros(rng.next_below(300_000_000));
-            schedule(&mut cal, &mut heap, at, true);
+            schedule(&mut queue, &mut heap, at, true);
         }
         for _ in 0..80 {
             let at = SimTime::from_micros(rng.next_below(150_000));
-            schedule(&mut cal, &mut heap, at, false);
+            schedule(&mut queue, &mut heap, at, false);
         }
         for _ in 0..pops {
-            let (a, b) = (cal.pop(), heap.pop());
+            let (a, b) = (queue.pop(), heap.pop());
             prop_assert_eq!(&a, &b);
             let Some((now, payload)) = a else { break };
             // A timer re-arms itself; a message is forwarded once on
@@ -325,11 +323,11 @@ proptest! {
             };
             for _ in 0..copies {
                 let at = now + SimDuration::from_micros(rng.next_below(reach));
-                schedule(&mut cal, &mut heap, at, timer);
+                schedule(&mut queue, &mut heap, at, timer);
             }
-            prop_assert_eq!(cal.len(), heap.len());
+            prop_assert_eq!(queue.len(), heap.len());
         }
-        assert_drain_identical(&mut cal, &mut heap)?;
+        assert_drain_identical(&mut queue, &mut heap)?;
     }
 }
 
@@ -488,8 +486,8 @@ proptest! {
                 }
             }
             twin.clear();
-            prop_assert!(twin.cal.is_empty());
-            prop_assert_eq!(twin.cal.pop(), None);
+            prop_assert!(twin.queue.is_empty());
+            prop_assert_eq!(twin.queue.pop(), None);
             // After a clear, time may restart anywhere, earlier included.
             now = SimTime::from_micros(rng.next_below(now.as_micros() + 1));
         }
@@ -523,16 +521,16 @@ proptest! {
 
 #[test]
 fn reference_heap_agrees_on_a_smoke_stream() {
-    let mut cal = EventQueue::new();
+    let mut queue = EventQueue::new();
     let mut heap = ReferenceHeapQueue::new();
     for i in 0u64..500 {
         let at = SimTime::from_micros((i * 6151) % 4_096);
-        cal.schedule(at, i);
+        queue.schedule(at, i);
         heap.schedule(at, i);
     }
     loop {
-        assert_eq!(cal.peek_time(), heap.peek_time());
-        match (cal.pop(), heap.pop()) {
+        assert_eq!(queue.peek_time(), heap.peek_time());
+        match (queue.pop(), heap.pop()) {
             (None, None) => break,
             (a, b) => assert_eq!(a, b),
         }

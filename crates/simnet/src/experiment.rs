@@ -168,8 +168,9 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
 
     // Run through the query window plus the drain margin. The paper's
     // long post-query tail (simulation time 22 000 s vs 3 000 s of
-    // querying) contributes no queries; costs are accounted over the
-    // active window, see EXPERIMENTS.md.
+    // querying) contributes no queries, only maintenance updates in an
+    // amount set by how long the run goes on rather than by the
+    // workload, so costs are accounted over the active window.
     let stop = scenario.query_end + config.drain;
     let events = net.run_until(&mut queue, stop.min(scenario.sim_end));
     let totals = Plane::totals([&net.plane]);
@@ -282,26 +283,6 @@ mod tests {
             ..small_scenario(1.0)
         };
         let _ = run_experiment(&ExperimentConfig::cup(scenario));
-    }
-
-    #[test]
-    fn adaptive_policy_runs_and_stays_economical() {
-        let mut adaptive = ExperimentConfig::cup(small_scenario(5.0));
-        adaptive.node_config = NodeConfig::cup_with_policy(CutoffPolicy::adaptive());
-        adaptive.track_justification = true;
-        let adaptive = run_experiment(&adaptive);
-        let mut always = ExperimentConfig::cup(small_scenario(5.0));
-        always.node_config = NodeConfig::cup_with_policy(CutoffPolicy::Always);
-        always.track_justification = true;
-        let always = run_experiment(&always);
-        assert!(adaptive.tracked_updates > 0);
-        assert!(
-            adaptive.justified_fraction() >= always.justified_fraction(),
-            "adaptive {} must justify at least as well as all-out push {}",
-            adaptive.justified_fraction(),
-            always.justified_fraction()
-        );
-        assert!(adaptive.total_cost() <= always.total_cost());
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub fn medium(query_rate: f64, seed: u64) -> Scenario {
 }
 
 /// A large-population scenario (10k–100k nodes, Zipf queries) with the
-/// given total query budget — the scale regime the calendar-queue
-/// scheduler and node arena exist for.
+/// given total query budget — the scale regime the DES's event
+/// queue and node arena are built for.
 pub fn large_scale(nodes: usize, queries: u64, seed: u64) -> Scenario {
     Scenario::large_scale(nodes, queries, seed)
 }

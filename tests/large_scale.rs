@@ -1,6 +1,6 @@
 //! The large-population suite: 10k–100k node experiments.
 //!
-//! This is the regime the calendar-queue scheduler, the node arena, and
+//! This is the regime the DES's event queue, the node arena, and
 //! the overlay spatial indices exist for. The suite locks down the two
 //! properties every scaling PR must preserve:
 //!

@@ -188,6 +188,35 @@ proptest! {
         }
     }
 
+    /// Log-based decisions are monotone in silence and in tolerance: a
+    /// node that cuts after `e` consecutive empty intervals also cuts
+    /// after `e + 1`, and a node kept at tolerance `n` is kept at `n + 1`.
+    /// The cut falls at exactly `n - 1` empties, so second-chance (n = 3)
+    /// tolerates one empty interval and cuts on the second.
+    #[test]
+    fn log_based_monotone_in_silence_and_tolerance(
+        n in 2u32..16,
+        empty in 0u32..24,
+        queries in 0u32..100,
+        depth in 0u32..40,
+    ) {
+        let keeps = |n: u32, e: u32| CutoffPolicy::LogBased { n }.keep_receiving(&CutoffContext {
+            queries_since_reset: queries,
+            consecutive_empty: e,
+            depth,
+        });
+        if !keeps(n, empty) {
+            prop_assert!(!keeps(n, empty + 1));
+        }
+        if keeps(n, empty) {
+            prop_assert!(keeps(n + 1, empty));
+        }
+        prop_assert_eq!(keeps(n, empty), empty < n - 1);
+        // Either side of the cut, whatever `empty` was drawn.
+        prop_assert!(keeps(n, n - 2) && !keeps(n, n - 1));
+        prop_assert!(keeps(3, 1) && !keeps(3, 2));
+    }
+
     /// Replica-independent popularity is invariant under interleaving
     /// updates from other replicas.
     #[test]
