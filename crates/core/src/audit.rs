@@ -15,7 +15,7 @@
 
 use cup_des::{KeyId, NodeId, ReplicaId};
 
-use crate::config::AuditConfig;
+use crate::config::{AuditConfig, AUDIT_SAMPLE};
 use crate::entry::IndexEntry;
 
 /// SplitMix64 finalizer — the workspace's standard bit mixer (the fault
@@ -27,7 +27,7 @@ fn mix64(mut z: u64) -> u64 {
 }
 
 /// The peers `me` polls in audit round `round` of `key`: up to
-/// `cfg.sample` distinct nodes drawn counter-mode from the whole
+/// [`AUDIT_SAMPLE`] distinct nodes drawn counter-mode from the whole
 /// population, self excluded. Pure — both runtimes call it with the
 /// same arguments and send probes to identical targets.
 pub fn sample_targets(cfg: &AuditConfig, me: NodeId, key: KeyId, round: u64) -> Vec<NodeId> {
@@ -35,11 +35,11 @@ pub fn sample_targets(cfg: &AuditConfig, me: NodeId, key: KeyId, round: u64) -> 
     if population <= 1 {
         return Vec::new();
     }
-    let want = (cfg.sample as usize).min(population as usize - 1);
+    let want = (AUDIT_SAMPLE as usize).min(population as usize - 1);
     let mut picked: Vec<NodeId> = Vec::with_capacity(want);
     // Bounded rejection sampling: hash draws skip self and duplicates;
-    // the bound only binds when `sample` nears the population size.
-    let max_draws = 16 * (u64::from(cfg.sample) + 1);
+    // the bound only binds when `AUDIT_SAMPLE` nears the population size.
+    let max_draws = 16 * (u64::from(AUDIT_SAMPLE) + 1);
     let mut draw = 0u64;
     while picked.len() < want && draw < max_draws {
         let mut h = cfg.seed;
@@ -129,19 +129,13 @@ mod tests {
     use super::*;
     use cup_des::SimDuration;
 
-    fn cfg(population: u32, sample: u32) -> AuditConfig {
-        AuditConfig {
-            interval: SimDuration::from_secs(60),
-            sample,
-            quorum: 2,
-            population,
-            seed: 0xA0D1,
-        }
+    fn cfg(population: u32) -> AuditConfig {
+        AuditConfig::sampled(SimDuration::from_secs(60), population, 0xA0D1)
     }
 
     #[test]
     fn sampling_is_pure_self_free_and_duplicate_free() {
-        let c = cfg(64, 8);
+        let c = cfg(64);
         let me = NodeId(17);
         let a = sample_targets(&c, me, KeyId(3), 5);
         let b = sample_targets(&c, me, KeyId(3), 5);
@@ -157,7 +151,7 @@ mod tests {
 
     #[test]
     fn rounds_keys_and_nodes_decorrelate_samples() {
-        let c = cfg(256, 8);
+        let c = cfg(256);
         let base = sample_targets(&c, NodeId(1), KeyId(0), 1);
         assert_ne!(base, sample_targets(&c, NodeId(1), KeyId(0), 2));
         assert_ne!(base, sample_targets(&c, NodeId(1), KeyId(1), 1));
@@ -166,10 +160,10 @@ mod tests {
 
     #[test]
     fn tiny_populations_cap_the_sample() {
-        let c = cfg(3, 8);
+        let c = cfg(3);
         let picked = sample_targets(&c, NodeId(0), KeyId(0), 1);
         assert_eq!(picked.len(), 2, "everyone but self");
-        assert!(sample_targets(&cfg(1, 8), NodeId(0), KeyId(0), 1).is_empty());
+        assert!(sample_targets(&cfg(1), NodeId(0), KeyId(0), 1).is_empty());
     }
 
     #[test]

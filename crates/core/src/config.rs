@@ -25,6 +25,14 @@ pub enum Mode {
     StandardCaching,
 }
 
+/// How many peers an audit round polls.
+pub const AUDIT_SAMPLE: u32 = 8;
+
+/// How many pollees must contradict a served replica before the auditor
+/// evicts it and adopts their entries. Tombstones are firsthand
+/// knowledge, so one honest dissenter suffices.
+pub const AUDIT_QUORUM: u32 = 1;
+
 /// The rate-limited sampled cache audit (the LOCKSS defense).
 ///
 /// CUP's economics assume peers relay honestly; a Byzantine peer that
@@ -40,19 +48,15 @@ pub enum Mode {
 /// Audits are traffic-driven (a node only audits keys it actually
 /// serves hits from) and rate-limited: at most one audit per key per
 /// node per `interval` of the virtual clock, which bounds the audit
-/// overhead regardless of query rate. Peer selection is a counter-mode
-/// hash of `(seed, node, key, round, draw)`, so the DES and any
-/// M-worker live run poll identical peers in identical rounds.
+/// overhead regardless of query rate. A round polls [`AUDIT_SAMPLE`]
+/// peers and repairs on [`AUDIT_QUORUM`] dissents. Peer selection is a
+/// counter-mode hash of `(seed, node, key, round, draw)`, so the DES and
+/// any M-worker live run poll identical peers in identical rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditConfig {
     /// Minimum virtual-clock time between two audits of the same key at
     /// the same node (the rate limit).
     pub interval: SimDuration,
-    /// How many peers are polled per audit round.
-    pub sample: u32,
-    /// How many pollees must contradict a served replica before the
-    /// auditor evicts it and adopts their entries.
-    pub quorum: u32,
     /// Population size to sample peers from (dense node indices
     /// `0..population`); the node has no overlay view, so the embedding
     /// passes it in.
@@ -62,15 +66,11 @@ pub struct AuditConfig {
 }
 
 impl AuditConfig {
-    /// A small-sample audit suitable for the test scenarios: poll 8
-    /// peers at most once per key per `interval`, repair on a single
-    /// contradiction (tombstones are firsthand knowledge, so one honest
-    /// dissenter suffices; raise `quorum` to tolerate lying dissenters).
+    /// An audit that polls at most once per key per `interval`, drawing
+    /// peers from `0..population` with `seed`.
     pub fn sampled(interval: SimDuration, population: u32, seed: u64) -> Self {
         AuditConfig {
             interval,
-            sample: 8,
-            quorum: 1,
             population,
             seed,
         }
@@ -143,7 +143,7 @@ impl NodeConfig {
 }
 
 // A node holds its own copy, so every byte here is paid once per node.
-const _: () = assert!(std::mem::size_of::<NodeConfig>() <= 88);
+const _: () = assert!(std::mem::size_of::<NodeConfig>() <= 72);
 
 impl Default for NodeConfig {
     fn default() -> Self {
@@ -169,8 +169,6 @@ mod tests {
         let audit = AuditConfig::sampled(SimDuration::from_secs(60), 64, 9);
         let c = NodeConfig::cup_with_policy(CutoffPolicy::Always).with_audit(audit);
         assert_eq!(c.audit, Some(audit));
-        assert_eq!(audit.sample, 8);
-        assert_eq!(audit.quorum, 1);
     }
 
     #[test]

@@ -29,10 +29,9 @@ pub enum DirectoryChange {
 
 /// An authority node's slice of the global index.
 ///
-/// Keyed by a `BTreeMap` so `expire()` and `drain_keys()` emit entries
-/// in key order: their output order drives delete propagation and
-/// ownership hand-over, which must be identical across the DES and any
-/// M-worker live run.
+/// Keyed by a `BTreeMap` so `drain_keys()` emits entries in key order:
+/// its output order drives ownership hand-over, which must be identical
+/// across the DES and any M-worker live run.
 #[derive(Debug, Clone, Default)]
 pub struct LocalDirectory {
     entries: BTreeMap<KeyId, Vec<IndexEntry>>,
@@ -104,25 +103,6 @@ impl LocalDirectory {
     /// `key`.
     pub fn knows(&self, key: KeyId) -> bool {
         self.entries.contains_key(&key)
-    }
-
-    /// Removes and returns entries whose lifetime elapsed without a
-    /// refresh — the authority "notices a replica has stopped sending
-    /// keep-alive messages and assumes the replica has failed" (§2.4).
-    pub fn expire(&mut self, now: SimTime) -> Vec<IndexEntry> {
-        let mut dead = Vec::new();
-        self.entries.retain(|_, slot| {
-            slot.retain(|e| {
-                if e.is_fresh(now) {
-                    true
-                } else {
-                    dead.push(*e);
-                    false
-                }
-            });
-            !slot.is_empty()
-        });
-        dead
     }
 
     /// Drains entries for keys selected by `predicate` — used when index
@@ -273,18 +253,6 @@ mod tests {
             0
         );
         assert!(dir.knows(KeyId(1)));
-    }
-
-    #[test]
-    fn expire_collects_dead_replicas() {
-        let mut dir = LocalDirectory::new();
-        dir.apply(birth(1, 0), SimTime::ZERO);
-        dir.apply(birth(2, 1), SimTime::from_secs(200));
-        let dead = dir.expire(SimTime::from_secs(350));
-        assert_eq!(dead.len(), 1);
-        assert_eq!(dead[0].key, KeyId(1));
-        assert!(dir.knows(KeyId(2)));
-        assert!(!dir.knows(KeyId(1)));
     }
 
     #[test]

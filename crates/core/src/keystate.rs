@@ -284,7 +284,8 @@ impl KeyState {
     ///
     /// First-time updates replace the whole set (they carry the
     /// authoritative fresh answer); refreshes and appends upsert the entry
-    /// for their replica; deletes remove it.
+    /// for their replica; deletes remove the replica of each entry they
+    /// carry.
     pub fn apply(&mut self, update: &Update) {
         match update.kind {
             UpdateKind::FirstTime => {
@@ -296,9 +297,11 @@ impl KeyState {
                 }
             }
             UpdateKind::Delete => {
-                self.entries.retain(|e| e.replica != update.replica);
-                self.popularity.untrack_if(update.replica);
-                self.mark_retired(update.replica);
+                for dead in &update.entries {
+                    self.entries.retain(|e| e.replica != dead.replica);
+                    self.popularity.untrack_if(dead.replica);
+                    self.mark_retired(dead.replica);
+                }
             }
         }
         self.last_depth = u16::try_from(update.depth).unwrap_or(u16::MAX);
@@ -356,12 +359,12 @@ mod tests {
         )
     }
 
-    fn update(kind: UpdateKind, replica: u32, entries: Vec<IndexEntry>) -> Update {
+    fn update(kind: UpdateKind, entries: Vec<IndexEntry>) -> Update {
         Update {
             key: KeyId(1),
             kind,
             entries,
-            replica: ReplicaId(replica),
+            replica: ReplicaId(0),
             depth: 2,
             origin: SimTime::ZERO,
             window_end: SimTime::MAX,
@@ -373,7 +376,6 @@ mod tests {
         let mut st = KeyState::new();
         st.apply(&update(
             UpdateKind::FirstTime,
-            0,
             vec![entry(0, 0, 100), entry(1, 0, 500)],
         ));
         let now = SimTime::from_secs(200);
@@ -388,8 +390,8 @@ mod tests {
     #[test]
     fn first_time_replaces_set() {
         let mut st = KeyState::new();
-        st.apply(&update(UpdateKind::FirstTime, 0, vec![entry(0, 0, 100)]));
-        st.apply(&update(UpdateKind::FirstTime, 1, vec![entry(1, 0, 100)]));
+        st.apply(&update(UpdateKind::FirstTime, vec![entry(0, 0, 100)]));
+        st.apply(&update(UpdateKind::FirstTime, vec![entry(1, 0, 100)]));
         assert_eq!(st.entries().len(), 1);
         assert_eq!(st.entries()[0].replica, ReplicaId(1));
     }
@@ -397,9 +399,9 @@ mod tests {
     #[test]
     fn refresh_upserts() {
         let mut st = KeyState::new();
-        st.apply(&update(UpdateKind::Refresh, 0, vec![entry(0, 0, 100)]));
+        st.apply(&update(UpdateKind::Refresh, vec![entry(0, 0, 100)]));
         assert_eq!(st.entries().len(), 1);
-        st.apply(&update(UpdateKind::Refresh, 0, vec![entry(0, 100, 100)]));
+        st.apply(&update(UpdateKind::Refresh, vec![entry(0, 100, 100)]));
         assert_eq!(st.entries().len(), 1, "refresh must not duplicate");
         assert!(st.has_fresh(SimTime::from_secs(150)));
     }
@@ -407,10 +409,10 @@ mod tests {
     #[test]
     fn append_adds_delete_removes() {
         let mut st = KeyState::new();
-        st.apply(&update(UpdateKind::Append, 0, vec![entry(0, 0, 100)]));
-        st.apply(&update(UpdateKind::Append, 1, vec![entry(1, 0, 100)]));
+        st.apply(&update(UpdateKind::Append, vec![entry(0, 0, 100)]));
+        st.apply(&update(UpdateKind::Append, vec![entry(1, 0, 100)]));
         assert_eq!(st.entries().len(), 2);
-        st.apply(&update(UpdateKind::Delete, 0, vec![entry(0, 0, 100)]));
+        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]));
         assert_eq!(st.entries().len(), 1);
         assert_eq!(st.entries()[0].replica, ReplicaId(1));
     }
@@ -420,9 +422,9 @@ mod tests {
         let mut st = KeyState::new();
         use crate::popularity::ResetMode;
         st.popularity
-            .on_update(ReplicaId(0), ResetMode::ReplicaIndependent);
-        assert_eq!(st.popularity.tracked_replica(), Some(ReplicaId(0)));
-        st.apply(&update(UpdateKind::Delete, 0, vec![entry(0, 0, 100)]));
+            .on_update(Some(ReplicaId(3)), ResetMode::ReplicaIndependent);
+        assert_eq!(st.popularity.tracked_replica(), Some(ReplicaId(3)));
+        st.apply(&update(UpdateKind::Delete, vec![entry(3, 0, 100)]));
         assert_eq!(st.popularity.tracked_replica(), None);
     }
 
@@ -431,12 +433,11 @@ mod tests {
         let mut st = KeyState::new();
         st.apply(&update(
             UpdateKind::FirstTime,
-            0,
             vec![entry(0, 0, 100), entry(1, 0, 100)],
         ));
-        st.apply(&update(UpdateKind::Delete, 0, vec![entry(0, 0, 100)]));
+        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]));
         assert_eq!(st.retired(), vec![ReplicaId(0)], "delete tombstones");
-        st.apply(&update(UpdateKind::Delete, 0, vec![entry(0, 0, 100)]));
+        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]));
         assert_eq!(st.retired().len(), 1, "tombstones dedup");
 
         // Repair: evict a served replica, adopt the quorum's entries —
@@ -503,7 +504,7 @@ mod tests {
     #[test]
     fn a_depth_past_u16_saturates() {
         let mut st = KeyState::new();
-        let mut deep = update(UpdateKind::Refresh, 0, vec![entry(0, 0, 100)]);
+        let mut deep = update(UpdateKind::Refresh, vec![entry(0, 0, 100)]);
         for (depth, kept) in [(65_535, u16::MAX), (65_536, u16::MAX), (u32::MAX, u16::MAX)] {
             deep.depth = depth;
             st.apply(&deep);
@@ -518,7 +519,7 @@ mod tests {
     fn never_cached_vs_expired() {
         let mut st = KeyState::new();
         assert!(st.never_cached());
-        st.apply(&update(UpdateKind::FirstTime, 0, vec![entry(0, 0, 10)]));
+        st.apply(&update(UpdateKind::FirstTime, vec![entry(0, 0, 10)]));
         assert!(!st.never_cached());
         assert!(!st.has_fresh(SimTime::from_secs(20)), "expired, not absent");
     }

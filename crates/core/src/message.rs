@@ -73,9 +73,10 @@ pub struct Update {
     /// the stale entry being removed (so receivers know what to drop and
     /// when the delete itself expires).
     pub entries: Vec<IndexEntry>,
-    /// The replica the update originated from (meaningful for delete,
-    /// refresh, and append; for first-time updates it is the replica of
-    /// the first carried entry or `ReplicaId(u32::MAX)` when empty).
+    /// Unread: the replica an update concerns is its first entry's, which
+    /// [`Update::source`] reads. Senders still fill the field, with a
+    /// filler where the update names no replica; it goes with the struct
+    /// literals that spell it.
     pub replica: ReplicaId,
     /// Distance in hops of the *receiving* node from the authority node.
     /// The authority pushes updates with `depth = 1`; each forwarding step
@@ -97,6 +98,13 @@ impl Update {
     /// delete expires when the entry it removes would have expired anyway.
     pub fn is_expired(&self, now: SimTime) -> bool {
         !self.entries.is_empty() && self.entries.iter().all(|e| !e.is_fresh(now))
+    }
+
+    /// The replica this update concerns: its first entry's. `None` for an
+    /// update that carries no entry — a negative first-time answer, or one
+    /// scrubbed empty by the audit — which names no replica at all.
+    pub fn source(&self) -> Option<ReplicaId> {
+        self.entries.first().map(|e| e.replica)
     }
 
     /// This update as sent one hop further downstream. The one place a
@@ -246,6 +254,14 @@ mod tests {
         let mut u = update(UpdateKind::FirstTime, 100, 300);
         u.entries.clear();
         assert!(!u.is_expired(SimTime::from_secs(10_000)));
+    }
+
+    #[test]
+    fn the_source_is_the_first_entry_and_an_empty_update_has_none() {
+        let mut u = update(UpdateKind::FirstTime, 100, 300);
+        assert_eq!(u.source(), Some(ReplicaId(0)));
+        u.entries.clear();
+        assert_eq!(u.source(), None);
     }
 
     #[test]

@@ -44,7 +44,7 @@ use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
 use crate::action::Action;
 use crate::audit::{sample_targets, AuditTally};
 use crate::capacity::OutgoingQueues;
-use crate::config::{AuditConfig, Mode, NodeConfig, PFU_TIMEOUT};
+use crate::config::{AuditConfig, Mode, NodeConfig, AUDIT_QUORUM, PFU_TIMEOUT};
 use crate::directory::{DirectoryChange, LocalDirectory};
 use crate::entry::IndexEntry;
 use crate::interest::InterestSet;
@@ -53,10 +53,6 @@ use crate::keytable::KeyTable;
 use crate::message::{Message, ReplicaEvent, Requester, Update, UpdateKind};
 use crate::policy::CutoffContext;
 use crate::stats::NodeStats;
-
-/// A replica id used on first-time updates that carry no entries (negative
-/// responses); it never collides with real replicas.
-const NO_REPLICA: cup_des::ReplicaId = cup_des::ReplicaId(u32::MAX);
 
 /// One peer-to-peer node running CUP (or the standard-caching baseline).
 #[derive(Debug)]
@@ -330,6 +326,14 @@ impl CupNode {
         }
 
         let cup = matches!(self.config.mode, Mode::Cup);
+        // Every CUP update reports to the popularity measure, before a
+        // delete untracks its replica; only case 2 below acts on a
+        // trigger, with the window as it stood before this update.
+        let queries_in_window = st.popularity.queries_since_reset();
+        let triggered = cup
+            && st
+                .popularity
+                .on_update(update.source(), self.config.reset_mode);
         let awaited = cup && update.kind == UpdateKind::FirstTime && st.pending.is_some();
         if awaited || !cup {
             // Case 1 — or the baseline, where every update is a response
@@ -342,10 +346,6 @@ impl CupNode {
             // what makes push level 0 degenerate exactly to standard
             // caching (§3.3).
             st.apply(&update);
-            if awaited {
-                st.popularity
-                    .on_update(update.replica, self.config.reset_mode);
-            }
             if let Some(pending) = st.pending.take() {
                 answer_waiters(&mut self.stats, &pending, update, st, now, out);
             }
@@ -355,10 +355,6 @@ impl CupNode {
         // Case 2 (and stray non-first-time updates while the record is
         // open, which are applied without closing it).
         if st.interest.is_empty() && st.pending.is_none() {
-            let queries_in_window = st.popularity.queries_since_reset();
-            let triggered = st
-                .popularity
-                .on_update(update.replica, self.config.reset_mode);
             if triggered {
                 let ctx = CutoffContext {
                     queries_since_reset: queries_in_window,
@@ -377,8 +373,6 @@ impl CupNode {
             return;
         }
 
-        st.popularity
-            .on_update(update.replica, self.config.reset_mode);
         st.apply(&update);
         let interested = st.interest.clone();
         self.forward_to(&interested, update, Some(from), out);
@@ -494,7 +488,7 @@ impl CupNode {
     /// Tallies one audit reply for this node's open round. A reply
     /// *dissents* against every replica this node still serves fresh but
     /// the pollee has seen retired; when any replica's dissent reaches
-    /// `AuditConfig::quorum`, the node repairs its cache — evicts the
+    /// [`AUDIT_QUORUM`], the node repairs its cache — evicts the
     /// condemned replicas (tombstoning them) and adopts the dissenters'
     /// fresh entries (the refetch). Replies that merely *lack* an entry
     /// abstain, so polling nodes that never cached the key cannot evict
@@ -508,9 +502,9 @@ impl CupNode {
         retired: &[ReplicaId],
     ) {
         self.stats.audit_replies += 1;
-        let Some(cfg) = self.config.audit else {
+        if self.config.audit.is_none() {
             return;
-        };
+        }
         let Some(st) = self.keys.get_mut(key) else {
             return;
         };
@@ -557,7 +551,7 @@ impl CupNode {
                 .collect();
             tally.offer(&offered);
         }
-        let condemned = tally.condemned(cfg.quorum);
+        let condemned = tally.condemned(AUDIT_QUORUM);
         if !condemned.is_empty() {
             let adopt: Vec<IndexEntry> = tally.payload().to_vec();
             audit.tally = None;
@@ -584,22 +578,6 @@ impl CupNode {
         let key = event.key();
         let change = self.directory.apply(event, now);
         self.propagate_change(now, key, change, out);
-    }
-
-    /// Expires directory entries whose replicas stopped refreshing and
-    /// propagates the resulting deletes (§2.4: missing keep-alives).
-    pub fn expire_directory(&mut self, now: SimTime) -> Vec<Action> {
-        let dead = self.directory.expire(now);
-        let mut actions = Vec::new();
-        for entry in dead {
-            self.propagate_change(
-                now,
-                entry.key,
-                DirectoryChange::Removed(entry),
-                &mut actions,
-            );
-        }
-        actions
     }
 
     /// Turns a directory change into a propagated update.
@@ -652,7 +630,7 @@ impl CupNode {
         let update = Update {
             key,
             kind,
-            replica: entries.first().map_or(entry.replica, |e| e.replica),
+            replica: entry.replica,
             window_end,
             entries,
             // The authority *sends* at depth 0; its children receive
@@ -720,12 +698,13 @@ fn respond(
             entries,
         }),
         Requester::Neighbor(n) => {
-            let replica = entries.first().map_or(NO_REPLICA, |e| e.replica);
             let update = Update {
                 key,
                 kind: UpdateKind::FirstTime,
+                // Unread (`Update::source` names the replica): a filler
+                // for a negative answer.
+                replica: entries.first().map_or(ReplicaId(0), |e| e.replica),
                 entries,
-                replica,
                 depth,
                 origin: now,
                 window_end: SimTime::MAX,
@@ -910,12 +889,11 @@ mod tests {
     }
 
     fn first_time(key: u32, entries: Vec<IndexEntry>, depth: u32) -> Update {
-        let replica = entries.first().map_or(NO_REPLICA, |e| e.replica);
         Update {
             key: KeyId(key),
             kind: UpdateKind::FirstTime,
+            replica: entries.first().map_or(ReplicaId(0), |e| e.replica),
             entries,
-            replica,
             depth,
             origin: SimTime::ZERO,
             window_end: SimTime::MAX,
@@ -1222,6 +1200,127 @@ mod tests {
             .has_fresh(SimTime::from_secs(700)));
     }
 
+    /// The one update `actions` sends, and to whom.
+    fn sent_update(actions: Vec<Action>) -> (NodeId, Update) {
+        match <[Action; 1]>::try_from(actions) {
+            Ok(
+                [Action::Send {
+                    to,
+                    msg: Message::Update(u),
+                }],
+            ) => (to, u),
+            other => panic!("expected one update, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_negative_answer_tracks_no_replica_so_refreshes_still_cut_off() {
+        // Node 1 asks authority 0 for key 1 before any replica exists and
+        // is answered with nothing. The replica born afterwards is the one
+        // whose refreshes decide, so the idle, uninterested node 1 cuts
+        // off after two empty intervals like any other.
+        let (mut authority, mut node) = (cup_node(0), cup_node(1));
+        let query = emitted!(node.handle_query_into(
+            SimTime::ZERO,
+            KeyId(1),
+            Requester::Client(ClientId(1)),
+            Some(NodeId(0)),
+        ));
+        assert_eq!(
+            query,
+            vec![Action::send(NodeId(0), Message::Query { key: KeyId(1) })]
+        );
+        let answer = emitted!(authority.handle_query_into(
+            SimTime::ZERO,
+            KeyId(1),
+            Requester::Neighbor(NodeId(1)),
+            None,
+        ));
+        let (to, negative) = sent_update(answer);
+        assert_eq!((to, negative.source()), (NodeId(1), None));
+        emitted!(node.handle_update_into(SimTime::from_secs(1), NodeId(0), negative));
+        let tracked = |node: &CupNode| {
+            node.key_state(KeyId(1))
+                .unwrap()
+                .popularity
+                .tracked_replica()
+        };
+        assert_eq!(tracked(&node), None, "a negative answer names no replica");
+
+        let mut deliver = |at: u64, event: ReplicaEvent| {
+            let now = SimTime::from_secs(at);
+            let (to, update) =
+                sent_update(emitted!(authority.handle_replica_event_into(now, event)));
+            assert_eq!(to, NodeId(1));
+            emitted!(node.handle_update_into(now, NodeId(0), update))
+        };
+        let born = ReplicaEvent::Birth {
+            key: KeyId(1),
+            replica: ReplicaId(0),
+            lifetime: LIFE,
+        };
+        let refreshed = ReplicaEvent::Refresh {
+            key: KeyId(1),
+            replica: ReplicaId(0),
+            lifetime: LIFE,
+        };
+        // The append closes the interval that held the client's query.
+        assert!(deliver(2, born).is_empty());
+        // First empty interval: second chance.
+        assert!(deliver(300, refreshed).is_empty());
+        // Second empty interval: cut off.
+        assert_eq!(
+            deliver(600, refreshed),
+            vec![Action::send(NodeId(0), Message::ClearBit { key: KeyId(1) })]
+        );
+        assert_eq!(node.stats.cutoffs, 1);
+        assert_eq!(tracked(&node), Some(ReplicaId(0)));
+    }
+
+    #[test]
+    fn a_scrubbed_first_entry_is_not_the_tracked_replica() {
+        // With the audit on, a replica this node saw deleted is scrubbed
+        // from every later update. If it heads a first-time answer, the
+        // first entry that survives the scrub is the one tracked.
+        let config = NodeConfig::cup_default().with_audit(AuditConfig::sampled(
+            SimDuration::from_secs(60),
+            16,
+            1,
+        ));
+        let mut node = CupNode::new(NodeId(1), config);
+        acquire(&mut node, Requester::Client(ClientId(1)));
+        let delete = Update {
+            kind: UpdateKind::Delete,
+            ..refresh(1, 0, 0, 2)
+        };
+        assert!(
+            emitted!(node.handle_update_into(SimTime::from_secs(2), NodeId(9), delete)).is_empty()
+        );
+        let st = node.key_state(KeyId(1)).unwrap();
+        assert_eq!(st.retired(), [ReplicaId(0)]);
+        assert_eq!(
+            st.popularity.tracked_replica(),
+            None,
+            "the delete untracked it"
+        );
+
+        emitted!(node.handle_query_into(
+            SimTime::from_secs(3),
+            KeyId(1),
+            Requester::Client(ClientId(2)),
+            Some(NodeId(9)),
+        ));
+        let answer = first_time(1, vec![entry(1, 0, 0), entry(1, 1, 3)], 2);
+        emitted!(node.handle_update_into(SimTime::from_secs(4), NodeId(9), answer));
+        let st = node.key_state(KeyId(1)).unwrap();
+        assert_eq!(
+            st.entries(),
+            [entry(1, 1, 3)],
+            "the scrub dropped replica 0"
+        );
+        assert_eq!(st.popularity.tracked_replica(), Some(ReplicaId(1)));
+    }
+
     #[test]
     fn queries_keep_the_subscription_alive() {
         let mut node = cup_node(1);
@@ -1457,31 +1556,6 @@ mod tests {
             Action::Send { msg: Message::Update(u), .. } if u.kind == UpdateKind::Delete
         ));
         assert!(node.directory().is_empty());
-    }
-
-    #[test]
-    fn expire_directory_emits_deletes() {
-        let mut node = cup_node(0);
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Neighbor(NodeId(5)),
-            None,
-        ));
-        emitted!(node.handle_replica_event_into(
-            SimTime::ZERO,
-            ReplicaEvent::Birth {
-                key: KeyId(1),
-                replica: ReplicaId(0),
-                lifetime: LIFE,
-            },
-        ));
-        let actions = node.expire_directory(SimTime::from_secs(301));
-        assert_eq!(actions.len(), 1);
-        assert!(matches!(
-            &actions[0],
-            Action::Send { msg: Message::Update(u), .. } if u.kind == UpdateKind::Delete
-        ));
     }
 
     #[test]

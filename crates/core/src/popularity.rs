@@ -68,23 +68,26 @@ impl Popularity {
         self.tracked_replica
     }
 
-    /// Reports an applied update from `replica` and returns `true` if a
+    /// Reports an update from `source` (see `Update::source`; `None`
+    /// for an update that carries no entry) and returns `true` if a
     /// cut-off decision should be evaluated now.
     ///
     /// Under [`ResetMode::Naive`] every update triggers; under
     /// [`ResetMode::ReplicaIndependent`] only updates from the tracked
-    /// replica do (the first update ever seen designates the tracked
-    /// replica). When a decision triggers, the empty-interval history and
+    /// replica do (the first update naming a replica designates it). An
+    /// update that names no replica neither designates nor triggers
+    /// there. When a decision triggers, the empty-interval history and
     /// the query window are advanced.
-    pub fn on_update(&mut self, replica: ReplicaId, mode: ResetMode) -> bool {
+    pub fn on_update(&mut self, source: Option<ReplicaId>, mode: ResetMode) -> bool {
         let triggers = match mode {
             ResetMode::Naive => true,
-            ResetMode::ReplicaIndependent => match self.tracked_replica {
-                None => {
+            ResetMode::ReplicaIndependent => match (self.tracked_replica, source) {
+                (_, None) => false,
+                (None, Some(replica)) => {
                     self.tracked_replica = Some(replica);
                     true
                 }
-                Some(tracked) => tracked == replica,
+                (Some(tracked), Some(replica)) => tracked == replica,
             },
         };
         if triggers {
@@ -117,7 +120,7 @@ mod tests {
         p.record_query();
         p.record_query();
         assert_eq!(p.queries_since_reset(), 2);
-        assert!(p.on_update(ReplicaId(0), ResetMode::Naive));
+        assert!(p.on_update(Some(ReplicaId(0)), ResetMode::Naive));
         assert_eq!(p.queries_since_reset(), 0);
         assert_eq!(p.consecutive_empty(), 0, "interval had queries");
     }
@@ -125,21 +128,21 @@ mod tests {
     #[test]
     fn empty_intervals_counted() {
         let mut p = Popularity::new();
-        assert!(p.on_update(ReplicaId(0), ResetMode::Naive));
+        assert!(p.on_update(Some(ReplicaId(0)), ResetMode::Naive));
         assert_eq!(p.consecutive_empty(), 1);
-        assert!(p.on_update(ReplicaId(0), ResetMode::Naive));
+        assert!(p.on_update(Some(ReplicaId(0)), ResetMode::Naive));
         assert_eq!(p.consecutive_empty(), 2);
         p.record_query();
-        assert!(p.on_update(ReplicaId(0), ResetMode::Naive));
+        assert!(p.on_update(Some(ReplicaId(0)), ResetMode::Naive));
         assert_eq!(p.consecutive_empty(), 0, "a query resets the streak");
     }
 
     #[test]
     fn naive_mode_triggers_on_every_replica() {
         let mut p = Popularity::new();
-        assert!(p.on_update(ReplicaId(0), ResetMode::Naive));
-        assert!(p.on_update(ReplicaId(1), ResetMode::Naive));
-        assert!(p.on_update(ReplicaId(2), ResetMode::Naive));
+        assert!(p.on_update(Some(ReplicaId(0)), ResetMode::Naive));
+        assert!(p.on_update(Some(ReplicaId(1)), ResetMode::Naive));
+        assert!(p.on_update(Some(ReplicaId(2)), ResetMode::Naive));
         assert_eq!(p.consecutive_empty(), 3);
     }
 
@@ -147,15 +150,15 @@ mod tests {
     fn replica_independent_tracks_first_replica_only() {
         let mut p = Popularity::new();
         // First update designates replica 0 as tracked and triggers.
-        assert!(p.on_update(ReplicaId(0), ResetMode::ReplicaIndependent));
+        assert!(p.on_update(Some(ReplicaId(0)), ResetMode::ReplicaIndependent));
         assert_eq!(p.tracked_replica(), Some(ReplicaId(0)));
         // Updates from other replicas neither trigger nor reset.
         p.record_query();
-        assert!(!p.on_update(ReplicaId(1), ResetMode::ReplicaIndependent));
-        assert!(!p.on_update(ReplicaId(2), ResetMode::ReplicaIndependent));
+        assert!(!p.on_update(Some(ReplicaId(1)), ResetMode::ReplicaIndependent));
+        assert!(!p.on_update(Some(ReplicaId(2)), ResetMode::ReplicaIndependent));
         assert_eq!(p.queries_since_reset(), 1, "window survives other replicas");
         // The tracked replica triggers and sees the accumulated query.
-        assert!(p.on_update(ReplicaId(0), ResetMode::ReplicaIndependent));
+        assert!(p.on_update(Some(ReplicaId(0)), ResetMode::ReplicaIndependent));
         assert_eq!(p.consecutive_empty(), 0);
         assert_eq!(p.queries_since_reset(), 0);
     }
@@ -163,18 +166,48 @@ mod tests {
     #[test]
     fn untrack_allows_redesignation() {
         let mut p = Popularity::new();
-        assert!(p.on_update(ReplicaId(0), ResetMode::ReplicaIndependent));
+        assert!(p.on_update(Some(ReplicaId(0)), ResetMode::ReplicaIndependent));
         p.untrack_if(ReplicaId(0));
         assert_eq!(p.tracked_replica(), None);
-        assert!(p.on_update(ReplicaId(5), ResetMode::ReplicaIndependent));
+        assert!(p.on_update(Some(ReplicaId(5)), ResetMode::ReplicaIndependent));
         assert_eq!(p.tracked_replica(), Some(ReplicaId(5)));
     }
 
     #[test]
     fn untrack_other_replica_is_noop() {
         let mut p = Popularity::new();
-        assert!(p.on_update(ReplicaId(0), ResetMode::ReplicaIndependent));
+        assert!(p.on_update(Some(ReplicaId(0)), ResetMode::ReplicaIndependent));
         p.untrack_if(ReplicaId(9));
         assert_eq!(p.tracked_replica(), Some(ReplicaId(0)));
+    }
+
+    #[test]
+    fn no_replica_never_designates_or_triggers_when_replica_independent() {
+        let mut p = Popularity::new();
+        p.record_query();
+        assert!(!p.on_update(None, ResetMode::ReplicaIndependent));
+        assert_eq!(p.tracked_replica(), None, "nothing to track");
+        assert_eq!(p.queries_since_reset(), 1, "the window survives");
+        assert_eq!(p.consecutive_empty(), 0);
+        // The first replica named afterwards is the one tracked.
+        assert!(p.on_update(Some(ReplicaId(4)), ResetMode::ReplicaIndependent));
+        assert_eq!(p.tracked_replica(), Some(ReplicaId(4)));
+        // And a nameless update still leaves it alone.
+        assert!(!p.on_update(None, ResetMode::ReplicaIndependent));
+        assert_eq!(p.tracked_replica(), Some(ReplicaId(4)));
+        assert!(p.on_update(Some(ReplicaId(4)), ResetMode::ReplicaIndependent));
+        assert_eq!(p.consecutive_empty(), 1, "one empty interval since");
+    }
+
+    #[test]
+    fn no_replica_still_triggers_when_naive() {
+        let mut p = Popularity::new();
+        p.record_query();
+        assert!(p.on_update(None, ResetMode::Naive));
+        assert_eq!(p.queries_since_reset(), 0);
+        assert_eq!(p.consecutive_empty(), 0, "interval had a query");
+        assert!(p.on_update(None, ResetMode::Naive));
+        assert_eq!(p.consecutive_empty(), 1);
+        assert_eq!(p.tracked_replica(), None, "naive tracks nothing");
     }
 }

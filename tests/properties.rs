@@ -8,7 +8,10 @@ use cup::overlay::{can::CanOverlay, zone::Zone, Overlay};
 use cup::protocol::capacity::OutgoingQueues;
 use cup::protocol::policy::{CutoffContext, CutoffPolicy};
 use cup::protocol::popularity::{Popularity, ResetMode};
-use cup::protocol::{IndexEntry, Update, UpdateKind};
+use cup::protocol::{
+    Action, AuditConfig, ClientId, CupNode, IndexEntry, Message, NodeConfig, Requester, Update,
+    UpdateKind,
+};
 
 fn arb_update(kind: UpdateKind) -> impl Strategy<Value = Update> {
     (0u32..5, 0u64..1_000, 1u64..2_000).prop_map(move |(replica, at, life)| {
@@ -28,6 +31,13 @@ fn arb_update(kind: UpdateKind) -> impl Strategy<Value = Update> {
             window_end: entry.expires_at(),
         }
     })
+}
+
+/// One step of `tracked_replica_arrived_first_and_lives`: a client or
+/// neighbor query, or an update of some kind carrying up to three entries
+/// drawn from replicas 0..5 (none at all for a negative answer).
+fn arb_step() -> impl Strategy<Value = (u32, Vec<u32>)> {
+    (0u32..7, proptest::collection::vec(0u32..5, 0..4))
 }
 
 /// Fragments of the fault-spec grammar, and numbers that overflow or
@@ -226,21 +236,107 @@ proptest! {
     ) {
         // Baseline: tracked replica only.
         let mut clean = Popularity::new();
-        clean.on_update(ReplicaId(0), ResetMode::ReplicaIndependent);
+        clean.on_update(Some(ReplicaId(0)), ResetMode::ReplicaIndependent);
         for _ in 0..queries {
             clean.record_query();
         }
         // Same sequence with arbitrary other-replica updates interleaved.
         let mut noisy = Popularity::new();
-        noisy.on_update(ReplicaId(0), ResetMode::ReplicaIndependent);
+        noisy.on_update(Some(ReplicaId(0)), ResetMode::ReplicaIndependent);
         for _ in 0..queries {
             noisy.record_query();
         }
         for &r in &other_replicas {
-            noisy.on_update(ReplicaId(r), ResetMode::ReplicaIndependent);
+            noisy.on_update(Some(ReplicaId(r)), ResetMode::ReplicaIndependent);
         }
         prop_assert_eq!(clean.queries_since_reset(), noisy.queries_since_reset());
         prop_assert_eq!(clean.consecutive_empty(), noisy.consecutive_empty());
+    }
+
+    /// §3.6's tracked replica, over any interleaving of queries, updates
+    /// (empty ones, and with the audit on ones whose tombstoned entries
+    /// are scrubbed on arrival) and deletes at a non-authority node: it is
+    /// always a replica that headed an update as the node kept it, and
+    /// that no delete the node applied has removed since.
+    #[test]
+    fn tracked_replica_arrived_first_and_lives(
+        steps in proptest::collection::vec(arb_step(), 1..40),
+        audit in any::<bool>(),
+    ) {
+        let mut config = NodeConfig::cup_default();
+        if audit {
+            config = config.with_audit(AuditConfig::sampled(SimDuration::from_secs(60), 16, 1));
+        }
+        let mut node = CupNode::new(NodeId(1), config);
+        let (key, upstream) = (KeyId(1), NodeId(9));
+        // Replicas that headed a kept update and are not deleted since,
+        // and replicas the node has tombstoned (the audit's scrub list).
+        let (mut live_heads, mut retired) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
+        for (i, (op, replicas)) in steps.into_iter().enumerate() {
+            let now = SimTime::from_secs(i as u64);
+            out.clear();
+            let kind = match op {
+                0 | 1 => {
+                    let from = if op == 0 {
+                        Requester::Client(ClientId(i as u64))
+                    } else {
+                        Requester::Neighbor(NodeId(5))
+                    };
+                    node.handle_query_into(now, key, from, Some(upstream), &mut out);
+                    continue;
+                }
+                2 | 3 => UpdateKind::FirstTime,
+                4 => UpdateKind::Append,
+                5 => UpdateKind::Refresh,
+                _ => UpdateKind::Delete,
+            };
+            let entries: Vec<IndexEntry> = replicas
+                .iter()
+                .map(|&r| IndexEntry::new(key, ReplicaId(r), SimDuration::from_secs(1_000_000), now))
+                .collect();
+            let kept: Vec<ReplicaId> = entries
+                .iter()
+                .map(|e| e.replica)
+                .filter(|r| !(audit && retired.contains(r)))
+                .collect();
+            let update = Update {
+                key,
+                kind,
+                replica: ReplicaId(0),
+                window_end: entries.iter().map(IndexEntry::expires_at).max().unwrap_or(SimTime::MAX),
+                entries,
+                depth: 2,
+                origin: now,
+            };
+            let scrubbed_away = kept.is_empty() && !update.entries.is_empty();
+            node.handle_update_into(now, upstream, update, &mut out);
+            if scrubbed_away && kind != UpdateKind::FirstTime {
+                continue;
+            }
+            if let Some(&head) = kept.first() {
+                if !live_heads.contains(&head) {
+                    live_heads.push(head);
+                }
+            }
+            let cut_off = out
+                .iter()
+                .any(|a| matches!(a, Action::Send { msg: Message::ClearBit { .. }, .. }));
+            if kind == UpdateKind::Delete && !cut_off {
+                live_heads.retain(|r| !kept.contains(r));
+                retired.extend(kept);
+            }
+            let tracked = node.key_state(key).and_then(|st| st.popularity.tracked_replica());
+            if let Some(tracked) = tracked {
+                prop_assert!(
+                    live_heads.contains(&tracked),
+                    "step {}: tracked {:?}, live heads {:?}",
+                    i,
+                    tracked,
+                    live_heads
+                );
+            }
+        }
     }
 
     /// Updates expire exactly when all their entries do.
