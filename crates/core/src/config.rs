@@ -99,7 +99,9 @@ pub struct NodeConfig {
     /// replica"); `None` disables it.
     pub refresh_batch_window: Option<SimDuration>,
     /// The rate-limited sampled cache audit; `None` (the default)
-    /// disables auditing entirely — no probes, no extra state.
+    /// disables auditing entirely — no probes, no extra state: the delete
+    /// tombstones the audit exchanges are kept only while it is on, so
+    /// an audit-off node's delete writes none and allocates nothing.
     pub audit: Option<AuditConfig>,
 }
 

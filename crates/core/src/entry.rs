@@ -1,9 +1,18 @@
 //! Index entries: the `(key, value)` pairs of the global index.
 //!
 //! The value of an index entry points at one replica serving the content
-//! associated with the key (§2.1). Every entry carries a lifetime and the
-//! timestamp at which the lifetime was set; it is *fresh* until the
+//! associated with the key (§2.1). Every entry is given a lifetime and
+//! the timestamp at which the lifetime was set; it is *fresh* until the
 //! lifetime elapses and may not be used to answer queries afterwards.
+//!
+//! An entry stores only the instant the lifetime runs out: the sum of
+//! the timestamp and the lifetime, saturated at [`SimTime::MAX`]. §2.1's
+//! test, "now − timestamp exceeds lifetime", is the same comparison as
+//! "now reaches timestamp + lifetime" whenever the sum does not
+//! overflow, and nothing reads the two parts apart, so keeping the sum
+//! keeps the rule exact in 8 bytes instead of 16. A cached key's record,
+//! every update's payload, every directory slot and every client answer
+//! hold entries, so the entry is 16 bytes, not 24.
 
 use cup_des::{KeyId, ReplicaId, SimDuration, SimTime};
 
@@ -14,11 +23,12 @@ pub struct IndexEntry {
     pub key: KeyId,
     /// The replica serving the content (the paper's value/IP pointer).
     pub replica: ReplicaId,
-    /// How long the entry is valid from `stamped_at`.
-    pub lifetime: SimDuration,
-    /// When the lifetime was set.
-    pub stamped_at: SimTime,
+    /// When the lifetime set by the last stamp runs out (see the module
+    /// docs).
+    expires: SimTime,
 }
+
+const _: () = assert!(std::mem::size_of::<IndexEntry>() == 16);
 
 impl IndexEntry {
     /// Creates an entry valid for `lifetime` starting at `now`.
@@ -26,14 +36,13 @@ impl IndexEntry {
         IndexEntry {
             key,
             replica,
-            lifetime,
-            stamped_at: now,
+            expires: now.saturating_add(lifetime),
         }
     }
 
     /// The instant the entry expires.
     pub fn expires_at(&self) -> SimTime {
-        self.stamped_at.saturating_add(self.lifetime)
+        self.expires
     }
 
     /// Returns `true` while the entry may be used to answer queries.
@@ -41,14 +50,13 @@ impl IndexEntry {
     /// Following §2.1: the entry has expired when the difference between
     /// the current time and the timestamp exceeds the lifetime.
     pub fn is_fresh(&self, now: SimTime) -> bool {
-        now < self.expires_at()
+        now < self.expires
     }
 
     /// Extends the entry with a new lifetime starting at `now` (the effect
     /// of a refresh update).
     pub fn refresh(&mut self, lifetime: SimDuration, now: SimTime) {
-        self.lifetime = lifetime;
-        self.stamped_at = now;
+        self.expires = now.saturating_add(lifetime);
     }
 }
 

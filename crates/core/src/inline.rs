@@ -1,14 +1,15 @@
 //! The one small-vector type behind the per-key lists.
 //!
-//! A node keeps three short lists per cached key — the cached entries,
-//! the interested neighbors, the delete tombstones — and in the measured
-//! workloads nearly all of them hold a handful of items (see the
-//! capacities in [`crate::keystate`] and [`crate::interest`]). An
-//! [`InlineVec`] stores up to `N` items in place and owns no heap memory
-//! until the `N + 1`-th arrives; it then spills to one boxed `Vec`, and
-//! moves back in place when removals bring it to `N` items again. The
-//! box keeps the spilled form one pointer wide, so the type costs its
-//! inline array plus one word of bookkeeping.
+//! A node keeps short lists per cached key — the cached entries, the
+//! interested neighbors and, with the audit on, the delete tombstones —
+//! and in the measured workloads nearly all of them hold a handful of
+//! items (see the capacities in [`crate::keystate`] and
+//! [`crate::interest`]). An [`InlineVec`] stores up to `N` items in
+//! place and owns no heap memory until the `N + 1`-th arrives; it then
+//! spills to one boxed `Vec`, and moves back in place when removals
+//! bring it to `N` items again. The box keeps the spilled form one
+//! pointer wide, so the type costs its inline array plus one word of
+//! bookkeeping.
 //!
 //! Items are `Copy + Default` so the array can be filled and shifted
 //! without `unsafe`; slots past `len` hold leftovers that no accessor

@@ -7,7 +7,7 @@
 //! authority once it has routed the key.
 //!
 //! CUP's scaling argument is that this record is tiny, so it is laid out
-//! to be: a [`KeyState`] is at most 120 bytes (checked at compile time
+//! to be: a [`KeyState`] is at most 96 bytes (checked at compile time
 //! below; that includes the record's own key, which the key table's
 //! hashed index confirms lookups against) and owns no heap memory in
 //! the common case. The node's key table holds its records in one
@@ -20,9 +20,6 @@
 //!   zero or one entry, none more than four;
 //! * **interest** holds four neighbors in place (see
 //!   [`crate::interest`]);
-//! * **tombstones** hold three replicas in place — over half of a
-//!   long-running node's states carry one or two, so they are not behind
-//!   a box;
 //! * **pending** state — the Pending-First-Update stamp and the waiters
 //!   (held-open clients, requesters to answer) — exists only between a
 //!   miss and its first-time update, 0.2–11 % of states at any instant,
@@ -35,7 +32,13 @@
 //!   `NodeConfig::cup_default()` leaves off (the sampled audit; §3.6
 //!   suppression and aggregation at the authority), and share one box,
 //!   `ColdState`, that the first use of either allocates — one pointer
-//!   per record where a box each cost two.
+//!   per record where a box each cost two;
+//! * **tombstones** — the replicas a delete or an audit repair retired
+//!   here — are the audit's firsthand negative knowledge and nothing
+//!   else reads them, so only a node with `NodeConfig::audit` set keeps
+//!   them, in `ColdState` (three in place: over half of a long-running
+//!   auditing node's states carry one or two). An audit-off node's
+//!   delete writes no tombstone and allocates nothing.
 //!
 //! The short lists are all one type, `crate::inline::InlineVec`, which
 //! spills to the heap past its capacity and comes back.
@@ -48,14 +51,17 @@
 //! topology change clears every hint (`CupNode::forget_upstream_hints`).
 //!
 //! Layout (x86-64, as the compiler orders the fields): `popularity` at
-//! 0, `entries` at 16, `interest` at 48, `retired` at 72, the `pending`
-//! and `cold` boxes at 88 and 96, `key` at 104, `hop` at 108 and
-//! `last_depth` at 112: 120 bytes, six of them padding. The record
-//! carries no cut-off decision state: every policy is a function of the
-//! popularity measure and the depth (`crate::policy`). Records sit back
-//! to back in the key table, so one spans two cache lines or three,
-//! by its offset. The hop fits because `last_depth` is a `u16` that
-//! saturates — paths are hundreds of hops at most, never 65 535.
+//! 0, `entries` at 16, `interest` at 40, the `pending` and `cold` boxes
+//! at 64 and 72, `key` at 80, `hop` at 84 and `last_depth` at 88: 96
+//! bytes, six of them padding. The entry held in place is 16 bytes —
+//! it keeps its expiry instant, not a lifetime and a stamp (see
+//! `crate::entry`). The record carries no cut-off decision state: every
+//! policy is a function of the popularity measure and the depth
+//! (`crate::policy`). Records sit back to back in the key table, so one
+//! spans two cache lines or three, by its offset: 2.375 on average over
+//! the eight offsets a record can start at (2.75 at 120 bytes). The hop
+//! fits because `last_depth` is a `u16` that saturates — paths are
+//! hundreds of hops at most, never 65 535.
 
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
 
@@ -94,10 +100,8 @@ pub struct KeyState {
     /// Distance from the authority as carried by the most recent update,
     /// saturated at `u16::MAX`.
     pub last_depth: u16,
-    /// Delete tombstones, newest last (see [`KeyState::retired`]).
-    retired: InlineVec<ReplicaId, INLINE_RETIRED>,
-    /// The off-by-default planes' state; `None` until either plane first
-    /// needs it (see [`ColdState`]).
+    /// The off-by-default planes' state, tombstones included; `None`
+    /// until either plane first needs it (see [`ColdState`]).
     pub(crate) cold: Option<Box<ColdState>>,
     /// The key this record belongs to, which the key table's index
     /// confirms a hash-tag match against (see `crate::keytable`).
@@ -108,7 +112,7 @@ pub struct KeyState {
     pub(crate) hop: NodeId,
 }
 
-const _: () = assert!(std::mem::size_of::<KeyState>() <= 120);
+const _: () = assert!(std::mem::size_of::<KeyState>() <= 96);
 
 /// A record's [`KeyState::hop`] before the key was first routed here; no
 /// node has this id.
@@ -155,6 +159,9 @@ impl Pending {
 /// allocation, and every other key pays one pointer instead of two.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ColdState {
+    /// Delete tombstones, newest last (see [`KeyState::retired`]); only
+    /// an auditing node writes them.
+    pub(crate) retired: InlineVec<ReplicaId, INLINE_RETIRED>,
     /// Sampled-audit state (all defaults until the first audit round).
     pub(crate) audit: AuditState,
     /// Authority-side §3.6 refresh state.
@@ -192,7 +199,6 @@ impl Default for KeyState {
             interest: InterestSet::default(),
             popularity: Popularity::default(),
             last_depth: 0,
-            retired: InlineVec::default(),
             cold: None,
             key: KeyId::default(),
             hop: NOT_ROUTED,
@@ -234,9 +240,10 @@ impl KeyState {
     /// Delete tombstones: replicas this node has seen retired, newest
     /// last. This is the firsthand negative knowledge the sampled cache
     /// audit exchanges — a node that only *lacks* an entry cannot say
-    /// whether it never knew it or saw it die.
+    /// whether it never knew it or saw it die. Only a node running the
+    /// audit keeps them; elsewhere the list is always empty.
     pub fn retired(&self) -> &[ReplicaId] {
-        &self.retired
+        self.cold.as_ref().map_or(&[], |c| &c.retired)
     }
 
     /// When the node started awaiting this key's first-time update (CUP)
@@ -272,7 +279,6 @@ impl KeyState {
                 pop.tracked_replica(),
             ),
             self.entries.len(),
-            self.retired.len(),
             self.pending.is_some(),
             self.last_depth,
             self.key,
@@ -285,8 +291,9 @@ impl KeyState {
     /// First-time updates replace the whole set (they carry the
     /// authoritative fresh answer); refreshes and appends upsert the entry
     /// for their replica; deletes remove the replica of each entry they
-    /// carry.
-    pub fn apply(&mut self, update: &Update) {
+    /// carry, and leave a tombstone for it when `audit` is set (the
+    /// node runs the sampled audit, the tombstones' only reader).
+    pub fn apply(&mut self, update: &Update, audit: bool) {
         match update.kind {
             UpdateKind::FirstTime => {
                 self.entries = InlineVec::from_slice(&update.entries);
@@ -300,7 +307,9 @@ impl KeyState {
                 for dead in &update.entries {
                     self.entries.retain(|e| e.replica != dead.replica);
                     self.popularity.untrack_if(dead.replica);
-                    self.mark_retired(dead.replica);
+                    if audit {
+                        self.mark_retired(dead.replica);
+                    }
                 }
             }
         }
@@ -309,13 +318,14 @@ impl KeyState {
 
     /// Records that `replica` was seen retired (bounded, deduplicated).
     pub fn mark_retired(&mut self, replica: ReplicaId) {
-        if self.retired.contains(&replica) {
+        let retired = &mut self.cold_mut().retired;
+        if retired.contains(&replica) {
             return;
         }
-        if self.retired.len() == RETIRED_CAP {
-            self.retired.remove(0);
+        if retired.len() == RETIRED_CAP {
+            retired.remove(0);
         }
-        self.retired.push(replica);
+        retired.push(replica);
     }
 
     /// Applies an audit repair: evicts the condemned replicas (marking
@@ -328,7 +338,7 @@ impl KeyState {
             self.mark_retired(replica);
         }
         for entry in adopt {
-            if !self.retired.contains(&entry.replica)
+            if !self.retired().contains(&entry.replica)
                 && !self.entries.iter().any(|e| e.replica == entry.replica)
             {
                 self.entries.push(*entry);
@@ -374,10 +384,13 @@ mod tests {
     #[test]
     fn fresh_filtering() {
         let mut st = KeyState::new();
-        st.apply(&update(
-            UpdateKind::FirstTime,
-            vec![entry(0, 0, 100), entry(1, 0, 500)],
-        ));
+        st.apply(
+            &update(
+                UpdateKind::FirstTime,
+                vec![entry(0, 0, 100), entry(1, 0, 500)],
+            ),
+            false,
+        );
         let now = SimTime::from_secs(200);
         assert!(st.has_fresh(now));
         let fresh = st.fresh_entries(now);
@@ -390,8 +403,14 @@ mod tests {
     #[test]
     fn first_time_replaces_set() {
         let mut st = KeyState::new();
-        st.apply(&update(UpdateKind::FirstTime, vec![entry(0, 0, 100)]));
-        st.apply(&update(UpdateKind::FirstTime, vec![entry(1, 0, 100)]));
+        st.apply(
+            &update(UpdateKind::FirstTime, vec![entry(0, 0, 100)]),
+            false,
+        );
+        st.apply(
+            &update(UpdateKind::FirstTime, vec![entry(1, 0, 100)]),
+            false,
+        );
         assert_eq!(st.entries().len(), 1);
         assert_eq!(st.entries()[0].replica, ReplicaId(1));
     }
@@ -399,9 +418,12 @@ mod tests {
     #[test]
     fn refresh_upserts() {
         let mut st = KeyState::new();
-        st.apply(&update(UpdateKind::Refresh, vec![entry(0, 0, 100)]));
+        st.apply(&update(UpdateKind::Refresh, vec![entry(0, 0, 100)]), false);
         assert_eq!(st.entries().len(), 1);
-        st.apply(&update(UpdateKind::Refresh, vec![entry(0, 100, 100)]));
+        st.apply(
+            &update(UpdateKind::Refresh, vec![entry(0, 100, 100)]),
+            false,
+        );
         assert_eq!(st.entries().len(), 1, "refresh must not duplicate");
         assert!(st.has_fresh(SimTime::from_secs(150)));
     }
@@ -409,10 +431,10 @@ mod tests {
     #[test]
     fn append_adds_delete_removes() {
         let mut st = KeyState::new();
-        st.apply(&update(UpdateKind::Append, vec![entry(0, 0, 100)]));
-        st.apply(&update(UpdateKind::Append, vec![entry(1, 0, 100)]));
+        st.apply(&update(UpdateKind::Append, vec![entry(0, 0, 100)]), false);
+        st.apply(&update(UpdateKind::Append, vec![entry(1, 0, 100)]), false);
         assert_eq!(st.entries().len(), 2);
-        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]));
+        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]), false);
         assert_eq!(st.entries().len(), 1);
         assert_eq!(st.entries()[0].replica, ReplicaId(1));
     }
@@ -424,20 +446,36 @@ mod tests {
         st.popularity
             .on_update(Some(ReplicaId(3)), ResetMode::ReplicaIndependent);
         assert_eq!(st.popularity.tracked_replica(), Some(ReplicaId(3)));
-        st.apply(&update(UpdateKind::Delete, vec![entry(3, 0, 100)]));
+        st.apply(&update(UpdateKind::Delete, vec![entry(3, 0, 100)]), false);
         assert_eq!(st.popularity.tracked_replica(), None);
+    }
+
+    #[test]
+    fn a_delete_without_the_audit_leaves_no_tombstone() {
+        let mut st = KeyState::new();
+        st.apply(
+            &update(UpdateKind::FirstTime, vec![entry(0, 0, 100)]),
+            false,
+        );
+        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]), false);
+        assert!(st.entries().is_empty());
+        assert!(st.retired().is_empty());
+        assert!(st.cold.is_none(), "no box was opened for it");
     }
 
     #[test]
     fn deletes_leave_tombstones_and_repairs_evict_and_refetch() {
         let mut st = KeyState::new();
-        st.apply(&update(
-            UpdateKind::FirstTime,
-            vec![entry(0, 0, 100), entry(1, 0, 100)],
-        ));
-        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]));
+        st.apply(
+            &update(
+                UpdateKind::FirstTime,
+                vec![entry(0, 0, 100), entry(1, 0, 100)],
+            ),
+            false,
+        );
+        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]), true);
         assert_eq!(st.retired(), vec![ReplicaId(0)], "delete tombstones");
-        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]));
+        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]), true);
         assert_eq!(st.retired().len(), 1, "tombstones dedup");
 
         // Repair: evict a served replica, adopt the quorum's entries —
@@ -476,7 +514,6 @@ mod tests {
         let touched = [
             span!(popularity, true),
             span!(entries, false),
-            span!(retired, false),
             span!(pending, true),
             span!(last_depth, true),
             span!(key, true),
@@ -507,11 +544,11 @@ mod tests {
         let mut deep = update(UpdateKind::Refresh, vec![entry(0, 0, 100)]);
         for (depth, kept) in [(65_535, u16::MAX), (65_536, u16::MAX), (u32::MAX, u16::MAX)] {
             deep.depth = depth;
-            st.apply(&deep);
+            st.apply(&deep, false);
             assert_eq!(st.last_depth, kept, "depth {depth}");
         }
         deep.depth = 7;
-        st.apply(&deep);
+        st.apply(&deep, false);
         assert_eq!(st.last_depth, 7, "and comes back down");
     }
 
@@ -519,7 +556,7 @@ mod tests {
     fn never_cached_vs_expired() {
         let mut st = KeyState::new();
         assert!(st.never_cached());
-        st.apply(&update(UpdateKind::FirstTime, vec![entry(0, 0, 10)]));
+        st.apply(&update(UpdateKind::FirstTime, vec![entry(0, 0, 10)]), false);
         assert!(!st.never_cached());
         assert!(!st.has_fresh(SimTime::from_secs(20)), "expired, not absent");
     }

@@ -309,6 +309,7 @@ impl CupNode {
             self.stats.updates_expired_on_arrival += 1;
             return;
         }
+        let audit = self.config.audit.is_some();
         let st = self.keys.get_or_default(update.key);
         // Audit hygiene: with the sampled audit on, a replica this node
         // has seen retired (delete tombstone) cannot be resurrected by
@@ -316,7 +317,7 @@ impl CupNode {
         // repaired cache on the next miss. A maintenance update scrubbed
         // empty dies here; a scrubbed first-time update still proceeds
         // (it is a response — a negative one).
-        if self.config.audit.is_some() && !update.entries.is_empty() && !st.retired().is_empty() {
+        if audit && !update.entries.is_empty() && !st.retired().is_empty() {
             update
                 .entries
                 .retain(|e| !st.retired().contains(&e.replica));
@@ -345,7 +346,7 @@ impl CupNode {
             // update stream, not by other nodes' responses — this is
             // what makes push level 0 degenerate exactly to standard
             // caching (§3.3).
-            st.apply(&update);
+            st.apply(&update, audit);
             if let Some(pending) = st.pending.take() {
                 answer_waiters(&mut self.stats, &pending, update, st, now, out);
             }
@@ -369,11 +370,11 @@ impl CupNode {
                     return;
                 }
             }
-            st.apply(&update);
+            st.apply(&update, audit);
             return;
         }
 
-        st.apply(&update);
+        st.apply(&update, audit);
         let interested = st.interest.clone();
         self.forward_to(&interested, update, Some(from), out);
     }

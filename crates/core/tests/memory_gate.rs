@@ -29,9 +29,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use cup_core::keystate::KeyState;
 use cup_core::{
-    Action, ClientId, CupNode, IndexEntry, JustificationTracker, Message, NodeConfig, Requester,
-    Update, UpdateKind,
+    Action, AuditConfig, ClientId, CupNode, IndexEntry, JustificationTracker, Message, NodeConfig,
+    Requester, Update, UpdateKind,
 };
 use cup_des::{KeyId, NodeId, ReplicaId, SimDuration, SimTime};
 
@@ -78,6 +79,12 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
+
+// The per-key record and the entry it caches, pinned at compile time:
+// an entry keeps its expiry instant, not a lifetime and a stamp, and the
+// delete tombstones live in the audit's box.
+const _: () = assert!(std::mem::size_of::<KeyState>() <= 96);
+const _: () = assert!(std::mem::size_of::<IndexEntry>() == 16);
 
 const KEYS: u32 = 128;
 const LIFE: SimDuration = SimDuration::from_secs(300);
@@ -183,8 +190,10 @@ fn bytes_per_cached_key(keys: u32) -> f64 {
 
 /// `core.node_bytes_per_key`. The record array grows by a quarter and
 /// the key index by doubling: 160 keys sit in 175 records, 256 keys in
-/// 272. A 120-byte record reads 136.875 B a key at 256 keys and
-/// 146.25 B at 160. BENCH_28.json's 136-byte record read 154.59 B and 164.9 B;
+/// 272. A 96-byte record reads 111.375 B a key at 256 keys and 120.0 B
+/// at 160: the 16-byte entry and the tombstones' move into the audit's
+/// box took 24 bytes off each of 272 and 175 records (136.875 B and
+/// 146.25 B before). BENCH_28.json's 136-byte record read 154.59 B and 164.9 B;
 /// the 128-byte record saved 8 bytes on each of 272 and 175 records,
 /// less the 16 bytes the node's §2.8 throttle added to its struct, one
 /// cut-off policy per node in place of an 8-class table took 176 bytes
@@ -197,12 +206,57 @@ fn bytes_per_cached_key(keys: u32) -> f64 {
 /// filled it exactly at a power of two, which a quarter step does not.
 #[test]
 fn a_cached_key_costs_what_the_ledger_reads() {
-    for (keys, ledger) in [(256, 136.875), (160, 146.25)] {
+    for (keys, ledger) in [(256, 111.375), (160, 120.0)] {
         let per_key = bytes_per_cached_key(keys);
         assert!(
             per_key <= ledger,
             "{keys} keys: {per_key} bytes per key, the ledger reads {ledger}"
         );
+    }
+}
+
+/// Delete tombstones are the sampled audit's and nobody else's: a node
+/// without the audit drops a deleted replica and remembers nothing of
+/// it, where an auditing node keeps the tombstone.
+#[test]
+fn an_audit_off_node_keeps_no_tombstones() {
+    let mut out: Vec<Action> = Vec::with_capacity(8);
+    let t0 = SimTime::from_secs(1);
+    let t1 = SimTime::from_secs(2);
+    let audit = AuditConfig::sampled(SimDuration::from_secs(60), 16, 1);
+    for config in [
+        NodeConfig::cup_default(),
+        NodeConfig::cup_default().with_audit(audit),
+    ] {
+        let auditing = config.audit.is_some();
+        let mut node = CupNode::new(NodeId(1), config);
+        for k in 0..KEYS {
+            let client = Requester::Client(ClientId(u64::from(k)));
+            node.handle_query_into(t0, KeyId(k), client, Some(UPSTREAM), &mut out);
+            let u = update(k, UpdateKind::FirstTime, t0);
+            node.handle_update_into(t0, UPSTREAM, u, &mut out);
+            // A hit keeps the key popular, so the delete is applied.
+            node.handle_query_into(t1, KeyId(k), client, Some(UPSTREAM), &mut out);
+            out.clear();
+        }
+        let deletes: Vec<Update> = (0..KEYS)
+            .map(|k| update(k, UpdateKind::Delete, t1))
+            .collect();
+        let allocs_before = ALLOCS.get();
+        for u in deletes {
+            node.handle_update_into(t1, UPSTREAM, u, &mut out);
+            assert!(out.is_empty(), "applied, nothing forwarded");
+        }
+        let allocs = ALLOCS.get() - allocs_before;
+        for k in 0..KEYS {
+            let st = node.key_state(KeyId(k)).expect("cached");
+            assert!(st.entries().is_empty(), "key {k}: the replica is gone");
+            let expected: &[ReplicaId] = if auditing { &[ReplicaId(0)] } else { &[] };
+            assert_eq!(st.retired(), expected, "key {k}, audit {auditing}");
+        }
+        if !auditing {
+            assert_eq!(allocs, 0, "an audit-off delete allocates nothing");
+        }
     }
 }
 

@@ -33,6 +33,16 @@ fn arb_update(kind: UpdateKind) -> impl Strategy<Value = Update> {
     })
 }
 
+/// An instant or a span in microseconds: within 2 000 s of zero, of
+/// the middle of the clock's range, or of its end.
+fn arb_micros() -> impl Strategy<Value = u64> {
+    (0u8..3, 0u64..2_000_000_000).prop_map(|(region, off)| match region {
+        0 => off,
+        1 => u64::MAX / 2 + off,
+        _ => u64::MAX - off,
+    })
+}
+
 /// One step of `tracked_replica_arrived_first_and_lives`: a client or
 /// neighbor query, or an update of some kind carrying up to three entries
 /// drawn from replicas 0..5 (none at all for a negative answer).
@@ -347,16 +357,44 @@ proptest! {
         prop_assert_eq!(update.is_expired(now), all_expired);
     }
 
-    /// Entry freshness is a half-open interval [stamped_at, expires_at).
+    /// Entry freshness is §2.1's rule over the clock's whole range. An
+    /// entry stamped at `t` with lifetime `l` expires at `t + l`,
+    /// saturated at `SimTime::MAX`, and is fresh exactly before that
+    /// instant: for a probe at or after the stamp and short of
+    /// `SimTime::MAX`, exactly while `now − t` is below `l`. A refresh
+    /// restamps it by the same rule. Stamps, lifetimes and probes are
+    /// drawn near zero, mid-range and near `SimTime::MAX`, and half the
+    /// probes land within two microseconds of the expiry.
     #[test]
-    fn entry_freshness_interval(at in 0u64..1_000, life in 1u64..1_000, probe in 0u64..3_000) {
-        let e = IndexEntry::new(
+    fn entry_freshness_interval(
+        stamp in arb_micros(),
+        life in arb_micros(),
+        restamp in arb_micros(),
+        relife in arb_micros(),
+        probe in (0u8..2, arb_micros(), 0u64..5),
+    ) {
+        let mut e = IndexEntry::new(
             KeyId(0),
             ReplicaId(0),
-            SimDuration::from_secs(life),
-            SimTime::from_secs(at),
+            SimDuration::from_micros(life),
+            SimTime::from_micros(stamp),
         );
-        let now = SimTime::from_secs(probe);
-        prop_assert_eq!(e.is_fresh(now), probe < at + life);
+        for (step, (t, l)) in [(stamp, life), (restamp, relife)].into_iter().enumerate() {
+            if step == 1 {
+                e.refresh(SimDuration::from_micros(l), SimTime::from_micros(t));
+            }
+            let expiry = t.saturating_add(l);
+            prop_assert_eq!(e.expires_at(), SimTime::from_micros(expiry), "step {}", step);
+            let (near, anywhere, nudge) = probe;
+            let now = match near {
+                0 => expiry.saturating_sub(2).saturating_add(nudge),
+                _ => anywhere,
+            };
+            let fresh = e.is_fresh(SimTime::from_micros(now));
+            prop_assert_eq!(fresh, now < expiry, "step {}: probe at {}", step, now);
+            if t <= now && now < u64::MAX {
+                prop_assert_eq!(fresh, now - t < l, "step {}: §2.1 at {}", step, now);
+            }
+        }
     }
 }
