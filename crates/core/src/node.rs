@@ -364,6 +364,13 @@ impl CupNode {
                 };
                 if !self.config.policy.keep_receiving(&ctx) {
                     // Not popular enough: cut off our incoming supply.
+                    // A refresh or an append is dropped with it, which
+                    // at worst lets an entry expire early; a delete is
+                    // still applied, or the dead replica would be served
+                    // until its entry expired.
+                    if update.kind == UpdateKind::Delete {
+                        st.apply(&update, audit);
+                    }
                     self.stats.cutoffs += 1;
                     self.stats.clear_bits_sent += 1;
                     out.push(Action::send(from, Message::ClearBit { key: update.key }));
@@ -1199,6 +1206,42 @@ mod tests {
             .key_state(KeyId(1))
             .unwrap()
             .has_fresh(SimTime::from_secs(700)));
+    }
+
+    #[test]
+    fn a_cut_off_delete_is_still_applied() {
+        let mut node = cup_node(1);
+        acquire(&mut node, Requester::Client(ClientId(1)));
+        // First empty interval: second chance, the refresh is applied.
+        assert!(emitted!(node.handle_update_into(
+            SimTime::from_secs(100),
+            NodeId(9),
+            refresh(1, 0, 100, 2)
+        ))
+        .is_empty());
+        // Second empty interval, ended by replica 0's delete: cut off.
+        let delete = Update {
+            kind: UpdateKind::Delete,
+            ..refresh(1, 0, 100, 2)
+        };
+        assert_eq!(
+            emitted!(node.handle_update_into(SimTime::from_secs(150), NodeId(9), delete)),
+            vec![Action::send(NodeId(9), Message::ClearBit { key: KeyId(1) })]
+        );
+        assert_eq!(node.stats.cutoffs, 1);
+        // The dead replica is not served: the next query misses and goes
+        // upstream.
+        let query = emitted!(node.handle_query_into(
+            SimTime::from_secs(160),
+            KeyId(1),
+            Requester::Client(ClientId(2)),
+            Some(NodeId(9)),
+        ));
+        assert_eq!(
+            query,
+            vec![Action::send(NodeId(9), Message::Query { key: KeyId(1) })]
+        );
+        assert_eq!(node.stats.client_hits, 0);
     }
 
     /// The one update `actions` sends, and to whom.

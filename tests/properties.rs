@@ -9,8 +9,7 @@ use cup::protocol::capacity::OutgoingQueues;
 use cup::protocol::policy::{CutoffContext, CutoffPolicy};
 use cup::protocol::popularity::{Popularity, ResetMode};
 use cup::protocol::{
-    Action, AuditConfig, ClientId, CupNode, IndexEntry, Message, NodeConfig, Requester, Update,
-    UpdateKind,
+    AuditConfig, ClientId, CupNode, IndexEntry, NodeConfig, Requester, Update, UpdateKind,
 };
 
 fn arb_update(kind: UpdateKind) -> impl Strategy<Value = Update> {
@@ -329,10 +328,8 @@ proptest! {
                     live_heads.push(head);
                 }
             }
-            let cut_off = out
-                .iter()
-                .any(|a| matches!(a, Action::Send { msg: Message::ClearBit { .. }, .. }));
-            if kind == UpdateKind::Delete && !cut_off {
+            // A delete is applied even when it triggers a cut-off.
+            if kind == UpdateKind::Delete {
                 live_heads.retain(|r| !kept.contains(r));
                 retired.extend(kept);
             }
