@@ -5,14 +5,13 @@
 //! the timestamp at which the lifetime was set; it is *fresh* until the
 //! lifetime elapses and may not be used to answer queries afterwards.
 //!
-//! An entry stores only the instant the lifetime runs out: the sum of
-//! the timestamp and the lifetime, saturated at [`SimTime::MAX`]. §2.1's
-//! test, "now − timestamp exceeds lifetime", is the same comparison as
-//! "now reaches timestamp + lifetime" whenever the sum does not
-//! overflow, and nothing reads the two parts apart, so keeping the sum
-//! keeps the rule exact in 8 bytes instead of 16. A cached key's record,
-//! every update's payload, every directory slot and every client answer
-//! hold entries, so the entry is 16 bytes, not 24.
+//! An entry stores only the instant its lifetime runs out: the stamp
+//! plus the lifetime, saturated at [`SimTime::MAX`]. §2.1 asks whether
+//! "now − timestamp exceeds lifetime", and for a `now` at or after the
+//! stamp that is the comparison of `now` with the sum, so the one
+//! instant answers it exactly and no reader needs the parts apart. The
+//! entry is 16 bytes instead of 24 in every cached key's record, update
+//! payload, directory slot and client answer.
 
 use cup_des::{KeyId, ReplicaId, SimDuration, SimTime};
 

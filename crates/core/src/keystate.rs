@@ -437,6 +437,9 @@ mod tests {
         st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]), false);
         assert_eq!(st.entries().len(), 1);
         assert_eq!(st.entries()[0].replica, ReplicaId(1));
+        // Without the audit a delete leaves no tombstone, nor a box for one.
+        assert!(st.retired().is_empty());
+        assert!(st.cold.is_none());
     }
 
     #[test]
@@ -448,19 +451,6 @@ mod tests {
         assert_eq!(st.popularity.tracked_replica(), Some(ReplicaId(3)));
         st.apply(&update(UpdateKind::Delete, vec![entry(3, 0, 100)]), false);
         assert_eq!(st.popularity.tracked_replica(), None);
-    }
-
-    #[test]
-    fn a_delete_without_the_audit_leaves_no_tombstone() {
-        let mut st = KeyState::new();
-        st.apply(
-            &update(UpdateKind::FirstTime, vec![entry(0, 0, 100)]),
-            false,
-        );
-        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]), false);
-        assert!(st.entries().is_empty());
-        assert!(st.retired().is_empty());
-        assert!(st.cold.is_none(), "no box was opened for it");
     }
 
     #[test]

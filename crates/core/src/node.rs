@@ -294,8 +294,9 @@ impl CupNode {
     ///   first-time update: cache it, close the record, answer held-open
     ///   clients, and forward to interested neighbors;
     /// * **case 2** — no record open: if no neighbor is interested, run the
-    ///   cut-off policy and either push a Clear-Bit upstream or apply the
-    ///   update; otherwise apply and forward to interested neighbors.
+    ///   cut-off policy and either push a Clear-Bit upstream (applying
+    ///   the update only if it is a delete) or apply the update;
+    ///   otherwise apply and forward to interested neighbors.
     pub fn handle_update_into(
         &mut self,
         now: SimTime,
