@@ -2,9 +2,12 @@
 //!
 //! A [`crate::node::CupNode`] never performs I/O; its handlers push
 //! into a `Vec<Action>` and the embedding runtime (discrete-event
-//! simulator or live threaded runtime) delivers them.
+//! simulator or live threaded runtime) delivers them. A node keeps no
+//! timers either: what it must do later without a message to trigger it
+//! it asks for as an [`Action::Wake`], and the runtime calls
+//! [`crate::node::CupNode::wake_into`] when the instant comes.
 
-use cup_des::{KeyId, NodeId};
+use cup_des::{KeyId, NodeId, SimTime};
 
 use crate::entry::IndexEntry;
 use crate::message::{ClientId, Message};
@@ -29,6 +32,23 @@ pub enum Action {
         /// the authority knows no replicas for the key).
         entries: Vec<IndexEntry>,
     },
+    /// Wake this node at `at` for `why`. The node stores nothing about
+    /// it: a wake that finds nothing left to do does nothing.
+    Wake {
+        /// When to wake the node (never before the handler's `now`).
+        at: SimTime,
+        /// What the node will do then.
+        why: WakeReason,
+    },
+}
+
+/// What a node asked to be woken for ([`Action::Wake`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WakeReason {
+    /// §2.8: service the throttled node's outgoing update queues.
+    Service,
+    /// §3.6: release the authority's held refresh batch for the key.
+    Release(KeyId),
 }
 
 impl Action {

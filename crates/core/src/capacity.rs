@@ -13,7 +13,10 @@
 //! The queues also own the node's throttle. A cut below full capacity
 //! throttles the node, and forwarded updates wait here from then on; the
 //! first service that finds the fraction back at full drains the backlog
-//! in one go and lifts the throttle.
+//! in one go and lifts the throttle. The queues keep no clock: the node
+//! asks to be woken for each service (`WakeReason::Service`, one
+//! `SERVICE_INTERVAL` apart), exactly one outstanding while it is
+//! throttled and none after the service that lifts the throttle.
 
 use std::collections::BTreeMap;
 
@@ -40,16 +43,14 @@ impl OutgoingQueues {
         OutgoingQueues::default()
     }
 
-    /// Sets the capacity fraction. A cut from full capacity to below it
-    /// throttles the node and returns `true`: a service loop must start.
-    /// Any other change returns `false` — a recovery to full capacity
-    /// takes effect at the next service.
-    pub fn set_capacity(&mut self, c: f64) -> bool {
-        let cut = c < 1.0 && self.throttle.unwrap_or(1.0) >= 1.0;
-        if cut || self.throttle.is_some() {
+    /// Sets the capacity fraction. A cut below full capacity throttles
+    /// the node; once throttled, every change is recorded, and a
+    /// recovery to full capacity takes effect at the next service. Full
+    /// capacity on an unthrottled node changes nothing.
+    pub fn set_capacity(&mut self, c: f64) {
+        if c < 1.0 || self.throttle.is_some() {
             self.throttle = Some(c);
         }
-        cut
     }
 
     /// Whether forwarded updates wait here for a service.

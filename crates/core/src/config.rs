@@ -11,6 +11,11 @@ use crate::popularity::ResetMode;
 /// injection.
 pub const PFU_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 
+/// How often a throttled node services its outgoing update queues
+/// (§2.8): a cut below full capacity asks to be woken this long after
+/// it, and every service that leaves the node throttled asks again.
+pub const SERVICE_INTERVAL: SimDuration = SimDuration::from_secs(1);
+
 /// Which protocol a node runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
@@ -96,7 +101,10 @@ pub struct NodeConfig {
     /// refreshes ... batch all updates that arrive within that time and
     /// propagate them together as one update". `Some(window)` enables
     /// batching with that threshold ("a function of the lifetime of a
-    /// replica"); `None` disables it.
+    /// replica"): the first refresh of a key opens its batch, and the
+    /// batch is released, as one update, exactly `window` after it
+    /// opened (a [`crate::WakeReason::Release`] wake), whether or not
+    /// more refreshes arrive. `None` disables it.
     pub refresh_batch_window: Option<SimDuration>,
     /// The rate-limited sampled cache audit; `None` (the default)
     /// disables auditing entirely — no probes, no extra state: the delete

@@ -75,18 +75,6 @@ impl InterestSet {
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.interested.iter().copied()
     }
-
-    /// §2.9 patching: a neighbor departed and `successor` (if any) took
-    /// over its place in the topology. The bit that pointed at the old
-    /// neighbor is remapped to the successor, preserving the update flow
-    /// for nodes that depended on the departed node.
-    pub fn remap(&mut self, departed: NodeId, successor: Option<NodeId>) {
-        if self.clear(departed) {
-            if let Some(s) = successor {
-                self.set(s);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -118,41 +106,6 @@ mod tests {
         assert_eq!(order, vec![NodeId(1), NodeId(4), NodeId(9)]);
     }
 
-    #[test]
-    fn remap_moves_interest_to_successor() {
-        let mut s = InterestSet::new();
-        s.set(NodeId(2));
-        s.remap(NodeId(2), Some(NodeId(7)));
-        assert!(!s.contains(NodeId(2)));
-        assert!(s.contains(NodeId(7)));
-    }
-
-    #[test]
-    fn remap_without_successor_drops_interest() {
-        let mut s = InterestSet::new();
-        s.set(NodeId(2));
-        s.remap(NodeId(2), None);
-        assert!(s.is_empty());
-    }
-
-    #[test]
-    fn remap_of_uninterested_neighbor_is_noop() {
-        let mut s = InterestSet::new();
-        s.set(NodeId(1));
-        s.remap(NodeId(2), Some(NodeId(7)));
-        assert!(s.contains(NodeId(1)));
-        assert!(!s.contains(NodeId(7)));
-    }
-
-    #[test]
-    fn remap_onto_an_interested_successor_does_not_duplicate_it() {
-        let mut s = InterestSet::new();
-        s.set(NodeId(2));
-        s.set(NodeId(7));
-        s.remap(NodeId(2), Some(NodeId(7)));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![NodeId(7)]);
-    }
-
     /// The model: a plain `Vec` kept sorted and free of duplicates.
     fn model_set(model: &mut Vec<NodeId>, n: NodeId) {
         if !model.contains(&n) {
@@ -168,30 +121,21 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Random set / clear / remap sequences against the model, over
-        /// enough ids to spill past the inline capacity and come back:
+        /// Random set / clear sequences against the model, over enough
+        /// ids to spill past the inline capacity and come back:
         /// membership, length and ascending iteration agree after every
         /// step.
         #[test]
-        fn matches_a_sorted_vec_model(ops in proptest::collection::vec((0u32..4, 0u32..10, 0u32..11), 0..160)) {
+        fn matches_a_sorted_vec_model(ops in proptest::collection::vec((0u32..3, 0u32..10), 0..160)) {
             let mut set = InterestSet::new();
             let mut model: Vec<NodeId> = Vec::new();
-            for (op, a, b) in ops {
-                let (a, successor) = (NodeId(a), (b < 10).then_some(NodeId(b)));
-                match op {
-                    0 | 1 => {
-                        set.set(a);
-                        model_set(&mut model, a);
-                    }
-                    2 => proptest::prop_assert_eq!(set.clear(a), model_clear(&mut model, a)),
-                    _ => {
-                        set.remap(a, successor);
-                        if model_clear(&mut model, a) {
-                            if let Some(s) = successor {
-                                model_set(&mut model, s);
-                            }
-                        }
-                    }
+            for (op, a) in ops {
+                let a = NodeId(a);
+                if op < 2 {
+                    set.set(a);
+                    model_set(&mut model, a);
+                } else {
+                    proptest::prop_assert_eq!(set.clear(a), model_clear(&mut model, a));
                 }
                 proptest::prop_assert_eq!(set.len(), model.len());
                 proptest::prop_assert_eq!(set.is_empty(), model.is_empty());

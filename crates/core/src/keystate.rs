@@ -184,8 +184,9 @@ pub(crate) struct AuditState {
 pub(crate) struct RefreshState {
     /// Suppression: refreshes seen since the last one propagated.
     pub(crate) skips: u32,
-    /// Aggregation: when the filling batch opened.
-    pub(crate) batch_opened: SimTime,
+    /// Aggregation: when the filling batch is due for release (its
+    /// opening instant plus the batching window).
+    pub(crate) batch_due: SimTime,
     /// Aggregation: refreshed entries awaiting the batching window
     /// (empty: no batch is open).
     pub(crate) batch: Vec<IndexEntry>,

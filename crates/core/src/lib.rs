@@ -62,10 +62,10 @@ pub mod popularity;
 pub mod stats;
 pub mod surface;
 
-pub use action::Action;
+pub use action::{Action, WakeReason};
 pub use audit::{sample_targets, AuditTally};
 pub use clock::Clock;
-pub use config::{AuditConfig, Mode, NodeConfig, PFU_TIMEOUT};
+pub use config::{AuditConfig, Mode, NodeConfig, PFU_TIMEOUT, SERVICE_INTERVAL};
 pub use entry::IndexEntry;
 pub use justify::JustificationTracker;
 pub use message::{ClientId, Message, ReplicaEvent, Requester, Update, UpdateKind};

@@ -7,6 +7,11 @@
 //! runtime-agnostic: handlers take the current time and emit
 //! [`Action`]s; the embedding runtime routes queries (supplying the
 //! `upstream` next hop toward each key's authority) and delivers messages.
+//! The node keeps no timers: the two things it does with no message to
+//! trigger them — a throttled node's §2.8 queue service and the §3.6
+//! release of an authority's refresh batch — it asks for as
+//! [`Action::Wake`]s, and the runtime runs [`CupNode::wake_into`] when
+//! each comes due.
 //!
 //! Everything a node knows about a key — cache, flags, interest, the
 //! authority-side refresh state — is one [`KeyState`] record in the
@@ -41,10 +46,10 @@
 
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
 
-use crate::action::Action;
+use crate::action::{Action, WakeReason};
 use crate::audit::{sample_targets, AuditTally};
 use crate::capacity::OutgoingQueues;
-use crate::config::{AuditConfig, Mode, NodeConfig, AUDIT_QUORUM, PFU_TIMEOUT};
+use crate::config::{AuditConfig, Mode, NodeConfig, AUDIT_QUORUM, PFU_TIMEOUT, SERVICE_INTERVAL};
 use crate::directory::{DirectoryChange, LocalDirectory};
 use crate::entry::IndexEntry;
 use crate::interest::InterestSet;
@@ -86,17 +91,25 @@ impl CupNode {
 
     /// Sets the node's §2.8 capacity fraction (a node's "ability or
     /// willingness to propagate updates may vary with its workload").
-    /// A cut from full capacity to below it throttles the node: forwarded
-    /// updates then wait in the outgoing queues until
-    /// [`CupNode::service_outgoing_into`] releases them. Returns `true`
-    /// exactly for such a cut — the caller must start a service loop —
-    /// even if one is already running.
-    pub fn set_capacity(&mut self, c: f64) -> bool {
-        self.outgoing.set_capacity(c)
+    /// A cut below full capacity throttles the node: forwarded updates
+    /// then wait in the outgoing queues for a [`WakeReason::Service`].
+    /// Only a cut that finds no service outstanding (the node was
+    /// unthrottled) asks for one, [`SERVICE_INTERVAL`] from `now`; every
+    /// other change waits for the service already asked for, and a
+    /// recovery to full capacity takes effect there.
+    pub fn set_capacity_into(&mut self, now: SimTime, c: f64, out: &mut Vec<Action>) {
+        let idle = !self.outgoing.is_throttled();
+        self.outgoing.set_capacity(c);
+        if idle && self.outgoing.is_throttled() {
+            out.push(Action::Wake {
+                at: now.saturating_add(SERVICE_INTERVAL),
+                why: WakeReason::Service,
+            });
+        }
     }
 
     /// Whether forwarded updates wait in the outgoing queues (see
-    /// [`CupNode::set_capacity`]).
+    /// [`CupNode::set_capacity_into`]).
     pub fn is_throttled(&self) -> bool {
         self.outgoing.is_throttled()
     }
@@ -618,57 +631,97 @@ impl CupNode {
         if st.interest.is_empty() {
             return;
         }
-        let entries = match kind {
-            UpdateKind::Refresh => {
-                // §3.6 overhead reductions for keys with many replicas.
-                if !refresh_due(&self.config, st) {
-                    return;
-                }
-                match batch_refresh(&self.config, st, entry, now) {
-                    Some(batch) => batch,
-                    None => return,
-                }
+        if kind == UpdateKind::Refresh {
+            // §3.6 overhead reductions for keys with many replicas.
+            if !refresh_due(&self.config, st) {
+                return;
             }
-            _ => vec![entry],
-        };
-        let window_end = entries
-            .iter()
-            .map(IndexEntry::expires_at)
-            .max()
-            .unwrap_or_else(|| entry.expires_at());
+            if let Some(window) = self.config.refresh_batch_window {
+                hold_refresh(st, entry, now.saturating_add(window), out);
+                return;
+            }
+        }
+        let interested = st.interest.clone();
+        self.originate(now, key, kind, vec![entry], &interested, out);
+    }
+
+    /// Sends a maintenance update the authority originates, carrying
+    /// `entries` (never empty), to the `interested` neighbors.
+    fn originate(
+        &mut self,
+        now: SimTime,
+        key: KeyId,
+        kind: UpdateKind,
+        entries: Vec<IndexEntry>,
+        interested: &InterestSet,
+        out: &mut Vec<Action>,
+    ) {
+        let window_end = entries.iter().map(IndexEntry::expires_at).max();
         let update = Update {
             key,
             kind,
-            replica: entry.replica,
-            window_end,
+            replica: entries.first().map_or(ReplicaId(0), |e| e.replica),
+            window_end: window_end.unwrap_or(now),
             entries,
             // The authority *sends* at depth 0; its children receive
             // depth 1 (`forward_to` increments).
             depth: 0,
             origin: now,
         };
-        let interested = st.interest.clone();
-        self.forward_to(&interested, update, None, out);
+        self.forward_to(interested, update, None, out);
     }
 
-    /// Releases queued outgoing updates: pushes out roughly the node's
-    /// capacity fraction of what was enqueued since the last service
-    /// (§2.8), as the transmissions to perform now. A service at full
-    /// capacity drains the whole backlog and lifts the throttle. Returns
-    /// whether the node is still throttled, i.e. whether to service it
-    /// again.
-    pub fn service_outgoing_into(&mut self, now: SimTime, out: &mut Vec<Action>) -> bool {
-        let sends = self.outgoing.service(now).into_iter();
-        out.extend(sends.map(|(to, u)| Action::send(to, Message::Update(u))));
-        self.outgoing.is_throttled()
+    /// Does what the node asked to be woken for ([`Action::Wake`]); the
+    /// runtime calls it at the instant the wake named.
+    ///
+    /// * [`WakeReason::Service`] (§2.8): pushes out roughly the node's
+    ///   capacity fraction of what was enqueued since the last service.
+    ///   A service at full capacity drains the whole backlog and lifts
+    ///   the throttle; one that leaves the node throttled asks for the
+    ///   next service, [`SERVICE_INTERVAL`] on.
+    /// * [`WakeReason::Release`] (§3.6): sends the key's held refresh
+    ///   batch as one update to the neighbors interested now. A wake
+    ///   whose batch is gone (a delete emptied it, a crash wiped it) or
+    ///   was reopened later, and so is not yet due, does nothing.
+    pub fn wake_into(&mut self, now: SimTime, why: WakeReason, out: &mut Vec<Action>) {
+        match why {
+            WakeReason::Service => {
+                let sends = self.outgoing.service(now).into_iter();
+                out.extend(sends.map(|(to, u)| Action::send(to, Message::Update(u))));
+                if self.outgoing.is_throttled() {
+                    out.push(Action::Wake {
+                        at: now.saturating_add(SERVICE_INTERVAL),
+                        why,
+                    });
+                }
+            }
+            WakeReason::Release(key) => {
+                let Some(st) = self.keys.get_mut(key) else {
+                    return;
+                };
+                let Some(cold) = st.cold.as_mut() else {
+                    return;
+                };
+                let refresh = &mut cold.refresh;
+                if refresh.batch.is_empty() || refresh.batch_due > now {
+                    return;
+                }
+                let entries = std::mem::take(&mut refresh.batch);
+                if st.interest.is_empty() {
+                    return;
+                }
+                let interested = st.interest.clone();
+                self.originate(now, key, UpdateKind::Refresh, entries, &interested, out);
+            }
+        }
     }
 
-    /// §2.9: a neighbor departed. Interest pointing at it is remapped to
-    /// `successor` (the node that took over its zone) or dropped, and any
-    /// queued updates for it are discarded.
-    pub fn on_neighbor_departed(&mut self, departed: NodeId, successor: Option<NodeId>) {
+    /// §2.9: a neighbor departed. Interest pointing at it is dropped (the
+    /// paper's no-hand-over option: entries at the dependents simply
+    /// expire), and any updates queued for it are discarded.
+    pub fn on_neighbor_departed(&mut self, departed: NodeId) {
         for st in self.keys.values_mut() {
-            st.interest.remap(departed, successor);
+            st.interest.clear(departed);
         }
         self.outgoing.drop_neighbor(departed);
     }
@@ -841,21 +894,19 @@ fn refresh_due(config: &NodeConfig, st: &mut KeyState) -> bool {
     }
 }
 
-/// §3.6 aggregation: accumulates refreshed entries per key and
-/// releases them as one batch once the window has elapsed since the
-/// batch opened. Returns `None` while the batch is still filling.
-fn batch_refresh(
-    config: &NodeConfig,
-    st: &mut KeyState,
-    entry: IndexEntry,
-    now: SimTime,
-) -> Option<Vec<IndexEntry>> {
-    let Some(window) = config.refresh_batch_window else {
-        return Some(vec![entry]);
-    };
+/// §3.6 aggregation: holds a refreshed entry in the key's batch (in
+/// place of the same replica's earlier one). The refresh that opens the
+/// batch asks to be woken at `due`, when [`CupNode::wake_into`] releases
+/// whatever the batch then holds as one update.
+fn hold_refresh(st: &mut KeyState, entry: IndexEntry, due: SimTime, out: &mut Vec<Action>) {
+    let key = st.key;
     let refresh = &mut st.cold_mut().refresh;
     if refresh.batch.is_empty() {
-        refresh.batch_opened = now;
+        refresh.batch_due = due;
+        out.push(Action::Wake {
+            at: due,
+            why: WakeReason::Release(key),
+        });
     }
     match refresh
         .batch
@@ -865,8 +916,6 @@ fn batch_refresh(
         Some(slot) => *slot = entry,
         None => refresh.batch.push(entry),
     }
-    (now.saturating_since(refresh.batch_opened) >= window)
-        .then(|| std::mem::take(&mut refresh.batch))
 }
 
 #[cfg(test)]
@@ -1649,10 +1698,40 @@ mod tests {
         assert!(actions.is_empty());
     }
 
+    /// `node`'s capacity set to `c` at `secs`: the actions it emitted.
+    fn set_capacity(node: &mut CupNode, secs: u64, c: f64) -> Vec<Action> {
+        emitted!(node.set_capacity_into(SimTime::from_secs(secs), c))
+    }
+
+    /// `node` woken for a §2.8 service at `secs`: the actions it emitted.
+    fn service(node: &mut CupNode, secs: u64) -> Vec<Action> {
+        emitted!(node.wake_into(SimTime::from_secs(secs), WakeReason::Service))
+    }
+
+    /// The sends among `actions`.
+    fn sends(actions: &[Action]) -> usize {
+        let send = |a: &&Action| matches!(a, Action::Send { .. });
+        actions.iter().filter(send).count()
+    }
+
+    /// The service wakes among `actions`, each due at `at` seconds.
+    fn service_wakes(actions: &[Action], at: u64) -> usize {
+        let wake = |a: &&Action| match a {
+            Action::Wake { at: due, why } => {
+                assert_eq!(*due, SimTime::from_secs(at));
+                *why == WakeReason::Service
+            }
+            _ => false,
+        };
+        actions.iter().filter(wake).count()
+    }
+
     #[test]
     fn throttled_maintenance_updates_wait_for_service() {
         let mut node = cup_node(1);
-        assert!(node.set_capacity(0.5));
+        let cut = set_capacity(&mut node, 0, 0.5);
+        assert_eq!(service_wakes(&cut, 1), 1, "one SERVICE_INTERVAL on");
+        assert_eq!(cut.len(), 1);
         // The response itself is never throttled.
         let response = acquire(&mut node, Requester::Neighbor(NodeId(4)));
         assert_eq!(response.len(), 1, "first-time response sent immediately");
@@ -1665,24 +1744,31 @@ mod tests {
         ));
         assert!(actions.is_empty(), "refresh must be queued, not sent");
         assert_eq!(node.outgoing.total_len(), 1);
-        node.set_capacity(1.0);
-        let sent = emitted!(node.service_outgoing_into(SimTime::from_secs(11)));
-        assert_eq!(sent.len(), 1);
+        assert!(set_capacity(&mut node, 10, 1.0).is_empty());
+        let sent = service(&mut node, 11);
+        assert_eq!((sends(&sent), sent.len()), (1, 1), "drained, no next wake");
         assert_eq!(node.outgoing.total_len(), 0);
     }
 
     #[test]
     fn zero_capacity_node_falls_back_to_standard_caching() {
         let mut node = cup_node(1);
-        assert!(node.set_capacity(0.0));
+        assert_eq!(service_wakes(&set_capacity(&mut node, 0, 0.0), 1), 1);
         acquire(&mut node, Requester::Neighbor(NodeId(4)));
         emitted!(node.handle_update_into(SimTime::from_secs(10), NodeId(9), refresh(1, 0, 10, 2)));
         assert_eq!(node.outgoing.total_len(), 1);
         // Zero capacity: nothing is ever sent; queue drains by expiry, so
         // the downstream neighbor silently falls back to expiration-based
         // caching (§2.8).
-        assert!(emitted!(node.service_outgoing_into(SimTime::from_secs(11))).is_empty());
-        assert!(emitted!(node.service_outgoing_into(SimTime::from_secs(10_000))).is_empty());
+        for at in [11, 10_000] {
+            let serviced = service(&mut node, at);
+            assert_eq!(sends(&serviced), 0, "nothing sent at {at}");
+            assert_eq!(
+                service_wakes(&serviced, at + 1),
+                1,
+                "still throttled at {at}"
+            );
+        }
         assert_eq!(
             node.outgoing.total_len(),
             0,
@@ -1694,24 +1780,45 @@ mod tests {
     fn one_cut_from_full_capacity_starts_one_service_loop() {
         let mut node = cup_node(1);
         acquire(&mut node, Requester::Neighbor(NodeId(4)));
-        assert!(node.set_capacity(0.25), "a cut from full starts a loop");
-        assert!(!node.set_capacity(0.0), "a second cut starts none");
-        // Recovered, but still throttled until the next service.
-        assert!(!node.set_capacity(1.0));
+        let first = set_capacity(&mut node, 0, 0.25);
+        assert_eq!(
+            service_wakes(&first, 1),
+            1,
+            "a cut from full asks for a service"
+        );
+        assert!(
+            set_capacity(&mut node, 0, 0.0).is_empty(),
+            "a second cut asks for none"
+        );
+        // Recovered, but still throttled until the next service; a
+        // re-cut before it is one more change the service will read.
+        assert!(set_capacity(&mut node, 0, 1.0).is_empty());
         assert!(node.is_throttled());
+        assert!(
+            set_capacity(&mut node, 0, 0.5).is_empty(),
+            "a re-cut asks for none"
+        );
+        assert!(set_capacity(&mut node, 0, 1.0).is_empty());
         for at in [10, 20] {
             let update = refresh(1, 0, at, 2);
             let sent = emitted!(node.handle_update_into(SimTime::from_secs(at), NodeId(9), update));
             assert!(sent.is_empty(), "queued at {at}");
         }
-        // That service drains the backlog in one go and unthrottles.
-        let mut out = Vec::new();
-        assert!(!node.service_outgoing_into(SimTime::from_secs(21), &mut out));
+        // That service drains the backlog in one go, unthrottles and
+        // asks for no next one.
+        let out = service(&mut node, 21);
         assert_eq!((out.len(), node.outgoing.total_len()), (2, 0));
+        assert_eq!(sends(&out), 2);
         assert!(!node.is_throttled());
         let update = refresh(1, 0, 30, 2);
         let sent = emitted!(node.handle_update_into(SimTime::from_secs(30), NodeId(9), update));
         assert_eq!(sent.len(), 1, "forwarded at once again");
+        let again = set_capacity(&mut node, 40, 0.5);
+        assert_eq!(
+            service_wakes(&again, 41),
+            1,
+            "the next cut starts a loop again"
+        );
         assert!(
             !cup_node(1).is_throttled(),
             "a cold node starts unthrottled"
@@ -1817,18 +1924,20 @@ mod tests {
     }
 
     #[test]
-    fn neighbor_departure_remaps_interest() {
+    fn neighbor_departure_drops_interest() {
         let mut node = cup_node(1);
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Neighbor(NodeId(4)),
-            Some(NodeId(9)),
-        ));
-        node.on_neighbor_departed(NodeId(4), Some(NodeId(6)));
+        for from in [4, 6] {
+            emitted!(node.handle_query_into(
+                SimTime::ZERO,
+                KeyId(1),
+                Requester::Neighbor(NodeId(from)),
+                Some(NodeId(9)),
+            ));
+        }
+        node.on_neighbor_departed(NodeId(4));
         let st = node.key_state(KeyId(1)).unwrap();
         assert!(!st.interest.contains(NodeId(4)));
-        assert!(st.interest.contains(NodeId(6)));
+        assert_eq!(st.interest.iter().collect::<Vec<_>>(), [NodeId(6)]);
     }
 
     #[test]
@@ -1886,10 +1995,11 @@ mod tests {
         assert_eq!(propagated, 3, "every third refresh propagates");
     }
 
-    #[test]
-    fn refresh_batching_aggregates_replicas_into_one_update() {
+    /// Authority 0 of key 1 batching refreshes over `window` seconds,
+    /// neighbor 5 interested, replicas `0..replicas` born at time zero.
+    fn batching_authority(window: u64, replicas: u32) -> CupNode {
         let mut config = NodeConfig::cup_default();
-        config.refresh_batch_window = Some(SimDuration::from_secs(10));
+        config.refresh_batch_window = Some(SimDuration::from_secs(window));
         let mut node = CupNode::new(NodeId(0), config);
         emitted!(node.handle_query_into(
             SimTime::ZERO,
@@ -1897,7 +2007,7 @@ mod tests {
             Requester::Neighbor(NodeId(5)),
             None,
         ));
-        for r in 0..3 {
+        for r in 0..replicas {
             emitted!(node.handle_replica_event_into(
                 SimTime::ZERO,
                 ReplicaEvent::Birth {
@@ -1907,76 +2017,111 @@ mod tests {
                 },
             ));
         }
-        // Three refreshes within the window: the first two are held.
-        let a1 = emitted!(node.handle_replica_event_into(
-            SimTime::from_secs(300),
-            ReplicaEvent::Refresh {
-                key: KeyId(1),
-                replica: ReplicaId(0),
-                lifetime: LIFE,
-            },
-        ));
-        let a2 = emitted!(node.handle_replica_event_into(
-            SimTime::from_secs(303),
-            ReplicaEvent::Refresh {
-                key: KeyId(1),
-                replica: ReplicaId(1),
-                lifetime: LIFE,
-            },
-        ));
-        assert!(a1.is_empty() && a2.is_empty(), "batch still filling");
-        // A refresh after the window flushes the whole batch as one
-        // update carrying all three entries.
-        let a3 = emitted!(node.handle_replica_event_into(
-            SimTime::from_secs(312),
-            ReplicaEvent::Refresh {
-                key: KeyId(1),
-                replica: ReplicaId(2),
-                lifetime: LIFE,
-            },
-        ));
-        assert_eq!(a3.len(), 1);
-        match &a3[0] {
-            Action::Send {
-                msg: Message::Update(u),
-                ..
-            } => {
-                assert_eq!(u.kind, UpdateKind::Refresh);
-                assert_eq!(u.entries.len(), 3, "one update carries the batch");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        node
     }
 
-    #[test]
-    fn a_deleted_replica_leaves_the_refresh_batch() {
-        let mut config = NodeConfig::cup_default();
-        config.refresh_batch_window = Some(SimDuration::from_secs(10));
-        let mut node = CupNode::new(NodeId(0), config);
-        emitted!(node.handle_query_into(
-            SimTime::ZERO,
-            KeyId(1),
-            Requester::Neighbor(NodeId(5)),
-            None,
-        ));
-        for r in 0..3 {
-            emitted!(node.handle_replica_event_into(
-                SimTime::ZERO,
-                ReplicaEvent::Birth {
-                    key: KeyId(1),
-                    replica: ReplicaId(r),
-                    lifetime: LIFE,
-                },
-            ));
-        }
-        let refresh = |r| ReplicaEvent::Refresh {
+    /// Replica `r` of key 1 refreshes at `secs`: what the authority emits.
+    fn refresh_at(node: &mut CupNode, secs: u64, r: u32) -> Vec<Action> {
+        let refresh = ReplicaEvent::Refresh {
             key: KeyId(1),
             replica: ReplicaId(r),
             lifetime: LIFE,
         };
+        emitted!(node.handle_replica_event_into(SimTime::from_secs(secs), refresh))
+    }
+
+    /// Key 1's batch release woken at `secs`: what the authority emits.
+    fn release_at(node: &mut CupNode, secs: u64) -> Vec<Action> {
+        let why = WakeReason::Release(KeyId(1));
+        emitted!(node.wake_into(SimTime::from_secs(secs), why))
+    }
+
+    /// The instant of the one release wake `actions` ask for.
+    fn release_due(actions: &[Action]) -> SimTime {
+        match actions {
+            [Action::Wake {
+                at,
+                why: WakeReason::Release(KeyId(1)),
+            }] => *at,
+            other => panic!("expected one release wake, got {other:?}"),
+        }
+    }
+
+    /// The replicas an update carries, in order.
+    fn replicas_of(update: &Update) -> Vec<ReplicaId> {
+        update.entries.iter().map(|e| e.replica).collect()
+    }
+
+    #[test]
+    fn refresh_batching_aggregates_replicas_into_one_update() {
+        let mut node = batching_authority(10, 3);
+        // The refresh that opens the batch asks to be woken when the
+        // window closes; the two after it join the batch silently.
+        let opened = refresh_at(&mut node, 300, 0);
+        assert_eq!(release_due(&opened), SimTime::from_secs(310));
+        assert!(refresh_at(&mut node, 303, 1).is_empty(), "batch filling");
+        assert!(refresh_at(&mut node, 309, 2).is_empty(), "batch filling");
+        // The wake releases the whole batch as one update carrying all
+        // three entries; no later refresh is needed.
+        let (to, update) = sent_update(release_at(&mut node, 310));
+        assert_eq!((to, update.kind), (NodeId(5), UpdateKind::Refresh));
+        assert_eq!(replicas_of(&update), [0, 1, 2].map(ReplicaId));
+        assert_eq!(update.depth, 1, "the authority's children receive depth 1");
+        // The next refresh opens the next batch.
+        let reopened = refresh_at(&mut node, 312, 1);
+        assert_eq!(release_due(&reopened), SimTime::from_secs(322));
+    }
+
+    #[test]
+    fn a_lone_replicas_refreshes_each_leave_one_window_late() {
+        // One replica refreshing every 100 s under a 30 s window: each
+        // refresh leaves the authority once, 30 s after it arrived,
+        // carrying its own entry — none is overwritten by the next one.
+        let mut node = batching_authority(30, 1);
+        for i in 1..=10u64 {
+            let t = i * 100;
+            let held = refresh_at(&mut node, t, 0);
+            assert_eq!(
+                release_due(&held),
+                SimTime::from_secs(t + 30),
+                "refresh {i}"
+            );
+            let (_, update) = sent_update(release_at(&mut node, t + 30));
+            let expiries: Vec<SimTime> = update.entries.iter().map(|e| e.expires_at()).collect();
+            assert_eq!(
+                expiries,
+                [SimTime::from_secs(t) + LIFE],
+                "refresh {i}'s entry"
+            );
+            assert!(
+                release_at(&mut node, t + 30).is_empty(),
+                "refresh {i} left twice"
+            );
+        }
+    }
+
+    #[test]
+    fn a_batch_whose_replicas_stop_refreshing_is_still_released() {
+        let mut node = batching_authority(30, 2);
+        let due = release_due(&refresh_at(&mut node, 300, 0));
+        assert!(refresh_at(&mut node, 310, 1).is_empty());
+        // No refresh follows. A wake before the batch is due (one an
+        // earlier, emptied batch asked for) releases nothing.
+        assert!(release_at(&mut node, 329).is_empty(), "not yet due");
+        assert_eq!(due, SimTime::from_secs(330));
+        let (_, update) = sent_update(release_at(&mut node, 330));
+        assert_eq!(replicas_of(&update), [ReplicaId(0), ReplicaId(1)]);
+    }
+
+    #[test]
+    fn a_deleted_replica_leaves_the_refresh_batch() {
+        let mut node = batching_authority(10, 3);
         // Replicas 0 and 2 refresh into the open batch, then 0 dies.
-        emitted!(node.handle_replica_event_into(SimTime::from_secs(300), refresh(0)));
-        emitted!(node.handle_replica_event_into(SimTime::from_secs(303), refresh(2)));
+        assert_eq!(
+            release_due(&refresh_at(&mut node, 300, 0)),
+            SimTime::from_secs(310)
+        );
+        assert!(refresh_at(&mut node, 303, 2).is_empty());
         let deleted = emitted!(node.handle_replica_event_into(
             SimTime::from_secs(305),
             ReplicaEvent::Deletion {
@@ -1988,19 +2133,10 @@ mod tests {
             &deleted[..],
             [Action::Send { msg: Message::Update(u), .. }] if u.kind == UpdateKind::Delete
         ));
+        assert!(refresh_at(&mut node, 307, 1).is_empty());
         // The release carries the live replicas only.
-        let released =
-            emitted!(node.handle_replica_event_into(SimTime::from_secs(312), refresh(1)));
-        match &released[..] {
-            [Action::Send {
-                msg: Message::Update(u),
-                ..
-            }] => {
-                let replicas: Vec<ReplicaId> = u.entries.iter().map(|e| e.replica).collect();
-                assert_eq!(replicas, [ReplicaId(2), ReplicaId(1)]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let (_, update) = sent_update(release_at(&mut node, 310));
+        assert_eq!(replicas_of(&update), [ReplicaId(2), ReplicaId(1)]);
     }
 
     #[test]

@@ -211,6 +211,10 @@ pub enum TraceKind {
     ReplicaDeletion,
     /// A client was answered (`detail` = number of entries returned).
     Respond,
+    /// A node was woken for what it asked (`detail` = the reason: 0 a
+    /// §2.8 capacity service, 1 the §3.6 release of `key`'s refresh
+    /// batch).
+    Wake,
 }
 
 impl TraceKind {
@@ -230,6 +234,7 @@ impl TraceKind {
             TraceKind::ReplicaRefresh => "replica-refresh",
             TraceKind::ReplicaDeletion => "replica-deletion",
             TraceKind::Respond => "respond",
+            TraceKind::Wake => "wake",
         }
     }
 }

@@ -12,7 +12,17 @@
 //! handlers run on (its [`NodeArena`]) and every book the kernel keeps —
 //! metrics, justification windows, the staleness ground truth (written
 //! by the runtime through [`Plane::note_death`]) and the trace ring; an
-//! [`Env`] supplies only the transport, in six methods.
+//! [`Env`] supplies only the transport, in seven methods.
+//!
+//! A node does two things no message triggers — a throttled node's §2.8
+//! queue service and the §3.6 release of an authority's refresh batch —
+//! and asks for each as an [`Action::Wake`]. The kernel hands the wake
+//! to the transport ([`Env::wake_at`]), which calls [`Plane::wake`] when
+//! the instant comes; that runs the node's [`CupNode::wake_into`]
+//! through the same path as a message's handler, traced as
+//! [`TraceKind::Wake`]. The DES keeps wakes in its event queue; a
+//! transport without one keeps them in the plane's time-ordered
+//! [`WakeList`].
 //!
 //! The fault state, the justification tracker and the ground truth are
 //! private fields, so a runtime cannot run a gate or feed the tracker
@@ -45,12 +55,12 @@
 //! per-kind counts sum to the number of messages sent. An entry point
 //! naming a node the plane does not hold runs no handler.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use cup_core::justify::JustificationTracker;
 use cup_core::obs::{TraceBuf, TraceEvent, TraceKind};
 use cup_core::{
-    Action, ClientId, CupNode, IndexEntry, Message, ReplicaEvent, Requester, UpdateKind,
+    Action, ClientId, CupNode, IndexEntry, Message, ReplicaEvent, Requester, UpdateKind, WakeReason,
 };
 use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
 
@@ -66,7 +76,8 @@ use crate::state::{DropVerdict, FaultState};
 pub struct RoutingFailed;
 
 /// What a transport supplies to the kernel: a clock, routing, a way to
-/// carry a message one hop and the waiting clients.
+/// carry a message one hop, the waiting clients and a way to wake a
+/// node later.
 pub trait Env {
     /// The current time (simulated, virtual or wall-mapped).
     fn now(&self) -> SimTime;
@@ -95,6 +106,51 @@ pub trait Env {
     /// plane serves, which the kernel marks itself (§3.1). A failed route
     /// marks nothing.
     fn mark_path(&mut self, at: NodeId, key: KeyId, t: SimTime) -> &[NodeId];
+
+    /// `node` asked to be woken for `why` at `at` (never before now):
+    /// call [`Plane::wake`] then. A transport with an event queue of its
+    /// own schedules the wake there and leaves `list` alone; one without
+    /// keeps it in `list`, the plane's [`WakeList`], and runs it once
+    /// its clock reaches `at`.
+    ///
+    /// Ties: a wake due at the same instant as other work runs after the
+    /// work already scheduled for that instant when it was asked for, and
+    /// before work scheduled later (the DES's queue order). The live
+    /// runtime on its virtual clock runs a wake once the work of earlier
+    /// instants has quiesced, and one due exactly at a `run_until`
+    /// deadline after the work posted at that deadline. The two agree
+    /// wherever a wake's instant carries no other work.
+    fn wake_at(&mut self, list: &mut WakeList, node: NodeId, at: SimTime, why: WakeReason);
+}
+
+/// The wakes a plane's nodes asked for, earliest first, ties in the
+/// order they were asked for: where a transport without an event queue
+/// keeps them ([`Env::wake_at`]).
+#[derive(Debug, Default)]
+pub struct WakeList {
+    due: BTreeMap<(SimTime, u64), (NodeId, WakeReason)>,
+    asked: u64,
+}
+
+impl WakeList {
+    /// Keeps `node`'s wake for `why` at `at`.
+    pub fn push(&mut self, node: NodeId, at: SimTime, why: WakeReason) {
+        self.due.insert((at, self.asked), (node, why));
+        self.asked += 1;
+    }
+
+    /// When the earliest wake is due; `None` if none is kept.
+    pub fn next_due(&self) -> Option<SimTime> {
+        self.due.first_key_value().map(|(&(at, _), _)| at)
+    }
+
+    /// Takes the earliest wake, if it is due at or before `now`.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<(NodeId, WakeReason)> {
+        if self.next_due()? > now {
+            return None;
+        }
+        self.due.pop_first().map(|(_, wake)| wake)
+    }
 }
 
 /// The state a delivery touches: the nodes, the fault plane, the
@@ -131,9 +187,13 @@ pub struct Plane {
     pub justify_on: bool,
     /// Hop, answer, staleness and latency accounting.
     pub metrics: NetMetrics,
-    /// Reusable action buffer: handlers push into it, [`Plane::emit`]
+    /// Reusable action buffer: handlers push into it, `Plane::emit`
     /// drains it, so steady-state delivery allocates nothing of its own.
     scratch: Vec<Action>,
+    /// The wakes this plane's nodes asked for, if the transport keeps
+    /// them here ([`Env::wake_at`]); it takes them out once due
+    /// ([`WakeList::pop_due`]) and runs each through [`Plane::wake`].
+    pub wakes: WakeList,
 }
 
 /// What a run's planes add up to.
@@ -322,10 +382,35 @@ impl Plane {
         });
     }
 
+    /// Wakes `node` for what it asked ([`Env::wake_at`]): runs its
+    /// [`CupNode::wake_into`] at the transport's now, traced as
+    /// [`TraceKind::Wake`] with the reason as `detail`. Does nothing if
+    /// this plane does not hold `node` (it departed).
+    pub fn wake<E: Env>(&mut self, env: &mut E, node: NodeId, why: WakeReason) {
+        if !self.nodes.holds(node) {
+            return;
+        }
+        let now = env.now();
+        let (key, detail) = match why {
+            WakeReason::Service => (KeyId(0), 0),
+            WakeReason::Release(key) => (key, 1),
+        };
+        self.trace(now, node, TraceKind::Wake, key, detail);
+        self.emit(env, now, node, |n, out| n.wake_into(now, why, out));
+    }
+
+    /// Sets `node`'s §2.8 capacity fraction to `c`
+    /// ([`CupNode::set_capacity_into`]): a cut that throttles it asks to
+    /// be woken for its first service.
+    pub fn set_capacity<E: Env>(&mut self, env: &mut E, node: NodeId, c: f64) {
+        let now = env.now();
+        self.emit(env, now, node, |n, out| n.set_capacity_into(now, c, out));
+    }
+
     /// Runs one handler of node `from` at `now` and turns the actions it
-    /// emitted into traffic and client answers. Does nothing if this plane
-    /// does not hold `from`.
-    pub fn emit<E: Env>(
+    /// emitted into traffic, client answers and wakes. Does nothing if
+    /// this plane does not hold `from`.
+    fn emit<E: Env>(
         &mut self,
         env: &mut E,
         now: SimTime,
@@ -375,6 +460,7 @@ impl Plane {
                         self.metrics.query_latency.record(waited);
                     }
                 }
+                Action::Wake { at, why } => env.wake_at(&mut self.wakes, from, at, why),
             }
         }
         self.scratch = actions;
@@ -467,6 +553,9 @@ mod tests {
         fn mark_path(&mut self, at: NodeId, _: KeyId, _: SimTime) -> &[NodeId] {
             self.path = (0..=at.0).rev().map(NodeId).collect();
             &self.path
+        }
+        fn wake_at(&mut self, list: &mut WakeList, node: NodeId, at: SimTime, why: WakeReason) {
+            list.push(node, at, why);
         }
     }
 
@@ -764,6 +853,56 @@ mod tests {
         assert_eq!(plane.faults.counters.queries_at_crashed, 1);
         assert!(env.posted.is_empty(), "no answer will ever be a sample");
         assert!(env.answers.is_empty() && traced(&plane).is_empty());
+    }
+
+    #[test]
+    fn a_wake_runs_through_the_emit_path_and_is_traced() {
+        let (mut plane, mut env) = world(&[]);
+        // Node 3 caches key 1 for node 4, then is throttled: its cut asks
+        // for a service one second on, kept in the plane's list.
+        recv(&mut plane, &mut env, 4, 3, Message::Query { key: KEY });
+        recv(&mut plane, &mut env, 2, 3, update(UpdateKind::FirstTime, 0));
+        plane.set_capacity(&mut env, NodeId(3), 0.0);
+        plane.set_capacity(&mut env, NodeId(7), 0.5);
+        let second = SimTime::from_secs(1);
+        assert_eq!(plane.wakes.next_due(), Some(second));
+        assert_eq!(plane.wakes.pop_due(SimTime::ZERO), None, "not yet due");
+        // A refresh waits for the service.
+        env.sent.clear();
+        recv(&mut plane, &mut env, 2, 3, update(UpdateKind::Refresh, 0));
+        assert!(env.sent.is_empty(), "queued behind the throttle");
+        // The service at full capacity releases it; nothing asks again.
+        plane.set_capacity(&mut env, NodeId(3), 1.0);
+        env.now = second;
+        let woken: Vec<_> = std::iter::from_fn(|| plane.wakes.pop_due(second)).collect();
+        assert_eq!(
+            woken,
+            [
+                (NodeId(3), WakeReason::Service),
+                (NodeId(7), WakeReason::Service)
+            ]
+        );
+        plane.wake(&mut env, NodeId(3), WakeReason::Service);
+        assert_eq!(env.sent.len(), 1, "the queued refresh left");
+        assert_eq!(
+            plane.metrics.refresh_hops, 1,
+            "charged at its receiver only"
+        );
+        assert_eq!(plane.wakes.next_due(), None, "node 3 is unthrottled");
+        let ring = plane.trace.as_ref().unwrap().sorted();
+        let wakes: Vec<_> = ring
+            .iter()
+            .filter(|ev| ev.kind == TraceKind::Wake)
+            .collect();
+        assert_eq!(wakes.len(), 1);
+        assert_eq!(
+            (wakes[0].t, wakes[0].node, wakes[0].detail),
+            (second, NodeId(3), 0)
+        );
+        // A plane that does not hold the node neither runs nor traces it.
+        let mut other = traced_plane(|&n| n != 3);
+        other.wake(&mut env, NodeId(3), WakeReason::Service);
+        assert!(traced(&other).is_empty());
     }
 
     /// One scripted stream — a birth, queries from three depths, a

@@ -77,7 +77,7 @@
 //! already share — also holds the code that runs them: [`deliver`]. A
 //! [`Plane`] owns the nodes (a [`NodeArena`]), the `FaultState`, the
 //! justification tracker and the [`NetMetrics`] sink and walks every
-//! posted query, received message, replica event and emitted action
+//! posted query, received message, replica event, wake and emitted action
 //! through one fixed order; a runtime implements the narrow [`Env`]
 //! trait and owns nothing else of the pipeline.
 
@@ -90,7 +90,7 @@ pub mod plan;
 pub mod state;
 
 pub use arena::NodeArena;
-pub use deliver::{Env, Plane, RoutingFailed, Totals};
+pub use deliver::{Env, Plane, RoutingFailed, Totals, WakeList};
 pub use metrics::NetMetrics;
 pub use plan::{Behavior, FaultAction, FaultEvent, FaultPlan};
 pub use state::{DropVerdict, FaultCounters, FaultState};

@@ -390,7 +390,12 @@ impl LiveNetwork {
     /// Quiesces, then steps the virtual clock to `deadline` — the live
     /// mirror of a DES "run until": all in-flight traffic completes at
     /// the *current* logical time before time jumps, so every worker
-    /// observes the same instant for every message. `deadline == now`
+    /// observes the same instant for every message. The wakes nodes
+    /// asked for (a §2.8 service, a §3.6 batch release) that fall due
+    /// before `deadline` run on the way, instant by instant: the clock
+    /// steps to each, the shards keeping one run theirs, and the network
+    /// quiesces before the next. A wake due exactly at `deadline` stays
+    /// pending, as an event there does in the DES. `deadline == now`
     /// re-synchronizes without moving time.
     ///
     /// # Panics
@@ -398,6 +403,13 @@ impl LiveNetwork {
     /// Panics on a wall-mapped clock or if `deadline` is in the past.
     pub fn run_until(&self, deadline: SimTime) -> SimTime {
         self.quiesce();
+        while let Some((at, shards)) = self.shared.next_wakes(deadline) {
+            self.shared.clock.advance_to(at);
+            for shard in shards {
+                self.shared.post(shard, Envelope::Wake { at });
+            }
+            self.quiesce();
+        }
         self.shared.clock.advance_to(deadline)
     }
 

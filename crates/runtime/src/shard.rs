@@ -52,6 +52,15 @@
 //! mutex, because the handle fills it at post time and a post must never
 //! wait for a round; answers land in it in place, and a blocking query
 //! waits on a condvar paired with that mutex.
+//!
+//! A node's wakes (a §2.8 capacity service, a §3.6 batch release) wait
+//! in its shard plane's time-ordered [`cup_faults::WakeList`], counted
+//! in [`Shared`]'s `wakes`. On the wall clock the worker runs what is
+//! due at the start of every round and, when idle, parks with a timeout
+//! to the earliest one. On the virtual clock time moves only in
+//! `LiveNetwork::run_until`, which steps it to each instant a wake is
+//! due and posts [`Envelope::Wake`] to the shards holding one; with no
+//! wake kept anywhere that costs it one atomic read.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{self, AtomicUsize, Ordering};
@@ -60,9 +69,9 @@ use std::time::Duration;
 
 use cup_core::clock::Clock;
 use cup_core::obs::Hist;
-use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
-use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
-use cup_faults::{Env, NodeArena, Plane, RoutingFailed};
+use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent, WakeReason};
+use cup_des::{KeyId, NodeId, ReplicaId, SimDuration, SimTime};
+use cup_faults::{Env, NodeArena, Plane, RoutingFailed, WakeList};
 use cup_overlay::{AnyOverlay, Overlay};
 
 use crate::shard_map::ShardMap;
@@ -124,6 +133,12 @@ pub(crate) enum Envelope {
         len: u8,
         /// The receiving shard's nodes on the query's virtual path.
         nodes: [NodeId; MARK_NODES],
+    },
+    /// The virtual clock was stepped to `at`: run this shard's wakes due
+    /// by then, each with its cascade, in the order they are due.
+    Wake {
+        /// The instant the clock now reads.
+        at: SimTime,
     },
 }
 
@@ -393,6 +408,9 @@ pub(crate) struct Shared {
     /// shard instead of waiting forever on an in-flight counter that
     /// will never reach zero.
     panicked: AtomicUsize,
+    /// Wakes kept in the shards' planes ([`Plane::wakes`]) and not yet
+    /// run: `run_until` looks for due ones only while it is non-zero.
+    wakes: AtomicUsize,
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
 }
@@ -426,6 +444,7 @@ impl Shared {
             clock,
             pending: atomic::AtomicU64::new(0),
             panicked: AtomicUsize::new(NO_PANIC),
+            wakes: AtomicUsize::new(0),
             idle_lock: Mutex::new(()),
             idle_cv: Condvar::new(),
         }
@@ -515,6 +534,27 @@ impl Shared {
     pub(crate) fn clients_of(&self, shard: usize) -> &Clients {
         &self.clients[shard]
     }
+
+    /// The earliest instant before `deadline` at which some shard keeps
+    /// a wake, and the shards that keep one then; `None` at once, after
+    /// one atomic read, if no shard keeps any. Call quiescent, so no
+    /// worker is adding one.
+    pub(crate) fn next_wakes(&self, deadline: SimTime) -> Option<(SimTime, Vec<usize>)> {
+        if self.wakes.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        let due: Vec<Option<SimTime>> = (self.lock_locals().iter())
+            .map(|local| local.plane.wakes.next_due())
+            .collect();
+        let at = due
+            .iter()
+            .flatten()
+            .min()
+            .copied()
+            .filter(|&at| at < deadline)?;
+        let shards = (0..due.len()).filter(|&s| due[s] == Some(at)).collect();
+        Some((at, shards))
+    }
 }
 
 /// One worker thread's state: its shard's transport plus reusable
@@ -534,6 +574,10 @@ struct Worker {
     path: Vec<NodeId>,
     /// Per-shard scratch that path is split into.
     path_split: Vec<Vec<NodeId>>,
+    /// On the wall clock, when this shard's earliest wake is due (read
+    /// at the end of each round, under the round's lock); always `None`
+    /// on the virtual clock, where `Envelope::Wake` runs them.
+    alarm: Option<SimTime>,
 }
 
 /// One destination's outbound batch.
@@ -593,7 +637,9 @@ pub(crate) fn worker_main(shard: usize, shared: Arc<Shared>) {
         outbox: (0..shards).map(|_| Outbound::default()).collect(),
         path: Vec::new(),
         path_split: (0..shards).map(|_| Vec::new()).collect(),
+        alarm: None,
     };
+    let wall = !shared.clock.is_virtual();
     loop {
         let stop = {
             let inbox = &shared.inboxes[shard];
@@ -605,10 +651,23 @@ pub(crate) fn worker_main(shard: usize, shared: Arc<Shared>) {
                 if st.shutdown {
                     break true;
                 }
+                // A due wake is a round of its own; a later one bounds
+                // the park.
+                let alarm = worker.alarm.map(|due| due.saturating_since(shared.now()));
+                if alarm == Some(SimDuration::ZERO) {
+                    break false;
+                }
                 // Flush-before-park already happened (end of the last
                 // round), so waiting here cannot strand a partial batch.
                 st.parked = true;
-                st = inbox.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                st = match alarm {
+                    None => inbox.cv.wait(st).unwrap_or_else(|e| e.into_inner()),
+                    Some(wait) => {
+                        let wait = Duration::from_micros(wait.as_micros());
+                        let parked = inbox.cv.wait_timeout(st, wait);
+                        parked.unwrap_or_else(|e| e.into_inner()).0
+                    }
+                };
                 st.parked = false;
             }
         };
@@ -624,10 +683,16 @@ pub(crate) fn worker_main(shard: usize, shared: Arc<Shared>) {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let consumed = worker.drain_round(&mut state);
+        if wall && state.plane.wakes.next_due().is_some() {
+            worker.wake_until(&mut state, shared.now());
+        }
         // Flush-before-decrement: cross-shard children enter the
         // in-flight count before their parents retire, so the barrier
         // can never observe zero while this round's output is in hand.
         worker.flush(&mut state);
+        if wall {
+            worker.alarm = state.plane.wakes.next_due();
+        }
         drop(state);
         shared.finish_n(consumed);
     }
@@ -687,7 +752,25 @@ impl Worker {
             Envelope::Client { at, key, client } => state.plane.post_query(self, at, key, client),
             Envelope::Replica { at, event } => state.plane.replica_event(self, at, event),
             Envelope::Death { key, replica, at } => state.plane.note_death(key, replica, at),
+            Envelope::Wake { at } => self.wake_until(state, at),
         }
+        self.cascade(state);
+    }
+
+    /// Runs every wake this shard keeps that is due at or before `now`,
+    /// earliest first, each with its whole intra-shard cascade before
+    /// the next (a wake one of them asks for, if due by `now`, too).
+    fn wake_until(&mut self, state: &mut ShardLocal, now: SimTime) {
+        while let Some((node, why)) = state.plane.wakes.pop_due(now) {
+            self.shared.wakes.fetch_sub(1, Ordering::SeqCst);
+            state.plane.wake(self, node, why);
+            self.cascade(state);
+        }
+    }
+
+    /// Handles the intra-shard messages the inline FIFO holds, and the
+    /// children they send there, until it is empty.
+    fn cascade(&mut self, state: &mut ShardLocal) {
         while !self.local.is_empty() {
             let group = self.local.len().min(CupNode::LOOKAHEAD);
             for (to, _, msg) in self.local.iter().take(group) {
@@ -778,6 +861,13 @@ impl Env for Worker {
             nodes.clear();
         }
         &self.path_split[self.shard]
+    }
+
+    /// A live shard has no event queue: the wake waits in its plane's
+    /// list, counted in [`Shared`]'s `wakes`.
+    fn wake_at(&mut self, list: &mut WakeList, node: NodeId, at: SimTime, why: WakeReason) {
+        list.push(node, at, why);
+        self.shared.wakes.fetch_add(1, Ordering::SeqCst);
     }
 }
 

@@ -10,11 +10,13 @@
 //! [`Plane::apply`], which also wipes a crashed node — and a `Fabric`,
 //! the simulated transport the kernel runs over through [`Env`]: the
 //! event queue with the latency model (× the fault plane's spike
-//! factor), the authority cache and the posted-time map. What stays here
-//! is what only a simulation has: the workload generators, churn (and
-//! the liveness gate that counts deliveries to departed nodes) and the
-//! clock of capacity service (each node keeps its own capacity
-//! fraction, `CupNode::set_capacity`).
+//! factor), the authority cache and the posted-time map. A node's wakes
+//! (a §2.8 capacity service, a §3.6 batch release) are [`Ev::Wake`]
+//! events in the same queue, each run through [`Plane::wake`]. What stays
+//! here is what only a simulation has: the workload generators, churn
+//! (and the liveness gate that counts deliveries to departed nodes) and
+//! the §3.7 capacity schedule, each change one [`Plane::set_capacity`]
+//! per node.
 //!
 //! Churn is also the one thing that moves a route. A join or a leave
 //! clears the authority cache and, with it, every live node's upstream
@@ -32,9 +34,9 @@
 
 use std::collections::BTreeMap;
 
-use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
+use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent, WakeReason};
 use cup_des::{DetRng, EventQueue, KeyId, LatencyModel, NodeId, SimDuration, SimTime};
-use cup_faults::{Env, NodeArena, Plane, RoutingFailed};
+use cup_faults::{Env, NodeArena, Plane, RoutingFailed, WakeList};
 use cup_overlay::{AnyOverlay, Overlay};
 use cup_workload::{
     churn::ChurnEvent,
@@ -43,9 +45,6 @@ use cup_workload::{
 };
 
 use crate::event::Ev;
-
-/// How often capacity-limited nodes service their outgoing queues.
-pub const SERVICE_INTERVAL: SimDuration = SimDuration::from_secs(1);
 
 /// The complete state of one simulated CUP network.
 #[derive(Debug)]
@@ -159,6 +158,11 @@ impl Env for Wire<'_> {
         }
         path
     }
+
+    /// The event queue keeps the wake, in its `(time, sequence)` order.
+    fn wake_at(&mut self, _: &mut WakeList, node: NodeId, at: SimTime, why: WakeReason) {
+        self.queue.schedule(at, Ev::Wake { node, why });
+    }
 }
 
 impl Network {
@@ -243,9 +247,16 @@ impl Network {
                 }
             }
             Ev::Replica(action) => self.on_replica(queue, now, action),
-            Ev::ServiceCapacity { node } => self.on_service(queue, now, node),
+            Ev::Wake { node, why } => {
+                let mut wire = self.fabric.wire(queue, now);
+                self.plane.wake(&mut wire, node, why);
+            }
             Ev::SetCapacity { nodes, capacity } => {
-                self.on_set_capacity(queue, now, &nodes, capacity)
+                let mut wire = self.fabric.wire(queue, now);
+                for &idx in &nodes {
+                    self.plane
+                        .set_capacity(&mut wire, NodeId(idx as u32), capacity);
+                }
             }
             Ev::Churn(ev) => self.on_churn(ev),
             Ev::Fault(ev) => {
@@ -330,41 +341,6 @@ impl Network {
         self.plane.replica_event(&mut wire, authority, event);
     }
 
-    /// Services a throttled node's outgoing queues, and keeps servicing
-    /// them while it stays throttled. The loop ends with the node: one
-    /// that departed is not serviced.
-    fn on_service(&mut self, queue: &mut EventQueue<Ev>, now: SimTime, node: NodeId) {
-        let mut again = false;
-        let mut wire = self.fabric.wire(queue, now);
-        self.plane.emit(&mut wire, now, node, |n, out| {
-            again = n.service_outgoing_into(now, out);
-        });
-        if again {
-            queue.schedule(now + SERVICE_INTERVAL, Ev::ServiceCapacity { node });
-        }
-    }
-
-    /// Applies a §3.7 capacity change to a set of nodes. A cut from full
-    /// capacity starts a service loop; a recovery is finalized by the
-    /// next service, which drains the queue in one go.
-    fn on_set_capacity(
-        &mut self,
-        queue: &mut EventQueue<Ev>,
-        now: SimTime,
-        nodes: &[usize],
-        capacity: f64,
-    ) {
-        for &idx in nodes {
-            let id = NodeId(idx as u32);
-            let Some(node) = self.plane.nodes.get_mut(id) else {
-                continue;
-            };
-            if node.set_capacity(capacity) {
-                queue.schedule(now + SERVICE_INTERVAL, Ev::ServiceCapacity { node: id });
-            }
-        }
-    }
-
     /// A node joins or leaves the overlay (§2.9).
     fn on_churn(&mut self, ev: ChurnEvent) {
         match ev {
@@ -425,7 +401,7 @@ impl Network {
                 continue;
             };
             for &removed in &change.removed {
-                node.on_neighbor_departed(removed, None);
+                node.on_neighbor_departed(removed);
             }
         }
     }
@@ -541,10 +517,11 @@ mod tests {
         let joined = NodeId(8);
         let throttled = |net: &Network| net.plane.nodes.get(joined).unwrap().is_throttled();
         assert!(!throttled(&net), "a joined node starts unthrottled");
-        // The first cut throttles it and schedules exactly one service; a
-        // second cut below full capacity schedules none.
+        // The first cut throttles it and schedules exactly one service
+        // wake; a second cut, a recovery and a re-cut before that
+        // service schedule none.
         let mut queue = EventQueue::new();
-        for capacity in [0.25, 0.5] {
+        for capacity in [0.25, 0.5, 1.0, 0.5] {
             let nodes = vec![joined.index()];
             net.dispatch(
                 &mut queue,
@@ -553,8 +530,8 @@ mod tests {
             );
             assert!(throttled(&net), "after the cut to {capacity}");
             let scheduled: Vec<&Ev> = queue.ahead(2).collect();
-            let one_service =
-                matches!(scheduled[..], [Ev::ServiceCapacity { node }] if *node == joined);
+            let service = WakeReason::Service;
+            let one_service = matches!(scheduled[..], [Ev::Wake { node, why }] if *node == joined && *why == service);
             assert!(one_service, "after the cut to {capacity}: {scheduled:?}");
         }
         // A service at a cut fraction schedules the next one; the first

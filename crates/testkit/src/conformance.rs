@@ -214,6 +214,27 @@ impl ConformanceSpec {
         }
     }
 
+    /// The small scenario with §3.6 refresh aggregation on: each key's
+    /// authority holds its refreshes for a 25 s window and releases the
+    /// batch when the window closes (a `WakeReason::Release` wake), with
+    /// no later refresh needed. Three refresh rounds put each surviving
+    /// key's refreshes 20 s apart, so the first batch holds two of them
+    /// and the last is released after the deletion, among the phase-B
+    /// queries. Every release lands mid-gap, 5 s off the scripted steps'
+    /// 10 s grid, where no other work shares its instant (the tie rule
+    /// of `Env::wake_at`).
+    pub fn batched(kind: OverlayKind) -> Self {
+        let base = ConformanceSpec::small(kind);
+        ConformanceSpec {
+            refresh_rounds: 3,
+            config: NodeConfig {
+                refresh_batch_window: Some(SimDuration::from_secs(25)),
+                ..base.config
+            },
+            ..base
+        }
+    }
+
     /// The small scenario with the Byzantine cast armed and the sampled
     /// cache audit switched on: `stale-serve` parks a liar on the
     /// deletion path upstream of an honest witness, `drop-updates` and
@@ -680,13 +701,14 @@ mod tests {
 
     type Spec = ConformanceSpec;
 
-    fn presets(kind: OverlayKind) -> [Spec; 5] {
+    fn presets(kind: OverlayKind) -> [Spec; 6] {
         [
             Spec::small,
             Spec::large,
             Spec::faulty,
             Spec::timed,
             Spec::byzantine,
+            Spec::batched,
         ]
         .map(|p| p(kind))
     }

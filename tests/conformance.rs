@@ -5,7 +5,8 @@
 //! and the spec's fault steps — through the deterministic DES *and* the
 //! sharded worker-pool live runtime over the same topology, for **both**
 //! overlay substrates (CAN and Chord): fault-free at two scales (24 and
-//! 2 048 nodes), under the standard fault script, under timed fault
+//! 2 048 nodes), with §3.6 refresh batches released by the authority's
+//! own wakes, under the standard fault script, under timed fault
 //! windows, and under the Byzantine cast with the cache audit on. Every
 //! scenario asserts whole-`Outcome` equality between the sim and each
 //! live cell it runs — the spec's own worker count and shard map, then
@@ -153,6 +154,40 @@ fn sim_and_live_agree_on_can_at_2k_nodes() {
 #[test]
 fn sim_and_live_agree_on_chord_at_2k_nodes() {
     assert_fault_free_agrees(ConformanceSpec::large(OverlayKind::Chord), &LARGE_MATRIX);
+}
+
+/// §3.6 aggregation: the authorities' held refresh batches are released
+/// by their own wakes at window end, on the virtual clock's steps in the
+/// live runtime and as queue events in the DES. The batches bit: fewer
+/// refreshes travel than with the window off, and some still do.
+fn assert_batches_agree(kind: OverlayKind) {
+    let spec = ConformanceSpec::batched(kind);
+    assert_fault_free_agrees(spec, &FULL_MATRIX);
+    let sim = run_sim(&spec);
+    let unbatched = ConformanceSpec {
+        config: NodeConfig {
+            refresh_batch_window: None,
+            ..spec.config
+        },
+        ..spec
+    };
+    let plain = run_sim(&unbatched);
+    assert!(
+        0 < sim.net.refresh_hops && sim.net.refresh_hops < plain.net.refresh_hops,
+        "{kind}: {} refresh hops batched, {} plain",
+        sim.net.refresh_hops,
+        plain.net.refresh_hops
+    );
+}
+
+#[test]
+fn sim_and_live_agree_on_batched_refreshes_on_can() {
+    assert_batches_agree(OverlayKind::Can);
+}
+
+#[test]
+fn sim_and_live_agree_on_batched_refreshes_on_chord() {
+    assert_batches_agree(OverlayKind::Chord);
 }
 
 /// A windowed fault script (the standard one or the timed windows) must

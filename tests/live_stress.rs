@@ -29,6 +29,9 @@
 //! tail, one batch-size sample per cross-shard flush, and no staleness
 //! on a healthy run.
 //!
+//! On the wall clock, a §3.6 refresh batch is released by the
+//! authority's worker waking itself at window end, with nothing posted.
+//!
 //! The last test reads the runtime's source: the quiesce barrier is exact
 //! only if no atomic it depends on is read or written `Relaxed`.
 
@@ -402,6 +405,65 @@ fn live_histograms_account_for_every_query_and_flush() {
     assert_eq!(net.totals().net.query_latency.count(), 8);
     assert_eq!(net.batched_envelopes(), net.cross_shard_messages());
     assert_eq!(net.batch_size_hist().count(), net.batch_flushes());
+    net.shutdown();
+}
+
+/// Nobody steps a wall clock: a refresh batch the authority holds is
+/// released when its window closes because the worker, parked with a
+/// timeout to its earliest wake, woke itself. Nothing is posted after
+/// the refresh; the test only polls the handle's readings.
+#[test]
+fn a_held_batch_is_released_on_the_wall_clock_with_nothing_posted() {
+    let window = SimDuration::from_millis(200);
+    let config = NodeConfig {
+        refresh_batch_window: Some(window),
+        ..NodeConfig::cup_default()
+    };
+    let (map, mut rng) = (ShardMapMode::Contiguous, DetRng::seed_from(31));
+    let net = LiveNetwork::start_with_map(
+        OverlayKind::Chord,
+        32,
+        config,
+        2,
+        map,
+        Clock::wall(),
+        &mut rng,
+    )
+    .expect("the network starts");
+    let key = KeyId(1);
+    net.replica_birth(key, ReplicaId(0), LIFETIME);
+    net.quiesce();
+    // Every node asks once, so the authority has interested neighbors.
+    for &node in net.nodes() {
+        net.query(node, key).expect("answered");
+    }
+    net.quiesce();
+    net.enable_trace(1 << 12);
+    net.replica_refresh(key, ReplicaId(0), LIFETIME);
+    net.quiesce();
+    // The network's wall-mapped clock doubles as the stopwatch.
+    let patience = net.now() + SimDuration::from_secs(20);
+    while net.totals().net.refresh_hops == 0 {
+        assert!(net.now() < patience, "the held batch was never released");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this test's subject is wall time: it waits out a window nobody steps"
+        )]
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    net.quiesce();
+    let trace = net.take_trace().expect("tracing was on").sorted();
+    let at = |kind| trace.iter().find(|ev| ev.kind == kind).copied();
+    let refresh = at(TraceKind::ReplicaRefresh).expect("the refresh reached the authority");
+    let wake = at(TraceKind::Wake).expect("the authority woke");
+    assert_eq!((wake.node, wake.key, wake.detail), (refresh.node, key, 1));
+    assert!(
+        wake.t >= refresh.t + window,
+        "released {} µs after the refresh, inside the window",
+        wake.t.saturating_since(refresh.t).as_micros()
+    );
+    let first_refresh = at(TraceKind::UpdateRefresh).expect("the batch travelled");
+    assert!(first_refresh.t >= wake.t, "nothing left before the wake");
     net.shutdown();
 }
 

@@ -69,6 +69,25 @@ fn traces_agree_on_can() {
     assert_traces_agree(ConformanceSpec::small(OverlayKind::Can));
 }
 
+/// The §3.6 batch releases show in both traces as the authorities' own
+/// wakes, at the same instants, rather than refreshes from nowhere.
+#[test]
+fn traces_agree_on_batched_refreshes() {
+    let spec = ConformanceSpec::batched(OverlayKind::Chord);
+    assert_traces_agree(spec);
+    let (_, trace) = run_live_traced(&spec, TRACE_CAP);
+    let releases = trace
+        .sorted()
+        .into_iter()
+        .filter(|ev| ev.kind == TraceKind::Wake);
+    let releases: Vec<TraceEvent> = releases.collect();
+    assert!(!releases.is_empty(), "no batch was released");
+    for ev in releases {
+        assert_eq!(ev.detail, 1, "a release, not a capacity service: {ev:?}");
+        assert_eq!(ev.t.as_micros() % 10_000_000, 5_000_000, "mid-gap: {ev:?}");
+    }
+}
+
 #[test]
 fn traces_agree_on_chord() {
     assert_traces_agree(ConformanceSpec::small(OverlayKind::Chord));

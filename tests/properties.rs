@@ -9,7 +9,8 @@ use cup::protocol::capacity::OutgoingQueues;
 use cup::protocol::policy::{CutoffContext, CutoffPolicy};
 use cup::protocol::popularity::{Popularity, ResetMode};
 use cup::protocol::{
-    AuditConfig, ClientId, CupNode, IndexEntry, NodeConfig, Requester, Update, UpdateKind,
+    Action, AuditConfig, ClientId, CupNode, IndexEntry, NodeConfig, Requester, Update, UpdateKind,
+    WakeReason, SERVICE_INTERVAL,
 };
 
 fn arb_update(kind: UpdateKind) -> impl Strategy<Value = Update> {
@@ -131,6 +132,64 @@ proptest! {
             if x < bound / 2 { low = true } else { high = true }
         }
         prop_assert!(low && high, "200 draws should cover both halves");
+    }
+
+    /// One §2.8 service loop per throttle: over random capacity changes
+    /// at random instants (several at one instant, and changes at the
+    /// instant a service is due, before or after it), the node has
+    /// exactly one outstanding service wake while it is throttled, each
+    /// asked for one `SERVICE_INTERVAL` after the change or service
+    /// that asked, and none once a service lifted the throttle.
+    #[test]
+    fn a_throttled_node_keeps_exactly_one_service_wake(
+        steps in proptest::collection::vec((0u64..3, 0u64..4, 0u64..6, 0u64..2), 1..60),
+    ) {
+        let mut node = CupNode::new(NodeId(1), NodeConfig::cup_default());
+        // The outstanding wakes, as the runtime would hold them.
+        let mut wakes: Vec<SimTime> = Vec::new();
+        let mut out = Vec::new();
+        let mut now = SimTime::ZERO;
+        // Keeps what `node` asked for at `now` and checks the invariant.
+        let keep = |node: &CupNode, out: &mut Vec<Action>, wakes: &mut Vec<SimTime>, now: SimTime| {
+            for action in out.drain(..) {
+                if let Action::Wake { at, why } = action {
+                    prop_assert_eq!(why, WakeReason::Service);
+                    prop_assert_eq!(at, now + SERVICE_INTERVAL);
+                    wakes.push(at);
+                }
+            }
+            prop_assert_eq!(wakes.len(), usize::from(node.is_throttled()));
+            Ok(())
+        };
+        // Runs the wakes due by `now`, earliest first.
+        let run_due = |node: &mut CupNode, out: &mut Vec<Action>, wakes: &mut Vec<SimTime>, now| {
+            while let Some(i) = wakes.iter().position(|&at| at <= now) {
+                let at = wakes.remove(i);
+                node.wake_into(at, WakeReason::Service, out);
+                keep(node, out, wakes, at)?;
+            }
+            Ok(())
+        };
+        for (secs, part, level, wakes_first) in steps {
+            // Whole seconds land changes on the instants wakes are due.
+            let micros = [0, 1, 500_000, 999_999][part as usize];
+            now = now + SimDuration::from_secs(secs) + SimDuration::from_micros(micros);
+            if wakes_first == 1 {
+                run_due(&mut node, &mut out, &mut wakes, now)?;
+            }
+            let c = [0.0, 0.25, 0.5, 0.99, 1.0, 1.0][level as usize];
+            node.set_capacity_into(now, c, &mut out);
+            keep(&node, &mut out, &mut wakes, now)?;
+            if wakes_first == 0 {
+                run_due(&mut node, &mut out, &mut wakes, now)?;
+            }
+        }
+        // Back at full capacity, the next service lifts the throttle and
+        // asks for no other.
+        node.set_capacity_into(now, 1.0, &mut out);
+        keep(&node, &mut out, &mut wakes, now)?;
+        run_due(&mut node, &mut out, &mut wakes, now + SERVICE_INTERVAL)?;
+        prop_assert!(wakes.is_empty() && !node.is_throttled());
     }
 
     /// Capacity queues conserve updates: everything enqueued is either
