@@ -4,8 +4,8 @@
 //! into a `Vec<Action>` and the embedding runtime (discrete-event
 //! simulator or live threaded runtime) delivers them. A node keeps no
 //! timers either: what it must do later without a message to trigger it
-//! it asks for as an [`Action::Wake`], and the runtime calls
-//! [`crate::node::CupNode::wake_into`] when the instant comes.
+//! it asks for as an [`Action::Wake`]; the delivery kernel keeps it and
+//! calls [`crate::node::CupNode::wake_into`] when the instant comes.
 
 use cup_des::{KeyId, NodeId, SimTime};
 

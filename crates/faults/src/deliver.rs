@@ -11,32 +11,37 @@
 //! record latency and staleness. [`Plane`] owns that order, the nodes the
 //! handlers run on (its [`NodeArena`]) and every book the kernel keeps —
 //! metrics, justification windows, the staleness ground truth (written
-//! by the runtime through [`Plane::note_death`]) and the trace ring; an
-//! [`Env`] supplies only the transport, in seven methods.
+//! by the runtime through [`Plane::note_death`]), the nodes' wakes and
+//! the trace ring; an [`Env`] supplies only the transport, in six
+//! methods.
 //!
 //! A node does two things no message triggers — a throttled node's §2.8
 //! queue service and the §3.6 release of an authority's refresh batch —
-//! and asks for each as an [`Action::Wake`]. The kernel hands the wake
-//! to the transport ([`Env::wake_at`]), which calls [`Plane::wake`] when
-//! the instant comes; that runs the node's [`CupNode::wake_into`]
-//! through the same path as a message's handler, traced as
-//! [`TraceKind::Wake`]. The DES keeps wakes in its event queue; a
-//! transport without one keeps them in the plane's time-ordered
-//! [`WakeList`].
+//! and asks for each as an [`Action::Wake`], which the plane keeps.
+//! Both runtimes read the kept wakes through [`Plane::next_wake`] and
+//! run the earliest due through [`Plane::wake_due`]: the node's
+//! [`CupNode::wake_into`] on a message handler's path, traced as
+//! [`TraceKind::Wake`]. One tie rule holds in both: a wake runs after
+//! the other work of its instant (the DES's queued events and their
+//! cascades; the live runtime's work posted there, once quiesced), and
+//! wakes of one instant run in the order they were asked for.
 //!
-//! The fault state, the justification tracker and the ground truth are
-//! private fields, so a runtime cannot run a gate or feed the tracker
-//! outside this order: the compiler refuses (E0616). A driver reaches
-//! them only through entry points — [`Plane::apply`] for a fault action,
-//! [`Plane::note_death`] for a death, [`Plane::mark`] for path nodes a
-//! query posted on another plane crossed. Marking a posted query's
-//! virtual path is split the same way: [`Env::mark_path`] routes the path,
-//! hands every other plane its share and returns this plane's, and the
-//! kernel marks that share in its own tracker.
+//! The fault state, the justification tracker, the ground truth and the
+//! wakes are private fields, so a runtime cannot run a gate, feed the
+//! tracker or keep a wake outside this order: the compiler refuses
+//! (E0616). A driver reaches them only through entry points —
+//! [`Plane::apply`] for a fault action, [`Plane::note_death`] for a
+//! death, [`Plane::mark`] for path nodes a query posted on another plane
+//! crossed. Marking a posted query's virtual path is split the same
+//! way: [`Env::mark_path`] routes the path, hands every other plane its
+//! share and returns this plane's, and the kernel marks that share in
+//! its own tracker.
 //!
 //! [`Plane::apply`] also wipes a node whose crash changed the plane, if
-//! the plane holds it (its counters stay in the arena), so no message
-//! can reach the pre-crash state once the crash is applied.
+//! the plane holds it (its counters stay in the arena), and forgets its
+//! wakes, so nothing reaches the pre-crash state once the crash is
+//! applied; no entry point runs a crashed node's handler, so no wake is
+//! kept for one.
 //!
 //! A query or clear-bit needs its receiver's next hop toward the key's
 //! authority. The kernel asks the node first ([`CupNode::upstream_hint`]:
@@ -76,8 +81,7 @@ use crate::state::{DropVerdict, FaultState};
 pub struct RoutingFailed;
 
 /// What a transport supplies to the kernel: a clock, routing, a way to
-/// carry a message one hop, the waiting clients and a way to wake a
-/// node later.
+/// carry a message one hop and the waiting clients.
 pub trait Env {
     /// The current time (simulated, virtual or wall-mapped).
     fn now(&self) -> SimTime;
@@ -106,58 +110,13 @@ pub trait Env {
     /// plane serves, which the kernel marks itself (§3.1). A failed route
     /// marks nothing.
     fn mark_path(&mut self, at: NodeId, key: KeyId, t: SimTime) -> &[NodeId];
-
-    /// `node` asked to be woken for `why` at `at` (never before now):
-    /// call [`Plane::wake`] then. A transport with an event queue of its
-    /// own schedules the wake there and leaves `list` alone; one without
-    /// keeps it in `list`, the plane's [`WakeList`], and runs it once
-    /// its clock reaches `at`.
-    ///
-    /// Ties: a wake due at the same instant as other work runs after the
-    /// work already scheduled for that instant when it was asked for, and
-    /// before work scheduled later (the DES's queue order). The live
-    /// runtime on its virtual clock runs a wake once the work of earlier
-    /// instants has quiesced, and one due exactly at a `run_until`
-    /// deadline after the work posted at that deadline. The two agree
-    /// wherever a wake's instant carries no other work.
-    fn wake_at(&mut self, list: &mut WakeList, node: NodeId, at: SimTime, why: WakeReason);
-}
-
-/// The wakes a plane's nodes asked for, earliest first, ties in the
-/// order they were asked for: where a transport without an event queue
-/// keeps them ([`Env::wake_at`]).
-#[derive(Debug, Default)]
-pub struct WakeList {
-    due: BTreeMap<(SimTime, u64), (NodeId, WakeReason)>,
-    asked: u64,
-}
-
-impl WakeList {
-    /// Keeps `node`'s wake for `why` at `at`.
-    pub fn push(&mut self, node: NodeId, at: SimTime, why: WakeReason) {
-        self.due.insert((at, self.asked), (node, why));
-        self.asked += 1;
-    }
-
-    /// When the earliest wake is due; `None` if none is kept.
-    pub fn next_due(&self) -> Option<SimTime> {
-        self.due.first_key_value().map(|(&(at, _), _)| at)
-    }
-
-    /// Takes the earliest wake, if it is due at or before `now`.
-    pub fn pop_due(&mut self, now: SimTime) -> Option<(NodeId, WakeReason)> {
-        if self.next_due()? > now {
-            return None;
-        }
-        self.due.pop_first().map(|(_, wake)| wake)
-    }
 }
 
 /// The state a delivery touches: the nodes, the fault plane, the
-/// justification tracker, the metrics sink, the staleness ground truth
-/// and the trace ring. The DES owns one holding every node; the live
-/// runtime one per shard holding the shard's nodes, each seeing exactly
-/// the messages those nodes send and receive, folded by
+/// justification tracker, the metrics sink, the staleness ground truth,
+/// the trace ring and the nodes' wakes. The DES owns one holding every
+/// node; the live runtime one per shard holding the shard's nodes, each
+/// seeing exactly the messages those nodes send and receive, folded by
 /// [`Plane::totals`].
 #[derive(Debug, Default)]
 pub struct Plane {
@@ -190,10 +149,15 @@ pub struct Plane {
     /// Reusable action buffer: handlers push into it, `Plane::emit`
     /// drains it, so steady-state delivery allocates nothing of its own.
     scratch: Vec<Action>,
-    /// The wakes this plane's nodes asked for, if the transport keeps
-    /// them here ([`Env::wake_at`]); it takes them out once due
-    /// ([`WakeList::pop_due`]) and runs each through [`Plane::wake`].
-    pub wakes: WakeList,
+    /// The wakes this plane's nodes asked for, earliest first, ties in
+    /// the order they were asked for (`asked` numbers them). Bounded: at
+    /// most one `Service` wake per throttled node (a node asks for its
+    /// next service only from the one before, or from a cut that finds
+    /// it unthrottled) plus one `Release` per open §3.6 batch. Running a
+    /// wake takes it out, and a crash forgets every wake of its node.
+    wakes: BTreeMap<(SimTime, u64), (NodeId, WakeReason)>,
+    /// How many wakes this plane's nodes ever asked for.
+    asked: u64,
 }
 
 /// What a run's planes add up to.
@@ -225,14 +189,20 @@ impl Plane {
     /// Applies one fault action (see [`FaultState::apply`]) and latches
     /// `armed`: from here on deaths are ground truth. A crash that changed
     /// the plane wipes the node, if this plane holds it
-    /// ([`NodeArena::reset`]). Returns whether the action changed
-    /// anything.
+    /// ([`NodeArena::reset`]), and forgets its wakes. Returns whether the
+    /// action changed anything.
+    ///
+    /// What survives a crash: the node's counters, which the arena
+    /// keeps. Its hints, key records, outgoing queues and throttle are
+    /// wiped, so it restarts cold at full capacity; a §3.7 capacity
+    /// profile's next epoch applies its cut again.
     pub fn apply(&mut self, action: FaultAction) -> bool {
         self.armed = true;
         let changed = self.faults.apply(action);
         if let (true, FaultAction::Crash { node }) = (changed, action) {
             if let Ok(id) = u32::try_from(node) {
                 self.nodes.reset(NodeId(id));
+                self.wakes.retain(|_, &mut (n, _)| n != NodeId(id));
             }
         }
         changed
@@ -382,27 +352,43 @@ impl Plane {
         });
     }
 
-    /// Wakes `node` for what it asked ([`Env::wake_at`]): runs its
-    /// [`CupNode::wake_into`] at the transport's now, traced as
-    /// [`TraceKind::Wake`] with the reason as `detail`. Does nothing if
-    /// this plane does not hold `node` (it departed).
-    pub fn wake<E: Env>(&mut self, env: &mut E, node: NodeId, why: WakeReason) {
-        if !self.nodes.holds(node) {
-            return;
-        }
-        let now = env.now();
-        let (key, detail) = match why {
-            WakeReason::Service => (KeyId(0), 0),
-            WakeReason::Release(key) => (key, 1),
+    /// When the earliest wake this plane keeps is due, if it keeps any.
+    pub fn next_wake(&self) -> Option<SimTime> {
+        self.wakes.first_key_value().map(|(&(at, _), _)| at)
+    }
+
+    /// Takes the earliest wake this plane keeps, if it is due by the
+    /// transport's now, and runs it: the node's [`CupNode::wake_into`]
+    /// at that now, traced as [`TraceKind::Wake`] with the reason as
+    /// `detail`. A wake of a node this plane no longer holds (it
+    /// departed) runs nothing. Returns whether a wake was taken.
+    pub fn wake_due<E: Env>(&mut self, env: &mut E) -> bool {
+        let Some(first) = self.wakes.first_entry() else {
+            return false;
         };
-        self.trace(now, node, TraceKind::Wake, key, detail);
-        self.emit(env, now, node, |n, out| n.wake_into(now, why, out));
+        let now = env.now();
+        if first.key().0 > now {
+            return false;
+        }
+        let (node, why) = first.remove();
+        if self.nodes.holds(node) {
+            let (key, detail) = match why {
+                WakeReason::Service => (KeyId(0), 0),
+                WakeReason::Release(key) => (key, 1),
+            };
+            self.trace(now, node, TraceKind::Wake, key, detail);
+            self.emit(env, now, node, |n, out| n.wake_into(now, why, out));
+        }
+        true
     }
 
     /// Sets `node`'s §2.8 capacity fraction to `c`
     /// ([`CupNode::set_capacity_into`]): a cut that throttles it asks to
-    /// be woken for its first service.
+    /// be woken for its first service. A crashed node takes no cut.
     pub fn set_capacity<E: Env>(&mut self, env: &mut E, node: NodeId, c: f64) {
+        if self.faults.is_crashed(node) {
+            return;
+        }
         let now = env.now();
         self.emit(env, now, node, |n, out| n.set_capacity_into(now, c, out));
     }
@@ -460,7 +446,20 @@ impl Plane {
                         self.metrics.query_latency.record(waited);
                     }
                 }
-                Action::Wake { at, why } => env.wake_at(&mut self.wakes, from, at, why),
+                Action::Wake { at, why } => {
+                    // The invariant monitor (debug builds only).
+                    debug_assert!(
+                        !self.faults.is_crashed(from),
+                        "crashed {from:?} asked for a wake"
+                    );
+                    debug_assert!(
+                        why != WakeReason::Service
+                            || !self.wakes.values().any(|&w| w == (from, why)),
+                        "{from:?} asked for a second §2.8 service wake"
+                    );
+                    self.wakes.insert((at, self.asked), (from, why));
+                    self.asked += 1;
+                }
             }
         }
         self.scratch = actions;
@@ -553,9 +552,6 @@ mod tests {
         fn mark_path(&mut self, at: NodeId, _: KeyId, _: SimTime) -> &[NodeId] {
             self.path = (0..=at.0).rev().map(NodeId).collect();
             &self.path
-        }
-        fn wake_at(&mut self, list: &mut WakeList, node: NodeId, at: SimTime, why: WakeReason) {
-            list.push(node, at, why);
         }
     }
 
@@ -855,18 +851,25 @@ mod tests {
         assert!(env.answers.is_empty() && traced(&plane).is_empty());
     }
 
+    /// The wakes `plane` traced: when, at which node, and why (`detail`).
+    fn traced_wakes(plane: &Plane) -> Vec<(SimTime, NodeId, u64)> {
+        let ring = plane.trace.as_ref().unwrap().sorted();
+        let wakes = ring.iter().filter(|ev| ev.kind == TraceKind::Wake);
+        wakes.map(|ev| (ev.t, ev.node, ev.detail)).collect()
+    }
+
     #[test]
     fn a_wake_runs_through_the_emit_path_and_is_traced() {
         let (mut plane, mut env) = world(&[]);
         // Node 3 caches key 1 for node 4, then is throttled: its cut asks
-        // for a service one second on, kept in the plane's list.
+        // for a service one second on, kept by the plane.
         recv(&mut plane, &mut env, 4, 3, Message::Query { key: KEY });
         recv(&mut plane, &mut env, 2, 3, update(UpdateKind::FirstTime, 0));
         plane.set_capacity(&mut env, NodeId(3), 0.0);
         plane.set_capacity(&mut env, NodeId(7), 0.5);
         let second = SimTime::from_secs(1);
-        assert_eq!(plane.wakes.next_due(), Some(second));
-        assert_eq!(plane.wakes.pop_due(SimTime::ZERO), None, "not yet due");
+        assert_eq!(plane.next_wake(), Some(second));
+        assert!(!plane.wake_due(&mut env), "not yet due");
         // A refresh waits for the service.
         env.sent.clear();
         recv(&mut plane, &mut env, 2, 3, update(UpdateKind::Refresh, 0));
@@ -874,35 +877,58 @@ mod tests {
         // The service at full capacity releases it; nothing asks again.
         plane.set_capacity(&mut env, NodeId(3), 1.0);
         env.now = second;
-        let woken: Vec<_> = std::iter::from_fn(|| plane.wakes.pop_due(second)).collect();
-        assert_eq!(
-            woken,
-            [
-                (NodeId(3), WakeReason::Service),
-                (NodeId(7), WakeReason::Service)
-            ]
-        );
-        plane.wake(&mut env, NodeId(3), WakeReason::Service);
+        assert!(plane.wake_due(&mut env), "node 3 asked first");
         assert_eq!(env.sent.len(), 1, "the queued refresh left");
         assert_eq!(
             plane.metrics.refresh_hops, 1,
             "charged at its receiver only"
         );
-        assert_eq!(plane.wakes.next_due(), None, "node 3 is unthrottled");
-        let ring = plane.trace.as_ref().unwrap().sorted();
-        let wakes: Vec<_> = ring
-            .iter()
-            .filter(|ev| ev.kind == TraceKind::Wake)
-            .collect();
-        assert_eq!(wakes.len(), 1);
+        assert!(plane.wake_due(&mut env) && !plane.wake_due(&mut env));
+        assert!(!node(&plane, 3).is_throttled(), "node 3 is unthrottled");
+        let next = SimTime::from_secs(2);
+        assert_eq!(plane.next_wake(), Some(next), "node 7 serves on");
         assert_eq!(
-            (wakes[0].t, wakes[0].node, wakes[0].detail),
-            (second, NodeId(3), 0)
+            traced_wakes(&plane),
+            [(second, NodeId(3), 0), (second, NodeId(7), 0)]
         );
-        // A plane that does not hold the node neither runs nor traces it.
-        let mut other = traced_plane(|&n| n != 3);
-        other.wake(&mut env, NodeId(3), WakeReason::Service);
+        // A plane that no longer holds the node neither runs nor traces it.
+        let mut other = traced_plane(|_| true);
+        env.now = SimTime::ZERO;
+        other.set_capacity(&mut env, NodeId(3), 0.5);
+        other.nodes.remove(NodeId(3));
+        env.now = second;
+        assert!(other.wake_due(&mut env));
         assert!(traced(&other).is_empty());
+    }
+
+    #[test]
+    fn a_crash_forgets_the_service_wake_of_the_node_it_wipes() {
+        let (mut plane, mut env) = world(&[]);
+        let millis = |ms: u64| SimTime::from_micros(ms * 1_000);
+        let cut = |plane: &mut Plane, env: &mut Fake, ms| {
+            env.now = millis(ms);
+            plane.set_capacity(env, NodeId(3), 0.5);
+        };
+        // Cut at 0 s, crash at 0.1 s, restart at 0.2 s, cut at 0.6 s.
+        cut(&mut plane, &mut env, 0);
+        assert!(plane.apply(FaultAction::Crash { node: 3 }));
+        assert!(plane.apply(FaultAction::Restart { node: 3 }));
+        cut(&mut plane, &mut env, 600);
+        // One §2.8 loop, from the second cut.
+        let mut services = Vec::new();
+        while let Some(due) = plane.next_wake().filter(|&t| t <= millis(4_000)) {
+            env.now = due;
+            assert!(plane.wake_due(&mut env));
+            services.push(due);
+        }
+        assert_eq!(services, [millis(1_600), millis(2_600), millis(3_600)]);
+        // A crashed node's cut asks for nothing and traces nothing.
+        assert!(plane.apply(FaultAction::Crash { node: 3 }));
+        let before = traced(&plane).len();
+        cut(&mut plane, &mut env, 4_100);
+        assert_eq!(plane.next_wake(), None);
+        assert!(!node(&plane, 3).is_throttled());
+        assert_eq!(traced(&plane).len(), before);
     }
 
     /// One scripted stream — a birth, queries from three depths, a

@@ -90,7 +90,7 @@ pub mod plan;
 pub mod state;
 
 pub use arena::NodeArena;
-pub use deliver::{Env, Plane, RoutingFailed, Totals, WakeList};
+pub use deliver::{Env, Plane, RoutingFailed, Totals};
 pub use metrics::NetMetrics;
 pub use plan::{Behavior, FaultAction, FaultEvent, FaultPlan};
 pub use state::{DropVerdict, FaultCounters, FaultState};

@@ -299,6 +299,7 @@ impl LiveNetwork {
         }
         for local in &mut self.shared.lock_locals() {
             local.plane.apply(action);
+            self.shared.recount_wakes(local);
         }
     }
 
@@ -403,10 +404,10 @@ impl LiveNetwork {
     /// Panics on a wall-mapped clock or if `deadline` is in the past.
     pub fn run_until(&self, deadline: SimTime) -> SimTime {
         self.quiesce();
-        while let Some((at, shards)) = self.shared.next_wakes(deadline) {
+        while let Some(at) = self.shared.next_wake(deadline) {
             self.shared.clock.advance_to(at);
-            for shard in shards {
-                self.shared.post(shard, Envelope::Wake { at });
+            for shard in 0..self.shared.map.shards() {
+                self.shared.post(shard, Envelope::Wake);
             }
             self.quiesce();
         }

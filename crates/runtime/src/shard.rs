@@ -53,14 +53,16 @@
 //! wait for a round; answers land in it in place, and a blocking query
 //! waits on a condvar paired with that mutex.
 //!
-//! A node's wakes (a §2.8 capacity service, a §3.6 batch release) wait
-//! in its shard plane's time-ordered [`cup_faults::WakeList`], counted
-//! in [`Shared`]'s `wakes`. On the wall clock the worker runs what is
-//! due at the start of every round and, when idle, parks with a timeout
-//! to the earliest one. On the virtual clock time moves only in
+//! A node's wakes (a §2.8 capacity service, a §3.6 batch release) are
+//! kept by its shard's plane and read through [`Plane::next_wake`] and
+//! [`Plane::wake_due`]. On the wall clock the worker runs what is due at
+//! the end of every round and, when idle, parks with a timeout to the
+//! earliest one. On the virtual clock time moves only in
 //! `LiveNetwork::run_until`, which steps it to each instant a wake is
-//! due and posts [`Envelope::Wake`] to the shards holding one; with no
-//! wake kept anywhere that costs it one atomic read.
+//! due and posts [`Envelope::Wake`] to every shard; with no wake kept
+//! anywhere that costs it one atomic read ([`Shared`]'s `wakes`,
+//! recounted under a shard's lock at the end of each round and when the
+//! handle applies a fault, whose crash forgets its node's wakes).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{self, AtomicUsize, Ordering};
@@ -69,9 +71,9 @@ use std::time::Duration;
 
 use cup_core::clock::Clock;
 use cup_core::obs::Hist;
-use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent, WakeReason};
+use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
 use cup_des::{KeyId, NodeId, ReplicaId, SimDuration, SimTime};
-use cup_faults::{Env, NodeArena, Plane, RoutingFailed, WakeList};
+use cup_faults::{Env, NodeArena, Plane, RoutingFailed};
 use cup_overlay::{AnyOverlay, Overlay};
 
 use crate::shard_map::ShardMap;
@@ -134,12 +136,9 @@ pub(crate) enum Envelope {
         /// The receiving shard's nodes on the query's virtual path.
         nodes: [NodeId; MARK_NODES],
     },
-    /// The virtual clock was stepped to `at`: run this shard's wakes due
-    /// by then, each with its cascade, in the order they are due.
-    Wake {
-        /// The instant the clock now reads.
-        at: SimTime,
-    },
+    /// The virtual clock was stepped to an instant some wake is due: run
+    /// this shard's wakes due by now, each with its cascade, in order.
+    Wake,
 }
 
 /// Path nodes one [`Envelope::JustifyMark`] carries: as many as fit
@@ -260,6 +259,9 @@ pub(crate) struct ShardLocal {
     /// the DES has no batching, so this never enters conformance
     /// outcomes); its count is the number of such flushes.
     pub(crate) batch_sizes: Hist,
+    /// Whether [`Shared`]'s `wakes` counts this shard as keeping a wake
+    /// ([`Shared::recount_wakes`]).
+    counted_wakes: bool,
 }
 
 /// One waiting client: when its query was posted, until the first
@@ -408,8 +410,8 @@ pub(crate) struct Shared {
     /// shard instead of waiting forever on an in-flight counter that
     /// will never reach zero.
     panicked: AtomicUsize,
-    /// Wakes kept in the shards' planes ([`Plane::wakes`]) and not yet
-    /// run: `run_until` looks for due ones only while it is non-zero.
+    /// Shards whose plane keeps a wake ([`Shared::recount_wakes`]):
+    /// `run_until` looks for due ones only while it is non-zero.
     wakes: AtomicUsize,
     idle_lock: Mutex<()>,
     idle_cv: Condvar,
@@ -432,6 +434,7 @@ impl Shared {
                     plane: Plane::new(NodeArena::build(map.owned(shard), config)),
                     cross_shard: 0,
                     batch_sizes: Hist::default(),
+                    counted_wakes: false,
                 })
             })
             .collect();
@@ -530,30 +533,32 @@ impl Shared {
             .collect()
     }
 
+    /// Recounts `local`'s shard in `wakes`. Call under its lock, after
+    /// whatever may have changed its plane's wakes.
+    pub(crate) fn recount_wakes(&self, local: &mut ShardLocal) {
+        let keeps = local.plane.next_wake().is_some();
+        match (std::mem::replace(&mut local.counted_wakes, keeps), keeps) {
+            (false, true) => self.wakes.fetch_add(1, Ordering::SeqCst),
+            (true, false) => self.wakes.fetch_sub(1, Ordering::SeqCst),
+            _ => 0,
+        };
+    }
+
     /// `shard`'s waiting clients.
     pub(crate) fn clients_of(&self, shard: usize) -> &Clients {
         &self.clients[shard]
     }
 
     /// The earliest instant before `deadline` at which some shard keeps
-    /// a wake, and the shards that keep one then; `None` at once, after
-    /// one atomic read, if no shard keeps any. Call quiescent, so no
-    /// worker is adding one.
-    pub(crate) fn next_wakes(&self, deadline: SimTime) -> Option<(SimTime, Vec<usize>)> {
+    /// a wake; `None` at once, after one atomic read, if no shard keeps
+    /// any. Call quiescent, so no worker is adding one.
+    pub(crate) fn next_wake(&self, deadline: SimTime) -> Option<SimTime> {
         if self.wakes.load(Ordering::SeqCst) == 0 {
             return None;
         }
-        let due: Vec<Option<SimTime>> = (self.lock_locals().iter())
-            .map(|local| local.plane.wakes.next_due())
-            .collect();
-        let at = due
-            .iter()
-            .flatten()
-            .min()
-            .copied()
-            .filter(|&at| at < deadline)?;
-        let shards = (0..due.len()).filter(|&s| due[s] == Some(at)).collect();
-        Some((at, shards))
+        let locals = self.lock_locals();
+        let due = locals.iter().filter_map(|local| local.plane.next_wake());
+        due.min().filter(|&at| at < deadline)
     }
 }
 
@@ -576,7 +581,7 @@ struct Worker {
     path_split: Vec<Vec<NodeId>>,
     /// On the wall clock, when this shard's earliest wake is due (read
     /// at the end of each round, under the round's lock); always `None`
-    /// on the virtual clock, where `Envelope::Wake` runs them.
+    /// on the virtual clock, where [`Envelope::Wake`] runs them.
     alarm: Option<SimTime>,
 }
 
@@ -683,16 +688,19 @@ pub(crate) fn worker_main(shard: usize, shared: Arc<Shared>) {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let consumed = worker.drain_round(&mut state);
-        if wall && state.plane.wakes.next_due().is_some() {
-            worker.wake_until(&mut state, shared.now());
+        if wall {
+            worker.wake_due(&mut state);
         }
         // Flush-before-decrement: cross-shard children enter the
         // in-flight count before their parents retire, so the barrier
         // can never observe zero while this round's output is in hand.
         worker.flush(&mut state);
         if wall {
-            worker.alarm = state.plane.wakes.next_due();
+            worker.alarm = state.plane.next_wake();
         }
+        // Recounted before the round retires, so a barrier that drains
+        // sees every wake the round asked for.
+        shared.recount_wakes(&mut state);
         drop(state);
         shared.finish_n(consumed);
     }
@@ -752,18 +760,16 @@ impl Worker {
             Envelope::Client { at, key, client } => state.plane.post_query(self, at, key, client),
             Envelope::Replica { at, event } => state.plane.replica_event(self, at, event),
             Envelope::Death { key, replica, at } => state.plane.note_death(key, replica, at),
-            Envelope::Wake { at } => self.wake_until(state, at),
+            Envelope::Wake => self.wake_due(state),
         }
         self.cascade(state);
     }
 
-    /// Runs every wake this shard keeps that is due at or before `now`,
-    /// earliest first, each with its whole intra-shard cascade before
-    /// the next (a wake one of them asks for, if due by `now`, too).
-    fn wake_until(&mut self, state: &mut ShardLocal, now: SimTime) {
-        while let Some((node, why)) = state.plane.wakes.pop_due(now) {
-            self.shared.wakes.fetch_sub(1, Ordering::SeqCst);
-            state.plane.wake(self, node, why);
+    /// Runs every wake this shard keeps that is due by now, earliest
+    /// first, each with its whole intra-shard cascade before the next (a
+    /// wake one of them asks for, if due by now, too).
+    fn wake_due(&mut self, state: &mut ShardLocal) {
+        while state.plane.wake_due(self) {
             self.cascade(state);
         }
     }
@@ -861,13 +867,6 @@ impl Env for Worker {
             nodes.clear();
         }
         &self.path_split[self.shard]
-    }
-
-    /// A live shard has no event queue: the wake waits in its plane's
-    /// list, counted in [`Shared`]'s `wakes`.
-    fn wake_at(&mut self, list: &mut WakeList, node: NodeId, at: SimTime, why: WakeReason) {
-        list.push(node, at, why);
-        self.shared.wakes.fetch_add(1, Ordering::SeqCst);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Simulation events.
 
-use cup_core::{Message, WakeReason};
+use cup_core::Message;
 use cup_des::{KeyId, NodeId};
 use cup_faults::FaultEvent;
 use cup_workload::{churn::ChurnEvent, replica::ReplicaAction};
@@ -29,14 +29,6 @@ pub enum Ev {
     },
     /// A replica lifecycle action reaches its authority node.
     Replica(ReplicaAction),
-    /// A node asked to be woken now (`cup_core::Action::Wake`): a §2.8
-    /// capacity service or a §3.6 batch release.
-    Wake {
-        /// The node to wake.
-        node: NodeId,
-        /// What it asked to be woken for.
-        why: WakeReason,
-    },
     /// A scheduled capacity change (§3.7 profiles).
     SetCapacity {
         /// Dense indices of the affected nodes.

@@ -11,12 +11,12 @@
 //! the simulated transport the kernel runs over through [`Env`]: the
 //! event queue with the latency model (× the fault plane's spike
 //! factor), the authority cache and the posted-time map. A node's wakes
-//! (a §2.8 capacity service, a §3.6 batch release) are [`Ev::Wake`]
-//! events in the same queue, each run through [`Plane::wake`]. What stays
-//! here is what only a simulation has: the workload generators, churn
-//! (and the liveness gate that counts deliveries to departed nodes) and
-//! the §3.7 capacity schedule, each change one [`Plane::set_capacity`]
-//! per node.
+//! (a §2.8 capacity service, a §3.6 batch release) stay in the plane,
+//! and [`Network::run_until`] runs them between the queue's events. What
+//! stays here is what only a simulation has: the workload generators,
+//! churn (and the liveness gate that counts deliveries to departed
+//! nodes) and the §3.7 capacity schedule, each change one
+//! [`Plane::set_capacity`] per node.
 //!
 //! Churn is also the one thing that moves a route. A join or a leave
 //! clears the authority cache and, with it, every live node's upstream
@@ -34,9 +34,9 @@
 
 use std::collections::BTreeMap;
 
-use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent, WakeReason};
+use cup_core::{ClientId, CupNode, IndexEntry, Message, NodeConfig, ReplicaEvent};
 use cup_des::{DetRng, EventQueue, KeyId, LatencyModel, NodeId, SimDuration, SimTime};
-use cup_faults::{Env, NodeArena, Plane, RoutingFailed, WakeList};
+use cup_faults::{Env, NodeArena, Plane, RoutingFailed};
 use cup_overlay::{AnyOverlay, Overlay};
 use cup_workload::{
     churn::ChurnEvent,
@@ -158,11 +158,6 @@ impl Env for Wire<'_> {
         }
         path
     }
-
-    /// The event queue keeps the wake, in its `(time, sequence)` order.
-    fn wake_at(&mut self, _: &mut WakeList, node: NodeId, at: SimTime, why: WakeReason) {
-        self.queue.schedule(at, Ev::Wake { node, why });
-    }
 }
 
 impl Network {
@@ -193,19 +188,27 @@ impl Network {
         }
     }
 
-    /// Drains `queue` through [`Network::dispatch`] until it is empty or
-    /// its next event fires at or after `deadline` (an event exactly at
-    /// `deadline` stays pending). Returns the number of events processed.
+    /// Drains `queue` through [`Network::dispatch`] and the plane's
+    /// wakes through [`Plane::wake_due`] until neither holds anything due
+    /// before `deadline` (one exactly at `deadline` stays pending); the
+    /// queue's events of a wake's instant go first. Returns the number
+    /// of events and wakes processed.
     pub fn run_until(&mut self, queue: &mut EventQueue<Ev>, deadline: SimTime) -> u64 {
-        let mut processed = 0;
-        let mut now = SimTime::ZERO;
-        while let Some((at, ev)) = queue.pop_before(deadline) {
-            debug_assert!(at >= now, "event queue went backwards in time");
-            now = at;
+        let (mut processed, mut now) = (0, SimTime::ZERO);
+        loop {
+            let wake = self.plane.next_wake().filter(|&at| at < deadline);
+            let horizon = wake.map_or(deadline, |at| at + SimDuration::from_micros(1));
+            if let Some((at, ev)) = queue.pop_before(horizon) {
+                debug_assert!(at >= now, "event queue went backwards in time");
+                now = at;
+                self.dispatch(queue, at, ev);
+            } else if let Some(at) = wake {
+                self.plane.wake_due(&mut self.fabric.wire(queue, at));
+            } else {
+                return processed;
+            }
             processed += 1;
-            self.dispatch(queue, at, ev);
         }
-        processed
     }
 
     /// Handles one simulation event; the entry point
@@ -247,10 +250,6 @@ impl Network {
                 }
             }
             Ev::Replica(action) => self.on_replica(queue, now, action),
-            Ev::Wake { node, why } => {
-                let mut wire = self.fabric.wire(queue, now);
-                self.plane.wake(&mut wire, node, why);
-            }
             Ev::SetCapacity { nodes, capacity } => {
                 let mut wire = self.fabric.wire(queue, now);
                 for &idx in &nodes {
@@ -517,10 +516,11 @@ mod tests {
         let joined = NodeId(8);
         let throttled = |net: &Network| net.plane.nodes.get(joined).unwrap().is_throttled();
         assert!(!throttled(&net), "a joined node starts unthrottled");
-        // The first cut throttles it and schedules exactly one service
-        // wake; a second cut, a recovery and a re-cut before that
-        // service schedule none.
+        // The first cut throttles it and asks for exactly one service
+        // wake, which the plane keeps; a second cut, a recovery and a
+        // re-cut before that service ask for none.
         let mut queue = EventQueue::new();
+        let second = SimTime::from_secs(1);
         for capacity in [0.25, 0.5, 1.0, 0.5] {
             let nodes = vec![joined.index()];
             net.dispatch(
@@ -529,23 +529,25 @@ mod tests {
                 Ev::SetCapacity { nodes, capacity },
             );
             assert!(throttled(&net), "after the cut to {capacity}");
-            let scheduled: Vec<&Ev> = queue.ahead(2).collect();
-            let service = WakeReason::Service;
-            let one_service = matches!(scheduled[..], [Ev::Wake { node, why }] if *node == joined && *why == service);
-            assert!(one_service, "after the cut to {capacity}: {scheduled:?}");
+            let kept = net.plane.next_wake();
+            assert_eq!(kept, Some(second), "after the cut to {capacity}");
+            assert!(queue.is_empty(), "after the cut to {capacity}");
         }
-        // A service at a cut fraction schedules the next one; the first
-        // after a recovery lifts the throttle and ends the loop.
-        for (capacity, looping) in [(0.5, true), (1.0, false)] {
+        // A service at a cut fraction asks for the next one; the first
+        // after a recovery lifts the throttle and ends the loop. Each
+        // second runs exactly one wake.
+        let tick = SimDuration::from_micros(1);
+        for (due, capacity, looping) in [(1, 0.5, true), (2, 1.0, false)] {
             let nodes = vec![joined.index()];
             net.dispatch(
                 &mut queue,
                 SimTime::ZERO,
                 Ev::SetCapacity { nodes, capacity },
             );
-            let (at, service) = queue.pop().unwrap();
-            net.dispatch(&mut queue, at, service);
-            assert_eq!(queue.len(), usize::from(looping), "serviced at {capacity}");
+            let served = net.run_until(&mut queue, SimTime::from_secs(due) + tick);
+            assert_eq!(served, 1, "serviced at {capacity}");
+            let next = net.plane.next_wake();
+            assert_eq!(next.is_some(), looping, "serviced at {capacity}");
             assert_eq!(throttled(&net), looping, "serviced at {capacity}");
         }
     }

@@ -221,8 +221,7 @@ impl ConformanceSpec {
     /// key's refreshes 20 s apart, so the first batch holds two of them
     /// and the last is released after the deletion, among the phase-B
     /// queries. Every release lands mid-gap, 5 s off the scripted steps'
-    /// 10 s grid, where no other work shares its instant (the tie rule
-    /// of `Env::wake_at`).
+    /// 10 s grid, where no other work shares its instant.
     pub fn batched(kind: OverlayKind) -> Self {
         let base = ConformanceSpec::small(kind);
         ConformanceSpec {

@@ -6,7 +6,8 @@
 //! sharded worker-pool live runtime over the same topology, for **both**
 //! overlay substrates (CAN and Chord): fault-free at two scales (24 and
 //! 2 048 nodes), with §3.6 refresh batches released by the authority's
-//! own wakes, under the standard fault script, under timed fault
+//! own wakes (mid-gap, and on the step grid where a release ties with a
+//! step), under the standard fault script, under timed fault
 //! windows, and under the Byzantine cast with the cache audit on. Every
 //! scenario asserts whole-`Outcome` equality between the sim and each
 //! live cell it runs — the spec's own worker count and shard map, then
@@ -32,7 +33,9 @@
 //! cannot race on slow CI.
 
 use cup::prelude::*;
-use cup_testkit::conformance::{run_live, run_sim, ConformanceSpec, Outcome, DELETED_KEY};
+use cup_testkit::conformance::{
+    run_live, run_sim, run_sim_traced, ConformanceSpec, Outcome, DELETED_KEY,
+};
 
 /// The worker-count × shard-map grid the small scenarios sweep: the DES
 /// is worker- and placement-blind, so every cell must reproduce its
@@ -156,14 +159,25 @@ fn sim_and_live_agree_on_chord_at_2k_nodes() {
     assert_fault_free_agrees(ConformanceSpec::large(OverlayKind::Chord), &LARGE_MATRIX);
 }
 
-/// §3.6 aggregation: the authorities' held refresh batches are released
-/// by their own wakes at window end, on the virtual clock's steps in the
-/// live runtime and as queue events in the DES. The batches bit: fewer
-/// refreshes travel than with the window off, and some still do.
-fn assert_batches_agree(kind: OverlayKind) {
-    let spec = ConformanceSpec::batched(kind);
+/// §3.6 aggregation with a `window`-second batch: the authorities' held
+/// refresh batches are released by their own wakes at window end, on
+/// the virtual clock's steps in the live runtime and between the queue's
+/// events in the DES. The batches bit: fewer refreshes travel than with
+/// the window off, and some still do. Refreshes are scripted on the 10 s
+/// step grid, so every release lands `window` mod 10 s off it: mid-gap
+/// for 25 s, and for 30 s at an instant it shares with a scripted step,
+/// which the kernel's one tie rule orders the same way in both runtimes.
+fn assert_batches_agree(kind: OverlayKind, window: u64) {
+    let base = ConformanceSpec::batched(kind);
+    let spec = ConformanceSpec {
+        config: NodeConfig {
+            refresh_batch_window: Some(SimDuration::from_secs(window)),
+            ..base.config
+        },
+        ..base
+    };
     assert_fault_free_agrees(spec, &FULL_MATRIX);
-    let sim = run_sim(&spec);
+    let (sim, trace) = run_sim_traced(&spec, 1 << 16);
     let unbatched = ConformanceSpec {
         config: NodeConfig {
             refresh_batch_window: None,
@@ -178,16 +192,34 @@ fn assert_batches_agree(kind: OverlayKind) {
         sim.net.refresh_hops,
         plain.net.refresh_hops
     );
+    let offset = window % 10 * 1_000_000;
+    for ev in trace
+        .sorted()
+        .iter()
+        .filter(|ev| ev.kind == TraceKind::Wake)
+    {
+        assert_eq!(ev.t.as_micros() % 10_000_000, offset, "{kind}: {ev:?}");
+    }
 }
 
 #[test]
 fn sim_and_live_agree_on_batched_refreshes_on_can() {
-    assert_batches_agree(OverlayKind::Can);
+    assert_batches_agree(OverlayKind::Can, 25);
 }
 
 #[test]
 fn sim_and_live_agree_on_batched_refreshes_on_chord() {
-    assert_batches_agree(OverlayKind::Chord);
+    assert_batches_agree(OverlayKind::Chord, 25);
+}
+
+#[test]
+fn sim_and_live_agree_on_batches_released_on_the_step_grid_on_can() {
+    assert_batches_agree(OverlayKind::Can, 30);
+}
+
+#[test]
+fn sim_and_live_agree_on_batches_released_on_the_step_grid_on_chord() {
+    assert_batches_agree(OverlayKind::Chord, 30);
 }
 
 /// A windowed fault script (the standard one or the timed windows) must

@@ -3,14 +3,14 @@
 use proptest::prelude::*;
 
 use cup::des::{DetRng, EventQueue, KeyId, NodeId, ReplicaId, SimDuration, SimTime};
-use cup::faults::FaultPlan;
+use cup::faults::{Env, FaultAction, FaultPlan, NodeArena, Plane, RoutingFailed};
 use cup::overlay::{can::CanOverlay, zone::Zone, Overlay};
 use cup::protocol::capacity::OutgoingQueues;
 use cup::protocol::policy::{CutoffContext, CutoffPolicy};
 use cup::protocol::popularity::{Popularity, ResetMode};
 use cup::protocol::{
-    Action, AuditConfig, ClientId, CupNode, IndexEntry, NodeConfig, Requester, Update, UpdateKind,
-    WakeReason, SERVICE_INTERVAL,
+    AuditConfig, ClientId, CupNode, IndexEntry, Message, NodeConfig, Requester, Update, UpdateKind,
+    SERVICE_INTERVAL,
 };
 
 fn arb_update(kind: UpdateKind) -> impl Strategy<Value = Update> {
@@ -48,6 +48,27 @@ fn arb_micros() -> impl Strategy<Value = u64> {
 /// drawn from replicas 0..5 (none at all for a negative answer).
 fn arb_step() -> impl Strategy<Value = (u32, Vec<u32>)> {
     (0u32..7, proptest::collection::vec(0u32..5, 0..4))
+}
+
+/// The least transport a [`Plane`] runs on: a clock. A lone node routes,
+/// sends and answers nothing.
+struct Bare(SimTime);
+
+impl Env for Bare {
+    fn now(&self) -> SimTime {
+        self.0
+    }
+    fn upstream_of(&mut self, _: NodeId, _: KeyId) -> Result<Option<NodeId>, RoutingFailed> {
+        Ok(None)
+    }
+    fn enqueue(&mut self, _: NodeId, _: NodeId, _: Message, _: f64) {}
+    fn respond(&mut self, _: ClientId, _: Vec<IndexEntry>) -> Option<SimTime> {
+        None
+    }
+    fn forget_client(&mut self, _: ClientId) {}
+    fn mark_path(&mut self, _: NodeId, _: KeyId, _: SimTime) -> &[NodeId] {
+        &[]
+    }
 }
 
 /// Fragments of the fault-spec grammar, and numbers that overflow or
@@ -134,62 +155,83 @@ proptest! {
         prop_assert!(low && high, "200 draws should cover both halves");
     }
 
-    /// One §2.8 service loop per throttle: over random capacity changes
-    /// at random instants (several at one instant, and changes at the
-    /// instant a service is due, before or after it), the node has
-    /// exactly one outstanding service wake while it is throttled, each
-    /// asked for one `SERVICE_INTERVAL` after the change or service
-    /// that asked, and none once a service lifted the throttle.
+    /// One §2.8 service loop per throttle, on the kernel's wake store:
+    /// over random capacity changes, crashes and restarts at random
+    /// instants (several at one instant, and some at the instant a
+    /// service is due, before or after it), the plane keeps exactly the
+    /// one service wake a throttled node asked for, one
+    /// `SERVICE_INTERVAL` after the change or service that asked, and
+    /// none once a service lifted the throttle or a crash wiped the node.
     #[test]
     fn a_throttled_node_keeps_exactly_one_service_wake(
-        steps in proptest::collection::vec((0u64..3, 0u64..4, 0u64..6, 0u64..2), 1..60),
+        steps in proptest::collection::vec((0u64..3, 0u64..4, 0u64..8, 0u64..2), 1..60),
     ) {
-        let mut node = CupNode::new(NodeId(1), NodeConfig::cup_default());
-        // The outstanding wakes, as the runtime would hold them.
-        let mut wakes: Vec<SimTime> = Vec::new();
-        let mut out = Vec::new();
-        let mut now = SimTime::ZERO;
-        // Keeps what `node` asked for at `now` and checks the invariant.
-        let keep = |node: &CupNode, out: &mut Vec<Action>, wakes: &mut Vec<SimTime>, now: SimTime| {
-            for action in out.drain(..) {
-                if let Action::Wake { at, why } = action {
-                    prop_assert_eq!(why, WakeReason::Service);
-                    prop_assert_eq!(at, now + SERVICE_INTERVAL);
-                    wakes.push(at);
+        const NODE: NodeId = NodeId(1);
+        let crash = FaultAction::Crash { node: 1 };
+        let restart = FaultAction::Restart { node: 1 };
+        let mut plane = Plane::new(NodeArena::build(&[NODE], NodeConfig::cup_default()));
+        let mut env = Bare(SimTime::ZERO);
+        // When the one wake the node should have outstanding is due.
+        let mut due: Option<SimTime> = None;
+        let throttled = |plane: &Plane| plane.nodes.get(NODE).is_some_and(CupNode::is_throttled);
+        // After a step at `at`: a node it throttled asked for a service
+        // one interval on, as did a service that left it throttled; a
+        // node no longer throttled keeps none; and the plane keeps
+        // exactly that.
+        let check = |plane: &Plane, due: &mut Option<SimTime>, asked: bool, at: SimTime| {
+            *due = match (asked, throttled(plane)) {
+                (_, false) => None,
+                (true, true) => Some(at + SERVICE_INTERVAL),
+                (false, true) => *due,
+            };
+            prop_assert_eq!(plane.next_wake(), *due);
+            Ok(())
+        };
+        // Runs the wakes due by `env`'s now, earliest first, each at its
+        // own instant.
+        let run_due = |plane: &mut Plane, env: &mut Bare, due: &mut Option<SimTime>| {
+            let now = env.0;
+            while let Some(at) = plane.next_wake().filter(|&at| at <= now) {
+                env.0 = at;
+                prop_assert!(plane.wake_due(env));
+                check(plane, due, true, at)?;
+            }
+            env.0 = now;
+            Ok(())
+        };
+        for (secs, part, op, wakes_first) in steps {
+            // Whole seconds land steps on the instants wakes are due.
+            let micros = [0, 1, 500_000, 999_999][part as usize];
+            env.0 += SimDuration::from_secs(secs) + SimDuration::from_micros(micros);
+            if wakes_first == 1 {
+                run_due(&mut plane, &mut env, &mut due)?;
+            }
+            let was = throttled(&plane);
+            match op {
+                6 => {
+                    plane.apply(crash);
+                }
+                7 => {
+                    plane.apply(restart);
+                }
+                level => {
+                    let c = [0.0, 0.25, 0.5, 0.99, 1.0, 1.0][level as usize];
+                    plane.set_capacity(&mut env, NODE, c);
                 }
             }
-            prop_assert_eq!(wakes.len(), usize::from(node.is_throttled()));
-            Ok(())
-        };
-        // Runs the wakes due by `now`, earliest first.
-        let run_due = |node: &mut CupNode, out: &mut Vec<Action>, wakes: &mut Vec<SimTime>, now| {
-            while let Some(i) = wakes.iter().position(|&at| at <= now) {
-                let at = wakes.remove(i);
-                node.wake_into(at, WakeReason::Service, out);
-                keep(node, out, wakes, at)?;
-            }
-            Ok(())
-        };
-        for (secs, part, level, wakes_first) in steps {
-            // Whole seconds land changes on the instants wakes are due.
-            let micros = [0, 1, 500_000, 999_999][part as usize];
-            now = now + SimDuration::from_secs(secs) + SimDuration::from_micros(micros);
-            if wakes_first == 1 {
-                run_due(&mut node, &mut out, &mut wakes, now)?;
-            }
-            let c = [0.0, 0.25, 0.5, 0.99, 1.0, 1.0][level as usize];
-            node.set_capacity_into(now, c, &mut out);
-            keep(&node, &mut out, &mut wakes, now)?;
+            check(&plane, &mut due, !was, env.0)?;
             if wakes_first == 0 {
-                run_due(&mut node, &mut out, &mut wakes, now)?;
+                run_due(&mut plane, &mut env, &mut due)?;
             }
         }
-        // Back at full capacity, the next service lifts the throttle and
-        // asks for no other.
-        node.set_capacity_into(now, 1.0, &mut out);
-        keep(&node, &mut out, &mut wakes, now)?;
-        run_due(&mut node, &mut out, &mut wakes, now + SERVICE_INTERVAL)?;
-        prop_assert!(wakes.is_empty() && !node.is_throttled());
+        // Up and back at full capacity, the next service lifts the
+        // throttle and asks for no other.
+        plane.apply(restart);
+        plane.set_capacity(&mut env, NODE, 1.0);
+        check(&plane, &mut due, false, env.0)?;
+        env.0 += SERVICE_INTERVAL;
+        run_due(&mut plane, &mut env, &mut due)?;
+        prop_assert!(plane.next_wake().is_none() && !throttled(&plane));
     }
 
     /// Capacity queues conserve updates: everything enqueued is either
