@@ -17,6 +17,7 @@ use cup_des::{KeyId, NodeId, ReplicaId};
 
 use crate::config::{AuditConfig, AUDIT_SAMPLE};
 use crate::entry::IndexEntry;
+use crate::keystate::vec_bytes;
 
 /// SplitMix64 finalizer — the workspace's standard bit mixer (the fault
 /// plane keeps its own copy; `cup-core` cannot depend on `cup-faults`).
@@ -75,6 +76,11 @@ pub struct AuditTally {
 }
 
 impl AuditTally {
+    /// Heap bytes the tally's two lists own.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.votes) + vec_bytes(&self.payload)
+    }
+
     /// A fresh tally for `round` awaiting `expected` replies.
     pub fn new(round: u64, expected: u32) -> Self {
         AuditTally {

@@ -1,10 +1,12 @@
-//! The one small-vector type behind the per-key lists.
+//! The small-vector type behind a key's waiter and tombstone lists.
 //!
-//! A node keeps short lists per cached key — the cached entries, the
-//! interested neighbors and, with the audit on, the delete tombstones —
-//! and in the measured workloads nearly all of them hold a handful of
-//! items (see the capacities in [`crate::keystate`] and
-//! [`crate::interest`]). An [`InlineVec`] stores up to `N` items in
+//! A node keeps short lists per cached key — while a miss waits, the
+//! waiting clients and requesters; with the audit on, the delete
+//! tombstones — and in the measured workloads nearly all of them hold a
+//! handful of items (see the capacities in [`crate::keystate`]). The
+//! record's own two lists, the cached entries and the interested
+//! neighbors, keep their spilled form in the record's side box instead
+//! (`crate::keystate::ListMut`). An [`InlineVec`] stores up to `N` items in
 //! place and owns no heap memory until the `N + 1`-th arrives; it then
 //! spills to one boxed `Vec`, and moves back in place when removals
 //! bring it to `N` items again. The box keeps the spilled form one
@@ -16,6 +18,8 @@
 //! exposes. Everything readable goes through the slice it derefs to.
 
 use std::ops::{Deref, DerefMut};
+
+use crate::keystate::vec_bytes;
 
 /// Up to `N` items in place, any number behind one boxed `Vec`.
 #[derive(Debug, Clone)]
@@ -158,6 +162,17 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
             if vec.len() <= N {
                 *self = InlineVec::from_slice(vec);
             }
+        }
+    }
+}
+
+impl<T, const N: usize> InlineVec<T, N> {
+    /// Heap bytes the list owns: none in place, the box and its buffer
+    /// once spilled.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match self {
+            InlineVec::Inline { .. } => 0,
+            InlineVec::Spilled(vec) => std::mem::size_of::<Vec<T>>() + vec_bytes(vec),
         }
     }
 }

@@ -7,41 +7,47 @@
 //! authority once it has routed the key.
 //!
 //! CUP's scaling argument is that this record is tiny, so it is laid out
-//! to be: a [`KeyState`] is at most 96 bytes (checked at compile time
-//! below; that includes the record's own key, which the key table's
-//! hashed index confirms lookups against) and owns no heap memory in
-//! the common case. The node's key table holds its records in one
-//! array that grows by a quarter at a time, so a node pays for at most
-//! a quarter more records than it holds (`crate::keytable`). The
+//! to be: a [`KeyState`] is 64 bytes, a cache line's worth (checked at
+//! compile time below), and owns no heap memory in the common case. The node's key table holds its records in one array
+//! that grows by a quarter at a time, so a node pays for at most a
+//! quarter more records than it holds (`crate::keytable`). The
 //! capacities are read off the four ledger workloads' end-of-run states,
 //! not tuned per run:
 //!
 //! * **entries** hold one replica in place — 87–100 % of states cache
-//!   zero or one entry, none more than four;
+//!   zero or one entry, none more than four. The entry slot's key is the
+//!   record's key at all times, also while the list is empty or spilled
+//!   (every entry cached for a key indexes that key), so the key table
+//!   confirms its lookups against it and the record keeps no key of its
+//!   own;
 //! * **interest** holds four neighbors in place (see
 //!   [`crate::interest`]);
-//! * **pending** state — the Pending-First-Update stamp and the waiters
-//!   (held-open clients, requesters to answer) — exists only between a
-//!   miss and its first-time update, 0.2–11 % of states at any instant,
-//!   and lives in one box that the answer frees: the record *is* the
-//!   flag, so no stamp can outlive it. When the answer comes, at most
-//!   two waiters of either kind are waiting in 97–100 % of cases
-//!   (Chord's high-in-degree nodes are the tail), so the box holds two
-//!   of each in place and a miss costs one allocation;
-//! * **audit** and **refresh** state belong to planes
-//!   `NodeConfig::cup_default()` leaves off (the sampled audit; §3.6
-//!   suppression and aggregation at the authority), and share one box,
-//!   `ColdState`, that the first use of either allocates — one pointer
-//!   per record where a box each cost two;
-//! * **tombstones** — the replicas a delete or an audit repair retired
-//!   here — are the audit's firsthand negative knowledge and nothing
-//!   else reads them, so only a node with `NodeConfig::audit` set keeps
-//!   them, in `ColdState` (three in place: over half of a long-running
-//!   auditing node's states carry one or two). An audit-off node's
-//!   delete writes no tombstone and allocates nothing.
+//! * **everything rare** shares one box, `Side`, that exists exactly
+//!   while some of it does, and goes when the last of it does:
+//!   * **pending** state — the Pending-First-Update stamp and the
+//!     waiters (held-open clients, requesters to answer) — exists only
+//!     between a miss and its first-time update, 0.2–11 % of states at
+//!     any instant, and the answer takes it out: the record *is* the
+//!     flag, so no stamp can outlive it. When the answer comes, at most
+//!     two waiters of either kind are waiting in 97–100 % of cases
+//!     (Chord's high-in-degree nodes are the tail), so the record holds
+//!     two of each in place and a miss costs one allocation;
+//!   * a list longer than its in-place capacity moves into the box
+//!     whole, and back in place when removals bring it down again;
+//!   * **audit** and **refresh** state belong to planes
+//!     `NodeConfig::cup_default()` leaves off (the sampled audit; §3.6
+//!     suppression and aggregation at the authority). They share one
+//!     more box, `ColdState`, inside the side box, so that a side box
+//!     holding only a pending record stays small;
+//!   * **tombstones** — the replicas a delete or an audit repair retired
+//!     here — are the audit's firsthand negative knowledge and nothing
+//!     else reads them, so only a node with `NodeConfig::audit` set keeps
+//!     them, in `ColdState` (three in place: over half of a long-running
+//!     auditing node's states carry one or two). An audit-off node's
+//!     delete writes no tombstone and allocates nothing.
 //!
-//! The short lists are all one type, `crate::inline::InlineVec`, which
-//! spills to the heap past its capacity and comes back.
+//! The waiter and tombstone lists are `crate::inline::InlineVec`s, which
+//! spill to a heap block of their own past their capacity and come back.
 //!
 //! The record also remembers the key's **upstream hop**: the next hop
 //! toward the authority that the last query or clear-bit handled here
@@ -50,25 +56,33 @@
 //! (`CupNode::upstream_hint`) before it asks the overlay, and a
 //! topology change clears every hint (`CupNode::forget_upstream_hints`).
 //!
-//! Layout (x86-64, as the compiler orders the fields): `popularity` at
-//! 0, `entries` at 16, `interest` at 40, the `pending` and `cold` boxes
-//! at 64 and 72, `key` at 80, `hop` at 84 and `last_depth` at 88: 96
-//! bytes, six of them padding. The entry held in place is 16 bytes —
-//! it keeps its expiry instant, not a lifetime and a stamp (see
-//! `crate::entry`). The record carries no cut-off decision state: every
-//! policy is a function of the popularity measure and the depth
-//! (`crate::policy`). Records sit back to back in the key table, so one
-//! spans two cache lines or three, by its offset: 2.375 on average over
-//! the eight offsets a record can start at (2.75 at 120 bytes). The hop
-//! fits because `last_depth` is a `u16` that saturates — paths are
-//! hundreds of hops at most, never 65 535.
+//! Layout (x86-64, as the compiler orders the fields): the popularity
+//! measure at 0, the entry slot at 16 (16 bytes: an entry keeps its
+//! expiry instant, not a lifetime and a stamp, see `crate::entry`), the
+//! side box at 32, four interested neighbors at 40, the hop at 56,
+//! `last_depth` at 60 and the two lists' one-byte lengths at 62 and 63:
+//! 64 bytes, none of them padding. Records sit back to back in the key
+//! table, so one spans one cache line or two, by its offset: 1.875 on
+//! average over the eight offsets a record can start at (2.375 at 96
+//! bytes). The record is deliberately not aligned to a line:
+//! `#[repr(align(64))]` would make every record one line, but an
+//! alignment above the allocator's 16 bytes sends each growth of a
+//! node's record array through an aligned allocation, and with glibc
+//! 2.36's malloc on a 2-vCPU guest that cost `live_plain_can` about
+//! 30 MiB of peak RSS in heap fragmentation (159 against 129 MiB at
+//! seed 1) and raised `live_armed_chord` and `des_armed_chord` above the
+//! 96-byte record's readings. The record carries no cut-off decision
+//! state: every policy is a function of the popularity measure and the
+//! depth (`crate::policy`). The hop fits because `last_depth` is a `u16`
+//! that saturates — paths are hundreds of hops at most, never 65 535.
 
-use cup_des::{KeyId, NodeId, ReplicaId, SimTime};
+use std::fmt;
+
+use cup_des::{KeyId, NodeId, ReplicaId, SimDuration, SimTime};
 
 use crate::audit::AuditTally;
 use crate::entry::IndexEntry;
 use crate::inline::InlineVec;
-use crate::interest::InterestSet;
 use crate::message::{ClientId, Requester, Update, UpdateKind};
 use crate::popularity::Popularity;
 
@@ -76,47 +90,220 @@ use crate::popularity::Popularity;
 /// dropped tombstone's entry has long expired anyway).
 const RETIRED_CAP: usize = 8;
 
-/// Cached entries a key holds in place (see the module docs).
-const INLINE_ENTRIES: usize = 1;
+/// Interested neighbors a key holds in place (see [`crate::interest`]).
+const INLINE_INTEREST: usize = 4;
 
 /// Tombstones a key holds in place.
 const INLINE_RETIRED: usize = 3;
 
-/// Waiters of either kind the pending box holds in place.
+/// Waiters of either kind a pending record holds in place.
 const INLINE_WAITERS: usize = 2;
 
+/// A list length meaning the whole list is in the side box.
+const SPILLED: u8 = u8::MAX;
+
 /// All state a node keeps for one cached (non-local) key.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct KeyState {
-    /// Cached index entries (disjoint from any local directory).
-    entries: InlineVec<IndexEntry, INLINE_ENTRIES>,
-    /// `Some` exactly while a first-time update is awaited (CUP) or
-    /// requesters wait for an answer (standard caching); see [`Pending`].
-    pub(crate) pending: Option<Box<Pending>>,
-    /// Which neighbors want updates for this key.
-    pub interest: InterestSet,
+    /// The cached entry held in place, and the record's key (see the
+    /// module docs).
+    entry: IndexEntry,
+    /// Everything rare; `None` while the record has none of it (see
+    /// [`Side`]).
+    side: Option<Box<Side>>,
+    /// The interested neighbors held in place, ascending.
+    interest: [NodeId; INLINE_INTEREST],
     /// Popularity measure driving cut-off decisions.
     pub popularity: Popularity,
-    /// Distance from the authority as carried by the most recent update,
-    /// saturated at `u16::MAX`.
-    pub last_depth: u16,
-    /// The off-by-default planes' state, tombstones included; `None`
-    /// until either plane first needs it (see [`ColdState`]).
-    pub(crate) cold: Option<Box<ColdState>>,
-    /// The key this record belongs to, which the key table's index
-    /// confirms a hash-tag match against (see `crate::keytable`).
-    pub(crate) key: KeyId,
     /// The next hop toward the key's authority the last query or
     /// clear-bit here was routed with: the node's own id at the
     /// authority, [`NOT_ROUTED`] before the first (see the module docs).
     pub(crate) hop: NodeId,
+    /// Distance from the authority as carried by the most recent update,
+    /// saturated at `u16::MAX`.
+    pub last_depth: u16,
+    /// Cached entries in place (0 or 1), or [`SPILLED`].
+    entries_len: u8,
+    /// Interested neighbors in place (0 to 4), or [`SPILLED`].
+    interest_len: u8,
 }
 
-const _: () = assert!(std::mem::size_of::<KeyState>() <= 96);
+// One line's worth, and an alignment the allocator gives without an
+// aligned allocation (see the module docs).
+const _: () = assert!(std::mem::size_of::<KeyState>() == 64);
+const _: () = assert!(std::mem::align_of::<KeyState>() <= 16);
 
 /// A record's [`KeyState::hop`] before the key was first routed here; no
 /// node has this id.
 pub(crate) const NOT_ROUTED: NodeId = NodeId(u32::MAX);
+
+/// What a record keeps out of line, in one box that exists exactly while
+/// some of it does (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Side {
+    /// `Some` exactly while a first-time update is awaited (CUP) or
+    /// requesters wait for an answer (standard caching); see [`Pending`].
+    pending: Option<Pending>,
+    /// The cached entries while there are more than one (empty, and
+    /// unallocated, otherwise).
+    entries: Vec<IndexEntry>,
+    /// The interested neighbors while there are more than four,
+    /// ascending (empty, and unallocated, otherwise).
+    interest: Vec<NodeId>,
+    /// The off-by-default planes' state, tombstones included; `None`
+    /// until either plane first needs it, then kept (see [`ColdState`]).
+    cold: Option<Box<ColdState>>,
+}
+
+impl Side {
+    /// Whether nothing is left in the box.
+    fn is_empty(&self) -> bool {
+        self.pending.is_none()
+            && self.entries.is_empty()
+            && self.interest.is_empty()
+            && self.cold.is_none()
+    }
+
+    /// Heap bytes the box and everything in it own.
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Side>()
+            + vec_bytes(&self.entries)
+            + vec_bytes(&self.interest)
+            + self.pending.as_ref().map_or(0, Pending::heap_bytes)
+            + self.cold.as_deref().map_or(0, ColdState::heap_bytes)
+    }
+}
+
+/// Heap bytes of a `Vec`'s buffer.
+pub(crate) fn vec_bytes<T>(vec: &Vec<T>) -> usize {
+    vec.capacity() * std::mem::size_of::<T>()
+}
+
+/// Gives the side box back once nothing is left in it.
+fn trim(side: &mut Option<Box<Side>>) {
+    if side.as_deref().is_some_and(Side::is_empty) {
+        *side = None;
+    }
+}
+
+/// One of a record's two lists, as a slice: `items[..len]` in place, or
+/// the side box's list while `len` is [`SPILLED`].
+fn list<'a, T, const N: usize>(
+    items: &'a [T; N],
+    len: u8,
+    side: &'a Option<Box<Side>>,
+    spill: fn(&Side) -> &Vec<T>,
+) -> &'a [T] {
+    match side {
+        Some(side) if len == SPILLED => spill(side),
+        _ => &items[..usize::from(len).min(N)],
+    }
+}
+
+/// One of a record's two lists, for writing: up to `N` items in place,
+/// or — past `N` — all of them in the side box's `spill` list, until
+/// removals bring them down to `N` again.
+pub(crate) struct ListMut<'a, T, const N: usize> {
+    items: &'a mut [T; N],
+    len: &'a mut u8,
+    side: &'a mut Option<Box<Side>>,
+    spill: fn(&mut Side) -> &mut Vec<T>,
+}
+
+impl<T: Copy, const N: usize> ListMut<'_, T, N> {
+    /// The side box's list (the box is made if there is none; a spilled
+    /// list always has one).
+    fn spilled(&mut self) -> &mut Vec<T> {
+        (self.spill)(self.side.get_or_insert_with(Box::default))
+    }
+
+    /// The items, in order.
+    fn as_mut_slice(&mut self) -> &mut [T] {
+        match *self.len {
+            SPILLED => self.spilled().as_mut_slice(),
+            len => &mut self.items[..usize::from(len)],
+        }
+    }
+
+    /// Inserts `item` at `at`, shifting what follows.
+    ///
+    /// # Panics
+    ///
+    /// If `at` is past the length, like `Vec::insert`.
+    pub(crate) fn insert(&mut self, at: usize, item: T) {
+        let len = usize::from(*self.len);
+        if *self.len == SPILLED {
+            self.spilled().insert(at, item);
+        } else if len < N {
+            assert!(at <= len, "insertion index {at} past length {len}");
+            self.items.copy_within(at..len, at + 1);
+            self.items[at] = item;
+            *self.len += 1;
+        } else {
+            let items = *self.items;
+            let spilled = self.spilled();
+            spilled.reserve_exact(2 * N);
+            spilled.extend_from_slice(&items[..at]);
+            spilled.push(item);
+            spilled.extend_from_slice(&items[at..]);
+            *self.len = SPILLED;
+        }
+    }
+
+    /// Appends `item`.
+    fn push(&mut self, item: T) {
+        let at = self.as_mut_slice().len();
+        self.insert(at, item);
+    }
+
+    /// Keeps only the items `keep` accepts, in order.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        if *self.len == SPILLED {
+            self.spilled().retain(keep);
+            self.unspill();
+            return;
+        }
+        let mut kept = 0;
+        for i in 0..usize::from(*self.len) {
+            if keep(&self.items[i]) {
+                self.items[kept] = self.items[i];
+                kept += 1;
+            }
+        }
+        *self.len = kept as u8;
+    }
+
+    /// Replaces the whole list with a copy of `items`.
+    fn assign(&mut self, items: &[T]) {
+        if items.len() > N {
+            let spilled = self.spilled();
+            spilled.clear();
+            spilled.reserve_exact(items.len());
+            spilled.extend_from_slice(items);
+            *self.len = SPILLED;
+            return;
+        }
+        if *self.len == SPILLED {
+            *self.spilled() = Vec::new();
+            trim(self.side);
+        }
+        self.items[..items.len()].copy_from_slice(items);
+        *self.len = items.len() as u8;
+    }
+
+    /// Moves a spilled list that fits again back in place, and gives the
+    /// side box back if nothing else is left in it.
+    fn unspill(&mut self) {
+        let spilled = self.spilled();
+        if spilled.len() > N {
+            return;
+        }
+        let items = std::mem::take(spilled);
+        self.items[..items.len()].copy_from_slice(&items);
+        *self.len = items.len() as u8;
+        trim(self.side);
+    }
+}
 
 /// A key's Pending-First-Update state: since when the node has awaited
 /// the first-time update, and who it owes an answer once it arrives.
@@ -134,12 +321,12 @@ pub(crate) struct Pending {
 
 impl Pending {
     /// A record opened at `now`, nobody waiting yet.
-    pub(crate) fn boxed(now: SimTime) -> Box<Pending> {
-        Box::new(Pending {
+    fn new(now: SimTime) -> Pending {
+        Pending {
             since: now,
             clients: InlineVec::default(),
             requesters: InlineVec::default(),
-        })
+        }
     }
 
     /// Records `from` as waiting (CUP mode): a client's connection is
@@ -152,11 +339,16 @@ impl Pending {
             Requester::Neighbor(_) => self.requesters.push(from),
         }
     }
+
+    /// Heap bytes the waiter lists own once spilled.
+    fn heap_bytes(&self) -> usize {
+        self.clients.heap_bytes() + self.requesters.heap_bytes()
+    }
 }
 
 /// What a key keeps for the planes `NodeConfig::cup_default()` leaves
 /// off. One box holds both: a key that uses either plane pays for one
-/// allocation, and every other key pays one pointer instead of two.
+/// allocation, and every other key pays nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ColdState {
     /// Delete tombstones, newest last (see [`KeyState::retired`]); only
@@ -166,6 +358,16 @@ pub(crate) struct ColdState {
     pub(crate) audit: AuditState,
     /// Authority-side §3.6 refresh state.
     pub(crate) refresh: RefreshState,
+}
+
+impl ColdState {
+    /// Heap bytes the box and its lists own.
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<ColdState>()
+            + self.retired.heap_bytes()
+            + self.audit.tally.as_ref().map_or(0, AuditTally::heap_bytes)
+            + vec_bytes(&self.refresh.batch)
+    }
 }
 
 /// One key's sampled-audit bookkeeping at the auditing node.
@@ -192,30 +394,46 @@ pub(crate) struct RefreshState {
     pub(crate) batch: Vec<IndexEntry>,
 }
 
-impl Default for KeyState {
-    fn default() -> Self {
-        KeyState {
-            entries: InlineVec::default(),
-            pending: None,
-            interest: InterestSet::default(),
-            popularity: Popularity::default(),
-            last_depth: 0,
-            cold: None,
-            key: KeyId::default(),
-            hop: NOT_ROUTED,
-        }
+impl fmt::Debug for KeyState {
+    /// The record as its accessors read it: the lists' unused in-place
+    /// slots and where each list lives are not part of it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyState")
+            .field("key", &self.key())
+            .field("entries", &self.entries())
+            .field("interest", &self.interest())
+            .field("popularity", &self.popularity)
+            .field("last_depth", &self.last_depth)
+            .field("hop", &self.hop)
+            .field("pending", &self.pending())
+            .field("cold", &self.cold())
+            .finish()
     }
 }
 
 impl KeyState {
-    /// Creates empty state for a key.
-    pub fn new() -> Self {
-        KeyState::default()
+    /// Creates empty state for `key`.
+    pub fn new(key: KeyId) -> Self {
+        KeyState {
+            entry: IndexEntry::new(key, ReplicaId(0), SimDuration::ZERO, SimTime::ZERO),
+            side: None,
+            interest: [NodeId(0); INLINE_INTEREST],
+            popularity: Popularity::default(),
+            hop: NOT_ROUTED,
+            last_depth: 0,
+            entries_len: 0,
+            interest_len: 0,
+        }
+    }
+
+    /// The key this record belongs to.
+    pub fn key(&self) -> KeyId {
+        self.entry.key
     }
 
     /// The cached entries that are still fresh at `now`.
     pub fn fresh_entries(&self, now: SimTime) -> Vec<IndexEntry> {
-        self.entries
+        self.entries()
             .iter()
             .filter(|e| e.is_fresh(now))
             .copied()
@@ -224,18 +442,49 @@ impl KeyState {
 
     /// Returns `true` if at least one cached entry is fresh.
     pub fn has_fresh(&self, now: SimTime) -> bool {
-        self.entries.iter().any(|e| e.is_fresh(now))
+        self.entries().iter().any(|e| e.is_fresh(now))
     }
 
     /// Returns `true` if the key has never had entries cached (first-time
     /// miss) as opposed to holding only expired entries (freshness miss).
     pub fn never_cached(&self) -> bool {
-        self.entries.is_empty()
+        self.entries_len == 0
     }
 
-    /// All cached entries, fresh or not.
+    /// All cached entries, fresh or not, in the order they arrived (an
+    /// upsert keeps its replica's place).
     pub fn entries(&self) -> &[IndexEntry] {
-        &self.entries
+        let items = std::array::from_ref(&self.entry);
+        list(items, self.entries_len, &self.side, |s| &s.entries)
+    }
+
+    /// The cached-entry list, for writing.
+    fn entries_mut(&mut self) -> ListMut<'_, IndexEntry, 1> {
+        ListMut {
+            items: std::array::from_mut(&mut self.entry),
+            len: &mut self.entries_len,
+            side: &mut self.side,
+            spill: |s| &mut s.entries,
+        }
+    }
+
+    /// The neighbors interested in updates for this key, ascending (the
+    /// order updates are forwarded in; see [`crate::interest`]).
+    pub fn interest(&self) -> &[NodeId] {
+        list(&self.interest, self.interest_len, &self.side, |s| {
+            &s.interest
+        })
+    }
+
+    /// The interest list, for writing (kept ascending by
+    /// [`crate::interest`]'s methods).
+    pub(crate) fn interest_mut(&mut self) -> ListMut<'_, NodeId, INLINE_INTEREST> {
+        ListMut {
+            items: &mut self.interest,
+            len: &mut self.interest_len,
+            side: &mut self.side,
+            spill: |s| &mut s.interest,
+        }
     }
 
     /// Delete tombstones: replicas this node has seen retired, newest
@@ -244,46 +493,86 @@ impl KeyState {
     /// whether it never knew it or saw it die. Only a node running the
     /// audit keeps them; elsewhere the list is always empty.
     pub fn retired(&self) -> &[ReplicaId] {
-        self.cold.as_ref().map_or(&[], |c| &c.retired)
+        self.cold().map_or(&[], |c| &c.retired)
     }
 
     /// When the node started awaiting this key's first-time update (CUP)
     /// or an answer for its requesters (standard caching); `None` when it
     /// awaits nothing.
     pub fn pending_since(&self) -> Option<SimTime> {
-        self.pending.as_ref().map(|p| p.since)
+        self.pending().map(|p| p.since)
+    }
+
+    /// The open pending record, if there is one.
+    pub(crate) fn pending(&self) -> Option<&Pending> {
+        self.side.as_deref()?.pending.as_ref()
+    }
+
+    /// The open pending record, for writing.
+    pub(crate) fn pending_mut(&mut self) -> Option<&mut Pending> {
+        self.side.as_deref_mut()?.pending.as_mut()
+    }
+
+    /// The pending record, opened at `now` if none is.
+    pub(crate) fn open_pending(&mut self, now: SimTime) -> &mut Pending {
+        let side = self.side.get_or_insert_with(Box::default);
+        side.pending.get_or_insert_with(|| Pending::new(now))
+    }
+
+    /// Closes the pending record, handing it over.
+    pub(crate) fn take_pending(&mut self) -> Option<Pending> {
+        let pending = self.side.as_deref_mut()?.pending.take();
+        trim(&mut self.side);
+        pending
+    }
+
+    /// The off-by-default planes' state, if either has been used.
+    pub(crate) fn cold(&self) -> Option<&ColdState> {
+        self.side.as_deref()?.cold.as_deref()
+    }
+
+    /// The off-by-default planes' state, for writing, if either has been
+    /// used.
+    pub(crate) fn cold_mut(&mut self) -> Option<&mut ColdState> {
+        self.side.as_deref_mut()?.cold.as_deref_mut()
     }
 
     /// The off-by-default planes' state, allocated on first use.
-    pub(crate) fn cold_mut(&mut self) -> &mut ColdState {
-        self.cold.get_or_insert_with(Box::default)
+    pub(crate) fn cold_or_default(&mut self) -> &mut ColdState {
+        let side = self.side.get_or_insert_with(Box::default);
+        side.cold.get_or_insert_with(Box::default)
     }
 
     /// When this key was last audited here (time zero if never).
     pub(crate) fn last_audit(&self) -> SimTime {
-        self.cold
-            .as_ref()
-            .map_or(SimTime::ZERO, |c| c.audit.last_audit)
+        self.cold().map_or(SimTime::ZERO, |c| c.audit.last_audit)
     }
 
-    /// Reads a field in each cache line the record spans, whatever its
-    /// offset in the table's array, and writes nothing (the test
-    /// `touching_reads_every_cache_line_a_record_spans` holds the layout
-    /// to that). See `CupNode::touch_key`.
+    /// Heap bytes the record owns: its side box and everything in it.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.side.as_deref().map_or(0, Side::heap_bytes)
+    }
+
+    /// Reads every field of the record, and so each cache line it spans
+    /// whatever its offset in the table's array, and writes nothing (the
+    /// test `touching_reads_every_cache_line_a_record_spans` holds the
+    /// layout to that). See `CupNode::touch_key`.
     pub(crate) fn touch(&self) {
         let pop = &self.popularity;
         std::hint::black_box((
+            self.entry,
+            self.side.is_some(),
+            self.interest,
             // All three of the measure's fields: every byte of it.
             (
                 pop.queries_since_reset(),
                 pop.consecutive_empty(),
                 pop.tracked_replica(),
             ),
-            self.entries.len(),
-            self.pending.is_some(),
-            self.last_depth,
-            self.key,
             self.hop,
+            self.last_depth,
+            self.entries_len,
+            self.interest_len,
         ));
     }
 
@@ -295,10 +584,13 @@ impl KeyState {
     /// carry, and leave a tombstone for it when `audit` is set (the
     /// node runs the sampled audit, the tombstones' only reader).
     pub fn apply(&mut self, update: &Update, audit: bool) {
+        debug_assert!(
+            update.entries.iter().all(|e| e.key == self.key()),
+            "an update for {:?} carries another key's entry",
+            self.key()
+        );
         match update.kind {
-            UpdateKind::FirstTime => {
-                self.entries = InlineVec::from_slice(&update.entries);
-            }
+            UpdateKind::FirstTime => self.entries_mut().assign(&update.entries),
             UpdateKind::Refresh | UpdateKind::Append => {
                 for e in &update.entries {
                     self.upsert(*e);
@@ -306,7 +598,7 @@ impl KeyState {
             }
             UpdateKind::Delete => {
                 for dead in &update.entries {
-                    self.entries.retain(|e| e.replica != dead.replica);
+                    self.entries_mut().retain(|e| e.replica != dead.replica);
                     self.popularity.untrack_if(dead.replica);
                     if audit {
                         self.mark_retired(dead.replica);
@@ -319,7 +611,7 @@ impl KeyState {
 
     /// Records that `replica` was seen retired (bounded, deduplicated).
     pub fn mark_retired(&mut self, replica: ReplicaId) {
-        let retired = &mut self.cold_mut().retired;
+        let retired = &mut self.cold_or_default().retired;
         if retired.contains(&replica) {
             return;
         }
@@ -333,25 +625,31 @@ impl KeyState {
     /// them retired) and adopts the quorum's fresh entries for replicas
     /// this node does not already serve — the "evict and refetch" step.
     pub fn audit_repair(&mut self, evict: &[ReplicaId], adopt: &[IndexEntry]) {
+        debug_assert!(adopt.iter().all(|e| e.key == self.key()));
         for &replica in evict {
-            self.entries.retain(|e| e.replica != replica);
+            self.entries_mut().retain(|e| e.replica != replica);
             self.popularity.untrack_if(replica);
             self.mark_retired(replica);
         }
         for entry in adopt {
             if !self.retired().contains(&entry.replica)
-                && !self.entries.iter().any(|e| e.replica == entry.replica)
+                && !self.entries().iter().any(|e| e.replica == entry.replica)
             {
-                self.entries.push(*entry);
+                self.entries_mut().push(*entry);
             }
         }
     }
 
     /// Inserts or replaces the entry for one replica.
     fn upsert(&mut self, entry: IndexEntry) {
-        match self.entries.iter_mut().find(|e| e.replica == entry.replica) {
+        let mut entries = self.entries_mut();
+        match entries
+            .as_mut_slice()
+            .iter_mut()
+            .find(|e| e.replica == entry.replica)
+        {
             Some(slot) => *slot = entry,
-            None => self.entries.push(entry),
+            None => entries.push(entry),
         }
     }
 }
@@ -360,6 +658,7 @@ impl KeyState {
 mod tests {
     use super::*;
     use cup_des::{KeyId, ReplicaId, SimDuration};
+    use proptest::prelude::*;
 
     fn entry(replica: u32, at: u64, life: u64) -> IndexEntry {
         IndexEntry::new(
@@ -384,7 +683,7 @@ mod tests {
 
     #[test]
     fn fresh_filtering() {
-        let mut st = KeyState::new();
+        let mut st = KeyState::new(KeyId(1));
         st.apply(
             &update(
                 UpdateKind::FirstTime,
@@ -403,7 +702,7 @@ mod tests {
 
     #[test]
     fn first_time_replaces_set() {
-        let mut st = KeyState::new();
+        let mut st = KeyState::new(KeyId(1));
         st.apply(
             &update(UpdateKind::FirstTime, vec![entry(0, 0, 100)]),
             false,
@@ -418,7 +717,7 @@ mod tests {
 
     #[test]
     fn refresh_upserts() {
-        let mut st = KeyState::new();
+        let mut st = KeyState::new(KeyId(1));
         st.apply(&update(UpdateKind::Refresh, vec![entry(0, 0, 100)]), false);
         assert_eq!(st.entries().len(), 1);
         st.apply(
@@ -431,7 +730,7 @@ mod tests {
 
     #[test]
     fn append_adds_delete_removes() {
-        let mut st = KeyState::new();
+        let mut st = KeyState::new(KeyId(1));
         st.apply(&update(UpdateKind::Append, vec![entry(0, 0, 100)]), false);
         st.apply(&update(UpdateKind::Append, vec![entry(1, 0, 100)]), false);
         assert_eq!(st.entries().len(), 2);
@@ -440,12 +739,12 @@ mod tests {
         assert_eq!(st.entries()[0].replica, ReplicaId(1));
         // Without the audit a delete leaves no tombstone, nor a box for one.
         assert!(st.retired().is_empty());
-        assert!(st.cold.is_none());
+        assert!(st.cold().is_none());
     }
 
     #[test]
     fn delete_untracks_replica() {
-        let mut st = KeyState::new();
+        let mut st = KeyState::new(KeyId(1));
         use crate::popularity::ResetMode;
         st.popularity
             .on_update(Some(ReplicaId(3)), ResetMode::ReplicaIndependent);
@@ -456,7 +755,7 @@ mod tests {
 
     #[test]
     fn deletes_leave_tombstones_and_repairs_evict_and_refetch() {
-        let mut st = KeyState::new();
+        let mut st = KeyState::new(KeyId(1));
         st.apply(
             &update(
                 UpdateKind::FirstTime,
@@ -487,14 +786,13 @@ mod tests {
     fn touching_reads_every_cache_line_a_record_spans() {
         use std::mem::{align_of, offset_of, size_of, size_of_val};
         const LINE: usize = 64;
-        let st = KeyState::new();
-        // What `touch` reads, as byte ranges of the record: `true` where
-        // every byte of the field is read, `false` where only some byte
-        // is (a list's length), so the field must lie inside a line.
+        let st = KeyState::new(KeyId(1));
+        // What `touch` reads, as byte ranges of the record: every byte of
+        // each field.
         macro_rules! span {
-            ($field:ident, $whole:expr) => {{
+            ($field:ident) => {{
                 let at = offset_of!(KeyState, $field);
-                (at, at + size_of_val(&st.$field), $whole)
+                (at, at + size_of_val(&st.$field))
             }};
         }
         assert_eq!(
@@ -503,26 +801,25 @@ mod tests {
             "the measure's three fields fill it"
         );
         let touched = [
-            span!(popularity, true),
-            span!(entries, false),
-            span!(pending, true),
-            span!(last_depth, true),
-            span!(key, true),
-            span!(hop, true),
+            span!(entry),
+            span!(side),
+            span!(interest),
+            span!(popularity),
+            span!(hop),
+            span!(last_depth),
+            span!(entries_len),
+            span!(interest_len),
         ];
         let size = size_of::<KeyState>();
+        assert_eq!(size, LINE, "a line's worth");
         // Records sit back to back, so over a table a record starts at
         // every multiple of its alignment modulo the line size.
         for start in (0..LINE).step_by(align_of::<KeyState>()) {
             for line in 0..(start + size).div_ceil(LINE) {
                 let lo = (line * LINE).saturating_sub(start);
                 let hi = ((line + 1) * LINE - start).min(size);
-                let read = touched.iter().any(|&(a, b, whole)| match whole {
-                    true => a < hi && lo < b,
-                    false => lo <= a && b <= hi,
-                });
                 assert!(
-                    read,
+                    touched.iter().any(|&(a, b)| a < hi && lo < b),
                     "a record at {start} mod {LINE}: bytes {lo}..{hi} unread"
                 );
             }
@@ -531,7 +828,7 @@ mod tests {
 
     #[test]
     fn a_depth_past_u16_saturates() {
-        let mut st = KeyState::new();
+        let mut st = KeyState::new(KeyId(1));
         let mut deep = update(UpdateKind::Refresh, vec![entry(0, 0, 100)]);
         for (depth, kept) in [(65_535, u16::MAX), (65_536, u16::MAX), (u32::MAX, u16::MAX)] {
             deep.depth = depth;
@@ -545,10 +842,114 @@ mod tests {
 
     #[test]
     fn never_cached_vs_expired() {
-        let mut st = KeyState::new();
+        let mut st = KeyState::new(KeyId(1));
         assert!(st.never_cached());
         st.apply(&update(UpdateKind::FirstTime, vec![entry(0, 0, 10)]), false);
         assert!(!st.never_cached());
         assert!(!st.has_fresh(SimTime::from_secs(20)), "expired, not absent");
+    }
+
+    /// What the record's lists and boxes should hold, kept plainly.
+    #[derive(Default)]
+    struct Model {
+        entries: Vec<IndexEntry>,
+        interest: Vec<NodeId>,
+        pending: Option<SimTime>,
+        cold: bool,
+    }
+
+    /// Checks the record against the model: both lists in content and
+    /// order, the pending stamp, where each list lives, and that the
+    /// side box exists exactly while something is in it.
+    fn check(st: &KeyState, model: &Model) -> Result<(), TestCaseError> {
+        prop_assert_eq!(st.key(), KeyId(1), "the entry slot keeps the key");
+        prop_assert_eq!(st.entries(), model.entries.as_slice());
+        prop_assert_eq!(st.interest(), model.interest.as_slice());
+        prop_assert_eq!(st.pending_since(), model.pending);
+        prop_assert_eq!(st.cold().is_some(), model.cold);
+        let spilled = (
+            model.entries.len() > 1,
+            model.interest.len() > INLINE_INTEREST,
+        );
+        prop_assert_eq!(
+            (st.entries_len == SPILLED, st.interest_len == SPILLED),
+            spilled
+        );
+        let rare = model.pending.is_some() || spilled.0 || spilled.1 || model.cold;
+        prop_assert_eq!(st.side.is_some(), rare, "the side box");
+        if let Some(side) = st.side.as_deref() {
+            // A list in place leaves nothing allocated in the box.
+            prop_assert_eq!(side.entries.capacity() == 0, !spilled.0);
+            prop_assert_eq!(side.interest.capacity() == 0, !spilled.1);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Random applies of every kind, interest sets and clears,
+        /// pending opens and answers and cold-state creation against the
+        /// model, checked after every operation: both lists cross their
+        /// in-place capacity in both directions, and the side box comes
+        /// and goes with what it holds.
+        #[test]
+        fn the_record_matches_a_vec_model(ops in proptest::collection::vec((0u32..10, 0u32..12, 0u32..100), 0..200)) {
+            let mut st = KeyState::new(KeyId(1));
+            let mut model = Model::default();
+            for (op, a, b) in ops {
+                let replica = a % 6;
+                let e = entry(replica, u64::from(b), 100);
+                match op {
+                    0 => {
+                        // Distinct replicas, as an authority answers.
+                        let fresh: Vec<IndexEntry> = (0..a % 4)
+                            .map(|i| entry((replica + i) % 6, u64::from(b), 100))
+                            .collect();
+                        st.apply(&update(UpdateKind::FirstTime, fresh.clone()), false);
+                        model.entries = fresh;
+                    }
+                    1 | 2 => {
+                        let kind = [UpdateKind::Refresh, UpdateKind::Append][op as usize - 1];
+                        st.apply(&update(kind, vec![e]), false);
+                        match model.entries.iter_mut().find(|m| m.replica == e.replica) {
+                            Some(slot) => *slot = e,
+                            None => model.entries.push(e),
+                        }
+                    }
+                    3 => {
+                        let audit = b % 2 == 0;
+                        st.apply(&update(UpdateKind::Delete, vec![e]), audit);
+                        model.entries.retain(|m| m.replica != e.replica);
+                        model.cold |= audit;
+                    }
+                    4 | 5 => {
+                        let n = NodeId(a % 10);
+                        st.set_interest(n);
+                        if let Err(at) = model.interest.binary_search(&n) {
+                            model.interest.insert(at, n);
+                        }
+                    }
+                    6 => {
+                        let n = NodeId(a % 10);
+                        let was = model.interest.contains(&n);
+                        model.interest.retain(|&m| m != n);
+                        prop_assert_eq!(st.clear_interest(n), was);
+                    }
+                    7 => {
+                        let now = SimTime::from_secs(u64::from(b));
+                        st.open_pending(now).wait(Requester::Neighbor(NodeId(a)));
+                        model.pending.get_or_insert(now);
+                    }
+                    8 => {
+                        let taken = st.take_pending().map(|p| p.since);
+                        prop_assert_eq!(taken, model.pending.take());
+                    }
+                    _ => {
+                        st.cold_or_default();
+                        model.cold = true;
+                    }
+                }
+                check(&st, &model)?;
+            }
+        }
     }
 }

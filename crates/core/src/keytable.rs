@@ -18,10 +18,10 @@
 //! * **index**, an open-addressed table of 4-byte words probed linearly
 //!   and never more than half full. A word holds a slot + 1 (0 is empty)
 //!   over eight tag bits of the key's hash; a lookup reads one word,
-//!   rarely two, and confirms a tag match against the key the record
-//!   keeps in what used to be its tail padding — one index line before
-//!   the record, where bisecting sorted `(key, slot)` pairs read about
-//!   four dependent ones.
+//!   rarely two, and confirms a tag match against the key in the
+//!   record's entry slot (`KeyState::key`) — one index line before the
+//!   record, where bisecting sorted `(key, slot)` pairs read about four
+//!   dependent ones.
 //!
 //! Why hashing changes nothing observable: the hash decides only where a
 //! word sits in the index, and nothing reads the index's order. What
@@ -31,13 +31,13 @@
 //! what the sorted index produced, byte for byte. The index doubles
 //! when a new key would take it past half full, i.e. it has twice the
 //! words the pair vector had slots at every key count, at half the size
-//! each; at 4 bytes a word against 136 a record, its slack is not worth
+//! each; at 4 bytes a word against 64 a record, its slack is not worth
 //! a finer step. Keys are the program's own ids, not outside input, so
 //! a fixed hash that a chosen key set could cluster is enough.
 
 use cup_des::KeyId;
 
-use crate::keystate::KeyState;
+use crate::keystate::{vec_bytes, KeyState};
 
 /// Low bits of an index word: the tag, the low bits of the key's hash.
 const TAG_BITS: u32 = 8;
@@ -52,7 +52,7 @@ const MIN_WORDS: usize = 8;
 const MIN_GROWTH: usize = 4;
 
 /// The most keys one table holds: a slot + 1 must fit above the tag.
-/// (At 136 bytes a record, that is 2.3 GB of records for one node.)
+/// (At 64 bytes a record, that is 1.07 GB of records for one node.)
 const MAX_KEYS: usize = (u32::MAX >> TAG_BITS) as usize;
 
 /// The per-key records of one node, found by key.
@@ -119,7 +119,7 @@ impl KeyTable {
             }
             if w & TAG_MASK == h & TAG_MASK {
                 let slot = (w >> TAG_BITS) as usize - 1;
-                if self.records[slot].key == key {
+                if self.records[slot].key() == key {
                     return Ok(slot);
                 }
             }
@@ -158,9 +158,7 @@ impl KeyTable {
                 if slot == self.records.capacity() {
                     self.records.reserve_exact(growth(slot));
                 }
-                let mut st = KeyState::default();
-                st.key = key;
-                self.records.push(st);
+                self.records.push(KeyState::new(key));
                 slot
             }
         };
@@ -171,7 +169,7 @@ impl KeyTable {
     fn grow(&mut self) {
         let mut index = vec![0u32; (2 * self.index.len()).max(MIN_WORDS)].into_boxed_slice();
         for (slot, st) in self.records.iter().enumerate() {
-            let h = hash(st.key);
+            let h = hash(st.key());
             let pos = vacant(&index, h);
             index[pos] = word(slot, h);
         }
@@ -181,6 +179,15 @@ impl KeyTable {
     /// Every record, in the order the keys were first seen.
     pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut KeyState> {
         self.records.iter_mut()
+    }
+
+    /// Heap bytes the table owns: its index, its record array (every
+    /// slot, used or not) and each record's side box with everything in
+    /// it.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(&*self.index)
+            + vec_bytes(&self.records)
+            + self.records.iter().map(KeyState::heap_bytes).sum::<usize>()
     }
 }
 
@@ -255,7 +262,7 @@ mod tests {
             table.records.len()
         );
         for (slot, st) in table.records.iter().enumerate() {
-            prop_assert_eq!(table.find(st.key), Ok(slot));
+            prop_assert_eq!(table.find(st.key()), Ok(slot));
         }
         Ok(())
     }
@@ -275,7 +282,7 @@ mod tests {
                         first_seen.push(key);
                     }
                     let st = table.get_or_default(KeyId(key));
-                    prop_assert_eq!(st.key, KeyId(key));
+                    prop_assert_eq!(st.key(), KeyId(key));
                     prop_assert_eq!(st.last_depth, model.get(&key).copied().unwrap_or(0));
                     st.last_depth = value;
                     model.insert(key, value);

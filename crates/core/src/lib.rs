@@ -14,7 +14,7 @@
 //!
 //! * **§2.3 node bookkeeping** — per-key cached index entries, a
 //!   *Pending-First-Update* flag coalescing query bursts, an interest
-//!   record per neighbor ([`interest::InterestSet`]), and a popularity
+//!   record per neighbor ([`keystate::KeyState::interest`]), and a popularity
 //!   measure ([`popularity::Popularity`]).
 //! * **§2.4 update types** — first-time updates, deletes, refreshes, and
 //!   appends ([`message::UpdateKind`]).

@@ -52,7 +52,6 @@ use crate::capacity::OutgoingQueues;
 use crate::config::{AuditConfig, Mode, NodeConfig, AUDIT_QUORUM, PFU_TIMEOUT, SERVICE_INTERVAL};
 use crate::directory::{DirectoryChange, LocalDirectory};
 use crate::entry::IndexEntry;
-use crate::interest::InterestSet;
 use crate::keystate::{KeyState, Pending, NOT_ROUTED};
 use crate::keytable::KeyTable;
 use crate::message::{Message, ReplicaEvent, Requester, Update, UpdateKind};
@@ -117,6 +116,13 @@ impl CupNode {
     /// Read access to the per-key state (tests and diagnostics).
     pub fn key_state(&self, key: KeyId) -> Option<&KeyState> {
         self.keys.get(key)
+    }
+
+    /// Heap bytes the node's key table owns: its index, its record array
+    /// and each record's side box with everything in it — counted, not
+    /// sampled (`memory_gate` holds it to the allocator's own count).
+    pub fn key_table_bytes(&self) -> usize {
+        self.keys.heap_bytes()
     }
 
     /// Messages a driver looks ahead over with [`CupNode::touch_key`]:
@@ -212,7 +218,7 @@ impl CupNode {
         st.hop = upstream;
         st.popularity.record_query();
         if let Requester::Neighbor(n) = from {
-            st.interest.set(n);
+            st.set_interest(n);
         }
 
         if st.has_fresh(now) {
@@ -242,10 +248,10 @@ impl CupNode {
         match self.config.mode {
             // Every waiter is remembered so the first-time update (the
             // response) reaches it.
-            Mode::Cup => match st.pending.as_deref_mut() {
+            Mode::Cup => match st.pending_mut() {
                 // No record: open one and send the query upstream.
                 None => {
-                    st.pending.insert(Pending::boxed(now)).wait(from);
+                    st.open_pending(now).wait(from);
                     out.push(Action::send(upstream, Message::Query { key }));
                 }
                 // Coalesced into the in-flight query.
@@ -268,8 +274,7 @@ impl CupNode {
             Mode::StandardCaching => {
                 // No coalescing: every missing query is forwarded and the
                 // requester recorded for per-query response routing.
-                let pending = st.pending.get_or_insert_with(|| Pending::boxed(now));
-                pending.requesters.push(from);
+                st.open_pending(now).requesters.push(from);
                 out.push(Action::send(upstream, Message::Query { key }));
             }
         }
@@ -292,7 +297,7 @@ impl CupNode {
                 // Register the neighbor so future replica updates flow to
                 // it.
                 let st = self.keys.get_or_default(key);
-                st.interest.set(n);
+                st.set_interest(n);
                 st.hop = self.id;
             }
         }
@@ -349,7 +354,7 @@ impl CupNode {
             && st
                 .popularity
                 .on_update(update.source(), self.config.reset_mode);
-        let awaited = cup && update.kind == UpdateKind::FirstTime && st.pending.is_some();
+        let awaited = cup && update.kind == UpdateKind::FirstTime && st.pending().is_some();
         if awaited || !cup {
             // Case 1 — or the baseline, where every update is a response
             // (one message per recorded requester, no coalescing): cache
@@ -361,7 +366,7 @@ impl CupNode {
             // what makes push level 0 degenerate exactly to standard
             // caching (§3.3).
             st.apply(&update, audit);
-            if let Some(pending) = st.pending.take() {
+            if let Some(pending) = st.take_pending() {
                 answer_waiters(&mut self.stats, &pending, update, st, now, out);
             }
             return;
@@ -369,7 +374,7 @@ impl CupNode {
 
         // Case 2 (and stray non-first-time updates while the record is
         // open, which are applied without closing it).
-        if st.interest.is_empty() && st.pending.is_none() {
+        if st.interest().is_empty() && st.pending().is_none() {
             if triggered {
                 let ctx = CutoffContext {
                     queries_since_reset: queries_in_window,
@@ -396,42 +401,15 @@ impl CupNode {
         }
 
         st.apply(&update, audit);
-        let interested = st.interest.clone();
-        self.forward_to(&interested, update, Some(from), out);
-    }
-
-    /// Pushes an update to every neighbor in `interested` except
-    /// `exclude` (the neighbor it came from), honoring the sender-side
-    /// push-level cap and the capacity limiter. The caller passes a copy
-    /// of the key's interest set — a stack copy unless it spilled — and
-    /// gives the update up: the last recipient gets it, payload and all,
-    /// and only the others get clones.
-    fn forward_to(
-        &mut self,
-        interested: &InterestSet,
-        update: Update,
-        exclude: Option<NodeId>,
-        actions: &mut Vec<Action>,
-    ) {
-        let mut update = update.forwarded();
-        if update.kind != UpdateKind::FirstTime {
-            if let Some(level) = self.config.policy.sender_side_level() {
-                if update.depth > level {
-                    return;
-                }
-            }
-        }
-        let mut recipients = interested.iter().filter(|&n| Some(n) != exclude).peekable();
-        while let Some(to) = recipients.next() {
-            let entries = hand_over(&mut update.entries, recipients.peek().is_none());
-            let copy = Update { entries, ..update };
-            self.stats.updates_forwarded += 1;
-            if self.outgoing.is_throttled() {
-                self.outgoing.enqueue(to, copy);
-            } else {
-                actions.push(Action::send(to, Message::Update(copy)));
-            }
-        }
+        forward_to(
+            &self.config,
+            &mut self.stats,
+            &mut self.outgoing,
+            st.interest(),
+            update,
+            Some(from),
+            out,
+        );
     }
 
     /// Handles a Clear-Bit control message from downstream neighbor
@@ -451,11 +429,11 @@ impl CupNode {
             return;
         };
         st.hop = upstream.unwrap_or(self.id);
-        st.interest.clear(from);
+        st.clear_interest(from);
         // Stop wasting queue space on the disinterested neighbor.
         let dropped = self.outgoing.drop_matching(from, key);
         self.stats.updates_forwarded = self.stats.updates_forwarded.saturating_sub(dropped as u64);
-        if !st.interest.is_empty() {
+        if !st.interest().is_empty() {
             return;
         }
         let Some(upstream) = upstream else {
@@ -546,7 +524,7 @@ impl CupNode {
         self.stats
             .audit_rtt
             .record(now.saturating_since(opened).as_micros());
-        let Some(cold) = st.cold.as_mut() else {
+        let Some(cold) = st.cold_mut() else {
             return;
         };
         let audit = &mut cold.audit;
@@ -623,12 +601,12 @@ impl CupNode {
         let Some(st) = self.keys.get_mut(key) else {
             return;
         };
-        if let (UpdateKind::Delete, Some(cold)) = (kind, st.cold.as_mut()) {
+        if let (UpdateKind::Delete, Some(cold)) = (kind, st.cold_mut()) {
             // A held refresh of a dead replica would bring it back
             // downstream when the batch is released.
             cold.refresh.batch.retain(|e| e.replica != entry.replica);
         }
-        if st.interest.is_empty() {
+        if st.interest().is_empty() {
             return;
         }
         if kind == UpdateKind::Refresh {
@@ -641,34 +619,16 @@ impl CupNode {
                 return;
             }
         }
-        let interested = st.interest.clone();
-        self.originate(now, key, kind, vec![entry], &interested, out);
-    }
-
-    /// Sends a maintenance update the authority originates, carrying
-    /// `entries` (never empty), to the `interested` neighbors.
-    fn originate(
-        &mut self,
-        now: SimTime,
-        key: KeyId,
-        kind: UpdateKind,
-        entries: Vec<IndexEntry>,
-        interested: &InterestSet,
-        out: &mut Vec<Action>,
-    ) {
-        let window_end = entries.iter().map(IndexEntry::expires_at).max();
-        let update = Update {
-            key,
-            kind,
-            replica: entries.first().map_or(ReplicaId(0), |e| e.replica),
-            window_end: window_end.unwrap_or(now),
-            entries,
-            // The authority *sends* at depth 0; its children receive
-            // depth 1 (`forward_to` increments).
-            depth: 0,
-            origin: now,
-        };
-        self.forward_to(interested, update, None, out);
+        let update = originated(now, key, kind, vec![entry]);
+        forward_to(
+            &self.config,
+            &mut self.stats,
+            &mut self.outgoing,
+            st.interest(),
+            update,
+            None,
+            out,
+        );
     }
 
     /// Does what the node asked to be woken for ([`Action::Wake`]); the
@@ -699,7 +659,7 @@ impl CupNode {
                 let Some(st) = self.keys.get_mut(key) else {
                     return;
                 };
-                let Some(cold) = st.cold.as_mut() else {
+                let Some(cold) = st.cold_mut() else {
                     return;
                 };
                 let refresh = &mut cold.refresh;
@@ -707,11 +667,19 @@ impl CupNode {
                     return;
                 }
                 let entries = std::mem::take(&mut refresh.batch);
-                if st.interest.is_empty() {
+                if st.interest().is_empty() {
                     return;
                 }
-                let interested = st.interest.clone();
-                self.originate(now, key, UpdateKind::Refresh, entries, &interested, out);
+                let update = originated(now, key, UpdateKind::Refresh, entries);
+                forward_to(
+                    &self.config,
+                    &mut self.stats,
+                    &mut self.outgoing,
+                    st.interest(),
+                    update,
+                    None,
+                    out,
+                );
             }
         }
     }
@@ -721,7 +689,7 @@ impl CupNode {
     /// expire), and any updates queued for it are discarded.
     pub fn on_neighbor_departed(&mut self, departed: NodeId) {
         for st in self.keys.values_mut() {
-            st.interest.clear(departed);
+            st.clear_interest(departed);
         }
         self.outgoing.drop_neighbor(departed);
     }
@@ -741,6 +709,62 @@ impl CupNode {
 
 // The helpers below run while a handler holds its key's record, so they
 // take the node's other fields one by one instead of `&mut CupNode`.
+
+/// Pushes an update to every neighbor in `interested` except `exclude`
+/// (the neighbor it came from), honoring the sender-side push-level cap
+/// and the capacity limiter. The caller lends the key's interest list
+/// where it lies and gives the update up: the last recipient gets it,
+/// payload and all, and only the others get clones.
+fn forward_to(
+    config: &NodeConfig,
+    stats: &mut NodeStats,
+    outgoing: &mut OutgoingQueues,
+    interested: &[NodeId],
+    update: Update,
+    exclude: Option<NodeId>,
+    actions: &mut Vec<Action>,
+) {
+    let mut update = update.forwarded();
+    if update.kind != UpdateKind::FirstTime {
+        if let Some(level) = config.policy.sender_side_level() {
+            if update.depth > level {
+                return;
+            }
+        }
+    }
+    let mut recipients = interested
+        .iter()
+        .copied()
+        .filter(|&n| Some(n) != exclude)
+        .peekable();
+    while let Some(to) = recipients.next() {
+        let entries = hand_over(&mut update.entries, recipients.peek().is_none());
+        let copy = Update { entries, ..update };
+        stats.updates_forwarded += 1;
+        if outgoing.is_throttled() {
+            outgoing.enqueue(to, copy);
+        } else {
+            actions.push(Action::send(to, Message::Update(copy)));
+        }
+    }
+}
+
+/// A maintenance update the authority originates at `now`, carrying
+/// `entries` (never empty), for [`forward_to`].
+fn originated(now: SimTime, key: KeyId, kind: UpdateKind, entries: Vec<IndexEntry>) -> Update {
+    let window_end = entries.iter().map(IndexEntry::expires_at).max();
+    Update {
+        key,
+        kind,
+        replica: entries.first().map_or(ReplicaId(0), |e| e.replica),
+        window_end: window_end.unwrap_or(now),
+        entries,
+        // The authority *sends* at depth 0; its children receive depth 1
+        // (`forward_to` increments).
+        depth: 0,
+        origin: now,
+    }
+}
 
 /// Builds the response to one requester: a client gets its held-open
 /// connection answered; a neighbor gets a first-time update.
@@ -861,7 +885,7 @@ fn maybe_audit(
     if now.saturating_since(st.last_audit()) < cfg.interval {
         return;
     }
-    let audit = &mut st.cold_mut().audit;
+    let audit = &mut st.cold_or_default().audit;
     audit.last_audit = now;
     audit.round += 1;
     let round = audit.round;
@@ -884,7 +908,7 @@ fn refresh_due(config: &NodeConfig, st: &mut KeyState) -> bool {
     if k == 1 {
         return true;
     }
-    let seen = &mut st.cold_mut().refresh.skips;
+    let seen = &mut st.cold_or_default().refresh.skips;
     *seen += 1;
     if *seen >= k {
         *seen = 0;
@@ -899,8 +923,8 @@ fn refresh_due(config: &NodeConfig, st: &mut KeyState) -> bool {
 /// batch asks to be woken at `due`, when [`CupNode::wake_into`] releases
 /// whatever the batch then holds as one update.
 fn hold_refresh(st: &mut KeyState, entry: IndexEntry, due: SimTime, out: &mut Vec<Action>) {
-    let key = st.key;
-    let refresh = &mut st.cold_mut().refresh;
+    let key = st.key();
+    let refresh = &mut st.cold_or_default().refresh;
     if refresh.batch.is_empty() {
         refresh.batch_due = due;
         out.push(Action::Wake {
@@ -1043,8 +1067,8 @@ mod tests {
         assert!(node
             .key_state(KeyId(1))
             .unwrap()
-            .interest
-            .contains(NodeId(5)));
+            .interest()
+            .contains(&NodeId(5)));
     }
 
     #[test]
@@ -1487,7 +1511,7 @@ mod tests {
             actions,
             vec![Action::send(NodeId(9), Message::ClearBit { key: KeyId(1) })]
         );
-        assert!(node.key_state(KeyId(1)).unwrap().interest.is_empty());
+        assert!(node.key_state(KeyId(1)).unwrap().interest().is_empty());
     }
 
     #[test]
@@ -1936,8 +1960,8 @@ mod tests {
         }
         node.on_neighbor_departed(NodeId(4));
         let st = node.key_state(KeyId(1)).unwrap();
-        assert!(!st.interest.contains(NodeId(4)));
-        assert_eq!(st.interest.iter().collect::<Vec<_>>(), [NodeId(6)]);
+        assert!(!st.interest().contains(&NodeId(4)));
+        assert_eq!(st.interest(), [NodeId(6)]);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! counting the node's struct as `core.node_bytes_per_key` does) the
 //! bytes per key are pinned at their measured readings, so a
 //! fatter record or key index fails here and not only in the CI ledger.
+//! The key table's own count of its bytes (`CupNode::key_table_bytes`)
+//! is held to the allocator's, to the byte.
 //!
 //! The other tests hold the per-hop path to the same standard. A
 //! node's fixed bytes stay at most 352 (its two histograms allocate on
@@ -80,10 +82,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
-// The per-key record and the entry it caches, pinned at compile time:
-// an entry keeps its expiry instant, not a lifetime and a stamp, and the
-// delete tombstones live in the audit's box.
-const _: () = assert!(std::mem::size_of::<KeyState>() <= 96);
+// The per-key record and the entry it caches, pinned at compile time: a
+// record is a cache line's worth, at an alignment the allocator gives
+// without an aligned allocation (see `cup_core::keystate`), and an entry
+// keeps its expiry instant, not a lifetime and a stamp.
+const _: () = assert!(std::mem::size_of::<KeyState>() == 64);
+const _: () = assert!(std::mem::align_of::<KeyState>() <= 16);
 const _: () = assert!(std::mem::size_of::<IndexEntry>() == 16);
 
 const KEYS: u32 = 128;
@@ -164,11 +168,9 @@ fn a_cached_key_costs_at_most_300_heap_bytes_and_steady_traffic_allocates_only_p
     assert_eq!(node.stats.cutoffs, 0);
 }
 
-/// Bytes per key of a node that cached `keys` keys through a client miss
-/// and its first-time update each, counting the node's live heap and its
-/// own struct — what the ledger's `core.node_bytes_per_key` row measures
-/// (its nodes sit in a `Vec`).
-fn bytes_per_cached_key(keys: u32) -> f64 {
+/// A node that cached `keys` keys through a client miss and its
+/// first-time update each, and the live heap bytes it holds.
+fn cached_node(keys: u32) -> (CupNode, i64) {
     let mut out: Vec<Action> = Vec::with_capacity(8);
     let t0 = SimTime::from_secs(1);
     let live_before = LIVE_BYTES.get();
@@ -184,16 +186,29 @@ fn bytes_per_cached_key(keys: u32) -> f64 {
         node.handle_update_into(t0, UPSTREAM, u, &mut out);
         out.clear();
     }
-    let held = LIVE_BYTES.get() - live_before + std::mem::size_of_val(&node) as i64;
+    let live = LIVE_BYTES.get() - live_before;
+    (node, live)
+}
+
+/// Bytes per key of [`cached_node`], counting the node's live heap and
+/// its own struct — what the ledger's `core.node_bytes_per_key` row
+/// measures (its nodes sit in a `Vec`).
+fn bytes_per_cached_key(keys: u32) -> f64 {
+    let (node, live) = cached_node(keys);
+    let held = live + std::mem::size_of_val(&node) as i64;
     held as f64 / f64::from(keys)
 }
 
 /// `core.node_bytes_per_key`. The record array grows by a quarter and
 /// the key index by doubling: 160 keys sit in 175 records, 256 keys in
-/// 272. A 96-byte record reads 111.375 B a key at 256 keys and 120.0 B
-/// at 160: the 16-byte entry and the tombstones' move into the audit's
-/// box took 24 bytes off each of 272 and 175 records (136.875 B and
-/// 146.25 B before). BENCH_28.json's 136-byte record read 154.59 B and 164.9 B;
+/// 272, behind a 512-word index (2,048 B), plus the node's 352-byte
+/// struct. A 64-byte record reads 77.375 B a key at 256 keys and 85.0 B
+/// at 160: one cache line, with the key in the entry slot and everything
+/// rare in one side box, took 32 bytes off each of 272 and 175 records
+/// (111.375 B and 120.0 B before). A 96-byte record read that: the
+/// 16-byte entry and the tombstones' move into the audit's box took 24
+/// bytes off each record (136.875 B and 146.25 B before).
+/// BENCH_28.json's 136-byte record read 154.59 B and 164.9 B;
 /// the 128-byte record saved 8 bytes on each of 272 and 175 records,
 /// less the 16 bytes the node's §2.8 throttle added to its struct, one
 /// cut-off policy per node in place of an 8-class table took 176 bytes
@@ -206,13 +221,70 @@ fn bytes_per_cached_key(keys: u32) -> f64 {
 /// filled it exactly at a power of two, which a quarter step does not.
 #[test]
 fn a_cached_key_costs_what_the_ledger_reads() {
-    for (keys, ledger) in [(256, 111.375), (160, 120.0)] {
+    for (keys, ledger) in [(256, 77.375), (160, 85.0)] {
         let per_key = bytes_per_cached_key(keys);
         assert!(
             per_key <= ledger,
             "{keys} keys: {per_key} bytes per key, the ledger reads {ledger}"
         );
     }
+}
+
+/// The key table's count of its own bytes is the allocator's count: for
+/// the ledger's two nodes, and for one that holds every rare thing a
+/// record can — a pending miss whose waiters spilled, a two-entry key, a
+/// six-neighbor interest set, and audit state with spilled tombstones.
+#[test]
+fn the_key_table_counts_the_bytes_the_allocator_does() {
+    for keys in [160, 256] {
+        let (node, live) = cached_node(keys);
+        assert_eq!(node.key_table_bytes() as i64, live, "{keys} keys");
+    }
+
+    let audit = AuditConfig::sampled(SimDuration::from_secs(60), 16, 1);
+    let mut out: Vec<Action> = Vec::with_capacity(64);
+    let (t0, t1) = (SimTime::from_secs(1), SimTime::from_secs(100));
+    let answer = |key: u32, replicas: u32| {
+        let mut u = update(key, UpdateKind::FirstTime, t0);
+        u.entries = (0..replicas)
+            .map(|r| IndexEntry::new(KeyId(key), ReplicaId(r), LIFE, t0))
+            .collect();
+        u
+    };
+    let client = |k: u32| Requester::Client(ClientId(u64::from(k)));
+    let live_before = LIVE_BYTES.get();
+    let mut node = CupNode::new(NodeId(1), NodeConfig::cup_default().with_audit(audit));
+    // Key 0: a miss still pending.
+    node.handle_query_into(t0, KeyId(0), client(0), Some(UPSTREAM), &mut out);
+    // Key 1: two cached entries.
+    node.handle_query_into(t0, KeyId(1), client(1), Some(UPSTREAM), &mut out);
+    node.handle_update_into(t0, UPSTREAM, answer(1, 2), &mut out);
+    // Key 2: six interested neighbors, all still waiting.
+    for n in 0..6 {
+        let from = Requester::Neighbor(NodeId(100 + n));
+        node.handle_query_into(t0, KeyId(2), from, Some(UPSTREAM), &mut out);
+    }
+    // Key 3: a hit opens an audit round, and four deletes leave four
+    // tombstones.
+    node.handle_query_into(t0, KeyId(3), client(3), Some(UPSTREAM), &mut out);
+    node.handle_update_into(t0, UPSTREAM, answer(3, 5), &mut out);
+    node.handle_query_into(t1, KeyId(3), client(3), Some(UPSTREAM), &mut out);
+    assert_eq!(node.stats.audits_started, 1);
+    for r in 0..4 {
+        let mut delete = update(3, UpdateKind::Delete, t1);
+        delete.entries[0] = IndexEntry::new(KeyId(3), ReplicaId(r), LIFE, t1);
+        node.handle_update_into(t1, UPSTREAM, delete, &mut out);
+    }
+    out.clear();
+    let st = |k: u32| node.key_state(KeyId(k)).expect("seen");
+    assert!(st(0).pending_since().is_some());
+    assert_eq!(st(1).entries().len(), 2);
+    assert_eq!(st(2).interest().len(), 6);
+    assert_eq!(st(3).retired().len(), 4);
+    assert_eq!(
+        node.key_table_bytes() as i64,
+        LIVE_BYTES.get() - live_before
+    );
 }
 
 /// Delete tombstones are the sampled audit's and nobody else's: a node
@@ -293,7 +365,7 @@ fn relay_node(fan_out: u32, out: &mut Vec<Action>) -> CupNode {
 
 #[test]
 fn a_forwarded_refresh_allocates_one_payload_per_recipient_but_the_last() {
-    for fan_out in [1u32, 4] {
+    for fan_out in [1u32, 4, 6] {
         let mut out: Vec<Action> = Vec::with_capacity(8);
         let mut node = relay_node(fan_out, &mut out);
         let t1 = SimTime::from_secs(2);
