@@ -16,8 +16,9 @@
 //!   A `Hist` is a kilobyte in place, which is right where there is one
 //!   per plane (`NetMetrics`) and wrong where there is one per node:
 //!   [`LazyHist`] is the per-node form, one pointer wide until the first
-//!   sample allocates the buckets, equal to a `Hist` in everything read
-//!   from it.
+//!   sample, then one 72-byte block holding the eight buckets from the
+//!   lowest sample up (a whole `Hist` beside it only once the samples
+//!   spread wider), equal to a `Hist` in everything read from it.
 //! * [`TraceBuf`] — a ring-buffered **structured event trace**
 //!   ([`TraceEvent`]`{ t, node, kind, key, detail }`, virtual-clock
 //!   timestamped) with canonical ordering, JSONL export, and
@@ -93,8 +94,13 @@ impl Hist {
 
     /// Records one value. Integer-only; saturates into the top bucket.
     pub fn record(&mut self, v: u64) {
-        self.counts[Self::index_of(v)] += 1;
-        self.total += 1;
+        self.add(Self::index_of(v), 1);
+    }
+
+    /// Adds `n` values to bucket `idx`.
+    fn add(&mut self, idx: usize, n: u64) {
+        self.counts[idx] += n;
+        self.total += n;
     }
 
     /// Exact merge: bucket-wise addition. Associative and commutative,
@@ -141,42 +147,131 @@ impl Hist {
     }
 }
 
-/// A [`Hist`] that owns no memory until its first sample.
+/// Buckets a [`LazyHist`]'s block holds: one node's samples fit in
+/// that many adjacent buckets in every armed workload but for a handful
+/// of nodes (PFU retry ages at 31, 62 and 93 s span seven).
+const SPAN: usize = 8;
+
+// A block names its lowest bucket in a byte.
+const _: () = assert!(HIST_BUCKETS <= 1 << u8::BITS);
+
+/// A [`Hist`] that owns only the span of buckets its samples cover.
 ///
-/// [`crate::stats::NodeStats`] keeps two distributions that almost no
-/// node ever records into (a PFU retry needs a lost answer, an audit
-/// round-trip needs the audit plane on); in place they were four fifths
-/// of a node's fixed bytes. The buckets exist exactly when a sample does
-/// (only `record`, and a merge of something non-empty, allocate), so
-/// absent is the one representation of empty: the derived `==` treats an
-/// untouched histogram, a default one and one merged with empties alike,
-/// and the exact-merge law of `Hist` carries over unchanged.
+/// [`crate::stats::NodeStats`] keeps two distributions that most nodes
+/// record into a few times if at all (a PFU retry needs a lost answer,
+/// an audit round-trip needs the audit plane on); in place they were
+/// four fifths of a node's fixed bytes, and a whole boxed `Hist` is a
+/// kilobyte for a node that retried once. So this is one pointer, null
+/// until the first sample, which then allocates one block: the `SPAN`
+/// buckets from the lowest one sampled up. Samples that spread wider
+/// move into a whole `Hist` boxed beside the block.
+///
+/// The representation is a function of the recorded multiset alone:
+/// absent when it is empty, the block anchored at its lowest bucket while
+/// it spans at most `SPAN` buckets, the whole histogram otherwise (a
+/// multiset only grows, so nothing ever moves back). The derived `==`
+/// therefore treats an untouched histogram, a default one and one merged
+/// with empties alike, and the exact-merge law of `Hist` carries over
+/// unchanged.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LazyHist(Option<Box<Hist>>);
+pub struct LazyHist(Option<Box<Span>>);
+
+/// The buckets a non-empty [`LazyHist`] holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Span {
+    /// Bucket `lo + i` holds `counts[i]`, and `counts[0]` is not zero.
+    Narrow { lo: u8, counts: [u64; SPAN] },
+    /// The samples are more than `SPAN` buckets apart.
+    Wide(Box<Hist>),
+}
 
 impl LazyHist {
-    /// Records one value, allocating the buckets on the first.
+    /// Records one value, allocating the block on the first.
     pub fn record(&mut self, v: u64) {
-        self.0.get_or_insert_with(Box::default).record(v);
+        self.add(Hist::index_of(v), 1);
     }
 
     /// Exact merge; an empty `other` leaves `self` untouched (and
     /// unallocated).
     pub fn merge(&mut self, other: &LazyHist) {
-        if let Some(theirs) = &other.0 {
-            self.0.get_or_insert_with(Box::default).merge(theirs);
+        for (idx, n) in other.buckets() {
+            self.add(idx, n);
         }
     }
 
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
-        self.0.as_deref().map_or(0, Hist::count)
+        self.buckets().map(|(_, n)| n).sum()
     }
 
     /// The histogram itself (empty when nothing was recorded), for
     /// quantiles.
     pub fn to_hist(&self) -> Hist {
-        self.0.as_deref().copied().unwrap_or_default()
+        let mut hist = Hist::new();
+        for (idx, n) in self.buckets() {
+            hist.add(idx, n);
+        }
+        hist
+    }
+
+    /// Heap bytes this histogram owns: none while empty, the block once
+    /// sampled, and the whole `Hist` too once the samples spread wider.
+    pub fn heap_bytes(&self) -> usize {
+        match self.0.as_deref() {
+            None => 0,
+            Some(Span::Narrow { .. }) => std::mem::size_of::<Span>(),
+            Some(Span::Wide(_)) => std::mem::size_of::<Span>() + std::mem::size_of::<Hist>(),
+        }
+    }
+
+    /// The non-empty buckets as `(index, count)`, lowest first.
+    fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (base, counts): (usize, &[u64]) = match self.0.as_deref() {
+            None => (0, &[]),
+            Some(Span::Narrow { lo, counts }) => (usize::from(*lo), counts),
+            Some(Span::Wide(hist)) => (0, &hist.counts),
+        };
+        counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &n)| n > 0)
+            .map(move |(i, &n)| (base + i, n))
+    }
+
+    /// Adds `n > 0` values to bucket `idx`, widening the span (or moving
+    /// to a whole `Hist`) when `idx` lies outside it.
+    fn add(&mut self, idx: usize, n: u64) {
+        let Some(span) = self.0.as_deref_mut() else {
+            let mut counts = [0; SPAN];
+            counts[0] = n;
+            self.0 = Some(Box::new(Span::Narrow {
+                lo: idx as u8,
+                counts,
+            }));
+            return;
+        };
+        match span {
+            Span::Wide(hist) => hist.add(idx, n),
+            Span::Narrow { lo, counts } => {
+                let old_lo = usize::from(*lo);
+                let hi = old_lo + counts.iter().rposition(|&c| c > 0).unwrap_or(0);
+                let new_lo = old_lo.min(idx);
+                if hi.max(idx) - new_lo < SPAN {
+                    // Every bucket moves up by the shift; the zeros past
+                    // `hi` wrap round to the bottom.
+                    counts.rotate_right(old_lo - new_lo);
+                    counts[idx - new_lo] += n;
+                    *lo = new_lo as u8;
+                } else {
+                    let mut hist = Hist::new();
+                    for (i, &c) in counts[..=hi - old_lo].iter().enumerate() {
+                        hist.add(old_lo + i, c);
+                    }
+                    hist.add(idx, n);
+                    *span = Span::Wide(Box::new(hist));
+                }
+            }
+        }
     }
 }
 
@@ -390,6 +485,7 @@ pub fn trace_diff(a: &TraceBuf, b: &TraceBuf) -> Option<TraceDivergence> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn small_values_are_exact() {
@@ -461,6 +557,100 @@ mod tests {
             last = q;
         }
         assert!(h.quantile(1000) <= 100_000);
+    }
+
+    /// One value in bucket `idx` (clamped to the top one), `m` picking
+    /// where in the bucket.
+    fn in_bucket(idx: usize, m: u64) -> u64 {
+        let idx = idx.min(HIST_BUCKETS - 1);
+        if idx + 1 == HIST_BUCKETS {
+            return Hist::floor_of(idx).saturating_add(m << 20);
+        }
+        let floor = Hist::floor_of(idx);
+        floor + m % (Hist::floor_of(idx + 1) - floor)
+    }
+
+    /// A deterministic stream of indices below `bound`.
+    fn next_below(state: &mut u64, bound: usize) -> usize {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*state >> 33) as usize % bound.max(1)
+    }
+
+    fn lazy_of(values: &[u64]) -> LazyHist {
+        let mut lazy = LazyHist::default();
+        for &v in values {
+            lazy.record(v);
+        }
+        lazy
+    }
+
+    proptest! {
+        /// The same multiset, recorded in two orders and cut into groups
+        /// merged pairwise in a random order, gives equal histograms
+        /// that read like the `Hist` of it, and they hold the block alone
+        /// exactly while the samples span at most `SPAN` buckets. Most
+        /// values sit within six buckets of a random base, so the block
+        /// sits anywhere from the exact buckets to the saturating top one;
+        /// `mix` lets exact values, `u64::MAX` and values up to eleven
+        /// buckets past the base in, which widens the span past the
+        /// block.
+        #[test]
+        fn lazy_hist_is_its_multiset_however_it_was_built(
+            picks in proptest::collection::vec((0u32..4, 0u64..1 << 40), 0..40),
+            base in 0usize..HIST_BUCKETS,
+            mix in 0u32..8,
+            seed in any::<u64>(),
+        ) {
+            let values: Vec<u64> = picks
+                .iter()
+                .map(|&(regime, m)| match regime {
+                    1 if mix & 1 != 0 => m % SUB as u64,
+                    2 if mix & 2 != 0 => u64::MAX,
+                    3 if mix & 4 != 0 => in_bucket(base + 6 + (m % 6) as usize, m >> 3),
+                    _ => in_bucket(base + (m % 6) as usize, m >> 3),
+                })
+                .collect();
+            let mut state = seed | 1;
+            let mut shuffled = values.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, next_below(&mut state, i + 1));
+            }
+            let mut groups: Vec<LazyHist> = Vec::new();
+            let mut rest = &shuffled[..];
+            while !rest.is_empty() {
+                let (group, tail) = rest.split_at(1 + next_below(&mut state, rest.len()));
+                groups.push(lazy_of(group));
+                rest = tail;
+            }
+            groups.push(LazyHist::default());
+            while groups.len() > 1 {
+                let from = groups.swap_remove(next_below(&mut state, groups.len()));
+                let into = next_below(&mut state, groups.len());
+                groups[into].merge(&from);
+            }
+
+            let serial = lazy_of(&values);
+            let mut hist = Hist::new();
+            for &v in &values {
+                hist.record(v);
+            }
+            prop_assert_eq!(&serial, &lazy_of(&shuffled));
+            prop_assert_eq!(&serial, &groups[0]);
+            prop_assert_eq!(serial.to_hist(), hist);
+            prop_assert_eq!(groups[0].to_hist(), hist);
+            prop_assert_eq!(serial.count(), values.len() as u64);
+
+            let idx: Vec<usize> = values.iter().map(|&v| Hist::index_of(v)).collect();
+            let block = std::mem::size_of::<Span>();
+            let expected = match (idx.iter().min(), idx.iter().max()) {
+                (Some(lo), Some(hi)) if hi - lo < SPAN => block,
+                (Some(_), Some(_)) => block + std::mem::size_of::<Hist>(),
+                _ => 0,
+            };
+            prop_assert_eq!(serial.heap_bytes(), expected);
+        }
     }
 
     fn ev(t: u64, node: u32, kind: TraceKind, key: u32, detail: u64) -> TraceEvent {

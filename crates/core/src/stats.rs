@@ -7,8 +7,9 @@
 //! Every node carries one of these, so its fixed size is paid ten
 //! thousand times over: the counters are plain words and the two
 //! distributions are [`LazyHist`]s, which cost a pointer each until a
-//! node actually records a sample. That is why the struct is `Clone` but
-//! not `Copy` — a copy may have buckets to duplicate.
+//! node actually records a sample and then a block of eight buckets
+//! ([`NodeStats::heap_bytes`] counts them). That is why the struct is
+//! `Clone` but not `Copy` — a copy may have buckets to duplicate.
 
 use crate::obs::LazyHist;
 
@@ -67,6 +68,11 @@ impl NodeStats {
     /// Total client misses (first-time plus freshness).
     pub fn client_misses(&self) -> u64 {
         self.first_time_misses + self.freshness_misses
+    }
+
+    /// Heap bytes these counters own: their two histograms' buckets.
+    pub fn heap_bytes(&self) -> usize {
+        self.pfu_retry_age.heap_bytes() + self.audit_rtt.heap_bytes()
     }
 
     /// Adds another node's counters into this one (aggregation).

@@ -33,8 +33,8 @@ use std::cell::Cell;
 
 use cup_core::keystate::KeyState;
 use cup_core::{
-    Action, AuditConfig, ClientId, CupNode, IndexEntry, JustificationTracker, Message, NodeConfig,
-    Requester, Update, UpdateKind,
+    Action, AuditConfig, ClientId, CupNode, IndexEntry, JustificationTracker, LazyHist, Message,
+    NodeConfig, Requester, Update, UpdateKind,
 };
 use cup_des::{KeyId, NodeId, ReplicaId, SimDuration, SimTime};
 
@@ -89,6 +89,8 @@ static ALLOCATOR: Counting = Counting;
 const _: () = assert!(std::mem::size_of::<KeyState>() == 64);
 const _: () = assert!(std::mem::align_of::<KeyState>() <= 16);
 const _: () = assert!(std::mem::size_of::<IndexEntry>() == 16);
+// A node's two histograms are a pointer each until they are sampled.
+const _: () = assert!(std::mem::size_of::<LazyHist>() == 8);
 
 const KEYS: u32 = 128;
 const LIFE: SimDuration = SimDuration::from_secs(300);
@@ -342,6 +344,34 @@ fn a_node_is_at_most_352_bytes_before_it_caches_anything() {
     let node = CupNode::new(NodeId(1), NodeConfig::cup_default());
     assert_eq!(LIVE_BYTES.get() - live_before, 0, "an idle node's heap");
     assert_eq!(node.stats.pfu_retry_age.count(), 0);
+}
+
+/// A Pending-First-Update retry records the stranded record's age, and
+/// a node whose answers keep getting lost retries at ages 31, 62 and
+/// 93 s: seven adjacent buckets, which the histogram's one block holds.
+/// A whole boxed `Hist` was 1,032 bytes of it.
+#[test]
+fn a_node_that_retried_three_times_owns_one_small_histogram_block() {
+    let mut out: Vec<Action> = Vec::with_capacity(8);
+    let client = Requester::Client(ClientId(1));
+    let live_before = LIVE_BYTES.get();
+    let mut node = CupNode::new(NodeId(1), NodeConfig::cup_default());
+    let mut at = SimTime::ZERO;
+    for age in [0, 31, 62, 93] {
+        at += SimDuration::from_secs(age);
+        node.handle_query_into(at, KeyId(0), client, Some(UPSTREAM), &mut out);
+        assert_eq!(out.len(), 1, "age {age} s: the query goes upstream");
+        out.clear();
+    }
+    assert_eq!(node.stats.pfu_retries, 3);
+    let ages = node.stats.pfu_retry_age.to_hist();
+    assert_eq!(
+        (ages.quantile(1), ages.quantile(1000)),
+        (29_360_128, 83_886_080)
+    );
+    let histograms = LIVE_BYTES.get() - live_before - node.key_table_bytes() as i64;
+    assert_eq!(histograms, node.stats.heap_bytes() as i64);
+    assert!(histograms <= 96, "{histograms} heap bytes of histogram");
 }
 
 /// A node caching `KEYS` keys, each with `fan_out` subscribed neighbors
