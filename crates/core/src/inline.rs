@@ -136,26 +136,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         }
     }
 
-    /// Keeps only the items `keep` accepts, in order.
-    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        match self {
-            InlineVec::Inline { len, items } => {
-                let mut kept = 0;
-                for i in 0..usize::from(*len) {
-                    if keep(&items[i]) {
-                        items[kept] = items[i];
-                        kept += 1;
-                    }
-                }
-                *len = kept as u8;
-            }
-            InlineVec::Spilled(vec) => {
-                vec.retain(keep);
-                self.unspill();
-            }
-        }
-    }
-
     /// Moves a spilled list that fits again back in place.
     fn unspill(&mut self) {
         if let InlineVec::Spilled(vec) = self {
@@ -211,7 +191,8 @@ mod tests {
         assert_eq!(a, Small::from_slice(&[1, 2]), "slot 2 still holds a 3");
         let mut b = Small::from_slice(&[1, 2, 3, 4]);
         assert!(spilled(&b));
-        b.retain(|&x| x <= 2);
+        b.remove(3);
+        b.remove(2);
         assert!(!spilled(&b));
         assert_eq!(a, b);
     }
@@ -244,13 +225,9 @@ mod tests {
                         v.insert(i, item);
                         model.insert(i, item);
                     }
-                    3 if !model.is_empty() => {
+                    3 | 4 if !model.is_empty() => {
                         let i = at as usize % model.len();
                         prop_assert_eq!(v.remove(i), model.remove(i));
-                    }
-                    4 => {
-                        v.retain(|&x| x % (at + 2) != 0);
-                        model.retain(|&x| x % (at + 2) != 0);
                     }
                     5 if at == 0 => {
                         v = Small::default();

@@ -22,23 +22,42 @@
 //! per slot: the `(node, key)` pair hashes multiplicatively
 //! (`PairHasher`; the ids are dense indices this program assigned, not
 //! outside input, so nobody can craft collisions) and the slot's windows
-//! sit in the table itself, two in place before a list spills. A window
-//! is its two instants: the query that justifies it removes it in the
-//! same call, so there is no justified-but-still-held state to flag.
+//! sit in the table itself. A window is its two instants: the query that
+//! justifies it removes it in the same call, so there is no
+//! justified-but-still-held state to flag.
+//!
+//! A slot is 32 bytes, the 8-byte pair and a 24-byte `Slot`: two places,
+//! each a `u64` closing instant and a `u32` span, the window opening
+//! `span` µs before it closes. `SimTime` counts microseconds, and a
+//! window is never longer than the entry lifetime its update carries
+//! (300 s in the paper, 600 s in the longest benchmark workload), so the
+//! span of a `u32` — 71 minutes — holds every window the workloads open.
+//! A held window always closes after the instant it was recorded at, so
+//! never at 0, and a closing instant of 0 marks a place empty. Places
+//! fill from the first, so a held slot whose first place is empty keeps
+//! its windows elsewhere: in the spill map, a second table keyed by the
+//! same pair and probed only then. A slot's windows are there exactly
+//! when they do not *pack* — a third window (a delete and a re-birth
+//! within one lifetime, about 3 % of pushes), or a span past
+//! `u32::MAX` µs (a window closing at `SimTime::MAX` from any instant
+//! more than 71 minutes before it) — and move back in place the moment
+//! they pack again. Both forms store the same two instants per window,
+//! so every count read from the tracker is the same as from a plain list
+//! of windows per pair (`tests/justify_oracle.rs` holds it to one).
 //!
 //! A hashed table keeps the two runtimes byte-identical because **no
 //! result reads its iteration order**: updates and queries are point
-//! probes, and the three whole-table walks ([`prune_settled`], the
-//! self-prune that calls it, [`open_windows`]) are a `retain` whose
-//! predicate looks at one slot and a sum. Anything that needed slots *in
+//! probes, and the whole-table walks ([`prune_settled`], the self-prune
+//! that calls it, [`open_windows`], [`heap_bytes`]) are a `retain` whose
+//! predicate looks at one slot, and sums. Anything that needed slots *in
 //! order* would have to sort first. Clippy's `disallowed-methods` list
 //! (`clippy.toml`) bans every order-revealing walk over a hash container,
-//! so the two functions that walk the table carry an `expect` stating
-//! why their order cannot leak.
+//! so the functions that walk the tables carry an `expect` stating why
+//! their order cannot leak.
 //!
 //! The table also prunes itself: whenever it has doubled since the last
 //! prune, an update delivery runs [`prune_settled`] at its own instant
-//! and gives the freed buckets back. Slots whose update stream stopped
+//! and gives the freed buckets back, the spill map's too. Slots whose update stream stopped
 //! (every cut-off) and whose path no query walks again are reclaimed
 //! then, so the table is bounded by twice the slots that were unsettled
 //! at the last prune, not by how many `(node, key)` pairs a long run ever
@@ -47,26 +66,208 @@
 //!
 //! [`prune_settled`]: JustificationTracker::prune_settled
 //! [`open_windows`]: JustificationTracker::open_windows
+//! [`heap_bytes`]: JustificationTracker::heap_bytes
 
-use std::collections::hash_map::Entry;
+use std::collections::hash_map::{Entry, OccupiedEntry};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use cup_des::{KeyId, NodeId, SimTime};
 
-use crate::inline::InlineVec;
+use crate::keystate::vec_bytes;
 
 /// One pending justification window: open from `opened` until `closes`.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Window {
     opened: SimTime,
     closes: SimTime,
 }
 
-/// A slot's windows. Updates for one `(node, key)` arrive a refresh
-/// interval apart and a query on the path settles what is open, so two
-/// in place cover all but slots nobody queries.
-type Windows = InlineVec<Window, 2>;
+impl Window {
+    /// A query posted at `at` justifies the window.
+    fn covers(self, at: SimTime) -> bool {
+        self.opened <= at && at < self.closes
+    }
+}
+
+/// A slot's windows in place: place `i` holds the window that closes at
+/// `closes[i]` µs and opened `spans[i]` µs before. A closing instant of
+/// 0 marks the place empty, and places fill from the first.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    closes: [u64; 2],
+    spans: [u32; 2],
+}
+
+// A table bucket is the pair and its slot: 32 bytes, where a pair and an
+// `InlineVec` of two 16-byte windows was 48.
+const _: () = assert!(std::mem::size_of::<((NodeId, KeyId), Slot)>() == 32);
+
+impl Slot {
+    /// No window in place. A held slot reads empty exactly when its
+    /// windows are in the spill map.
+    const EMPTY: Slot = Slot {
+        closes: [0; 2],
+        spans: [0; 2],
+    };
+
+    /// `windows` in place, when there are at most two and each one's
+    /// span fits.
+    fn pack(windows: &[Window]) -> Option<Slot> {
+        let mut slot = Slot::EMPTY;
+        windows.iter().all(|&w| slot.push(w)).then_some(slot)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.closes[0] == 0
+    }
+
+    fn window(&self, i: usize) -> Window {
+        let closes = self.closes[i];
+        Window {
+            opened: SimTime::from_micros(closes - u64::from(self.spans[i])),
+            closes: SimTime::from_micros(closes),
+        }
+    }
+
+    fn windows(self) -> impl Iterator<Item = Window> {
+        (0..2)
+            .filter(move |&i| self.closes[i] != 0)
+            .map(move |i| self.window(i))
+    }
+
+    /// Puts `w` in the first empty place; false when both are taken or
+    /// its span does not fit.
+    fn push(&mut self, w: Window) -> bool {
+        let i = usize::from(!self.is_empty());
+        let Ok(span) = u32::try_from((w.closes - w.opened).as_micros()) else {
+            return false;
+        };
+        if self.closes[i] != 0 {
+            return false;
+        }
+        self.closes[i] = w.closes.as_micros();
+        self.spans[i] = span;
+        true
+    }
+
+    /// Keeps the windows `keep` accepts, first places first.
+    fn retain(&mut self, mut keep: impl FnMut(Window) -> bool) {
+        let mut kept = Slot::EMPTY;
+        let mut next = 0;
+        for i in 0..2 {
+            if self.closes[i] != 0 && keep(self.window(i)) {
+                kept.closes[next] = self.closes[i];
+                kept.spans[next] = self.spans[i];
+                next += 1;
+            }
+        }
+        *self = kept;
+    }
+}
+
+/// The spill map's entry for a slot whose windows just changed, filed
+/// again: moved back in place once they pack, dropped once there are
+/// none. Returns whether the slot still holds a window.
+fn resettle(slot: &mut Slot, list: OccupiedEntry<'_, Pair, Vec<Window>>) -> bool {
+    let held = !list.get().is_empty();
+    if let Some(packed) = Slot::pack(list.get()) {
+        *slot = packed;
+        list.remove();
+    }
+    held
+}
+
+type Pair = (NodeId, KeyId);
+
+/// A table of `V` by pair, and the buckets behind it.
+///
+/// std's `HashMap` (a SwissTable) does not report its bucket count, and
+/// `capacity()` is no stand-in: a removal that leaves a tombstone takes
+/// one off it and frees no bucket (a table of 262,144 buckets filled to
+/// 229,376 pairs and emptied to 29,376 reads 99,955, which a count
+/// derived from it would take for half the buckets). So the count is
+/// followed through the two calls that reallocate a table, by the rules
+/// the table grows and shrinks by, and `memory_gate` holds the bytes
+/// derived from it to the allocator's, that table included.
+#[derive(Debug)]
+struct Table<V> {
+    map: PairMap<V>,
+    buckets: usize,
+}
+
+impl<V> Default for Table<V> {
+    fn default() -> Self {
+        Table {
+            map: PairMap::default(),
+            buckets: 0,
+        }
+    }
+}
+
+impl<V> Table<V> {
+    /// Pairs `buckets` buckets hold before the table grows: one fewer
+    /// than the buckets below eight, seven eighths from there.
+    fn holds(buckets: usize) -> usize {
+        if buckets < 8 {
+            buckets.saturating_sub(1)
+        } else {
+            buckets / 8 * 7
+        }
+    }
+
+    /// Buckets a table sized for `pairs` pairs allocates.
+    fn buckets_for(pairs: usize) -> usize {
+        match pairs {
+            0..4 => 4,
+            4..8 => 8,
+            _ => (pairs * 8 / 7).next_power_of_two(),
+        }
+    }
+
+    /// Follows an insertion, which may have grown the table: a table
+    /// that grew was rebuilt, and a rebuilt table's `capacity()` is all
+    /// its buckets hold.
+    fn inserted(&mut self) {
+        let capacity = self.map.capacity();
+        if capacity > Self::holds(self.buckets) {
+            self.buckets = Self::buckets_for(capacity);
+        }
+    }
+
+    /// `HashMap::shrink_to`: the table moves to the buckets `min` pairs
+    /// (or the pairs it holds, if more) need when that is fewer, and
+    /// gives its block back when both are zero.
+    fn shrink_to(&mut self, min: usize) {
+        self.map.shrink_to(min);
+        let min = min.max(self.map.len());
+        self.buckets = match min {
+            0 => 0,
+            _ => self.buckets.min(Self::buckets_for(min)),
+        };
+    }
+
+    /// The table's block: the buckets, then one control byte a bucket
+    /// and one probe group's worth more (16 where SSE2 probes 16 bytes
+    /// at once, 8 elsewhere).
+    fn heap_bytes(&self) -> usize {
+        const GROUP: usize = if cfg!(all(
+            target_feature = "sse2",
+            any(target_arch = "x86", target_arch = "x86_64")
+        )) {
+            16
+        } else {
+            8
+        };
+        if self.buckets == 0 {
+            return 0;
+        }
+        let align = std::mem::align_of::<(Pair, V)>().max(GROUP);
+        (self.buckets * std::mem::size_of::<(Pair, V)>()).next_multiple_of(align)
+            + self.buckets
+            + GROUP
+    }
+}
 
 /// Multiplicative hashing for the `(node, key)` pair: the two `u32`
 /// writes of the derived `Hash` are packed into one word, and `finish`
@@ -92,11 +293,15 @@ impl Hasher for PairHasher {
     }
 }
 
+type PairMap<V> = HashMap<Pair, V, BuildHasherDefault<PairHasher>>;
+
 /// Tracks justification windows for maintenance updates.
 #[derive(Debug, Default)]
 pub struct JustificationTracker {
     /// A slot exists exactly while it holds a window.
-    slots: HashMap<(NodeId, KeyId), Windows, BuildHasherDefault<PairHasher>>,
+    slots: Table<Slot>,
+    /// The windows of every held slot that does not pack in place.
+    spill: Table<Vec<Window>>,
     /// Slot count at which the next update delivery prunes the table:
     /// twice what the last prune left.
     prune_at: usize,
@@ -120,19 +325,41 @@ impl JustificationTracker {
             // justified).
             return;
         }
-        let windows = self.slots.entry((node, key)).or_default();
-        // Prune closed windows opportunistically to bound the slot.
-        windows.retain(|w| w.closes > now);
-        windows.push(Window {
+        let pair = (node, key);
+        let window = Window {
             opened: now,
             closes,
-        });
-        if self.slots.len() >= self.prune_at {
+        };
+        // Closed windows are pruned opportunistically to bound the slot.
+        match self.slots.map.entry(pair) {
+            Entry::Occupied(held) if held.get().is_empty() => {
+                if let Entry::Occupied(mut list) = self.spill.map.entry(pair) {
+                    list.get_mut().retain(|w| w.closes > now);
+                    list.get_mut().push(window);
+                    resettle(held.into_mut(), list);
+                }
+            }
+            entry => {
+                let slot = entry.or_insert(Slot::EMPTY);
+                slot.retain(|w| w.closes > now);
+                if !slot.push(window) {
+                    let mut list = Vec::with_capacity(4);
+                    list.extend(slot.windows());
+                    list.push(window);
+                    *slot = Slot::EMPTY;
+                    self.spill.map.insert(pair, list);
+                }
+            }
+        }
+        self.slots.inserted();
+        self.spill.inserted();
+        if self.slots.map.len() >= self.prune_at {
             self.prune_settled(now);
             // The window just pushed is open, so the table is not empty
             // and the threshold moves past it.
-            self.prune_at = 2 * self.slots.len();
+            self.prune_at = 2 * self.slots.map.len();
             self.slots.shrink_to(self.prune_at);
+            self.spill.shrink_to(2 * self.spill.map.len());
         }
     }
 
@@ -146,15 +373,33 @@ impl JustificationTracker {
     /// after it stay.
     pub fn on_query(&mut self, key: KeyId, now: SimTime, path: &[NodeId]) {
         for &node in path {
-            let Entry::Occupied(mut slot) = self.slots.entry((node, key)) else {
+            let pair = (node, key);
+            let Entry::Occupied(mut held) = self.slots.map.entry(pair) else {
                 continue;
             };
-            let windows = slot.get_mut();
-            let hit = windows.iter().filter(|w| w.opened <= now && now < w.closes);
-            self.justified += hit.count() as u64;
-            windows.retain(|w| w.opened > now);
-            if windows.is_empty() {
-                slot.remove();
+            let slot = held.get_mut();
+            let mut hits = 0;
+            let kept = if slot.is_empty() {
+                match self.spill.map.entry(pair) {
+                    Entry::Occupied(mut list) => {
+                        list.get_mut().retain(|&w| {
+                            hits += u64::from(w.covers(now));
+                            w.opened > now
+                        });
+                        resettle(slot, list)
+                    }
+                    Entry::Vacant(_) => false,
+                }
+            } else {
+                slot.retain(|w| {
+                    hits += u64::from(w.covers(now));
+                    w.opened > now
+                });
+                !slot.is_empty()
+            };
+            self.justified += hits;
+            if !kept {
+                held.remove();
             }
         }
     }
@@ -168,9 +413,19 @@ impl JustificationTracker {
         reason = "a retain whose predicate reads only the slot it is given: which slots survive cannot depend on visit order"
     )]
     pub fn prune_settled(&mut self, now: SimTime) {
-        self.slots.retain(|_, windows| {
-            windows.retain(|w| w.closes > now);
-            !windows.is_empty()
+        let spill = &mut self.spill.map;
+        self.slots.map.retain(|&pair, slot| {
+            if !slot.is_empty() {
+                slot.retain(|w| w.closes > now);
+                return !slot.is_empty();
+            }
+            match spill.entry(pair) {
+                Entry::Occupied(mut list) => {
+                    list.get_mut().retain(|w| w.closes > now);
+                    resettle(slot, list)
+                }
+                Entry::Vacant(_) => false,
+            }
         });
     }
 
@@ -200,18 +455,37 @@ impl JustificationTracker {
         reason = "a sum of lengths is the same in any order"
     )]
     pub fn open_windows(&self) -> usize {
-        self.slots.values().map(|windows| windows.len()).sum()
+        let in_place: usize = self
+            .slots
+            .map
+            .values()
+            .map(|slot| slot.windows().count())
+            .sum();
+        in_place + self.spill.map.values().map(Vec::len).sum::<usize>()
     }
 
     /// `(node, key)` slots currently held in memory.
     pub fn held_slots(&self) -> usize {
-        self.slots.len()
+        self.slots.map.len()
+    }
+
+    /// Heap bytes the tracker owns: its table, the spill map and the
+    /// spilled lists.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a sum of capacities is the same in any order"
+    )]
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.heap_bytes()
+            + self.spill.heap_bytes()
+            + self.spill.map.values().map(vec_bytes).sum::<usize>()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cup_des::SimDuration;
 
     const KEY: KeyId = KeyId(1);
 
@@ -391,6 +665,49 @@ mod tests {
         t.on_query(KEY, SimTime::from_secs(16), &[NodeId(1)]);
         assert_eq!(t.justified(), 2);
         assert_eq!(t.held_slots(), 0, "an emptied slot is dropped");
+    }
+
+    #[test]
+    fn a_third_window_spills_and_moves_back_once_two_remain() {
+        let mut t = JustificationTracker::new();
+        for s in [10, 11, 12] {
+            t.on_update_delivered(
+                NodeId(1),
+                KEY,
+                SimTime::from_secs(s),
+                SimTime::from_secs(100),
+            );
+            assert_eq!(t.spill.map.len(), usize::from(s == 12), "at {s} s");
+        }
+        assert_eq!((t.open_windows(), t.held_slots()), (3, 1));
+        // A mark that lags the last update justifies the two windows
+        // open at its instant; the third, opened after it, goes back in
+        // place.
+        t.on_query(KEY, SimTime::from_secs(11), &[NodeId(1)]);
+        assert_eq!(t.justified(), 2);
+        assert_eq!((t.open_windows(), t.held_slots()), (1, 1));
+        assert!(t.spill.map.is_empty());
+        assert!(!t.slots.map[&(NodeId(1), KEY)].is_empty(), "in place");
+    }
+
+    #[test]
+    fn a_span_fits_in_place_up_to_u32_max_microseconds() {
+        let now = SimTime::from_secs(5);
+        let longest = now + SimDuration::from_micros(u64::from(u32::MAX));
+        let closes = [longest, longest + SimDuration::from_micros(1), SimTime::MAX];
+        let mut t = JustificationTracker::new();
+        for (n, &c) in (0u32..).zip(&closes) {
+            t.on_update_delivered(NodeId(n), KEY, now, c);
+        }
+        assert_eq!(t.held_slots(), 3);
+        assert_eq!(t.spill.map.len(), 2, "past u32::MAX µs, and SimTime::MAX");
+        // Each window opened exactly at `now`, wherever it is kept.
+        let path = [NodeId(0), NodeId(1), NodeId(2)];
+        t.on_query(KEY, SimTime::from_micros(now.as_micros() - 1), &path);
+        assert_eq!((t.justified(), t.open_windows()), (0, 3));
+        t.on_query(KEY, now, &path);
+        assert_eq!((t.justified(), t.held_slots()), (3, 0));
+        assert!(t.spill.map.is_empty());
     }
 
     #[test]

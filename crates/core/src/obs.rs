@@ -17,8 +17,9 @@
 //!   per plane (`NetMetrics`) and wrong where there is one per node:
 //!   [`LazyHist`] is the per-node form, one pointer wide until the first
 //!   sample, then one 72-byte block holding the eight buckets from the
-//!   lowest sample up (a whole `Hist` beside it only once the samples
-//!   spread wider), equal to a `Hist` in everything read from it.
+//!   lowest sample up (beside it, a block of exactly the sampled buckets
+//!   once the samples spread wider), equal to a `Hist` in everything
+//!   read from it.
 //! * [`TraceBuf`] — a ring-buffered **structured event trace**
 //!   ([`TraceEvent`]`{ t, node, kind, key, detail }`, virtual-clock
 //!   timestamped) with canonical ordering, JSONL export, and
@@ -164,25 +165,29 @@ const _: () = assert!(HIST_BUCKETS <= 1 << u8::BITS);
 /// kilobyte for a node that retried once. So this is one pointer, null
 /// until the first sample, which then allocates one block: the `SPAN`
 /// buckets from the lowest one sampled up. Samples that spread wider
-/// move into a whole `Hist` boxed beside the block.
+/// move into a second block beside it that runs from the lowest sampled
+/// bucket to the highest: eight bytes a bucket, where a whole `Hist` was
+/// 1,032 bytes.
 ///
 /// The representation is a function of the recorded multiset alone:
 /// absent when it is empty, the block anchored at its lowest bucket while
-/// it spans at most `SPAN` buckets, the whole histogram otherwise (a
-/// multiset only grows, so nothing ever moves back). The derived `==`
-/// therefore treats an untouched histogram, a default one and one merged
-/// with empties alike, and the exact-merge law of `Hist` carries over
-/// unchanged.
+/// it spans at most `SPAN` buckets, exactly its lowest to its highest
+/// bucket otherwise (a multiset only grows, so nothing ever moves back).
+/// The derived `==` therefore treats an untouched histogram, a default
+/// one and one merged with empties alike, and the exact-merge law of
+/// `Hist` carries over unchanged.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LazyHist(Option<Box<Span>>);
 
-/// The buckets a non-empty [`LazyHist`] holds.
+/// The buckets a non-empty [`LazyHist`] holds: bucket `lo + i` holds
+/// `counts[i]`, and `counts[0]` is not zero.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Span {
-    /// Bucket `lo + i` holds `counts[i]`, and `counts[0]` is not zero.
+    /// The samples lie within `SPAN` buckets.
     Narrow { lo: u8, counts: [u64; SPAN] },
-    /// The samples are more than `SPAN` buckets apart.
-    Wide(Box<Hist>),
+    /// The samples are more than `SPAN` buckets apart, and `counts` runs
+    /// from the lowest sampled bucket to the highest, no further.
+    Wide { lo: u8, counts: Box<[u64]> },
 }
 
 impl LazyHist {
@@ -215,12 +220,15 @@ impl LazyHist {
     }
 
     /// Heap bytes this histogram owns: none while empty, the block once
-    /// sampled, and the whole `Hist` too once the samples spread wider.
+    /// sampled, and the wide span's buckets too once the samples spread
+    /// wider.
     pub fn heap_bytes(&self) -> usize {
         match self.0.as_deref() {
             None => 0,
             Some(Span::Narrow { .. }) => std::mem::size_of::<Span>(),
-            Some(Span::Wide(_)) => std::mem::size_of::<Span>() + std::mem::size_of::<Hist>(),
+            Some(Span::Wide { counts, .. }) => {
+                std::mem::size_of::<Span>() + std::mem::size_of_val::<[u64]>(counts)
+            }
         }
     }
 
@@ -229,7 +237,7 @@ impl LazyHist {
         let (base, counts): (usize, &[u64]) = match self.0.as_deref() {
             None => (0, &[]),
             Some(Span::Narrow { lo, counts }) => (usize::from(*lo), counts),
-            Some(Span::Wide(hist)) => (0, &hist.counts),
+            Some(Span::Wide { lo, counts }) => (usize::from(*lo), counts),
         };
         counts
             .iter()
@@ -238,8 +246,8 @@ impl LazyHist {
             .map(move |(i, &n)| (base + i, n))
     }
 
-    /// Adds `n > 0` values to bucket `idx`, widening the span (or moving
-    /// to a whole `Hist`) when `idx` lies outside it.
+    /// Adds `n > 0` values to bucket `idx`, widening the span (into a
+    /// block of its own past `SPAN` buckets) when `idx` lies outside it.
     fn add(&mut self, idx: usize, n: u64) {
         let Some(span) = self.0.as_deref_mut() else {
             let mut counts = [0; SPAN];
@@ -250,28 +258,33 @@ impl LazyHist {
             }));
             return;
         };
-        match span {
-            Span::Wide(hist) => hist.add(idx, n),
-            Span::Narrow { lo, counts } => {
-                let old_lo = usize::from(*lo);
-                let hi = old_lo + counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-                let new_lo = old_lo.min(idx);
-                if hi.max(idx) - new_lo < SPAN {
-                    // Every bucket moves up by the shift; the zeros past
-                    // `hi` wrap round to the bottom.
-                    counts.rotate_right(old_lo - new_lo);
-                    counts[idx - new_lo] += n;
-                    *lo = new_lo as u8;
-                } else {
-                    let mut hist = Hist::new();
-                    for (i, &c) in counts[..=hi - old_lo].iter().enumerate() {
-                        hist.add(old_lo + i, c);
-                    }
-                    hist.add(idx, n);
-                    *span = Span::Wide(Box::new(hist));
-                }
-            }
+        let (lo, counts): (&mut u8, &mut [u64]) = match span {
+            Span::Narrow { lo, counts } => (lo, counts),
+            Span::Wide { lo, counts } => (lo, counts),
+        };
+        let old_lo = usize::from(*lo);
+        let hi = old_lo + counts.iter().rposition(|&c| c > 0).unwrap_or(0);
+        if (old_lo..=hi).contains(&idx) {
+            counts[idx - old_lo] += n;
+            return;
         }
+        let new_lo = old_lo.min(idx);
+        let new_hi = hi.max(idx);
+        if new_hi - new_lo < SPAN {
+            // Every bucket moves up by the shift; the zeros past `hi`
+            // wrap round to the bottom.
+            counts.rotate_right(old_lo - new_lo);
+            counts[idx - new_lo] += n;
+            *lo = new_lo as u8;
+            return;
+        }
+        let mut wide = vec![0; new_hi - new_lo + 1].into_boxed_slice();
+        wide[old_lo - new_lo..=hi - new_lo].copy_from_slice(&counts[..=hi - old_lo]);
+        wide[idx - new_lo] += n;
+        *span = Span::Wide {
+            lo: new_lo as u8,
+            counts: wide,
+        };
     }
 }
 
@@ -590,17 +603,19 @@ mod tests {
         /// The same multiset, recorded in two orders and cut into groups
         /// merged pairwise in a random order, gives equal histograms
         /// that read like the `Hist` of it, and they hold the block alone
-        /// exactly while the samples span at most `SPAN` buckets. Most
-        /// values sit within six buckets of a random base, so the block
-        /// sits anywhere from the exact buckets to the saturating top one;
-        /// `mix` lets exact values, `u64::MAX` and values up to eleven
-        /// buckets past the base in, which widens the span past the
-        /// block.
+        /// exactly while the samples span at most `SPAN` buckets, and
+        /// beside it exactly the buckets from the lowest sample to the
+        /// highest once they span more. Most values sit within six
+        /// buckets of a random base, so the block sits anywhere from the
+        /// exact buckets to the saturating top one; `mix` lets exact
+        /// values, `u64::MAX`, values up to eleven buckets past the base
+        /// and values in any bucket in, which widen the span past the
+        /// block by a few buckets or by up to all of them.
         #[test]
         fn lazy_hist_is_its_multiset_however_it_was_built(
-            picks in proptest::collection::vec((0u32..4, 0u64..1 << 40), 0..40),
+            picks in proptest::collection::vec((0u32..5, 0u64..1 << 40), 0..40),
             base in 0usize..HIST_BUCKETS,
-            mix in 0u32..8,
+            mix in 0u32..16,
             seed in any::<u64>(),
         ) {
             let values: Vec<u64> = picks
@@ -609,6 +624,7 @@ mod tests {
                     1 if mix & 1 != 0 => m % SUB as u64,
                     2 if mix & 2 != 0 => u64::MAX,
                     3 if mix & 4 != 0 => in_bucket(base + 6 + (m % 6) as usize, m >> 3),
+                    4 if mix & 8 != 0 => in_bucket((m % HIST_BUCKETS as u64) as usize, m >> 7),
                     _ => in_bucket(base + (m % 6) as usize, m >> 3),
                 })
                 .collect();
@@ -646,10 +662,11 @@ mod tests {
             let block = std::mem::size_of::<Span>();
             let expected = match (idx.iter().min(), idx.iter().max()) {
                 (Some(lo), Some(hi)) if hi - lo < SPAN => block,
-                (Some(_), Some(_)) => block + std::mem::size_of::<Hist>(),
+                (Some(lo), Some(hi)) => block + (hi - lo + 1) * std::mem::size_of::<u64>(),
                 _ => 0,
             };
             prop_assert_eq!(serial.heap_bytes(), expected);
+            prop_assert_eq!(groups[0].heap_bytes(), expected);
         }
     }
 

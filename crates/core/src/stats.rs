@@ -7,7 +7,8 @@
 //! Every node carries one of these, so its fixed size is paid ten
 //! thousand times over: the counters are plain words and the two
 //! distributions are [`LazyHist`]s, which cost a pointer each until a
-//! node actually records a sample and then a block of eight buckets
+//! node actually records a sample, then a block of eight buckets, and
+//! beside it exactly the buckets sampled once they spread wider
 //! ([`NodeStats::heap_bytes`] counts them). That is why the struct is
 //! `Clone` but not `Copy` — a copy may have buckets to duplicate.
 

@@ -8,6 +8,14 @@
 //! the shard moved on), explicit `prune_settled` calls — and after every
 //! call `justified`, `total`, `open_windows` and `held_slots` must agree.
 //!
+//! The stream reaches every form a slot takes: most windows last under
+//! 31 s and sit in place, while bursts put three to five windows on one
+//! slot, and some windows last `u32::MAX` µs give or take 3 µs (the
+//! longest span a slot keeps in place), thousands of seconds, or until
+//! `SimTime::MAX`. A jump of about `u32::MAX` µs lets the longest of
+//! them close inside a run, and queries land on the very microsecond a
+//! window opened or one either side of it.
+//!
 //! The new tracker has exactly one freedom the oracle lacks: inside
 //! `on_update_delivered(.., now, ..)` it may run `prune_settled(now)` on
 //! itself (it does when its table has doubled). So when the two disagree
@@ -29,33 +37,67 @@ use cup_des::{KeyId, NodeId, SimDuration, SimTime};
 const NODES: u32 = 24;
 const KEYS: u32 = 4;
 
+/// The longest span a slot keeps in place, in µs.
+const LONGEST: u64 = u32::MAX as u64;
+
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// An update whose window closes `window` seconds after delivery
-    /// (0: closed on arrival).
-    Update { node: u32, key: u32, window: u64 },
-    /// A query posted `lag` seconds ago at `node`, walking three nodes.
+    /// `copies` updates at one instant, the `i`-th window closing
+    /// `span + i` s after delivery (`span` in µs; 0: closed on arrival),
+    /// or all at `SimTime::MAX` when `span` is `None`.
+    Update {
+        node: u32,
+        key: u32,
+        span: Option<u64>,
+        copies: u64,
+    },
+    /// A query posted `lag` µs ago at `node`, walking three nodes.
     Query { node: u32, key: u32, lag: u64 },
     /// `prune_settled` as of now.
     Prune,
+    /// The clock moves on by `by` µs.
+    Jump { by: u64 },
 }
 
 /// `(seconds since the previous op, op)`; several ops may share an
 /// instant.
 fn arb_step() -> impl Strategy<Value = (u64, Op)> {
-    (0u64..4, 0u32..12, 0..NODES, 0..KEYS, 0u64..31).prop_map(|(dt, pick, node, key, secs)| {
+    (0u64..4, 0u32..24, 0..NODES, 0..KEYS, any::<u64>()).prop_map(|(dt, pick, node, key, r)| {
+        const S: u64 = 1_000_000;
+        // Around `LONGEST`, 3 µs either side.
+        let near_longest = LONGEST + r % 7 - 3;
+        let update = |span, copies| Op::Update {
+            node,
+            key,
+            span,
+            copies,
+        };
         let op = match pick {
-            0..=5 => Op::Update {
+            0..=9 => update(Some(r % 31 * S), 1),
+            10 => update(Some(near_longest), 1),
+            11 => update(Some((4_300 + r % 5_000) * S), 1),
+            12 => update(None, 1),
+            13..=14 => {
+                let span = match (r >> 32) % 4 {
+                    0 => Some(near_longest),
+                    1 => None,
+                    _ => Some((1 + r % 30) * S),
+                };
+                update(span, 3 + (r >> 40) % 3)
+            }
+            15..=20 => Op::Query {
                 node,
                 key,
-                window: secs,
+                // Whole seconds, then the microsecond either side.
+                lag: (r % 12 * S + (r >> 32) % 3).saturating_sub(1),
             },
-            6..=10 => Op::Query {
+            21 => Op::Query {
                 node,
                 key,
-                lag: secs % 12,
+                lag: r % 5_000 * S,
             },
-            _ => Op::Prune,
+            22 => Op::Prune,
+            _ => Op::Jump { by: near_longest },
         };
         (dt, op)
     })
@@ -77,17 +119,22 @@ proptest! {
         for (i, &(dt, op)) in steps.iter().enumerate() {
             now += SimDuration::from_secs(dt);
             match op {
-                Op::Update { node, key, window } => {
-                    let closes = now + SimDuration::from_secs(window);
-                    new.on_update_delivered(NodeId(node), KeyId(key), now, closes);
-                    oracle.on_update_delivered(NodeId(node), KeyId(key), now, closes);
-                    if held(&new, &oracle).iter().any(|(n, o)| n != o) {
-                        // The table doubled and swept itself.
-                        oracle.prune_settled(now);
+                Op::Update { node, key, span, copies } => {
+                    for copy in 0..copies {
+                        let closes = match span {
+                            Some(span) => now + SimDuration::from_micros(span) + SimDuration::from_secs(copy),
+                            None => SimTime::MAX,
+                        };
+                        new.on_update_delivered(NodeId(node), KeyId(key), now, closes);
+                        oracle.on_update_delivered(NodeId(node), KeyId(key), now, closes);
+                        if held(&new, &oracle).iter().any(|(n, o)| n != o) {
+                            // The table doubled and swept itself.
+                            oracle.prune_settled(now);
+                        }
                     }
                 }
                 Op::Query { node, key, lag } => {
-                    let at = SimTime::from_micros(now.as_micros().saturating_sub(lag * 1_000_000));
+                    let at = SimTime::from_micros(now.as_micros().saturating_sub(lag));
                     let path = [node, (node + 1) % NODES, (node + 2) % NODES].map(NodeId);
                     new.on_query(KeyId(key), at, &path);
                     oracle.on_query(KeyId(key), at, &path);
@@ -96,6 +143,7 @@ proptest! {
                     new.prune_settled(now);
                     oracle.prune_settled(now);
                 }
+                Op::Jump { by } => now += SimDuration::from_micros(by),
             }
             prop_assert_eq!(
                 (new.justified(), new.total()),

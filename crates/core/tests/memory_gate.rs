@@ -22,7 +22,8 @@
 //! response relayed to one waiting neighbor nothing and one answered to
 //! a waiting client exactly its payload. And the justification tracker,
 //! which sees every update and every query path, allocates nothing once
-//! its slots exist.
+//! its slots exist, and its count of its own bytes is the allocator's
+//! (as is a per-node histogram's, spread over twelve buckets).
 //!
 //! The allocator is the process's but the counters are thread-local and
 //! the harness runs each test on a thread of its own, so the tests do
@@ -502,4 +503,116 @@ fn tracker_cycles_over_existing_slots_allocate_nothing() {
         (delivered, delivered)
     );
     assert_eq!(tracker.held_slots(), 0, "a settled slot is given back");
+}
+
+/// The tracker's count of its own bytes is the allocator's, through a
+/// stream that takes its tables through every reallocation and every
+/// form a slot has: 3,000 slots, of which every fifth spills with a
+/// second and third window and every seventh with a window too long to
+/// keep in place; a late mark that settles the first windows, so most
+/// spilled slots move back in place; a prune that sweeps the closed
+/// slots out and shrinks the table; and queries that settle the rest,
+/// which leaves the table's buckets behind as tombstones.
+#[test]
+fn the_tracker_counts_the_bytes_the_allocator_does() {
+    const SLOTS: u32 = 3_000;
+    let path: Vec<NodeId> = (0..2 * SLOTS).map(NodeId).collect();
+    let live_before = LIVE_BYTES.get();
+    let mut tracker = JustificationTracker::new();
+    let check = |tracker: &JustificationTracker, when: &str| {
+        let live = LIVE_BYTES.get() - live_before;
+        assert_eq!(tracker.heap_bytes() as i64, live, "{when}");
+    };
+    let at = SimTime::from_secs;
+    let longest = SimDuration::from_micros(u64::from(u32::MAX));
+    let (early, late) = (at(1), SimTime::from_millis(1_500));
+    for n in 0..SLOTS {
+        tracker.on_update_delivered(NodeId(n), KeyId(0), early, at(10));
+        if n % 5 == 0 {
+            tracker.on_update_delivered(NodeId(n), KeyId(0), late, at(11));
+            tracker.on_update_delivered(NodeId(n), KeyId(0), late, at(12));
+        }
+        if n % 7 == 0 {
+            let too_long = late + longest + SimDuration::from_secs(1);
+            tracker.on_update_delivered(NodeId(n), KeyId(0), late, too_long);
+        }
+    }
+    assert_eq!(tracker.held_slots(), SLOTS as usize);
+    check(&tracker, "spilled");
+
+    tracker.on_query(KeyId(0), early, &path);
+    assert_eq!(tracker.justified(), u64::from(SLOTS));
+    check(&tracker, "moved back in place");
+
+    // Long after those windows closed, new slots whose windows each shut
+    // a millisecond later double the table, and the prune leaves only the
+    // long windows and the one just opened.
+    for n in 0..2 * SLOTS {
+        let (held, now) = (
+            tracker.held_slots(),
+            at(100) + SimDuration::from_millis(n.into()),
+        );
+        tracker.on_update_delivered(NodeId(n), KeyId(1), now, now + SimDuration::from_millis(1));
+        if tracker.held_slots() < held {
+            break;
+        }
+    }
+    assert_eq!(tracker.held_slots(), 429 + 1);
+    check(&tracker, "pruned and shrunk");
+
+    let settle = late + longest;
+    tracker.on_query(KeyId(0), settle, &path);
+    tracker.on_query(KeyId(1), settle, &path);
+    assert_eq!(tracker.held_slots(), 0);
+    check(&tracker, "settled");
+}
+
+/// A table that fills to its last free bucket and then empties keeps
+/// its buckets, whatever `capacity()` reads after the removals (their
+/// tombstones take 129,421 off it here, so a count derived from it would
+/// read half the buckets): the tracker follows its bucket count, and
+/// counts the bytes the allocator does.
+#[test]
+fn a_tracker_emptied_from_full_still_counts_its_buckets() {
+    // 10,000 nodes by 23 keys, less 624: the 229,376 slots fill 262,144
+    // buckets to the seven eighths they hold.
+    const NODES: u32 = 10_000;
+    const SLOTS: u32 = 229_376;
+    let path: Vec<NodeId> = (0..NODES).map(NodeId).collect();
+    let live_before = LIVE_BYTES.get();
+    let mut tracker = JustificationTracker::new();
+    let now = SimTime::from_secs(1);
+    for s in 0..SLOTS {
+        tracker.on_update_delivered(NodeId(s % NODES), KeyId(s / NODES), now, now + LIFE);
+    }
+    let full = tracker.heap_bytes();
+    assert_eq!(full, 262_144 * 33 + 16);
+    for key in 0..20 {
+        tracker.on_query(KeyId(key), now, &path);
+    }
+    assert_eq!(tracker.held_slots(), 29_376);
+    assert_eq!(tracker.heap_bytes(), full, "no bucket was given back");
+    assert_eq!(tracker.heap_bytes() as i64, LIVE_BYTES.get() - live_before);
+}
+
+/// A histogram whose samples spread over twelve buckets keeps them in a
+/// block of exactly twelve beside its eight-bucket one: 168 heap bytes,
+/// where a whole `Hist` beside the block was 1,104.
+#[test]
+fn a_histogram_spread_over_twelve_buckets_owns_twelve_more() {
+    let live_before = LIVE_BYTES.get();
+    let mut hist = LazyHist::default();
+    // Buckets 76, 82 and 87: the first two fit the block, the third
+    // spreads the samples over twelve.
+    for v in [1 << 20, 3 << 20, 7 << 20] {
+        hist.record(v);
+    }
+    let live = LIVE_BYTES.get() - live_before;
+    assert_eq!(live, hist.heap_bytes() as i64);
+    assert_eq!(live, 72 + 12 * 8);
+    let read = hist.to_hist();
+    assert_eq!(
+        (read.count(), read.quantile(1), read.quantile(1000)),
+        (3, 1 << 20, 7 << 20)
+    );
 }

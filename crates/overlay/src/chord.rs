@@ -191,6 +191,8 @@ impl ChordOverlay {
         }
     }
 
+    /// Every live node's neighbor set, in id order (`nodes()` is
+    /// sorted), so `diff_neighbors` finds a node in it by binary search.
     fn snapshot_neighbors(&self) -> Vec<(NodeId, BTreeSet<NodeId>)> {
         self.nodes()
             .into_iter()
@@ -219,7 +221,7 @@ impl ChordOverlay {
         }
         // Newly joined nodes (not in `before`).
         for id in self.nodes() {
-            if before.iter().any(|(b, _)| *b == id) {
+            if before.binary_search_by_key(&id, |&(b, _)| b).is_ok() {
                 continue;
             }
             let added: Vec<NodeId> = self.neighbors(id);
@@ -395,6 +397,64 @@ mod tests {
             let nbs = overlay.neighbors(id);
             assert!(!nbs.contains(&id));
             assert!(nbs.iter().all(|&n| overlay.is_alive(n)));
+        }
+    }
+
+    /// The neighbor deltas as `diff_neighbors` found them by a linear
+    /// scan of `before` per live node.
+    fn linear_diff(
+        overlay: &ChordOverlay,
+        before: &[(NodeId, BTreeSet<NodeId>)],
+    ) -> Vec<NeighborChange> {
+        let mut changes = Vec::new();
+        for (id, old) in before {
+            let new: BTreeSet<NodeId> = overlay.neighbors(*id).into_iter().collect();
+            let added: Vec<NodeId> = new.difference(old).copied().collect();
+            let removed: Vec<NodeId> = old.difference(&new).copied().collect();
+            if !added.is_empty() || !removed.is_empty() {
+                changes.push(NeighborChange {
+                    node: *id,
+                    added,
+                    removed,
+                });
+            }
+        }
+        for id in overlay.nodes() {
+            if before.iter().any(|(b, _)| *b == id) {
+                continue;
+            }
+            let added = overlay.neighbors(id);
+            if !added.is_empty() {
+                changes.push(NeighborChange {
+                    node: id,
+                    added,
+                    removed: Vec::new(),
+                });
+            }
+        }
+        changes
+    }
+
+    #[test]
+    fn churn_reports_match_the_linear_scan() {
+        for n in [2usize, 17, 300] {
+            let mut overlay = ChordOverlay::build(n).unwrap();
+            // Two joins to a leave, leaving nodes spread over the ring.
+            let mut changes = 0;
+            for step in 0..2 * n + 4 {
+                let before = overlay.snapshot_neighbors();
+                let leave = step % 3 == 1 && overlay.len() > 1;
+                let report = if leave {
+                    let gone = overlay.nodes()[step * 7 % overlay.len()];
+                    overlay.leave(gone).unwrap()
+                } else {
+                    overlay.join()
+                };
+                let expected = linear_diff(&overlay, &before);
+                assert_eq!(report.neighbor_changes, expected, "n = {n}, step {step}");
+                changes += expected.len();
+            }
+            assert!(changes > 0, "n = {n}: the sequence moved some neighbors");
         }
     }
 
