@@ -247,25 +247,42 @@ impl<V> Table<V> {
         };
     }
 
-    /// The table's block: the buckets, then one control byte a bucket
-    /// and one probe group's worth more (16 where SSE2 probes 16 bytes
-    /// at once, 8 elsewhere).
+    /// The table's block.
     fn heap_bytes(&self) -> usize {
-        const GROUP: usize = if cfg!(all(
-            target_feature = "sse2",
-            any(target_arch = "x86", target_arch = "x86_64")
-        )) {
-            16
-        } else {
-            8
-        };
-        if self.buckets == 0 {
-            return 0;
-        }
-        let align = std::mem::align_of::<(Pair, V)>().max(GROUP);
-        (self.buckets * std::mem::size_of::<(Pair, V)>()).next_multiple_of(align)
-            + self.buckets
-            + GROUP
+        block_bytes::<(Pair, V)>(self.buckets)
+    }
+}
+
+/// The block of a std `HashMap` of `buckets` buckets of `T`s (its
+/// `(key, value)` pairs), 0 for none: the buckets, then one control byte
+/// a bucket and one probe group's worth more (16 where SSE2 probes 16
+/// bytes at once, 8 elsewhere).
+fn block_bytes<T>(buckets: usize) -> usize {
+    const GROUP: usize = if cfg!(all(
+        target_feature = "sse2",
+        any(target_arch = "x86", target_arch = "x86_64")
+    )) {
+        16
+    } else {
+        8
+    };
+    if buckets == 0 {
+        return 0;
+    }
+    let align = std::mem::align_of::<T>().max(GROUP);
+    (buckets * std::mem::size_of::<T>()).next_multiple_of(align) + buckets + GROUP
+}
+
+/// Heap bytes of a std `HashMap` of `T`s (its `(key, value)` pairs) that
+/// has never removed an entry, from its `capacity()`. Without the
+/// tombstones removals leave, the capacity is what the buckets hold
+/// before the map grows, so it names the bucket count exactly. (A map
+/// that removes must follow its buckets instead, as the tracker's
+/// tables do.)
+pub fn grow_only_map_bytes<T>(capacity: usize) -> usize {
+    match capacity {
+        0 => 0,
+        _ => block_bytes::<T>(Table::<()>::buckets_for(capacity)),
     }
 }
 

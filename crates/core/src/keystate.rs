@@ -7,8 +7,9 @@
 //! authority once it has routed the key.
 //!
 //! CUP's scaling argument is that this record is tiny, so it is laid out
-//! to be: a [`KeyState`] is 64 bytes, a cache line's worth (checked at
-//! compile time below), and owns no heap memory in the common case. The node's key table holds its records in one array
+//! to be: a [`KeyState`] is 56 bytes, seven eighths of a cache line
+//! (checked at compile time below), and owns no heap memory in the
+//! common case. The node's key table holds its records in one array
 //! that grows by a quarter at a time, so a node pays for at most a
 //! quarter more records than it holds (`crate::keytable`). The
 //! capacities are read off the four ledger workloads' end-of-run states,
@@ -20,7 +21,7 @@
 //!   (every entry cached for a key indexes that key), so the key table
 //!   confirms its lookups against it and the record keeps no key of its
 //!   own;
-//! * **interest** holds four neighbors in place (see
+//! * **interest** holds three neighbors in place (see
 //!   [`crate::interest`]);
 //! * **everything rare** shares one box, `Side`, that exists exactly
 //!   while some of it does, and goes when the last of it does:
@@ -56,15 +57,16 @@
 //! (`CupNode::upstream_hint`) before it asks the overlay, and a
 //! topology change clears every hint (`CupNode::forget_upstream_hints`).
 //!
-//! Layout (x86-64, as the compiler orders the fields): the popularity
-//! measure at 0, the entry slot at 16 (16 bytes: an entry keeps its
-//! expiry instant, not a lifetime and a stamp, see `crate::entry`), the
-//! side box at 32, four interested neighbors at 40, the hop at 56,
-//! `last_depth` at 60 and the two lists' one-byte lengths at 62 and 63:
-//! 64 bytes, none of them padding. Records sit back to back in the key
-//! table, so one spans one cache line or two, by its offset: 1.875 on
-//! average over the eight offsets a record can start at (2.375 at 96
-//! bytes). The record is deliberately not aligned to a line:
+//! Layout (x86-64, as the compiler orders the fields): the entry slot at
+//! 0 (16 bytes: an entry keeps its expiry instant, not a lifetime and a
+//! stamp, see `crate::entry`), the side box at 16, three interested
+//! neighbors at 24, the hop at 36, the popularity measure at 40 (12
+//! bytes, see `crate::popularity`), `last_depth` at 52 and the two
+//! lists' one-byte lengths at 54 and 55: 56 bytes, one of them padding
+//! (the measure's last). Records sit back to back in the key table, so
+//! one spans one cache line or two, by its offset: 1.75 on average over
+//! the eight offsets a record can start at (1.875 at 64 bytes, 2.375 at
+//! 96). The record is deliberately not aligned to a line:
 //! `#[repr(align(64))]` would make every record one line, but an
 //! alignment above the allocator's 16 bytes sends each growth of a
 //! node's record array through an aligned allocation, and with glibc
@@ -91,7 +93,7 @@ use crate::popularity::Popularity;
 const RETIRED_CAP: usize = 8;
 
 /// Interested neighbors a key holds in place (see [`crate::interest`]).
-const INLINE_INTEREST: usize = 4;
+const INLINE_INTEREST: usize = 3;
 
 /// Tombstones a key holds in place.
 const INLINE_RETIRED: usize = 3;
@@ -124,13 +126,13 @@ pub struct KeyState {
     pub last_depth: u16,
     /// Cached entries in place (0 or 1), or [`SPILLED`].
     entries_len: u8,
-    /// Interested neighbors in place (0 to 4), or [`SPILLED`].
+    /// Interested neighbors in place (0 to 3), or [`SPILLED`].
     interest_len: u8,
 }
 
-// One line's worth, and an alignment the allocator gives without an
-// aligned allocation (see the module docs).
-const _: () = assert!(std::mem::size_of::<KeyState>() == 64);
+// Seven eighths of a line, and an alignment the allocator gives without
+// an aligned allocation (see the module docs).
+const _: () = assert!(std::mem::size_of::<KeyState>() == 56);
 const _: () = assert!(std::mem::align_of::<KeyState>() <= 16);
 
 /// A record's [`KeyState::hop`] before the key was first routed here; no
@@ -147,7 +149,7 @@ pub(crate) struct Side {
     /// The cached entries while there are more than one (empty, and
     /// unallocated, otherwise).
     entries: Vec<IndexEntry>,
-    /// The interested neighbors while there are more than four,
+    /// The interested neighbors while there are more than three,
     /// ascending (empty, and unallocated, otherwise).
     interest: Vec<NodeId>,
     /// The off-by-default planes' state, tombstones included; `None`
@@ -563,7 +565,8 @@ impl KeyState {
             self.entry,
             self.side.is_some(),
             self.interest,
-            // All three of the measure's fields: every byte of it.
+            // All four of the measure's fields, through its accessors:
+            // every byte of it but its one byte of padding.
             (
                 pop.queries_since_reset(),
                 pop.consecutive_empty(),
@@ -797,8 +800,8 @@ mod tests {
         }
         assert_eq!(
             size_of::<Popularity>(),
-            2 * size_of::<u32>() + size_of::<Option<ReplicaId>>(),
-            "the measure's three fields fill it"
+            size_of::<u32>() + size_of::<ReplicaId>() + size_of::<u16>() + size_of::<bool>() + 1,
+            "the measure's four fields fill it but for one byte of padding"
         );
         let touched = [
             span!(entry),
@@ -811,10 +814,17 @@ mod tests {
             span!(interest_len),
         ];
         let size = size_of::<KeyState>();
-        assert_eq!(size, LINE, "a line's worth");
+        assert_eq!(size, 56, "seven eighths of a line");
         // Records sit back to back, so over a table a record starts at
         // every multiple of its alignment modulo the line size.
-        for start in (0..LINE).step_by(align_of::<KeyState>()) {
+        let starts = (0..LINE).step_by(align_of::<KeyState>());
+        let spanned: usize = starts.clone().map(|at| (at + size).div_ceil(LINE)).sum();
+        assert_eq!(
+            (spanned, starts.len()),
+            (14, 8),
+            "1.75 lines on average over the eight offsets (1.875 at 64 bytes)"
+        );
+        for start in starts {
             for line in 0..(start + size).div_ceil(LINE) {
                 let lo = (line * LINE).saturating_sub(start);
                 let hi = ((line + 1) * LINE - start).min(size);

@@ -61,7 +61,11 @@ pub enum CutoffPolicy {
     },
     /// Log-based policy over the last `n` update arrivals: cut off once
     /// `n - 1` consecutive update intervals saw no query. `n = 3` is the
-    /// paper's second-chance policy.
+    /// paper's second-chance policy. A key's record counts the empty
+    /// intervals up to 65,535 and stops there
+    /// ([`crate::popularity::Popularity`]), so every `n` up to 65,536
+    /// decides as an unbounded count would; a longer history never cuts
+    /// off.
     LogBased {
         /// History length in update arrivals (must be at least 2).
         n: u32,

@@ -13,6 +13,8 @@
 //! for a particular replica arrive". [`ResetMode`] selects between the two
 //! behaviours so Table 3 of the paper can be reproduced.
 
+use std::fmt;
+
 use cup_des::ReplicaId;
 
 /// When the popularity window resets (and cut-off decisions trigger).
@@ -30,16 +32,41 @@ pub enum ResetMode {
 }
 
 /// Popularity bookkeeping for one key at one node.
-#[derive(Debug, Clone, Default)]
+///
+/// Twelve bytes (checked at compile time below), because every cached
+/// key's record holds one: the tracked replica is a [`ReplicaId`] and a
+/// flag rather than an `Option<ReplicaId>` (8 bytes on its own), and the
+/// empty-interval streak is a `u16` that stops at 65,535. A streak is
+/// only ever compared with a [`crate::CutoffPolicy::LogBased`] history
+/// length, `consecutive_empty < n - 1`, so the saturated count decides
+/// exactly as the full one for every `n` ≤ 65,536.
+#[derive(Clone, Default)]
 pub struct Popularity {
     /// Queries received since the last reset.
     queries_since_reset: u32,
-    /// Consecutive decision points at which no query had arrived (drives
-    /// the log-based/second-chance policies).
-    consecutive_empty: u32,
     /// The replica whose updates drive decisions under
-    /// [`ResetMode::ReplicaIndependent`].
-    tracked_replica: Option<ReplicaId>,
+    /// [`ResetMode::ReplicaIndependent`], while `tracking` is set
+    /// (meaningless otherwise).
+    tracked: ReplicaId,
+    /// Consecutive decision points at which no query had arrived (drives
+    /// the log-based/second-chance policies), saturated at `u16::MAX`.
+    consecutive_empty: u16,
+    /// Whether a replica is tracked.
+    tracking: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Popularity>() == 12);
+
+impl fmt::Debug for Popularity {
+    /// The measure as its accessors read it, the tracked replica as an
+    /// `Option`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Popularity")
+            .field("queries_since_reset", &self.queries_since_reset)
+            .field("consecutive_empty", &self.consecutive_empty())
+            .field("tracked_replica", &self.tracked_replica())
+            .finish()
+    }
 }
 
 impl Popularity {
@@ -58,14 +85,15 @@ impl Popularity {
         self.queries_since_reset
     }
 
-    /// Consecutive empty (query-less) update intervals observed so far.
+    /// Consecutive empty (query-less) update intervals observed so far,
+    /// saturated at `u16::MAX` (see the type's docs).
     pub fn consecutive_empty(&self) -> u32 {
-        self.consecutive_empty
+        u32::from(self.consecutive_empty)
     }
 
     /// The replica currently designated to trigger decisions, if any.
     pub fn tracked_replica(&self) -> Option<ReplicaId> {
-        self.tracked_replica
+        self.tracking.then_some(self.tracked)
     }
 
     /// Reports an update from `source` (see `Update::source`; `None`
@@ -81,10 +109,11 @@ impl Popularity {
     pub fn on_update(&mut self, source: Option<ReplicaId>, mode: ResetMode) -> bool {
         let triggers = match mode {
             ResetMode::Naive => true,
-            ResetMode::ReplicaIndependent => match (self.tracked_replica, source) {
+            ResetMode::ReplicaIndependent => match (self.tracked_replica(), source) {
                 (_, None) => false,
                 (None, Some(replica)) => {
-                    self.tracked_replica = Some(replica);
+                    self.tracked = replica;
+                    self.tracking = true;
                     true
                 }
                 (Some(tracked), Some(replica)) => tracked == replica,
@@ -104,8 +133,8 @@ impl Popularity {
     /// The tracked replica disappeared (a delete was applied); the next
     /// update will designate a new one.
     pub fn untrack_if(&mut self, replica: ReplicaId) {
-        if self.tracked_replica == Some(replica) {
-            self.tracked_replica = None;
+        if self.tracked_replica() == Some(replica) {
+            self.tracking = false;
         }
     }
 }
@@ -209,5 +238,64 @@ mod tests {
         assert!(p.on_update(None, ResetMode::Naive));
         assert_eq!(p.consecutive_empty(), 1);
         assert_eq!(p.tracked_replica(), None, "naive tracks nothing");
+    }
+
+    #[test]
+    fn the_empty_streak_stops_at_u16_max_without_wrapping() {
+        use crate::policy::{CutoffContext, CutoffPolicy};
+        let mut p = Popularity::new();
+        let longest = CutoffPolicy::LogBased { n: 65_536 };
+        let keeps = |p: &Popularity| {
+            longest.keep_receiving(&CutoffContext {
+                queries_since_reset: 0,
+                consecutive_empty: p.consecutive_empty(),
+                depth: 1,
+            })
+        };
+        for streak in 1..=u32::from(u16::MAX) {
+            assert!(p.on_update(Some(ReplicaId(0)), ResetMode::Naive));
+            assert_eq!(p.consecutive_empty(), streak);
+            // n - 1 = 65,535 empty intervals cut off, fewer keep.
+            assert_eq!(keeps(&p), streak < 65_535, "streak {streak}");
+        }
+        for _ in 0..3 {
+            assert!(p.on_update(Some(ReplicaId(0)), ResetMode::Naive));
+            assert_eq!(p.consecutive_empty(), u32::from(u16::MAX), "saturates");
+            assert!(!keeps(&p), "and still cuts off");
+        }
+        p.record_query();
+        assert!(p.on_update(Some(ReplicaId(0)), ResetMode::Naive));
+        assert_eq!(p.consecutive_empty(), 0, "a query still resets it");
+    }
+
+    #[test]
+    fn the_largest_replica_id_is_tracked_and_untracked() {
+        let top = ReplicaId(u32::MAX);
+        let mut p = Popularity::new();
+        assert!(p.on_update(Some(top), ResetMode::ReplicaIndependent));
+        assert_eq!(p.tracked_replica(), Some(top));
+        assert!(!p.on_update(Some(ReplicaId(0)), ResetMode::ReplicaIndependent));
+        assert!(p.on_update(Some(top), ResetMode::ReplicaIndependent));
+        p.untrack_if(ReplicaId(0));
+        assert_eq!(p.tracked_replica(), Some(top), "another id is a no-op");
+        p.untrack_if(top);
+        assert_eq!(p.tracked_replica(), None);
+        assert!(p.on_update(Some(ReplicaId(0)), ResetMode::ReplicaIndependent));
+        assert_eq!(p.tracked_replica(), Some(ReplicaId(0)), "redesignated");
+    }
+
+    #[test]
+    fn debug_reads_the_accessors() {
+        let mut p = Popularity::new();
+        assert_eq!(
+            format!("{p:?}"),
+            "Popularity { queries_since_reset: 0, consecutive_empty: 0, tracked_replica: None }"
+        );
+        p.on_update(Some(ReplicaId(7)), ResetMode::ReplicaIndependent);
+        p.record_query();
+        assert_eq!(
+            format!("{p:?}"),
+            "Popularity { queries_since_reset: 1, consecutive_empty: 1, tracked_replica: Some(ReplicaId(7)) }"
+        );
     }
 }

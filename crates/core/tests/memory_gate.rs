@@ -84,10 +84,10 @@ unsafe impl GlobalAlloc for Counting {
 static ALLOCATOR: Counting = Counting;
 
 // The per-key record and the entry it caches, pinned at compile time: a
-// record is a cache line's worth, at an alignment the allocator gives
+// record is seven eighths of a cache line, at an alignment the allocator gives
 // without an aligned allocation (see `cup_core::keystate`), and an entry
 // keeps its expiry instant, not a lifetime and a stamp.
-const _: () = assert!(std::mem::size_of::<KeyState>() == 64);
+const _: () = assert!(std::mem::size_of::<KeyState>() == 56);
 const _: () = assert!(std::mem::align_of::<KeyState>() <= 16);
 const _: () = assert!(std::mem::size_of::<IndexEntry>() == 16);
 // A node's two histograms are a pointer each until they are sampled.
@@ -203,12 +203,16 @@ fn bytes_per_cached_key(keys: u32) -> f64 {
 }
 
 /// `core.node_bytes_per_key`. The record array grows by a quarter and
-/// the key index by doubling: 160 keys sit in 175 records, 256 keys in
-/// 272, behind a 512-word index (2,048 B), plus the node's 352-byte
-/// struct. A 64-byte record reads 77.375 B a key at 256 keys and 85.0 B
-/// at 160: one cache line, with the key in the entry slot and everything
-/// rare in one side box, took 32 bytes off each of 272 and 175 records
-/// (111.375 B and 120.0 B before). A 96-byte record read that: the
+/// the key index by doubling once it would pass ¾ full: 160 keys sit in
+/// 175 records behind a 256-word index (1,024 B), 256 keys in 272 behind
+/// a 512-word one (2,048 B), plus the node's 352-byte struct. A 56-byte
+/// record reads 68.875 B a key at 256 keys and 69.85 B at 160: three
+/// interested neighbors in place and a 12-byte popularity measure took 8
+/// bytes off each of 272 and 175 records, and the ¾ index rule halved
+/// the 160-key node's index (77.375 B and 85.0 B before). A 64-byte
+/// record read that: one cache line, with the key in the entry slot and
+/// everything rare in one side box, took 32 bytes off each of 272 and
+/// 175 records (111.375 B and 120.0 B before). A 96-byte record read that: the
 /// 16-byte entry and the tombstones' move into the audit's box took 24
 /// bytes off each record (136.875 B and 146.25 B before).
 /// BENCH_28.json's 136-byte record read 154.59 B and 164.9 B;
@@ -224,7 +228,7 @@ fn bytes_per_cached_key(keys: u32) -> f64 {
 /// filled it exactly at a power of two, which a quarter step does not.
 #[test]
 fn a_cached_key_costs_what_the_ledger_reads() {
-    for (keys, ledger) in [(256, 77.375), (160, 85.0)] {
+    for (keys, ledger) in [(256, 68.875), (160, 69.85)] {
         let per_key = bytes_per_cached_key(keys);
         assert!(
             per_key <= ledger,

@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 
+use cup_core::justify::grow_only_map_bytes;
 use cup_core::{Message, UpdateKind};
 use cup_des::NodeId;
 
@@ -220,6 +221,16 @@ impl FaultState {
             merged.merge(&replica.counters);
         }
         merged
+    }
+
+    /// Heap bytes the plane owns: the per-link message counters, which
+    /// are nearly all of it, and the per-node crash and behavior flags.
+    /// The counters only grow (a link keeps its count for the run), so
+    /// the map's capacity names its buckets exactly.
+    pub fn heap_bytes(&self) -> usize {
+        grow_only_map_bytes::<((u32, u32), u64)>(self.link_seq.capacity())
+            + self.crashed.capacity()
+            + self.behaviors.capacity()
     }
 
     /// The current per-hop latency multiplier.
