@@ -16,11 +16,18 @@
 //! not tuned per run:
 //!
 //! * **entries** hold one replica in place — 87–100 % of states cache
-//!   zero or one entry, none more than four. The entry slot's key is the
-//!   record's key at all times, also while the list is empty or spilled
-//!   (every entry cached for a key indexes that key), so the key table
-//!   confirms its lookups against it and the record keeps no key of its
-//!   own;
+//!   zero or one entry, none more than four. A record holds only entries
+//!   that were fresh at its last write: every write first drops the
+//!   expired ones ([`KeyState::apply`]), so a replica whose delete never
+//!   reached this node (it cut itself off, the delete was lost, or it
+//!   was never subscribed) leaves with its lifetime instead of holding a
+//!   second entry spilled for good. At the end of a seed-1
+//!   `live_plain_can` run no record holds two entries, where 53,457 did
+//!   (a dead replica's and a live one's) while expired entries stayed.
+//!   The entry slot's key is the record's key at all times, also while
+//!   the list is empty or spilled (every entry cached for a key indexes
+//!   that key), so the key table confirms its lookups against it and the
+//!   record keeps no key of its own;
 //! * **interest** holds three neighbors in place (see
 //!   [`crate::interest`]);
 //! * **everything rare** shares one box, `Side`, that exists exactly
@@ -63,10 +70,15 @@
 //! neighbors at 24, the hop at 36, the popularity measure at 40 (12
 //! bytes, see `crate::popularity`), `last_depth` at 52 and the two
 //! lists' one-byte lengths at 54 and 55: 56 bytes, one of them padding
-//! (the measure's last). Records sit back to back in the key table, so
-//! one spans one cache line or two, by its offset: 1.75 on average over
-//! the eight offsets a record can start at (1.875 at 64 bytes, 2.375 at
-//! 96). The record is deliberately not aligned to a line:
+//! (the measure's last). A length takes the byte's low seven bits (a
+//! count up to three, or the mark of a list in the side box), and the
+//! entry list's high bit is the record's **cached** bit: set by the
+//! first entry the record holds and never cleared, it tells a
+//! first-time miss from a freshness miss ([`KeyState::never_cached`])
+//! once expiry and deletes have emptied the list. Records sit back to
+//! back in the key table, so one spans one cache line or two, by its
+//! offset: 1.75 on average over the eight offsets a record can start at
+//! (1.875 at 64 bytes, 2.375 at 96). The record is deliberately not aligned to a line:
 //! `#[repr(align(64))]` would make every record one line, but an
 //! alignment above the allocator's 16 bytes sends each growth of a
 //! node's record array through an aligned allocation, and with glibc
@@ -101,8 +113,15 @@ const INLINE_RETIRED: usize = 3;
 /// Waiters of either kind a pending record holds in place.
 const INLINE_WAITERS: usize = 2;
 
+/// The bits of a list's length byte that hold its length, or [`SPILLED`].
+const LEN_MASK: u8 = 0x7F;
+
 /// A list length meaning the whole list is in the side box.
-const SPILLED: u8 = u8::MAX;
+const SPILLED: u8 = LEN_MASK;
+
+/// The bit of the entry list's length byte that says the record has held
+/// an entry (see [`KeyState::never_cached`]).
+const CACHED: u8 = 0x80;
 
 /// All state a node keeps for one cached (non-local) key.
 #[derive(Clone)]
@@ -124,7 +143,8 @@ pub struct KeyState {
     /// Distance from the authority as carried by the most recent update,
     /// saturated at `u16::MAX`.
     pub last_depth: u16,
-    /// Cached entries in place (0 or 1), or [`SPILLED`].
+    /// Cached entries in place (0 or 1), or [`SPILLED`], under
+    /// [`LEN_MASK`]; and [`CACHED`].
     entries_len: u8,
     /// Interested neighbors in place (0 to 3), or [`SPILLED`].
     interest_len: u8,
@@ -197,8 +217,8 @@ fn list<'a, T, const N: usize>(
     spill: fn(&Side) -> &Vec<T>,
 ) -> &'a [T] {
     match side {
-        Some(side) if len == SPILLED => spill(side),
-        _ => &items[..usize::from(len).min(N)],
+        Some(side) if len & LEN_MASK == SPILLED => spill(side),
+        _ => &items[..usize::from(len & LEN_MASK).min(N)],
     }
 }
 
@@ -207,12 +227,24 @@ fn list<'a, T, const N: usize>(
 /// removals bring them down to `N` again.
 pub(crate) struct ListMut<'a, T, const N: usize> {
     items: &'a mut [T; N],
+    /// The length byte: the length, or [`SPILLED`], under
+    /// [`LEN_MASK`]; its other bit is the record's, and left as it is.
     len: &'a mut u8,
     side: &'a mut Option<Box<Side>>,
     spill: fn(&mut Side) -> &mut Vec<T>,
 }
 
 impl<T: Copy, const N: usize> ListMut<'_, T, N> {
+    /// The length in place, or [`SPILLED`].
+    fn len(&self) -> u8 {
+        *self.len & LEN_MASK
+    }
+
+    /// Sets the length in place, or [`SPILLED`].
+    fn set_len(&mut self, len: u8) {
+        *self.len = (*self.len & !LEN_MASK) | len;
+    }
+
     /// The side box's list (the box is made if there is none; a spilled
     /// list always has one).
     fn spilled(&mut self) -> &mut Vec<T> {
@@ -221,7 +253,7 @@ impl<T: Copy, const N: usize> ListMut<'_, T, N> {
 
     /// The items, in order.
     fn as_mut_slice(&mut self) -> &mut [T] {
-        match *self.len {
+        match self.len() {
             SPILLED => self.spilled().as_mut_slice(),
             len => &mut self.items[..usize::from(len)],
         }
@@ -233,14 +265,15 @@ impl<T: Copy, const N: usize> ListMut<'_, T, N> {
     ///
     /// If `at` is past the length, like `Vec::insert`.
     pub(crate) fn insert(&mut self, at: usize, item: T) {
-        let len = usize::from(*self.len);
-        if *self.len == SPILLED {
+        let len = self.len();
+        if len == SPILLED {
             self.spilled().insert(at, item);
-        } else if len < N {
+        } else if usize::from(len) < N {
+            let len = usize::from(len);
             assert!(at <= len, "insertion index {at} past length {len}");
             self.items.copy_within(at..len, at + 1);
             self.items[at] = item;
-            *self.len += 1;
+            self.set_len(len as u8 + 1);
         } else {
             let items = *self.items;
             let spilled = self.spilled();
@@ -248,7 +281,7 @@ impl<T: Copy, const N: usize> ListMut<'_, T, N> {
             spilled.extend_from_slice(&items[..at]);
             spilled.push(item);
             spilled.extend_from_slice(&items[at..]);
-            *self.len = SPILLED;
+            self.set_len(SPILLED);
         }
     }
 
@@ -260,19 +293,19 @@ impl<T: Copy, const N: usize> ListMut<'_, T, N> {
 
     /// Keeps only the items `keep` accepts, in order.
     pub(crate) fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
-        if *self.len == SPILLED {
+        if self.len() == SPILLED {
             self.spilled().retain(keep);
             self.unspill();
             return;
         }
         let mut kept = 0;
-        for i in 0..usize::from(*self.len) {
+        for i in 0..usize::from(self.len()) {
             if keep(&self.items[i]) {
                 self.items[kept] = self.items[i];
                 kept += 1;
             }
         }
-        *self.len = kept as u8;
+        self.set_len(kept as u8);
     }
 
     /// Replaces the whole list with a copy of `items`.
@@ -282,15 +315,15 @@ impl<T: Copy, const N: usize> ListMut<'_, T, N> {
             spilled.clear();
             spilled.reserve_exact(items.len());
             spilled.extend_from_slice(items);
-            *self.len = SPILLED;
+            self.set_len(SPILLED);
             return;
         }
-        if *self.len == SPILLED {
+        if self.len() == SPILLED {
             *self.spilled() = Vec::new();
             trim(self.side);
         }
         self.items[..items.len()].copy_from_slice(items);
-        *self.len = items.len() as u8;
+        self.set_len(items.len() as u8);
     }
 
     /// Moves a spilled list that fits again back in place, and gives the
@@ -302,7 +335,7 @@ impl<T: Copy, const N: usize> ListMut<'_, T, N> {
         }
         let items = std::mem::take(spilled);
         self.items[..items.len()].copy_from_slice(&items);
-        *self.len = items.len() as u8;
+        self.set_len(items.len() as u8);
         trim(self.side);
     }
 }
@@ -447,10 +480,13 @@ impl KeyState {
         self.entries().iter().any(|e| e.is_fresh(now))
     }
 
-    /// Returns `true` if the key has never had entries cached (first-time
-    /// miss) as opposed to holding only expired entries (freshness miss).
+    /// Returns `true` if the record has never held an entry (a miss here
+    /// is a first-time miss), as opposed to having held one that has
+    /// since expired or been deleted (a freshness miss). A bit in the
+    /// record, set by the first entry it holds and never cleared, answers
+    /// it: the list itself is emptied by expiry and deletes alike.
     pub fn never_cached(&self) -> bool {
-        self.entries_len == 0
+        self.entries_len & CACHED == 0
     }
 
     /// All cached entries, fresh or not, in the order they arrived (an
@@ -579,14 +615,19 @@ impl KeyState {
         ));
     }
 
-    /// Applies an update to the cached entry set.
+    /// Applies an update arriving at `now` to the cached entry set.
     ///
     /// First-time updates replace the whole set (they carry the
-    /// authoritative fresh answer); refreshes and appends upsert the entry
-    /// for their replica; deletes remove the replica of each entry they
-    /// carry, and leave a tombstone for it when `audit` is set (the
-    /// node runs the sampled audit, the tombstones' only reader).
-    pub fn apply(&mut self, update: &Update, audit: bool) {
+    /// authoritative fresh answer). Every other update first drops the
+    /// entries that expired by `now`, so a replica whose delete never
+    /// came here leaves with its lifetime; then refreshes and appends
+    /// upsert the entry for their replica (a replica dropped that way
+    /// re-enters at the end of the list), and deletes remove the replica
+    /// of each entry they carry, leaving a tombstone for it when `audit`
+    /// is set (the node runs the sampled audit, the tombstones' only
+    /// reader). An update can carry an entry that expired on the way
+    /// beside a fresh one, and that entry is not kept either.
+    pub fn apply(&mut self, update: &Update, now: SimTime, audit: bool) {
         debug_assert!(
             update.entries.iter().all(|e| e.key == self.key()),
             "an update for {:?} carries another key's entry",
@@ -595,11 +636,13 @@ impl KeyState {
         match update.kind {
             UpdateKind::FirstTime => self.entries_mut().assign(&update.entries),
             UpdateKind::Refresh | UpdateKind::Append => {
+                self.prune(now);
                 for e in &update.entries {
                     self.upsert(*e);
                 }
             }
             UpdateKind::Delete => {
+                self.prune(now);
                 for dead in &update.entries {
                     self.entries_mut().retain(|e| e.replica != dead.replica);
                     self.popularity.untrack_if(dead.replica);
@@ -609,7 +652,12 @@ impl KeyState {
                 }
             }
         }
+        if update.entries.iter().any(|e| !e.is_fresh(now)) {
+            // An entry that expired on the way leaves too.
+            self.prune(now);
+        }
         self.last_depth = u16::try_from(update.depth).unwrap_or(u16::MAX);
+        self.settle(now);
     }
 
     /// Records that `replica` was seen retired (bounded, deduplicated).
@@ -624,23 +672,51 @@ impl KeyState {
         retired.push(replica);
     }
 
-    /// Applies an audit repair: evicts the condemned replicas (marking
-    /// them retired) and adopts the quorum's fresh entries for replicas
-    /// this node does not already serve — the "evict and refetch" step.
-    pub fn audit_repair(&mut self, evict: &[ReplicaId], adopt: &[IndexEntry]) {
+    /// Applies an audit repair at `now`: drops the entries that expired
+    /// by `now`, evicts the condemned replicas (marking them retired) and
+    /// adopts the quorum's entries that are still fresh for replicas this
+    /// node does not already serve — the "evict and refetch" step. An
+    /// expired entry for a replica is gone before the adoption, so it no
+    /// longer blocks the quorum's fresh one.
+    pub fn audit_repair(&mut self, evict: &[ReplicaId], adopt: &[IndexEntry], now: SimTime) {
         debug_assert!(adopt.iter().all(|e| e.key == self.key()));
+        self.prune(now);
         for &replica in evict {
             self.entries_mut().retain(|e| e.replica != replica);
             self.popularity.untrack_if(replica);
             self.mark_retired(replica);
         }
         for entry in adopt {
-            if !self.retired().contains(&entry.replica)
+            if entry.is_fresh(now)
+                && !self.retired().contains(&entry.replica)
                 && !self.entries().iter().any(|e| e.replica == entry.replica)
             {
                 self.entries_mut().push(*entry);
             }
         }
+        self.settle(now);
+    }
+
+    /// Drops the entries that are no longer fresh at `now`; a list that
+    /// fits in place again moves back, and gives the side box back if
+    /// nothing else is in it.
+    fn prune(&mut self, now: SimTime) {
+        self.entries_mut().retain(|e| e.is_fresh(now));
+    }
+
+    /// Ends a write at `now`: remembers that the key was cached once the
+    /// record holds an entry, and (debug builds) checks that it holds no
+    /// entry expired at `now`.
+    fn settle(&mut self, now: SimTime) {
+        if !self.entries().is_empty() {
+            self.entries_len |= CACHED;
+        }
+        debug_assert!(
+            self.entries().iter().all(|e| e.is_fresh(now)),
+            "key {:?} holds an entry expired at {now:?} after a write: {:?}",
+            self.key(),
+            self.entries()
+        );
     }
 
     /// Inserts or replaces the entry for one replica.
@@ -662,6 +738,8 @@ mod tests {
     use super::*;
     use cup_des::{KeyId, ReplicaId, SimDuration};
     use proptest::prelude::*;
+
+    const T0: SimTime = SimTime::ZERO;
 
     fn entry(replica: u32, at: u64, life: u64) -> IndexEntry {
         IndexEntry::new(
@@ -692,6 +770,7 @@ mod tests {
                 UpdateKind::FirstTime,
                 vec![entry(0, 0, 100), entry(1, 0, 500)],
             ),
+            T0,
             false,
         );
         let now = SimTime::from_secs(200);
@@ -708,23 +787,42 @@ mod tests {
         let mut st = KeyState::new(KeyId(1));
         st.apply(
             &update(UpdateKind::FirstTime, vec![entry(0, 0, 100)]),
+            T0,
             false,
         );
         st.apply(
             &update(UpdateKind::FirstTime, vec![entry(1, 0, 100)]),
+            T0,
             false,
         );
         assert_eq!(st.entries().len(), 1);
         assert_eq!(st.entries()[0].replica, ReplicaId(1));
+        // An answer of two entries, one of which ran out on the way: only
+        // the fresh one is kept, in place.
+        st.apply(
+            &update(
+                UpdateKind::FirstTime,
+                vec![entry(0, 0, 10), entry(2, 0, 100)],
+            ),
+            SimTime::from_secs(20),
+            false,
+        );
+        assert_eq!(st.entries(), [entry(2, 0, 100)]);
+        assert!(st.side.is_none());
     }
 
     #[test]
     fn refresh_upserts() {
         let mut st = KeyState::new(KeyId(1));
-        st.apply(&update(UpdateKind::Refresh, vec![entry(0, 0, 100)]), false);
+        st.apply(
+            &update(UpdateKind::Refresh, vec![entry(0, 0, 100)]),
+            T0,
+            false,
+        );
         assert_eq!(st.entries().len(), 1);
         st.apply(
             &update(UpdateKind::Refresh, vec![entry(0, 100, 100)]),
+            SimTime::from_secs(100),
             false,
         );
         assert_eq!(st.entries().len(), 1, "refresh must not duplicate");
@@ -734,10 +832,22 @@ mod tests {
     #[test]
     fn append_adds_delete_removes() {
         let mut st = KeyState::new(KeyId(1));
-        st.apply(&update(UpdateKind::Append, vec![entry(0, 0, 100)]), false);
-        st.apply(&update(UpdateKind::Append, vec![entry(1, 0, 100)]), false);
+        st.apply(
+            &update(UpdateKind::Append, vec![entry(0, 0, 100)]),
+            T0,
+            false,
+        );
+        st.apply(
+            &update(UpdateKind::Append, vec![entry(1, 0, 100)]),
+            T0,
+            false,
+        );
         assert_eq!(st.entries().len(), 2);
-        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]), false);
+        st.apply(
+            &update(UpdateKind::Delete, vec![entry(0, 0, 100)]),
+            T0,
+            false,
+        );
         assert_eq!(st.entries().len(), 1);
         assert_eq!(st.entries()[0].replica, ReplicaId(1));
         // Without the audit a delete leaves no tombstone, nor a box for one.
@@ -752,7 +862,11 @@ mod tests {
         st.popularity
             .on_update(Some(ReplicaId(3)), ResetMode::ReplicaIndependent);
         assert_eq!(st.popularity.tracked_replica(), Some(ReplicaId(3)));
-        st.apply(&update(UpdateKind::Delete, vec![entry(3, 0, 100)]), false);
+        st.apply(
+            &update(UpdateKind::Delete, vec![entry(3, 0, 100)]),
+            T0,
+            false,
+        );
         assert_eq!(st.popularity.tracked_replica(), None);
     }
 
@@ -764,16 +878,29 @@ mod tests {
                 UpdateKind::FirstTime,
                 vec![entry(0, 0, 100), entry(1, 0, 100)],
             ),
+            T0,
             false,
         );
-        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]), true);
+        st.apply(
+            &update(UpdateKind::Delete, vec![entry(0, 0, 100)]),
+            T0,
+            true,
+        );
         assert_eq!(st.retired(), vec![ReplicaId(0)], "delete tombstones");
-        st.apply(&update(UpdateKind::Delete, vec![entry(0, 0, 100)]), true);
+        st.apply(
+            &update(UpdateKind::Delete, vec![entry(0, 0, 100)]),
+            T0,
+            true,
+        );
         assert_eq!(st.retired().len(), 1, "tombstones dedup");
 
         // Repair: evict a served replica, adopt the quorum's entries —
         // except ones we have tombstones for.
-        st.audit_repair(&[ReplicaId(1)], &[entry(0, 50, 100), entry(2, 50, 100)]);
+        st.audit_repair(
+            &[ReplicaId(1)],
+            &[entry(0, 50, 100), entry(2, 50, 100)],
+            SimTime::from_secs(50),
+        );
         assert_eq!(st.entries().len(), 1);
         assert_eq!(st.entries()[0].replica, ReplicaId(2));
         assert!(st.retired().contains(&ReplicaId(1)), "eviction tombstones");
@@ -842,11 +969,11 @@ mod tests {
         let mut deep = update(UpdateKind::Refresh, vec![entry(0, 0, 100)]);
         for (depth, kept) in [(65_535, u16::MAX), (65_536, u16::MAX), (u32::MAX, u16::MAX)] {
             deep.depth = depth;
-            st.apply(&deep, false);
+            st.apply(&deep, T0, false);
             assert_eq!(st.last_depth, kept, "depth {depth}");
         }
         deep.depth = 7;
-        st.apply(&deep, false);
+        st.apply(&deep, T0, false);
         assert_eq!(st.last_depth, 7, "and comes back down");
     }
 
@@ -854,9 +981,88 @@ mod tests {
     fn never_cached_vs_expired() {
         let mut st = KeyState::new(KeyId(1));
         assert!(st.never_cached());
-        st.apply(&update(UpdateKind::FirstTime, vec![entry(0, 0, 10)]), false);
+        // A negative answer caches nothing.
+        st.apply(&update(UpdateKind::FirstTime, vec![]), T0, false);
+        assert!(st.never_cached());
+        st.apply(
+            &update(UpdateKind::FirstTime, vec![entry(0, 0, 10)]),
+            T0,
+            false,
+        );
         assert!(!st.never_cached());
         assert!(!st.has_fresh(SimTime::from_secs(20)), "expired, not absent");
+        // A delete that empties the list leaves the key cached once.
+        let now = SimTime::from_secs(5);
+        st.apply(
+            &update(UpdateKind::Delete, vec![entry(0, 0, 10)]),
+            now,
+            false,
+        );
+        assert!(st.entries().is_empty());
+        assert!(!st.never_cached(), "deleted, not never cached");
+        // So does a write that finds the only entry expired.
+        let mut st = KeyState::new(KeyId(1));
+        st.apply(
+            &update(UpdateKind::Refresh, vec![entry(0, 0, 10)]),
+            T0,
+            false,
+        );
+        let later = SimTime::from_secs(20);
+        st.apply(
+            &update(UpdateKind::Delete, vec![entry(1, 20, 10)]),
+            later,
+            false,
+        );
+        assert!(st.entries().is_empty(), "the expired entry left");
+        assert!(!st.never_cached(), "expired, not never cached");
+    }
+
+    #[test]
+    fn a_pruned_replica_re_enters_at_the_end() {
+        let mut st = KeyState::new(KeyId(1));
+        st.apply(
+            &update(
+                UpdateKind::FirstTime,
+                vec![entry(0, 0, 10), entry(1, 0, 100)],
+            ),
+            T0,
+            false,
+        );
+        // Replica 0 expired at 10 s and is dropped before its own refresh
+        // lands, so it comes back behind replica 1 instead of in its old
+        // place.
+        let now = SimTime::from_secs(20);
+        st.apply(
+            &update(UpdateKind::Refresh, vec![entry(0, 20, 100)]),
+            now,
+            false,
+        );
+        assert_eq!(st.entries(), [entry(1, 0, 100), entry(0, 20, 100)]);
+    }
+
+    #[test]
+    fn audit_repair_adopts_over_an_expired_entry() {
+        let mut st = KeyState::new(KeyId(1));
+        // Replica 2 (short-lived) and replica 0 cached; replica 2's entry
+        // expires at 10 s.
+        st.apply(
+            &update(
+                UpdateKind::FirstTime,
+                vec![entry(2, 0, 10), entry(0, 0, 100)],
+            ),
+            T0,
+            false,
+        );
+        // At 50 s a quorum condemns replica 0 and offers a fresh entry for
+        // replica 2: the expired one held here no longer blocks it.
+        let now = SimTime::from_secs(50);
+        st.audit_repair(&[ReplicaId(0)], &[entry(2, 50, 100)], now);
+        assert_eq!(st.entries(), [entry(2, 50, 100)]);
+        assert!(st.has_fresh(now));
+        assert_eq!(st.retired(), [ReplicaId(0)]);
+        // An offer that expired before the repair is not adopted.
+        st.audit_repair(&[], &[entry(3, 0, 10)], now);
+        assert_eq!(st.entries(), [entry(2, 50, 100)]);
     }
 
     /// What the record's lists and boxes should hold, kept plainly.
@@ -866,23 +1072,63 @@ mod tests {
         interest: Vec<NodeId>,
         pending: Option<SimTime>,
         cold: bool,
+        retired: Vec<ReplicaId>,
+        cached: bool,
+    }
+
+    impl Model {
+        /// What every write does first: the entries expired at `now` go.
+        fn prune(&mut self, now: SimTime) {
+            self.entries.retain(|e| e.is_fresh(now));
+        }
+
+        /// Inserts or replaces one replica's entry.
+        fn upsert(&mut self, e: IndexEntry) {
+            match self.entries.iter_mut().find(|m| m.replica == e.replica) {
+                Some(slot) => *slot = e,
+                None => self.entries.push(e),
+            }
+        }
+
+        /// A tombstone, bounded and deduplicated, in the cold box.
+        fn mark_retired(&mut self, replica: ReplicaId) {
+            self.cold = true;
+            if !self.retired.contains(&replica) {
+                if self.retired.len() == RETIRED_CAP {
+                    self.retired.remove(0);
+                }
+                self.retired.push(replica);
+            }
+        }
+
+        /// What every write does last.
+        fn settle(&mut self, now: SimTime) {
+            self.prune(now);
+            self.cached |= !self.entries.is_empty();
+        }
     }
 
     /// Checks the record against the model: both lists in content and
-    /// order, the pending stamp, where each list lives, and that the
-    /// side box exists exactly while something is in it.
+    /// order, the tombstones, the pending stamp, the cached bit, where
+    /// each list lives, and that the side box exists exactly while
+    /// something is in it.
     fn check(st: &KeyState, model: &Model) -> Result<(), TestCaseError> {
         prop_assert_eq!(st.key(), KeyId(1), "the entry slot keeps the key");
         prop_assert_eq!(st.entries(), model.entries.as_slice());
         prop_assert_eq!(st.interest(), model.interest.as_slice());
+        prop_assert_eq!(st.retired(), model.retired.as_slice());
         prop_assert_eq!(st.pending_since(), model.pending);
         prop_assert_eq!(st.cold().is_some(), model.cold);
+        prop_assert_eq!(st.never_cached(), !model.cached);
         let spilled = (
             model.entries.len() > 1,
             model.interest.len() > INLINE_INTEREST,
         );
         prop_assert_eq!(
-            (st.entries_len == SPILLED, st.interest_len == SPILLED),
+            (
+                st.entries_len & LEN_MASK == SPILLED,
+                st.interest_len == SPILLED
+            ),
             spilled
         );
         let rare = model.pending.is_some() || spilled.0 || spilled.1 || model.cold;
@@ -896,40 +1142,55 @@ mod tests {
     }
 
     proptest! {
-        /// Random applies of every kind, interest sets and clears,
-        /// pending opens and answers and cold-state creation against the
-        /// model, checked after every operation: both lists cross their
-        /// in-place capacity in both directions, and the side box comes
-        /// and goes with what it holds.
+        /// Random applies of every kind, audit repairs, interest sets and
+        /// clears, pending opens and answers and cold-state creation
+        /// against the model, on a clock that only moves forward, checked
+        /// after every operation. Entries live 0–99 s and arrive up to
+        /// 30 s after their stamp, so some expire in the record and some
+        /// arrive expired: every write drops the expired ones first (a
+        /// replica dropped so re-enters at the end of the list when its
+        /// refresh comes), and an entry that arrives expired is not kept.
+        /// Both lists cross their in-place capacity in both directions,
+        /// and the side box comes and goes with what it holds.
         #[test]
-        fn the_record_matches_a_vec_model(ops in proptest::collection::vec((0u32..10, 0u32..12, 0u32..100), 0..200)) {
+        fn the_record_matches_a_vec_model(ops in proptest::collection::vec((0u32..11, 0u32..12, 0u32..100, 0u64..30), 0..200)) {
             let mut st = KeyState::new(KeyId(1));
             let mut model = Model::default();
-            for (op, a, b) in ops {
+            let mut clock = 0;
+            for (op, a, b, step) in ops {
+                clock += step;
+                let now = SimTime::from_secs(clock);
                 let replica = a % 6;
-                let e = entry(replica, u64::from(b), 100);
+                // Stamped up to 30 s before it arrives, living `b` s (plus
+                // 10 s per place in a longer answer).
+                let stamped = clock.saturating_sub(u64::from(b % 4) * 10);
+                let e = entry(replica, stamped, u64::from(b));
                 match op {
                     0 => {
                         // Distinct replicas, as an authority answers.
-                        let fresh: Vec<IndexEntry> = (0..a % 4)
-                            .map(|i| entry((replica + i) % 6, u64::from(b), 100))
+                        let answer: Vec<IndexEntry> = (0..a % 4)
+                            .map(|i| entry((replica + i) % 6, stamped, u64::from(b + 10 * i)))
                             .collect();
-                        st.apply(&update(UpdateKind::FirstTime, fresh.clone()), false);
-                        model.entries = fresh;
+                        st.apply(&update(UpdateKind::FirstTime, answer.clone()), now, false);
+                        model.entries = answer;
+                        model.settle(now);
                     }
                     1 | 2 => {
                         let kind = [UpdateKind::Refresh, UpdateKind::Append][op as usize - 1];
-                        st.apply(&update(kind, vec![e]), false);
-                        match model.entries.iter_mut().find(|m| m.replica == e.replica) {
-                            Some(slot) => *slot = e,
-                            None => model.entries.push(e),
-                        }
+                        st.apply(&update(kind, vec![e]), now, false);
+                        model.prune(now);
+                        model.upsert(e);
+                        model.settle(now);
                     }
                     3 => {
                         let audit = b % 2 == 0;
-                        st.apply(&update(UpdateKind::Delete, vec![e]), audit);
+                        st.apply(&update(UpdateKind::Delete, vec![e]), now, audit);
+                        model.prune(now);
                         model.entries.retain(|m| m.replica != e.replica);
-                        model.cold |= audit;
+                        if audit {
+                            model.mark_retired(e.replica);
+                        }
+                        model.settle(now);
                     }
                     4 | 5 => {
                         let n = NodeId(a % 10);
@@ -945,13 +1206,31 @@ mod tests {
                         prop_assert_eq!(st.clear_interest(n), was);
                     }
                     7 => {
-                        let now = SimTime::from_secs(u64::from(b));
                         st.open_pending(now).wait(Requester::Neighbor(NodeId(a)));
                         model.pending.get_or_insert(now);
                     }
                     8 => {
                         let taken = st.take_pending().map(|p| p.since);
                         prop_assert_eq!(taken, model.pending.take());
+                    }
+                    9 => {
+                        // Evict one replica and offer entries for the next
+                        // two.
+                        let offer = [entry((replica + 1) % 6, stamped, u64::from(b)),
+                            entry((replica + 2) % 6, clock, u64::from(b))];
+                        st.audit_repair(&[ReplicaId(replica)], &offer, now);
+                        model.prune(now);
+                        model.entries.retain(|m| m.replica.0 != replica);
+                        model.mark_retired(ReplicaId(replica));
+                        for o in offer {
+                            if o.is_fresh(now)
+                                && !model.retired.contains(&o.replica)
+                                && !model.entries.iter().any(|m| m.replica == o.replica)
+                            {
+                                model.entries.push(o);
+                            }
+                        }
+                        model.settle(now);
                     }
                     _ => {
                         st.cold_or_default();

@@ -365,7 +365,7 @@ impl CupNode {
             // update stream, not by other nodes' responses — this is
             // what makes push level 0 degenerate exactly to standard
             // caching (§3.3).
-            st.apply(&update, audit);
+            st.apply(&update, now, audit);
             if let Some(pending) = st.take_pending() {
                 answer_waiters(&mut self.stats, &pending, update, st, now, out);
             }
@@ -388,7 +388,7 @@ impl CupNode {
                     // still applied, or the dead replica would be served
                     // until its entry expired.
                     if update.kind == UpdateKind::Delete {
-                        st.apply(&update, audit);
+                        st.apply(&update, now, audit);
                     }
                     self.stats.cutoffs += 1;
                     self.stats.clear_bits_sent += 1;
@@ -396,11 +396,11 @@ impl CupNode {
                     return;
                 }
             }
-            st.apply(&update, audit);
+            st.apply(&update, now, audit);
             return;
         }
 
-        st.apply(&update, audit);
+        st.apply(&update, now, audit);
         forward_to(
             &self.config,
             &mut self.stats,
@@ -555,7 +555,7 @@ impl CupNode {
         if !condemned.is_empty() {
             let adopt: Vec<IndexEntry> = tally.payload().to_vec();
             audit.tally = None;
-            st.audit_repair(&condemned, &adopt);
+            st.audit_repair(&condemned, &adopt, now);
             self.stats.audit_repairs += 1;
             return;
         }
@@ -1316,6 +1316,12 @@ mod tests {
             vec![Action::send(NodeId(9), Message::Query { key: KeyId(1) })]
         );
         assert_eq!(node.stats.client_hits, 0);
+        // The key was cached before the delete emptied it, so this miss
+        // is a freshness miss, not a second first-time one.
+        assert_eq!(
+            (node.stats.first_time_misses, node.stats.freshness_misses),
+            (1, 1)
+        );
     }
 
     /// The one update `actions` sends, and to whom.

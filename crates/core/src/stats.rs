@@ -24,8 +24,9 @@ pub struct NodeStats {
     pub client_hits: u64,
     /// Client queries that missed because the key had never been cached.
     pub first_time_misses: u64,
-    /// Client queries that missed because every cached entry had expired
-    /// (the paper's *freshness misses*).
+    /// Client queries that missed on a key cached here before, whose
+    /// entries have all expired or been deleted since (the paper's
+    /// *freshness misses*).
     pub freshness_misses: u64,
     /// Queries received from neighbors.
     pub neighbor_queries: u64,

@@ -12,7 +12,9 @@
 //! bytes per key are pinned at their measured readings, so a
 //! fatter record or key index fails here and not only in the CI ledger.
 //! The key table's own count of its bytes (`CupNode::key_table_bytes`)
-//! is held to the allocator's, to the byte.
+//! is held to the allocator's, to the byte, and a record that holds a
+//! dead replica's expired entry beside a live one's owns no heap byte
+//! once the live replica's next refresh has dropped the dead entry.
 //!
 //! The other tests hold the per-hop path to the same standard. A
 //! node's fixed bytes stay at most 352 (its two histograms allocate on
@@ -337,6 +339,34 @@ fn an_audit_off_node_keeps_no_tombstones() {
             assert_eq!(allocs, 0, "an audit-off delete allocates nothing");
         }
     }
+}
+
+/// An entry lives only as long as its lifetime: a record that holds a
+/// dead replica's expired entry (its delete never came here) beside a
+/// live replica's keeps both in a side box, and the live replica's next
+/// refresh drops the dead entry, moves the list back in place and gives
+/// the box back: the record owns no heap byte after it.
+#[test]
+fn an_expired_entry_leaves_with_the_next_refresh_and_takes_its_box() {
+    let (t0, t1) = (SimTime::from_secs(1), SimTime::from_secs(100));
+    // Built beforehand, so only the record's own bytes are counted.
+    let mut answer = update(1, UpdateKind::FirstTime, t0);
+    let dead = IndexEntry::new(KeyId(1), ReplicaId(7), SimDuration::from_secs(10), t0);
+    answer.entries.insert(0, dead);
+    let refresh = update(1, UpdateKind::Refresh, t1);
+    let live_before = LIVE_BYTES.get();
+    let mut st = KeyState::new(KeyId(1));
+    st.apply(&answer, t0, false);
+    assert_eq!(st.entries().len(), 2);
+    assert!(
+        LIVE_BYTES.get() - live_before > 0,
+        "two entries spill to a side box"
+    );
+    // Replica 7's entry expired at 11 s.
+    st.apply(&refresh, t1, false);
+    assert_eq!(st.entries(), refresh.entries.as_slice());
+    assert_eq!(LIVE_BYTES.get() - live_before, 0, "the side box is gone");
+    assert!(!st.never_cached());
 }
 
 #[test]

@@ -428,6 +428,12 @@ impl Plane {
                 } => {
                     self.metrics.client_responses += 1;
                     self.trace(now, from, TraceKind::Respond, key, entries.len() as u64);
+                    // §2.1: a node answers only with entries still fresh.
+                    debug_assert!(
+                        entries.iter().all(|e| e.is_fresh(now)),
+                        "node {from:?} answered {client:?} for {key:?} at {now:?} \
+                         with an expired entry: {entries:?}"
+                    );
                     // Staleness: the answer names a replica the world
                     // already deleted (the cache missed the delete —
                     // under loss, the delete may never arrive).

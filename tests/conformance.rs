@@ -113,9 +113,13 @@ fn assert_fault_free_agrees(spec: ConformanceSpec, matrix: &[(usize, ShardMapMod
         total,
         "{label}: one latency sample per answered query"
     );
-    assert_eq!(
-        sim.stats.freshness_misses, 0,
-        "{label}: nothing expires in-script"
+    // Nothing expires in-script, so the only misses on a key a node has
+    // cached are phase B's three probes of the deleted key, where a
+    // prober had cached it before the delete emptied its record.
+    assert!(
+        sim.stats.freshness_misses <= 3,
+        "{label}: nothing expires in-script, yet {} freshness misses",
+        sim.stats.freshness_misses
     );
     assert!(
         sim.tracked > 0,
