@@ -41,7 +41,9 @@
 //! the plane holds it (its counters stay in the arena), and forgets its
 //! wakes, so nothing reaches the pre-crash state once the crash is
 //! applied; no entry point runs a crashed node's handler, so no wake is
-//! kept for one.
+//! kept for one. A §2.8 capacity fraction is a fault action too: the
+//! host's, recorded by every plane, set on the node by the plane that
+//! holds it while it is up, and set again when it restarts.
 //!
 //! A query or clear-bit needs its receiver's next hop toward the key's
 //! authority. The kernel asks the node first ([`CupNode::upstream_hint`]:
@@ -121,8 +123,8 @@ pub trait Env {
 #[derive(Debug, Default)]
 pub struct Plane {
     /// The nodes this plane serves. A runtime reads them and may move
-    /// state between them (churn hand-over, capacity flags); a crash is
-    /// reset by [`Plane::apply`].
+    /// state between them (churn hand-over); a crash is reset, and a
+    /// capacity fraction set, by [`Plane::apply`].
     pub nodes: NodeArena,
     /// The fault plane. Always present; inert until an action is
     /// applied (every gate returns before touching any per-link state).
@@ -186,24 +188,43 @@ impl Plane {
         self.armed = true;
     }
 
-    /// Applies one fault action (see [`FaultState::apply`]) and latches
-    /// `armed`: from here on deaths are ground truth. A crash that changed
-    /// the plane wipes the node, if this plane holds it
-    /// ([`NodeArena::reset`]), and forgets its wakes. Returns whether the
-    /// action changed anything.
+    /// Applies one fault action at `now` (see [`FaultState::apply`]) and
+    /// latches `armed`: from here on deaths are ground truth. Returns
+    /// whether the action changed anything. If this plane holds the node
+    /// the action names:
+    ///
+    /// - a crash that changed the plane wipes it ([`NodeArena::reset`])
+    ///   and forgets its wakes;
+    /// - a capacity fraction is set on it unless it is crashed
+    ///   ([`CupNode::set_capacity_into`]), and a cut that throttles it
+    ///   asks for its first service one `SERVICE_INTERVAL` from `now`;
+    /// - a restart sets its host's fraction on it again, so a node that
+    ///   comes back under a cut asks for its first service one
+    ///   `SERVICE_INTERVAL` after the restart.
     ///
     /// What survives a crash: the node's counters, which the arena
-    /// keeps. Its hints, key records, outgoing queues and throttle are
-    /// wiped, so it restarts cold at full capacity; a §3.7 capacity
-    /// profile's next epoch applies its cut again.
-    pub fn apply(&mut self, action: FaultAction) -> bool {
+    /// keeps, and its host's capacity fraction, which the fault state
+    /// keeps. Its hints, key records and outgoing queues are wiped, so it
+    /// restarts cold.
+    pub fn apply(&mut self, now: SimTime, action: FaultAction) -> bool {
         self.armed = true;
         let changed = self.faults.apply(action);
-        if let (true, FaultAction::Crash { node }) = (changed, action) {
-            if let Ok(id) = u32::try_from(node) {
-                self.nodes.reset(NodeId(id));
-                self.wakes.retain(|_, &mut (n, _)| n != NodeId(id));
+        let Some(id) = action.node().and_then(|n| u32::try_from(n).ok()) else {
+            return changed;
+        };
+        let id = NodeId(id);
+        match action {
+            FaultAction::Crash { .. } if changed => {
+                self.nodes.reset(id);
+                self.wakes.retain(|_, &mut (n, _)| n != id);
             }
+            FaultAction::Restart { .. } if changed => {
+                self.set_node_capacity(now, id, self.faults.capacity(id));
+            }
+            FaultAction::SetCapacity { c, .. } if !self.faults.is_crashed(id) => {
+                self.set_node_capacity(now, id, c);
+            }
+            _ => {}
         }
         changed
     }
@@ -382,15 +403,21 @@ impl Plane {
         true
     }
 
-    /// Sets `node`'s §2.8 capacity fraction to `c`
-    /// ([`CupNode::set_capacity_into`]): a cut that throttles it asks to
-    /// be woken for its first service. A crashed node takes no cut.
-    pub fn set_capacity<E: Env>(&mut self, env: &mut E, node: NodeId, c: f64) {
-        if self.faults.is_crashed(node) {
+    /// Sets held node `id`'s §2.8 capacity fraction to `c` at `now` and
+    /// keeps the service wake a cut asks for (the only action
+    /// [`CupNode::set_capacity_into`] emits).
+    fn set_node_capacity(&mut self, now: SimTime, id: NodeId, c: f64) {
+        let Some(node) = self.nodes.get_mut(id) else {
             return;
+        };
+        let mut actions = std::mem::take(&mut self.scratch);
+        node.set_capacity_into(now, c, &mut actions);
+        for action in actions.drain(..) {
+            if let Action::Wake { at, why } = action {
+                self.keep_wake(id, at, why);
+            }
         }
-        let now = env.now();
-        self.emit(env, now, node, |n, out| n.set_capacity_into(now, c, out));
+        self.scratch = actions;
     }
 
     /// Runs one handler of node `from` at `now` and turns the actions it
@@ -452,23 +479,25 @@ impl Plane {
                         self.metrics.query_latency.record(waited);
                     }
                 }
-                Action::Wake { at, why } => {
-                    // The invariant monitor (debug builds only).
-                    debug_assert!(
-                        !self.faults.is_crashed(from),
-                        "crashed {from:?} asked for a wake"
-                    );
-                    debug_assert!(
-                        why != WakeReason::Service
-                            || !self.wakes.values().any(|&w| w == (from, why)),
-                        "{from:?} asked for a second §2.8 service wake"
-                    );
-                    self.wakes.insert((at, self.asked), (from, why));
-                    self.asked += 1;
-                }
+                Action::Wake { at, why } => self.keep_wake(from, at, why),
             }
         }
         self.scratch = actions;
+    }
+
+    /// Keeps the wake `from` asked for, at `at`, after the invariant
+    /// monitor's checks (debug builds only).
+    fn keep_wake(&mut self, from: NodeId, at: SimTime, why: WakeReason) {
+        debug_assert!(
+            !self.faults.is_crashed(from),
+            "crashed {from:?} asked for a wake"
+        );
+        debug_assert!(
+            why != WakeReason::Service || !self.wakes.values().any(|&w| w == (from, why)),
+            "{from:?} asked for a second §2.8 service wake"
+        );
+        self.wakes.insert((at, self.asked), (from, why));
+        self.asked += 1;
     }
 
     /// Records one trace event, if tracing is on.
@@ -591,13 +620,17 @@ mod tests {
         let mut plane = traced_plane(|_| true);
         plane.arm(7);
         for &action in actions {
-            plane.apply(action);
+            plane.apply(SimTime::ZERO, action);
         }
         (plane, Fake::default())
     }
 
     fn behave(node: usize, behavior: Behavior) -> FaultAction {
         FaultAction::SetBehavior { node, behavior }
+    }
+
+    fn cut(node: usize, c: f64) -> FaultAction {
+        FaultAction::SetCapacity { node, c }
     }
 
     fn entry(replica: u32) -> IndexEntry {
@@ -756,10 +789,10 @@ mod tests {
         let mut plane = Plane::default();
         plane.note_death(KEY, ReplicaId(1), SimTime::from_secs(1));
         assert!(!plane.armed && plane.deaths.is_empty(), "unarmed: no truth");
-        assert!(plane.apply(FaultAction::Crash { node: 4 }));
+        assert!(plane.apply(SimTime::ZERO, FaultAction::Crash { node: 4 }));
         assert!(plane.armed, "an applied action arms the plane");
         // Healing does not unlatch: the staleness books stay open.
-        assert!(plane.apply(FaultAction::Restart { node: 4 }));
+        assert!(plane.apply(SimTime::ZERO, FaultAction::Restart { node: 4 }));
         plane.note_death(KEY, ReplicaId(1), SimTime::from_secs(2));
         plane.note_death(KEY, ReplicaId(1), SimTime::from_secs(3));
         assert_eq!(plane.deaths[&(KEY, ReplicaId(1))], SimTime::from_secs(2));
@@ -775,18 +808,18 @@ mod tests {
         );
         post(&mut plane, &mut env, 2, 1);
         let before = plane.nodes.aggregate_stats();
-        assert!(plane.apply(crash));
+        assert!(plane.apply(SimTime::ZERO, crash));
         assert_eq!(node(&plane, 2).stats, NodeStats::default(), "cold");
         assert_eq!(node(&plane, 2).upstream_hint(KEY), None, "no record");
         assert_eq!(plane.nodes.aggregate_stats(), before, "conserved");
         // A crash that changes nothing wipes nothing.
-        plane.apply(restart);
+        plane.apply(SimTime::ZERO, restart);
         post(&mut plane, &mut env, 2, 2);
-        assert!(plane.apply(crash) && !plane.apply(crash));
+        assert!(plane.apply(SimTime::ZERO, crash) && !plane.apply(SimTime::ZERO, crash));
         assert_eq!(plane.nodes.aggregate_stats().client_queries, 2);
         // A plane that does not hold the node applies the action alone.
         let mut other = traced_plane(|&n| n != 2);
-        assert!(other.apply(crash));
+        assert!(other.apply(SimTime::ZERO, crash));
     }
 
     /// The routing calls a hinted hop makes: none, but debug builds
@@ -871,8 +904,8 @@ mod tests {
         // for a service one second on, kept by the plane.
         recv(&mut plane, &mut env, 4, 3, Message::Query { key: KEY });
         recv(&mut plane, &mut env, 2, 3, update(UpdateKind::FirstTime, 0));
-        plane.set_capacity(&mut env, NodeId(3), 0.0);
-        plane.set_capacity(&mut env, NodeId(7), 0.5);
+        plane.apply(env.now, cut(3, 0.0));
+        plane.apply(env.now, cut(7, 0.5));
         let second = SimTime::from_secs(1);
         assert_eq!(plane.next_wake(), Some(second));
         assert!(!plane.wake_due(&mut env), "not yet due");
@@ -881,7 +914,7 @@ mod tests {
         recv(&mut plane, &mut env, 2, 3, update(UpdateKind::Refresh, 0));
         assert!(env.sent.is_empty(), "queued behind the throttle");
         // The service at full capacity releases it; nothing asks again.
-        plane.set_capacity(&mut env, NodeId(3), 1.0);
+        plane.apply(env.now, cut(3, 1.0));
         env.now = second;
         assert!(plane.wake_due(&mut env), "node 3 asked first");
         assert_eq!(env.sent.len(), 1, "the queued refresh left");
@@ -900,7 +933,7 @@ mod tests {
         // A plane that no longer holds the node neither runs nor traces it.
         let mut other = traced_plane(|_| true);
         env.now = SimTime::ZERO;
-        other.set_capacity(&mut env, NodeId(3), 0.5);
+        other.apply(env.now, cut(3, 0.5));
         other.nodes.remove(NodeId(3));
         env.now = second;
         assert!(other.wake_due(&mut env));
@@ -911,30 +944,50 @@ mod tests {
     fn a_crash_forgets_the_service_wake_of_the_node_it_wipes() {
         let (mut plane, mut env) = world(&[]);
         let millis = |ms: u64| SimTime::from_micros(ms * 1_000);
-        let cut = |plane: &mut Plane, env: &mut Fake, ms| {
-            env.now = millis(ms);
-            plane.set_capacity(env, NodeId(3), 0.5);
+        let (crash, restart) = (
+            FaultAction::Crash { node: 3 },
+            FaultAction::Restart { node: 3 },
+        );
+        let throttled = |plane: &Plane| node(plane, 3).is_throttled();
+        // Runs the wakes due by `ms` and returns when they ran.
+        let services = |plane: &mut Plane, env: &mut Fake, ms| {
+            let mut ran = Vec::new();
+            while let Some(due) = plane.next_wake().filter(|&t| t <= millis(ms)) {
+                env.now = due;
+                assert!(plane.wake_due(env));
+                ran.push(due);
+            }
+            ran
         };
-        // Cut at 0 s, crash at 0.1 s, restart at 0.2 s, cut at 0.6 s.
-        cut(&mut plane, &mut env, 0);
-        assert!(plane.apply(FaultAction::Crash { node: 3 }));
-        assert!(plane.apply(FaultAction::Restart { node: 3 }));
-        cut(&mut plane, &mut env, 600);
-        // One §2.8 loop, from the second cut.
-        let mut services = Vec::new();
-        while let Some(due) = plane.next_wake().filter(|&t| t <= millis(4_000)) {
-            env.now = due;
-            assert!(plane.wake_due(&mut env));
-            services.push(due);
-        }
-        assert_eq!(services, [millis(1_600), millis(2_600), millis(3_600)]);
-        // A crashed node's cut asks for nothing and traces nothing.
-        assert!(plane.apply(FaultAction::Crash { node: 3 }));
-        let before = traced(&plane).len();
-        cut(&mut plane, &mut env, 4_100);
+        // Cut at 0 s, crash at 0.1 s: the crash forgets the service due
+        // at 1 s.
+        plane.apply(millis(0), cut(3, 0.5));
+        assert_eq!(plane.next_wake(), Some(millis(1_000)));
+        assert!(plane.apply(millis(100), crash));
         assert_eq!(plane.next_wake(), None);
-        assert!(!node(&plane, 3).is_throttled());
+        assert!(!throttled(&plane), "wiped");
+        // Restart at 0.2 s: back under its host's cut, one §2.8 loop
+        // from there.
+        assert!(plane.apply(millis(200), restart));
+        assert!(throttled(&plane), "restarted under the cut");
+        let ran = services(&mut plane, &mut env, 3_500);
+        assert_eq!(ran, [millis(1_200), millis(2_200), millis(3_200)]);
+        // A recovery while crashed: the node restarts at full capacity.
+        plane.apply(millis(3_600), crash);
+        plane.apply(millis(3_700), cut(3, 1.0));
+        plane.apply(millis(3_800), restart);
+        assert!(!throttled(&plane) && plane.next_wake().is_none());
+        // A cut while crashed asks for nothing and traces nothing, and
+        // takes effect at the restart.
+        plane.apply(millis(3_900), crash);
+        let before = traced(&plane).len();
+        plane.apply(millis(4_000), cut(3, 0.0));
+        assert_eq!(plane.next_wake(), None);
         assert_eq!(traced(&plane).len(), before);
+        plane.apply(millis(4_200), restart);
+        assert!(throttled(&plane));
+        assert_eq!(services(&mut plane, &mut env, 5_200), [millis(5_200)]);
+        assert!(throttled(&plane), "still cut to 0");
     }
 
     /// One scripted stream — a birth, queries from three depths, a

@@ -24,6 +24,10 @@
 //! * **overlay partition / heal** — nodes are split into k groups by a
 //!   seeded hash, and every message crossing a group boundary is dropped
 //!   until the heal event;
+//! * **capacity cuts** — a node's §2.8 host capacity fraction, which the
+//!   §3.7 profiles schedule (no spec string spells it): below 1 the node
+//!   holds its maintenance updates for its service wakes; the fraction
+//!   is the host's, so a crashed node keeps it and restarts under it;
 //! * **behavior faults** — Byzantine peers that stay up and routable but
 //!   misbehave, via a per-node override table: `stale-serve` swallows
 //!   inbound deletions and audit repairs (the node keeps answering from

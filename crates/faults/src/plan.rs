@@ -96,6 +96,17 @@ pub enum FaultAction {
         /// The override being lifted.
         behavior: Behavior,
     },
+    /// Sets a node's host capacity fraction (§2.8; §3.7's profiles
+    /// schedule it): below 1 the node is throttled, forwarded updates
+    /// wait in its outgoing queues for a service. The fraction belongs
+    /// to the host, so a crashed node keeps it and comes back under it.
+    /// No spec string spells it: a `CapacityProfile` generates it.
+    SetCapacity {
+        /// Dense index of the node.
+        node: usize,
+        /// The new fraction, in `[0, 1]` (1 = full).
+        c: f64,
+    },
 }
 
 impl FaultAction {
@@ -105,7 +116,8 @@ impl FaultAction {
             FaultAction::Crash { node }
             | FaultAction::Restart { node }
             | FaultAction::SetBehavior { node, .. }
-            | FaultAction::ClearBehavior { node, .. } => Some(node),
+            | FaultAction::ClearBehavior { node, .. }
+            | FaultAction::SetCapacity { node, .. } => Some(node),
             FaultAction::SetLoss { .. }
             | FaultAction::SetLatencyFactor { .. }
             | FaultAction::Partition { .. }

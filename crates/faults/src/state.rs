@@ -126,6 +126,10 @@ pub struct FaultState {
     behaviors: Vec<u8>,
     /// How many behavior bits are set across all nodes (hot-path gate).
     behavior_count: usize,
+    /// Per-node host capacity fractions, 1.0 past the end (see
+    /// [`FaultAction::SetCapacity`]). No send reads them, so they stay
+    /// out of [`FaultState::active`].
+    capacity: Vec<f64>,
     /// What the plane has dropped and toggled so far.
     pub counters: FaultCounters,
 }
@@ -180,6 +184,7 @@ impl FaultState {
             link_seq: HashMap::new(),
             behaviors: Vec::new(),
             behavior_count: 0,
+            capacity: Vec::new(),
             counters: FaultCounters::default(),
         }
     }
@@ -224,13 +229,15 @@ impl FaultState {
     }
 
     /// Heap bytes the plane owns: the per-link message counters, which
-    /// are nearly all of it, and the per-node crash and behavior flags.
+    /// are nearly all of it, the per-node crash and behavior flags and
+    /// the per-node capacity fractions.
     /// The counters only grow (a link keeps its count for the run), so
     /// the map's capacity names its buckets exactly.
     pub fn heap_bytes(&self) -> usize {
         grow_only_map_bytes::<((u32, u32), u64)>(self.link_seq.capacity())
             + self.crashed.capacity()
             + self.behaviors.capacity()
+            + self.capacity.capacity() * std::mem::size_of::<f64>()
     }
 
     /// The current per-hop latency multiplier.
@@ -243,6 +250,11 @@ impl FaultState {
         self.crashed.get(node.index()).copied().unwrap_or(false)
     }
 
+    /// `node`'s host capacity fraction: 1.0 until an action cuts it.
+    pub fn capacity(&self, node: NodeId) -> f64 {
+        self.capacity.get(node.index()).copied().unwrap_or(1.0)
+    }
+
     /// The partition group of `node` under the active partition, if any.
     pub fn partition_group(&self, node: NodeId) -> Option<u32> {
         self.partition
@@ -250,11 +262,13 @@ impl FaultState {
     }
 
     /// Applies one action to the fault state. Crash/restart verdicts
-    /// change here; the matching state wipe is `Plane::apply`'s, which
-    /// rebuilds a crashed node cold in its arena.
+    /// and capacity fractions change here; what they do to a node is
+    /// `Plane::apply`'s, which rebuilds a crashed node cold in its arena
+    /// and throttles a live one.
     ///
     /// Returns `true` if the action changed anything (a crash of an
-    /// already-crashed node, or a restart of a live one, is a no-op).
+    /// already-crashed node, a restart of a live one, or a node's
+    /// fraction set to what it was, is a no-op).
     pub fn apply(&mut self, action: FaultAction) -> bool {
         self.epoch += 1;
         match action {
@@ -322,6 +336,12 @@ impl FaultState {
                 self.behaviors[node] &= !bit;
                 self.behavior_count -= 1;
                 true
+            }
+            FaultAction::SetCapacity { node, c } => {
+                if self.capacity.len() <= node {
+                    self.capacity.resize(node + 1, 1.0);
+                }
+                std::mem::replace(&mut self.capacity[node], c) != c
             }
         }
     }
@@ -702,6 +722,22 @@ mod tests {
         assert!(st.behavior_recv(n(4), &delete), "honest nodes unaffected");
         assert_eq!(st.counters.byz_updates_swallowed, 2);
         assert_eq!(st.counters.dropped(), 0, "the hop was already paid");
+    }
+
+    #[test]
+    fn a_capacity_fraction_is_kept_per_node_and_gates_nothing() {
+        let mut st = FaultState::new(12);
+        assert_eq!(st.capacity(n(4)), 1.0, "full until cut");
+        assert!(st.apply(FaultAction::SetCapacity { node: 4, c: 0.5 }));
+        assert!(!st.apply(FaultAction::SetCapacity { node: 4, c: 0.5 }));
+        assert!(!st.active(), "a cut drops no message");
+        // A crash and a restart leave the host's fraction alone.
+        st.apply(FaultAction::Crash { node: 4 });
+        st.apply(FaultAction::Restart { node: 4 });
+        assert_eq!((st.capacity(n(4)), st.capacity(n(3))), (0.5, 1.0));
+        assert!(st.apply(FaultAction::SetCapacity { node: 4, c: 1.0 }));
+        assert_eq!(st.capacity(n(4)), 1.0);
+        assert_eq!(st.roll(n(1), n(4)), DropVerdict::Deliver);
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! at the end of a 10k-node Chord run. `FaultState::heap_bytes` reads
 //! that map's buckets off its capacity; a counting allocator holds the
 //! reading to the bytes really live, at no link, one link and about
-//! 100k, with a crash flag and a behavior flag allocated beside them.
+//! 100k, with a crash flag, a behavior flag and a capacity fraction
+//! allocated beside them.
 //!
 //! The counters are thread-local and the harness runs each test on a
 //! thread of its own, so tests do not see each other's traffic.
@@ -74,6 +75,16 @@ fn the_fault_plane_counts_the_bytes_the_allocator_does() {
     assert_eq!(faults.heap_bytes() as i64, live(), "no link yet");
     let flags = live();
     assert!(flags >= 1_000 + 100, "one flag a node, {flags} B");
+    faults.apply(FaultAction::SetCapacity {
+        node: 4_999,
+        c: 0.5,
+    });
+    assert_eq!(faults.heap_bytes() as i64, live(), "a capacity fraction");
+    let fractions = live() - flags;
+    assert!(fractions >= 5_000 * 8, "one f64 a node, {fractions} B");
+    // A fraction below the highest node named takes no more room.
+    faults.apply(FaultAction::SetCapacity { node: 7, c: 0.0 });
+    assert_eq!(live() - flags, fractions);
 
     faults.roll(NodeId(1), NodeId(2));
     assert_eq!(faults.heap_bytes() as i64, live(), "one link");

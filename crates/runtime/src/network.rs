@@ -272,11 +272,18 @@ impl LiveNetwork {
         }
     }
 
-    /// Applies one fault action to the live plane: loss rates and
-    /// partitions take effect on the next send; a crash also wipes the
-    /// node's protocol state before this returns (its counters stay in
-    /// [`LiveNetwork::node_stats`]), so nothing still in flight toward
-    /// the node can reach its pre-crash state, as in the DES.
+    /// Applies one fault action to the live plane at [`LiveNetwork::now`]:
+    /// loss rates and partitions take effect on the next send; a crash
+    /// also wipes the node's protocol state before this returns (its
+    /// counters stay in [`LiveNetwork::node_stats`]), so nothing still in
+    /// flight toward the node can reach its pre-crash state, as in the
+    /// DES. A §2.8 capacity fraction (`FaultAction::SetCapacity`) is the
+    /// node's host's: a cut throttles a live node before this returns,
+    /// and its plane keeps the service wake the cut asks for, which
+    /// [`LiveNetwork::run_until`] steps on the virtual clock; a crashed
+    /// node takes the fraction when it restarts. On the wall clock a
+    /// shard whose earliest wake the action moved is woken to read it
+    /// again, so a parked worker does not sleep past a new service.
     ///
     /// The action is applied to every shard's replica while every
     /// shard's lock is held — between rounds everywhere — so the
@@ -297,9 +304,20 @@ impl LiveNetwork {
         {
             return;
         }
-        for local in &mut self.shared.lock_locals() {
-            local.plane.apply(action);
+        let mut moved = Vec::new();
+        let mut locals = self.shared.lock_locals();
+        let (now, wall) = (self.now(), !self.is_virtual_clock());
+        for (shard, local) in locals.iter_mut().enumerate() {
+            let before = local.plane.next_wake();
+            local.plane.apply(now, action);
             self.shared.recount_wakes(local);
+            if wall && local.plane.next_wake() != before {
+                moved.push(shard);
+            }
+        }
+        drop(locals);
+        for shard in moved {
+            self.shared.post(shard, Envelope::Wake);
         }
     }
 

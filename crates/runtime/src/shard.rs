@@ -62,7 +62,10 @@
 //! due and posts [`Envelope::Wake`] to every shard; with no wake kept
 //! anywhere that costs it one atomic read ([`Shared`]'s `wakes`,
 //! recounted under a shard's lock at the end of each round and when the
-//! handle applies a fault, whose crash forgets its node's wakes).
+//! handle applies a fault, whose crash forgets its node's wakes and
+//! whose capacity cut or restart may ask for one; on the wall clock the
+//! handle then posts [`Envelope::Wake`] to the shard, so its worker
+//! reads its earliest wake again).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{self, AtomicUsize, Ordering};

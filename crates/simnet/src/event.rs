@@ -29,15 +29,10 @@ pub enum Ev {
     },
     /// A replica lifecycle action reaches its authority node.
     Replica(ReplicaAction),
-    /// A scheduled capacity change (§3.7 profiles).
-    SetCapacity {
-        /// Dense indices of the affected nodes.
-        nodes: Vec<usize>,
-        /// The new capacity fraction.
-        capacity: f64,
-    },
     /// A node joins or leaves the overlay.
     Churn(ChurnEvent),
-    /// A scripted fault-plane change (loss, latency, crash, partition).
+    /// A fault-plane change: a scripted one (loss, latency, crash,
+    /// partition, behavior) or a §3.7 profile's capacity change for one
+    /// node.
     Fault(FaultEvent),
 }

@@ -2,7 +2,7 @@
 
 use cup_core::NodeConfig;
 use cup_des::{DetRng, EventQueue, LatencyModel, SimDuration};
-use cup_faults::{FaultPlan, Plane};
+use cup_faults::{FaultAction, FaultEvent, FaultPlan, Plane};
 use cup_overlay::{AnyOverlay, OverlayKind};
 use cup_workload::{
     capacity::CapacityProfile, churn::ChurnSchedule, replica::ReplicaPlan,
@@ -151,13 +151,19 @@ pub fn run_experiment(config: &ExperimentConfig) -> ExperimentResult {
         scenario.query_end,
         &mut capacity_rng,
     ) {
-        queue.schedule(
-            epoch.at,
-            Ev::SetCapacity {
-                nodes: epoch.nodes,
-                capacity: epoch.capacity,
-            },
-        );
+        for node in epoch.nodes {
+            let action = FaultAction::SetCapacity {
+                node,
+                c: epoch.capacity,
+            };
+            queue.schedule(
+                epoch.at,
+                Ev::Fault(FaultEvent {
+                    at: epoch.at,
+                    action,
+                }),
+            );
+        }
     }
     for churn_event in config.churn.events() {
         queue.schedule(churn_event.at(), Ev::Churn(*churn_event));

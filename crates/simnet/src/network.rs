@@ -6,17 +6,18 @@
 //! ([`cup_faults::deliver`]); this module is the DES's half of that
 //! contract. [`Network`] owns one [`Plane`] holding every node — with
 //! the trace ring and the staleness ground truth, which a replica death
-//! notes before the kernel sees the deletion; a scripted fault is one
-//! [`Plane::apply`], which also wipes a crashed node — and a `Fabric`,
+//! notes before the kernel sees the deletion; a fault action is one
+//! [`Plane::apply`] at its event's instant, which also wipes a crashed
+//! node and sets a capacity fraction — and a `Fabric`,
 //! the simulated transport the kernel runs over through [`Env`]: the
 //! event queue with the latency model (× the fault plane's spike
 //! factor), the authority cache and the posted-time map. A node's wakes
 //! (a §2.8 capacity service, a §3.6 batch release) stay in the plane,
 //! and [`Network::run_until`] runs them between the queue's events. What
-//! stays here is what only a simulation has: the workload generators,
-//! churn (and the liveness gate that counts deliveries to departed
-//! nodes) and the §3.7 capacity schedule, each change one
-//! [`Plane::set_capacity`] per node.
+//! stays here is what only a simulation has: the workload generators
+//! and churn (and the liveness gate that counts deliveries to departed
+//! nodes). A §3.7 capacity profile reaches the plane as fault events,
+//! one `FaultAction::SetCapacity` per node an epoch changes.
 //!
 //! Churn is also the one thing that moves a route. A join or a leave
 //! clears the authority cache and, with it, every live node's upstream
@@ -250,16 +251,9 @@ impl Network {
                 }
             }
             Ev::Replica(action) => self.on_replica(queue, now, action),
-            Ev::SetCapacity { nodes, capacity } => {
-                let mut wire = self.fabric.wire(queue, now);
-                for &idx in &nodes {
-                    self.plane
-                        .set_capacity(&mut wire, NodeId(idx as u32), capacity);
-                }
-            }
             Ev::Churn(ev) => self.on_churn(ev),
             Ev::Fault(ev) => {
-                self.plane.apply(ev.action);
+                self.plane.apply(now, ev.action);
             }
         }
     }
@@ -419,6 +413,7 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cup_faults::{FaultAction, FaultEvent};
     use cup_overlay::OverlayKind;
     use cup_workload::churn::ChurnEvent;
 
@@ -521,13 +516,18 @@ mod tests {
         // re-cut before that service ask for none.
         let mut queue = EventQueue::new();
         let second = SimTime::from_secs(1);
+        let cut = |c| {
+            let action = FaultAction::SetCapacity {
+                node: joined.index(),
+                c,
+            };
+            Ev::Fault(FaultEvent {
+                at: SimTime::ZERO,
+                action,
+            })
+        };
         for capacity in [0.25, 0.5, 1.0, 0.5] {
-            let nodes = vec![joined.index()];
-            net.dispatch(
-                &mut queue,
-                SimTime::ZERO,
-                Ev::SetCapacity { nodes, capacity },
-            );
+            net.dispatch(&mut queue, SimTime::ZERO, cut(capacity));
             assert!(throttled(&net), "after the cut to {capacity}");
             let kept = net.plane.next_wake();
             assert_eq!(kept, Some(second), "after the cut to {capacity}");
@@ -538,12 +538,7 @@ mod tests {
         // second runs exactly one wake.
         let tick = SimDuration::from_micros(1);
         for (due, capacity, looping) in [(1, 0.5, true), (2, 1.0, false)] {
-            let nodes = vec![joined.index()];
-            net.dispatch(
-                &mut queue,
-                SimTime::ZERO,
-                Ev::SetCapacity { nodes, capacity },
-            );
+            net.dispatch(&mut queue, SimTime::ZERO, cut(capacity));
             let served = net.run_until(&mut queue, SimTime::from_secs(due) + tick);
             assert_eq!(served, 1, "serviced at {capacity}");
             let next = net.plane.next_wake();

@@ -84,6 +84,18 @@ pub enum Faults {
     /// The [`ByzantineCast`], installed at `t = 0`, with every phase-B
     /// probe of the deleted key aimed at the cast's witness.
     Byzantine,
+    /// Two §3.7 Up-And-Down-shaped epochs, each a fifth of the nodes cut
+    /// and then back to full, each node's change one
+    /// `FaultAction::SetCapacity` at a shared mid-gap instant. A
+    /// throttle holds only maintenance updates (a cut node still
+    /// answers queries), so the epochs span the maintenance traffic:
+    /// the first, to 0.5 from late in phase A over all but the last
+    /// refresh, with the surviving keys' authorities among its nodes;
+    /// the second, to 0, over the deletion and the first two probes of
+    /// the deleted key, with that key's authority among its nodes, so
+    /// the deletion waits behind the cut. One node of the second epoch that owns no key
+    /// crashes and restarts inside its cut.
+    Capacity,
 }
 
 /// One sim-vs-live conformance scenario.
@@ -259,6 +271,20 @@ impl ConformanceSpec {
         }
     }
 
+    /// The small scenario under capacity cuts (see [`Faults::Capacity`]):
+    /// a cut node's forwarded maintenance updates wait in its §2.8
+    /// queues for its service wakes, which both runtimes run at whole
+    /// seconds past a mid-gap instant (on the step grid too, and at a
+    /// recovery's instant, where the kernel's tie rule orders them),
+    /// and the crashed node comes back throttled by its host's cut.
+    pub fn throttled(kind: OverlayKind) -> Self {
+        ConformanceSpec {
+            faults: Faults::Capacity,
+            fault_seed: 0xCA_9A,
+            ..ConformanceSpec::small(kind)
+        }
+    }
+
     /// The overlay both runtimes build, and its key authorities' dense
     /// indices (a set, so scans stay O(nodes + keys) at the 2048-node
     /// tier).
@@ -368,8 +394,11 @@ impl ConformanceSpec {
     /// the network is drained there in both runtimes, so each edge
     /// applies to the same quiescent state at the same logical instant —
     /// and the Byzantine cast's unwindowed behaviors install at `t = 0`.
-    /// The scripted surface's bounce, a crash and a restart sharing one
-    /// mid-gap instant, is the only other pair of steps sharing one.
+    /// The capacity surface's cuts, which no spec string spells, are
+    /// scripted directly at mid-gap instants, one step per node, the
+    /// nodes of one epoch edge sharing its instant. The scripted
+    /// surface's bounce, a crash and a restart sharing one mid-gap
+    /// instant, is the only other pair of steps sharing one.
     pub fn script(&self) -> Vec<(SimTime, Step)> {
         let (mut phase_a, mut phase_b) = self.draw();
         let s = self.step_secs;
@@ -381,13 +410,16 @@ impl ConformanceSpec {
         let victim = (0..self.nodes).find(|i| !overlay.1.contains(i));
         let victim = victim.expect("a non-authority node exists");
         let n = self.phase_a_queries;
-        let windowed = matches!(self.faults, Faults::Scripted | Faults::Timed);
+        let windowed = matches!(
+            self.faults,
+            Faults::Scripted | Faults::Timed | Faults::Capacity
+        );
         assert!(
             !windowed || n >= 20,
             "fault windows need ≥ 20 phase-A steps"
         );
         let specs = match self.faults {
-            Faults::None => Vec::new(),
+            Faults::None | Faults::Capacity => Vec::new(),
             Faults::Scripted => vec![
                 format!("drop:0.25@t={}..{}", mid(2), mid(8)),
                 format!("crash:{victim}@t={}..{}", mid(10), mid(14)),
@@ -432,6 +464,40 @@ impl ConformanceSpec {
             ];
             faults.extend(bounce.map(|action| (at, Step::Fault(action))));
             phase_a[9] = (warm, key);
+        }
+        if self.faults == Faults::Capacity {
+            let refreshes = self.refresh_rounds as usize * (self.keys as usize - 1);
+            let deletion = n + refreshes;
+            let authority = |k: u32| overlay.0.authority(KeyId(k)).index();
+            let surviving = (0..self.keys).filter(|&k| k != DELETED_KEY);
+            // (down before step, up before step, fraction, nodes first cut)
+            let epochs = [
+                (n - 2, deletion - 1, 0.5, surviving.map(authority).collect()),
+                (deletion, deletion + 3, 0.0, vec![authority(DELETED_KEY)]),
+            ];
+            // Each epoch's fifth: its authorities, then nodes drawn at
+            // random as the §3.7 profile draws them.
+            let mut rng = DetRng::seed_from(self.fault_seed);
+            for (down, up, c, mut cut) in epochs {
+                for node in rng.sample_indices(self.nodes, self.nodes) {
+                    if cut.len() < self.nodes / 5 && !cut.contains(&node) {
+                        cut.push(node);
+                    }
+                }
+                for (pos, c) in [(down, c), (up, 1.0)] {
+                    let at = SimTime::from_secs(mid(pos));
+                    let steps = cut.iter().map(|&node| FaultAction::SetCapacity { node, c });
+                    faults.extend(steps.map(|action| (at, Step::Fault(action))));
+                }
+                if c == 0.0 {
+                    let spare = cut.iter().find(|n| !overlay.1.contains(n));
+                    let node = *spare.expect("a cut node owns no key");
+                    let (crash, restart) = (mid(down + 1), mid(down + 2));
+                    let at = SimTime::from_secs;
+                    faults.push((at(crash), Step::Fault(FaultAction::Crash { node })));
+                    faults.push((at(restart), Step::Fault(FaultAction::Restart { node })));
+                }
+            }
         }
         let births = (0..self.keys).map(|k| (SimTime::from_secs(1 + u64::from(k)), Step::Birth(k)));
         let query = |&(node, key): &Draw| Step::Query { node, key };
@@ -541,18 +607,32 @@ pub fn outcome_of<'a>(
 ///
 /// Panics if the overlay cannot be built for the spec.
 pub fn run_sim(spec: &ConformanceSpec) -> Outcome {
-    run_sim_inner(spec, None).0
+    run_sim_script(spec, &spec.script())
+}
+
+/// [`run_sim`] over `script` in place of the spec's own (a variant of
+/// it, say, to check that a step bit).
+///
+/// # Panics
+///
+/// Panics if the overlay cannot be built for the spec.
+pub fn run_sim_script(spec: &ConformanceSpec, script: &[(SimTime, Step)]) -> Outcome {
+    run_sim_inner(spec, script, None).0
 }
 
 /// [`run_sim`] with structured event tracing on (a ring buffer of
 /// `trace_cap` events). Compare against a live trace via
 /// `TraceBuf::sorted` / `cup::prelude::trace_diff`.
 pub fn run_sim_traced(spec: &ConformanceSpec, trace_cap: usize) -> (Outcome, TraceBuf) {
-    let (outcome, trace) = run_sim_inner(spec, Some(trace_cap));
+    let (outcome, trace) = run_sim_inner(spec, &spec.script(), Some(trace_cap));
     (outcome, trace.expect("tracing was enabled"))
 }
 
-fn run_sim_inner(spec: &ConformanceSpec, trace_cap: Option<usize>) -> (Outcome, Option<TraceBuf>) {
+fn run_sim_inner(
+    spec: &ConformanceSpec,
+    script: &[(SimTime, Step)],
+    trace_cap: Option<usize>,
+) -> (Outcome, Option<TraceBuf>) {
     // Zero per-hop latency: every handler in a cascade observes the
     // cascade's scheduled instant, the one the live side realizes at its
     // quiesce barriers, so time-compared behavior agrees byte for byte
@@ -573,8 +653,7 @@ fn run_sim_inner(spec: &ConformanceSpec, trace_cap: Option<usize>) -> (Outcome, 
     };
     net.replica_plan = Some(ReplicaPlan::build(&plan, &mut DetRng::seed_from(1)));
     let mut queue = EventQueue::new();
-    let script = spec.script();
-    for &(at, step) in &script {
+    for &(at, step) in script {
         let replica = |k: u32, kind| {
             let (key, replica) = (KeyId(k), ReplicaId(k));
             Ev::Replica(ReplicaAction {
@@ -596,7 +675,7 @@ fn run_sim_inner(spec: &ConformanceSpec, trace_cap: Option<usize>) -> (Outcome, 
         };
         queue.schedule(at, ev);
     }
-    let end = spec.end(&script);
+    let end = spec.end(script);
     net.run_until(&mut queue, end);
     let trace = net.plane.trace.take();
     let (stats, totals) = (
@@ -700,7 +779,7 @@ mod tests {
 
     type Spec = ConformanceSpec;
 
-    fn presets(kind: OverlayKind) -> [Spec; 6] {
+    fn presets(kind: OverlayKind) -> [Spec; 7] {
         [
             Spec::small,
             Spec::large,
@@ -708,6 +787,7 @@ mod tests {
             Spec::timed,
             Spec::byzantine,
             Spec::batched,
+            Spec::throttled,
         ]
         .map(|p| p(kind))
     }
@@ -728,9 +808,10 @@ mod tests {
     /// The property both drivers rely on: the script is a pure function
     /// of the spec, every step has an instant of its own (only the
     /// Byzantine installs share `t = 0`, the scripted bounce's crash and
-    /// restart one mid-gap instant), and every other fault step
-    /// lands strictly between two phase-A queries, where both runtimes
-    /// are drained.
+    /// restart one mid-gap instant, the capacity changes of one epoch
+    /// edge theirs), and every other fault step lands strictly between
+    /// two phase-A queries (the capacity surface's between two scripted
+    /// steps), where both runtimes are drained.
     #[test]
     fn script_is_deterministic_and_well_formed() {
         for kind in OverlayKind::ALL {
@@ -739,10 +820,13 @@ mod tests {
                 let script = spec.script();
                 assert_eq!(script, spec.script(), "{label}: same spec, same script");
                 let byzantine = spec.faults == Faults::Byzantine;
+                let cut =
+                    |step: &Step| matches!(step, Step::Fault(FaultAction::SetCapacity { .. }));
                 let mut shared = 0;
                 for w in script.windows(2) {
                     let install = byzantine && w[1].0 == SimTime::ZERO;
-                    shared += usize::from(w[0].0 == w[1].0 && !install);
+                    let epoch = cut(&w[0].1) && cut(&w[1].1);
+                    shared += usize::from(w[0].0 == w[1].0 && !install && !epoch);
                     assert!(w[0].0 <= w[1].0, "{label}: {w:?}");
                 }
                 let bounces = usize::from(spec.faults == Faults::Scripted);
@@ -760,9 +844,17 @@ mod tests {
                     Faults::Scripted => 8,
                     Faults::Timed => 6,
                     Faults::Byzantine => 3,
+                    // Two epochs of a fifth each, down and up, and a
+                    // crash and its restart.
+                    Faults::Capacity => 4 * (spec.nodes / 5) + 2,
                 };
                 assert_eq!(faults.len(), expected, "{label}: fault step count");
-                let (first, last) = (queries[0].0, queries[n - 1].0);
+                // The capacity surface's epochs span the maintenance
+                // traffic, so its steps may sit past phase A (and, as
+                // `shared` holds, on no other step's instant).
+                let capacity = spec.faults == Faults::Capacity;
+                let last = if capacity { queries.len() - 1 } else { n - 1 };
+                let (first, last) = (queries[0].0, queries[last].0);
                 for (at, action) in faults {
                     let placed = (byzantine && at == SimTime::ZERO) || (first < at && at < last);
                     assert!(placed, "{label}: {action:?} at {at:?} is misplaced");

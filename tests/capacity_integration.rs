@@ -1,5 +1,6 @@
 //! Capacity degradation (§3.7): CUP falls back gracefully when nodes
-//! cannot push updates.
+//! cannot push updates, and a live node's cut holds its pushes until
+//! it recovers.
 
 use cup::prelude::*;
 use cup_testkit::{assert_cheaper, assert_deterministic, medium};
@@ -64,9 +65,8 @@ fn answers_survive_zero_capacity() {
         fraction: 0.2,
         reduced: 0.0,
     }));
-    // First-time responses pass through the §2.8 queues; at c = 0 the
-    // degraded nodes stop answering until recovery, but the Up-And-Down
-    // profile recovers them, and PFU retries re-issue lost queries.
+    // Responses bypass the §2.8 queues: at c = 0 a degraded node stops
+    // pushing maintenance updates, never answering queries.
     let answered = result.net.client_responses as f64 / result.nodes.client_queries as f64;
     assert!(
         answered > 0.9,
@@ -101,4 +101,55 @@ fn capacity_runs_are_deterministic() {
         fraction: 0.2,
         reduced: 0.25,
     }));
+}
+
+#[test]
+fn a_live_authority_cut_to_zero_holds_its_refreshes_until_it_recovers() {
+    let (kind, nodes, seed) = (OverlayKind::Chord, 32, 5);
+    let overlay = AnyOverlay::build(kind, nodes, &mut DetRng::seed_from(seed)).unwrap();
+    let (key, replica, life) = (KeyId(0), ReplicaId(0), SimDuration::from_secs(1_000));
+    let authority = overlay.authority(key);
+    let config = NodeConfig::cup_default();
+    let map = ShardMapMode::Contiguous;
+    let mut rng = DetRng::seed_from(seed);
+    let net = LiveNetwork::start_virtual_with_map(kind, nodes, config, 2, map, &mut rng).unwrap();
+    let at = |secs: u64| net.run_until(SimTime::from_secs(secs));
+    let refresh_hops = || {
+        net.quiesce();
+        net.totals().net.refresh_hops
+    };
+    net.replica_birth(key, replica, life);
+    // Subscribers: every other node asks for the key once.
+    at(1);
+    for &node in net.nodes().iter().filter(|&&n| n != authority) {
+        assert_eq!(net.query(node, key).unwrap().len(), 1);
+    }
+    at(10);
+    net.replica_refresh(key, replica, life);
+    let pushed = refresh_hops();
+    assert!(pushed > 0, "an uncut authority pushes its refresh");
+    // Cut to 0: the next refresh waits in the authority's queues, and
+    // the services `run_until` steps through push none of it.
+    let cut = |c| FaultAction::SetCapacity {
+        node: authority.index(),
+        c,
+    };
+    at(20);
+    net.inject_fault(cut(0.0));
+    at(30);
+    net.replica_refresh(key, replica, life);
+    at(35);
+    assert_eq!(refresh_hops(), pushed, "held behind the cut");
+    // Back at full capacity, the service due at 35 s drains the queue.
+    net.inject_fault(cut(1.0));
+    assert_eq!(refresh_hops(), pushed, "held until the next service");
+    net.run_until(SimTime::from_secs(35) + SimDuration::from_micros(1));
+    assert_eq!(refresh_hops(), 2 * pushed, "the service pushed the refresh");
+    at(60);
+    assert_eq!(refresh_hops(), 2 * pushed);
+    let cut_node = net.shutdown().into_iter().find(|n| n.id() == authority);
+    assert!(
+        !cut_node.unwrap().is_throttled(),
+        "the service lifted the throttle"
+    );
 }

@@ -8,7 +8,8 @@
 //! 2 048 nodes), with §3.6 refresh batches released by the authority's
 //! own wakes (mid-gap, and on the step grid where a release ties with a
 //! step), under the standard fault script, under timed fault
-//! windows, and under the Byzantine cast with the cache audit on. Every
+//! windows, under §3.7 capacity cuts (the §2.8 service wakes, a crash
+//! inside a cut), and under the Byzantine cast with the cache audit on. Every
 //! scenario asserts whole-`Outcome` equality between the sim and each
 //! live cell it runs — the spec's own worker count and shard map, then
 //! every cell of its matrix:
@@ -34,7 +35,7 @@
 
 use cup::prelude::*;
 use cup_testkit::conformance::{
-    run_live, run_sim, run_sim_traced, ConformanceSpec, Outcome, DELETED_KEY,
+    run_live, run_sim, run_sim_script, run_sim_traced, ConformanceSpec, Outcome, Step, DELETED_KEY,
 };
 
 /// The worker-count × shard-map grid the small scenarios sweep: the DES
@@ -291,6 +292,54 @@ fn sim_and_live_agree_on_timed_windows_on_can() {
 #[test]
 fn sim_and_live_agree_on_timed_windows_on_chord() {
     assert_agree_on_timed_windows(OverlayKind::Chord);
+}
+
+/// §3.7 capacity cuts as fault actions: a fifth of the nodes cut to 0.5
+/// over the refresh rounds, then another fifth to 0 over the deletion,
+/// each epoch recovering to full, and one node of the second crashing
+/// and restarting inside its cut. Both
+/// runtimes run the cut nodes' §2.8 service wakes, and the restarted
+/// node's, at the same instants. The cuts bit: the sim's services are
+/// traced, and the same script with every cut set to full capacity
+/// delivers differently, serving fewer stale answers (the second
+/// epoch's cut to 0 holds the deletion back at its authority).
+fn assert_agree_under_capacity_cuts(kind: OverlayKind) {
+    let spec = ConformanceSpec::throttled(kind);
+    let sim = assert_matrix_agrees(spec, &FULL_MATRIX);
+    assert_eq!(
+        (sim.net.faults.crashes, sim.net.faults.restarts),
+        (1, 1),
+        "{kind}: the crash inside a cut"
+    );
+    let (_, trace) = run_sim_traced(&spec, 1 << 16);
+    let services = (trace.sorted().iter())
+        .filter(|ev| ev.kind == TraceKind::Wake && ev.detail == 0)
+        .count();
+    assert!(services > 0, "{kind}: no §2.8 service ran");
+    let uncut: Vec<_> = (spec.script().into_iter())
+        .map(|(at, step)| match step {
+            Step::Fault(FaultAction::SetCapacity { node, .. }) => {
+                (at, Step::Fault(FaultAction::SetCapacity { node, c: 1.0 }))
+            }
+            step => (at, step),
+        })
+        .collect();
+    let full = run_sim_script(&spec, &uncut);
+    assert_ne!(sim.net, full.net, "{kind}: the cuts changed no delivery");
+    assert!(
+        sim.net.stale_answers > full.net.stale_answers,
+        "{kind}: no probe met the deletion the cut held back"
+    );
+}
+
+#[test]
+fn sim_and_live_agree_under_capacity_cuts_on_can() {
+    assert_agree_under_capacity_cuts(OverlayKind::Can);
+}
+
+#[test]
+fn sim_and_live_agree_under_capacity_cuts_on_chord() {
+    assert_agree_under_capacity_cuts(OverlayKind::Chord);
 }
 
 /// The Byzantine cast: a stale-serving node parked on the deletion path

@@ -467,6 +467,54 @@ fn a_held_batch_is_released_on_the_wall_clock_with_nothing_posted() {
     net.shutdown();
 }
 
+/// A cut the handle applies asks for a §2.8 service that the node's
+/// parked worker never read at a round's end: the handle wakes the
+/// shard to read it, so the service loop runs on the wall clock with
+/// nothing else posted. (Taking the trace and re-enabling it may lose
+/// a wake run in between; the loop's next one comes a second later.)
+#[test]
+fn a_cut_is_serviced_on_the_wall_clock_with_nothing_else_posted() {
+    let (map, mut rng) = (ShardMapMode::Contiguous, DetRng::seed_from(31));
+    let config = NodeConfig::cup_default();
+    let net = LiveNetwork::start_with_map(
+        OverlayKind::Chord,
+        32,
+        config,
+        2,
+        map,
+        Clock::wall(),
+        &mut rng,
+    )
+    .expect("the network starts");
+    let node = net.nodes()[3];
+    net.enable_trace(1 << 10);
+    net.inject_fault(FaultAction::SetCapacity {
+        node: node.index(),
+        c: 0.5,
+    });
+    let patience = net.now() + SimDuration::from_secs(20);
+    let serviced = loop {
+        assert!(net.now() < patience, "the cut node was never serviced");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this test's subject is wall time: it waits out a service nobody steps"
+        )]
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let trace = net.take_trace().expect("tracing was on").sorted();
+        net.enable_trace(1 << 10);
+        let wakes = trace.iter().filter(|ev| ev.kind == TraceKind::Wake);
+        if let Some(wake) = wakes.copied().next() {
+            break wake;
+        }
+    };
+    assert_eq!(
+        (serviced.node, serviced.detail),
+        (node, 0),
+        "a §2.8 service"
+    );
+    net.shutdown();
+}
+
 /// Every `Relaxed` ordering in the live runtime is the client-id
 /// counter's `fetch_add`: an id needs uniqueness, which the atomic
 /// read-modify-write gives under any ordering. Any other atomic there

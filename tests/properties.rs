@@ -71,6 +71,15 @@ impl Env for Bare {
     }
 }
 
+/// A model of one node's host under §2.8 capacity actions: the last
+/// fraction set, whether the node runs, and when the one service wake it
+/// should have outstanding is due (`Some` exactly while it is throttled).
+struct Host {
+    fraction: f64,
+    up: bool,
+    due: Option<SimTime>,
+}
+
 /// Fragments of the fault-spec grammar, and numbers that overflow or
 /// are not numbers, that hostile strings are made of.
 const SPEC_TOKENS: &str = "drop|spike|crash|partition|stale-serve|drop-updates|lie-refresh|\
@@ -158,10 +167,15 @@ proptest! {
     /// One §2.8 service loop per throttle, on the kernel's wake store:
     /// over random capacity changes, crashes and restarts at random
     /// instants (several at one instant, and some at the instant a
-    /// service is due, before or after it), the plane keeps exactly the
-    /// one service wake a throttled node asked for, one
-    /// `SERVICE_INTERVAL` after the change or service that asked, and
-    /// none once a service lifted the throttle or a crash wiped the node.
+    /// service is due, before or after it), all applied as fault
+    /// actions, the node's throttle and the plane's one service wake
+    /// match a model of the host's fraction: a cut of an unthrottled,
+    /// running node asks for a service one `SERVICE_INTERVAL` on, as
+    /// does a service that leaves it throttled; a crash wipes the
+    /// throttle and the wake, and a cut while crashed only sets the
+    /// host's fraction; a restart is throttled, with its one service
+    /// wake one `SERVICE_INTERVAL` on, exactly when that last fraction
+    /// is below 1.
     #[test]
     fn a_throttled_node_keeps_exactly_one_service_wake(
         steps in proptest::collection::vec((0u64..3, 0u64..4, 0u64..8, 0u64..2), 1..60),
@@ -169,32 +183,26 @@ proptest! {
         const NODE: NodeId = NodeId(1);
         let crash = FaultAction::Crash { node: 1 };
         let restart = FaultAction::Restart { node: 1 };
+        let cut = |c| FaultAction::SetCapacity { node: 1, c };
         let mut plane = Plane::new(NodeArena::build(&[NODE], NodeConfig::cup_default()));
         let mut env = Bare(SimTime::ZERO);
-        // When the one wake the node should have outstanding is due.
-        let mut due: Option<SimTime> = None;
-        let throttled = |plane: &Plane| plane.nodes.get(NODE).is_some_and(CupNode::is_throttled);
-        // After a step at `at`: a node it throttled asked for a service
-        // one interval on, as did a service that left it throttled; a
-        // node no longer throttled keeps none; and the plane keeps
-        // exactly that.
-        let check = |plane: &Plane, due: &mut Option<SimTime>, asked: bool, at: SimTime| {
-            *due = match (asked, throttled(plane)) {
-                (_, false) => None,
-                (true, true) => Some(at + SERVICE_INTERVAL),
-                (false, true) => *due,
-            };
-            prop_assert_eq!(plane.next_wake(), *due);
+        let mut model = Host { fraction: 1.0, up: true, due: None };
+        let check = |plane: &Plane, model: &Host| {
+            let throttled = plane.nodes.get(NODE).is_some_and(CupNode::is_throttled);
+            prop_assert_eq!(throttled, model.due.is_some());
+            prop_assert_eq!(plane.next_wake(), model.due);
             Ok(())
         };
         // Runs the wakes due by `env`'s now, earliest first, each at its
-        // own instant.
-        let run_due = |plane: &mut Plane, env: &mut Bare, due: &mut Option<SimTime>| {
+        // own instant: a service at a cut fraction asks for the next,
+        // one at full capacity lifts the throttle.
+        let run_due = |plane: &mut Plane, env: &mut Bare, model: &mut Host| {
             let now = env.0;
             while let Some(at) = plane.next_wake().filter(|&at| at <= now) {
                 env.0 = at;
                 prop_assert!(plane.wake_due(env));
-                check(plane, due, true, at)?;
+                model.due = (model.fraction < 1.0).then_some(at + SERVICE_INTERVAL);
+                check(plane, model)?;
             }
             env.0 = now;
             Ok(())
@@ -204,34 +212,46 @@ proptest! {
             let micros = [0, 1, 500_000, 999_999][part as usize];
             env.0 += SimDuration::from_secs(secs) + SimDuration::from_micros(micros);
             if wakes_first == 1 {
-                run_due(&mut plane, &mut env, &mut due)?;
+                run_due(&mut plane, &mut env, &mut model)?;
             }
-            let was = throttled(&plane);
+            let now = env.0;
+            let next = Some(now + SERVICE_INTERVAL);
             match op {
                 6 => {
-                    plane.apply(crash);
+                    plane.apply(now, crash);
+                    model.up = false;
+                    model.due = None;
                 }
                 7 => {
-                    plane.apply(restart);
+                    plane.apply(now, restart);
+                    if !model.up && model.fraction < 1.0 {
+                        model.due = next;
+                    }
+                    model.up = true;
                 }
                 level => {
                     let c = [0.0, 0.25, 0.5, 0.99, 1.0, 1.0][level as usize];
-                    plane.set_capacity(&mut env, NODE, c);
+                    plane.apply(now, cut(c));
+                    model.fraction = c;
+                    if model.up && c < 1.0 && model.due.is_none() {
+                        model.due = next;
+                    }
                 }
             }
-            check(&plane, &mut due, !was, env.0)?;
+            check(&plane, &model)?;
             if wakes_first == 0 {
-                run_due(&mut plane, &mut env, &mut due)?;
+                run_due(&mut plane, &mut env, &mut model)?;
             }
         }
         // Up and back at full capacity, the next service lifts the
         // throttle and asks for no other.
-        plane.apply(restart);
-        plane.set_capacity(&mut env, NODE, 1.0);
-        check(&plane, &mut due, false, env.0)?;
+        plane.apply(env.0, restart);
+        plane.apply(env.0, cut(1.0));
+        model.fraction = 1.0;
         env.0 += SERVICE_INTERVAL;
-        run_due(&mut plane, &mut env, &mut due)?;
-        prop_assert!(plane.next_wake().is_none() && !throttled(&plane));
+        run_due(&mut plane, &mut env, &mut model)?;
+        prop_assert!(plane.next_wake().is_none());
+        prop_assert!(!plane.nodes.get(NODE).is_some_and(CupNode::is_throttled));
     }
 
     /// Capacity queues conserve updates: everything enqueued is either
