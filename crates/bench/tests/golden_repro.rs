@@ -5,7 +5,8 @@
 //! the original `BinaryHeap` scheduler + map-based node table, so this
 //! test is the contract that the event-queue rewrites, the node
 //! arena, and every future engine rewrite change *nothing* about the
-//! simulated results.
+//! simulated results. A second fixture holds Figure 3 and Tables 2 and 3
+//! at `--scale paper`, where Table 2 runs networks of up to 4,096 nodes.
 //!
 //! To regenerate after an intentional behavior change:
 //!
@@ -71,6 +72,15 @@ fn assert_golden(name: &str, actual: &str) {
 fn repro_bench_scale_matches_golden() {
     let out = run_repro(&["--scale", "bench", "all"]);
     assert_golden("repro_bench.txt", &out);
+}
+
+/// Figure 3 and Tables 2 and 3 at the paper's scale: 1,024 nodes, and
+/// Table 2's networks up to 4,096, whose CUP miss latency is 5.4, 7.7
+/// and 10.7 hops below standard caching's at 1,024, 2,048 and 4,096.
+#[test]
+fn repro_paper_scale_tables_match_golden() {
+    let out = run_repro(&["--scale", "paper", "fig3", "table2", "table3"]);
+    assert_golden("repro_paper.txt", &out);
 }
 
 /// One sweep worker must print the same bytes as the default count.

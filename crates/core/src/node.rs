@@ -263,9 +263,6 @@ impl CupNode {
                 // retry upstream, timing out from now.
                 Some(p) => {
                     self.stats.pfu_retries += 1;
-                    self.stats
-                        .pfu_retry_age
-                        .record(now.saturating_since(p.since).as_micros());
                     p.wait(from);
                     p.since = now;
                     out.push(Action::send(upstream, Message::Query { key }));
@@ -509,21 +506,6 @@ impl CupNode {
             return;
         };
         let my_fresh: Vec<ReplicaId> = st.fresh_entries(now).iter().map(|e| e.replica).collect();
-        // `last_audit` is the instant the currently open round was
-        // started, so for a reply that matches the open round it is the
-        // probe's send time — the round-trip base (time zero for a key
-        // this node never audited).
-        let opened = st.last_audit();
-        // Recorded for every reply reaching an auditing key, *before*
-        // the round checks below: whether a reply lands before or after
-        // its round closes depends on arrival interleaving, which the
-        // sharded live runtime does not reproduce — the counters gated
-        // behind it would diverge from the DES. A reply from a
-        // superseded round measures against the newer round's start
-        // (saturating to zero), which keeps the sample set deterministic.
-        self.stats
-            .audit_rtt
-            .record(now.saturating_since(opened).as_micros());
         let Some(cold) = st.cold_mut() else {
             return;
         };
@@ -1132,7 +1114,7 @@ mod tests {
         let records = |node: &mut CupNode| -> Vec<String> {
             node.keys.values_mut().map(|st| format!("{st:?}")).collect()
         };
-        let (before, stats) = (records(&mut node), node.stats.clone());
+        let (before, stats) = (records(&mut node), node.stats);
         // Present and absent keys alike, twice over.
         for k in (0..12).chain(0..12) {
             node.touch_key(KeyId(k));
@@ -1876,9 +1858,6 @@ mod tests {
         assert_eq!(node.stats.pfu_retries, 1);
         let pending = node.key_state(KeyId(1)).unwrap().pending_since();
         assert_eq!(pending, Some(SimTime::from_secs(120)), "restamped");
-        let mut age = crate::obs::LazyHist::default();
-        age.record(SimDuration::from_secs(120).as_micros());
-        assert_eq!(node.stats.pfu_retry_age, age, "one retry, 120 s old");
     }
 
     #[test]

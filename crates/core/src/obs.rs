@@ -13,13 +13,9 @@
 //!   state — whatever order the values arrived in. That
 //!   order-independence is what lets M live workers record concurrently
 //!   and still match the serial DES exactly.
-//!   A `Hist` is a kilobyte in place, which is right where there is one
-//!   per plane (`NetMetrics`) and wrong where there is one per node:
-//!   [`LazyHist`] is the per-node form, one pointer wide until the first
-//!   sample, then one 72-byte block holding the eight buckets from the
-//!   lowest sample up (beside it, a block of exactly the sampled buckets
-//!   once the samples spread wider), equal to a `Hist` in everything
-//!   read from it.
+//!   A `Hist` is a kilobyte in place, so there is one per plane
+//!   (`NetMetrics`) or per live shard, never one per node: a node keeps
+//!   plain counters.
 //! * [`TraceBuf`] — a ring-buffered **structured event trace**
 //!   ([`TraceEvent`]`{ t, node, kind, key, detail }`, virtual-clock
 //!   timestamped) with canonical ordering, JSONL export, and
@@ -47,7 +43,7 @@ pub const HIST_BUCKETS: usize = 128;
 ///
 /// `Copy + Eq` on purpose: it embeds in the delivery kernel's
 /// `NetMetrics`, which is copied and compared byte-exactly by the
-/// conformance suites. Per-node counters hold a [`LazyHist`] instead.
+/// conformance suites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hist {
     counts: [u64; HIST_BUCKETS],
@@ -95,13 +91,8 @@ impl Hist {
 
     /// Records one value. Integer-only; saturates into the top bucket.
     pub fn record(&mut self, v: u64) {
-        self.add(Self::index_of(v), 1);
-    }
-
-    /// Adds `n` values to bucket `idx`.
-    fn add(&mut self, idx: usize, n: u64) {
-        self.counts[idx] += n;
-        self.total += n;
+        self.counts[Self::index_of(v)] += 1;
+        self.total += 1;
     }
 
     /// Exact merge: bucket-wise addition. Associative and commutative,
@@ -145,146 +136,6 @@ impl Hist {
             }
         }
         Self::floor_of(HIST_BUCKETS - 1)
-    }
-}
-
-/// Buckets a [`LazyHist`]'s block holds: one node's samples fit in
-/// that many adjacent buckets in every armed workload but for a handful
-/// of nodes (PFU retry ages at 31, 62 and 93 s span seven).
-const SPAN: usize = 8;
-
-// A block names its lowest bucket in a byte.
-const _: () = assert!(HIST_BUCKETS <= 1 << u8::BITS);
-
-/// A [`Hist`] that owns only the span of buckets its samples cover.
-///
-/// [`crate::stats::NodeStats`] keeps two distributions that most nodes
-/// record into a few times if at all (a PFU retry needs a lost answer,
-/// an audit round-trip needs the audit plane on); in place they were
-/// four fifths of a node's fixed bytes, and a whole boxed `Hist` is a
-/// kilobyte for a node that retried once. So this is one pointer, null
-/// until the first sample, which then allocates one block: the `SPAN`
-/// buckets from the lowest one sampled up. Samples that spread wider
-/// move into a second block beside it that runs from the lowest sampled
-/// bucket to the highest: eight bytes a bucket, where a whole `Hist` was
-/// 1,032 bytes.
-///
-/// The representation is a function of the recorded multiset alone:
-/// absent when it is empty, the block anchored at its lowest bucket while
-/// it spans at most `SPAN` buckets, exactly its lowest to its highest
-/// bucket otherwise (a multiset only grows, so nothing ever moves back).
-/// The derived `==` therefore treats an untouched histogram, a default
-/// one and one merged with empties alike, and the exact-merge law of
-/// `Hist` carries over unchanged.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LazyHist(Option<Box<Span>>);
-
-/// The buckets a non-empty [`LazyHist`] holds: bucket `lo + i` holds
-/// `counts[i]`, and `counts[0]` is not zero.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Span {
-    /// The samples lie within `SPAN` buckets.
-    Narrow { lo: u8, counts: [u64; SPAN] },
-    /// The samples are more than `SPAN` buckets apart, and `counts` runs
-    /// from the lowest sampled bucket to the highest, no further.
-    Wide { lo: u8, counts: Box<[u64]> },
-}
-
-impl LazyHist {
-    /// Records one value, allocating the block on the first.
-    pub fn record(&mut self, v: u64) {
-        self.add(Hist::index_of(v), 1);
-    }
-
-    /// Exact merge; an empty `other` leaves `self` untouched (and
-    /// unallocated).
-    pub fn merge(&mut self, other: &LazyHist) {
-        for (idx, n) in other.buckets() {
-            self.add(idx, n);
-        }
-    }
-
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.buckets().map(|(_, n)| n).sum()
-    }
-
-    /// The histogram itself (empty when nothing was recorded), for
-    /// quantiles.
-    pub fn to_hist(&self) -> Hist {
-        let mut hist = Hist::new();
-        for (idx, n) in self.buckets() {
-            hist.add(idx, n);
-        }
-        hist
-    }
-
-    /// Heap bytes this histogram owns: none while empty, the block once
-    /// sampled, and the wide span's buckets too once the samples spread
-    /// wider.
-    pub fn heap_bytes(&self) -> usize {
-        match self.0.as_deref() {
-            None => 0,
-            Some(Span::Narrow { .. }) => std::mem::size_of::<Span>(),
-            Some(Span::Wide { counts, .. }) => {
-                std::mem::size_of::<Span>() + std::mem::size_of_val::<[u64]>(counts)
-            }
-        }
-    }
-
-    /// The non-empty buckets as `(index, count)`, lowest first.
-    fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        let (base, counts): (usize, &[u64]) = match self.0.as_deref() {
-            None => (0, &[]),
-            Some(Span::Narrow { lo, counts }) => (usize::from(*lo), counts),
-            Some(Span::Wide { lo, counts }) => (usize::from(*lo), counts),
-        };
-        counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &n)| n > 0)
-            .map(move |(i, &n)| (base + i, n))
-    }
-
-    /// Adds `n > 0` values to bucket `idx`, widening the span (into a
-    /// block of its own past `SPAN` buckets) when `idx` lies outside it.
-    fn add(&mut self, idx: usize, n: u64) {
-        let Some(span) = self.0.as_deref_mut() else {
-            let mut counts = [0; SPAN];
-            counts[0] = n;
-            self.0 = Some(Box::new(Span::Narrow {
-                lo: idx as u8,
-                counts,
-            }));
-            return;
-        };
-        let (lo, counts): (&mut u8, &mut [u64]) = match span {
-            Span::Narrow { lo, counts } => (lo, counts),
-            Span::Wide { lo, counts } => (lo, counts),
-        };
-        let old_lo = usize::from(*lo);
-        let hi = old_lo + counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-        if (old_lo..=hi).contains(&idx) {
-            counts[idx - old_lo] += n;
-            return;
-        }
-        let new_lo = old_lo.min(idx);
-        let new_hi = hi.max(idx);
-        if new_hi - new_lo < SPAN {
-            // Every bucket moves up by the shift; the zeros past `hi`
-            // wrap round to the bottom.
-            counts.rotate_right(old_lo - new_lo);
-            counts[idx - new_lo] += n;
-            *lo = new_lo as u8;
-            return;
-        }
-        let mut wide = vec![0; new_hi - new_lo + 1].into_boxed_slice();
-        wide[old_lo - new_lo..=hi - new_lo].copy_from_slice(&counts[..=hi - old_lo]);
-        wide[idx - new_lo] += n;
-        *span = Span::Wide {
-            lo: new_lo as u8,
-            counts: wide,
-        };
     }
 }
 
@@ -498,7 +349,6 @@ pub fn trace_diff(a: &TraceBuf, b: &TraceBuf) -> Option<TraceDivergence> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn small_values_are_exact() {
@@ -570,104 +420,6 @@ mod tests {
             last = q;
         }
         assert!(h.quantile(1000) <= 100_000);
-    }
-
-    /// One value in bucket `idx` (clamped to the top one), `m` picking
-    /// where in the bucket.
-    fn in_bucket(idx: usize, m: u64) -> u64 {
-        let idx = idx.min(HIST_BUCKETS - 1);
-        if idx + 1 == HIST_BUCKETS {
-            return Hist::floor_of(idx).saturating_add(m << 20);
-        }
-        let floor = Hist::floor_of(idx);
-        floor + m % (Hist::floor_of(idx + 1) - floor)
-    }
-
-    /// A deterministic stream of indices below `bound`.
-    fn next_below(state: &mut u64, bound: usize) -> usize {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (*state >> 33) as usize % bound.max(1)
-    }
-
-    fn lazy_of(values: &[u64]) -> LazyHist {
-        let mut lazy = LazyHist::default();
-        for &v in values {
-            lazy.record(v);
-        }
-        lazy
-    }
-
-    proptest! {
-        /// The same multiset, recorded in two orders and cut into groups
-        /// merged pairwise in a random order, gives equal histograms
-        /// that read like the `Hist` of it, and they hold the block alone
-        /// exactly while the samples span at most `SPAN` buckets, and
-        /// beside it exactly the buckets from the lowest sample to the
-        /// highest once they span more. Most values sit within six
-        /// buckets of a random base, so the block sits anywhere from the
-        /// exact buckets to the saturating top one; `mix` lets exact
-        /// values, `u64::MAX`, values up to eleven buckets past the base
-        /// and values in any bucket in, which widen the span past the
-        /// block by a few buckets or by up to all of them.
-        #[test]
-        fn lazy_hist_is_its_multiset_however_it_was_built(
-            picks in proptest::collection::vec((0u32..5, 0u64..1 << 40), 0..40),
-            base in 0usize..HIST_BUCKETS,
-            mix in 0u32..16,
-            seed in any::<u64>(),
-        ) {
-            let values: Vec<u64> = picks
-                .iter()
-                .map(|&(regime, m)| match regime {
-                    1 if mix & 1 != 0 => m % SUB as u64,
-                    2 if mix & 2 != 0 => u64::MAX,
-                    3 if mix & 4 != 0 => in_bucket(base + 6 + (m % 6) as usize, m >> 3),
-                    4 if mix & 8 != 0 => in_bucket((m % HIST_BUCKETS as u64) as usize, m >> 7),
-                    _ => in_bucket(base + (m % 6) as usize, m >> 3),
-                })
-                .collect();
-            let mut state = seed | 1;
-            let mut shuffled = values.clone();
-            for i in (1..shuffled.len()).rev() {
-                shuffled.swap(i, next_below(&mut state, i + 1));
-            }
-            let mut groups: Vec<LazyHist> = Vec::new();
-            let mut rest = &shuffled[..];
-            while !rest.is_empty() {
-                let (group, tail) = rest.split_at(1 + next_below(&mut state, rest.len()));
-                groups.push(lazy_of(group));
-                rest = tail;
-            }
-            groups.push(LazyHist::default());
-            while groups.len() > 1 {
-                let from = groups.swap_remove(next_below(&mut state, groups.len()));
-                let into = next_below(&mut state, groups.len());
-                groups[into].merge(&from);
-            }
-
-            let serial = lazy_of(&values);
-            let mut hist = Hist::new();
-            for &v in &values {
-                hist.record(v);
-            }
-            prop_assert_eq!(&serial, &lazy_of(&shuffled));
-            prop_assert_eq!(&serial, &groups[0]);
-            prop_assert_eq!(serial.to_hist(), hist);
-            prop_assert_eq!(groups[0].to_hist(), hist);
-            prop_assert_eq!(serial.count(), values.len() as u64);
-
-            let idx: Vec<usize> = values.iter().map(|&v| Hist::index_of(v)).collect();
-            let block = std::mem::size_of::<Span>();
-            let expected = match (idx.iter().min(), idx.iter().max()) {
-                (Some(lo), Some(hi)) if hi - lo < SPAN => block,
-                (Some(lo), Some(hi)) => block + (hi - lo + 1) * std::mem::size_of::<u64>(),
-                _ => 0,
-            };
-            prop_assert_eq!(serial.heap_bytes(), expected);
-            prop_assert_eq!(groups[0].heap_bytes(), expected);
-        }
     }
 
     fn ev(t: u64, node: u32, kind: TraceKind, key: u32, detail: u64) -> TraceEvent {

@@ -5,17 +5,12 @@
 //! measured at the network layer.
 //!
 //! Every node carries one of these, so its fixed size is paid ten
-//! thousand times over: the counters are plain words and the two
-//! distributions are [`LazyHist`]s, which cost a pointer each until a
-//! node actually records a sample, then a block of eight buckets, and
-//! beside it exactly the buckets sampled once they spread wider
-//! ([`NodeStats::heap_bytes`] counts them). That is why the struct is
-//! `Clone` but not `Copy` — a copy may have buckets to duplicate.
-
-use crate::obs::LazyHist;
+//! thousand times over: it is 17 plain counters, `Copy`, and owns no
+//! heap. Distributions (query latency, stale ages) are measured once per
+//! plane, in `NetMetrics`, not per node.
 
 /// Counters maintained by one node.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Queries posted by local clients.
     pub client_queries: u64,
@@ -57,24 +52,12 @@ pub struct NodeStats {
     /// Audit repairs applied: rounds where a dissent quorum made this
     /// node evict condemned replicas and adopt the quorum's entries.
     pub audit_repairs: u64,
-    /// Distribution of how long each retried Pending-First-Update record
-    /// had been stranded when the retry fired (µs since its stamp) —
-    /// the tail companion of the `pfu_retries` count.
-    pub pfu_retry_age: LazyHist,
-    /// Distribution of audit round-trips: µs from opening a sampled
-    /// audit round to each reply of that round arriving back.
-    pub audit_rtt: LazyHist,
 }
 
 impl NodeStats {
     /// Total client misses (first-time plus freshness).
     pub fn client_misses(&self) -> u64 {
         self.first_time_misses + self.freshness_misses
-    }
-
-    /// Heap bytes these counters own: their two histograms' buckets.
-    pub fn heap_bytes(&self) -> usize {
-        self.pfu_retry_age.heap_bytes() + self.audit_rtt.heap_bytes()
     }
 
     /// Adds another node's counters into this one (aggregation).
@@ -99,8 +82,6 @@ impl NodeStats {
             audit_probes_served,
             audit_replies,
             audit_repairs,
-            pfu_retry_age,
-            audit_rtt,
         } = other;
         self.client_queries += client_queries;
         self.client_hits += client_hits;
@@ -119,8 +100,6 @@ impl NodeStats {
         self.audit_probes_served += audit_probes_served;
         self.audit_replies += audit_replies;
         self.audit_repairs += audit_repairs;
-        self.pfu_retry_age.merge(pfu_retry_age);
-        self.audit_rtt.merge(audit_rtt);
     }
 }
 
@@ -146,17 +125,5 @@ mod tests {
         assert_eq!(a.client_queries, 14);
         assert_eq!(a.coalesced_queries, 1);
         assert_eq!(a.client_misses(), 5);
-    }
-
-    #[test]
-    fn merge_folds_the_latency_histograms() {
-        let mut a = NodeStats::default();
-        a.pfu_retry_age.record(31_000_000);
-        let mut b = NodeStats::default();
-        b.pfu_retry_age.record(45_000_000);
-        b.audit_rtt.record(900);
-        a.merge(&b);
-        assert_eq!(a.pfu_retry_age.count(), 2);
-        assert_eq!(a.audit_rtt.count(), 1);
     }
 }

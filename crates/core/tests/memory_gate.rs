@@ -17,15 +17,15 @@
 //! once the live replica's next refresh has dropped the dead entry.
 //!
 //! The other tests hold the per-hop path to the same standard. A
-//! node's fixed bytes stay at most 352 (its two histograms allocate on
-//! first use). A handler that passes an update on moves the payload into
-//! the last recipient and clones it for the others, so a relay through a
-//! fan-out-1 node allocates nothing, fan-out 4 exactly three copies, a
-//! response relayed to one waiting neighbor nothing and one answered to
-//! a waiting client exactly its payload. And the justification tracker,
-//! which sees every update and every query path, allocates nothing once
-//! its slots exist, and its count of its own bytes is the allocator's
-//! (as is a per-node histogram's, spread over twelve buckets).
+//! node's fixed bytes are pinned at 336, and its counters own no heap
+//! however often it retries. A handler that passes an update on moves
+//! the payload into the last recipient and clones it for the others, so
+//! a relay through a fan-out-1 node allocates nothing, fan-out 4 exactly
+//! three copies, a response relayed to one waiting neighbor nothing and
+//! one answered to a waiting client exactly its payload. And the
+//! justification tracker, which sees every update and every query path,
+//! allocates nothing once its slots exist, and its count of its own
+//! bytes is the allocator's.
 //!
 //! The allocator is the process's but the counters are thread-local and
 //! the harness runs each test on a thread of its own, so the tests do
@@ -35,9 +35,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use cup_core::keystate::KeyState;
+use cup_core::stats::NodeStats;
 use cup_core::{
-    Action, AuditConfig, ClientId, CupNode, IndexEntry, JustificationTracker, LazyHist, Message,
-    NodeConfig, Requester, Update, UpdateKind,
+    Action, AuditConfig, ClientId, CupNode, IndexEntry, JustificationTracker, Message, NodeConfig,
+    Requester, Update, UpdateKind,
 };
 use cup_des::{KeyId, NodeId, ReplicaId, SimDuration, SimTime};
 
@@ -92,8 +93,8 @@ static ALLOCATOR: Counting = Counting;
 const _: () = assert!(std::mem::size_of::<KeyState>() == 56);
 const _: () = assert!(std::mem::align_of::<KeyState>() <= 16);
 const _: () = assert!(std::mem::size_of::<IndexEntry>() == 16);
-// A node's two histograms are a pointer each until they are sampled.
-const _: () = assert!(std::mem::size_of::<LazyHist>() == 8);
+// A node's counters are 17 words in place and nothing on the heap.
+const _: () = assert!(std::mem::size_of::<NodeStats>() == 136);
 
 const KEYS: u32 = 128;
 const LIFE: SimDuration = SimDuration::from_secs(300);
@@ -207,11 +208,13 @@ fn bytes_per_cached_key(keys: u32) -> f64 {
 /// `core.node_bytes_per_key`. The record array grows by a quarter and
 /// the key index by doubling once it would pass ¾ full: 160 keys sit in
 /// 175 records behind a 256-word index (1,024 B), 256 keys in 272 behind
-/// a 512-word one (2,048 B), plus the node's 352-byte struct. A 56-byte
-/// record reads 68.875 B a key at 256 keys and 69.85 B at 160: three
-/// interested neighbors in place and a 12-byte popularity measure took 8
-/// bytes off each of 272 and 175 records, and the ¾ index rule halved
-/// the 160-key node's index (77.375 B and 85.0 B before). A 64-byte
+/// a 512-word one (2,048 B), plus the node's 336-byte struct. A 56-byte
+/// record reads 68.8125 B a key at 256 keys and 69.75 B at 160. The two
+/// per-node histograms' pointers took 16 bytes off the struct (68.875 B
+/// and 69.85 B before); three interested neighbors in place and a
+/// 12-byte popularity measure took 8 bytes off each of 272 and 175
+/// records, and the ¾ index rule halved the 160-key node's index
+/// (77.375 B and 85.0 B before). A 64-byte
 /// record read that: one cache line, with the key in the entry slot and
 /// everything rare in one side box, took 32 bytes off each of 272 and
 /// 175 records (111.375 B and 120.0 B before). A 96-byte record read that: the
@@ -230,12 +233,9 @@ fn bytes_per_cached_key(keys: u32) -> f64 {
 /// filled it exactly at a power of two, which a quarter step does not.
 #[test]
 fn a_cached_key_costs_what_the_ledger_reads() {
-    for (keys, ledger) in [(256, 68.875), (160, 69.85)] {
+    for (keys, ledger) in [(256, 68.8125), (160, 69.75)] {
         let per_key = bytes_per_cached_key(keys);
-        assert!(
-            per_key <= ledger,
-            "{keys} keys: {per_key} bytes per key, the ledger reads {ledger}"
-        );
+        assert_eq!(per_key, ledger, "{keys} keys: bytes per key");
     }
 }
 
@@ -370,23 +370,20 @@ fn an_expired_entry_leaves_with_the_next_refresh_and_takes_its_box() {
 }
 
 #[test]
-fn a_node_is_at_most_352_bytes_before_it_caches_anything() {
-    let size = std::mem::size_of::<CupNode>();
-    assert!(size <= 352, "CupNode is {size} bytes");
+fn a_node_is_336_bytes_before_it_caches_anything() {
+    assert_eq!(std::mem::size_of::<CupNode>(), 336);
     // And owns nothing on the heap yet: ten thousand idle nodes are ten
     // thousand times the number above.
     let live_before = LIVE_BYTES.get();
-    let node = CupNode::new(NodeId(1), NodeConfig::cup_default());
+    let _node = CupNode::new(NodeId(1), NodeConfig::cup_default());
     assert_eq!(LIVE_BYTES.get() - live_before, 0, "an idle node's heap");
-    assert_eq!(node.stats.pfu_retry_age.count(), 0);
 }
 
-/// A Pending-First-Update retry records the stranded record's age, and
-/// a node whose answers keep getting lost retries at ages 31, 62 and
-/// 93 s: seven adjacent buckets, which the histogram's one block holds.
-/// A whole boxed `Hist` was 1,032 bytes of it.
+/// A node whose answers keep getting lost retries its Pending-First-Update
+/// query at ages 31, 62 and 93 s; each retry is one more in a counter,
+/// so the node owns nothing beyond its key table.
 #[test]
-fn a_node_that_retried_three_times_owns_one_small_histogram_block() {
+fn a_node_that_retried_three_times_owns_nothing_beyond_its_key_table() {
     let mut out: Vec<Action> = Vec::with_capacity(8);
     let client = Requester::Client(ClientId(1));
     let live_before = LIVE_BYTES.get();
@@ -399,14 +396,8 @@ fn a_node_that_retried_three_times_owns_one_small_histogram_block() {
         out.clear();
     }
     assert_eq!(node.stats.pfu_retries, 3);
-    let ages = node.stats.pfu_retry_age.to_hist();
-    assert_eq!(
-        (ages.quantile(1), ages.quantile(1000)),
-        (29_360_128, 83_886_080)
-    );
-    let histograms = LIVE_BYTES.get() - live_before - node.key_table_bytes() as i64;
-    assert_eq!(histograms, node.stats.heap_bytes() as i64);
-    assert!(histograms <= 96, "{histograms} heap bytes of histogram");
+    let beyond = LIVE_BYTES.get() - live_before - node.key_table_bytes() as i64;
+    assert_eq!(beyond, 0, "heap bytes beyond the key table");
 }
 
 /// A node caching `KEYS` keys, each with `fan_out` subscribed neighbors
@@ -627,26 +618,4 @@ fn a_tracker_emptied_from_full_still_counts_its_buckets() {
     assert_eq!(tracker.held_slots(), 29_376);
     assert_eq!(tracker.heap_bytes(), full, "no bucket was given back");
     assert_eq!(tracker.heap_bytes() as i64, LIVE_BYTES.get() - live_before);
-}
-
-/// A histogram whose samples spread over twelve buckets keeps them in a
-/// block of exactly twelve beside its eight-bucket one: 168 heap bytes,
-/// where a whole `Hist` beside the block was 1,104.
-#[test]
-fn a_histogram_spread_over_twelve_buckets_owns_twelve_more() {
-    let live_before = LIVE_BYTES.get();
-    let mut hist = LazyHist::default();
-    // Buckets 76, 82 and 87: the first two fit the block, the third
-    // spreads the samples over twelve.
-    for v in [1 << 20, 3 << 20, 7 << 20] {
-        hist.record(v);
-    }
-    let live = LIVE_BYTES.get() - live_before;
-    assert_eq!(live, hist.heap_bytes() as i64);
-    assert_eq!(live, 72 + 12 * 8);
-    let read = hist.to_hist();
-    assert_eq!(
-        (read.count(), read.quantile(1), read.quantile(1000)),
-        (3, 1 << 20, 7 << 20)
-    );
 }

@@ -1047,7 +1047,7 @@ mod tests {
         assert_eq!(stats.client_queries, 5);
         for k in [2, 3, 6] {
             let split = run_stream(k);
-            assert_eq!(split, (whole, trace.clone(), stats.clone()), "{k} planes");
+            assert_eq!(split, (whole, trace.clone(), stats), "{k} planes");
         }
     }
 }

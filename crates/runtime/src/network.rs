@@ -980,14 +980,14 @@ mod tests {
     }
 
     #[test]
-    fn a_crashed_nodes_histograms_fold_into_the_retained_aggregate() {
+    fn a_crashed_nodes_counters_fold_into_the_retained_aggregate() {
         let net = virtual_network(OverlayKind::Can, 16, 2, 13);
         net.enable_faults(5);
         net.replica_birth(KeyId(1), ReplicaId(0), SimDuration::from_secs(3600));
         net.quiesce();
         // Total loss strands a Pending-First-Update flag at every node
         // but the authority; past the 30 s timeout each node's next
-        // query retries and records how long its flag sat.
+        // query retries.
         net.inject_fault(FaultAction::SetLoss { rate: 1.0 });
         let stranded: Vec<_> = (net.nodes().iter())
             .map(|&node| net.query_detached(node, KeyId(1)).unwrap())
@@ -1001,21 +1001,13 @@ mod tests {
         drop(stranded);
         let before = net.node_stats();
         assert_eq!(before.pfu_retries, 15, "one per non-authority node");
-        assert_eq!(before.pfu_retry_age.count(), 15);
-        // Every retry waited out the timeout, so every age lies in the
-        // same window, and so does every retained one.
-        let ages = before.pfu_retry_age.to_hist();
-        for permille in [0, 500, 1000] {
-            let age = ages.quantile(permille);
-            assert!((24_000_000..=31_000_000).contains(&age), "{age} µs");
-        }
-        // Crash half the nodes: at least seven of them hold a sample.
+        // Crash half the nodes: at least seven of them retried.
         for node in 0..8 {
             net.inject_fault(FaultAction::Crash { node });
         }
         net.quiesce();
         // Nothing was lost and nothing doubled: the network keeps every
-        // sample, the crashed nodes came back with empty histograms, the
+        // retry, the crashed nodes came back with zeroed counters, the
         // others kept theirs.
         let after = net.node_stats();
         assert_eq!(after, before, "conserved across the crashes");
@@ -1027,8 +1019,6 @@ mod tests {
         }
         let retained = after.pfu_retries - held.pfu_retries;
         assert!(retained >= 7, "{retained} retries");
-        let retained_samples = after.pfu_retry_age.count() - held.pfu_retry_age.count();
-        assert_eq!(retained_samples, retained);
     }
 
     #[test]
